@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test chaos chaos-cluster bench bench-json bench-yannakakis bench-stream bench-wcoj bench-spill fuzz experiments clean
+.PHONY: all build vet test chaos chaos-cluster bench bench-json bench-yannakakis bench-stream bench-wcoj bench-spill bench-e2e bench-e2e-quick fuzz experiments clean
 
 all: build vet test
 
@@ -36,16 +36,17 @@ bench:
 # Kernel microbenchmarks (open-addressing join/dedup vs map baselines,
 # partitioned join by worker count) recorded as JSON for trend tracking,
 # plus the engine/harness suite: subplan cache cached-vs-uncached
-# repeated workloads, iterator-join kernel port, and harness scaling by
-# worker count. The planner suite covers the incremental bitset DP,
+# repeated workloads, iterator-join kernel port, harness scaling by
+# worker count, and the answer frame's encode/decode (wide and Boolean,
+# with the frame size as frame-bytes). The planner suite covers the incremental bitset DP,
 # island GEQO by worker count, and the bucket-queue/bitset elimination
 # orders, each against the map-based baseline it replaced.
 bench-json:
 	go test ./internal/relation -run '^$$' -bench '^BenchmarkKernel' -benchmem \
 		| go run ./cmd/benchjson > BENCH_relation.json
 	@cat BENCH_relation.json
-	go test ./internal/engine ./internal/experiments -run '^$$' \
-		-bench '^BenchmarkEngine|^BenchmarkHarness' -benchmem \
+	go test ./internal/engine ./internal/experiments ./internal/server -run '^$$' \
+		-bench '^BenchmarkEngine|^BenchmarkHarness|^BenchmarkServerAnswerFrame' -benchmem \
 		| go run ./cmd/benchjson > BENCH_engine.json
 	@cat BENCH_engine.json
 	go test ./internal/pgplanner ./internal/treedec -run '^$$' \
@@ -89,9 +90,20 @@ bench-wcoj:
 bench-spill:
 	go test . -run '^$$' -bench '^BenchmarkSpill' -benchmem -benchtime 3x
 
+# The through-the-wire benchmark of BENCHMARK.json (bench/ is its own
+# module): every workload against a real projpushd child and a 4-worker
+# fleet, every answer verified; results land in bench/out/. The quick
+# run is the same with 200 requests per workload (< 15 s).
+bench-e2e:
+	go run -C bench .
+
+bench-e2e-quick:
+	go run -C bench . -quick
+
 fuzz:
 	go test ./internal/sqlparse -fuzz 'FuzzParse$$' -fuzztime 30s
 	go test ./internal/sqlparse -fuzz 'FuzzParseNaive$$' -fuzztime 30s
+	go test ./internal/server -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime 30s
 
 # Paper-scale sweeps with timeouts (slow; see -scale to shrink).
 experiments:

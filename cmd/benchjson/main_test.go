@@ -1,0 +1,37 @@
+package main
+
+import (
+	"reflect"
+	"testing"
+)
+
+// TestParseLineKeepsCustomMetrics: lines captured from `go test -bench
+// -benchmem` with b.ReportMetric units, one of them a float.
+func TestParseLineKeepsCustomMetrics(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want result
+		ok   bool
+	}{
+		{
+			"BenchmarkServerAnswerFrame/encode/wide13kx3-2         \t     848\t   1358431 ns/op\t    160361 frame-bytes\t  654321 B/op\t      21 allocs/op",
+			result{Name: "BenchmarkServerAnswerFrame/encode/wide13kx3", Iterations: 848, NsPerOp: 1358431,
+				BytesPerOp: 654321, AllocsPerOp: 21, Metrics: map[string]float64{"frame-bytes": 160361}},
+			true,
+		},
+		{
+			"BenchmarkYannakakisChain/yannakakis-8 \t 3\t 3512345.5 ns/op\t 0.2500 hit-ratio\t 1.5e+06 stats-bytes\t 93000 B/op\t 412 allocs/op",
+			result{Name: "BenchmarkYannakakisChain/yannakakis", Iterations: 3, NsPerOp: 3512345.5,
+				BytesPerOp: 93000, AllocsPerOp: 412, Metrics: map[string]float64{"hit-ratio": 0.25, "stats-bytes": 1.5e6}},
+			true,
+		},
+		{"BenchmarkKernelJoin-4 \t 100\t 52.75 ns/op", result{Name: "BenchmarkKernelJoin", Iterations: 100, NsPerOp: 52.75}, true},
+		{"ok  \tprojpush/internal/server\t2.1s", result{}, false},
+		{"BenchmarkBroken-2 \t many\t 1 ns/op", result{}, false},
+	} {
+		got, ok := parseLine(tc.line)
+		if ok != tc.ok || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("parseLine(%q)\n got  %+v, %v\n want %+v, %v", tc.line, got, ok, tc.want, tc.ok)
+		}
+	}
+}

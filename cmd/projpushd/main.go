@@ -11,7 +11,7 @@
 //	projpushd -addr :7433 -fleet 4 -hedge        # coordinator + 4 in-process workers
 //	projpushd -addr :7434 -join 127.0.0.1:7433   # worker that registers with a coordinator
 //
-// Clients speak the length-prefixed JSON protocol of internal/server;
+// Clients speak the length-prefixed frame protocol of internal/server;
 // cmd/loadgen drives it under load, and `projpush -connect` sends a
 // single generated instance.
 package main

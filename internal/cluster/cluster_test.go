@@ -333,7 +333,7 @@ func startFakeWorker(t *testing.T, id string, delay time.Duration) *fakeWorker {
 				f.served.Add(1)
 				return &server.Response{
 					Status: server.StatusOK,
-					Answer: &server.Answer{Nonempty: true, Rows: 1, Tuples: [][]int32{{0}}},
+					Answer: &server.Answer{Attrs: []int{0}, Nonempty: true, Rows: 1, Tuples: [][]int32{{0}}},
 				}
 			default:
 				return &server.Response{Status: server.StatusError, Error: "unexpected op " + req.Op}

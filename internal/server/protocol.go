@@ -7,15 +7,31 @@
 // onto the degradation ladder, per-connection panic isolation, and a
 // graceful drain on shutdown.
 //
-// The wire protocol is deliberately dependency-free: each message is a
-// 4-byte big-endian length prefix followed by one JSON object, over a
-// plain TCP connection that may carry any number of request/response
-// pairs in sequence. See Request and Response for the message schema.
+// The wire protocol is deliberately dependency-free: each message is one
+// frame over a plain TCP connection that may carry any number of
+// request/response pairs in sequence:
+//
+//	4-byte big-endian length | one JSON object | optional tuple block
+//
+// The length counts everything after the prefix. The JSON object is a
+// Request or a Response (see those types for the schema). A Response
+// whose answer has tuples of arity ≥ 1 does not carry them as JSON: the
+// object leaves answer.tuples out and gains a descriptor,
+// "tuple_block":{"rows":R,"arity":A}, and the R×A values follow the
+// object's closing brace as little-endian int32 in sorted row order —
+// the same layout as a relation's arena, so an answer costs a copy, not
+// a parse. The block is exactly 4·R·A bytes and ends the frame; a reader
+// checks that against the descriptor before it allocates anything.
+// Every other frame — each Request, and each Response without tuples or
+// with the one empty tuple of a true Boolean answer — is the JSON object
+// alone. There is one format: no version field and no negotiation.
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -24,6 +40,11 @@ import (
 // read instead of buffering unboundedly, so a malicious or corrupted
 // length prefix cannot exhaust server memory.
 const MaxFrame = 16 << 20
+
+// ErrFrameTooLarge reports a frame over MaxFrame: WriteFrame refuses to
+// build it (nothing is written, so the connection stays usable) and
+// ReadFrame refuses to buffer it.
+var ErrFrameTooLarge = errors.New("server: frame exceeds MaxFrame")
 
 // Status classifies a response. Every abnormal outcome is typed — a
 // client never has to parse error strings to decide whether to retry.
@@ -119,8 +140,12 @@ type Answer struct {
 	Nonempty bool `json:"nonempty"`
 	// Rows is the result cardinality.
 	Rows int `json:"rows"`
-	// Tuples is the full result in sorted order, for differential
-	// verification and small OLTP-style answers.
+	// Tuples is the full result in sorted order. On the wire it travels
+	// as the frame's binary tuple block, not as JSON (see the package
+	// comment); AnswerOf and ReadFrame both build it as row sub-slices
+	// of one backing array, so a wide answer is two allocations. The
+	// JSON tag is what json.Marshal of a Response renders outside a
+	// frame: request logs, `projpush -connect`.
 	Tuples [][]int32 `json:"tuples,omitempty"`
 }
 
@@ -274,23 +299,90 @@ type Response struct {
 	Hedged bool `json:"hedged,omitempty"`
 }
 
-// WriteFrame marshals v and writes it as one length-prefixed frame.
-func WriteFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
+// tupleBlock describes the binary block that follows a Response's JSON
+// object in its frame. It is carried explicitly rather than inferred:
+// a Handler may send tuples without Attrs.
+type tupleBlock struct {
+	Rows  int `json:"rows"`
+	Arity int `json:"arity"`
+}
+
+// wireResponse is the JSON object of a Response frame: the Response
+// with Answer.Tuples detached, plus the descriptor of the block that
+// carries them.
+type wireResponse struct {
+	*Response
+	TupleBlock *tupleBlock `json:"tuple_block,omitempty"`
+}
+
+// rowsOf cuts flat into rows sub-slices of arity values each, capped so
+// that appending to one row cannot overwrite the next.
+func rowsOf(flat []int32, rows, arity int) [][]int32 {
+	out := make([][]int32, rows)
+	for i := range out {
+		out[i] = flat[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	return out
+}
+
+// WriteFrame writes v as one frame: the length prefix, v's JSON and,
+// for a *Response whose answer has tuples of arity ≥ 1, the tuple block
+// in their place. It fails with ErrFrameTooLarge before rendering
+// anything when the frame would exceed MaxFrame, and with a plain error
+// when the answer's rows differ in length; either way nothing is
+// written.
+func WriteFrame(w io.Writer, v any) error { return writeFrame(w, v, MaxFrame) }
+
+func writeFrame(w io.Writer, v any, limit int) error {
+	resp, _ := v.(*Response)
+	var tuples [][]int32
+	if resp != nil && resp.Answer != nil {
+		tuples = resp.Answer.Tuples
+	}
+	arity := 0
+	for i, row := range tuples {
+		if i == 0 {
+			arity = len(row)
+		} else if len(row) != arity {
+			return fmt.Errorf("server: ragged answer: row %d has %d values, row 0 has %d", i, len(row), arity)
+		}
+	}
+	blockLen := 4 * len(tuples) * arity
+	if blockLen > 0 {
+		if blockLen > limit {
+			return fmt.Errorf("%w: answer of %d rows x %d columns needs %d bytes, MaxFrame is %d",
+				ErrFrameTooLarge, len(tuples), arity, blockLen, limit)
+		}
+		detached, ans := *resp, *resp.Answer
+		ans.Tuples = nil
+		detached.Answer = &ans
+		v = wireResponse{Response: &detached, TupleBlock: &tupleBlock{Rows: len(tuples), Arity: arity}}
+	}
+
+	// Header, JSON and block are built in one buffer and written once.
+	buf := bytes.NewBuffer(make([]byte, 4, 1024+blockLen))
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		return fmt.Errorf("server: marshal frame: %w", err)
 	}
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("server: frame of %d bytes exceeds MaxFrame", len(payload))
+	frame := buf.Bytes()
+	frame = frame[:len(frame)-1] // Encode ends with a newline; the frame does not
+	for _, row := range tuples { // appends nothing when the tuples stayed in the JSON (arity 0)
+		for _, x := range row {
+			frame = binary.LittleEndian.AppendUint32(frame, uint32(x))
+		}
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err = w.Write(buf)
+	if n := len(frame) - 4; n > limit {
+		return fmt.Errorf("%w: %d bytes (%d of them tuples), MaxFrame is %d", ErrFrameTooLarge, n, blockLen, limit)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := w.Write(frame)
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame and unmarshals it into v.
+// ReadFrame reads one frame and unmarshals it into v. When v is a
+// *Response and the frame carries a tuple block, the block is checked
+// against its descriptor and becomes Answer.Tuples; into any other v a
+// frame with a block does not decode.
 func ReadFrame(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -298,11 +390,43 @@ func ReadFrame(r io.Reader, v any) error {
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrame {
-		return fmt.Errorf("server: frame length %d exceeds MaxFrame", n)
+		return fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return err
 	}
-	return json.Unmarshal(payload, v)
+	resp, ok := v.(*Response)
+	if !ok {
+		return json.Unmarshal(payload, v)
+	}
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	obj := wireResponse{Response: resp}
+	if err := dec.Decode(&obj); err != nil {
+		return err
+	}
+	block := payload[dec.InputOffset():]
+	tb := obj.TupleBlock
+	if tb == nil {
+		if len(block) != 0 {
+			return fmt.Errorf("server: %d bytes after the frame's JSON object and no tuple_block descriptor", len(block))
+		}
+		return nil
+	}
+	if resp.Answer == nil {
+		return errors.New("server: tuple_block descriptor without an answer")
+	}
+	// A set over zero attributes has at most one tuple, so an arity-0
+	// descriptor cannot claim more rows than the (empty) block can bound.
+	words := len(block) / 4
+	if tb.Rows < 0 || tb.Arity < 0 || tb.Rows > max(words, 1) || tb.Arity > words ||
+		int64(4)*int64(tb.Rows)*int64(tb.Arity) != int64(len(block)) {
+		return fmt.Errorf("server: tuple block of %d bytes does not hold %d rows x %d columns", len(block), tb.Rows, tb.Arity)
+	}
+	flat := make([]int32, words)
+	for i := range flat {
+		flat[i] = int32(binary.LittleEndian.Uint32(block[4*i:]))
+	}
+	resp.Answer.Tuples = rowsOf(flat, tb.Rows, tb.Arity)
+	return nil
 }

@@ -131,6 +131,8 @@ type Config struct {
 
 	// now is the breaker clock, injectable in tests.
 	now func() time.Time
+	// maxFrame is the response frame cap (MaxFrame), injectable in tests.
+	maxFrame int
 }
 
 func (c Config) withDefaults() Config {
@@ -169,6 +171,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.now == nil {
 		c.now = time.Now
+	}
+	if c.maxFrame == 0 {
+		c.maxFrame = MaxFrame
 	}
 	return c
 }
@@ -365,8 +370,7 @@ func (s *Server) handleConn(c net.Conn) {
 				cancel()
 			}
 		}(cancelReq)
-		resp := s.handleRequest(rctx, &req, remote)
-		if err := s.writeResponse(c, resp); err != nil {
+		if err := s.serveRequest(rctx, c, &req, remote); err != nil {
 			return // defer closes the socket and joins the watcher
 		}
 		<-watchDone // next request's first byte arrived, or the peer left
@@ -375,18 +379,42 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 }
 
+// serveRequest handles one request and writes its response. The request
+// counts as in flight until the response is written: a drain that only
+// waited for the handler could close the connection under the write and
+// lose an answer that was already computed.
+func (s *Server) serveRequest(ctx context.Context, c net.Conn, req *Request, remote string) error {
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	return s.writeResponse(c, s.handleRequest(ctx, req, remote))
+}
+
 // writeResponse writes one frame through the network fault-injection
 // points: a dropped connection abandons the response, a slow write
-// tears the frame in two around the configured latency.
+// tears the frame in two around the configured latency. An answer too
+// large for one frame is refused, not dropped: the client gets a typed
+// terminal resource_limit on a connection that stays open, instead of
+// an EOF it would classify as a transport fault and retry by running
+// the same query again.
 func (s *Server) writeResponse(c net.Conn, resp *Response) error {
 	if faultinject.FailAlloc(faultinject.ConnDrop) {
 		c.Close()
 		return fmt.Errorf("server: injected connection drop")
 	}
+	var w io.Writer = c
 	if delay, ok := faultinject.Latency(faultinject.SlowWrite); ok {
-		return WriteFrame(tornWriter{c: c, delay: delay}, resp)
+		w = tornWriter{c: c, delay: delay}
 	}
-	return WriteFrame(c, resp)
+	err := writeFrame(w, resp, s.cfg.maxFrame)
+	if errors.Is(err, ErrFrameTooLarge) {
+		s.failed.Add(1)
+		s.logLine(map[string]any{"event": "frame_too_large", "remote": c.RemoteAddr().String(), "error": err.Error()})
+		err = writeFrame(w, &Response{
+			Status: StatusResourceLimit, Error: err.Error(),
+			Verdict: resp.Verdict, Stats: resp.Stats, Worker: resp.Worker,
+		}, s.cfg.maxFrame)
+	}
+	return err
 }
 
 // tornWriter splits each write in half around a delay, modelling a
@@ -413,8 +441,6 @@ func (t tornWriter) Write(p []byte) (int, error) {
 // isolation: a panic is converted into a StatusInternal response and the
 // connection keeps serving.
 func (s *Server) handleRequest(ctx context.Context, req *Request, remote string) (resp *Response) {
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
 	defer func() {
 		if r := recover(); r != nil {
 			s.failed.Add(1)
@@ -481,18 +507,20 @@ func (s *Server) breakerFor(method string) *breaker {
 // execution instead of holding a slot for a client that is gone.
 func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string) *Response {
 	start := time.Now()
-	logEntry := map[string]any{
-		"op":     req.Op,
-		"remote": remote,
+	// logEntry stays nil without a log, so an unlogged request builds no
+	// fields and computes no fingerprint.
+	var logEntry logFields
+	if s.cfg.Log != nil {
+		logEntry = logFields{"op": req.Op, "remote": remote}
+		defer func() {
+			logEntry["elapsed_us"] = time.Since(start).Microseconds()
+			s.logLine(logEntry)
+		}()
 	}
-	defer func() {
-		logEntry["elapsed_us"] = time.Since(start).Microseconds()
-		s.logLine(logEntry)
-	}()
 	finish := func(r *Response) *Response {
-		logEntry["status"] = string(r.Status)
+		logEntry.set("status", string(r.Status))
 		if r.Error != "" {
-			logEntry["error"] = r.Error
+			logEntry.set("error", r.Error)
 		}
 		return r
 	}
@@ -524,13 +552,15 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 		s.failed.Add(1)
 		return finish(&Response{Status: StatusError, Error: "plan: " + err.Error()})
 	}
-	logEntry["method"] = string(method)
-	logEntry["fp"] = FingerprintID(p)
+	logEntry.set("method", string(method))
+	if logEntry != nil {
+		logEntry["fp"] = FingerprintID(p)
+	}
 	if req.Affinity != "" {
 		// Coordinator-stamped affinity header: lets the log audit that
 		// consistent-hash routing keeps a fingerprint's subplan-cache
 		// traffic on this shard.
-		logEntry["affinity"] = req.Affinity
+		logEntry.set("affinity", req.Affinity)
 	}
 
 	// Width-aware admission: reject before materializing anything. The
@@ -552,8 +582,8 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	}
 	verdict := assess(q, p, string(method), s.cfg.MaxWidth, s.cfg.MaxAGMLog2, s.cfg.MaxPredictedBytes, wcojAGM, spillBytes, db)
 	if !verdict.Admitted {
-		logEntry["verdict"] = "over_width"
-		logEntry["plan_width"] = verdict.PlanWidth
+		logEntry.set("verdict", "over_width")
+		logEntry.set("plan_width", verdict.PlanWidth)
 		s.overWidth.Add(1)
 		return finish(&Response{
 			Status: StatusOverWidth,
@@ -562,17 +592,17 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 			Verdict: verdict,
 		})
 	}
-	logEntry["verdict"] = "admitted"
+	logEntry.set("verdict", "admitted")
 	if verdict.AdmittedOnAGM {
 		// The width cap said no and the AGM bound overrode it — the
 		// one admission the log must distinguish from a plain admit.
-		logEntry["verdict"] = "admitted_on_agm"
-		logEntry["agm_log2"] = verdict.AGMLog2
+		logEntry.set("verdict", "admitted_on_agm")
+		logEntry.set("agm_log2", verdict.AGMLog2)
 	}
 	if verdict.AdmittedOnSpill {
 		// The byte cap said no and the spill budget overrode it.
-		logEntry["verdict"] = "admitted_on_spill"
-		logEntry["predicted_peak_bytes"] = verdict.PredictedPeakBytes
+		logEntry.set("verdict", "admitted_on_spill")
+		logEntry.set("predicted_peak_bytes", verdict.PredictedPeakBytes)
 	}
 
 	// Width-tiered routing for requests that did not name a method:
@@ -585,15 +615,15 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 		// The query is over-width but its output bound is small: only
 		// the worst-case-optimal executor can honor that admission.
 		method = core.MethodWCOJ
-		logEntry["method"] = string(method)
+		logEntry.set("method", string(method))
 		verdict.Method = string(method)
 	case req.Method == "" && s.cfg.YannakakisWidth > 0 && verdict.ElimWidth <= s.cfg.YannakakisWidth:
 		method = core.MethodYannakakis
-		logEntry["method"] = string(method)
+		logEntry.set("method", string(method))
 		verdict.Method = string(method)
 	case req.Method == "" && s.cfg.StreamWidth > 0 && verdict.ElimWidth <= s.cfg.StreamWidth:
 		method = core.MethodStream
-		logEntry["method"] = string(method)
+		logEntry.set("method", string(method))
 		verdict.Method = string(method)
 		if p, err = core.BuildPlan(method, q, nil); err != nil {
 			s.failed.Add(1)
@@ -603,7 +633,7 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 		// Too wide for both width tiers but the AGM bound is small —
 		// the cyclic-query shape the leapfrog join exists for.
 		method = core.MethodWCOJ
-		logEntry["method"] = string(method)
+		logEntry.set("method", string(method))
 		verdict.Method = string(method)
 	}
 
@@ -631,7 +661,7 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	err = s.lim.acquire(queueCtx)
 	cancelQueue()
 	if err != nil {
-		logEntry["verdict"] = "shed"
+		logEntry.set("verdict", "shed")
 		s.shed.Add(1)
 		return finish(&Response{Status: StatusShed, Error: err.Error(), Verdict: verdict})
 	}
@@ -706,8 +736,8 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	resp := &Response{Verdict: verdict}
 	if res != nil {
 		resp.Stats = StatsOf(&res.Stats)
-		logEntry["bytes"] = res.Stats.Bytes
-		logEntry["attempts"] = len(res.Stats.Attempts)
+		logEntry.set("bytes", res.Stats.Bytes)
+		logEntry.set("attempts", len(res.Stats.Attempts))
 	}
 	if err != nil {
 		resp.Status, resp.Error = ClassifyStatus(err), err.Error()
@@ -721,7 +751,7 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	}
 	s.served.Add(1)
 	resp.Answer = AnswerOf(res)
-	logEntry["rows"] = resp.Answer.Rows
+	logEntry.set("rows", resp.Answer.Rows)
 	return finish(resp)
 }
 
@@ -761,23 +791,16 @@ func ClassifyStatus(err error) Status {
 	}
 }
 
-// AnswerOf renders a result relation in sorted order.
+// AnswerOf renders a result relation in sorted order: one sorted copy of
+// the arena and one slice of row headers into it, whatever the row count.
 func AnswerOf(res *engine.Result) *Answer {
 	rel := res.Rel
 	attrs := make([]int, len(rel.Attrs()))
 	for i, a := range rel.Attrs() {
 		attrs[i] = int(a)
 	}
-	sorted := rel.SortedTuples()
-	tuples := make([][]int32, len(sorted))
-	for i, t := range sorted {
-		row := make([]int32, len(t))
-		for j, v := range t {
-			row[j] = int32(v)
-		}
-		tuples[i] = row
-	}
-	return &Answer{Attrs: attrs, Nonempty: rel.Len() > 0, Rows: rel.Len(), Tuples: tuples}
+	flat := rel.AppendSortedRows(make([]int32, 0, rel.Len()*rel.Arity()))
+	return &Answer{Attrs: attrs, Nonempty: rel.Len() > 0, Rows: rel.Len(), Tuples: rowsOf(flat, rel.Len(), rel.Arity())}
 }
 
 // StatsOf converts engine stats for the wire.
@@ -823,6 +846,17 @@ func validMethod(m core.Method) bool {
 		}
 	}
 	return false
+}
+
+// logFields is one request-log line under construction; nil when the
+// server has no log.
+type logFields map[string]any
+
+// set records a field unless the line is not being built.
+func (f logFields) set(key string, value any) {
+	if f != nil {
+		f[key] = value
+	}
 }
 
 // logLine emits one JSON log line (best effort, serialized).
