@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test chaos chaos-cluster bench bench-json bench-yannakakis bench-stream bench-wcoj bench-spill bench-e2e bench-e2e-quick fuzz experiments clean
+.PHONY: all build vet test chaos chaos-cluster bench bench-json bench-check bench-yannakakis bench-stream bench-wcoj bench-spill bench-e2e bench-e2e-quick fuzz experiments clean
 
 all: build vet test
 
@@ -40,7 +40,10 @@ bench:
 # worker count, and the answer frame's encode/decode (wide and Boolean,
 # with the frame size as frame-bytes). The planner suite covers the incremental bitset DP,
 # island GEQO by worker count, and the bucket-queue/bitset elimination
-# orders, each against the map-based baseline it replaced.
+# orders, each against the map-based baseline it replaced. The routing
+# suite is the matrix of every server route × the cyclic shapes with the
+# router's regret against each row's best (regret, regret-max,
+# regret-total), plus the admission AGM bound on augmented-ladder-40.
 bench-json:
 	go test ./internal/relation -run '^$$' -bench '^BenchmarkKernel' -benchmem \
 		| go run ./cmd/benchjson > BENCH_relation.json
@@ -65,6 +68,18 @@ bench-json:
 	go test . -run '^$$' -bench '^BenchmarkSpill' -benchmem -benchtime 3x \
 		| go run ./cmd/benchjson > BENCH_spill.json
 	@cat BENCH_spill.json
+	{ go test ./internal/server -run '^$$' -bench '^BenchmarkRoutingMatrix' -benchmem -benchtime 3x; \
+	  go test ./internal/server -run '^$$' -bench '^BenchmarkAdmissionAGM' -benchmem; } \
+		| go run ./cmd/benchjson > BENCH_routing.json
+	@cat BENCH_routing.json
+
+# Every BENCH_*.json this Makefile names must be in the tree: a series
+# that bench-json writes and nobody committed is a number nobody can
+# compare against (BENCH_spill.json went missing that way for four PRs).
+bench-check:
+	@for f in $$(grep -o 'BENCH_[a-z0-9]*\.json' Makefile | sort -u); do \
+		test -f $$f || { echo "$$f is named in the Makefile but missing: run make bench-json and commit it" >&2; exit 1; }; \
+	done
 
 # The full-reducer-vs-plan-method series on acyclic selective workloads
 # (the stats-bytes metric in the text output is the peak Stats.Bytes

@@ -26,7 +26,6 @@ import (
 	"projpush/internal/engine"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
-	"projpush/internal/joingraph"
 	"projpush/internal/minibucket"
 	"projpush/internal/pgplanner"
 	"projpush/internal/plan"
@@ -306,11 +305,11 @@ func BenchmarkAblationOrders(b *testing.B) {
 	q, db := colorBench(b, g, 0, 99)
 	orders := map[string][]cq.Var{"mcs": core.MCSVarOrder(q, nil)}
 	for _, h := range []core.OrderHeuristic{core.OrderMinFill, core.OrderMinDegree} {
-		jg, elim, err := core.EliminationOrder(q, h, nil)
+		order, err := core.VarOrder(q, h, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		orders[string(h)] = varOrderFromElimination(q, jg, elim)
+		orders[string(h)] = order
 	}
 	for name, order := range orders {
 		b.Run(name, func(b *testing.B) {
@@ -531,22 +530,4 @@ func mustRandom(b *testing.B, n int, density float64, seed int64) *graph.Graph {
 		b.Fatal(err)
 	}
 	return g
-}
-
-// varOrderFromElimination converts a join-graph elimination order into
-// the bucket-elimination variable order (free variables first, then the
-// reverse of the elimination order).
-func varOrderFromElimination(q *cq.Query, jg *joingraph.JoinGraph, elim []int) []cq.Var {
-	free := make(map[cq.Var]bool, len(q.Free))
-	order := append([]cq.Var(nil), q.Free...)
-	for _, v := range q.Free {
-		free[v] = true
-	}
-	for i := len(elim) - 1; i >= 0; i-- {
-		v := jg.Vars[elim[i]]
-		if !free[v] {
-			order = append(order, v)
-		}
-	}
-	return order
 }

@@ -266,7 +266,7 @@ func execute(m core.Method, p plan.Node, q *cq.Query, db cq.Database, opt engine
 		return engine.ExecYannakakis(q, db, opt)
 	case m == core.MethodStream && resil:
 		res, err = engine.ExecResilientStrategy(context.Background(),
-			resilience.StreamRung(q), resilience.PlanLadder(q, rng), db, opt, 1)
+			resilience.StreamRung(p), resilience.PlanLadder(q, rng), db, opt, 1)
 	case m == core.MethodStream:
 		return engine.ExecStream(p, db, opt)
 	case m == core.MethodWCOJ && resil:

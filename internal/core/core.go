@@ -58,9 +58,12 @@ const MethodYannakakis Method = "yannakakis"
 // (engine.ExecStream): semijoin pushdown over the base relations, fused
 // projection, and late materialization with live-byte accounting. Like
 // MethodYannakakis it is an execution strategy, not a plan shape, so it is
-// not in Methods; BuildPlan returns the early-projection plan as its
-// static surrogate — the streaming engine lowers exactly that plan, with
-// the pushdown and fusion applied at execution time.
+// not in Methods. The engine lowers whatever plan it is handed, with the
+// pushdown and fusion applied at execution time: BuildPlan returns the
+// early-projection plan, which is what a request naming this method
+// runs, while a request that named no method and was routed here runs
+// StreamPlan's choice — early projection unless the plan already in hand
+// is strictly narrower.
 const MethodStream Method = "stream"
 
 // MethodWCOJ names the worst-case-optimal multiway join execution
@@ -101,8 +104,8 @@ func BuildPlan(m Method, q *cq.Query, rng *rand.Rand) (plan.Node, error) {
 		// sweeps, lowered to a plan (no semijoin reduction).
 		return TreeDecompositionPlan(q, OrderMCS, rng)
 	case MethodStream:
-		// The static surrogate: the early-projection plan the streaming
-		// engine lowers (pushdown and fusion happen at execution time).
+		// The early-projection plan, lowered by the streaming engine
+		// (pushdown and fusion happen at execution time).
 		return EarlyProjection(q)
 	case MethodWCOJ:
 		// The static surrogate: bucket elimination under the same MCS

@@ -289,7 +289,7 @@ func TestExecResilientDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := engine.Options{MaxBytes: budget}
-	ladder := append([]engine.Fallback{resilience.StreamRung(q)}, resilience.PlanLadder(q, nil)...)
+	ladder := append([]engine.Fallback{resilience.StreamRung(buildPlan(t, core.MethodStream, q))}, resilience.PlanLadder(q, nil)...)
 	res, err := engine.ExecResilient(context.Background(), buildPlan(t, core.MethodStraightforward, q),
 		ladder, db, opt, 4)
 	if err != nil {

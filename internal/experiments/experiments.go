@@ -438,7 +438,7 @@ func measureStream(q *cq.Query, db cq.Database, rng *rand.Rand, cfg Config) outc
 	var res *engine.Result
 	if cfg.Resilient {
 		res, err = engine.ExecResilientStrategy(context.Background(),
-			resilience.StreamRung(q), resilience.PlanLadder(q, rng), db, cfg.execOptions(), 1)
+			resilience.StreamRung(p), resilience.PlanLadder(q, rng), db, cfg.execOptions(), 1)
 	} else {
 		res, err = engine.ExecStream(p, db, cfg.execOptions())
 	}

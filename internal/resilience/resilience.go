@@ -34,7 +34,9 @@ import (
 // the pipelined engine's semijoin pushdown and live-byte accounting make
 // it the natural retry when a materializing plan blew the memory budget
 // but the query is not narrow enough (or the reducer itself failed) for
-// Yannakakis.
+// Yannakakis. It lowers the narrower of the early-projection and
+// bucket-elimination plans (core.StreamPlan), as the server's stream
+// tier does.
 // Wide queries lead with the worst-case-optimal rung instead: when the
 // MCS width is over the Yannakakis threshold the query is (or behaves
 // like) a cyclic one, every join-tree method risks an intermediate
@@ -56,7 +58,14 @@ func DegradationLadder(q *cq.Query, rng *rand.Rand) []engine.Fallback {
 	} else {
 		ladder = append(ladder, WCOJRung(q))
 	}
-	ladder = append(ladder, StreamRung(q))
+	ladder = append(ladder, streamRung(func() (plan.Node, error) {
+		p, err := core.BucketElimination(q, rng)
+		if err != nil {
+			return nil, err
+		}
+		c, err := core.StreamPlan(q, core.NewCandidate(p, core.OrderMCS))
+		return c.Plan, err
+	}))
 	return append(ladder, PlanLadder(q, rng)...)
 }
 
@@ -73,17 +82,23 @@ func YannakakisRung(q *cq.Query) engine.Fallback {
 }
 
 // StreamRung is the pipelined-engine rung: a Run-style fallback that
-// executes q's early-projection plan with engine.ExecStreamContext —
-// semijoin pushdown, fused projections, and a live-byte (rather than
-// cumulative) memory budget. The server's mid-width routing uses it as
-// the first rung of ExecResilientStrategy.
-func StreamRung(q *cq.Query) engine.Fallback {
+// lowers the plan it is given with engine.ExecStreamContext — semijoin
+// pushdown, fused projections, and a live-byte (rather than cumulative)
+// memory budget. It never re-plans: the caller has chosen the plan
+// (core.StreamPlan for a request that named no method). The server's
+// mid-width routing uses it as the first rung of ExecResilientStrategy.
+func StreamRung(p plan.Node) engine.Fallback {
+	return streamRung(func() (plan.Node, error) { return p, nil })
+}
+
+// streamRung builds its plan only if the rung is reached.
+func streamRung(build func() (plan.Node, error)) engine.Fallback {
 	return engine.Fallback{
 		Name: string(core.MethodStream),
 		Run: func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
-			p, err := core.BuildPlan(core.MethodStream, q, nil)
+			p, err := build()
 			if err != nil {
-				return nil, err
+				return &engine.Result{}, err
 			}
 			return engine.ExecStreamContext(ctx, p, db, opt)
 		},

@@ -98,47 +98,75 @@ func predictedPeakBytes(q *cq.Query, db cq.Database) int64 {
 // integral cover relaxes the AGM fractional cover, so the bound is valid
 // (an upper bound on the fractional optimum) and needs no LP solver. An
 // empty relation anywhere in the cover proves the answer empty (bound 0).
+//
+// Each round picks the atom covering the most uncovered variables, the
+// smaller relation on ties, the earlier atom on further ties. The value
+// drives routing, so the pick order and the order of the additions are
+// part of the contract (TestAGMLog2MatchesReference).
 func agmLog2(q *cq.Query, db cq.Database) float64 {
-	uncovered := make(map[cq.Var]bool)
-	for _, v := range q.Vars() {
-		uncovered[v] = true
+	type coverAtom struct {
+		lo, hi int // its variables are vars[lo:hi], one entry per argument
+		log    float64
 	}
+	index := make(map[cq.Var]int)
+	var vars []int
+	live := make([]coverAtom, 0, len(q.Atoms))
+	for _, a := range q.Atoms {
+		if len(a.Args) == 0 {
+			continue
+		}
+		lg := 0.0
+		if rel := db[a.Rel]; rel != nil {
+			switch n := rel.Len(); {
+			case n == 0:
+				// An empty relation covering a variable makes the whole
+				// join empty.
+				return 0
+			case n > 1:
+				lg = math.Log2(float64(n))
+			}
+		}
+		lo := len(vars)
+		for _, v := range a.Args {
+			i, ok := index[v]
+			if !ok {
+				i = len(index)
+				index[v] = i
+			}
+			vars = append(vars, i)
+		}
+		live = append(live, coverAtom{lo: lo, hi: len(vars), log: lg})
+	}
+	covered := make([]bool, len(index))
 	var total float64
-	for len(uncovered) > 0 {
-		best, bestNew, bestLog := -1, 0, 0.0
-		for i, a := range q.Atoms {
+	for len(live) > 0 {
+		best, bestNew := -1, 0
+		// An atom with nothing left to cover never gains any: drop it
+		// from every later round.
+		kept := live[:0]
+		for _, a := range live {
 			n := 0
-			for _, v := range a.Args {
-				if uncovered[v] {
+			for _, v := range vars[a.lo:a.hi] {
+				if !covered[v] {
 					n++
 				}
 			}
 			if n == 0 {
 				continue
 			}
-			rel := db[a.Rel]
-			lg := 0.0
-			if rel != nil && rel.Len() > 1 {
-				lg = math.Log2(float64(rel.Len()))
+			if best < 0 || n > bestNew || (n == bestNew && a.log < kept[best].log) {
+				best, bestNew = len(kept), n
 			}
-			if rel != nil && rel.Len() == 0 {
-				// An empty relation covering a live variable makes the
-				// whole join empty.
-				return 0
-			}
-			if best < 0 || n > bestNew || (n == bestNew && lg < bestLog) {
-				best, bestNew, bestLog = i, n, lg
-			}
+			kept = append(kept, a)
 		}
+		live = kept
 		if best < 0 {
-			// Remaining variables occur in no atom (free-only variables
-			// rejected earlier by validation); nothing more to charge.
 			break
 		}
-		for _, v := range q.Atoms[best].Args {
-			delete(uncovered, v)
+		for _, v := range vars[live[best].lo:live[best].hi] {
+			covered[v] = true
 		}
-		total += bestLog
+		total += live[best].log
 	}
 	return total
 }

@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"projpush/internal/engine"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/relation"
 )
 
 type testInstance struct {
@@ -123,6 +126,130 @@ func TestAGMBound(t *testing.T) {
 		t.Errorf("agmLog2 with empty relation = %v, want 0", got)
 	}
 }
+
+// agmLog2Reference is the bound as first written — every round rescans
+// every atom and recomputes its logarithm — kept as the oracle for the
+// faster agmLog2, whose value must match bit for bit because routing
+// compares it with a threshold.
+func agmLog2Reference(q *cq.Query, db cq.Database) float64 {
+	uncovered := make(map[cq.Var]bool)
+	for _, v := range q.Vars() {
+		uncovered[v] = true
+	}
+	var total float64
+	for len(uncovered) > 0 {
+		best, bestNew, bestLog := -1, 0, 0.0
+		for i, a := range q.Atoms {
+			n := 0
+			for _, v := range a.Args {
+				if uncovered[v] {
+					n++
+				}
+			}
+			if n == 0 {
+				continue
+			}
+			rel := db[a.Rel]
+			lg := 0.0
+			if rel != nil && rel.Len() > 1 {
+				lg = math.Log2(float64(rel.Len()))
+			}
+			if rel != nil && rel.Len() == 0 {
+				return 0
+			}
+			if best < 0 || n > bestNew || (n == bestNew && lg < bestLog) {
+				best, bestNew, bestLog = i, n, lg
+			}
+		}
+		if best < 0 {
+			break
+		}
+		for _, v := range q.Atoms[best].Args {
+			delete(uncovered, v)
+		}
+		total += bestLog
+	}
+	return total
+}
+
+// TestAGMLog2MatchesReference is the property test: random queries over
+// relations of assorted sizes (equal sizes force the index tie-break,
+// empty and missing relations the early exits, repeated arguments the
+// per-occurrence count), old against new, compared as bits.
+func TestAGMLog2MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		db := cq.Database{}
+		nrels := 1 + rng.Intn(5)
+		arity := make([]int, nrels)
+		for r := range arity {
+			arity[r] = 1 + rng.Intn(3)
+			if rng.Intn(8) == 0 {
+				continue // a relation the database does not hold
+			}
+			attrs := make([]relation.Attr, arity[r])
+			for i := range attrs {
+				attrs[i] = relation.Attr(i)
+			}
+			rel := relation.New(attrs)
+			// Sizes collide on purpose; 1 in 12 relations is empty. Rows
+			// differ in their first column, so each Add is a new tuple.
+			rows := []int{0, 1, 2, 2, 7, 7, 7, 30, 30, 100, 100, 100}[rng.Intn(12)]
+			for i := 0; i < rows; i++ {
+				row := make(relation.Tuple, arity[r])
+				row[0] = relation.Value(i)
+				rel.Add(row)
+			}
+			db[fmt.Sprintf("r%d", r)] = rel
+		}
+		q := &cq.Query{}
+		nvars := 1 + rng.Intn(12)
+		for a, natoms := 0, 1+rng.Intn(14); a < natoms; a++ {
+			r := rng.Intn(nrels)
+			atom := cq.Atom{Rel: fmt.Sprintf("r%d", r)}
+			for i := 0; i < arity[r]; i++ {
+				atom.Args = append(atom.Args, cq.Var(rng.Intn(nvars)))
+			}
+			q.Atoms = append(q.Atoms, atom)
+		}
+		got, want := agmLog2(q, db), agmLog2Reference(q, db)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: agmLog2 = %v, reference %v\nquery %v", trial, got, want, q)
+		}
+	}
+	// The structured families are what the server sees most.
+	for _, g := range []*graph.Graph{graph.AugmentedLadder(40), graph.AugmentedCircularLadder(20), graph.Wheel(12), graph.Complete(6)} {
+		in := colorQuery(t, g)
+		if got, want := agmLog2(in.q, in.db), agmLog2Reference(in.q, in.db); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%v: agmLog2 = %v, reference %v", g, got, want)
+		}
+	}
+}
+
+// BenchmarkAdmissionAGM times the bound on the largest structured query
+// the benchmark sends (augmented ladder of order 40: 160 variables, 238
+// atoms), against the reference it replaced.
+func BenchmarkAdmissionAGM(b *testing.B) {
+	g := graph.AugmentedLadder(40)
+	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := instance.ColorDatabase(3)
+	for _, impl := range []struct {
+		name string
+		f    func(*cq.Query, cq.Database) float64
+	}{{"hoisted", agmLog2}, {"reference", agmLog2Reference}} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				agmSink = impl.f(q, db)
+			}
+		})
+	}
+}
+
+var agmSink float64
 
 func TestLimiterShedsBeyondQueue(t *testing.T) {
 	l := newLimiter(1, 1)

@@ -31,7 +31,10 @@ type Config struct {
 	// request.
 	DB cq.Database
 	// Method is the default optimization method (default
-	// bucketelimination, the paper's most robust).
+	// bucketelimination, the paper's most robust). Its plan is the one
+	// admission measures; a request that names no method and falls
+	// through every routing tier executes it — under bucketelimination,
+	// the narrowest of the MCS, min-fill and min-degree orders (route).
 	Method core.Method
 	// MaxWidth rejects queries whose chosen plan's width (maximum
 	// intermediate arity) exceeds it (0 = no width threshold).
@@ -84,7 +87,8 @@ type Config struct {
 	// engine.DefaultStreamWidth; <0 disables the routing). The streaming
 	// engine's budget bounds peak live bytes rather than cumulative
 	// materialization, so mid-width queries fit budgets the materializing
-	// executors blow.
+	// executors blow. The tier lowers the early-projection plan unless
+	// the default method's plan is strictly narrower (route).
 	StreamWidth int
 	// WCOJAGMLog2 routes requests that did not name a method and were too
 	// wide for both width tiers to the worst-case-optimal executor when
@@ -605,36 +609,20 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 		logEntry.set("predicted_peak_bytes", verdict.PredictedPeakBytes)
 	}
 
-	// Width-tiered routing for requests that did not name a method:
-	// narrow queries run the Yannakakis full reducer (peak memory
-	// proportional to the reduced inputs), mid-width queries run the
-	// streaming engine (peak live bytes bounded by the pipeline's
-	// breakers, with semijoin pushdown pre-reducing every build side).
-	switch {
-	case req.Method == "" && verdict.AdmittedOnAGM:
-		// The query is over-width but its output bound is small: only
-		// the worst-case-optimal executor can honor that admission.
-		method = core.MethodWCOJ
-		logEntry.set("method", string(method))
-		verdict.Method = string(method)
-	case req.Method == "" && s.cfg.YannakakisWidth > 0 && verdict.ElimWidth <= s.cfg.YannakakisWidth:
-		method = core.MethodYannakakis
-		logEntry.set("method", string(method))
-		verdict.Method = string(method)
-	case req.Method == "" && s.cfg.StreamWidth > 0 && verdict.ElimWidth <= s.cfg.StreamWidth:
-		method = core.MethodStream
-		logEntry.set("method", string(method))
-		verdict.Method = string(method)
-		if p, err = core.BuildPlan(method, q, nil); err != nil {
-			s.failed.Add(1)
-			return finish(&Response{Status: StatusError, Error: "plan: " + err.Error()})
-		}
-	case req.Method == "" && s.cfg.WCOJAGMLog2 > 0 && verdict.AGMLog2 <= s.cfg.WCOJAGMLog2:
-		// Too wide for both width tiers but the AGM bound is small —
-		// the cyclic-query shape the leapfrog join exists for.
-		method = core.MethodWCOJ
-		logEntry.set("method", string(method))
-		verdict.Method = string(method)
+	// Routing: the executor, and the plan it runs, chosen once.
+	inHand := core.Candidate{Plan: p, Order: core.PlanOrder(method), Width: verdict.PlanWidth}
+	method, chosen, err := s.route(req, q, method, inHand, verdict)
+	if err != nil {
+		s.failed.Add(1)
+		return finish(&Response{Status: StatusError, Error: "plan: " + err.Error()})
+	}
+	p = chosen.Plan
+	logEntry.set("method", string(method))
+	verdict.Method = string(method)
+	if runsPlan(method) {
+		// The executed plan's width and order answer "why was this slow".
+		logEntry.set("plan_width", chosen.Width)
+		logEntry.set("order", string(chosen.Order))
 	}
 
 	if req.Op == "explain" {
@@ -699,7 +687,7 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 		br.record(err)
 	case method == core.MethodStream && (s.cfg.Resilient || !direct):
 		// Streaming engine first, degrading to the plan-based ladder.
-		res, err = engine.ExecResilientStrategy(ctx, resilience.StreamRung(q),
+		res, err = engine.ExecResilientStrategy(ctx, resilience.StreamRung(p),
 			resilience.PlanLadder(q, nil), db, opt, s.cfg.Workers)
 		if direct {
 			br.record(directOutcome(res))
@@ -753,6 +741,45 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	resp.Answer = AnswerOf(res)
 	logEntry.set("rows", resp.Answer.Rows)
 	return finish(resp)
+}
+
+// route picks the executor for an admitted request, and the plan it
+// runs. A request that named a method gets that method and its plan.
+// Otherwise the threshold cascade picks the executor from the verdict's
+// static quantities — narrow queries run the Yannakakis full reducer,
+// mid-width queries the streaming engine, wide queries with a small
+// output bound the leapfrog join, the rest the default method — and a
+// tier that executes a plan runs the narrowest projection-pushed one in
+// reach, never one wider than inHand, the plan admission measured: width,
+// not search effort, decides intermediate size (paper Figures 3–5). The
+// stream tier compares early projection with inHand; the default tier,
+// when it is bucket elimination, compares the MCS order with min-fill and
+// min-degree. Those two orders are computed only here, for the requests
+// that fall through every other tier, because they cost several times
+// what MCS does.
+func (s *Server) route(req *Request, q *cq.Query, method core.Method, inHand core.Candidate, v *Verdict) (core.Method, core.Candidate, error) {
+	if req.Method != "" {
+		return method, inHand, nil
+	}
+	switch {
+	case v.AdmittedOnAGM:
+		// Over-width but the output bound is small: only the
+		// worst-case-optimal executor can honor that admission.
+		return core.MethodWCOJ, inHand, nil
+	case s.cfg.YannakakisWidth > 0 && v.ElimWidth <= s.cfg.YannakakisWidth:
+		return core.MethodYannakakis, inHand, nil
+	case s.cfg.StreamWidth > 0 && v.ElimWidth <= s.cfg.StreamWidth:
+		c, err := core.StreamPlan(q, inHand)
+		return core.MethodStream, c, err
+	case s.cfg.WCOJAGMLog2 > 0 && v.AGMLog2 <= s.cfg.WCOJAGMLog2:
+		// Too wide for both width tiers but the AGM bound is small —
+		// the cyclic-query shape the leapfrog join exists for.
+		return core.MethodWCOJ, inHand, nil
+	case method == core.MethodBucketElimination:
+		c, err := core.NarrowestBucketElimination(q, inHand)
+		return method, c, err
+	}
+	return method, inHand, nil
 }
 
 // directOutcome recovers the direct path's own outcome from a resilient
@@ -834,6 +861,12 @@ func FingerprintID(p plan.Node) string {
 	h := fnv.New64a()
 	io.WriteString(h, fp)
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// runsPlan reports whether the method's executor runs a plan: the full
+// reducer and the leapfrog join work from the query itself.
+func runsPlan(m core.Method) bool {
+	return m != core.MethodYannakakis && m != core.MethodWCOJ
 }
 
 func validMethod(m core.Method) bool {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"projpush/internal/core"
-	"projpush/internal/cqparse"
 	"projpush/internal/engine"
 	"projpush/internal/faultinject"
 	"projpush/internal/graph"
@@ -28,11 +27,7 @@ func queryText(t *testing.T, g *graph.Graph) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := cqparse.WriteQuery(&buf, q); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
+	return textOf(t, q)
 }
 
 // startServer listens on a free port and serves until the test ends.
