@@ -41,9 +41,13 @@ bench:
 # with the frame size as frame-bytes). The planner suite covers the incremental bitset DP,
 # island GEQO by worker count, and the bucket-queue/bitset elimination
 # orders, each against the map-based baseline it replaced. The routing
-# suite is the matrix of every server route × the cyclic shapes with the
-# router's regret against each row's best (regret, regret-max,
-# regret-total), plus the admission AGM bound on augmented-ladder-40.
+# suite is the matrix of every server route × the cyclic shapes and the
+# selective acyclic ones with the router's regret against each row's best
+# (regret, regret-max, regret-total), plus the admission AGM bound on
+# augmented-ladder-40 and the cost of the size-only routing rule (all of
+# assess where its precheck skips it and where it fires). The matrix runs
+# each cell for 200 ms, not 3 times: its cells span 15 µs to 200 ms, and
+# three runs of a 30 µs cell put noise in the regret.
 bench-json:
 	go test ./internal/relation -run '^$$' -bench '^BenchmarkKernel' -benchmem \
 		| go run ./cmd/benchjson > BENCH_relation.json
@@ -62,14 +66,15 @@ bench-json:
 	go test . -run '^$$' -bench '^BenchmarkStream' -benchmem -benchtime 3x \
 		| go run ./cmd/benchjson > BENCH_stream.json
 	@cat BENCH_stream.json
-	go test . -run '^$$' -bench '^BenchmarkWCOJ' -benchmem -benchtime 3x \
+	{ go test . -run '^$$' -bench '^BenchmarkWCOJ(Triangle|FourCycle|Clique)' -benchmem -benchtime 3x; \
+	  go test . -run '^$$' -bench '^BenchmarkWCOJEndToEndSize' -benchmem; } \
 		| go run ./cmd/benchjson > BENCH_wcoj.json
 	@cat BENCH_wcoj.json
 	go test . -run '^$$' -bench '^BenchmarkSpill' -benchmem -benchtime 3x \
 		| go run ./cmd/benchjson > BENCH_spill.json
 	@cat BENCH_spill.json
-	{ go test ./internal/server -run '^$$' -bench '^BenchmarkRoutingMatrix' -benchmem -benchtime 3x; \
-	  go test ./internal/server -run '^$$' -bench '^BenchmarkAdmissionAGM' -benchmem; } \
+	{ go test ./internal/server -run '^$$' -bench '^BenchmarkRoutingMatrix' -benchmem -benchtime 200ms; \
+	  go test ./internal/server -run '^$$' -bench '^BenchmarkAdmission(AGM|Rule)' -benchmem; } \
 		| go run ./cmd/benchjson > BENCH_routing.json
 	@cat BENCH_routing.json
 
@@ -95,7 +100,9 @@ bench-stream:
 
 # The worst-case-optimal-vs-binary-plan series on dense cyclic workloads
 # (triangle, 4-cycle, clique coloring; the acceptance signal is wcoj
-# latency or peak-bytes at least 5x under bucket elimination).
+# latency or peak-bytes at least 5x under bucket elimination), and the
+# triangle and 4-cycle at the end-to-end benchmark's size with the time
+# split into index build and enumeration (build-ns, enumerate-ns).
 bench-wcoj:
 	go test . -run '^$$' -bench '^BenchmarkWCOJ' -benchmem -benchtime 3x
 
@@ -119,6 +126,7 @@ fuzz:
 	go test ./internal/sqlparse -fuzz 'FuzzParse$$' -fuzztime 30s
 	go test ./internal/sqlparse -fuzz 'FuzzParseNaive$$' -fuzztime 30s
 	go test ./internal/server -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime 30s
+	go test ./internal/relation -run '^$$' -fuzz 'FuzzSortedIndexOrder$$' -fuzztime 30s
 
 # Paper-scale sweeps with timeouts (slow; see -scale to shrink).
 experiments:

@@ -98,6 +98,7 @@ type wexec struct {
 	levels  []*wcojLevel
 	assign  []relation.Value
 	empty   bool // some bound relation is empty: the answer is empty
+	indexes int  // sorted indexes built; atoms on one arena and order share
 
 	out      *relation.Relation
 	outBuf   relation.Tuple
@@ -239,24 +240,43 @@ func (ex *wexec) prepare() error {
 }
 
 // execute builds the sorted indexes and runs the leapfrog enumeration.
+// Atoms over the same stored relation in the same column order — the
+// triangle's e(x,y) and e(y,z), every second edge atom of a 3-COLOR
+// query — share one index: it reads the arena by column position, so the
+// atoms' renamings do not matter, and each atom keeps its own brackets.
 func (ex *wexec) execute() error {
 	if ex.empty {
 		return nil
 	}
+	type indexKey struct {
+		base *relation.Relation
+		cols string
+	}
+	built := make(map[indexKey]*relation.SortedIndex)
 	for _, a := range ex.atoms {
 		if a.rel.Arity() == 0 {
 			// A nonempty arity-0 atom is a satisfied Boolean factor.
 			continue
 		}
-		ix, err := relation.NewSortedIndexLimited(a.rel, a.cols, ex.limit)
-		if err != nil {
-			return err
+		pos := make([]int, len(a.cols))
+		for k, v := range a.cols {
+			pos[k] = a.rel.Pos(v)
+		}
+		key := indexKey{ex.db[a.atom.Rel], fmt.Sprint(pos)}
+		ix := built[key]
+		if ix == nil {
+			var err error
+			if ix, err = relation.NewSortedIndexLimited(a.rel, a.cols, ex.limit); err != nil {
+				return err
+			}
+			built[key] = ix
+			ex.stats.Bytes += ix.Bytes()
+			ex.stats.PeakBytes += ix.Bytes()
 		}
 		a.ix = ix
-		ex.stats.Bytes += ix.Bytes()
-		ex.stats.PeakBytes += ix.Bytes()
 		a.lo[0], a.hi[0] = 0, ix.Len()
 	}
+	ex.indexes = len(built)
 	ex.stats.Joins++
 	return ex.enumerate(0)
 }

@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"projpush/internal/cq"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/relation"
 )
 
 // TestDifferentialWCOJFigureWorkloads runs the Figure-6–9 structured
@@ -204,9 +206,79 @@ func TestExplainWCOJ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"seeks=", "extensions=", "seeks: total=", "memory:", "tuples:"} {
+	for _, want := range []string{"seeks=", "extensions=", "seeks: total=", "indexes: 2 built for 5 atoms", "memory:", "tuples:"} {
 		if !strings.Contains(analyzed, want) {
 			t.Fatalf("analyze explain missing %q:\n%s", want, analyzed)
+		}
+	}
+}
+
+// cycleOver is the n-cycle query rels[0](x0,x1), rels[1](x1,x2), …,
+// rels[n-1](x(n-1),x0) with x0 free.
+func cycleOver(rels ...string) *cq.Query {
+	q := &cq.Query{Free: []cq.Var{0}}
+	for i, rel := range rels {
+		q.Atoms = append(q.Atoms, cq.Atom{Rel: rel, Args: []cq.Var{cq.Var(i), cq.Var((i + 1) % len(rels))}})
+	}
+	return q
+}
+
+// TestWCOJSharesIndexes: atoms over one stored relation in one column
+// order share a sorted index — the triangle over e builds two (e by
+// columns 0,1 for e(x0,x1) and e(x1,x2); by 1,0 for e(x2,x0)), the
+// 4-cycle two — and a shared index is charged once to Stats.Bytes,
+// PeakBytes and the byte budget. Against the same query over a private
+// copy of e per atom, which shares nothing, the answer, Seeks and
+// Extensions are identical and the bytes differ by exactly the indexes
+// not built. The budget bills the distinct indexes plus the output and
+// nothing else: a run fits in exactly its own Stats.Bytes, and so in
+// what one index per atom used to be billed.
+func TestWCOJSharesIndexes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	e := relation.New([]relation.Attr{0, 1})
+	for e.Len() < 2000 {
+		e.Add(relation.Tuple{relation.Value(rng.Intn(300)), relation.Value(rng.Intn(300))})
+	}
+	db := cq.Database{"e": e}
+	perIndex := int64(e.Len()) * 4
+	for _, n := range []int{3, 4} {
+		var shared, private []string
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("e%d", i)
+			db[name] = e.Clone()
+			shared, private = append(shared, "e"), append(private, name)
+		}
+		res, ex, err := execWCOJ(context.Background(), cycleOver(shared...), db, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apart, exApart, err := execWCOJ(context.Background(), cycleOver(private...), db, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.indexes != 2 || exApart.indexes != n {
+			t.Errorf("%d-cycle: built %d indexes over e and %d over %d copies, want 2 and %d", n, ex.indexes, exApart.indexes, n, n)
+		}
+		if !res.Rel.Equal(apart.Rel) || res.Stats.Seeks != apart.Stats.Seeks || res.Stats.Extensions != apart.Stats.Extensions {
+			t.Errorf("%d-cycle: sharing changed the run: %d rows %d seeks %d extensions, apart %d rows %d seeks %d extensions", n,
+				res.Rel.Len(), res.Stats.Seeks, res.Stats.Extensions, apart.Rel.Len(), apart.Stats.Seeks, apart.Stats.Extensions)
+		}
+		if want := 2*perIndex + res.Rel.Bytes(); res.Stats.Bytes != want || res.Stats.PeakBytes != want {
+			t.Errorf("%d-cycle: Bytes %d PeakBytes %d, want two indexes and the output = %d", n, res.Stats.Bytes, res.Stats.PeakBytes, want)
+		}
+		if got, want := apart.Stats.Bytes-res.Stats.Bytes, int64(n-2)*perIndex; got != want {
+			t.Errorf("%d-cycle: sharing saved %d bytes, want %d (the %d indexes not built)", n, got, want, n-2)
+		}
+
+		q := cycleOver(shared...)
+		if _, err := ExecWCOJ(q, db, Options{MaxBytes: res.Stats.Bytes}); err != nil {
+			t.Errorf("%d-cycle: a budget of the distinct indexes plus the output (%d) refused the run: %v", n, res.Stats.Bytes, err)
+		}
+		if _, err := ExecWCOJ(q, db, Options{MaxBytes: res.Stats.Bytes - 1}); !errors.Is(err, ErrMemLimit) {
+			t.Errorf("%d-cycle: one byte under the bill: err = %v, want ErrMemLimit", n, err)
+		}
+		if _, err := ExecWCOJ(q, db, Options{MaxBytes: int64(n)*perIndex + res.Rel.Bytes()}); err != nil {
+			t.Errorf("%d-cycle: the budget one index per atom needed refused the run: %v", n, err)
 		}
 	}
 }

@@ -365,6 +365,12 @@ func (r *Relation) Equal(o *Relation) bool {
 	return true
 }
 
+// colBits returns the bits that hold column j's values offset by the
+// column minimum: the field width of the order-preserving sort keys.
+func (r *Relation) colBits(j int) uint {
+	return uint(bits.Len64(uint64(int64(r.colMax[j]) - int64(r.colMin[j]))))
+}
+
 // AppendSortedRows appends the rows in lexicographic order to dst, arity
 // values per row, and returns the extended slice. It is the one sort of
 // the answer path and never builds tuple headers. When the column ranges
@@ -381,7 +387,7 @@ func (r *Relation) AppendSortedRows(dst []Value) []Value {
 	width := make([]uint, r.arity)
 	total := uint(0)
 	for j := range width {
-		width[j] = uint(bits.Len64(uint64(int64(r.colMax[j]) - int64(r.colMin[j]))))
+		width[j] = r.colBits(j)
 		total += width[j]
 	}
 	if total <= 64 {

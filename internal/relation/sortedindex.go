@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"projpush/internal/faultinject"
 )
@@ -17,12 +19,12 @@ import (
 // sorted, so galloping SeekGE/SeekGT find the next candidate value and
 // the end of its run in O(log gap).
 //
-// Sorting reuses the arena's packed/FNV key split: while every indexed
-// column holds byte-range values (the paper's domains always do) and at
-// most eight columns are indexed, each row packs into one order-preserving
-// uint64 and the sort compares single machine words; otherwise it falls
-// back to column-wise compares. Ties (rows equal on every indexed column)
-// break by row id, so the order is deterministic either way.
+// Sorting packs each row's indexed columns, offset by the column minimum,
+// above its row id into one uint64 whenever the column ranges and the row
+// count together fit 64 bits — the packing AppendSortedRows uses, with the
+// row id as the least significant field — and sorts machine words;
+// otherwise it compares arena columns. Rows equal on every indexed column
+// are ordered by row id either way, so the order is deterministic.
 type SortedIndex struct {
 	rel  *Relation
 	cols []int   // arena column index per depth
@@ -36,9 +38,11 @@ func NewSortedIndex(r *Relation, attrs []Attr) (*SortedIndex, error) {
 }
 
 // NewSortedIndexLimited builds a sorted index over r ordered by attrs
-// (each of which must be in r's schema) under lim: the row-id array and
-// the sort's packed-key scratch are charged against the byte budget, and
-// the rows touched are charged as work.
+// (each of which must be in r's schema) under lim: the resident row-id
+// array is charged against the byte budget — the sort's key scratch is
+// gone before the build returns and is not — and the rows touched are
+// charged as work. The index reads r's arena by column position, so it
+// serves every renamed view of the same storage.
 func NewSortedIndexLimited(r *Relation, attrs []Attr, lim *Limit) (*SortedIndex, error) {
 	if err := lim.interrupted(); err != nil {
 		return nil, err
@@ -56,47 +60,49 @@ func NewSortedIndexLimited(r *Relation, attrs []Attr, lim *Limit) (*SortedIndex,
 		cols[i] = j
 	}
 	ix := &SortedIndex{rel: r, cols: cols, rows: make([]int32, r.n)}
-	for i := range ix.rows {
-		ix.rows[i] = int32(i)
-	}
 	lim.charge(int64(r.n))
 	if err := lim.chargeBytes(ix.Bytes()); err != nil {
 		return nil, err
 	}
+	if r.n == 0 {
+		return ix, nil
+	}
 
-	// Packed fast path: one order-preserving uint64 per row (more
-	// significant depth = more significant byte), single-word compares.
-	if len(cols) <= 8 && r.rangesPackable() {
-		if err := lim.chargeBytes(int64(r.n) * 8); err != nil {
-			return nil, err
-		}
+	idBits := uint(bits.Len64(uint64(r.n - 1)))
+	width := make([]uint, len(cols))
+	total := idBits
+	for k, c := range cols {
+		width[k] = r.colBits(c)
+		total += width[k]
+	}
+	if total <= 64 {
 		keys := make([]uint64, r.n)
-		for i := 0; i < r.n; i++ {
+		for i := range keys {
 			t := r.row(i)
 			var key uint64
-			for _, c := range cols {
-				key = key<<8 | uint64(byte(t[c]))
+			for k, c := range cols {
+				key = key<<width[k] | uint64(int64(t[c])-int64(r.colMin[c]))
 			}
-			keys[i] = key
+			keys[i] = key<<idBits | uint64(i)
 		}
-		sort.Slice(ix.rows, func(a, b int) bool {
-			ka, kb := keys[ix.rows[a]], keys[ix.rows[b]]
-			if ka != kb {
-				return ka < kb
-			}
-			return ix.rows[a] < ix.rows[b]
-		})
+		slices.Sort(keys)
+		for i, key := range keys {
+			ix.rows[i] = int32(key & (1<<idBits - 1))
+		}
 		return ix, lim.interrupted()
 	}
 
-	sort.Slice(ix.rows, func(a, b int) bool {
-		ta, tb := r.row(int(ix.rows[a])), r.row(int(ix.rows[b]))
+	for i := range ix.rows {
+		ix.rows[i] = int32(i)
+	}
+	slices.SortFunc(ix.rows, func(a, b int32) int {
+		ta, tb := r.row(int(a)), r.row(int(b))
 		for _, c := range cols {
 			if ta[c] != tb[c] {
-				return ta[c] < tb[c]
+				return cmp.Compare(ta[c], tb[c])
 			}
 		}
-		return ix.rows[a] < ix.rows[b]
+		return cmp.Compare(a, b)
 	})
 	return ix, lim.interrupted()
 }
@@ -123,45 +129,45 @@ func (ix *SortedIndex) Value(i, d int) Value {
 // which is what makes leapfrog intersection's total work proportional to
 // the smallest participating relation, not the largest.
 func (ix *SortedIndex) SeekGE(d, lo, hi int, v Value) int {
-	return ix.seek(d, lo, hi, v, false)
+	return ix.seek(d, lo, hi, int64(v))
 }
 
 // SeekGT is SeekGE with a strict bound: the smallest position in [lo,hi)
-// whose depth-d value is > v. Using it to find the end of a value's run
-// avoids the v+1 overflow a SeekGE-based formulation hits at the top of
-// the Value range.
+// whose depth-d value is > v. The bound is v+1 in 64 bits, so finding the
+// end of a run at the top of the Value range does not overflow.
 func (ix *SortedIndex) SeekGT(d, lo, hi int, v Value) int {
-	return ix.seek(d, lo, hi, v, true)
+	return ix.seek(d, lo, hi, int64(v)+1)
 }
 
-func (ix *SortedIndex) seek(d, lo, hi int, v Value, strict bool) int {
-	ok := func(i int) bool {
-		u := ix.Value(i, d)
-		if strict {
-			return u > v
-		}
-		return u >= v
-	}
+// seek returns the first position in [lo,hi) whose depth-d value is at
+// least floor, or hi.
+func (ix *SortedIndex) seek(d, lo, hi int, floor int64) int {
 	if lo >= hi {
 		return hi
 	}
-	if ok(lo) {
+	data, rows, stride, col := ix.rel.data, ix.rows, ix.rel.arity, ix.cols[d]
+	if int64(data[int(rows[lo])*stride+col]) >= floor {
 		return lo
 	}
-	// Gallop: double the step until we overshoot (or run off the end),
-	// leaving a bracket (prev, bound] with ok(prev) false.
+	// Gallop: double the step until it overshoots or runs off the end,
+	// leaving a bracket (prev, bound) where prev fails and bound passes
+	// or is hi.
 	prev, bound := lo, hi
-	for step := 1; ; step <<= 1 {
+	for step := 1; lo+step < hi; step <<= 1 {
 		i := lo + step
-		if i >= hi {
-			break
-		}
-		if ok(i) {
+		if int64(data[int(rows[i])*stride+col]) >= floor {
 			bound = i
 			break
 		}
 		prev = i
 	}
-	// Binary search (prev, bound]: first ok position.
-	return prev + 1 + sort.Search(bound-prev-1, func(k int) bool { return ok(prev + 1 + k) })
+	for prev+1 < bound {
+		mid := int(uint(prev+bound) >> 1)
+		if int64(data[int(rows[mid])*stride+col]) >= floor {
+			bound = mid
+		} else {
+			prev = mid
+		}
+	}
+	return bound
 }

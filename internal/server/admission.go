@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 
+	"projpush/internal/acyclic"
 	"projpush/internal/core"
 	"projpush/internal/cq"
 	"projpush/internal/engine"
+	"projpush/internal/joingraph"
 	"projpush/internal/plan"
 	"projpush/internal/treedec"
 )
@@ -52,10 +54,12 @@ func assess(q *cq.Query, p plan.Node, method string, maxWidth int, maxAGMLog2 fl
 		WCOJAGMLog2:       wcojAGM,
 		Admitted:          true,
 	}
+	c := newCover(q, db)
+	v.AGMLog2 = c.log2(nil)
 	if jg, elim, err := core.EliminationOrder(q, core.OrderMCS, nil); err == nil {
 		v.ElimWidth = treedec.InducedWidth(jg.G, elim)
+		v.BagAGMLog2 = bagAGMLog2(q, c, jg, elim, v.ElimWidth, v.AGMLog2)
 	}
-	v.AGMLog2 = agmLog2(q, db)
 	v.PredictedPeakBytes = predictedPeakBytes(q, db)
 	overWidth := maxWidth > 0 && v.PlanWidth > maxWidth
 	overAGM := maxAGMLog2 > 0 && v.AGMLog2 > maxAGMLog2
@@ -73,6 +77,48 @@ func assess(q *cq.Query, p plan.Node, method string, maxWidth int, maxAGMLog2 fl
 		v.AdmittedOnSpill = true
 	}
 	return v
+}
+
+// bagAGMLog2 returns the largest agmLog2 over the bags of the tree
+// decomposition elim induces — the bound on the widest intermediate a
+// join-tree plan over that decomposition can build — for the size-only
+// routing rule to compare with whole, the full query's bound. It returns
+// nil where the rule cannot apply, cheapest test first. Sizes alone: a
+// bag of k variables is covered by at most k relations, so its bound is
+// at most k·log2(max |R|); a whole above that for the widest bag (width+1
+// variables) is above every bag, and a join graph of width under 2 is a
+// forest, whose query is acyclic. Only past both is the decomposition
+// built, and only its bags with enough variables to reach whole are
+// covered. Acyclicity: only when a bag does reach whole is GYO run, and an
+// acyclic query is left to the full reducer, which builds no bag.
+func bagAGMLog2(q *cq.Query, c *cover, jg *joingraph.JoinGraph, elim []int, width int, whole float64) *float64 {
+	perVar := 0.0 // log2(max |R|)
+	for _, a := range c.atoms {
+		perVar = math.Max(perVar, a.log)
+	}
+	if width < 2 || whole > float64(width+1)*perVar {
+		return nil
+	}
+	widest := 0.0
+	outside := make([]bool, len(c.index))
+	for _, bag := range treedec.FromOrder(jg.G, elim).Bags {
+		if whole > float64(len(bag))*perVar {
+			continue
+		}
+		for i := range outside {
+			outside[i] = true
+		}
+		for _, v := range jg.VarSet(bag) {
+			if i, ok := c.index[v]; ok {
+				outside[i] = false
+			}
+		}
+		widest = math.Max(widest, c.log2(outside))
+	}
+	if whole <= widest && acyclic.IsAcyclic(q) {
+		return nil
+	}
+	return &widest
 }
 
 // predictedPeakBytes bounds a streaming run's peak live bytes from the
@@ -103,14 +149,26 @@ func predictedPeakBytes(q *cq.Query, db cq.Database) int64 {
 // smaller relation on ties, the earlier atom on further ties. The value
 // drives routing, so the pick order and the order of the additions are
 // part of the contract (TestAGMLog2MatchesReference).
-func agmLog2(q *cq.Query, db cq.Database) float64 {
-	type coverAtom struct {
-		lo, hi int // its variables are vars[lo:hi], one entry per argument
-		log    float64
-	}
-	index := make(map[cq.Var]int)
-	var vars []int
-	live := make([]coverAtom, 0, len(q.Atoms))
+func agmLog2(q *cq.Query, db cq.Database) float64 { return newCover(q, db).log2(nil) }
+
+// cover is a query as the greedy edge cover sees it: its variables
+// numbered densely and each atom with variables as a run of those numbers
+// and the log2 of its relation's cardinality. It is built once per
+// request and covered once for the whole query and once per bag.
+type cover struct {
+	index map[cq.Var]int
+	vars  []int // the atoms' variables, one entry per argument
+	atoms []coverAtom
+	empty bool // an atom's relation is empty: the join is, every bound is 0
+}
+
+type coverAtom struct {
+	lo, hi int // its variables are vars[lo:hi]
+	log    float64
+}
+
+func newCover(q *cq.Query, db cq.Database) *cover {
+	c := &cover{index: make(map[cq.Var]int), atoms: make([]coverAtom, 0, len(q.Atoms))}
 	for _, a := range q.Atoms {
 		if len(a.Args) == 0 {
 			continue
@@ -119,25 +177,38 @@ func agmLog2(q *cq.Query, db cq.Database) float64 {
 		if rel := db[a.Rel]; rel != nil {
 			switch n := rel.Len(); {
 			case n == 0:
-				// An empty relation covering a variable makes the whole
-				// join empty.
-				return 0
+				c.empty = true
+				return c
 			case n > 1:
 				lg = math.Log2(float64(n))
 			}
 		}
-		lo := len(vars)
+		lo := len(c.vars)
 		for _, v := range a.Args {
-			i, ok := index[v]
+			i, ok := c.index[v]
 			if !ok {
-				i = len(index)
-				index[v] = i
+				i = len(c.index)
+				c.index[v] = i
 			}
-			vars = append(vars, i)
+			c.vars = append(c.vars, i)
 		}
-		live = append(live, coverAtom{lo: lo, hi: len(vars), log: lg})
+		c.atoms = append(c.atoms, coverAtom{lo: lo, hi: len(c.vars), log: lg})
 	}
-	covered := make([]bool, len(index))
+	return c
+}
+
+// log2 covers the variables not yet marked in covered, which it consumes
+// (nil = none marked: the whole query). Marking everything outside a bag
+// bounds the join of the atoms projected onto the bag, each projection
+// charged its relation's full cardinality.
+func (c *cover) log2(covered []bool) float64 {
+	if c.empty {
+		return 0
+	}
+	if covered == nil {
+		covered = make([]bool, len(c.index))
+	}
+	live := append([]coverAtom(nil), c.atoms...)
 	var total float64
 	for len(live) > 0 {
 		best, bestNew := -1, 0
@@ -146,7 +217,7 @@ func agmLog2(q *cq.Query, db cq.Database) float64 {
 		kept := live[:0]
 		for _, a := range live {
 			n := 0
-			for _, v := range vars[a.lo:a.hi] {
+			for _, v := range c.vars[a.lo:a.hi] {
 				if !covered[v] {
 					n++
 				}
@@ -163,7 +234,7 @@ func agmLog2(q *cq.Query, db cq.Database) float64 {
 		if best < 0 {
 			break
 		}
-		for _, v := range vars[live[best].lo:live[best].hi] {
+		for _, v := range c.vars[live[best].lo:live[best].hi] {
 			covered[v] = true
 		}
 		total += live[best].log

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -124,6 +125,25 @@ func TestAGMBound(t *testing.T) {
 	empty.db = instance.ColorDatabase(1) // k=1: no proper edge pairs
 	if got := agmLog2(empty.q, empty.db); got != 0 {
 		t.Errorf("agmLog2 with empty relation = %v, want 0", got)
+	}
+}
+
+// TestBagBoundNotReportedForAcyclicQueries: the join graph's clique on the
+// free variables puts all of r(x,y), r(y,z) with x, y, z free in one bag,
+// whose bound equals the whole query's — and the query is acyclic, so the
+// verdict carries no bag bound and the size-only tier does not take it.
+func TestBagBoundNotReportedForAcyclicQueries(t *testing.T) {
+	r := relation.New([]relation.Attr{0, 1})
+	for i := 0; i < 50; i++ {
+		r.Add(relation.Tuple{relation.Value(i % 7), relation.Value(i)})
+	}
+	db := cq.Database{"r": r}
+	q := &cq.Query{Free: []cq.Var{0, 1, 2}, Atoms: []cq.Atom{{Rel: "r", Args: []cq.Var{0, 1}}, {Rel: "r", Args: []cq.Var{1, 2}}}}
+	s := New(Config{DB: db})
+	method, _, v := routed(t, s, q, db)
+	if v.ElimWidth != 2 || v.BagAGMLog2 != nil || method != core.MethodYannakakis {
+		t.Errorf("acyclic path with three free variables: elim width %d, bag bound %v, route %s; want 2, none, yannakakis",
+			v.ElimWidth, v.BagAGMLog2, method)
 	}
 }
 
@@ -250,6 +270,34 @@ func BenchmarkAdmissionAGM(b *testing.B) {
 }
 
 var agmSink float64
+
+// BenchmarkAdmissionRule puts the cost of the size-only routing rule on
+// record: all of assess on the largest structured query the benchmark
+// sends, where the precheck must keep the rule free (compare with the
+// commit before the rule), and on the triangle over an e of the
+// through-the-wire benchmark's size, where the rule builds the
+// decomposition, covers its bag, runs GYO and fires.
+func BenchmarkAdmissionRule(b *testing.B) {
+	pool, db := shapePool(b, 20040314, 8000, 600, true)
+	for _, name := range []string{"augladder-40", "triangle"} {
+		i := slices.IndexFunc(pool, func(c routeCase) bool { return c.name == name })
+		q := pool[i].q
+		p, err := core.BuildPlan(core.MethodBucketElimination, q, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var v *Verdict
+			for i := 0; i < b.N; i++ {
+				v = assess(q, p, "bucketelimination", 0, 0, 0, engine.DefaultWCOJAGMLog2, -1, db)
+			}
+			if fires := v.BagAGMLog2 != nil && v.AGMLog2 <= *v.BagAGMLog2; fires != (name == "triangle") {
+				b.Fatalf("rule fires = %v (agm %.2f, bag %v)", fires, v.AGMLog2, v.BagAGMLog2)
+			}
+		})
+	}
+}
 
 func TestLimiterShedsBeyondQueue(t *testing.T) {
 	l := newLimiter(1, 1)

@@ -166,6 +166,15 @@ type Verdict struct {
 	// cardinalities: the full join's output can never exceed 2^AGMLog2
 	// rows.
 	AGMLog2 float64 `json:"agm_log2"`
+	// BagAGMLog2 is the largest such bound over the bags of the MCS tree
+	// decomposition (those with enough variables to reach AGMLog2): what
+	// the widest intermediate of a join-tree plan can reach. A query
+	// with AGMLog2 ≤ BagAGMLog2 gains nothing from the decomposition and
+	// is routed to the multiway join. Nil where that rule cannot apply:
+	// sizes alone show every bag is under the whole query's bound
+	// (AGMLog2 > (ElimWidth+1)·log2 max |R|), the join graph is a
+	// forest, or a bag does reach the bound but the query is acyclic.
+	BagAGMLog2 *float64 `json:"bag_agm_log2,omitempty"`
 	// PredictedPeakBytes is a static upper bound on the streaming
 	// engine's peak live bytes: the sum of the referenced base
 	// relations' footprints. Every pipeline breaker stores at most the

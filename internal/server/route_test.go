@@ -31,7 +31,8 @@ type routeCase struct {
 // order 16–20 at densities 2–4 — are always there; variants adds what the
 // tests want and the matrix does not: the Figure 6–9 families at orders
 // 5–40, a second free variable on the triangle and 1–4 free variables on
-// the random graphs.
+// the random graphs, and two more triangles — over relations of unequal
+// size (e, e2, e3) and with an empty relation (e0).
 func shapePool(t testing.TB, seed int64, edgeRows, edgeDom int, variants bool) ([]routeCase, cq.Database) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -60,6 +61,24 @@ func shapePool(t testing.TB, seed int64, edgeRows, edgeDom int, variants bool) (
 	cycle("triangle", 3, 0)
 	if variants {
 		cycle("triangle/x,y", 3, 0, 1)
+		// Their own generator: the random graphs below stay the ones the
+		// shared rng has always drawn.
+		own := rand.New(rand.NewSource(seed + 1))
+		for _, r := range []struct {
+			name string
+			rows int
+		}{{"e2", edgeRows / 3}, {"e3", edgeRows / 6}, {"e0", 0}} {
+			rel := relation.New([]relation.Attr{0, 1})
+			for rel.Len() < r.rows {
+				rel.Add(relation.Tuple{relation.Value(own.Intn(edgeDom)), relation.Value(own.Intn(edgeDom))})
+			}
+			db[r.name] = rel
+		}
+		for _, c := range [][2]string{{"triangle/unequal", "e3"}, {"triangle/empty", "e0"}} {
+			pool = append(pool, routeCase{c[0], &cq.Query{Free: []cq.Var{0}, Atoms: []cq.Atom{
+				{Rel: "e", Args: []cq.Var{0, 1}}, {Rel: "e2", Args: []cq.Var{1, 2}}, {Rel: c[1], Args: []cq.Var{2, 0}},
+			}}})
+		}
 	}
 	cycle("cycle4", 4, 0)
 	for _, n := range []int{4, 5, 6} {
@@ -133,11 +152,90 @@ func routed(t testing.TB, s *Server, q *cq.Query, db cq.Database) (core.Method, 
 	}
 	v := assess(q, p, string(method), s.cfg.MaxWidth, s.cfg.MaxAGMLog2, s.cfg.MaxPredictedBytes, s.cfg.WCOJAGMLog2, -1, db)
 	inHand := core.Candidate{Plan: p, Order: core.PlanOrder(method), Width: v.PlanWidth}
-	method, chosen, err := s.route(&Request{Op: "query"}, q, method, inHand, v)
+	method, chosen, _, err := s.route(&Request{Op: "query"}, q, method, inHand, v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return method, chosen, v
+}
+
+// noGain reports whether a verdict is one the size-only tier claims: the
+// whole query's bound within the widest bag's, and the leapfrog join ran.
+func noGain(v *Verdict) bool {
+	return v.Method == string(core.MethodWCOJ) && v.BagAGMLog2 != nil && v.AGMLog2 <= *v.BagAGMLog2
+}
+
+// TestNoGainTierTable pins which shapes the size-only tier takes — the
+// triangles (both free-variable sets, unequal relations, an empty one),
+// the 4-cycle and K4–K6, under every setting of the three knobs — and
+// that it takes nothing else: every Figure 6–9 family at orders 5–40,
+// both wheels and every random graph get the route and the plan the
+// cascade below it gives them, which is what they had before the tier.
+func TestNoGainTierTable(t *testing.T) {
+	pool, db := routePool(t)
+	takes := map[string]bool{
+		"triangle": true, "triangle/x,y": true, "triangle/unequal": true, "triangle/empty": true,
+		"cycle4": true, "K4": true, "K5": true, "K6": true,
+	}
+	// What the default cascade has always given the structured shapes.
+	structured := map[string]core.Method{
+		"augpath": core.MethodYannakakis, "ladder": core.MethodYannakakis, "augladder": core.MethodYannakakis,
+		"augcircladder": core.MethodStream, "wheel": core.MethodYannakakis,
+	}
+	for name, cfg := range tierConfigs(db) {
+		s := New(cfg)
+		taken := 0
+		for _, c := range pool {
+			p, err := core.BuildPlan(s.cfg.Method, c.q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := assess(c.q, p, string(s.cfg.Method), 0, 0, 0, s.cfg.WCOJAGMLog2, -1, db)
+			inHand := core.Candidate{Plan: p, Order: core.PlanOrder(s.cfg.Method), Width: v.PlanWidth}
+			method, chosen, reason, err := s.route(&Request{Op: "query"}, c.q, s.cfg.Method, inHand, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if takes[c.name] {
+				taken++
+				if method != core.MethodWCOJ || reason != "no_gain_from_decomposition" {
+					t.Errorf("%s %s: route %s (%s), want wcoj by the size-only tier (agm %.2f, bag %v)",
+						name, c.name, method, reason, v.AGMLog2, v.BagAGMLog2)
+				}
+				continue
+			}
+			// The cascade alone: the same verdict with the rule's quantity
+			// withheld.
+			below := *v
+			below.BagAGMLog2 = nil
+			wantMethod, wantChosen, wantReason, err := s.route(&Request{Op: "query"}, c.q, s.cfg.Method, inHand, &below)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if method != wantMethod || reason != wantReason || FingerprintID(chosen.Plan) != FingerprintID(wantChosen.Plan) {
+				t.Errorf("%s %s: route %s (%s), the cascade gives %s (%s)", name, c.name, method, reason, wantMethod, wantReason)
+			}
+			if reason == "no_gain_from_decomposition" || reason == "named" {
+				t.Errorf("%s %s: reason %q", name, c.name, reason)
+			}
+			family, _, _ := strings.Cut(c.name, "-")
+			if want, ok := structured[family]; ok && name == "cascade" && method != want {
+				t.Errorf("%s: route %s, want %s", c.name, method, want)
+			}
+			// The precheck spares the structured families the walk.
+			if !strings.HasPrefix(c.name, "random") && !strings.HasPrefix(c.name, "wheel") && v.BagAGMLog2 != nil {
+				t.Errorf("%s %s: bags walked (bag bound %.2f, whole %.2f)", name, c.name, *v.BagAGMLog2, v.AGMLog2)
+			}
+		}
+		if taken != len(takes) {
+			t.Errorf("%s: pool has %d of the %d shapes the tier takes", name, taken, len(takes))
+		}
+	}
+	// A request that names a method is not routed.
+	s := New(Config{DB: db})
+	if m, _, reason, _ := s.route(&Request{Method: "stream"}, pool[0].q, core.MethodStream, core.Candidate{}, &Verdict{}); m != core.MethodStream || reason != "named" {
+		t.Errorf("named stream request routed to %s (%s)", m, reason)
+	}
 }
 
 // tierConfigs reach every tier that executes a plan: the default cascade,
@@ -246,8 +344,8 @@ func textOf(t testing.TB, q *cq.Query) string {
 	return buf.String()
 }
 
-// TestTiersAnswerLikeTheOracle sends the pool through every tier, direct
-// and resilient, and compares each answer with the backtracking oracle,
+// TestTiersAnswerLikeTheOracle sends the pool through every tier — the
+// size-only one included, which no knob turns off — direct and resilient, and compares each answer with the backtracking oracle,
 // or with the MCS bucket-elimination plan where the oracle's search
 // space (the structured families at orders 10–40) is out of reach.
 func TestTiersAnswerLikeTheOracle(t *testing.T) {
@@ -277,6 +375,7 @@ func TestTiersAnswerLikeTheOracle(t *testing.T) {
 		for _, resilient := range []bool{false, true} {
 			cfg.Resilient = resilient
 			_, addr := startServer(t, cfg)
+			sizeOnly := 0
 			for i, c := range pool {
 				resp := roundTrip(t, addr, &Request{Op: "query", Query: textOf(t, c.q)})
 				if resp.Status != StatusOK {
@@ -299,15 +398,25 @@ func TestTiersAnswerLikeTheOracle(t *testing.T) {
 					t.Errorf("%s resilient=%v %s (route %s): %d rows %v, reference has %d", name, resilient, c.name,
 						resp.Verdict.Method, resp.Answer.Rows, resp.Answer.Tuples, want[i].Len())
 				}
+				if noGain(resp.Verdict) {
+					sizeOnly++
+				}
+			}
+			// The size-only tier sits above the knobs: the four triangles,
+			// the 4-cycle and K4–K6 reach it under every configuration.
+			if sizeOnly < 8 {
+				t.Errorf("%s resilient=%v: %d answers came from the size-only tier, want at least 8", name, resilient, sizeOnly)
 			}
 		}
 	}
 }
 
-// TestExplainAndLogShowTheExecutedPlan: explain renders the plan route
-// chose and the request log carries its width and order, on a query per
-// plan-executing tier whose plan the choice changed; the full reducer
-// executes no plan and logs neither.
+// TestExplainAndLogShowTheExecutedPlan: explain opens with the route and
+// why it was taken, then renders the plan route chose, and the request log
+// carries the reason and the plan's width and order, on a query per
+// plan-executing tier whose plan the choice changed; the full reducer and
+// the leapfrog join execute no plan and log neither, and a query the
+// size-only tier took shows the two bounds it compared in both places.
 func TestExplainAndLogShowTheExecutedPlan(t *testing.T) {
 	pool, db := routePool(t)
 	var log bytes.Buffer
@@ -317,6 +426,7 @@ func TestExplainAndLogShowTheExecutedPlan(t *testing.T) {
 		method, chosen, v := routed(t, s, c.q, db)
 		changed := map[core.Method]bool{
 			core.MethodYannakakis:        true,
+			core.MethodWCOJ:              v.BagAGMLog2 != nil && v.AGMLog2 <= *v.BagAGMLog2,
 			core.MethodStream:            chosen.Order == core.OrderMCS,
 			core.MethodBucketElimination: chosen.Order != core.OrderMCS,
 		}
@@ -333,12 +443,30 @@ func TestExplainAndLogShowTheExecutedPlan(t *testing.T) {
 		if err := json.Unmarshal(bytes.TrimSpace(log.Bytes()), &entry); err != nil {
 			t.Fatalf("%s: log line %q: %v", c.name, log.String(), err)
 		}
+		reason := map[core.Method]string{
+			core.MethodYannakakis: "narrow", core.MethodWCOJ: "no_gain_from_decomposition",
+			core.MethodStream: "mid_width", core.MethodBucketElimination: "default",
+		}[method]
+		if entry["route_reason"] != reason {
+			t.Errorf("%s: log has route_reason=%v, want %s", c.name, entry["route_reason"], reason)
+		}
+		line, body, _ := strings.Cut(resp.Explain, "\n")
+		if !strings.HasPrefix(line, fmt.Sprintf("route: %s (%s)", method, reason)) {
+			t.Errorf("%s: explain opens with %q, want route %s (%s)", c.name, line, method, reason)
+		}
 		var want string
 		var err error
 		switch method {
-		case core.MethodYannakakis:
+		case core.MethodYannakakis, core.MethodWCOJ:
 			if entry["order"] != nil || entry["plan_width"] != nil {
-				t.Errorf("%s: the full reducer executes no plan, yet the log names one: %v", c.name, entry)
+				t.Errorf("%s: route %s executes no plan, yet the log names one: %v", c.name, method, entry)
+			}
+			if method == core.MethodWCOJ {
+				bag := fmt.Sprintf("bag_agm_log2=%.2f", *v.BagAGMLog2)
+				if entry["bag_agm_log2"] != *v.BagAGMLog2 || entry["agm_log2"] != v.AGMLog2 || !strings.Contains(line, bag) {
+					t.Errorf("%s: the bounds the size-only tier compared (%.2f ≤ %.2f) are not in the log %v and the explain %q",
+						c.name, v.AGMLog2, *v.BagAGMLog2, entry, line)
+				}
 			}
 			continue
 		case core.MethodStream:
@@ -349,7 +477,7 @@ func TestExplainAndLogShowTheExecutedPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Explain != want {
+		if body != want {
 			t.Errorf("%s: explain is not the chosen %s plan's:\n%s\nwant:\n%s", c.name, chosen.Order, resp.Explain, want)
 		}
 		if entry["order"] != string(chosen.Order) || entry["plan_width"] != float64(chosen.Width) {
@@ -370,7 +498,7 @@ func TestExplainAndLogShowTheExecutedPlan(t *testing.T) {
 			t.Errorf("%s under -maxwidth %d: executed plan_width %v", c.name, v.PlanWidth, entry["plan_width"])
 		}
 	}
-	for _, m := range []core.Method{core.MethodYannakakis, core.MethodStream, core.MethodBucketElimination} {
+	for _, m := range []core.Method{core.MethodYannakakis, core.MethodWCOJ, core.MethodStream, core.MethodBucketElimination} {
 		if !seen[m] {
 			t.Errorf("no pool query exercised route %s", m)
 		}

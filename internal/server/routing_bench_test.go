@@ -2,20 +2,84 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"projpush/internal/core"
+	"projpush/internal/cq"
+	"projpush/internal/cqparse"
 	"projpush/internal/engine"
+	"projpush/internal/relation"
 )
 
+// selectiveCases adds to db, and returns queries over, the acyclic shapes
+// of the through-the-wire benchmark's selective-acyclic workload at its
+// sizes: the chain r0(x0,x1), …, r7(x7,x8) of 6000-row relations over
+// 4000 values whose head r0 has 10 rows; the spider of five arms
+// a_i(x0,y_i), b_i(y_i,z_i) of 5000 rows over 2000 values whose arm end b0
+// has 8; and the augmented path of order 6 over the a_i with a b_i
+// dangling at every vertex, b0 at the head.
+func selectiveCases(t testing.TB, db cq.Database) []routeCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(2))
+	random := func(rows, dom int) *relation.Relation {
+		r := relation.New([]relation.Attr{0, 1})
+		for i := 0; i < rows; i++ {
+			r.Add(relation.Tuple{relation.Value(rng.Intn(dom)), relation.Value(rng.Intn(dom))})
+		}
+		return r
+	}
+	chain := &cq.Query{Free: []cq.Var{0, 1}}
+	for i := 0; i < 8; i++ {
+		rows := 6000
+		if i == 0 {
+			rows = 10
+		}
+		name := fmt.Sprintf("r%d", i)
+		db[name] = random(rows, 4000)
+		chain.Atoms = append(chain.Atoms, cq.Atom{Rel: name, Args: []cq.Var{cq.Var(i), cq.Var(i + 1)}})
+	}
+	spider := &cq.Query{Free: []cq.Var{0}}
+	augpath := &cq.Query{Free: []cq.Var{0, 1}}
+	for i := 0; i < 5; i++ {
+		rows := 5000
+		if i == 0 {
+			rows = 8
+		}
+		a, bName := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
+		db[a], db[bName] = random(5000, 2000), random(rows, 2000)
+		y, z := cq.Var(1+2*i), cq.Var(2+2*i)
+		spider.Atoms = append(spider.Atoms, cq.Atom{Rel: a, Args: []cq.Var{0, y}}, cq.Atom{Rel: bName, Args: []cq.Var{y, z}})
+	}
+	for i := 0; i < 6; i++ {
+		augpath.Atoms = append(augpath.Atoms, cq.Atom{Rel: fmt.Sprintf("b%d", i%5), Args: []cq.Var{cq.Var(i), cq.Var(6 + i)}})
+		if i < 5 {
+			augpath.Atoms = append(augpath.Atoms, cq.Atom{Rel: fmt.Sprintf("a%d", i), Args: []cq.Var{cq.Var(i), cq.Var(i + 1)}})
+		}
+	}
+	cases := []routeCase{{"chain", chain}, {"spider", spider}, {"augpath-selective", augpath}}
+	for i, c := range cases {
+		file, err := cqparse.ParseWith(strings.NewReader(textOf(t, c.q)), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[i].q = file.Query
+	}
+	return cases
+}
+
 // BenchmarkRoutingMatrix is ROADMAP item 3's matrix: every route the
-// cascade can take × the cyclic shapes, each cell executing what that
+// server can take × the cyclic shapes and the selective acyclic ones
+// (selectiveCases), each cell executing what that
 // tier would execute for a methodless request (the stream and default
 // tiers their narrowest plan), with peak-bytes beside the time. The
 // router=<route> row re-runs the cell the server's cascade picks and
-// reports its regret: that cell's time over the row's best. A cell that
+// reports its regret: that cell's time over the row's best (1.0 on the
+// rows the size-only tier takes: triangle, 4-cycle, K4–K6). A cell that
 // exceeds the server's default budgets or cellTimeout is skipped and
 // cannot be the best. The summary row carries the worst regret and the
 // regret of the whole matrix (Σ routed / Σ best).
@@ -25,6 +89,7 @@ func BenchmarkRoutingMatrix(b *testing.B) {
 	// The matrix's rows: the cyclic shapes, Boolean, with the triangle and
 	// the 4-cycle over an e of the through-the-wire benchmark's size.
 	pool, db := shapePool(b, 20040314, 8000, 600, false)
+	pool = append(pool, selectiveCases(b, db)...)
 	s := New(Config{DB: db})
 	routes := []core.Method{core.MethodYannakakis, core.MethodStream, core.MethodWCOJ, core.MethodBucketElimination}
 

@@ -79,7 +79,10 @@ type Config struct {
 	// Yannakakis full reducer when their MCS elimination width is at most
 	// this bound (default engine.DefaultYannakakisWidth; <0 disables the
 	// routing). Acyclic queries have elimination width 1 and always
-	// qualify under the default.
+	// qualify under the default. This and the two knobs below order the
+	// tiers under route's size-only rule, which no knob governs: a cyclic
+	// query whose widest bag's AGM bound reaches the whole query's runs
+	// as one leapfrog join whatever its width.
 	YannakakisWidth int
 	// StreamWidth routes requests that did not name a method and were too
 	// wide for the Yannakakis routing to the pipelined streaming engine
@@ -611,13 +614,19 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 
 	// Routing: the executor, and the plan it runs, chosen once.
 	inHand := core.Candidate{Plan: p, Order: core.PlanOrder(method), Width: verdict.PlanWidth}
-	method, chosen, err := s.route(req, q, method, inHand, verdict)
+	method, chosen, reason, err := s.route(req, q, method, inHand, verdict)
 	if err != nil {
 		s.failed.Add(1)
 		return finish(&Response{Status: StatusError, Error: "plan: " + err.Error()})
 	}
 	p = chosen.Plan
 	logEntry.set("method", string(method))
+	logEntry.set("route_reason", reason)
+	if verdict.BagAGMLog2 != nil {
+		// The two quantities the size-only rule compared.
+		logEntry.set("agm_log2", verdict.AGMLog2)
+		logEntry.set("bag_agm_log2", *verdict.BagAGMLog2)
+	}
 	verdict.Method = string(method)
 	if runsPlan(method) {
 		// The executed plan's width and order answer "why was this slow".
@@ -641,7 +650,7 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 			s.failed.Add(1)
 			return finish(&Response{Status: StatusError, Error: err.Error()})
 		}
-		return finish(&Response{Status: StatusOK, Explain: text, Verdict: verdict})
+		return finish(&Response{Status: StatusOK, Explain: routeLine(method, reason, verdict) + text, Verdict: verdict})
 	}
 
 	// Concurrency gate: bounded queue, bounded wait, typed shedding.
@@ -743,43 +752,51 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	return finish(resp)
 }
 
-// route picks the executor for an admitted request, and the plan it
-// runs. A request that named a method gets that method and its plan.
-// Otherwise the threshold cascade picks the executor from the verdict's
-// static quantities — narrow queries run the Yannakakis full reducer,
-// mid-width queries the streaming engine, wide queries with a small
-// output bound the leapfrog join, the rest the default method — and a
-// tier that executes a plan runs the narrowest projection-pushed one in
-// reach, never one wider than inHand, the plan admission measured: width,
-// not search effort, decides intermediate size (paper Figures 3–5). The
-// stream tier compares early projection with inHand; the default tier,
-// when it is bucket elimination, compares the MCS order with min-fill and
-// min-degree. Those two orders are computed only here, for the requests
-// that fall through every other tier, because they cost several times
-// what MCS does.
-func (s *Server) route(req *Request, q *cq.Query, method core.Method, inHand core.Candidate, v *Verdict) (core.Method, core.Candidate, error) {
+// route picks the executor for an admitted request, the plan it runs, and
+// the reason (the request log's route_reason). A request that named a
+// method gets that method and its plan. Otherwise one size-only rule goes
+// first: a cyclic query whose whole-query AGM bound is no larger than its
+// widest bag's (Verdict.BagAGMLog2, nil for an acyclic query) gains
+// nothing from the tree decomposition — every join-tree plan still builds
+// that bag's intermediate, the multiway join pays only the output bound —
+// so it runs as one leapfrog join, whatever its width (the triangle, the
+// 4-cycle, the cliques). Below it the threshold cascade picks the
+// executor from the verdict's static quantities — narrow queries run the
+// Yannakakis full reducer, mid-width queries the streaming engine, wide
+// queries with a small output bound the leapfrog join, the rest the
+// default method — and a tier that executes a plan runs the narrowest
+// projection-pushed one in reach, never one wider than inHand, the plan
+// admission measured: width, not search effort, decides intermediate size
+// (paper Figures 3–5). The stream tier compares early projection with
+// inHand; the default tier, when it is bucket elimination, compares the
+// MCS order with min-fill and min-degree. Those two orders are computed
+// only here, for the requests that fall through every other tier, because
+// they cost several times what MCS does.
+func (s *Server) route(req *Request, q *cq.Query, method core.Method, inHand core.Candidate, v *Verdict) (core.Method, core.Candidate, string, error) {
 	if req.Method != "" {
-		return method, inHand, nil
+		return method, inHand, "named", nil
 	}
 	switch {
+	case v.BagAGMLog2 != nil && v.AGMLog2 <= *v.BagAGMLog2:
+		return core.MethodWCOJ, inHand, "no_gain_from_decomposition", nil
 	case v.AdmittedOnAGM:
 		// Over-width but the output bound is small: only the
 		// worst-case-optimal executor can honor that admission.
-		return core.MethodWCOJ, inHand, nil
+		return core.MethodWCOJ, inHand, "agm", nil
 	case s.cfg.YannakakisWidth > 0 && v.ElimWidth <= s.cfg.YannakakisWidth:
-		return core.MethodYannakakis, inHand, nil
+		return core.MethodYannakakis, inHand, "narrow", nil
 	case s.cfg.StreamWidth > 0 && v.ElimWidth <= s.cfg.StreamWidth:
 		c, err := core.StreamPlan(q, inHand)
-		return core.MethodStream, c, err
+		return core.MethodStream, c, "mid_width", err
 	case s.cfg.WCOJAGMLog2 > 0 && v.AGMLog2 <= s.cfg.WCOJAGMLog2:
 		// Too wide for both width tiers but the AGM bound is small —
 		// the cyclic-query shape the leapfrog join exists for.
-		return core.MethodWCOJ, inHand, nil
+		return core.MethodWCOJ, inHand, "agm", nil
 	case method == core.MethodBucketElimination:
 		c, err := core.NarrowestBucketElimination(q, inHand)
-		return method, c, err
+		return method, c, "default", err
 	}
-	return method, inHand, nil
+	return method, inHand, "default", nil
 }
 
 // directOutcome recovers the direct path's own outcome from a resilient
@@ -861,6 +878,17 @@ func FingerprintID(p plan.Node) string {
 	h := fnv.New64a()
 	io.WriteString(h, fp)
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// routeLine is the first line of an explain: the route, why it was taken,
+// and the static quantities the choice was made from.
+func routeLine(method core.Method, reason string, v *Verdict) string {
+	bag := "not computed"
+	if v.BagAGMLog2 != nil {
+		bag = fmt.Sprintf("%.2f", *v.BagAGMLog2)
+	}
+	return fmt.Sprintf("route: %s (%s)  elim_width=%d agm_log2=%.2f bag_agm_log2=%s\n",
+		method, reason, v.ElimWidth, v.AGMLog2, bag)
 }
 
 // runsPlan reports whether the method's executor runs a plan: the full

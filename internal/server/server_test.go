@@ -447,11 +447,23 @@ func TestStreamMethodExplicit(t *testing.T) {
 	}
 }
 
+// explainPlan strips the route line every explain starts with.
+func explainPlan(t *testing.T, resp *Response) string {
+	t.Helper()
+	line, rest, ok := strings.Cut(resp.Explain, "\n")
+	if !ok || !strings.HasPrefix(line, "route: "+resp.Verdict.Method+" (") {
+		t.Fatalf("explain does not start with the %s route line:\n%s", resp.Verdict.Method, resp.Explain)
+	}
+	return rest
+}
+
 func TestStreamRoutingMidWidth(t *testing.T) {
-	// K5 has elimination width 4: over the yannakakis cutoff (3), under
-	// the stream cutoff (6). A method-less request must route to the
+	// The augmented circular ladder of order 5 has elimination width 4:
+	// over the yannakakis cutoff (3), under the stream cutoff (6), and its
+	// bags are far under the whole query's output bound, so the
+	// decomposition helps. A method-less request must route to the
 	// streaming engine.
-	g := graph.Complete(5)
+	g := graph.AugmentedCircularLadder(5)
 	in := colorQuery(t, g)
 	var log bytes.Buffer
 	_, addr := startServer(t, Config{DB: in.db, Log: &log})
@@ -460,30 +472,32 @@ func TestStreamRoutingMidWidth(t *testing.T) {
 	if resp.Status != StatusOK {
 		t.Fatalf("explain status = %s (%s)", resp.Status, resp.Error)
 	}
-	if !strings.HasPrefix(resp.Explain, "stream pipeline") {
-		t.Fatalf("mid-width explain is not a stream pipeline:\n%s", resp.Explain)
-	}
 	if resp.Verdict == nil || resp.Verdict.Method != "stream" {
 		t.Fatalf("verdict = %+v, want method stream", resp.Verdict)
+	}
+	if !strings.HasPrefix(explainPlan(t, resp), "stream pipeline") {
+		t.Fatalf("mid-width explain is not a stream pipeline:\n%s", resp.Explain)
 	}
 
 	resp = roundTrip(t, addr, &Request{Op: "query", Query: queryText(t, g)})
 	if resp.Status != StatusOK {
 		t.Fatalf("query status = %s (%s)", resp.Status, resp.Error)
 	}
-	// K5 is not 3-colorable: the Boolean answer is empty.
-	if resp.Answer == nil || resp.Answer.Nonempty {
-		t.Fatalf("K5 3-COLOR answer = %+v, want empty", resp.Answer)
+	if resp.Answer == nil || !resp.Answer.Nonempty {
+		t.Fatalf("augmented circular ladder 3-COLOR answer = %+v, want nonempty", resp.Answer)
 	}
-	if !strings.Contains(log.String(), `"method":"stream"`) {
-		t.Errorf("request log does not record the stream method:\n%s", log.String())
+	for _, want := range []string{`"method":"stream"`, `"route_reason":"mid_width"`} {
+		if !strings.Contains(log.String(), want) {
+			t.Errorf("request log does not record %s:\n%s", want, log.String())
+		}
 	}
 }
 
 func TestStreamRoutingDisabled(t *testing.T) {
-	// StreamWidth < 0 turns mid-width stream routing off: the K5 query
-	// falls through to the default plan method.
-	g := graph.Complete(5)
+	// StreamWidth < 0 turns mid-width stream routing off: the query falls
+	// through to the default plan method (its output bound, 2^25.85, is
+	// over the wcoj tier's).
+	g := graph.AugmentedCircularLadder(5)
 	in := colorQuery(t, g)
 	_, addr := startServer(t, Config{DB: in.db, StreamWidth: -1})
 
@@ -491,8 +505,8 @@ func TestStreamRoutingDisabled(t *testing.T) {
 	if resp.Status != StatusOK {
 		t.Fatalf("explain status = %s (%s)", resp.Status, resp.Error)
 	}
-	if strings.HasPrefix(resp.Explain, "stream pipeline") {
-		t.Fatalf("stream routing disabled, yet explain shows a stream pipeline:\n%s", resp.Explain)
+	if resp.Verdict.Method != "bucketelimination" || strings.HasPrefix(explainPlan(t, resp), "stream pipeline") {
+		t.Fatalf("stream routing disabled, yet the route is %s:\n%s", resp.Verdict.Method, resp.Explain)
 	}
 }
 

@@ -3,12 +3,14 @@ package projpush
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"projpush/internal/core"
 	"projpush/internal/cq"
 	"projpush/internal/engine"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/relation"
 )
 
 // Worst-case-optimal-vs-binary-plan benchmarks on dense cyclic shapes —
@@ -121,4 +123,56 @@ func BenchmarkWCOJClique(b *testing.B) {
 	}
 	db := instance.ColorDatabase(6)
 	wcojVariants(b, q, db)
+}
+
+// BenchmarkWCOJEndToEndSize runs the leapfrog join on the triangle and the
+// 4-cycle at the size the through-the-wire benchmark's cyclic-dense
+// workload sends them (e: 8000 rows over 600 values, one free variable),
+// and splits the time: build-ns is the two sorted indexes the executor
+// builds per request (e by columns 0,1 and by 1,0 — every atom shares one
+// of them), timed outside the loop's clock through the same constructor;
+// enumerate-ns is the rest. The split answers ROADMAP item 1(d): what a
+// cross-request index cache could still save is build-ns.
+func BenchmarkWCOJEndToEndSize(b *testing.B) {
+	const rows, dom = 8000, 600
+	e := relation.New([]relation.Attr{0, 1})
+	for rng := rand.New(rand.NewSource(20040314)); e.Len() < rows; {
+		e.Add(relation.Tuple{relation.Value(rng.Intn(dom)), relation.Value(rng.Intn(dom))})
+	}
+	db := cq.Database{"e": e}
+	for _, shape := range []struct {
+		name string
+		n    int
+	}{{"triangle", 3}, {"cycle4", 4}} {
+		q := &cq.Query{Free: []cq.Var{0}}
+		for i := 0; i < shape.n; i++ {
+			q.Atoms = append(q.Atoms, cq.Atom{Rel: "e", Args: []cq.Var{cq.Var(i), cq.Var((i + 1) % shape.n)}})
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			var build time.Duration
+			var res *engine.Result
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				start := time.Now()
+				for _, cols := range [][]relation.Attr{{0, 1}, {1, 0}} {
+					if _, err := relation.NewSortedIndex(e, cols); err != nil {
+						b.Fatal(err)
+					}
+				}
+				build += time.Since(start)
+				b.StartTimer()
+				var err error
+				if res, err = engine.ExecWCOJ(q, db, ybenchOpts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			buildNs := float64(build.Nanoseconds()) / float64(b.N)
+			b.ReportMetric(buildNs, "build-ns")
+			b.ReportMetric(perOp-buildNs, "enumerate-ns")
+			b.ReportMetric(float64(res.Stats.PeakBytes), "peak-bytes")
+			b.ReportMetric(float64(res.Stats.Seeks), "seeks")
+			b.ReportMetric(float64(res.Stats.Extensions), "extensions")
+		})
+	}
 }
