@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test chaos chaos-cluster bench bench-json bench-check bench-yannakakis bench-stream bench-wcoj bench-spill bench-e2e bench-e2e-quick fuzz experiments clean
+.PHONY: all build vet loc test chaos chaos-cluster bench bench-json bench-check bench-yannakakis bench-stream bench-wcoj bench-spill bench-e2e bench-e2e-quick fuzz experiments clean
 
 all: build vet test
 
@@ -11,9 +11,17 @@ vet:
 	go vet ./...
 	gofmt -l .
 
+# Non-test Go lines per package and in total (bench/ is its own module and
+# is not counted): net lines removed is ROADMAP's headline metric.
+loc:
+	@go list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
+		n=$$(ls $$dir/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \
+		printf '%6d  %s\n' $$n $$pkg; \
+	done | awk '{ print; total += $$1 } END { printf "%6d  total\n", total }'
+
 test:
 	go test ./...
-	go test -race . ./internal/engine ./internal/relation ./internal/experiments ./internal/pgplanner ./internal/server/... ./internal/cluster
+	go test -race . ./internal/engine ./internal/resilience ./internal/relation ./internal/experiments ./internal/pgplanner ./internal/server/... ./internal/cluster
 
 # The serving-layer acceptance drills: concurrent retrying clients vs a
 # server with network + engine faults injected, and the spill drill with

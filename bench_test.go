@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"projpush/internal/acyclic"
 	"projpush/internal/core"
 	"projpush/internal/cq"
 	"projpush/internal/engine"
@@ -361,7 +360,7 @@ func BenchmarkAblationSemijoin(b *testing.B) {
 	q, db := colorBench(b, graph.AugmentedPath(25), 0, 3)
 	b.Run("yannakakis", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := acyclic.Evaluate(q, db); err != nil {
+			if _, err := engine.ExecYannakakis(q, db, engine.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -176,22 +176,13 @@ func main() {
 }
 
 func parseMethods(spec string) ([]core.Method, error) {
-	known := append(append([]core.Method(nil), core.Methods...),
-		core.MethodYannakakis, core.MethodStream, core.MethodWCOJ)
 	var out []core.Method
 	for _, name := range strings.Split(spec, ",") {
 		m := core.Method(strings.TrimSpace(name))
 		if m == "" {
 			continue
 		}
-		ok := false
-		for _, k := range known {
-			if m == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !core.Known(m) {
 			return nil, fmt.Errorf("unknown method %q", m)
 		}
 		out = append(out, m)

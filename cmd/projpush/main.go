@@ -211,18 +211,8 @@ func main() {
 			continue
 		}
 		if *explain {
-			var out string
-			var err error
-			switch m {
-			case core.MethodYannakakis:
-				out, err = engine.ExplainYannakakis(q, db, opt, true)
-			case core.MethodStream:
-				out, err = engine.ExplainStream(p, db, opt, true)
-			case core.MethodWCOJ:
-				out, err = engine.ExplainWCOJ(q, db, opt, true)
-			default:
-				out, err = engine.Explain(p, db, opt, true)
-			}
+			strategy, _ := resilience.Strategy(m, q, p, 1)
+			out, err := strategy.Explain(db, opt, true)
 			if err != nil {
 				fatal(err)
 			}
@@ -248,37 +238,19 @@ func main() {
 	}
 }
 
-// execute runs one method, degrading down the method ladder when resil
-// is set: a row-cap, memory-budget, or internal failure retries with
-// early projection and then bucket elimination, logging the abandoned
-// rungs to stderr so the summary line stays comparable. The yannakakis
+// execute runs one method's strategy (resilience.Strategy: the yannakakis
 // method executes the full reducer, the stream method the pipelined
-// executor, and the wcoj method the worst-case-optimal multiway join,
-// instead of the (surrogate) plan.
+// executor, the wcoj method the worst-case-optimal multiway join, any
+// other the plan p), degrading down the strategy's ladder when resil is
+// set: a row-cap, memory-budget, or internal failure retries with safer
+// methods, logging the abandoned rungs to stderr so the summary line stays
+// comparable.
 func execute(m core.Method, p plan.Node, q *cq.Query, db cq.Database, opt engine.Options, resil bool, rng *rand.Rand) (*engine.Result, error) {
-	var res *engine.Result
-	var err error
-	switch {
-	case m == core.MethodYannakakis && resil:
-		res, err = engine.ExecResilientStrategy(context.Background(),
-			resilience.YannakakisRung(q), resilience.PlanLadder(q, rng), db, opt, 1)
-	case m == core.MethodYannakakis:
-		return engine.ExecYannakakis(q, db, opt)
-	case m == core.MethodStream && resil:
-		res, err = engine.ExecResilientStrategy(context.Background(),
-			resilience.StreamRung(p), resilience.PlanLadder(q, rng), db, opt, 1)
-	case m == core.MethodStream:
-		return engine.ExecStream(p, db, opt)
-	case m == core.MethodWCOJ && resil:
-		res, err = engine.ExecResilientStrategy(context.Background(),
-			resilience.WCOJRung(q), resilience.PlanLadder(q, rng), db, opt, 1)
-	case m == core.MethodWCOJ:
-		return engine.ExecWCOJ(q, db, opt)
-	case resil:
-		res, err = engine.ExecResilient(context.Background(), p, resilience.DegradationLadder(q, rng), db, opt, 1)
-	default:
-		return engine.Exec(p, db, opt)
+	strategy, ladder := resilience.Strategy(m, q, p, 1)
+	if !resil {
+		return strategy.Run(context.Background(), db, opt)
 	}
+	res, err := engine.ExecResilientStrategy(context.Background(), strategy, ladder(rng), db, opt)
 	if res != nil && len(res.Stats.Attempts) > 1 {
 		for _, a := range res.Stats.Attempts {
 			if a.Err != "" {

@@ -1,23 +1,19 @@
-// Package acyclic implements the classical machinery for acyclic
-// project-join queries that the paper positions its work against
-// (Sections 1 and 7): the GYO ear-removal acyclicity test of Tarjan &
-// Yannakakis, the full semijoin reducer in the style of Wong–Youssefi,
-// and Yannakakis's evaluation algorithm with linear-size intermediate
-// results.
+// Package acyclic implements the structural test for the acyclic
+// project-join queries the paper positions its work against (Sections 1
+// and 7): the GYO ear-removal acyclicity test of Tarjan & Yannakakis and
+// the join forest it leaves behind. Evaluation — the full semijoin
+// reducer and Yannakakis's algorithm with linear-size intermediate
+// results — is the engine's (engine.ExecYannakakis), governed and
+// instrumented like every other executor.
 //
 // The paper notes that for its 3-COLOR queries semijoins are useless —
 // projecting a column of the edge relation yields all colors, so
 // semijoin reduction never shrinks anything. That claim is tested here
-// (TestSemijoinsUselessFor3Color) and is the reason the paper focuses
-// purely on join/projection ordering.
+// against the engine's reducer (TestSemijoinsUselessFor3Color) and is the
+// reason the paper focuses purely on join/projection ordering.
 package acyclic
 
-import (
-	"fmt"
-
-	"projpush/internal/cq"
-	"projpush/internal/relation"
-)
+import "projpush/internal/cq"
 
 // JoinForest is the result of a successful GYO reduction: a forest over
 // atom indices. Parent[i] is the atom that absorbed atom i, or -1 for
@@ -142,115 +138,6 @@ func subset(a, b map[cq.Var]bool) bool {
 		}
 	}
 	return true
-}
-
-// bindAtoms materializes each atom's relation with columns renamed to the
-// atom's variables.
-func bindAtoms(q *cq.Query, db cq.Database) ([]*relation.Relation, error) {
-	out := make([]*relation.Relation, len(q.Atoms))
-	for i, a := range q.Atoms {
-		rel, ok := db[a.Rel]
-		if !ok {
-			return nil, fmt.Errorf("acyclic: unknown relation %q", a.Rel)
-		}
-		if rel.Arity() != len(a.Args) {
-			return nil, fmt.Errorf("acyclic: atom %s arity mismatch", a)
-		}
-		m := make(map[relation.Attr]relation.Attr, rel.Arity())
-		for c, attr := range rel.Attrs() {
-			m[attr] = a.Args[c]
-		}
-		out[i] = relation.Rename(rel, m)
-	}
-	return out, nil
-}
-
-// FullReduce runs the full semijoin reducer over an acyclic query: a
-// leaves-to-roots semijoin pass followed by a roots-to-leaves pass. The
-// returned relations are globally consistent: every tuple participates in
-// some solution. Returns an error for cyclic queries.
-func FullReduce(q *cq.Query, db cq.Database) ([]*relation.Relation, error) {
-	f, ok := GYO(q)
-	if !ok {
-		return nil, fmt.Errorf("acyclic: query is cyclic")
-	}
-	rels, err := bindAtoms(q, db)
-	if err != nil {
-		return nil, err
-	}
-	// Up: child reduces parent.
-	for _, i := range f.Order {
-		if p := f.Parent[i]; p >= 0 {
-			rels[p] = relation.Semijoin(rels[p], rels[i])
-		}
-	}
-	// Down: parent reduces child.
-	for k := len(f.Order) - 1; k >= 0; k-- {
-		i := f.Order[k]
-		if p := f.Parent[i]; p >= 0 {
-			rels[i] = relation.Semijoin(rels[i], rels[p])
-		}
-	}
-	return rels, nil
-}
-
-// Evaluate runs Yannakakis's algorithm on an acyclic query: full semijoin
-// reduction, then a bottom-up join keeping only connecting variables and
-// free variables, so every intermediate result stays polynomial. Returns
-// an error for cyclic queries.
-func Evaluate(q *cq.Query, db cq.Database) (*relation.Relation, error) {
-	if err := q.Validate(db); err != nil {
-		return nil, err
-	}
-	f, ok := GYO(q)
-	if !ok {
-		return nil, fmt.Errorf("acyclic: query is cyclic")
-	}
-	rels, err := FullReduce(q, db)
-	if err != nil {
-		return nil, err
-	}
-	free := make(map[cq.Var]bool, len(q.Free))
-	for _, v := range q.Free {
-		free[v] = true
-	}
-	// Bottom-up join: fold each child into its parent, projecting to the
-	// parent's own variables plus any free variables gathered below.
-	atomVars := make([]map[cq.Var]bool, len(q.Atoms))
-	for i, a := range q.Atoms {
-		atomVars[i] = make(map[cq.Var]bool, len(a.Args))
-		for _, v := range a.Args {
-			atomVars[i][v] = true
-		}
-	}
-	for _, i := range f.Order {
-		p := f.Parent[i]
-		if p < 0 {
-			continue
-		}
-		joined := relation.Join(rels[p], rels[i])
-		var keep []cq.Var
-		for _, v := range joined.Attrs() {
-			if atomVars[p][v] || free[v] {
-				keep = append(keep, v)
-			}
-		}
-		rels[p] = relation.Project(joined, keep)
-	}
-	// Join the roots (cross product across disconnected components) and
-	// project to the target schema.
-	var result *relation.Relation
-	for _, r := range f.Roots() {
-		if result == nil {
-			result = rels[r]
-		} else {
-			result = relation.Join(result, rels[r])
-		}
-	}
-	if result == nil {
-		return nil, fmt.Errorf("acyclic: query has no atoms")
-	}
-	return relation.Project(result, q.Free), nil
 }
 
 // IsAcyclic reports whether the query's hypergraph is acyclic.

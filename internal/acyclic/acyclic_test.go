@@ -1,14 +1,12 @@
 package acyclic
 
 import (
-	"math/rand"
 	"testing"
 
 	"projpush/internal/cq"
 	"projpush/internal/engine"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
-	"projpush/internal/relation"
 )
 
 func colorQ(t *testing.T, g *graph.Graph, free []cq.Var) *cq.Query {
@@ -76,132 +74,22 @@ func TestGYOForestStructure(t *testing.T) {
 	}
 }
 
-func TestEvaluateMatchesOracleOnAcyclicQueries(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	db := instance.ColorDatabase(3)
-	families := []*graph.Graph{
-		graph.Path(6),
-		graph.AugmentedPath(4),
-		graph.AugmentedPath(6),
-	}
-	for _, g := range families {
-		for _, boolean := range []bool{true, false} {
-			var free []cq.Var
-			if boolean {
-				free = instance.BooleanFree(g)
-			} else {
-				free = instance.ChooseFree(instance.EdgeVertices(g), 0.2, rng)
-			}
-			q := colorQ(t, g, free)
-			got, err := Evaluate(q, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := engine.EvalOracle(q, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("%v boolean=%v: Yannakakis %v != oracle %v", g, boolean, got, want)
-			}
-		}
-	}
-}
-
-func TestEvaluateRejectsCyclic(t *testing.T) {
-	q := colorQ(t, graph.Cycle(4), instance.BooleanFree(graph.Cycle(4)))
-	if _, err := Evaluate(q, instance.ColorDatabase(3)); err == nil {
-		t.Fatal("Evaluate accepted a cyclic query")
-	}
-	if _, err := FullReduce(q, instance.ColorDatabase(3)); err == nil {
-		t.Fatal("FullReduce accepted a cyclic query")
-	}
-}
-
-func TestFullReduceGlobalConsistency(t *testing.T) {
-	// Build a database where reduction must actually remove tuples: a
-	// path query over an asymmetric relation.
-	db := instance.ColorDatabase(3)
-	// next: only (0,1) and (1,2) — a "successor" chain.
-	next := relation.New([]relation.Attr{0, 1})
-	next.Add(relation.Tuple{0, 1})
-	next.Add(relation.Tuple{1, 2})
-	db["next"] = next
-	q := &cq.Query{
-		Atoms: []cq.Atom{
-			{Rel: "next", Args: []cq.Var{0, 1}},
-			{Rel: "next", Args: []cq.Var{1, 2}},
-			{Rel: "next", Args: []cq.Var{2, 3}},
-		},
-		Free: []cq.Var{0},
-	}
-	// The chain 0->1->2->3 over {(0,1),(1,2)} has no solution: reduction
-	// must empty something.
-	rels, err := FullReduce(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anyEmpty := false
-	for _, r := range rels {
-		if r.Empty() {
-			anyEmpty = true
-		}
-	}
-	if !anyEmpty {
-		t.Fatal("full reducer failed to detect inconsistency")
-	}
-	got, err := Evaluate(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Empty() {
-		t.Fatal("3-step chain over 2-step successor must be empty")
-	}
-	// A 2-step chain is satisfiable exactly by v0=0.
-	q2 := &cq.Query{
-		Atoms: []cq.Atom{
-			{Rel: "next", Args: []cq.Var{0, 1}},
-			{Rel: "next", Args: []cq.Var{1, 2}},
-		},
-		Free: []cq.Var{0},
-	}
-	got, err = Evaluate(q2, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 {
-		t.Fatalf("2-step chain result = %v, want exactly v0=0", got)
-	}
-}
-
 func TestSemijoinsUselessFor3Color(t *testing.T) {
 	// The paper's observation: projecting a column of the edge relation
-	// yields all colors, so the full reducer never shrinks any relation
-	// on (acyclic) 3-COLOR queries.
+	// yields all colors, so the full reducer never deletes a tuple on
+	// the acyclic 3-COLOR families, whose bags are single edge atoms.
 	db := instance.ColorDatabase(3)
-	g := graph.AugmentedPath(5)
-	q := colorQ(t, g, instance.BooleanFree(g))
-	rels, err := FullReduce(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rels {
-		if r.Len() != 6 {
-			t.Fatalf("atom %d reduced to %d tuples; semijoins should be useless (want 6)", i, r.Len())
+	for _, g := range []*graph.Graph{graph.Path(6), graph.AugmentedPath(5), graph.AugmentedPath(12)} {
+		q := colorQ(t, g, instance.BooleanFree(g))
+		if !IsAcyclic(q) {
+			t.Fatalf("%v: family must be acyclic", g)
 		}
-	}
-}
-
-func TestEvaluateDisconnectedQuery(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	q := colorQ(t, g, []cq.Var{0})
-	got, err := Evaluate(q, instance.ColorDatabase(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 3 {
-		t.Fatalf("disconnected acyclic query = %v, want 3 colors", got)
+		res, err := engine.ExecYannakakis(q, db, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.ReducedTuples != 0 {
+			t.Fatalf("%v: sweeps removed %d tuples; semijoins should be useless", g, res.Stats.ReducedTuples)
+		}
 	}
 }

@@ -618,7 +618,7 @@ func (c *Coordinator) rescue(ctx context.Context, q *cq.Query, db cq.Database, r
 		return nil, fmt.Errorf("%w: no replica answered: %v", engine.ErrInternal, remoteErr)
 	})
 	opt := engine.Options{MaxRows: c.cfg.MaxRows, MaxBytes: c.cfg.MaxBytes}
-	res, err := engine.ExecResilientStrategy(ctx, fleet, resilience.DegradationLadder(q, nil), db, opt, 1)
+	res, err := engine.ExecResilientStrategy(ctx, fleet, resilience.DegradationLadder(q, nil), db, opt)
 	resp := &server.Response{Worker: "local", Failovers: failovers}
 	if res != nil {
 		resp.Stats = server.StatsOf(&res.Stats)

@@ -86,6 +86,23 @@ var Methods = []Method{
 	MethodBucketElimination,
 }
 
+// Strategies lists the execution strategies — the methods that name an
+// executor rather than a plan shape — in the order they were added.
+var Strategies = []Method{MethodYannakakis, MethodStream, MethodWCOJ}
+
+// Known reports whether m is a structural method or an execution
+// strategy, i.e. a name BuildPlan accepts.
+func Known(m Method) bool {
+	for _, list := range [][]Method{Methods, Strategies} {
+		for _, k := range list {
+			if m == k {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // BuildPlan constructs the plan for q under the named method. rng is used
 // for the documented random tie-breaking of the reordering and
 // bucket-elimination heuristics; nil means deterministic tie-breaking.

@@ -47,7 +47,8 @@ func TestDifferentialCacheOnOff(t *testing.T) {
 					r, s := ref.Stats, res.Stats
 					if r.MaxArity != s.MaxArity || r.MaxRows != s.MaxRows ||
 						r.Tuples != s.Tuples || r.Work != s.Work ||
-						r.Joins != s.Joins || r.Projections != s.Projections {
+						r.Joins != s.Joins || r.Projections != s.Projections ||
+						r.MaterializedTuples != s.MaterializedTuples {
 						t.Fatalf("%s: instrumentation differs:\nref  %+v\ngot  %+v",
 							label, r, s)
 					}

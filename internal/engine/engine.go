@@ -12,19 +12,21 @@
 // Executions can share a subplan result Cache (Options.Cache): Join and
 // Project subtrees are memoized under a renaming-invariant fingerprint
 // plus a database fingerprint, so repeated executions of identical
-// subtrees — across methods, repetitions, and the sequential and parallel
-// executors — return the memoized relation instead of re-joining. Hits
+// subtrees — across methods, repetitions, and worker counts — return the
+// memoized relation instead of re-joining. Hits
 // replay the subtree's recorded instrumentation, keeping cache-on and
 // cache-off stats identical (except elapsed time, which is the point).
 package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"projpush/internal/cq"
+	"projpush/internal/faultinject"
 	"projpush/internal/plan"
 	"projpush/internal/relation"
 )
@@ -43,17 +45,20 @@ type Options struct {
 	// allocation pressure, not just final cardinalities.
 	MaxBytes int64
 	// Cache, when non-nil, memoizes Join and Project subtree results
-	// across executions (see Cache). The iterator executor ignores it:
-	// that engine materializes no subtree results to share.
+	// across executions of the plan walker, at any worker count (see
+	// Cache); the stream executor memoizes its semijoin-reduced base
+	// scans in it. The iterator, Yannakakis and WCOJ executors ignore it:
+	// they materialize no immutable subtree results to share.
 	Cache *Cache
 	// SpillDir, when non-empty, arms spill-to-disk: instead of failing
-	// with ErrMemLimit when live bytes exceed MaxBytes, the
-	// materializing executor spills parked intermediates and the stream
-	// executor spills breaker partitions and hash builds to temp files
-	// under this directory, replaying them when consumed. MaxBytes then
-	// bounds peak residency rather than availability. Unrecoverable
-	// disk failures surface as ErrSpill. The partition-parallel,
-	// iterator, Yannakakis, and WCOJ executors ignore it.
+	// with ErrMemLimit when live bytes exceed MaxBytes, the plan walker
+	// spills parked intermediates — evaluating sequentially whatever its
+	// worker count, since only a waiting sibling is ever parked — and the
+	// stream executor spills breaker partitions and hash builds to temp
+	// files under this directory, replaying them when consumed. MaxBytes
+	// then bounds peak residency rather than availability. Unrecoverable
+	// disk failures surface as ErrSpill. The iterator, Yannakakis, and
+	// WCOJ executors ignore it.
 	SpillDir string
 	// MaxSpillBytes caps the live bytes a run may hold on disk when
 	// spilling (0 = unlimited). Exceeding it — or a real ENOSPC — fails
@@ -162,16 +167,39 @@ type Result struct {
 // Boolean query.
 func (r *Result) Nonempty() bool { return !r.Rel.Empty() }
 
+// executor is the plan walker: it evaluates a plan bottom-up, materializing
+// every Join and Project output. With workers ≥ 2 it additionally
+// exploits parallelism on two axes:
+//
+//   - across the plan: the two sides of a join are computed concurrently
+//     when both are non-trivial subtrees and a worker is free. Bucket
+//     elimination and tree-decomposition plans are bushy — sibling buckets
+//     share no state — so independent subtrees parallelize cleanly. The
+//     forked side evaluates into a private stats frame merged at the join,
+//     so no frame is ever shared between goroutines.
+//
+//   - inside a join: large joins are radix-partitioned on the join key
+//     and the partitions are joined by a worker pool
+//     (relation.ParallelJoinLimited). This is what lets chain-shaped
+//     (left-deep) plans — the straightforward method on paths, ladders,
+//     and augmented circular ladders — benefit from workers > 1, where
+//     subtree parallelism alone degenerates to sequential execution.
+//
+// A run with a spiller armed is sequential whatever its worker count: the
+// spill candidates are the inputs parked while a sibling evaluates, which
+// only exist when siblings take turns.
 type executor struct {
-	db       cq.Database
-	ctx      context.Context
-	deadline time.Time
-	maxRows  int
-	maxBytes int64
-	bytes    atomic.Int64
-	cache    *Cache
-	dbFP     string
-	stats    Stats
+	governor
+	cache *Cache
+	dbFP  string
+
+	// workers bounds the concurrently evaluating subtrees and the fan-out
+	// of each partitioned join. sem is nil on a sequential run; abort
+	// cancels the run's context so a failing subtree stops its sibling.
+	workers int
+	sem     chan struct{}
+	abort   context.CancelFunc
+	sizes   map[plan.Node]int
 
 	// Spill state (nil/zero when Options.SpillDir is empty). parked
 	// holds join left inputs awaiting their sibling's evaluation — the
@@ -201,20 +229,12 @@ type parkedRel struct {
 	file *relation.SpillFile
 }
 
-func newExecutor(ctx context.Context, db cq.Database, opt Options) *executor {
-	ex := &executor{
-		db:       db,
-		ctx:      ctx,
-		maxRows:  opt.MaxRows,
-		maxBytes: opt.MaxBytes,
-		cache:    opt.Cache,
-	}
-	if opt.Timeout > 0 {
-		ex.deadline = time.Now().Add(opt.Timeout)
-	}
+func newExecutor(ctx context.Context, db cq.Database, opt Options, workers int) *executor {
+	ex := &executor{cache: opt.Cache, workers: workers}
 	if ex.cache != nil {
 		ex.dbFP = DatabaseFingerprint(db)
 	}
+	ex.govern(ctx, db, opt)
 	return ex
 }
 
@@ -230,6 +250,7 @@ func (ex *executor) arm(opt Options) error {
 	}
 	ex.spiller = sp
 	ex.spillable = make(map[*relation.Relation]bool)
+	ex.onPressure = ex.spillLargest
 	return nil
 }
 
@@ -268,18 +289,18 @@ func (ex *executor) unpark(pk *parkedRel, orig *relation.Relation, st *Stats, di
 		return nil, err
 	}
 	var last int64
-	if err := ex.lim(st).ChargeMemGrowth(rel, &last); err != nil {
+	if err := ex.lim(&st.Work).ChargeMemGrowth(rel, &last); err != nil {
 		return nil, err
 	}
 	ex.spillable[rel] = true
 	return rel, nil
 }
 
-// onPressure is the Limit callback under memory pressure: spill the
+// spillLargest is the Limit callback under memory pressure: spill the
 // largest parked resident intermediate and credit its bytes. It returns
 // false when nothing spillable remains, letting the charge fail with
 // ErrMemBudget honestly.
-func (ex *executor) onPressure(int64) (bool, error) {
+func (ex *executor) spillLargest(int64) (bool, error) {
 	var best *parkedRel
 	for _, pk := range ex.parked {
 		if pk.rel != nil && pk.size > 0 && (best == nil || pk.size > best.size) {
@@ -329,26 +350,6 @@ func (ex *executor) retire(before int64, out *relation.Relation, children ...*re
 	ex.spillable[out] = true
 }
 
-// lim builds the limit charging work into the given stats frame. The byte
-// budget counter is shared across all operators of the run, so MaxBytes
-// bounds the run's cumulative materialization, not any single operator's.
-// With a spiller armed, charges that would exceed the budget first spill
-// parked intermediates through onPressure.
-func (ex *executor) lim(st *Stats) *relation.Limit {
-	l := &relation.Limit{
-		MaxRows:  ex.maxRows,
-		Deadline: ex.deadline,
-		Work:     &st.Work,
-		Ctx:      ex.ctx,
-		MaxBytes: ex.maxBytes,
-		Bytes:    &ex.bytes,
-	}
-	if ex.spiller != nil {
-		l.OnPressure = ex.onPressure
-	}
-	return l
-}
-
 // admissible reports whether a cached subtree's recorded footprint fits
 // this run's limits. An inadmissible hit falls through to honest
 // re-execution, which reports the violation exactly as an uncached run
@@ -376,10 +377,47 @@ func Exec(n plan.Node, db cq.Database, opt Options) (*Result, error) {
 // kernel within a bounded amount of work and surfaces as ErrCanceled
 // (matching context.Canceled under errors.Is).
 func ExecContext(ctx context.Context, n plan.Node, db cq.Database, opt Options) (*Result, error) {
-	ex := newExecutor(ctx, db, opt)
-	start := time.Now()
+	return ExecParallelContext(ctx, n, db, opt, 1)
+}
+
+// ExecParallel evaluates the plan like Exec with up to workers goroutines
+// spent on independent subtrees and partitioned joins (values < 2 run
+// sequentially). Results are identical to Exec, and so are the
+// per-operator counters; Work and MaxRows are merged from each
+// goroutine's private frame. A subplan cache (opt.Cache) is shared across
+// worker counts: the stats stored with an entry cover exactly its
+// subtree, so hits replay identical instrumentation whichever run
+// populated the entry.
+func ExecParallel(n plan.Node, db cq.Database, opt Options, workers int) (*Result, error) {
+	return ExecParallelContext(context.Background(), n, db, opt, workers)
+}
+
+// ExecParallelContext is ExecParallel under a context: cancellation is
+// polled by every kernel and every partition worker, and surfaces as
+// ErrCanceled. A panic in a subtree-evaluating goroutine is recovered at
+// the goroutine boundary, cancels the sibling subtree's workers via the
+// shared limit, and surfaces as ErrInternal instead of crashing the
+// process.
+func ExecParallelContext(ctx context.Context, n plan.Node, db cq.Database, opt Options, workers int) (*Result, error) {
+	return newExecutor(ctx, db, opt, workers).run(n, opt)
+}
+
+// run evaluates n and settles the run's totals.
+func (ex *executor) run(n plan.Node, opt Options) (*Result, error) {
 	if err := ex.arm(opt); err != nil {
-		return &Result{Rel: nil, Stats: ex.stats}, classifyErr(err, time.Since(start))
+		return ex.finish(nil, err)
+	}
+	if ex.workers < 2 || ex.spiller != nil {
+		ex.workers = 1
+	} else {
+		// The run's own context lets a failing subtree cancel its
+		// concurrently evaluating sibling instead of letting it run to its
+		// own limits.
+		ex.ctx, ex.abort = context.WithCancel(ex.ctx)
+		defer ex.abort()
+		ex.sem = make(chan struct{}, ex.workers)
+		ex.sizes = make(map[plan.Node]int)
+		measureSubtrees(n, ex.sizes)
 	}
 	rel, err := ex.eval(n, &ex.stats)
 	if ex.spiller != nil {
@@ -389,11 +427,19 @@ func ExecContext(ctx context.Context, n plan.Node, db cq.Database, opt Options) 
 		ex.stats.PeakBytes = ex.resPeak
 		ex.spiller.Cleanup()
 	}
-	ex.stats.Elapsed = time.Since(start)
-	if err != nil {
-		return &Result{Rel: nil, Stats: ex.stats}, classifyErr(err, ex.stats.Elapsed)
+	return ex.finish(rel, err)
+}
+
+// measureSubtrees records the node count of every subtree in one walk, so
+// evalPair's fork-or-not decision is O(1) per join instead of re-walking
+// the subtree at every pair (O(n²) on deep chain plans).
+func measureSubtrees(n plan.Node, sizes map[plan.Node]int) int {
+	size := 1
+	for _, c := range n.Children() {
+		size += measureSubtrees(c, sizes)
 	}
-	return &Result{Rel: rel, Stats: ex.stats}, nil
+	sizes[n] = size
+	return size
 }
 
 // observe folds one operator's output into the stats frame.
@@ -405,6 +451,15 @@ func observe(st *Stats, r *relation.Relation) {
 		st.MaxArity = r.Arity()
 	}
 	st.Tuples += int64(r.Len())
+}
+
+// materialized folds a Join or Project output — storage the operator
+// allocated, unlike a scan's view — into the stats frame.
+func materialized(st *Stats, out *relation.Relation) {
+	st.Bytes += out.Bytes()
+	st.PeakBytes += out.Bytes()
+	st.MaterializedTuples += int64(out.Len())
+	observe(st, out)
 }
 
 // record notes a node's output cardinality for EXPLAIN ANALYZE.
@@ -472,52 +527,24 @@ func (ex *executor) evalCached(n plan.Node, st *Stats) (*relation.Relation, erro
 func (ex *executor) evalOp(n plan.Node, st *Stats) (*relation.Relation, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		rel, ok := ex.db[t.Atom.Rel]
-		if !ok {
-			return nil, fmt.Errorf("engine: unknown relation %q", t.Atom.Rel)
+		bound, err := ex.scan(st, &t.Atom)
+		if err != nil {
+			return nil, err
 		}
-		if rel.Arity() != len(t.Atom.Args) {
-			return nil, fmt.Errorf("engine: atom %s arity mismatch with relation (%d columns)",
-				t.Atom, rel.Arity())
-		}
-		// Bind the stored relation's columns to the atom's variables.
-		m := make(map[relation.Attr]relation.Attr, rel.Arity())
-		for i, a := range rel.Attrs() {
-			m[a] = t.Atom.Args[i]
-		}
-		bound := relation.Rename(rel, m)
-		observe(st, bound)
 		ex.record(n, bound, false)
 		return bound, nil
 
 	case *plan.Join:
-		l, err := ex.eval(t.Left, st)
+		l, r, err := ex.evalPair(t, st)
 		if err != nil {
 			return nil, err
-		}
-		// Park the left input while the right subtree evaluates: it is
-		// idle until the join runs, so under memory pressure it is the
-		// relation worth spilling.
-		pk := ex.park(l)
-		r, err := ex.eval(t.Right, st)
-		l, uerr := ex.unpark(pk, l, st, err != nil)
-		if err != nil {
-			return nil, err
-		}
-		if uerr != nil {
-			return nil, uerr
 		}
 		before := ex.bytes.Load()
-		out, err := relation.JoinLimited(l, r, ex.lim(st))
+		out, err := ex.join(st, l, r, ex.workers)
 		if err != nil {
 			return nil, err
 		}
 		ex.retire(before, out, l, r)
-		st.Joins++
-		st.Bytes += out.Bytes()
-		st.PeakBytes += out.Bytes()
-		st.MaterializedTuples += int64(out.Len())
-		observe(st, out)
 		ex.record(n, out, false)
 		return out, nil
 
@@ -527,20 +554,86 @@ func (ex *executor) evalOp(n plan.Node, st *Stats) (*relation.Relation, error) {
 			return nil, err
 		}
 		before := ex.bytes.Load()
-		out, err := relation.ProjectLimited(c, t.Cols, ex.lim(st))
+		out, err := ex.project(st, c, t.Cols)
 		if err != nil {
 			return nil, err
 		}
 		ex.retire(before, out, c)
-		st.Projections++
-		st.Bytes += out.Bytes()
-		st.PeakBytes += out.Bytes()
-		st.MaterializedTuples += int64(out.Len())
-		observe(st, out)
 		ex.record(n, out, false)
 		return out, nil
 
 	default:
 		return nil, fmt.Errorf("engine: unknown plan node %T", n)
 	}
+}
+
+// evalPair evaluates a join's two inputs: concurrently when both are
+// non-trivial subtrees and a worker is free, otherwise left then right,
+// with the left parked meanwhile — it is idle until the join runs, so
+// under memory pressure it is the relation worth spilling.
+func (ex *executor) evalPair(t *plan.Join, st *Stats) (l, r *relation.Relation, err error) {
+	if ex.sem != nil && ex.sizes[t.Left] >= 3 && ex.sizes[t.Right] >= 3 {
+		select {
+		case ex.sem <- struct{}{}:
+			return ex.forkPair(t, st)
+		default:
+			// No free worker: stay sequential.
+		}
+	}
+	if l, err = ex.eval(t.Left, st); err != nil {
+		return nil, nil, err
+	}
+	pk := ex.park(l)
+	r, err = ex.eval(t.Right, st)
+	l, uerr := ex.unpark(pk, l, st, err != nil)
+	if err == nil {
+		err = uerr
+	}
+	return l, r, err
+}
+
+// forkPair evaluates the right input on its own goroutine, holding the
+// worker slot evalPair acquired, into a private frame merged into st once
+// both sides are done.
+func (ex *executor) forkPair(t *plan.Join, st *Stats) (l, r *relation.Relation, err error) {
+	var (
+		rst  Stats
+		rerr error
+		wg   sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() { <-ex.sem }()
+		// A failing subtree cancels its sibling; a panicking one
+		// additionally becomes a typed error at the goroutine
+		// boundary (classified as ErrInternal by the entry point)
+		// instead of crashing the process.
+		defer func() {
+			if rerr != nil {
+				ex.abort()
+			}
+		}()
+		defer relation.RecoverPanic(&rerr)
+		faultinject.Panic(faultinject.PanicSubtreeWorker)
+		r, rerr = ex.eval(t.Right, &rst)
+	}()
+	if l, err = ex.eval(t.Left, st); err != nil {
+		ex.abort()
+	}
+	wg.Wait()
+	st.merge(&rst)
+	return l, r, preferErr(err, rerr)
+}
+
+// preferErr picks the more informative of two concurrent subtree errors:
+// a genuine failure over the cancellation it induced in its sibling.
+func preferErr(a, b error) error {
+	if a == nil {
+		return b
+	}
+	if b != nil && errors.Is(a, relation.ErrCanceled) && !errors.Is(b, relation.ErrCanceled) {
+		return b
+	}
+	return a
 }

@@ -12,9 +12,8 @@ import (
 // The engine reports every abnormal termination through one of five
 // sentinel errors, so harnesses can classify outcomes with errors.Is
 // without knowing which executor or kernel produced them. classifyErr is
-// the single translation point from the relation layer's errors; all
-// three executors (materializing, partition-parallel, iterator) route
-// their failures through it.
+// the single translation point from the relation layer's errors: every
+// executor leaves through governor.finish, which calls it.
 
 // sentinelError is a sentinel that additionally aliases a standard
 // library error: errors.Is(err, ErrTimeout) and
@@ -86,8 +85,8 @@ var ErrOverWidth = errors.New("engine: query exceeds admission width threshold")
 var ErrOverloaded = errors.New("engine: request shed under load")
 
 // classifyErr converts a relation-layer failure into the engine's
-// sentinel errors. It is the shared error path of Exec, ExecParallel and
-// ExecIterator; errors it does not recognize pass through unchanged.
+// sentinel errors. It is the shared error path of every executor; errors
+// it does not recognize pass through unchanged.
 func classifyErr(err error, elapsed time.Duration) error {
 	if err == nil {
 		return nil

@@ -21,20 +21,11 @@ import (
 func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, error) {
 	var ex *executor
 	if analyze {
-		ex = newExecutor(context.Background(), db, opt)
+		ex = newExecutor(context.Background(), db, opt, 1)
 		ex.rows = make(map[plan.Node]int)
 		ex.cached = make(map[plan.Node]bool)
-		if err := ex.arm(opt); err != nil {
-			return "", classifyErr(err, 0)
-		}
-		_, err := ex.eval(p, &ex.stats)
-		if ex.spiller != nil {
-			ex.stats.SpilledBytes, ex.stats.SpillFiles = ex.spiller.Stats()
-			ex.stats.PeakBytes = ex.resPeak
-			ex.spiller.Cleanup()
-		}
-		if err != nil {
-			return "", classifyErr(err, 0)
+		if _, err := ex.run(p, opt); err != nil {
+			return "", err
 		}
 	}
 	var b strings.Builder

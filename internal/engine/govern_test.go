@@ -289,7 +289,8 @@ func TestExecResilientDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := engine.Options{MaxBytes: budget}
-	ladder := append([]engine.Fallback{resilience.StreamRung(buildPlan(t, core.MethodStream, q))}, resilience.PlanLadder(q, nil)...)
+	stream, _ := resilience.Strategy(core.MethodStream, q, buildPlan(t, core.MethodStream, q), 1)
+	ladder := append([]engine.Fallback{stream}, resilience.PlanLadder(q, nil)...)
 	res, err := engine.ExecResilient(context.Background(), buildPlan(t, core.MethodStraightforward, q),
 		ladder, db, opt, 4)
 	if err != nil {

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"projpush/internal/cq"
 	"projpush/internal/plan"
@@ -43,64 +42,6 @@ type iterator interface {
 	Close()
 }
 
-// execContext carries limits and instrumentation shared by a pipeline.
-// The byte budget bounds *live* bytes: operators release their resident
-// state on Close, and Stats.Bytes reports the high-water mark (peak), not
-// the cumulative allocation — a long pipeline of small transient
-// intermediates no longer trips ErrMemLimit when live memory is tiny.
-type execContext struct {
-	cctx     context.Context
-	deadline time.Time
-	maxRows  int
-	maxBytes int64
-	live     int64 // resident bytes across live operators
-	peak     int64 // high-water mark of live
-	stats    *Stats
-	ticks    int
-}
-
-func (c *execContext) tick() error {
-	c.ticks++
-	if c.ticks%4096 == 0 {
-		if c.cctx != nil {
-			if err := c.cctx.Err(); err != nil {
-				return fmt.Errorf("%w: %w", relation.ErrCanceled, err)
-			}
-		}
-		if !c.deadline.IsZero() && time.Now().After(c.deadline) {
-			return relation.ErrDeadline
-		}
-	}
-	return nil
-}
-
-// chargeMem charges the growth of one operator's resident state (now
-// bytes, previously *last) against the run's live-byte budget. State
-// sizes only grow while an operator is open, so the delta path is
-// branch-free in the common case; Close hands the charge back via
-// release.
-func (c *execContext) chargeMem(now int64, last *int64) error {
-	delta := now - *last
-	if delta == 0 {
-		return nil
-	}
-	*last = now
-	c.live += delta
-	if c.live > c.peak {
-		c.peak = c.live
-	}
-	if c.maxBytes > 0 && c.live > c.maxBytes {
-		return relation.ErrMemBudget
-	}
-	return nil
-}
-
-// release returns an operator's entire resident charge to the budget.
-func (c *execContext) release(last *int64) {
-	c.live -= *last
-	*last = 0
-}
-
 // scanIter streams a base relation with columns bound to atom variables.
 type scanIter struct {
 	schema []cq.Var
@@ -124,7 +65,7 @@ func (s *scanIter) Close() {}
 // hashJoinIter builds a hash table over the right input, then streams the
 // left input, probing and emitting combined tuples.
 type hashJoinIter struct {
-	ctx         *execContext
+	ctx         *streamContext
 	left, right iterator
 	schema      []cq.Var
 
@@ -142,7 +83,7 @@ type hashJoinIter struct {
 	out        relation.Tuple
 }
 
-func newHashJoinIter(ctx *execContext, left, right iterator) *hashJoinIter {
+func newHashJoinIter(ctx *streamContext, left, right iterator) *hashJoinIter {
 	ls, rs := left.Schema(), right.Schema()
 	rpos := make(map[cq.Var]int, len(rs))
 	for i, a := range rs {
@@ -194,7 +135,7 @@ func (j *hashJoinIter) build() error {
 			return relation.ErrRowLimit
 		}
 		j.table.Insert(t)
-		if err := j.ctx.chargeMem(j.table.Bytes(), &j.tableBytes); err != nil {
+		if err := j.ctx.hold(j.table.Bytes(), &j.tableBytes, nil); err != nil {
 			return err
 		}
 	}
@@ -247,7 +188,7 @@ func (j *hashJoinIter) Close() {
 		return
 	}
 	j.closed = true
-	j.ctx.release(&j.tableBytes)
+	j.ctx.release(&j.tableBytes, nil)
 	j.cur = nil
 	j.left.Close()
 	j.right.Close()
@@ -258,7 +199,7 @@ func (j *hashJoinIter) Close() {
 // relation.Relation, so dedup runs on the arena + open-addressing kernel
 // instead of a string-keyed map.
 type distinctProjectIter struct {
-	ctx       *execContext
+	ctx       *streamContext
 	in        iterator
 	schema    []cq.Var
 	idx       []int
@@ -268,7 +209,7 @@ type distinctProjectIter struct {
 	closed    bool
 }
 
-func newDistinctProjectIter(ctx *execContext, in iterator, cols []cq.Var) (*distinctProjectIter, error) {
+func newDistinctProjectIter(ctx *streamContext, in iterator, cols []cq.Var) (*distinctProjectIter, error) {
 	pos := make(map[cq.Var]int, len(in.Schema()))
 	for i, a := range in.Schema() {
 		pos[a] = i
@@ -317,18 +258,16 @@ func (d *distinctProjectIter) Next() (relation.Tuple, error) {
 		if !d.seen.Add(d.out) {
 			continue
 		}
-		if err := d.ctx.chargeMem(d.seen.Bytes(), &d.seenBytes); err != nil {
+		if err := d.ctx.hold(d.seen.Bytes(), &d.seenBytes, nil); err != nil {
 			return nil, err
 		}
 		if d.ctx.maxRows > 0 && d.seen.Len() > d.ctx.maxRows {
 			return nil, relation.ErrRowLimit
 		}
-		if d.ctx.stats != nil {
-			if d.seen.Len() > d.ctx.stats.MaxRows {
-				d.ctx.stats.MaxRows = d.seen.Len()
-			}
-			d.ctx.stats.Tuples++
+		if d.seen.Len() > d.ctx.stats.MaxRows {
+			d.ctx.stats.MaxRows = d.seen.Len()
 		}
+		d.ctx.stats.Tuples++
 		return d.out, nil
 	}
 }
@@ -338,44 +277,39 @@ func (d *distinctProjectIter) Close() {
 		return
 	}
 	d.closed = true
-	d.ctx.release(&d.seenBytes)
+	d.ctx.release(&d.seenBytes, nil)
 	d.seen = nil
 	d.in.Close()
 }
 
 // buildIterator lowers a plan to an iterator pipeline.
-func buildIterator(ctx *execContext, n plan.Node, db cq.Database) (iterator, error) {
+func buildIterator(ctx *streamContext, n plan.Node) (iterator, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		rel, ok := db[t.Atom.Rel]
-		if !ok {
-			return nil, fmt.Errorf("engine: unknown relation %q", t.Atom.Rel)
-		}
-		if rel.Arity() != len(t.Atom.Args) {
-			return nil, fmt.Errorf("engine: atom %s arity mismatch", t.Atom)
+		// Rows are read by position off the stored relation, whose tuple
+		// headers are built once and kept across runs; no view is needed.
+		rel, err := ctx.resolve(&t.Atom)
+		if err != nil {
+			return nil, err
 		}
 		return &scanIter{schema: t.Atom.Args, rows: rel.Tuples()}, nil
 	case *plan.Join:
-		l, err := buildIterator(ctx, t.Left, db)
+		l, err := buildIterator(ctx, t.Left)
 		if err != nil {
 			return nil, err
 		}
-		r, err := buildIterator(ctx, t.Right, db)
+		r, err := buildIterator(ctx, t.Right)
 		if err != nil {
 			return nil, err
 		}
-		if ctx.stats != nil {
-			ctx.stats.Joins++
-		}
+		ctx.stats.Joins++
 		return newHashJoinIter(ctx, l, r), nil
 	case *plan.Project:
-		in, err := buildIterator(ctx, t.Child, db)
+		in, err := buildIterator(ctx, t.Child)
 		if err != nil {
 			return nil, err
 		}
-		if ctx.stats != nil {
-			ctx.stats.Projections++
-		}
+		ctx.stats.Projections++
 		return newDistinctProjectIter(ctx, in, t.Cols)
 	default:
 		return nil, fmt.Errorf("engine: unknown plan node %T", n)
@@ -395,47 +329,40 @@ func ExecIterator(n plan.Node, db cq.Database, opt Options) (*Result, error) {
 // the context at the same cadence as the deadline check, so cancellation
 // lands within a few thousand tuples and surfaces as ErrCanceled.
 func ExecIteratorContext(cctx context.Context, n plan.Node, db cq.Database, opt Options) (*Result, error) {
-	var stats Stats
-	ctx := &execContext{cctx: cctx, maxRows: opt.MaxRows, maxBytes: opt.MaxBytes, stats: &stats}
-	if opt.Timeout > 0 {
-		ctx.deadline = time.Now().Add(opt.Timeout)
-	}
-	start := time.Now()
-	it, err := buildIterator(ctx, n, db)
+	ctx := &streamContext{}
+	ctx.govern(cctx, db, opt)
+	it, err := buildIterator(ctx, n)
 	if err != nil {
 		return nil, err
 	}
 	defer it.Close()
 	out := relation.New(append([]cq.Var(nil), it.Schema()...))
 	var outBytes int64
-	fail := func(err error) (*Result, error) {
-		stats.Elapsed = time.Since(start)
-		stats.Bytes = ctx.peak
-		stats.PeakBytes = ctx.peak
-		return &Result{Stats: stats}, classifyErr(err, stats.Elapsed)
+	// done settles the run's totals: like the stream engine, the live-byte
+	// peak is what this engine reports as Bytes.
+	done := func(rel *relation.Relation, err error) (*Result, error) {
+		ctx.stats.Bytes, ctx.stats.PeakBytes = ctx.peak, ctx.peak
+		return ctx.finish(rel, err)
 	}
 	for {
 		t, err := it.Next()
 		if err != nil {
-			return fail(err)
+			return done(nil, err)
 		}
 		if t == nil {
 			break
 		}
 		out.Add(t)
-		if err := ctx.chargeMem(out.Bytes(), &outBytes); err != nil {
-			return fail(err)
+		if err := ctx.hold(out.Bytes(), &outBytes, nil); err != nil {
+			return done(nil, err)
 		}
 		if opt.MaxRows > 0 && out.Len() > opt.MaxRows {
-			return fail(fmt.Errorf("%w: final result", relation.ErrRowLimit))
+			return done(nil, fmt.Errorf("%w: final result", relation.ErrRowLimit))
 		}
 	}
 	it.Close()
-	stats.Elapsed = time.Since(start)
-	stats.Bytes = ctx.peak
-	stats.PeakBytes = ctx.peak
-	if out.Arity() > stats.MaxArity {
-		stats.MaxArity = out.Arity()
+	if out.Arity() > ctx.stats.MaxArity {
+		ctx.stats.MaxArity = out.Arity()
 	}
-	return &Result{Rel: out, Stats: stats}, nil
+	return done(out, nil)
 }

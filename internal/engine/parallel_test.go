@@ -2,12 +2,14 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"projpush/internal/cq"
 	"projpush/internal/plan"
+	"projpush/internal/relation"
 )
 
 func TestExecParallelMatchesSequential(t *testing.T) {
@@ -122,5 +124,74 @@ func TestExecParallelDegeneratesToSequential(t *testing.T) {
 	}
 	if a.Rel.Len() != 3 {
 		t.Fatalf("workers=0 result: %v", a.Rel)
+	}
+}
+
+// TestExecParallelReportsSequentialStats pins the folded walker's stats
+// framing: a forked subtree evaluates into a private frame merged at the
+// join, so four workers must report exactly what one does — operator
+// counts, tuples, bytes, materialization and the subplan cache's hit/miss
+// split, cold and warm — on a bushy plan whose sides fork. Run under -race
+// it is also the check that no frame is shared between goroutines. The
+// joins stay under the partitioning threshold: a partitioned join returns
+// the same tuples in a differently laid-out relation (no dedup table
+// until one is needed), so there Bytes is a property of the kernel, not
+// of the framing.
+func TestExecParallelReportsSequentialStats(t *testing.T) {
+	// Four distinct relations, so no two subtrees share a fingerprint and
+	// the cold run's misses cannot depend on which side got there first.
+	rng := rand.New(rand.NewSource(17))
+	db := cq.Database{}
+	for _, name := range []string{"a", "b", "c", "d"} {
+		rel := relation.New([]relation.Attr{0, 1})
+		for i := 0; i < 500; i++ {
+			rel.Add(relation.Tuple{relation.Value(rng.Intn(400)), relation.Value(rng.Intn(400))})
+		}
+		db[name] = rel
+	}
+	side := func(l, r string, base cq.Var) plan.Node {
+		return &plan.Project{
+			Child: &plan.Join{
+				Left:  &plan.Scan{Atom: cq.Atom{Rel: l, Args: []cq.Var{base, base + 1}}},
+				Right: &plan.Scan{Atom: cq.Atom{Rel: r, Args: []cq.Var{base + 1, base + 2}}},
+			},
+			Cols: []cq.Var{base, base + 2},
+		}
+	}
+	p := &plan.Project{
+		Child: &plan.Join{Left: side("a", "b", 0), Right: side("c", "d", 2)},
+		Cols:  []cq.Var{0, 4},
+	}
+	type counters struct {
+		joins, projections         int
+		tuples, bytes, materialize int64
+		hits, misses               int64
+	}
+	run := func(workers int, c *Cache) counters {
+		t.Helper()
+		res, err := ExecParallel(p, db, Options{Cache: c}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		return counters{st.Joins, st.Projections, st.Tuples, st.Bytes, st.MaterializedTuples, st.CacheHits, st.CacheMisses}
+	}
+	var want [2]counters
+	for _, workers := range []int{1, 4} {
+		c := NewCache(0)
+		got := [2]counters{run(workers, c), run(workers, c)}
+		if workers == 1 {
+			want = got
+			if want[0].misses == 0 || want[1].hits == 0 {
+				t.Fatalf("cache idle: cold %+v warm %+v", want[0], want[1])
+			}
+			continue
+		}
+		for i, label := range []string{"cold", "warm"} {
+			if got[i] != want[i] {
+				t.Errorf("%s at workers=%d: %s\nwant (workers=1) %s", label, workers,
+					fmt.Sprintf("%+v", got[i]), fmt.Sprintf("%+v", want[i]))
+			}
+		}
 	}
 }

@@ -18,21 +18,24 @@ import (
 // elimination stays polynomial, so a failure of the former is an
 // instruction to re-plan, not a property of the query.
 
-// Fallback is one rung of a degradation ladder: a plan construction (or
-// a plan-free execution strategy) to try when the previous rung failed
-// degradably.
+// Fallback is one execution strategy: a way to answer a query that can
+// run on its own or as a rung of a degradation ladder, tried when the
+// previous rung failed degradably.
 type Fallback struct {
 	// Name labels the rung in Stats.Attempts (typically the method name).
 	Name string
-	// Build constructs the rung's plan. It runs only if the rung is
-	// reached, so expensive plan construction is paid on demand.
-	Build func() (plan.Node, error)
-	// Run, when non-nil, executes the rung directly instead of building
-	// a plan — for strategies that are not plan-shaped, like the
-	// Yannakakis full reducer (ExecYannakakisContext). Build is ignored
-	// when Run is set. Run must return a non-nil Result even on
+	// Run executes the strategy. It must return a non-nil Result even on
 	// failure, as the engine's entry points do.
 	Run func(ctx context.Context, db cq.Database, opt Options) (*Result, error)
+	// Build, on a rung with no Run, constructs a plan for the sequential
+	// plan walker. It runs only if the rung is reached, so plan
+	// construction is paid on demand, and its failure skips the rung: the
+	// ladder keeps the previous rung's result and error.
+	Build func() (plan.Node, error)
+	// Explain renders what Run executes; with analyze set it runs it and
+	// annotates the rendering with what happened. Nil on rungs that are
+	// only ever reached by degradation.
+	Explain func(db cq.Database, opt Options, analyze bool) (string, error)
 }
 
 // Attempt records one rung of an ExecResilient run.
@@ -46,6 +49,20 @@ type Attempt struct {
 	Elapsed time.Duration
 	MaxRows int
 	Bytes   int64
+
+	// err is the failure itself, for callers in this module that must
+	// classify it the way the direct path would (FirstError).
+	err error
+}
+
+// FirstError returns the error of the run's first attempt — what running
+// the leading strategy on its own would have returned — or nil when it
+// succeeded or the result carries no attempt history.
+func (r *Result) FirstError() error {
+	if r == nil || len(r.Stats.Attempts) == 0 {
+		return nil
+	}
+	return r.Stats.Attempts[0].err
 }
 
 // Degradable reports whether an execution error warrants retrying with a
@@ -58,10 +75,9 @@ func Degradable(err error) bool {
 
 // ExecResilient evaluates the plan over db under opt, retrying down the
 // fallback ladder on degradable failures. The given plan runs first with
-// the given worker count; fallback rungs run sequentially (workers = 1) —
-// the safest configuration, with no worker pools to fault and the
-// smallest memory turnover. Every attempt gets a fresh byte budget and
-// timeout.
+// the given worker count; fallback rungs run sequentially — the safest
+// configuration, with no worker pools to fault and the smallest memory
+// turnover. Every attempt gets a fresh byte budget and timeout.
 //
 // The returned Result carries the succeeding attempt's stats, with
 // Stats.Attempts listing every rung tried in order. When every rung
@@ -70,39 +86,35 @@ func Degradable(err error) bool {
 func ExecResilient(ctx context.Context, n plan.Node, fallbacks []Fallback,
 	db cq.Database, opt Options, workers int) (*Result, error) {
 
-	given := Fallback{Name: "given", Build: func() (plan.Node, error) { return n, nil }}
-	return ExecResilientStrategy(ctx, given, fallbacks, db, opt, workers)
+	given := Fallback{Name: "given", Run: func(ctx context.Context, db cq.Database, o Options) (*Result, error) {
+		return ExecParallelContext(ctx, n, db, o, workers)
+	}}
+	return ExecResilientStrategy(ctx, given, fallbacks, db, opt)
 }
 
 // ExecResilientStrategy is ExecResilient with an arbitrary first rung:
-// the server's Yannakakis routing leads with a Run-style rung
-// (resilience.YannakakisRung) and degrades to plan-based methods. Only
-// the first rung may use the parallel executor (and only when it is
-// plan-based); fallback rungs run sequentially, as in ExecResilient.
+// the strategy a method names (resilience.Strategy), degrading down the
+// ladder that goes with it.
 func ExecResilientStrategy(ctx context.Context, first Fallback, fallbacks []Fallback,
-	db cq.Database, opt Options, workers int) (*Result, error) {
+	db cq.Database, opt Options) (*Result, error) {
 
 	var attempts []Attempt
 	// try executes one rung under o; ok is false when plan construction
 	// failed (the attempt is recorded with a "plan: " prefix and the
 	// caller keeps the previous rung's result and error).
-	try := func(fb Fallback, isFirst bool, o Options) (res *Result, err error, ok bool) {
+	try := func(fb Fallback, o Options) (res *Result, err error, ok bool) {
 		if fb.Run != nil {
 			res, err = fb.Run(ctx, db, o)
 		} else {
 			var p plan.Node
 			p, err = fb.Build()
 			if err != nil {
-				attempts = append(attempts, Attempt{Method: fb.Name, Err: "plan: " + err.Error()})
+				attempts = append(attempts, Attempt{Method: fb.Name, Err: "plan: " + err.Error(), err: err})
 				return nil, err, false
 			}
-			if isFirst && workers > 1 {
-				res, err = ExecParallelContext(ctx, p, db, o, workers)
-			} else {
-				res, err = ExecContext(ctx, p, db, o)
-			}
+			res, err = ExecContext(ctx, p, db, o)
 		}
-		a := Attempt{Method: fb.Name}
+		a := Attempt{Method: fb.Name, err: err}
 		if res != nil {
 			a.Elapsed = res.Stats.Elapsed
 			a.MaxRows = res.Stats.MaxRows
@@ -118,29 +130,28 @@ func ExecResilientStrategy(ctx context.Context, first Fallback, fallbacks []Fall
 	// every rung runs in-memory first (spill disarmed) and, on
 	// ErrMemLimit, re-runs the same strategy once with spilling armed —
 	// recorded as its own "<rung>+spill" attempt — before the ladder
-	// falls to the next rung. Spill retries run sequentially: the
-	// parallel executor ignores SpillDir.
-	runRung := func(fb Fallback, isFirst bool) (*Result, error, bool) {
+	// falls to the next rung. A plan strategy's spill retry is sequential
+	// whatever its worker count: an armed spiller makes the walker so.
+	runRung := func(fb Fallback) (*Result, error, bool) {
 		if opt.SpillDir == "" {
-			return try(fb, isFirst, opt)
+			return try(fb, opt)
 		}
 		mem := opt
 		mem.SpillDir = ""
-		res, err, ok := try(fb, isFirst, mem)
+		res, err, ok := try(fb, mem)
 		if !ok || err == nil || !errors.Is(err, ErrMemLimit) {
 			return res, err, ok
 		}
-		sp := fb
-		sp.Name = fb.Name + "+spill"
-		return try(sp, false, opt)
+		fb.Name += "+spill"
+		return try(fb, opt)
 	}
 
-	res, err, _ := runRung(first, true)
+	res, err, _ := runRung(first)
 	for _, fb := range fallbacks {
 		if err == nil || !Degradable(err) {
 			break
 		}
-		r, e, ok := runRung(fb, false)
+		r, e, ok := runRung(fb)
 		if !ok {
 			continue
 		}

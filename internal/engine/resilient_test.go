@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"projpush/internal/core"
+	"projpush/internal/cq"
 	"projpush/internal/engine"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
@@ -127,5 +128,37 @@ func TestLadderSkipsBrokenRung(t *testing.T) {
 	}
 	if !res.Nonempty() {
 		t.Error("augmented ladder is 3-colorable: want NONEMPTY")
+	}
+}
+
+// TestFirstErrorIsTheDirectPathsError: the server's breaker must see, for
+// a run the ladder rescued, exactly the error a direct run of the leading
+// strategy would have returned — as a value, under errors.Is. A spill
+// failure is the case a message match gets wrong: ErrSpill aliases
+// ErrInternal but does not contain its text.
+func TestFirstErrorIsTheDirectPathsError(t *testing.T) {
+	g := graph.AugmentedPath(4)
+	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := instance.ColorDatabase(3)
+	dying := engine.Fallback{Name: "dying-disk", Run: func(context.Context, cq.Database, engine.Options) (*engine.Result, error) {
+		return &engine.Result{}, fmt.Errorf("%w: write r0.spill: no space left on device", engine.ErrSpill)
+	}}
+	res, err := engine.ExecResilientStrategy(context.Background(), dying, resilience.PlanLadder(q, nil), db, engine.Options{})
+	if err != nil || len(res.Stats.Attempts) != 2 {
+		t.Fatalf("ladder should rescue the spill failure on the next rung: err %v, attempts %+v", err, res.Stats.Attempts)
+	}
+	if first := res.FirstError(); !errors.Is(first, engine.ErrSpill) || !errors.Is(first, engine.ErrInternal) {
+		t.Fatalf("FirstError = %v, want the ErrSpill value (matching ErrInternal)", first)
+	}
+	healthy, _ := resilience.Strategy(core.MethodYannakakis, q, nil, 1)
+	res, err = engine.ExecResilientStrategy(context.Background(), healthy, nil, db, engine.Options{})
+	if err != nil || res.FirstError() != nil {
+		t.Fatalf("succeeding first attempt: err %v, FirstError %v", err, res.FirstError())
+	}
+	if (*engine.Result)(nil).FirstError() != nil {
+		t.Fatal("a nil result has no first error")
 	}
 }

@@ -274,7 +274,7 @@ func TestRetryWithSpillLadder(t *testing.T) {
 		t.Fatal("could not find a demonstrating budget")
 	}
 	opt := spillOpts(t, Options{MaxBytes: budget})
-	// Inline equivalents of resilience.StreamRung / PlanLadder (that
+	// Inline equivalents of resilience.Strategy / PlanLadder (that
 	// package imports engine, so the in-package test rebuilds the rungs).
 	streamRung := Fallback{Name: "stream", Run: func(ctx context.Context, db cq.Database, o Options) (*Result, error) {
 		return ExecStreamContext(ctx, p, db, o)
@@ -283,7 +283,7 @@ func TestRetryWithSpillLadder(t *testing.T) {
 		{Name: "earlyprojection", Build: func() (plan.Node, error) { return core.EarlyProjection(q) }},
 		{Name: "bucketelimination", Build: func() (plan.Node, error) { return core.BucketElimination(q, nil) }},
 	}
-	res, err := ExecResilientStrategy(context.Background(), streamRung, ladder, db, opt, 1)
+	res, err := ExecResilientStrategy(context.Background(), streamRung, ladder, db, opt)
 	if err != nil {
 		t.Fatalf("resilient run with spill rung: %v", err)
 	}

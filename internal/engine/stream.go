@@ -51,7 +51,6 @@ import (
 	"math"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"projpush/internal/cq"
 	"projpush/internal/plan"
@@ -87,38 +86,19 @@ type opStats struct {
 	children []*opStats
 }
 
-// streamContext carries limits and the live-byte governor shared by a
-// pipeline. Unlike execContext, bytes released by a closing operator come
-// back to the budget immediately: maxBytes bounds live bytes and peak
-// records their high-water mark.
+// streamContext is a pipeline's run governor with the budget turned from
+// cumulative to live bytes: bytes released by a closing operator come back
+// to the budget immediately, maxBytes bounds live and peak records its
+// high-water mark. The iterator executor governs its pipeline with the
+// same type, spiller unset.
 type streamContext struct {
-	cctx     context.Context
-	deadline time.Time
-	maxRows  int
-	maxBytes int64
-	live     int64 // resident bytes across all live operators
-	peak     int64 // high-water mark of live
-	stats    *Stats
-	ticks    int
+	governor
+	live int64 // resident bytes across all live operators
+	peak int64 // high-water mark of live
 	// spiller, when non-nil, lets pipeline breakers and hash builds
 	// spill their resident state to disk instead of failing the hold
 	// that pushed live over maxBytes.
 	spiller *relation.Spiller
-}
-
-func (c *streamContext) tick() error {
-	c.ticks++
-	if c.ticks%4096 == 0 {
-		if c.cctx != nil {
-			if err := c.cctx.Err(); err != nil {
-				return fmt.Errorf("%w: %w", relation.ErrCanceled, err)
-			}
-		}
-		if !c.deadline.IsZero() && time.Now().After(c.deadline) {
-			return relation.ErrDeadline
-		}
-	}
-	return nil
 }
 
 // hold re-charges one operator's resident state at its current size (now
@@ -172,19 +152,11 @@ func (c *streamContext) release(last *int64, op *opStats) {
 // run's peak after the call.
 func (c *streamContext) kernelLim(counter *atomic.Int64) *relation.Limit {
 	counter.Store(c.live)
-	lim := &relation.Limit{
-		MaxRows:  c.maxRows,
-		Deadline: c.deadline,
-		Ctx:      c.cctx,
-		MaxBytes: c.maxBytes,
-	}
+	lim := c.lim(&c.stats.Work)
 	if lim.MaxBytes <= 0 {
 		lim.MaxBytes = math.MaxInt64 // track transients even without a budget
 	}
 	lim.Bytes = counter
-	if c.stats != nil {
-		lim.Work = &c.stats.Work
-	}
 	return lim
 }
 
@@ -227,7 +199,6 @@ type reduceEdge struct {
 
 type streamExec struct {
 	ctx       *streamContext
-	db        cq.Database
 	scans     []*streamScanState
 	scanOf    map[*plan.Scan]int
 	edges     []reduceEdge
@@ -244,20 +215,12 @@ type streamExec struct {
 func (e *streamExec) collect(n plan.Node) (map[cq.Var][]int, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		rel, ok := e.db[t.Atom.Rel]
-		if !ok {
-			return nil, fmt.Errorf("engine: unknown relation %q", t.Atom.Rel)
-		}
-		if rel.Arity() != len(t.Atom.Args) {
-			return nil, fmt.Errorf("engine: atom %s arity mismatch with relation (%d columns)",
-				t.Atom, rel.Arity())
-		}
-		m := make(map[relation.Attr]relation.Attr, rel.Arity())
-		for i, a := range rel.Attrs() {
-			m[a] = t.Atom.Args[i]
+		view, err := e.ctx.bind(&t.Atom)
+		if err != nil {
+			return nil, err
 		}
 		idx := len(e.scans)
-		e.scans = append(e.scans, &streamScanState{node: t, view: relation.Rename(rel, m)})
+		e.scans = append(e.scans, &streamScanState{node: t, view: view})
 		e.scanOf[t] = idx
 		alive := make(map[cq.Var][]int, len(t.Atom.Args))
 		for _, a := range t.Atom.Args {
@@ -372,9 +335,7 @@ func (e *streamExec) reduceOne(target, constrainer *streamScanState, attrs []cq.
 	target.view = out
 	target.epoch++
 	target.reduced += int64(removed)
-	if e.ctx.stats != nil {
-		e.ctx.stats.ReducedTuples += int64(removed)
-	}
+	e.ctx.stats.ReducedTuples += int64(removed)
 	// After the first removal the view owns a private arena; charge its
 	// footprint as live bytes (compactions shrink the charge again).
 	return true, e.ctx.hold(out.Bytes(), &target.charged, nil)
@@ -475,10 +436,8 @@ func (s *streamScan) next() (relation.Tuple, error) {
 			if !s.dedup.Add(t) {
 				continue
 			}
-			if s.ctx.stats != nil {
-				s.ctx.stats.Tuples++
-				s.ctx.stats.MaterializedTuples++
-			}
+			s.ctx.stats.Tuples++
+			s.ctx.stats.MaterializedTuples++
 			if err := s.ctx.hold(s.dedup.Bytes(), &s.dedupBytes, s.st); err != nil {
 				return nil, err
 			}
@@ -589,9 +548,7 @@ insert:
 		for fi := range j.filters {
 			if !j.filters[fi].f.Match(j.buf, j.filters[fi].pos) {
 				j.st.reduced++
-				if j.ctx.stats != nil {
-					j.ctx.stats.ReducedTuples++
-				}
+				j.ctx.stats.ReducedTuples++
 				continue insert
 			}
 		}
@@ -600,10 +557,8 @@ insert:
 			return relation.ErrRowLimit
 		}
 		j.table.Insert(j.buf)
-		if j.ctx.stats != nil {
-			j.ctx.stats.Tuples++
-			j.ctx.stats.MaterializedTuples++
-		}
+		j.ctx.stats.Tuples++
+		j.ctx.stats.MaterializedTuples++
 		if err := j.ctx.hold(j.table.Bytes(), &j.tabBytes, j.st); err != nil {
 			if j.ctx.spiller == nil || !errors.Is(err, relation.ErrMemBudget) {
 				return err
@@ -614,7 +569,7 @@ insert:
 		}
 	}
 	j.st.build = int64(n)
-	if j.ctx.stats != nil && n > j.ctx.stats.MaxRows {
+	if n > j.ctx.stats.MaxRows {
 		j.ctx.stats.MaxRows = n
 	}
 	// The build side is fully materialized; release the filters and the
@@ -907,13 +862,11 @@ func (d *streamDistinct) next() (relation.Tuple, error) {
 		if d.ctx.maxRows > 0 && d.seen.Len() > d.ctx.maxRows {
 			return nil, relation.ErrRowLimit
 		}
-		if d.ctx.stats != nil {
-			if d.seen.Len() > d.ctx.stats.MaxRows {
-				d.ctx.stats.MaxRows = d.seen.Len()
-			}
-			d.ctx.stats.Tuples++
-			d.ctx.stats.MaterializedTuples++
+		if d.seen.Len() > d.ctx.stats.MaxRows {
+			d.ctx.stats.MaxRows = d.seen.Len()
 		}
+		d.ctx.stats.Tuples++
+		d.ctx.stats.MaterializedTuples++
 		d.st.rows++
 		return d.out, nil
 	}
@@ -1094,9 +1047,7 @@ func (e *streamExec) lower(n plan.Node, needed []cq.Var) (streamOp, *opStats, er
 		j.table = relation.NewStreamTable(len(stored), j.keyPos)
 		j.filters = e.buildFilters(t, stored, spos)
 		j.st = &opStats{label: "⋈", attrs: j.sch, children: []*opStats{lst, rst}}
-		if e.ctx.stats != nil {
-			e.ctx.stats.Joins++
-		}
+		e.ctx.stats.Joins++
 		e.noteArity(len(j.sch))
 		return j, j.st, nil
 
@@ -1136,9 +1087,7 @@ func (e *streamExec) lower(n plan.Node, needed []cq.Var) (streamOp, *opStats, er
 			out:  make(relation.Tuple, len(needed)),
 			st:   &opStats{label: "π" + varList(needed), attrs: needed, children: []*opStats{cst}},
 		}
-		if e.ctx.stats != nil {
-			e.ctx.stats.Projections++
-		}
+		e.ctx.stats.Projections++
 		e.noteArity(len(needed))
 		return d, d.st, nil
 
@@ -1191,7 +1140,7 @@ func (e *streamExec) buildFilters(t *plan.Join, stored []cq.Var, spos map[cq.Var
 }
 
 func (e *streamExec) noteArity(a int) {
-	if e.ctx.stats != nil && a > e.ctx.stats.MaxArity {
+	if a > e.ctx.stats.MaxArity {
 		e.ctx.stats.MaxArity = a
 	}
 }
@@ -1229,40 +1178,26 @@ func ExecStreamContext(cctx context.Context, p plan.Node, db cq.Database, opt Op
 }
 
 func execStream(cctx context.Context, p plan.Node, db cq.Database, opt Options) (*Result, *opStats, error) {
-	var stats Stats
-	ctx := &streamContext{cctx: cctx, maxRows: opt.MaxRows, maxBytes: opt.MaxBytes, stats: &stats}
-	if opt.Timeout > 0 {
-		ctx.deadline = time.Now().Add(opt.Timeout)
-	}
-	start := time.Now()
-	if opt.SpillDir != "" {
-		sp, err := relation.NewSpiller(opt.SpillDir, opt.MaxSpillBytes)
-		if err != nil {
-			stats.Elapsed = time.Since(start)
-			return &Result{Stats: stats}, nil, classifyErr(err, stats.Elapsed)
-		}
-		ctx.spiller = sp
-		defer sp.Cleanup()
-	}
-	e := &streamExec{
-		ctx:       ctx,
-		db:        db,
-		scanOf:    make(map[*plan.Scan]int),
-		edgeOf:    make(map[[2]int]int),
-		aliveAt:   make(map[plan.Node]map[cq.Var][]int),
-		nextFresh: -1,
-	}
-	finish := func() {
-		stats.Elapsed = time.Since(start)
-		stats.Bytes = ctx.peak
-		stats.PeakBytes = ctx.peak
+	e := newStreamExec(cctx, db, opt)
+	ctx, stats := e.ctx, &e.ctx.stats
+	// done settles the run's totals: the live-byte peak is what this engine
+	// reports as Bytes.
+	done := func(root *opStats, out *relation.Relation, err error) (*Result, *opStats, error) {
+		stats.Bytes, stats.PeakBytes = ctx.peak, ctx.peak
 		if ctx.spiller != nil {
 			stats.SpilledBytes, stats.SpillFiles = ctx.spiller.Stats()
 		}
+		res, err := ctx.finish(out, err)
+		return res, root, err
 	}
-	fail := func(root *opStats, err error) (*Result, *opStats, error) {
-		finish()
-		return &Result{Stats: stats}, root, classifyErr(err, stats.Elapsed)
+	fail := func(root *opStats, err error) (*Result, *opStats, error) { return done(root, nil, err) }
+	if opt.SpillDir != "" {
+		sp, err := relation.NewSpiller(opt.SpillDir, opt.MaxSpillBytes)
+		if err != nil {
+			return fail(nil, err)
+		}
+		ctx.spiller = sp
+		defer sp.Cleanup()
 	}
 	if _, err := e.collect(p); err != nil {
 		return nil, nil, err // structural, not a run failure
@@ -1360,14 +1295,27 @@ func execStream(cctx context.Context, p plan.Node, db cq.Database, opt Options) 
 		}
 	}
 	root.close()
-	finish()
 	if out.Arity() > stats.MaxArity {
 		stats.MaxArity = out.Arity()
 	}
 	if out.Len() > stats.MaxRows {
 		stats.MaxRows = out.Len()
 	}
-	return &Result{Rel: out, Stats: stats}, rootSt, nil
+	return done(rootSt, out, nil)
+}
+
+// newStreamExec starts a pipeline run's governor and its empty pushdown
+// state.
+func newStreamExec(ctx context.Context, db cq.Database, opt Options) *streamExec {
+	e := &streamExec{
+		ctx:       &streamContext{},
+		scanOf:    make(map[*plan.Scan]int),
+		edgeOf:    make(map[[2]int]int),
+		aliveAt:   make(map[plan.Node]map[cq.Var][]int),
+		nextFresh: -1,
+	}
+	e.ctx.govern(ctx, db, opt)
+	return e
 }
 
 // ExplainStream renders the streaming engine's fused operator tree. When
@@ -1387,15 +1335,7 @@ func ExplainStream(p plan.Node, db cq.Database, opt Options, analyze bool) (stri
 		}
 		rootSt, st = r, res.Stats
 	} else {
-		ctx := &streamContext{maxRows: opt.MaxRows, maxBytes: opt.MaxBytes}
-		e := &streamExec{
-			ctx:       ctx,
-			db:        db,
-			scanOf:    make(map[*plan.Scan]int),
-			edgeOf:    make(map[[2]int]int),
-			aliveAt:   make(map[plan.Node]map[cq.Var][]int),
-			nextFresh: -1,
-		}
+		e := newStreamExec(context.Background(), db, opt)
 		if _, err := e.collect(p); err != nil {
 			return "", err
 		}

@@ -33,8 +33,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
-	"time"
 
 	"projpush/internal/cq"
 	"projpush/internal/joingraph"
@@ -78,19 +76,12 @@ type wcojLevel struct {
 	seeks, extensions int64
 }
 
-// wexec is the worst-case-optimal executor's state: the same limits and
-// stats frame as the other executors, plus the variable order and the
-// per-level leapfrog state.
+// wexec is the worst-case-optimal executor's state: the run governor plus
+// the variable order and the per-level leapfrog state.
 type wexec struct {
-	db       cq.Database
-	q        *cq.Query
-	ctx      context.Context
-	deadline time.Time
-	maxRows  int
-	maxBytes int64
-	bytes    atomic.Int64
-	stats    Stats
-	limit    *relation.Limit
+	governor
+	q     *cq.Query
+	limit *relation.Limit
 
 	vars    []cq.Var
 	freeCut int // levels [0,freeCut) are free; below it, existence only
@@ -104,50 +95,13 @@ type wexec struct {
 	outBuf   relation.Tuple
 	outSrc   []int // output column -> level index
 	outBytes int64
-
-	touched, nextCheck int64
 }
 
 func newWexec(ctx context.Context, q *cq.Query, db cq.Database, opt Options) *wexec {
-	ex := &wexec{
-		db:      db,
-		q:       q,
-		ctx:     ctx,
-		maxRows: opt.MaxRows, maxBytes: opt.MaxBytes,
-		nextCheck: relation.CheckInterval,
-	}
-	if opt.Timeout > 0 {
-		ex.deadline = time.Now().Add(opt.Timeout)
-	}
-	ex.limit = &relation.Limit{
-		MaxRows:  ex.maxRows,
-		Deadline: ex.deadline,
-		Work:     &ex.stats.Work,
-		Ctx:      ex.ctx,
-		MaxBytes: ex.maxBytes,
-		Bytes:    &ex.bytes,
-	}
+	ex := &wexec{q: q}
+	ex.govern(ctx, db, opt)
+	ex.limit = ex.lim(&ex.stats.Work)
 	return ex
-}
-
-// bind resolves one atom against the database as a zero-copy renamed
-// view, exactly like the other executors' Scan.
-func (ex *wexec) bind(a *cq.Atom) (*relation.Relation, error) {
-	rel, ok := ex.db[a.Rel]
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown relation %q", a.Rel)
-	}
-	if rel.Arity() != len(a.Args) {
-		return nil, fmt.Errorf("engine: atom %s arity mismatch with relation (%d columns)",
-			a, rel.Arity())
-	}
-	m := make(map[relation.Attr]relation.Attr, rel.Arity())
-	for i, attr := range rel.Attrs() {
-		m[attr] = a.Args[i]
-	}
-	bound := relation.Rename(rel, m)
-	observe(&ex.stats, bound)
-	return bound, nil
 }
 
 // prepare binds the atoms and fixes the global variable order and the
@@ -161,7 +115,7 @@ func (ex *wexec) prepare() error {
 	dom := make(map[cq.Var]int) // domain upper bound: min |R| over atoms
 	for i := range ex.q.Atoms {
 		a := &ex.q.Atoms[i]
-		rel, err := ex.bind(a)
+		rel, err := ex.scan(&ex.stats, a)
 		if err != nil {
 			return err
 		}
@@ -279,18 +233,6 @@ func (ex *wexec) execute() error {
 	ex.indexes = len(built)
 	ex.stats.Joins++
 	return ex.enumerate(0)
-}
-
-// tick advances the touched-tuples counter and polls for interruption at
-// the kernels' cadence, so cancellation and deadlines land within a
-// bounded amount of intersection work.
-func (ex *wexec) tick() error {
-	ex.touched++
-	if ex.touched >= ex.nextCheck {
-		ex.nextCheck = ex.touched + relation.CheckInterval
-		return ex.limit.Interrupted()
-	}
-	return nil
 }
 
 // enumerate extends the assignment at level d. Levels below freeCut bind
@@ -415,37 +357,30 @@ func (ex *wexec) emit() error {
 	return nil
 }
 
-// run executes prepare + execute, panic-isolated, charging the touched
-// counter into Work on every exit path.
+// run executes prepare + execute, panic-isolated, charging the seeks the
+// governor ticked into Work on every exit path.
 func (ex *wexec) run() (err error) {
 	defer relation.RecoverPanic(&err)
-	defer func() { ex.limit.Charge(ex.touched) }()
+	defer func() { ex.limit.Charge(ex.ticks) }()
 	if err := ex.prepare(); err != nil {
 		return err
 	}
 	if err := ex.execute(); err != nil {
 		return err
 	}
-	ex.stats.Bytes += ex.out.Bytes()
-	ex.stats.PeakBytes += ex.out.Bytes()
-	ex.stats.MaterializedTuples += int64(ex.out.Len())
-	observe(&ex.stats, ex.out)
+	materialized(&ex.stats, ex.out)
 	return nil
 }
 
 func execWCOJ(ctx context.Context, q *cq.Query, db cq.Database, opt Options) (*Result, *wexec, error) {
 	ex := newWexec(ctx, q, db, opt)
-	start := time.Now()
 	err := ex.run()
 	for _, lv := range ex.levels {
 		ex.stats.Seeks += lv.seeks
 		ex.stats.Extensions += lv.extensions
 	}
-	ex.stats.Elapsed = time.Since(start)
-	if err != nil {
-		return &Result{Stats: ex.stats}, ex, classifyErr(err, ex.stats.Elapsed)
-	}
-	return &Result{Rel: ex.out, Stats: ex.stats}, ex, nil
+	res, err := ex.finish(ex.out, err)
+	return res, ex, err
 }
 
 // ExecWCOJ evaluates q with the worst-case-optimal leapfrog strategy. See

@@ -35,8 +35,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
-	"time"
 
 	"projpush/internal/cq"
 	"projpush/internal/joingraph"
@@ -132,48 +130,9 @@ func preorder(b *ybag, out []*ybag) []*ybag {
 	return out
 }
 
-// yexec is the full reducer's execution state: the same limits and stats
-// frame as the plan executors, threaded through one shared byte counter.
-type yexec struct {
-	db       cq.Database
-	ctx      context.Context
-	deadline time.Time
-	maxRows  int
-	maxBytes int64
-	bytes    atomic.Int64
-	stats    Stats
-}
-
-func (ex *yexec) lim() *relation.Limit {
-	return &relation.Limit{
-		MaxRows:  ex.maxRows,
-		Deadline: ex.deadline,
-		Work:     &ex.stats.Work,
-		Ctx:      ex.ctx,
-		MaxBytes: ex.maxBytes,
-		Bytes:    &ex.bytes,
-	}
-}
-
-// bind resolves one atom against the database as a zero-copy renamed
-// view, exactly like the plan executors' Scan.
-func (ex *yexec) bind(a *cq.Atom) (*relation.Relation, error) {
-	rel, ok := ex.db[a.Rel]
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown relation %q", a.Rel)
-	}
-	if rel.Arity() != len(a.Args) {
-		return nil, fmt.Errorf("engine: atom %s arity mismatch with relation (%d columns)",
-			a, rel.Arity())
-	}
-	m := make(map[relation.Attr]relation.Attr, rel.Arity())
-	for i, attr := range rel.Attrs() {
-		m[attr] = a.Args[i]
-	}
-	bound := relation.Rename(rel, m)
-	observe(&ex.stats, bound)
-	return bound, nil
-}
+// yexec is the full reducer's execution state: the run governor, nothing
+// more — the bags carry the rest.
+type yexec struct{ governor }
 
 // materialize computes the bag relation: the join of the atoms hosted at
 // the bag. Bags host few atoms and the join's schema is bounded by the
@@ -184,25 +143,18 @@ func (ex *yexec) materialize(b *ybag) error {
 	if len(b.atoms) == 0 {
 		return nil
 	}
-	cur, err := ex.bind(b.atoms[0])
+	cur, err := ex.scan(&ex.stats, b.atoms[0])
 	if err != nil {
 		return err
 	}
 	for _, a := range b.atoms[1:] {
-		next, err := ex.bind(a)
+		next, err := ex.scan(&ex.stats, a)
 		if err != nil {
 			return err
 		}
-		out, err := relation.JoinLimited(cur, next, ex.lim())
-		if err != nil {
+		if cur, err = ex.join(&ex.stats, cur, next, 1); err != nil {
 			return err
 		}
-		ex.stats.Joins++
-		ex.stats.Bytes += out.Bytes()
-		ex.stats.PeakBytes += out.Bytes()
-		ex.stats.MaterializedTuples += int64(out.Len())
-		observe(&ex.stats, out)
-		cur = out
 	}
 	b.rel = cur
 	b.bound = cur.Len()
@@ -217,7 +169,7 @@ func (ex *yexec) reduce(target, source *ybag) error {
 	if target.rel == nil || source.rel == nil {
 		return nil
 	}
-	out, removed, err := relation.SemijoinFilter(target.rel, source.rel, ex.lim())
+	out, removed, err := relation.SemijoinFilter(target.rel, source.rel, ex.lim(&ex.stats.Work))
 	if err != nil {
 		return err
 	}
@@ -240,16 +192,9 @@ func (ex *yexec) eval(b *ybag) (*relation.Relation, error) {
 			cur = cr
 			continue
 		}
-		out, err := relation.JoinLimited(cur, cr, ex.lim())
-		if err != nil {
+		if cur, err = ex.join(&ex.stats, cur, cr, 1); err != nil {
 			return nil, err
 		}
-		ex.stats.Joins++
-		ex.stats.Bytes += out.Bytes()
-		ex.stats.PeakBytes += out.Bytes()
-		ex.stats.MaterializedTuples += int64(out.Len())
-		observe(&ex.stats, out)
-		cur = out
 	}
 	if cur == nil {
 		// Validate guarantees interior nodes have children, so a bag
@@ -257,16 +202,10 @@ func (ex *yexec) eval(b *ybag) (*relation.Relation, error) {
 		return nil, fmt.Errorf("engine: yannakakis bag with no relation")
 	}
 	if len(b.node.Projected) != len(cur.Attrs()) {
-		out, err := relation.ProjectLimited(cur, b.node.Projected, ex.lim())
-		if err != nil {
+		var err error
+		if cur, err = ex.project(&ex.stats, cur, b.node.Projected); err != nil {
 			return nil, err
 		}
-		ex.stats.Projections++
-		ex.stats.Bytes += out.Bytes()
-		ex.stats.PeakBytes += out.Bytes()
-		ex.stats.MaterializedTuples += int64(out.Len())
-		observe(&ex.stats, out)
-		cur = out
 	}
 	b.out = cur.Len()
 	return cur, nil
@@ -322,16 +261,9 @@ func (ex *yexec) run(t *jointree.Tree) (root *ybag, rel *relation.Relation, err 
 	// The root's schema is set-equal to the target schema (Validate);
 	// align the column order with the plan executors' final projection.
 	if !sameVarsOrdered(out.Attrs(), t.Query.Free) {
-		final, err := relation.ProjectLimited(out, t.Query.Free, ex.lim())
-		if err != nil {
+		if out, err = ex.project(&ex.stats, out, t.Query.Free); err != nil {
 			return root, nil, err
 		}
-		ex.stats.Projections++
-		ex.stats.Bytes += final.Bytes()
-		ex.stats.PeakBytes += final.Bytes()
-		ex.stats.MaterializedTuples += int64(final.Len())
-		observe(&ex.stats, final)
-		out = final
 	}
 	return root, out, nil
 }
@@ -366,31 +298,14 @@ func ExecYannakakisContext(ctx context.Context, q *cq.Query, db cq.Database, opt
 	if err != nil {
 		return &Result{}, err
 	}
-	return ExecYannakakisTree(ctx, tree, db, opt)
-}
-
-// ExecYannakakisTree runs the full-reducer sweep over an already-built
-// join tree.
-func ExecYannakakisTree(ctx context.Context, t *jointree.Tree, db cq.Database, opt Options) (*Result, error) {
-	res, _, err := execYannakakis(ctx, t, db, opt)
+	res, _, err := execYannakakis(ctx, tree, db, opt)
 	return res, err
 }
 
 func execYannakakis(ctx context.Context, t *jointree.Tree, db cq.Database, opt Options) (*Result, *ybag, error) {
-	ex := &yexec{
-		db:       db,
-		ctx:      ctx,
-		maxRows:  opt.MaxRows,
-		maxBytes: opt.MaxBytes,
-	}
-	if opt.Timeout > 0 {
-		ex.deadline = time.Now().Add(opt.Timeout)
-	}
-	start := time.Now()
+	var ex yexec
+	ex.govern(ctx, db, opt)
 	root, rel, err := ex.run(t)
-	ex.stats.Elapsed = time.Since(start)
-	if err != nil {
-		return &Result{Stats: ex.stats}, root, classifyErr(err, ex.stats.Elapsed)
-	}
-	return &Result{Rel: rel, Stats: ex.stats}, root, nil
+	res, err := ex.finish(rel, err)
+	return res, root, err
 }

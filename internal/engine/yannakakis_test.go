@@ -276,8 +276,8 @@ func TestYannakakisRungDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer faultinject.Disable()
-	res, err := engine.ExecResilientStrategy(context.Background(),
-		resilience.YannakakisRung(q), resilience.PlanLadder(q, nil), db, engine.Options{}, 1)
+	first, ladder := resilience.Strategy(core.MethodYannakakis, q, nil, 1)
+	res, err := engine.ExecResilientStrategy(context.Background(), first, ladder(nil), db, engine.Options{})
 	if err != nil {
 		t.Fatalf("ladder should rescue the poisoned reducer: %v", err)
 	}

@@ -358,18 +358,17 @@ func (o *outcome) fold(res *engine.Result) {
 // measure builds and executes one method on one query, returning the
 // execution duration (plan construction included; it is negligible, as
 // the paper notes for the subquery-based methods) and the plan width.
+// For the execution strategies the width is their static surrogate's
+// (core.BuildPlan): the full reducer's join tree has exactly that width,
+// the streaming engine lowers that plan, and for the leapfrog join it is
+// the quantity the multiway join beats on cyclic queries — which is why
+// the serving layer admits wcoj routes on the AGM bound instead, while the
+// harness keeps MaxWidth a uniform plan-width cap. Resilient runs lead
+// with the method's strategy and degrade down its ladder
+// (resilience.Strategy).
 func measure(m core.Method, q *cq.Query, db cq.Database, rng *rand.Rand, cfg Config) outcome {
 	if cfg.Fleet != nil {
 		return measureFleet(m, q, db, cfg)
-	}
-	if m == core.MethodYannakakis {
-		return measureYannakakis(q, db, rng, cfg)
-	}
-	if m == core.MethodStream {
-		return measureStream(q, db, rng, cfg)
-	}
-	if m == core.MethodWCOJ {
-		return measureWCOJ(q, db, rng, cfg)
 	}
 	start := time.Now()
 	p, err := core.BuildPlan(m, q, rng)
@@ -381,96 +380,12 @@ func measure(m core.Method, q *cq.Query, db cq.Database, rng *rand.Rand, cfg Con
 		return outcome{w: w, err: fmt.Errorf("%w: plan width %d over admission cap %d",
 			engine.ErrOverWidth, w, cfg.MaxWidth)}
 	}
+	strategy, ladder := resilience.Strategy(m, q, p, 1)
 	var res *engine.Result
 	if cfg.Resilient {
-		res, err = engine.ExecResilient(context.Background(), p,
-			resilience.DegradationLadder(q, rng), db, cfg.execOptions(), 1)
+		res, err = engine.ExecResilientStrategy(context.Background(), strategy, ladder(rng), db, cfg.execOptions())
 	} else {
-		res, err = engine.Exec(p, db, cfg.execOptions())
-	}
-	o := outcome{d: time.Since(start), w: w, err: err}
-	o.fold(res)
-	return o
-}
-
-// measureYannakakis runs the full-reducer execution strategy: the join
-// tree replaces the plan, its width is the admission quantity, and
-// resilient runs degrade to the plan-based ladder.
-func measureYannakakis(q *cq.Query, db cq.Database, rng *rand.Rand, cfg Config) outcome {
-	start := time.Now()
-	tree, err := engine.BuildJoinTree(q, rng)
-	if err != nil {
-		return outcome{err: err}
-	}
-	w := tree.Width()
-	if cfg.MaxWidth > 0 && w > cfg.MaxWidth {
-		return outcome{w: w, err: fmt.Errorf("%w: join-tree width %d over admission cap %d",
-			engine.ErrOverWidth, w, cfg.MaxWidth)}
-	}
-	var res *engine.Result
-	if cfg.Resilient {
-		res, err = engine.ExecResilientStrategy(context.Background(),
-			resilience.YannakakisRung(q), resilience.PlanLadder(q, rng), db, cfg.execOptions(), 1)
-	} else {
-		res, err = engine.ExecYannakakisTree(context.Background(), tree, db, cfg.execOptions())
-	}
-	o := outcome{d: time.Since(start), w: w, err: err}
-	o.fold(res)
-	return o
-}
-
-// measureStream runs the pipelined streaming executor: the plan shape
-// is early projection's, so the width column stays comparable, but
-// execution fuses projections into the operators, pushes semijoin
-// filters below the hash-join builds, and materializes only at pipeline
-// breakers. Resilient runs degrade down the plan-based ladder.
-func measureStream(q *cq.Query, db cq.Database, rng *rand.Rand, cfg Config) outcome {
-	start := time.Now()
-	p, err := core.BuildPlan(core.MethodStream, q, rng)
-	if err != nil {
-		return outcome{err: err}
-	}
-	w := plan.Analyze(p).Width
-	if cfg.MaxWidth > 0 && w > cfg.MaxWidth {
-		return outcome{w: w, err: fmt.Errorf("%w: plan width %d over admission cap %d",
-			engine.ErrOverWidth, w, cfg.MaxWidth)}
-	}
-	var res *engine.Result
-	if cfg.Resilient {
-		res, err = engine.ExecResilientStrategy(context.Background(),
-			resilience.StreamRung(p), resilience.PlanLadder(q, rng), db, cfg.execOptions(), 1)
-	} else {
-		res, err = engine.ExecStream(p, db, cfg.execOptions())
-	}
-	o := outcome{d: time.Since(start), w: w, err: err}
-	o.fold(res)
-	return o
-}
-
-// measureWCOJ runs the worst-case-optimal multiway join. The
-// bucket-elimination surrogate supplies the width column, so capped
-// sweeps stay comparable — but note the surrogate width is exactly the
-// quantity the leapfrog join beats on cyclic queries, which is why the
-// serving layer admits wcoj routes on the AGM bound instead; the
-// harness keeps MaxWidth a uniform plan-width cap. Resilient runs
-// degrade to the plan-based ladder.
-func measureWCOJ(q *cq.Query, db cq.Database, rng *rand.Rand, cfg Config) outcome {
-	start := time.Now()
-	p, err := core.BuildPlan(core.MethodWCOJ, q, rng)
-	if err != nil {
-		return outcome{err: err}
-	}
-	w := plan.Analyze(p).Width
-	if cfg.MaxWidth > 0 && w > cfg.MaxWidth {
-		return outcome{w: w, err: fmt.Errorf("%w: surrogate plan width %d over admission cap %d",
-			engine.ErrOverWidth, w, cfg.MaxWidth)}
-	}
-	var res *engine.Result
-	if cfg.Resilient {
-		res, err = engine.ExecResilientStrategy(context.Background(),
-			resilience.WCOJRung(q), resilience.PlanLadder(q, rng), db, cfg.execOptions(), 1)
-	} else {
-		res, err = engine.ExecWCOJ(q, db, cfg.execOptions())
+		res, err = strategy.Run(context.Background(), db, cfg.execOptions())
 	}
 	o := outcome{d: time.Since(start), w: w, err: err}
 	o.fold(res)

@@ -38,8 +38,8 @@ const (
 	LatencyKernel
 	// PanicJoinWorker panics inside a partition-parallel join worker.
 	PanicJoinWorker
-	// PanicSubtreeWorker panics inside the parallel executor's subtree
-	// worker.
+	// PanicSubtreeWorker panics inside the plan walker's forked subtree
+	// goroutine.
 	PanicSubtreeWorker
 	// PanicExperimentWorker panics inside the experiments measurement
 	// pool.

@@ -1,7 +1,7 @@
 // Package resilience connects the paper's plan-construction methods
-// (package core) to the engine's degradation ladder
-// (engine.ExecResilient). It lives outside both packages so that core
-// stays a pure plan library and engine stays method-agnostic.
+// (package core) to the engine's executors and its degradation ladder
+// (engine.ExecResilientStrategy). It lives outside both packages so that
+// core stays a pure plan library and engine stays method-agnostic.
 package resilience
 
 import (
@@ -13,6 +13,57 @@ import (
 	"projpush/internal/engine"
 	"projpush/internal/plan"
 )
+
+// Strategy is the one place a method names its executor: it returns the
+// strategy that runs (and explains) method m on query q, and the ladder a
+// resilient run of it degrades down. Callers run the strategy directly, or
+// as the first rung of engine.ExecResilientStrategy over ladder(rng).
+//
+// The three execution strategies degrade to the plan ladder (PlanLadder).
+// The Yannakakis full reducer and the leapfrog multiway join work from q
+// and ignore p; the streaming engine lowers whatever plan it is handed and
+// never re-plans — the caller has chosen p (core.StreamPlan for a request
+// that named no method). Every other method is a plan shape: p runs on
+// the plan walker with up to workers goroutines (a plan no method of
+// package core built, like the hybrid optimizer's choice, lands here too)
+// and degrades down the whole DegradationLadder, since a plan that blew a
+// limit says nothing about the executors above it.
+func Strategy(m core.Method, q *cq.Query, p plan.Node, workers int) (st engine.Fallback, ladder func(*rand.Rand) []engine.Fallback) {
+	st.Name = string(m)
+	ladder = func(rng *rand.Rand) []engine.Fallback { return PlanLadder(q, rng) }
+	switch m {
+	case core.MethodYannakakis:
+		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
+			return engine.ExecYannakakisContext(ctx, q, db, opt)
+		}
+		st.Explain = func(db cq.Database, opt engine.Options, analyze bool) (string, error) {
+			return engine.ExplainYannakakis(q, db, opt, analyze)
+		}
+	case core.MethodStream:
+		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
+			return engine.ExecStreamContext(ctx, p, db, opt)
+		}
+		st.Explain = func(db cq.Database, opt engine.Options, analyze bool) (string, error) {
+			return engine.ExplainStream(p, db, opt, analyze)
+		}
+	case core.MethodWCOJ:
+		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
+			return engine.ExecWCOJContext(ctx, q, db, opt)
+		}
+		st.Explain = func(db cq.Database, opt engine.Options, analyze bool) (string, error) {
+			return engine.ExplainWCOJ(q, db, opt, analyze)
+		}
+	default:
+		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
+			return engine.ExecParallelContext(ctx, p, db, opt, workers)
+		}
+		st.Explain = func(db cq.Database, opt engine.Options, analyze bool) (string, error) {
+			return engine.Explain(p, db, opt, analyze)
+		}
+		ladder = func(rng *rand.Rand) []engine.Fallback { return DegradationLadder(q, rng) }
+	}
+	return st, ladder
+}
 
 // DegradationLadder returns the fallback ladder for engine.ExecResilient:
 // when the query is narrow (MCS elimination width at most
@@ -52,71 +103,28 @@ import (
 // failure (ErrSpill) or a second memory violation moves the run down a
 // rung.
 func DegradationLadder(q *cq.Query, rng *rand.Rand) []engine.Fallback {
-	var ladder []engine.Fallback
+	lead := core.MethodWCOJ
 	if engine.MCSElimWidth(q) <= engine.DefaultYannakakisWidth {
-		ladder = append(ladder, YannakakisRung(q))
-	} else {
-		ladder = append(ladder, WCOJRung(q))
+		lead = core.MethodYannakakis
 	}
-	ladder = append(ladder, streamRung(func() (plan.Node, error) {
-		p, err := core.BucketElimination(q, rng)
-		if err != nil {
-			return nil, err
-		}
-		c, err := core.StreamPlan(q, core.NewCandidate(p, core.OrderMCS))
-		return c.Plan, err
-	}))
-	return append(ladder, PlanLadder(q, rng)...)
-}
-
-// YannakakisRung is the full-reducer rung: a Run-style fallback that
-// executes q with engine.ExecYannakakisContext. The server's narrow-query
-// routing also uses it as the first rung of ExecResilientStrategy.
-func YannakakisRung(q *cq.Query) engine.Fallback {
-	return engine.Fallback{
-		Name: string(core.MethodYannakakis),
-		Run: func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
-			return engine.ExecYannakakisContext(ctx, q, db, opt)
-		},
-	}
-}
-
-// StreamRung is the pipelined-engine rung: a Run-style fallback that
-// lowers the plan it is given with engine.ExecStreamContext — semijoin
-// pushdown, fused projections, and a live-byte (rather than cumulative)
-// memory budget. It never re-plans: the caller has chosen the plan
-// (core.StreamPlan for a request that named no method). The server's
-// mid-width routing uses it as the first rung of ExecResilientStrategy.
-func StreamRung(p plan.Node) engine.Fallback {
-	return streamRung(func() (plan.Node, error) { return p, nil })
-}
-
-// streamRung builds its plan only if the rung is reached.
-func streamRung(build func() (plan.Node, error)) engine.Fallback {
-	return engine.Fallback{
+	first, _ := Strategy(lead, q, nil, 1)
+	// The stream rung's plan is built only if the rung is reached.
+	stream := engine.Fallback{
 		Name: string(core.MethodStream),
 		Run: func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
-			p, err := build()
+			p, err := core.BucketElimination(q, rng)
 			if err != nil {
 				return &engine.Result{}, err
 			}
-			return engine.ExecStreamContext(ctx, p, db, opt)
+			c, err := core.StreamPlan(q, core.NewCandidate(p, core.OrderMCS))
+			if err != nil {
+				return &engine.Result{}, err
+			}
+			st, _ := Strategy(core.MethodStream, q, c.Plan, 1)
+			return st.Run(ctx, db, opt)
 		},
 	}
-}
-
-// WCOJRung is the worst-case-optimal rung: a Run-style fallback that
-// executes q as one leapfrog multiway join with engine.ExecWCOJContext.
-// The server's AGM-bounded routing uses it as the first rung of
-// ExecResilientStrategy for cyclic queries, and DegradationLadder leads
-// with it when the query is too wide for the full reducer.
-func WCOJRung(q *cq.Query) engine.Fallback {
-	return engine.Fallback{
-		Name: string(core.MethodWCOJ),
-		Run: func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
-			return engine.ExecWCOJContext(ctx, q, db, opt)
-		},
-	}
+	return append([]engine.Fallback{first, stream}, PlanLadder(q, rng)...)
 }
 
 // RemoteRung adapts an execution that happens outside the local engine —

@@ -550,7 +550,7 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	if req.Method != "" {
 		method = core.Method(req.Method)
 	}
-	if !validMethod(method) {
+	if !core.Known(method) {
 		s.failed.Add(1)
 		return finish(&Response{Status: StatusError, Error: fmt.Sprintf("unknown method %q", method)})
 	}
@@ -581,7 +581,7 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	}
 	// The spill override applies only to methodless requests: routing
 	// below picks an executor that can actually spill, whereas an
-	// explicitly named method may be one (parallel, wcoj) that ignores
+	// explicitly named method may be one (yannakakis, wcoj) that ignores
 	// the spill directory and would die at the budget anyway.
 	spillBytes := int64(-1)
 	if s.cfg.SpillDir != "" && req.Method == "" {
@@ -634,18 +634,10 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 		logEntry.set("order", string(chosen.Order))
 	}
 
+	// The route's strategy, and the ladder it degrades down.
+	strategy, ladder := resilience.Strategy(method, q, p, s.cfg.Workers)
 	if req.Op == "explain" {
-		var text string
-		switch method {
-		case core.MethodYannakakis:
-			text, err = engine.ExplainYannakakis(q, db, engine.Options{}, false)
-		case core.MethodStream:
-			text, err = engine.ExplainStream(p, db, engine.Options{}, false)
-		case core.MethodWCOJ:
-			text, err = engine.ExplainWCOJ(q, db, engine.Options{}, false)
-		default:
-			text, err = engine.Explain(p, db, engine.Options{}, false)
-		}
+		text, err := strategy.Explain(db, engine.Options{}, false)
 		if err != nil {
 			s.failed.Add(1)
 			return finish(&Response{Status: StatusError, Error: err.Error()})
@@ -683,50 +675,15 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	br := s.breakerFor(string(method))
 	direct := br.allowDirect()
 	var res *engine.Result
-	switch {
-	case method == core.MethodYannakakis && (s.cfg.Resilient || !direct):
-		// Full reducer first, degrading to the plan-based ladder.
-		res, err = engine.ExecResilientStrategy(ctx, resilience.YannakakisRung(q),
-			resilience.PlanLadder(q, nil), db, opt, s.cfg.Workers)
+	if s.cfg.Resilient || !direct {
+		res, err = engine.ExecResilientStrategy(ctx, strategy, ladder(nil), db, opt)
 		if direct {
-			br.record(directOutcome(res))
+			// The direct path's own outcome, so breaker accounting is
+			// identical whether the ladder ran or not.
+			br.record(res.FirstError())
 		}
-	case method == core.MethodYannakakis:
-		res, err = engine.ExecYannakakisContext(ctx, q, db, opt)
-		br.record(err)
-	case method == core.MethodStream && (s.cfg.Resilient || !direct):
-		// Streaming engine first, degrading to the plan-based ladder.
-		res, err = engine.ExecResilientStrategy(ctx, resilience.StreamRung(p),
-			resilience.PlanLadder(q, nil), db, opt, s.cfg.Workers)
-		if direct {
-			br.record(directOutcome(res))
-		}
-	case method == core.MethodStream:
-		res, err = engine.ExecStreamContext(ctx, p, db, opt)
-		br.record(err)
-	case method == core.MethodWCOJ && (s.cfg.Resilient || !direct):
-		// Leapfrog multiway join first, degrading to the plan-based
-		// ladder (whose bucket-elimination plan is the width-optimal
-		// materializing fallback).
-		res, err = engine.ExecResilientStrategy(ctx, resilience.WCOJRung(q),
-			resilience.PlanLadder(q, nil), db, opt, s.cfg.Workers)
-		if direct {
-			br.record(directOutcome(res))
-		}
-	case method == core.MethodWCOJ:
-		res, err = engine.ExecWCOJContext(ctx, q, db, opt)
-		br.record(err)
-	case s.cfg.Resilient || !direct:
-		res, err = engine.ExecResilient(ctx, p, resilience.DegradationLadder(q, nil), db, opt, s.cfg.Workers)
-		if direct {
-			br.record(directOutcome(res))
-		}
-	default:
-		if s.cfg.Workers > 1 {
-			res, err = engine.ExecParallelContext(ctx, p, db, opt, s.cfg.Workers)
-		} else {
-			res, err = engine.ExecContext(ctx, p, db, opt)
-		}
+	} else {
+		res, err = strategy.Run(ctx, db, opt)
 		br.record(err)
 	}
 
@@ -797,26 +754,6 @@ func (s *Server) route(req *Request, q *cq.Query, method core.Method, inHand cor
 		return method, c, "default", err
 	}
 	return method, inHand, "default", nil
-}
-
-// directOutcome recovers the direct path's own outcome from a resilient
-// run's attempt history, so breaker accounting is identical whether the
-// ladder ran or not.
-func directOutcome(res *engine.Result) error {
-	if res == nil || len(res.Stats.Attempts) == 0 {
-		return nil
-	}
-	first := res.Stats.Attempts[0]
-	if first.Err == "" {
-		return nil
-	}
-	switch {
-	case strings.Contains(first.Err, engine.ErrInternal.Error()):
-		return engine.ErrInternal
-	case strings.Contains(first.Err, engine.ErrMemLimit.Error()):
-		return engine.ErrMemLimit
-	}
-	return errors.New(first.Err)
 }
 
 // ClassifyStatus maps an engine failure to its wire status.
@@ -895,18 +832,6 @@ func routeLine(method core.Method, reason string, v *Verdict) string {
 // reducer and the leapfrog join work from the query itself.
 func runsPlan(m core.Method) bool {
 	return m != core.MethodYannakakis && m != core.MethodWCOJ
-}
-
-func validMethod(m core.Method) bool {
-	if m == core.MethodYannakakis || m == core.MethodStream || m == core.MethodWCOJ {
-		return true
-	}
-	for _, known := range core.Methods {
-		if m == known {
-			return true
-		}
-	}
-	return false
 }
 
 // logFields is one request-log line under construction; nil when the

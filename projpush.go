@@ -32,6 +32,7 @@ package projpush
 
 import (
 	"context"
+	"errors"
 	"io"
 	"math/rand"
 	"time"
@@ -287,22 +288,19 @@ func ExecuteResilient(ctx context.Context, p Plan, fallbacks []Fallback, db Data
 	return engine.ExecResilient(ctx, p, fallbacks, db, opt, workers)
 }
 
-// Run is the one-call path: build the method's plan and execute it.
-// MethodStream runs the pipelined streaming executor over its plan;
-// MethodWCOJ runs the worst-case-optimal multiway join directly on the
-// query (no binary plan is involved).
+// Run is the one-call path: build the method's plan and execute the
+// method's strategy — the materializing executor for the four plan
+// shapes, the full reducer for MethodYannakakis, the pipelined streaming
+// executor for MethodStream, and the worst-case-optimal multiway join for
+// MethodWCOJ (the reducer and the multiway join work from the query;
+// their plan is only the static surrogate BuildPlan documents).
 func Run(m Method, q *Query, db Database, opt ExecOptions, rng *rand.Rand) (*Result, error) {
-	if m == MethodWCOJ {
-		return ExecuteWCOJ(q, db, opt)
-	}
 	p, err := BuildPlan(m, q, rng)
 	if err != nil {
 		return nil, err
 	}
-	if m == MethodStream {
-		return ExecuteStream(p, db, opt)
-	}
-	return Execute(p, db, opt)
+	strategy, _ := resilience.Strategy(m, q, p, 1)
+	return strategy.Run(context.Background(), db, opt)
 }
 
 // SQL renders a plan in the paper's SQL dialect (JOIN ... ON with
@@ -354,10 +352,22 @@ func IsAcyclic(q *Query) bool { return acyclic.IsAcyclic(q) }
 
 // Yannakakis evaluates an acyclic query with full semijoin reduction and
 // linear-size intermediate results; it fails on cyclic queries. It is
-// the reference evaluator; ExecuteYannakakis is the governed engine
-// version (limits, cancellation, stats) that also handles low-width
-// cyclic queries through a tree decomposition.
-func Yannakakis(q *Query, db Database) (*Relation, error) { return acyclic.Evaluate(q, db) }
+// ExecuteYannakakis without limits, restricted to the queries the
+// classical algorithm is defined for; ExecuteYannakakis also handles
+// low-width cyclic queries through a tree decomposition.
+func Yannakakis(q *Query, db Database) (*Relation, error) {
+	if err := q.Validate(db); err != nil {
+		return nil, err
+	}
+	if !acyclic.IsAcyclic(q) {
+		return nil, errors.New("projpush: Yannakakis: query is cyclic")
+	}
+	res, err := engine.ExecYannakakis(q, db, ExecOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return res.Rel, nil
+}
 
 // ExecuteYannakakis runs the query with the engine's Yannakakis full
 // reducer: the MCS join tree is semijoin-swept bottom-up and top-down so
