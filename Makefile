@@ -48,7 +48,10 @@ bench:
 # worker count, and the answer frame's encode/decode (wide and Boolean,
 # with the frame size as frame-bytes). The planner suite covers the incremental bitset DP,
 # island GEQO by worker count, and the bucket-queue/bitset elimination
-# orders, each against the map-based baseline it replaced. The routing
+# orders, each against the map-based baseline it replaced, plus the
+# server's front end per request on the 16 structured texts — first seen
+# (BenchmarkCompile/miss) and seen before (hit) — and the full reducer's
+# join-tree build on augmented-ladder-40. The routing
 # suite is the matrix of every server route × the cyclic shapes and the
 # selective acyclic ones with the router's regret against each row's best
 # (regret, regret-max, regret-total), plus the admission AGM bound on
@@ -64,8 +67,8 @@ bench-json:
 		-bench '^BenchmarkEngine|^BenchmarkHarness|^BenchmarkServerAnswerFrame' -benchmem \
 		| go run ./cmd/benchjson > BENCH_engine.json
 	@cat BENCH_engine.json
-	go test ./internal/pgplanner ./internal/treedec -run '^$$' \
-		-bench '^BenchmarkPlanner|^BenchmarkOrder' -benchmem \
+	go test ./internal/pgplanner ./internal/treedec ./internal/server ./internal/engine -run '^$$' \
+		-bench '^BenchmarkPlanner|^BenchmarkOrder|^BenchmarkCompile|^BenchmarkJoinTreeBuild' -benchmem \
 		| go run ./cmd/benchjson > BENCH_planner.json
 	@cat BENCH_planner.json
 	go test . -run '^$$' -bench '^BenchmarkYannakakis' -benchmem -benchtime 3x \

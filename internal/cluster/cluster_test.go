@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -634,27 +635,30 @@ func TestLocalFallbackRescuesWhenFleetIsGone(t *testing.T) {
 	}()
 
 	text := colorQueryText(t, graph.AugmentedPath(4))
-	resp, err := co.Do(context.Background(), &server.Request{Op: "query", Query: text})
-	if err != nil {
-		t.Fatal(err)
+	// The second rescue runs from the parse the first one left in the memo.
+	for _, arrival := range []string{"first", "second"} {
+		resp, err := co.Do(context.Background(), &server.Request{Op: "query", Query: text})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != server.StatusDegraded {
+			t.Fatalf("%s: status = %s (%s), want degraded (rescued locally)", arrival, resp.Status, resp.Error)
+		}
+		if resp.Worker != "local" {
+			t.Errorf("%s: Worker = %q, want local", arrival, resp.Worker)
+		}
+		if resp.Answer == nil || !resp.Answer.Nonempty {
+			t.Fatalf("%s: rescued answer = %+v, want the nonempty 3-coloring", arrival, resp.Answer)
+		}
+		if resp.Stats == nil || len(resp.Stats.Attempts) < 2 {
+			t.Fatalf("%s: Stats.Attempts = %+v, want the failed fleet attempt leading a local rung", arrival, resp.Stats)
+		}
+		if a := resp.Stats.Attempts[0]; a.Method != "fleet" || a.Err == "" {
+			t.Errorf("%s: Attempts[0] = %+v, want the failed fleet rung with its error", arrival, a)
+		}
 	}
-	if resp.Status != server.StatusDegraded {
-		t.Fatalf("status = %s (%s), want degraded (rescued locally)", resp.Status, resp.Error)
-	}
-	if resp.Worker != "local" {
-		t.Errorf("Worker = %q, want local", resp.Worker)
-	}
-	if resp.Answer == nil || !resp.Answer.Nonempty {
-		t.Fatalf("rescued answer = %+v, want the nonempty 3-coloring", resp.Answer)
-	}
-	if resp.Stats == nil || len(resp.Stats.Attempts) < 2 {
-		t.Fatalf("Stats.Attempts = %+v, want the failed fleet attempt leading a local rung", resp.Stats)
-	}
-	if a := resp.Stats.Attempts[0]; a.Method != "fleet" || a.Err == "" {
-		t.Errorf("Attempts[0] = %+v, want the failed fleet rung with its error", a)
-	}
-	if h := co.health(); h.Rescued != 1 {
-		t.Errorf("health.Rescued = %d, want 1", h.Rescued)
+	if h := co.health(); h.Rescued != 2 || h.CompiledHits != 1 || h.CompiledMisses != 1 {
+		t.Errorf("health %+v, want 2 rescued, the second a compiled hit", h)
 	}
 }
 
@@ -715,7 +719,8 @@ func TestAffinityHeaderStampsForwards(t *testing.T) {
 	}
 	f.addr = f.srv.Addr().String()
 	go f.srv.Serve()
-	co, _ := newTestCoordinator(t, Config{RequestTimeout: 2 * time.Second}, f)
+	var log bytes.Buffer
+	co, _ := newTestCoordinator(t, Config{RequestTimeout: 2 * time.Second, Log: &log}, f)
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -724,7 +729,9 @@ func TestAffinityHeaderStampsForwards(t *testing.T) {
 
 	text := colorQueryText(t, graph.Cycle(5))
 	for i := 0; i < 3; i++ {
-		if _, err := co.Do(context.Background(), &server.Request{Op: "query", Query: text}); err != nil {
+		// The timeout is not part of what the coordinator compiles.
+		req := &server.Request{Op: "query", Query: text, Timeout: fmt.Sprintf("%dms", 900+i)}
+		if _, err := co.Do(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -739,6 +746,60 @@ func TestAffinityHeaderStampsForwards(t *testing.T) {
 		}
 		if a != seen.affinities[0] {
 			t.Fatalf("affinity changed between repeats: %v", seen.affinities)
+		}
+	}
+
+	// The log says which forwards were compiled and which looked up, and
+	// carries the same id either way; health counts them.
+	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("%d log lines, want 3: %s", len(lines), log.String())
+	}
+	for i, line := range lines {
+		var entry map[string]any
+		if err := json.Unmarshal([]byte(line), &entry); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		want := "hit"
+		if i == 0 {
+			want = "miss"
+		}
+		if entry["compiled"] != want || entry["fp"] != seen.affinities[0] {
+			t.Errorf("log line %d: compiled=%v fp=%v, want %s and %s", i, entry["compiled"], entry["fp"], want, seen.affinities[0])
+		}
+	}
+	if h := co.health(); h.CompiledHits != 2 || h.CompiledMisses != 1 || h.CompiledEntries != 1 {
+		t.Errorf("health %+v, want 2 compiled hits, 1 miss, 1 entry", h)
+	}
+
+	// The 16 structured texts of the end-to-end benchmark keep the affinity
+	// ids — and so the shards — the coordinator gave them when it planned
+	// every request: these are the values of the commit before the memo.
+	golden := map[string]string{
+		"augpath-5": "c42899ff7fbe9576", "augpath-10": "dfb7a11d130527d7", "augpath-20": "43e47458a578ac2f", "augpath-40": "7276900dcae64e33",
+		"ladder-5": "585e625bbb2ada08", "ladder-10": "10138ba9609eb0ad", "ladder-20": "1e073fe1ed9541c1", "ladder-40": "d62ba5ab02368755",
+		"augladder-5": "3015a9ce68ec925e", "augladder-10": "b819db872f8f4f99", "augladder-20": "30d3dc85430dc0ee", "augladder-40": "b6f3cf9179807457",
+		"augcircladder-5": "d49c9cc0ae10618e", "augcircladder-10": "882f7089f636ea55", "augcircladder-20": "1dfa143f031e0ec8", "augcircladder-40": "06bd79cd29fdb2e7",
+	}
+	for _, fam := range []struct {
+		name string
+		gen  func(int) *graph.Graph
+	}{
+		{"augpath", graph.AugmentedPath}, {"ladder", graph.Ladder},
+		{"augladder", graph.AugmentedLadder}, {"augcircladder", graph.AugmentedCircularLadder},
+	} {
+		for _, order := range []int{5, 10, 20, 40} {
+			name := fmt.Sprintf("%s-%d", fam.name, order)
+			req := &server.Request{Op: "query", Query: colorQueryText(t, fam.gen(order))}
+			for _, arrival := range []string{"first", "second"} {
+				r, _, err := co.compile(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.fp != golden[name] {
+					t.Errorf("%s, %s arrival: affinity id %s, want %s", name, arrival, r.fp, golden[name])
+				}
+			}
 		}
 	}
 }

@@ -1,0 +1,67 @@
+package cluster
+
+import (
+	"fmt"
+	"hash/fnv"
+	"io"
+	"strings"
+
+	"projpush/internal/core"
+	"projpush/internal/cq"
+	"projpush/internal/cqparse"
+	"projpush/internal/memo"
+	"projpush/internal/server"
+)
+
+// routesBudget bounds the bytes the routes memo accounts: a constant, like
+// the server's compiledBudget and for the same reasons.
+const routesBudget = 8 << 20
+
+// routed is what the coordinator needs of a request's text: the parsed
+// query and the database it sees, for a local rescue, and the affinity id.
+// It is read-only once compile returns it.
+type routed struct {
+	q  *cq.Query
+	db cq.Database
+	fp string
+}
+
+// compile parses a request's text and computes its affinity id — or, for a
+// text and named method seen before, looks them up: the key is those two
+// strings, so a retry with another timeout hits. A text with rel blocks is
+// compiled every time; its database is its own.
+func (c *Coordinator) compile(req *server.Request) (r *routed, hit bool, err error) {
+	key := memo.Key{Method: req.Method, Text: req.Query}
+	if r, ok := c.routes.Get(key); ok {
+		return r, true, nil
+	}
+	file, err := cqparse.ParseWith(strings.NewReader(req.Query), c.cfg.DB)
+	if err != nil {
+		return nil, false, err
+	}
+	r = &routed{q: file.Query, db: file.DB, fp: c.affinity(req, file.Query)}
+	if file.Rels == 0 {
+		c.routes.Put(key, r, 512+160*int64(len(file.Query.Atoms))) // ≈ the parsed query's footprint
+	}
+	return r, false, nil
+}
+
+// affinity computes the routing key: the renaming-invariant fingerprint
+// of the plan a worker would build, so every query in the same family
+// hashes to the worker holding that family's cached subplans. Requests
+// whose plan cannot be built fall back to hashing the raw text — they
+// still route deterministically, and the worker produces the typed error.
+func (c *Coordinator) affinity(req *server.Request, q *cq.Query) string {
+	method := c.cfg.Method
+	if req.Method != "" {
+		method = core.Method(req.Method)
+	}
+	if p, err := core.BuildPlan(method, q, nil); err == nil {
+		return server.FingerprintID(p)
+	}
+	h := fnv.New64a()
+	io.WriteString(h, string(method))
+	io.WriteString(h, "\x00")
+	io.WriteString(h, req.Query)
+	return fmt.Sprintf("%016x", h.Sum64())
+}

@@ -22,19 +22,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"projpush/internal/core"
 	"projpush/internal/cq"
-	"projpush/internal/cqparse"
 	"projpush/internal/engine"
+	"projpush/internal/memo"
 	"projpush/internal/resilience"
 	"projpush/internal/server"
 	"projpush/internal/server/client"
@@ -153,6 +151,10 @@ type Coordinator struct {
 	stopOnce sync.Once
 	healthWG sync.WaitGroup
 
+	// routes is the front end's memo: a request's text and named method to
+	// its parse and affinity id.
+	routes *memo.Memo[*routed]
+
 	// health counters (coordinator-side outcomes)
 	served, degraded, shed, overWidth, failed    atomic.Int64
 	failovers, hedges, rescued, unavailableCount atomic.Int64
@@ -175,6 +177,7 @@ func New(cfg Config) *Coordinator {
 		ring:    newRing(cfg.Vnodes),
 		workers: make(map[string]*worker),
 		stop:    make(chan struct{}),
+		routes:  memo.New[*routed](routesBudget),
 	}
 	c.srv = server.New(server.Config{
 		RequestTimeout: cfg.RequestTimeout,
@@ -258,12 +261,7 @@ func (c *Coordinator) WorkerStates() map[string]string {
 // nil: every outcome, including "no healthy worker", is a typed
 // response.
 func (c *Coordinator) Do(ctx context.Context, req *server.Request) (*server.Response, error) {
-	switch req.Op {
-	case "query", "explain":
-		return c.coordinate(ctx, req), nil
-	default:
-		return c.handle(ctx, req, "inproc"), nil
-	}
+	return c.handle(ctx, req, "inproc"), nil
 }
 
 // handle is the server.Config.Handler: the coordinator's op dispatch.
@@ -299,7 +297,9 @@ func (c *Coordinator) handle(ctx context.Context, req *server.Request, remote st
 
 // health aggregates the fleet view with the coordinator's own counters.
 func (c *Coordinator) health() *server.Health {
+	m := c.routes.Stats()
 	return &server.Health{
+		CompiledHits: m.Hits, CompiledMisses: m.Misses, CompiledEntries: m.Entries,
 		Ready:       !c.srv.Draining(),
 		InFlight:    c.srv.InFlightRequests(),
 		Served:      c.served.Load(),
@@ -319,18 +319,23 @@ func (c *Coordinator) health() *server.Health {
 // hedging, and — if everything remote fails — the local rescue ladder.
 func (c *Coordinator) coordinate(ctx context.Context, req *server.Request) *server.Response {
 	start := time.Now()
-	logEntry := map[string]any{"op": req.Op}
+	var logEntry map[string]any // stays nil, and unbuilt, without a log
+	if c.cfg.Log != nil {
+		logEntry = map[string]any{"op": req.Op}
+	}
 	resp := c.coordinateInner(ctx, req, logEntry)
-	logEntry["status"] = string(resp.Status)
-	logEntry["worker"] = resp.Worker
-	if resp.Failovers > 0 {
-		logEntry["failovers"] = resp.Failovers
+	if logEntry != nil {
+		logEntry["status"] = string(resp.Status)
+		logEntry["worker"] = resp.Worker
+		if resp.Failovers > 0 {
+			logEntry["failovers"] = resp.Failovers
+		}
+		if resp.Hedged {
+			logEntry["hedged"] = true
+		}
+		logEntry["elapsed_us"] = time.Since(start).Microseconds()
+		c.logLine(logEntry)
 	}
-	if resp.Hedged {
-		logEntry["hedged"] = true
-	}
-	logEntry["elapsed_us"] = time.Since(start).Microseconds()
-	c.logLine(logEntry)
 	switch resp.Status {
 	case server.StatusOK:
 		c.served.Add(1)
@@ -357,9 +362,12 @@ func (c *Coordinator) coordinateInner(ctx context.Context, req *server.Request, 
 	// Parse locally: a malformed query fails fast at the front instead of
 	// burning a forward, and the parse yields the query the affinity
 	// fingerprint and any local rescue need.
-	file, err := cqparse.ParseWith(strings.NewReader(req.Query), c.cfg.DB)
+	r, hit, err := c.compile(req)
 	if err != nil {
 		return &server.Response{Status: server.StatusParseError, Error: err.Error()}
+	}
+	if logEntry != nil {
+		logEntry["fp"], logEntry["compiled"] = r.fp, memo.Outcome(hit)
 	}
 
 	timeout := c.cfg.RequestTimeout
@@ -371,8 +379,7 @@ func (c *Coordinator) coordinateInner(ctx context.Context, req *server.Request, 
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	fp := c.affinity(req, file.Query)
-	logEntry["fp"] = fp
+	fp := r.fp
 	fwd := *req
 	fwd.Affinity = fp
 
@@ -404,33 +411,13 @@ func (c *Coordinator) coordinateInner(ctx context.Context, req *server.Request, 
 	}
 	// Every replica for this shard is gone. Rescue locally if armed.
 	if c.cfg.LocalFallback && req.Op == "query" {
-		return c.rescue(ctx, file.Query, file.DB, ferr, failovers)
+		return c.rescue(ctx, r.q, r.db, ferr, failovers)
 	}
 	return &server.Response{
 		Status:    server.StatusUnavailable,
 		Error:     fmt.Sprintf("no healthy worker for shard %s: %v", fp, ferr),
 		Failovers: failovers,
 	}
-}
-
-// affinity computes the routing key: the renaming-invariant fingerprint
-// of the plan a worker would build, so every query in the same family
-// hashes to the worker holding that family's cached subplans. Requests
-// whose plan cannot be built fall back to hashing the raw text — they
-// still route deterministically, and the worker produces the typed error.
-func (c *Coordinator) affinity(req *server.Request, q *cq.Query) string {
-	method := c.cfg.Method
-	if req.Method != "" {
-		method = core.Method(req.Method)
-	}
-	if p, err := core.BuildPlan(method, q, nil); err == nil {
-		return server.FingerprintID(p)
-	}
-	h := fnv.New64a()
-	io.WriteString(h, string(method))
-	io.WriteString(h, "\x00")
-	io.WriteString(h, req.Query)
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // candidates returns the shard's failover sequence: every eligible

@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,4 +139,86 @@ func TestFleetDifferentialAgainstOracle(t *testing.T) {
 		}
 	}
 	t.Logf("affinity shards: %v", shard)
+}
+
+// TestFleetSharedCompileUnderWorkerLoss fires 8 clients × the same texts at
+// a fresh 4-worker fleet, so that coordinator and workers each compile a
+// text once and share it across goroutines, aborts a worker mid-run (its
+// shard fails over to the next replica, which compiles the text then), and
+// finally aborts the rest: the coordinator rescues every text locally from
+// the parse its memo holds. Every answer equals the oracle's throughout.
+// Under -race it is the fleet half of the proof that compiled values are
+// read-only.
+func TestFleetSharedCompileUnderWorkerLoss(t *testing.T) {
+	db := instance.ColorDatabase(3)
+	cases := buildFleetCases(t, db)
+	const workers = 4
+	fl, err := StartFleet("127.0.0.1:0", FleetConfig{
+		Workers: workers,
+		Worker:  server.Config{DB: db, MaxConcurrent: 8, RequestTimeout: 5 * time.Second},
+		Coordinator: Config{
+			RequestTimeout: 5 * time.Second,
+			LocalFallback:  true,
+			HealthInterval: 20 * time.Millisecond,
+		},
+		ChaosInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+
+	check := func(who string, cse fleetCase, resp *server.Response, err error) {
+		if err != nil {
+			t.Errorf("%s %s: %v", who, cse.name, err)
+			return
+		}
+		if resp.Status != server.StatusOK && resp.Status != server.StatusDegraded {
+			t.Errorf("%s %s: status %s (%s)", who, cse.name, resp.Status, resp.Error)
+			return
+		}
+		if resp.Answer == nil || !sameTuples(resp.Answer.Tuples, cse.tuples) {
+			t.Errorf("%s %s: answer differs from the oracle (status %s, worker %s)", who, cse.name, resp.Status, resp.Worker)
+		}
+	}
+	const clients, rounds = 8, 6
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := client.New(client.Options{Addr: fl.Addr(), AttemptTimeout: 5 * time.Second})
+			for round := 0; round < rounds; round++ {
+				if g == 0 && round == rounds/2 {
+					fl.Kill(0)
+				}
+				for i := range cases {
+					cse := cases[(i+g)%len(cases)]
+					resp, err := c.Query(context.Background(), cse.text, "")
+					check(fmt.Sprintf("client %d round %d", g, round), cse, resp, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	for i := 1; i < workers; i++ {
+		fl.Kill(i)
+	}
+	c := client.New(client.Options{Addr: fl.Addr(), AttemptTimeout: 5 * time.Second})
+	for _, cse := range cases {
+		resp, err := c.Query(context.Background(), cse.text, "")
+		check("fleet gone", cse, resp, err)
+		if err == nil && (resp.Status != server.StatusDegraded || resp.Worker != "local") {
+			t.Errorf("fleet gone %s: status %s from %q, want a local rescue", cse.name, resp.Status, resp.Worker)
+		}
+	}
+	h := fl.Coordinator().health()
+	if want := int64(clients * rounds * len(cases)); h.CompiledEntries != len(cases) || h.CompiledHits < want-int64(clients*len(cases)) {
+		t.Errorf("coordinator health %+v: want %d compiled texts and all but the racing first arrivals of %d requests hits",
+			h, len(cases), want)
+	}
+	if h.Rescued != int64(len(cases)) {
+		t.Errorf("coordinator rescued %d, want %d", h.Rescued, len(cases))
+	}
 }

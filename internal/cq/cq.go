@@ -76,7 +76,7 @@ type Database map[string]*relation.Relation
 // Vars returns all variables of the query in order of first occurrence
 // (atoms first, then any free variables that appear in no atom).
 func (q *Query) Vars() []Var {
-	seen := make(map[Var]bool)
+	seen := make(map[Var]bool, len(q.Atoms)) // a connected query has about a variable per atom
 	var out []Var
 	add := func(v Var) {
 		if !seen[v] {
@@ -164,7 +164,6 @@ func (q *Query) Validate(db Database) error {
 	if len(q.Atoms) == 0 {
 		return fmt.Errorf("cq: query has no atoms")
 	}
-	occ := q.Occurrences()
 	for i, a := range q.Atoms {
 		rel, ok := db[a.Rel]
 		if !ok {
@@ -183,11 +182,23 @@ func (q *Query) Validate(db Database) error {
 		}
 	}
 	for _, v := range q.Free {
-		if len(occ[v]) == 0 {
+		if !q.occurs(v) {
 			return fmt.Errorf("cq: free variable x%d occurs in no atom", v)
 		}
 	}
 	return nil
+}
+
+// occurs reports whether v is an argument of some atom.
+func (q *Query) occurs(v Var) bool {
+	for _, a := range q.Atoms {
+		for _, w := range a.Args {
+			if w == v {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Clone returns a deep copy of the query.

@@ -36,6 +36,9 @@ type File struct {
 	DB       cq.Database
 	Query    *cq.Query
 	VarNames map[string]cq.Var
+	// Rels counts the input's own rel blocks: zero means DB is the base
+	// database passed to ParseWith and nothing else.
+	Rels int
 }
 
 // Parse reads the whole format from r.
@@ -52,12 +55,11 @@ func Parse(r io.Reader) (*File, error) {
 func ParseWith(r io.Reader, base cq.Database) (*File, error) {
 	p := &parser{
 		sc: bufio.NewScanner(r),
-		f: &File{
-			DB:       make(cq.Database),
-			VarNames: make(map[string]cq.Var),
-		},
+		f:  &File{DB: make(cq.Database)},
 	}
-	p.sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// A request is a ~1 KB query clause: grow from the scanner's default
+	// buffer, up to a database file's 16 MiB line.
+	p.sc.Buffer(nil, 16*1024*1024)
 	for p.next() {
 		line := strings.TrimSpace(p.line)
 		switch {
@@ -128,6 +130,7 @@ func (p *parser) relBlock(header string) error {
 				return fmt.Errorf("cqparse: line %d: relation %q has no tuples (arity unknown)", p.lineNo, name)
 			}
 			p.f.DB[name] = rel
+			p.f.Rels++
 			return nil
 		}
 		vals := strings.Fields(line)
@@ -174,12 +177,15 @@ func (p *parser) queryClause(first string) error {
 	if len(headBody) != 2 {
 		return fmt.Errorf("cqparse: query clause needs ':-'")
 	}
-	head, err := p.atom(strings.TrimSpace(headBody[0]))
+	head, err := p.atom(strings.TrimSpace(headBody[0]), nil)
 	if err != nil {
 		return err
 	}
 
-	q := &cq.Query{}
+	parts := splitAtoms(strings.TrimSpace(headBody[1]))
+	// A connected query has about a variable per atom.
+	p.f.VarNames = make(map[string]cq.Var, len(head.args)+len(parts))
+	q := &cq.Query{Atoms: make([]cq.Atom, 0, len(parts))}
 	varOf := func(name string) (cq.Var, error) {
 		if name == "" {
 			return 0, fmt.Errorf("cqparse: empty variable name")
@@ -199,12 +205,16 @@ func (p *parser) queryClause(first string) error {
 		q.Free = append(q.Free, v)
 	}
 
-	for _, part := range splitAtoms(strings.TrimSpace(headBody[1])) {
-		a, err := p.atom(part)
+	var names []string // one atom's argument names, reused
+	for _, part := range parts {
+		a, err := p.atom(part, names[:0])
 		if err != nil {
 			return err
 		}
 		atom := cq.Atom{Rel: a.name}
+		if len(a.args) > 0 {
+			atom.Args = make([]cq.Var, 0, len(a.args))
+		}
 		for _, arg := range a.args {
 			v, err := varOf(arg)
 			if err != nil {
@@ -213,6 +223,7 @@ func (p *parser) queryClause(first string) error {
 			atom.Args = append(atom.Args, v)
 		}
 		q.Atoms = append(q.Atoms, atom)
+		names = a.args
 	}
 	if len(q.Atoms) == 0 {
 		return fmt.Errorf("cqparse: query has no body atoms")
@@ -226,8 +237,8 @@ type rawAtom struct {
 	args []string
 }
 
-// atom parses "name(a, b, c)" or "name()".
-func (p *parser) atom(s string) (rawAtom, error) {
+// atom parses "name(a, b, c)" or "name()", appending the arguments to args.
+func (p *parser) atom(s string, args []string) (rawAtom, error) {
 	open := strings.IndexByte(s, '(')
 	if open < 0 || !strings.HasSuffix(s, ")") {
 		return rawAtom{}, fmt.Errorf("cqparse: line %d: malformed atom %q", p.lineNo, s)
@@ -237,13 +248,10 @@ func (p *parser) atom(s string) (rawAtom, error) {
 		return rawAtom{}, fmt.Errorf("cqparse: line %d: atom with empty name", p.lineNo)
 	}
 	inner := strings.TrimSpace(s[open+1 : len(s)-1])
-	if inner == "" {
-		return rawAtom{name: name}, nil
-	}
-	var args []string
-	for _, a := range strings.Split(inner, ",") {
-		a = strings.TrimSpace(a)
-		if a == "" {
+	for more := inner != ""; more; {
+		var a string
+		a, inner, more = strings.Cut(inner, ",")
+		if a = strings.TrimSpace(a); a == "" {
 			return rawAtom{}, fmt.Errorf("cqparse: line %d: empty argument in %q", p.lineNo, s)
 		}
 		args = append(args, a)
@@ -253,7 +261,7 @@ func (p *parser) atom(s string) (rawAtom, error) {
 
 // splitAtoms splits the body on commas that are outside parentheses.
 func splitAtoms(body string) []string {
-	var parts []string
+	parts := make([]string, 0, strings.Count(body, "(")) // an atom each
 	depth, start := 0, 0
 	for i := 0; i < len(body); i++ {
 		switch body[i] {

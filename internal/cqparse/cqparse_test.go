@@ -1,6 +1,7 @@
 package cqparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -196,5 +197,46 @@ func TestWriteRoundTrip(t *testing.T) {
 	}
 	if a.Len() != c.Len() {
 		t.Fatal("round trip changed the answer")
+	}
+}
+
+// chainClause is a one-line query clause over edge of at least size bytes.
+func chainClause(size int) string {
+	var b strings.Builder
+	b.WriteString("query ans(x0) :- edge(x0, x1)")
+	for i := 1; b.Len() < size; i++ {
+		fmt.Fprintf(&b, ", edge(x%d, x%d)", i, i+1)
+	}
+	b.WriteString(".\n")
+	return b.String()
+}
+
+// TestParseRequestAllocation holds a service request's parse to its size:
+// a 1 KB query clause allocates under 16 KB (the scanner buffer starts at
+// the default, not at 64 KiB), and a line past 64 KiB still parses.
+func TestParseRequestAllocation(t *testing.T) {
+	base, err := Parse(strings.NewReader(triangleInput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := chainClause(1024)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ParseWith(strings.NewReader(text), base.DB); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 16<<10 {
+		t.Fatalf("parsing a %d-byte query clause allocates %d B/op, want < 16 KiB", len(text), got)
+	}
+	long := chainClause(100 << 10)
+	f, err := ParseWith(strings.NewReader(long), base.DB)
+	if err != nil {
+		t.Fatalf("a %d-byte line: %v", len(long), err)
+	}
+	if len(f.Query.Atoms) < 5000 {
+		t.Fatalf("a %d-byte line parsed to %d atoms", len(long), len(f.Query.Atoms))
 	}
 }

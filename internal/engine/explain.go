@@ -84,10 +84,15 @@ func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, er
 // evaluated output — followed by the run's reduced-vs-materialized
 // totals.
 func ExplainYannakakis(q *cq.Query, db cq.Database, opt Options, analyze bool) (string, error) {
-	tree, err := BuildJoinTree(q, nil)
-	if err != nil {
+	return NewYannakakis(q).Explain(db, opt, analyze)
+}
+
+// Explain is ExplainYannakakis over the prepared join tree.
+func (y *Yannakakis) Explain(db cq.Database, opt Options, analyze bool) (string, error) {
+	if err := y.Prepare(); err != nil {
 		return "", err
 	}
+	tree := y.tree
 	var root *ybag
 	var st Stats
 	if analyze {

@@ -32,6 +32,11 @@ type Fallback struct {
 	// construction is paid on demand, and its failure skips the rung: the
 	// ladder keeps the previous rung's result and error.
 	Build func() (plan.Node, error)
+	// Prepare, when non-nil, does now the set-up Run and Explain would
+	// otherwise do on first use — what depends on the query alone, like
+	// the full reducer's join tree — so that a caller who keeps the
+	// strategy across runs pays for it once, where it plans.
+	Prepare func() error
 	// Explain renders what Run executes; with analyze set it runs it and
 	// annotates the rendering with what happened. Nil on rungs that are
 	// only ever reached by degradation.

@@ -35,6 +35,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"projpush/internal/cq"
 	"projpush/internal/joingraph"
@@ -287,18 +288,47 @@ func ExecYannakakis(q *cq.Query, db cq.Database, opt Options) (*Result, error) {
 }
 
 // ExecYannakakisContext builds the MCS join tree for q and executes it
-// with the full-reducer sweep. Errors are classified exactly like the
-// plan executors' (ErrTimeout, ErrCanceled, ErrRowLimit, ErrMemLimit,
+// with the full-reducer sweep: NewYannakakis(q).Run, for callers that run
+// a query once.
+func ExecYannakakisContext(ctx context.Context, q *cq.Query, db cq.Database, opt Options) (*Result, error) {
+	return NewYannakakis(q).Run(ctx, db, opt)
+}
+
+// Yannakakis is the full reducer prepared for one query. Its join tree —
+// the part of a run that depends on the query alone — is built once, on
+// first use, and every Run and Explain after that sweeps the same tree:
+// the tree is never written again and each run builds its own bags, so one
+// value serves concurrent requests. A server keeps it per query text; the
+// degradation ladder constructs it for a lead rung it may never reach,
+// which is why construction builds nothing.
+type Yannakakis struct {
+	q    *cq.Query
+	once sync.Once
+	tree *jointree.Tree
+	err  error
+}
+
+// NewYannakakis returns the full reducer for q with its join tree unbuilt.
+func NewYannakakis(q *cq.Query) *Yannakakis { return &Yannakakis{q: q} }
+
+// Prepare builds the join tree now instead of on the first run, so that
+// the caller pays for it where it pays for planning.
+func (y *Yannakakis) Prepare() error {
+	y.once.Do(func() { y.tree, y.err = BuildJoinTree(y.q, nil) })
+	return y.err
+}
+
+// Run executes the full-reducer sweep. Errors are classified exactly like
+// the plan executors' (ErrTimeout, ErrCanceled, ErrRowLimit, ErrMemLimit,
 // ErrInternal); the returned Result is always non-nil and carries the
 // partial stats of a failed run. The subplan cache (opt.Cache) is
 // ignored: reduction mutates its inputs, so there are no immutable
 // subtree results to share.
-func ExecYannakakisContext(ctx context.Context, q *cq.Query, db cq.Database, opt Options) (*Result, error) {
-	tree, err := BuildJoinTree(q, nil)
-	if err != nil {
+func (y *Yannakakis) Run(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
+	if err := y.Prepare(); err != nil {
 		return &Result{}, err
 	}
-	res, _, err := execYannakakis(ctx, tree, db, opt)
+	res, _, err := execYannakakis(ctx, y.tree, db, opt)
 	return res, err
 }
 

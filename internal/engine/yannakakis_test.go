@@ -358,3 +358,22 @@ func TestExplainYannakakis(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkJoinTreeBuild is the full reducer's first-seen cost on
+// augmented-ladder-40, the widest of the end-to-end benchmark's structured
+// texts: MCS order, induced decomposition, Mark-and-Sweep, Algorithm 3 and
+// its validation. A server pays it once per distinct query text.
+func BenchmarkJoinTreeBuild(b *testing.B) {
+	g := graph.AugmentedLadder(40)
+	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.BuildJoinTree(q, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

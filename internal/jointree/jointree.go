@@ -22,7 +22,9 @@ package jointree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"projpush/internal/cq"
 	"projpush/internal/joingraph"
@@ -89,15 +91,26 @@ func (t *Tree) Nodes() []*Node {
 // labels; the root's projected label equals the query's target schema;
 // and the leaf atoms are exactly the query's atoms.
 func (t *Tree) Validate() error {
-	var leafAtoms []cq.Atom
+	var leafAtoms []*cq.Atom
+	// One scratch set serves every node: each node is checked before its
+	// children are entered.
+	set := make(map[cq.Var]bool)
 	var walk func(n *Node) error
 	walk = func(n *Node) error {
+		clear(set)
 		if n.Atom != nil {
 			if len(n.Children) != 0 {
 				return fmt.Errorf("jointree: leaf with children")
 			}
-			leafAtoms = append(leafAtoms, *n.Atom)
-			if !sameVarSet(n.Working, n.Atom.Args) {
+			leafAtoms = append(leafAtoms, n.Atom)
+			for _, v := range n.Working {
+				set[v] = true
+			}
+			same := len(n.Working) == len(n.Atom.Args)
+			for _, v := range n.Atom.Args {
+				same = same && set[v]
+			}
+			if !same {
 				return fmt.Errorf("jointree: leaf working label %v != atom vars %v",
 					n.Working, n.Atom.Args)
 			}
@@ -105,29 +118,23 @@ func (t *Tree) Validate() error {
 			if len(n.Children) == 0 {
 				return fmt.Errorf("jointree: interior node with no children")
 			}
-			union := make(map[cq.Var]bool)
 			for _, c := range n.Children {
 				for _, v := range c.Projected {
-					union[v] = true
+					set[v] = true
 				}
 			}
-			if len(union) != len(n.Working) {
+			same := len(set) == len(n.Working)
+			for _, v := range n.Working {
+				same = same && set[v]
+			}
+			if !same {
 				return fmt.Errorf("jointree: working label %v is not the union of children projections",
 					n.Working)
 			}
-			for _, v := range n.Working {
-				if !union[v] {
-					return fmt.Errorf("jointree: working label %v is not the union of children projections",
-						n.Working)
-				}
-			}
 		}
-		w := make(map[cq.Var]bool, len(n.Working))
-		for _, v := range n.Working {
-			w[v] = true
-		}
+		// Either way set now holds exactly the working label.
 		for _, v := range n.Projected {
-			if !w[v] {
+			if !set[v] {
 				return fmt.Errorf("jointree: projected label %v ⊄ working label %v",
 					n.Projected, n.Working)
 			}
@@ -146,20 +153,30 @@ func (t *Tree) Validate() error {
 		return fmt.Errorf("jointree: root projected label %v != target schema %v",
 			t.Root.Projected, t.Query.Free)
 	}
-	// Leaf atoms = query atoms as multisets.
-	want := make(map[string]int)
-	for _, a := range t.Query.Atoms {
-		want[a.String()]++
+	// Leaf atoms = query atoms as multisets: sorted, they pair up.
+	want := make([]*cq.Atom, len(t.Query.Atoms))
+	for i := range t.Query.Atoms {
+		want[i] = &t.Query.Atoms[i]
 	}
-	for _, a := range leafAtoms {
-		want[a.String()]--
-	}
-	for k, c := range want {
-		if c != 0 {
-			return fmt.Errorf("jointree: leaf atoms disagree with query at %s", k)
+	slices.SortFunc(want, compareAtoms)
+	slices.SortFunc(leafAtoms, compareAtoms)
+	for i, a := range want {
+		if i >= len(leafAtoms) || compareAtoms(a, leafAtoms[i]) != 0 {
+			return fmt.Errorf("jointree: leaf atoms disagree with query at %s", a)
 		}
 	}
+	if len(leafAtoms) > len(want) {
+		return fmt.Errorf("jointree: leaf atoms disagree with query at %s", leafAtoms[len(want)])
+	}
 	return nil
+}
+
+// compareAtoms orders atoms by relation name, then arguments.
+func compareAtoms(a, b *cq.Atom) int {
+	if c := strings.Compare(a.Rel, b.Rel); c != 0 {
+		return c
+	}
+	return slices.Compare(a.Args, b.Args)
 }
 
 func sameVarSet(a, b []cq.Var) bool {
@@ -185,11 +202,18 @@ func sameVarSet(a, b []cq.Var) bool {
 // projected labels. The resulting tree has width at most dec.Width() + 1.
 func FromDecomposition(q *cq.Query, jg *joingraph.JoinGraph, dec *treedec.Decomposition) (*Tree, error) {
 	// Relations for the sweep: each atom's vertex set, then R_T.
+	size := len(q.Free)
+	for _, a := range q.Atoms {
+		size += len(a.Args)
+	}
+	flat := make([]int, 0, size) // every relation's vertices, back to back
 	rels := make([][]int, 0, len(q.Atoms)+1)
 	for _, a := range q.Atoms {
-		rels = append(rels, sortedVertices(jg, a.Args))
+		lo := len(flat)
+		flat = sortedVertices(flat, jg, a.Args)
+		rels = append(rels, flat[lo:len(flat):len(flat)])
 	}
-	rels = append(rels, sortedVertices(jg, q.Free))
+	rels = append(rels, sortedVertices(flat, jg, q.Free)[len(flat):])
 
 	s, err := treedec.MarkAndSweep(dec, rels)
 	if err != nil {
@@ -199,17 +223,18 @@ func FromDecomposition(q *cq.Query, jg *joingraph.JoinGraph, dec *treedec.Decomp
 	rootIdx := s.RelNode[len(rels)-1]
 
 	// Build the interior skeleton.
+	slab := make([]Node, d.NumNodes()+len(q.Atoms)) // interior nodes, then leaves
 	nodes := make([]*Node, d.NumNodes())
 	for i := range nodes {
-		nodes[i] = &Node{}
+		nodes[i] = &slab[i]
 	}
 	parent := make([]int, d.NumNodes())
 	for i := range parent {
 		parent[i] = -2
 	}
-	var order []int // pre-order
+	order := make([]int, 0, d.NumNodes()) // pre-order
 	parent[rootIdx] = -1
-	stack := []int{rootIdx}
+	stack := append(make([]int, 0, d.NumNodes()), rootIdx)
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -225,43 +250,40 @@ func FromDecomposition(q *cq.Query, jg *joingraph.JoinGraph, dec *treedec.Decomp
 
 	// Attach atom leaves to their host nodes.
 	for j, a := range q.Atoms {
-		leaf := &Node{
-			Atom:      &q.Atoms[j],
-			Working:   append([]cq.Var(nil), a.Args...),
-			Projected: append([]cq.Var(nil), a.Args...),
-		}
+		leaf := &slab[d.NumNodes()+j]
+		args := append([]cq.Var(nil), a.Args...) // a leaf passes up all it reads
+		*leaf = Node{Atom: &q.Atoms[j], Working: args, Projected: args}
 		host := nodes[s.RelNode[j]]
 		host.Children = append(host.Children, leaf)
 	}
 
 	// Compute labels bottom-up over the interior nodes (reverse
 	// pre-order visits children before parents).
-	bagVars := func(i int) map[cq.Var]bool {
-		m := make(map[cq.Var]bool, len(d.Bags[i]))
-		for _, v := range d.Bags[i] {
-			m[jg.Vars[v]] = true
-		}
-		return m
-	}
 	for k := len(order) - 1; k >= 0; k-- {
 		i := order[k]
 		n := nodes[i]
-		union := make(map[cq.Var]bool)
+		size := 0
 		for _, c := range n.Children {
-			for _, v := range c.Projected {
-				union[v] = true
-			}
+			size += len(c.Projected)
 		}
-		n.Working = varSlice(union)
+		union := make([]cq.Var, 0, size)
+		for _, c := range n.Children {
+			union = append(union, c.Projected...)
+		}
+		slices.Sort(union)
+		n.Working = slices.Compact(union)
 		if parent[i] == -1 {
 			n.Projected = append([]cq.Var(nil), q.Free...)
 			continue
 		}
-		pb := bagVars(parent[i])
+		// What the parent's bag still holds goes up.
+		pb := d.Bags[parent[i]]
 		var proj []cq.Var
 		for _, v := range n.Working {
-			if pb[v] {
-				proj = append(proj, v)
+			if x, ok := jg.Index[v]; ok {
+				if _, held := slices.BinarySearch(pb, x); held {
+					proj = append(proj, v)
+				}
 			}
 		}
 		n.Projected = proj
@@ -283,7 +305,7 @@ func ToDecomposition(t *Tree, jg *joingraph.JoinGraph) *treedec.Decomposition {
 	var build func(n *Node) int
 	build = func(n *Node) int {
 		idx := len(bags)
-		bags = append(bags, sortedVertices(jg, n.Working))
+		bags = append(bags, sortedVertices(nil, jg, n.Working))
 		adj = append(adj, nil)
 		for _, c := range n.Children {
 			ci := build(c)
@@ -327,22 +349,15 @@ func (t *Tree) ToPlan() plan.Node {
 	return root
 }
 
-func sortedVertices(jg *joingraph.JoinGraph, vars []cq.Var) []int {
-	out := make([]int, 0, len(vars))
+// sortedVertices appends the join-graph vertices of vars to dst, in
+// ascending order.
+func sortedVertices(dst []int, jg *joingraph.JoinGraph, vars []cq.Var) []int {
+	lo := len(dst)
 	for _, v := range vars {
 		if i, ok := jg.Index[v]; ok {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	sort.Ints(out)
-	return out
-}
-
-func varSlice(m map[cq.Var]bool) []cq.Var {
-	out := make([]cq.Var, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	sort.Ints(dst[lo:])
+	return dst
 }

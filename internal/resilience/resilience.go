@@ -21,9 +21,12 @@ import (
 //
 // The three execution strategies degrade to the plan ladder (PlanLadder).
 // The Yannakakis full reducer and the leapfrog multiway join work from q
-// and ignore p; the streaming engine lowers whatever plan it is handed and
-// never re-plans — the caller has chosen p (core.StreamPlan for a request
-// that named no method). Every other method is a plan shape: p runs on
+// and ignore p; the full reducer's join tree is built once per strategy —
+// on its first run or explain, or by Prepare for a caller that keeps the
+// strategy across requests — and shared by every run after. The streaming
+// engine lowers whatever plan it is handed and never re-plans — the caller
+// has chosen p (core.StreamPlan for a request that named no method). Every
+// other method is a plan shape: p runs on
 // the plan walker with up to workers goroutines (a plan no method of
 // package core built, like the hybrid optimizer's choice, lands here too)
 // and degrades down the whole DegradationLadder, since a plan that blew a
@@ -33,12 +36,8 @@ func Strategy(m core.Method, q *cq.Query, p plan.Node, workers int) (st engine.F
 	ladder = func(rng *rand.Rand) []engine.Fallback { return PlanLadder(q, rng) }
 	switch m {
 	case core.MethodYannakakis:
-		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
-			return engine.ExecYannakakisContext(ctx, q, db, opt)
-		}
-		st.Explain = func(db cq.Database, opt engine.Options, analyze bool) (string, error) {
-			return engine.ExplainYannakakis(q, db, opt, analyze)
-		}
+		y := engine.NewYannakakis(q) // one join tree for every run and explain
+		st.Prepare, st.Run, st.Explain = y.Prepare, y.Run, y.Explain
 	case core.MethodStream:
 		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
 			return engine.ExecStreamContext(ctx, p, db, opt)

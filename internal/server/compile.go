@@ -1,0 +1,183 @@
+package server
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+
+	"projpush/internal/core"
+	"projpush/internal/cq"
+	"projpush/internal/cqparse"
+	"projpush/internal/engine"
+	"projpush/internal/memo"
+	"projpush/internal/resilience"
+)
+
+// compiledBudget bounds the bytes the compiled-query memo accounts. It is
+// a constant, not part of the -cachemb budget: that cache is off by
+// default and holds relations of any size, while a compiled query is a few
+// KB to a few hundred, and nothing about it is worth tuning.
+const compiledBudget = 16 << 20
+
+// compiled is everything about a request that its query text and named
+// method decide — the front end's whole output. It is built once, by
+// compile, and never written again: requests for the same text share one
+// value, from any number of goroutines, and what they execute per request
+// (bags, relations, stats) they build themselves.
+type compiled struct {
+	// status is empty for a query that may run. Otherwise nothing will:
+	// the text does not parse, names an unknown method or has no plan
+	// (verdict nil), or admission refused it (verdict set).
+	status Status
+	err    string
+
+	// db is the server's database as the text sees it: shared relations,
+	// shadowed by the text's own rel blocks.
+	db      cq.Database
+	verdict *Verdict
+	// method is what runs, reason why and chosen the plan it runs where it
+	// runs one; strategy runs it and ladder is what a resilient run
+	// degrades down, built when one first does.
+	method   core.Method
+	reason   string
+	chosen   core.Candidate
+	strategy engine.Fallback
+	ladder   func() []engine.Fallback
+	// log holds the request log's fields that the text decides (fp,
+	// method, verdict, route); nil on a server without a log.
+	log logFields
+}
+
+// compile is the front end: parse, admission plan, verdict, route, the
+// executed plan and its strategy, for one query text and named method
+// ("" leaves the choice to the server). A text seen before costs one
+// lookup — the key is the two strings and nothing else of the request,
+// so the op, the timeout a coordinator rewrites per attempt and the
+// affinity header all hit. hit reports which it was.
+//
+// What is kept: every outcome that has a verdict, admitted or not. A text
+// that does not parse, or has no plan, is compiled again when it returns;
+// so is a text with rel blocks, whose database is its own.
+func (s *Server) compile(text, named string) (c *compiled, hit bool) {
+	key := memo.Key{Method: named, Text: text}
+	if c, ok := s.compiled.Get(key); ok {
+		return c, true
+	}
+	file, err := cqparse.ParseWith(strings.NewReader(text), s.cfg.DB)
+	if err != nil {
+		return &compiled{status: StatusParseError, err: err.Error()}, false
+	}
+	c = s.build(file.Query, file.DB, named)
+	if c.verdict != nil && file.Rels == 0 {
+		s.compiled.Put(key, c, compiledSize(file.Query))
+	}
+	return c, false
+}
+
+// compiledSize estimates the bytes a compiled query keeps reachable: the
+// parsed atoms, the admission and executed plans, the join tree and the
+// log fields all grow with the atom count. Measured on the Figure 6–9
+// families at orders 5–40 it is 230–610 bytes per atom, most on the full
+// reducer's route; the text itself is accounted by the memo.
+func compiledSize(q *cq.Query) int64 { return 1024 + 640*int64(len(q.Atoms)) }
+
+// build compiles a parsed query: everything compile does after the parse.
+func (s *Server) build(q *cq.Query, db cq.Database, named string) *compiled {
+	c := &compiled{db: db}
+	if s.cfg.Log != nil {
+		c.log = logFields{}
+	}
+	fail := func(msg string) *compiled {
+		c.status, c.err = StatusError, msg
+		return c
+	}
+
+	// Resolve the method and build its plan (static, cheap).
+	method := s.cfg.Method
+	if named != "" {
+		method = core.Method(named)
+	}
+	if !core.Known(method) {
+		return fail(fmt.Sprintf("unknown method %q", method))
+	}
+	p, err := core.BuildPlan(method, q, nil)
+	if err != nil {
+		return fail("plan: " + err.Error())
+	}
+	c.log.set("method", string(method))
+	if c.log != nil {
+		c.log["fp"] = FingerprintID(p)
+	}
+
+	// Width-aware admission: reject before materializing anything. The
+	// worst-case-optimal override applies only when the wcoj executor
+	// would actually run — a methodless request (routed below) or an
+	// explicit wcoj one — since for any other method the plan width, not
+	// the output bound, governs the intermediates.
+	wcojAGM := s.cfg.WCOJAGMLog2
+	if wcojAGM < 0 || (named != "" && method != core.MethodWCOJ) {
+		wcojAGM = 0
+	}
+	// The spill override applies only to methodless requests: routing
+	// below picks an executor that can actually spill, whereas an
+	// explicitly named method may be one (yannakakis, wcoj) that ignores
+	// the spill directory and would die at the budget anyway.
+	spillBytes := int64(-1)
+	if s.cfg.SpillDir != "" && named == "" {
+		spillBytes = s.cfg.MaxSpillBytes
+	}
+	v := assess(q, p, string(method), s.cfg.MaxWidth, s.cfg.MaxAGMLog2, s.cfg.MaxPredictedBytes, wcojAGM, spillBytes, db)
+	c.verdict = v
+	if !v.Admitted {
+		c.log.set("verdict", "over_width")
+		c.log.set("plan_width", v.PlanWidth)
+		c.status = StatusOverWidth
+		c.err = fmt.Sprintf("%v: plan width %d (elimination width %d, AGM log2 %.1f) over thresholds (width %d, AGM log2 %.1f)",
+			engine.ErrOverWidth, v.PlanWidth, v.ElimWidth, v.AGMLog2, v.MaxWidth, v.MaxAGMLog2)
+		return c
+	}
+	c.log.set("verdict", "admitted")
+	if v.AdmittedOnAGM {
+		// The width cap said no and the AGM bound overrode it — the
+		// one admission the log must distinguish from a plain admit.
+		c.log.set("verdict", "admitted_on_agm")
+		c.log.set("agm_log2", v.AGMLog2)
+	}
+	if v.AdmittedOnSpill {
+		// The byte cap said no and the spill budget overrode it.
+		c.log.set("verdict", "admitted_on_spill")
+		c.log.set("predicted_peak_bytes", v.PredictedPeakBytes)
+	}
+
+	// Routing: the executor, and the plan it runs, chosen once.
+	inHand := core.Candidate{Plan: p, Order: core.PlanOrder(method), Width: v.PlanWidth}
+	method, chosen, reason, err := s.route(named != "", q, method, inHand, v)
+	if err != nil {
+		c.verdict = nil // nothing to keep: the query has no executable plan
+		return fail("plan: " + err.Error())
+	}
+	c.method, c.reason, c.chosen = method, reason, chosen
+	v.Method = string(method)
+	c.log.set("method", string(method))
+	c.log.set("route_reason", reason)
+	if v.BagAGMLog2 != nil {
+		// The two quantities the size-only rule compared.
+		c.log.set("agm_log2", v.AGMLog2)
+		c.log.set("bag_agm_log2", *v.BagAGMLog2)
+	}
+	if runsPlan(method) {
+		// The executed plan's width and order answer "why was this slow".
+		c.log.set("plan_width", chosen.Width)
+		c.log.set("order", string(chosen.Order))
+	}
+
+	// The route's strategy, its static set-up done here rather than in the
+	// first run, and the ladder it degrades down.
+	strategy, ladder := resilience.Strategy(method, q, chosen.Plan, s.cfg.Workers)
+	if strategy.Prepare != nil {
+		_ = strategy.Prepare() // a failure is the first run's to report
+	}
+	c.strategy = strategy
+	c.ladder = sync.OnceValue(func() []engine.Fallback { return ladder(nil) })
+	return c
+}

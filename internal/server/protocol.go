@@ -280,6 +280,14 @@ type Health struct {
 	Hedges      int64 `json:"hedges,omitempty"`
 	Rescued     int64 `json:"rescued,omitempty"`
 	Unavailable int64 `json:"unavailable,omitempty"`
+	// CompiledHits and CompiledMisses count query and explain requests
+	// whose text (with its named method) had and had not been compiled by
+	// this process before — on a server the parse, plan, verdict and
+	// route, on a coordinator the parse and affinity id — and
+	// CompiledEntries is how many compiled texts are held now.
+	CompiledHits    int64 `json:"compiled_hits,omitempty"`
+	CompiledMisses  int64 `json:"compiled_misses,omitempty"`
+	CompiledEntries int   `json:"compiled_entries,omitempty"`
 }
 
 // Response is one server message.

@@ -141,22 +141,15 @@ func routePool(t testing.TB) ([]routeCase, cq.Database) {
 	return shapePool(t, 3, 300, 40, true)
 }
 
-// routed runs a methodless request's admission and routing, as
-// handleQuery does, and returns what would execute.
+// routed compiles a methodless request for an already parsed query, as
+// compile does after the parse, and returns what would execute.
 func routed(t testing.TB, s *Server, q *cq.Query, db cq.Database) (core.Method, core.Candidate, *Verdict) {
 	t.Helper()
-	method := s.cfg.Method
-	p, err := core.BuildPlan(method, q, nil)
-	if err != nil {
-		t.Fatal(err)
+	c := s.build(q, db, "")
+	if c.status != "" {
+		t.Fatalf("compile: %s: %s", c.status, c.err)
 	}
-	v := assess(q, p, string(method), s.cfg.MaxWidth, s.cfg.MaxAGMLog2, s.cfg.MaxPredictedBytes, s.cfg.WCOJAGMLog2, -1, db)
-	inHand := core.Candidate{Plan: p, Order: core.PlanOrder(method), Width: v.PlanWidth}
-	method, chosen, _, err := s.route(&Request{Op: "query"}, q, method, inHand, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return method, chosen, v
+	return c.method, c.chosen, c.verdict
 }
 
 // noGain reports whether a verdict is one the size-only tier claims: the
@@ -192,7 +185,7 @@ func TestNoGainTierTable(t *testing.T) {
 			}
 			v := assess(c.q, p, string(s.cfg.Method), 0, 0, 0, s.cfg.WCOJAGMLog2, -1, db)
 			inHand := core.Candidate{Plan: p, Order: core.PlanOrder(s.cfg.Method), Width: v.PlanWidth}
-			method, chosen, reason, err := s.route(&Request{Op: "query"}, c.q, s.cfg.Method, inHand, v)
+			method, chosen, reason, err := s.route(false, c.q, s.cfg.Method, inHand, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +201,7 @@ func TestNoGainTierTable(t *testing.T) {
 			// withheld.
 			below := *v
 			below.BagAGMLog2 = nil
-			wantMethod, wantChosen, wantReason, err := s.route(&Request{Op: "query"}, c.q, s.cfg.Method, inHand, &below)
+			wantMethod, wantChosen, wantReason, err := s.route(false, c.q, s.cfg.Method, inHand, &below)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +226,7 @@ func TestNoGainTierTable(t *testing.T) {
 	}
 	// A request that names a method is not routed.
 	s := New(Config{DB: db})
-	if m, _, reason, _ := s.route(&Request{Method: "stream"}, pool[0].q, core.MethodStream, core.Candidate{}, &Verdict{}); m != core.MethodStream || reason != "named" {
+	if m, _, reason, _ := s.route(true, pool[0].q, core.MethodStream, core.Candidate{}, &Verdict{}); m != core.MethodStream || reason != "named" {
 		t.Errorf("named stream request routed to %s (%s)", m, reason)
 	}
 }

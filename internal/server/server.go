@@ -9,18 +9,16 @@ import (
 	"hash/fnv"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"projpush/internal/core"
 	"projpush/internal/cq"
-	"projpush/internal/cqparse"
 	"projpush/internal/engine"
 	"projpush/internal/faultinject"
+	"projpush/internal/memo"
 	"projpush/internal/plan"
-	"projpush/internal/resilience"
 )
 
 // Config configures a Server. The zero value of every bound means
@@ -200,6 +198,10 @@ type Server struct {
 	wg       sync.WaitGroup // connection handlers
 	inFlight atomic.Int64   // requests currently being handled
 
+	// compiled is the front end's memo: query text and named method to
+	// everything compile derives from them.
+	compiled *memo.Memo[*compiled]
+
 	// counters for the health endpoint
 	served, degraded, shed, overWidth, failed atomic.Int64
 
@@ -214,6 +216,7 @@ func New(cfg Config) *Server {
 		lim:      newLimiter(cfg.MaxConcurrent, cfg.MaxQueue),
 		conns:    make(map[net.Conn]struct{}),
 		breakers: make(map[string]*breaker),
+		compiled: memo.New[*compiled](compiledBudget),
 	}
 }
 
@@ -493,6 +496,8 @@ func (s *Server) health() *Health {
 		}
 	}
 	s.mu.Unlock()
+	m := s.compiled.Stats()
+	h.CompiledHits, h.CompiledMisses, h.CompiledEntries = m.Hits, m.Misses, m.Entries
 	return h
 }
 
@@ -508,14 +513,17 @@ func (s *Server) breakerFor(method string) *breaker {
 	return b
 }
 
-// handleQuery is the per-request lifecycle: parse, plan, admit, queue,
-// execute (direct or ladder), classify, log. reqCtx is the connection's
-// per-request context: a peer disconnect cancels the queue wait and the
-// execution instead of holding a slot for a client that is gone.
+// handleQuery is the per-request lifecycle: compile (a lookup for a text
+// seen before), then explain — or gate, run (direct or ladder), classify —
+// and log. Everything the query text decides is compile's; what is left
+// here depends on the moment: the drain, the queue, the deadline, the
+// breaker, the data. reqCtx is the connection's per-request context: a
+// peer disconnect cancels the queue wait and the execution instead of
+// holding a slot for a client that is gone.
 func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string) *Response {
 	start := time.Now()
 	// logEntry stays nil without a log, so an unlogged request builds no
-	// fields and computes no fingerprint.
+	// fields.
 	var logEntry logFields
 	if s.cfg.Log != nil {
 		logEntry = logFields{"op": req.Op, "remote": remote}
@@ -537,122 +545,44 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 		return finish(&Response{Status: StatusDraining, Error: "server is draining"})
 	}
 
-	// Parse the query text against the resident database.
-	file, err := cqparse.ParseWith(strings.NewReader(req.Query), s.cfg.DB)
-	if err != nil {
-		s.failed.Add(1)
-		return finish(&Response{Status: StatusParseError, Error: err.Error()})
-	}
-	q, db := file.Query, file.DB
-
-	// Resolve the method and build its plan (static, cheap).
-	method := s.cfg.Method
-	if req.Method != "" {
-		method = core.Method(req.Method)
-	}
-	if !core.Known(method) {
-		s.failed.Add(1)
-		return finish(&Response{Status: StatusError, Error: fmt.Sprintf("unknown method %q", method)})
-	}
-	p, err := core.BuildPlan(method, q, nil)
-	if err != nil {
-		s.failed.Add(1)
-		return finish(&Response{Status: StatusError, Error: "plan: " + err.Error()})
-	}
-	logEntry.set("method", string(method))
+	c, hit := s.compile(req.Query, req.Method)
 	if logEntry != nil {
-		logEntry["fp"] = FingerprintID(p)
+		logEntry["compiled"] = memo.Outcome(hit)
+		for k, v := range c.log {
+			logEntry[k] = v
+		}
+		if req.Affinity != "" {
+			// Coordinator-stamped affinity header: lets the log audit that
+			// consistent-hash routing keeps a fingerprint's subplan-cache
+			// traffic on this shard.
+			logEntry["affinity"] = req.Affinity
+		}
 	}
-	if req.Affinity != "" {
-		// Coordinator-stamped affinity header: lets the log audit that
-		// consistent-hash routing keeps a fingerprint's subplan-cache
-		// traffic on this shard.
-		logEntry.set("affinity", req.Affinity)
+	if c.status != "" {
+		if c.status == StatusOverWidth {
+			s.overWidth.Add(1)
+		} else {
+			s.failed.Add(1)
+		}
+		return finish(&Response{Status: c.status, Error: c.err, Verdict: c.verdict})
 	}
-
-	// Width-aware admission: reject before materializing anything. The
-	// worst-case-optimal override applies only when the wcoj executor
-	// would actually run — a methodless request (routed below) or an
-	// explicit wcoj one — since for any other method the plan width, not
-	// the output bound, governs the intermediates.
-	wcojAGM := s.cfg.WCOJAGMLog2
-	if wcojAGM < 0 || (req.Method != "" && method != core.MethodWCOJ) {
-		wcojAGM = 0
-	}
-	// The spill override applies only to methodless requests: routing
-	// below picks an executor that can actually spill, whereas an
-	// explicitly named method may be one (yannakakis, wcoj) that ignores
-	// the spill directory and would die at the budget anyway.
-	spillBytes := int64(-1)
-	if s.cfg.SpillDir != "" && req.Method == "" {
-		spillBytes = s.cfg.MaxSpillBytes
-	}
-	verdict := assess(q, p, string(method), s.cfg.MaxWidth, s.cfg.MaxAGMLog2, s.cfg.MaxPredictedBytes, wcojAGM, spillBytes, db)
-	if !verdict.Admitted {
-		logEntry.set("verdict", "over_width")
-		logEntry.set("plan_width", verdict.PlanWidth)
-		s.overWidth.Add(1)
-		return finish(&Response{
-			Status: StatusOverWidth,
-			Error: fmt.Sprintf("%v: plan width %d (elimination width %d, AGM log2 %.1f) over thresholds (width %d, AGM log2 %.1f)",
-				engine.ErrOverWidth, verdict.PlanWidth, verdict.ElimWidth, verdict.AGMLog2, verdict.MaxWidth, verdict.MaxAGMLog2),
-			Verdict: verdict,
-		})
-	}
-	logEntry.set("verdict", "admitted")
-	if verdict.AdmittedOnAGM {
-		// The width cap said no and the AGM bound overrode it — the
-		// one admission the log must distinguish from a plain admit.
-		logEntry.set("verdict", "admitted_on_agm")
-		logEntry.set("agm_log2", verdict.AGMLog2)
-	}
-	if verdict.AdmittedOnSpill {
-		// The byte cap said no and the spill budget overrode it.
-		logEntry.set("verdict", "admitted_on_spill")
-		logEntry.set("predicted_peak_bytes", verdict.PredictedPeakBytes)
-	}
-
-	// Routing: the executor, and the plan it runs, chosen once.
-	inHand := core.Candidate{Plan: p, Order: core.PlanOrder(method), Width: verdict.PlanWidth}
-	method, chosen, reason, err := s.route(req, q, method, inHand, verdict)
-	if err != nil {
-		s.failed.Add(1)
-		return finish(&Response{Status: StatusError, Error: "plan: " + err.Error()})
-	}
-	p = chosen.Plan
-	logEntry.set("method", string(method))
-	logEntry.set("route_reason", reason)
-	if verdict.BagAGMLog2 != nil {
-		// The two quantities the size-only rule compared.
-		logEntry.set("agm_log2", verdict.AGMLog2)
-		logEntry.set("bag_agm_log2", *verdict.BagAGMLog2)
-	}
-	verdict.Method = string(method)
-	if runsPlan(method) {
-		// The executed plan's width and order answer "why was this slow".
-		logEntry.set("plan_width", chosen.Width)
-		logEntry.set("order", string(chosen.Order))
-	}
-
-	// The route's strategy, and the ladder it degrades down.
-	strategy, ladder := resilience.Strategy(method, q, p, s.cfg.Workers)
 	if req.Op == "explain" {
-		text, err := strategy.Explain(db, engine.Options{}, false)
+		text, err := c.strategy.Explain(c.db, engine.Options{}, false)
 		if err != nil {
 			s.failed.Add(1)
 			return finish(&Response{Status: StatusError, Error: err.Error()})
 		}
-		return finish(&Response{Status: StatusOK, Explain: routeLine(method, reason, verdict) + text, Verdict: verdict})
+		return finish(&Response{Status: StatusOK, Explain: routeLine(c.method, c.reason, c.verdict) + text, Verdict: c.verdict})
 	}
 
 	// Concurrency gate: bounded queue, bounded wait, typed shedding.
 	queueCtx, cancelQueue := context.WithTimeout(reqCtx, s.cfg.QueueWait)
-	err = s.lim.acquire(queueCtx)
+	err := s.lim.acquire(queueCtx)
 	cancelQueue()
 	if err != nil {
 		logEntry.set("verdict", "shed")
 		s.shed.Add(1)
-		return finish(&Response{Status: StatusShed, Error: err.Error(), Verdict: verdict})
+		return finish(&Response{Status: StatusShed, Error: err.Error(), Verdict: c.verdict})
 	}
 	defer s.lim.release()
 
@@ -672,22 +602,22 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	// Execute: direct path unless this method's breaker is open (or the
 	// server runs fully resilient), in which case the degradation
 	// ladder re-plans with safer methods.
-	br := s.breakerFor(string(method))
+	br := s.breakerFor(string(c.method))
 	direct := br.allowDirect()
 	var res *engine.Result
 	if s.cfg.Resilient || !direct {
-		res, err = engine.ExecResilientStrategy(ctx, strategy, ladder(nil), db, opt)
+		res, err = engine.ExecResilientStrategy(ctx, c.strategy, c.ladder(), c.db, opt)
 		if direct {
 			// The direct path's own outcome, so breaker accounting is
 			// identical whether the ladder ran or not.
 			br.record(res.FirstError())
 		}
 	} else {
-		res, err = strategy.Run(ctx, db, opt)
+		res, err = c.strategy.Run(ctx, c.db, opt)
 		br.record(err)
 	}
 
-	resp := &Response{Verdict: verdict}
+	resp := &Response{Verdict: c.verdict}
 	if res != nil {
 		resp.Stats = StatsOf(&res.Stats)
 		logEntry.set("bytes", res.Stats.Bytes)
@@ -729,8 +659,8 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 // MCS order with min-fill and min-degree. Those two orders are computed
 // only here, for the requests that fall through every other tier, because
 // they cost several times what MCS does.
-func (s *Server) route(req *Request, q *cq.Query, method core.Method, inHand core.Candidate, v *Verdict) (core.Method, core.Candidate, string, error) {
-	if req.Method != "" {
+func (s *Server) route(named bool, q *cq.Query, method core.Method, inHand core.Candidate, v *Verdict) (core.Method, core.Candidate, string, error) {
+	if named {
 		return method, inHand, "named", nil
 	}
 	switch {

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"runtime"
@@ -99,16 +98,26 @@ func TestQueryAnswerMatchesOracle(t *testing.T) {
 		t.Errorf("executed query must carry run stats, got %+v", resp.Stats)
 	}
 
-	// The request log carries fingerprint, verdict and status.
-	line := log.String()
-	var entry map[string]any
-	if err := json.Unmarshal([]byte(strings.SplitN(line, "\n", 2)[0]), &entry); err != nil {
-		t.Fatalf("log line %q: %v", line, err)
+	// The request log carries fingerprint, verdict and status, and whether
+	// the text was compiled for this request or looked up; a second arrival
+	// of the text is looked up, keeps the fingerprint, and both show in
+	// health.
+	roundTrip(t, addr, &Request{Op: "query", Query: queryText(t, g), Timeout: "2s"})
+	lines := logLines(t, &log)
+	if len(lines) != 2 {
+		t.Fatalf("log has %d lines, want 2: %s", len(lines), log.String())
 	}
-	for _, key := range []string{"fp", "verdict", "status", "method", "elapsed_us"} {
-		if _, ok := entry[key]; !ok {
-			t.Errorf("log line missing %q: %v", key, entry)
+	for _, key := range []string{"fp", "verdict", "status", "method", "elapsed_us", "compiled"} {
+		if _, ok := lines[0][key]; !ok {
+			t.Errorf("log line missing %q: %v", key, lines[0])
 		}
+	}
+	if lines[0]["compiled"] != "miss" || lines[1]["compiled"] != "hit" || lines[0]["fp"] != lines[1]["fp"] {
+		t.Errorf("log lines %v: want compiled miss then hit under one fp", lines)
+	}
+	h := roundTrip(t, addr, &Request{Op: "health"}).Health
+	if h == nil || h.CompiledHits != 1 || h.CompiledMisses != 1 || h.CompiledEntries != 1 || h.Served != 2 {
+		t.Errorf("health %+v, want 2 served: 1 compiled miss, 1 hit, 1 entry", h)
 	}
 }
 

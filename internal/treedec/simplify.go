@@ -2,7 +2,7 @@ package treedec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Simplified is the output of MarkAndSweep: a pruned decomposition plus,
@@ -34,15 +34,33 @@ func MarkAndSweep(d *Decomposition, rels [][]int) (*Simplified, error) {
 		return nil, fmt.Errorf("treedec: empty decomposition")
 	}
 
-	// Step 1: host node per relation; record marks per vertex.
+	// Step 1: host node per relation — the first node whose bag covers it,
+	// searched among the nodes holding its first vertex — and, per vertex,
+	// the nodes where it is marked.
+	nv := 0
+	for _, bag := range d.Bags {
+		if k := len(bag); k > 0 && bag[k-1] >= nv {
+			nv = bag[k-1] + 1
+		}
+	}
+	holders := make([][]int, nv) // vertex -> nodes whose bag has it, ascending
+	for i, bag := range d.Bags {
+		for _, v := range bag {
+			holders[v] = append(holders[v], i)
+		}
+	}
 	host := make([]int, len(rels))
-	markNodes := make(map[int][]int) // vertex -> nodes where it is marked
+	marks := make([][]int, nv)
 	for j, rel := range rels {
 		found := -1
-		for i, bag := range d.Bags {
-			if containsAll(bag, rel) {
-				found = i
-				break
+		if len(rel) == 0 {
+			found = 0
+		} else if v := rel[0]; v >= 0 && v < nv {
+			for _, i := range holders[v] {
+				if containsAll(d.Bags[i], rel) {
+					found = i
+					break
+				}
 			}
 		}
 		if found < 0 {
@@ -50,110 +68,107 @@ func MarkAndSweep(d *Decomposition, rels [][]int) (*Simplified, error) {
 		}
 		host[j] = found
 		for _, v := range rel {
-			markNodes[v] = append(markNodes[v], found)
+			marks[v] = append(marks[v], found)
 		}
 	}
 
-	// Step 2: for every marked vertex, keep it on the minimal subtree
-	// spanning its marked nodes (root the walk at one marked node; a node
-	// survives iff its subtree contains a marked node).
-	keep := make([]map[int]bool, n)
-	for i := range keep {
-		keep[i] = make(map[int]bool)
-	}
+	// Step 2: root the tree once; a marked vertex then survives on the
+	// minimal subtree spanning its marked nodes, which is the path from
+	// each of them up to their common ancestor. Vertices are swept in
+	// ascending order, so every bag comes out sorted.
 	parent := make([]int, n)
-	order := make([]int, 0, n)
-	for v, nodes := range markNodes {
-		root := nodes[0]
-		inS := make(map[int]int, len(nodes))
-		for _, x := range nodes {
-			inS[x]++
+	depth := make([]int, n)
+	for i := range parent {
+		parent[i] = -2
+	}
+	parent[0] = -1
+	reached := 0
+	for stack := make([]int, 1, n); len(stack) > 0; reached++ { // starts at node 0
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range d.Adj[u] {
+			if parent[w] == -2 {
+				parent[w], depth[w] = u, depth[u]+1
+				stack = append(stack, w)
+			}
 		}
-		// Iterative DFS computing subtree counts of marked nodes.
-		for i := range parent {
-			parent[i] = -2
+	}
+	if reached != n {
+		return nil, fmt.Errorf("treedec: decomposition skeleton is disconnected")
+	}
+	// A valid decomposition's bag already holds whatever survives in it, so
+	// the swept bags are cut from one array of that size.
+	size := 0
+	for _, bag := range d.Bags {
+		size += len(bag)
+	}
+	flat := make([]int, size)
+	bags := make([][]int, n)
+	for i, bag := range d.Bags {
+		bags[i], flat = flat[:0:len(bag)], flat[len(bag):]
+	}
+	swept := make([]int, n) // swept[u] = the last vertex kept at u, plus one
+	for v, nodes := range marks {
+		if len(nodes) == 0 {
+			continue
 		}
-		order = order[:0]
-		parent[root] = -1
-		stack := []int{root}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			order = append(order, u)
-			for _, w := range d.Adj[u] {
-				if parent[w] == -2 {
-					parent[w] = u
-					stack = append(stack, w)
+		top := nodes[0]
+		for _, x := range nodes[1:] {
+			for y := x; top != y; {
+				if depth[top] >= depth[y] {
+					top = parent[top]
+				} else {
+					y = parent[y]
 				}
 			}
 		}
-		count := make([]int, n)
-		for i := len(order) - 1; i >= 0; i-- {
-			u := order[i]
-			count[u] += inS[u]
-			if p := parent[u]; p >= 0 {
-				count[p] += count[u]
+		for _, u := range nodes {
+			for ; swept[u] != v+1; u = parent[u] {
+				swept[u] = v + 1
+				bags[u] = append(bags[u], v)
+				if u == top {
+					break
+				}
 			}
 		}
-		for _, u := range order {
-			if count[u] >= 1 {
-				keep[u][v] = true
-			}
-		}
-	}
-
-	// Build the swept bags.
-	bags := make([][]int, n)
-	for i := range bags {
-		for v := range keep[i] {
-			bags[i] = append(bags[i], v)
-		}
-		sort.Ints(bags[i])
 	}
 
 	// Step 3: delete empty nodes. Leaves are removed; interior empty
 	// nodes are bypassed by chaining their neighbors (safe: a vertex
 	// crossing an empty node would violate the running-intersection
 	// property, so none does).
-	adj := make([]map[int]bool, n)
+	adj := make([][]int, n)
 	for i, nb := range d.Adj {
-		adj[i] = make(map[int]bool, len(nb))
-		for _, j := range nb {
-			adj[i][j] = true
-		}
+		adj[i] = sortedSet(append([]int(nil), nb...))
 	}
 	alive := make([]bool, n)
-	aliveCount := 0
 	for i := range alive {
 		alive[i] = true
-		aliveCount++
 	}
 	// Never delete the last node even if empty (a degenerate query could
 	// have an all-empty decomposition; keep one node to stay a tree).
+	aliveCount := n
 	for i := 0; i < n && aliveCount > 1; i++ {
-		if !alive[i] || len(bags[i]) > 0 {
+		if len(bags[i]) > 0 {
 			continue
 		}
-		var nbrs []int
-		for j := range adj[i] {
-			nbrs = append(nbrs, j)
-		}
-		sort.Ints(nbrs)
+		nbrs := adj[i]
 		for _, j := range nbrs {
-			delete(adj[j], i)
+			adj[j] = setRemove(adj[j], i)
 		}
 		adj[i] = nil
 		for k := 1; k < len(nbrs); k++ {
-			adj[nbrs[k-1]][nbrs[k]] = true
-			adj[nbrs[k]][nbrs[k-1]] = true
+			adj[nbrs[k-1]] = setInsert(adj[nbrs[k-1]], nbrs[k])
+			adj[nbrs[k]] = setInsert(adj[nbrs[k]], nbrs[k-1])
 		}
 		alive[i] = false
 		aliveCount--
 	}
 
-	// Compact indices.
+	// Compact indices; the renumbering is monotone, so neighbor lists stay
+	// sorted.
 	remap := make([]int, n)
-	var newBags [][]int
+	newBags := make([][]int, 0, aliveCount)
 	for i := 0; i < n; i++ {
 		if alive[i] {
 			remap[i] = len(newBags)
@@ -167,12 +182,10 @@ func MarkAndSweep(d *Decomposition, rels [][]int) (*Simplified, error) {
 		if !alive[i] {
 			continue
 		}
-		var nb []int
-		for j := range adj[i] {
-			nb = append(nb, remap[j])
+		for k, j := range adj[i] {
+			adj[i][k] = remap[j]
 		}
-		sort.Ints(nb)
-		newAdj[remap[i]] = nb
+		newAdj[remap[i]] = adj[i]
 	}
 
 	out := &Simplified{
@@ -190,6 +203,22 @@ func MarkAndSweep(d *Decomposition, rels [][]int) (*Simplified, error) {
 		out.RelNode[j] = remap[h]
 	}
 	return out, nil
+}
+
+// setRemove deletes x from the sorted set s in place.
+func setRemove(s []int, x int) []int {
+	if i, ok := slices.BinarySearch(s, x); ok {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
+}
+
+// setInsert adds x to the sorted set s.
+func setInsert(s []int, x int) []int {
+	if i, ok := slices.BinarySearch(s, x); !ok {
+		return slices.Insert(s, i, x)
+	}
+	return s
 }
 
 // containsAll reports whether the sorted bag contains every vertex of rel.
