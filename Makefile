@@ -103,9 +103,10 @@ bench-check:
 bench-yannakakis:
 	go test . -run '^$$' -bench '^BenchmarkYannakakis' -benchmem -benchtime 3x
 
-# The streaming-vs-materializing peak-memory series on the same selective
-# workloads (peak-bytes is the acceptance signal: stream at least 5x
-# under the iterator on chain and spider at equal-or-better latency).
+# The pushdown-on-vs-off peak-memory series of the pull pipeline on the
+# same selective workloads (peak-bytes is the acceptance signal: stream at
+# least 5x under the iterator arm on chain and spider at equal-or-better
+# latency).
 bench-stream:
 	go test . -run '^$$' -bench '^BenchmarkStream' -benchmem -benchtime 3x
 

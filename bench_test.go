@@ -371,11 +371,11 @@ func BenchmarkAblationSemijoin(b *testing.B) {
 }
 
 // BenchmarkAblationExecutor compares the two execution models over the
-// same plans: the materializing executor and the Volcano-style iterator
-// engine (PostgreSQL's model). The paper's SELECT DISTINCT subqueries
-// force materialization at every projection boundary, which is why the
-// two models track each other — intermediate arity, not engine style,
-// governs cost.
+// same plans: the materializing plan walker and the Volcano-style pull
+// pipeline without its pushdown phase (PostgreSQL's model). The paper's
+// SELECT DISTINCT subqueries force materialization at every projection
+// boundary, which is why the two models track each other — intermediate
+// arity, not engine style, governs cost.
 func BenchmarkAblationExecutor(b *testing.B) {
 	g := mustRandom(b, 14, 3.0, 11)
 	q, db := colorBench(b, g, 0, 11)

@@ -1,9 +1,10 @@
 // Command benchjson converts `go test -bench -benchmem` output on stdin
-// into a JSON array on stdout, one object per benchmark result with the
+// into a JSON object on stdout: one entry per benchmark result with the
 // name, iteration count, ns/op, B/op, allocs/op, and every custom
 // b.ReportMetric value under its unit (stats-bytes, peak-bytes,
-// frame-bytes, ...). It is the back end of `make bench-json`, which
-// records the microbenchmark series in the BENCH_*.json files.
+// frame-bytes, ...), under a stamp saying where the numbers were taken.
+// It is the back end of `make bench-json`, which records the
+// microbenchmark series in the BENCH_*.json files.
 package main
 
 import (
@@ -11,9 +12,31 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 )
+
+// stamp records what a file's numbers were taken on, so that a stale file
+// or a one-shot recording on a noisy host can be told from a regression.
+type stamp struct {
+	// Commit is `git describe --always --dirty` when the file was written:
+	// the parent commit, marked dirty, for a series recorded with the
+	// change that is about to be committed.
+	Commit string `json:"commit"`
+	Go     string `json:"go"`
+	// GOMAXPROCS is read off the benchmark names' "-N" suffix, which go
+	// test leaves out at 1.
+	GOMAXPROCS int `json:"gomaxprocs"`
+	// CPU is go test's "cpu:" header line.
+	CPU string `json:"cpu"`
+}
+
+type recording struct {
+	Stamp   stamp    `json:"stamp"`
+	Results []result `json:"results"`
+}
 
 type result struct {
 	Name        string  `json:"name"`
@@ -26,13 +49,18 @@ type result struct {
 }
 
 func main() {
-	results := []result{} // never nil: no matches must encode as [], not null
+	commit := "unknown"
+	if out, err := exec.Command("git", "describe", "--always", "--dirty").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
+	rec := recording{
+		Stamp:   stamp{Commit: commit, Go: runtime.Version(), GOMAXPROCS: 1},
+		Results: []result{}, // never nil: no matches must encode as [], not null
+	}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		if r, ok := parseLine(sc.Text()); ok {
-			results = append(results, r)
-		}
+		rec.add(sc.Text())
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -40,9 +68,26 @@ func main() {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
+	if err := enc.Encode(rec); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
+	}
+}
+
+// add folds one line of go test output into the recording: a result
+// line, or the header line naming the CPU.
+func (rec *recording) add(line string) {
+	if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+		rec.Stamp.CPU = cpu
+		return
+	}
+	r, ok := parseLine(line)
+	if !ok {
+		return
+	}
+	rec.Results = append(rec.Results, r)
+	if n, err := strconv.Atoi(strings.TrimPrefix(cpuSuffix(strings.Fields(line)[0]), "-")); err == nil {
+		rec.Stamp.GOMAXPROCS = n
 	}
 }
 

@@ -35,3 +35,35 @@ func TestParseLineKeepsCustomMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordingStampsCPUAndProcs: the lines of one captured `go test
+// -bench` run, headers included, yield the results and the two stamp
+// fields read off the output itself; without a "-N" suffix the run was
+// at GOMAXPROCS 1.
+func TestRecordingStampsCPUAndProcs(t *testing.T) {
+	captured := []string{
+		"goos: linux",
+		"goarch: amd64",
+		"pkg: projpush/internal/relation",
+		"cpu: Intel(R) Xeon(R) Processor @ 2.10GHz",
+		"BenchmarkKernelParallelJoin/workers=1-2 \t 1\t 1490000000 ns/op\t 9 B/op\t 1 allocs/op",
+		"BenchmarkKernelParallelJoin/workers=8-2 \t 3\t 490000000 ns/op\t 9 B/op\t 1 allocs/op",
+		"PASS",
+		"ok  \tprojpush/internal/relation\t9.1s",
+	}
+	rec := recording{Stamp: stamp{GOMAXPROCS: 1}}
+	for _, line := range captured {
+		rec.add(line)
+	}
+	if len(rec.Results) != 2 || rec.Results[1].Name != "BenchmarkKernelParallelJoin/workers=8" {
+		t.Fatalf("results = %+v", rec.Results)
+	}
+	if rec.Stamp.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || rec.Stamp.GOMAXPROCS != 2 {
+		t.Fatalf("stamp = %+v", rec.Stamp)
+	}
+	one := recording{Stamp: stamp{GOMAXPROCS: 1}}
+	one.add("BenchmarkKernelJoin \t 100\t 52.75 ns/op")
+	if len(one.Results) != 1 || one.Stamp.GOMAXPROCS != 1 {
+		t.Fatalf("unsuffixed run: %+v", one)
+	}
+}

@@ -112,20 +112,6 @@ func (q *Query) IsFree(v Var) bool {
 	return false
 }
 
-// Occurrences returns, for each variable, the indexes of the atoms it
-// occurs in (ascending).
-func (q *Query) Occurrences() map[Var][]int {
-	occ := make(map[Var][]int)
-	for i, a := range q.Atoms {
-		for _, v := range a.Args {
-			if n := len(occ[v]); n == 0 || occ[v][n-1] != i {
-				occ[v] = append(occ[v], i)
-			}
-		}
-	}
-	return occ
-}
-
 // FirstOccurrence returns min_occur: for each variable the index of the
 // first atom containing it (the paper's min_occur array).
 func (q *Query) FirstOccurrence() map[Var]int {

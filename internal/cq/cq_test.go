@@ -66,12 +66,8 @@ func TestIsBooleanAndIsFree(t *testing.T) {
 	}
 }
 
-func TestOccurrences(t *testing.T) {
+func TestFirstLastOccurrence(t *testing.T) {
 	q := triangle()
-	occ := q.Occurrences()
-	if got := occ[1]; len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("occ[1] = %v, want [0 1]", got)
-	}
 	first := q.FirstOccurrence()
 	last := q.LastOccurrence()
 	if first[2] != 1 || last[2] != 2 {

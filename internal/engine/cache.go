@@ -227,7 +227,7 @@ func cacheKey(dbFP string, n plan.Node) (string, []cq.Var) {
 }
 
 // streamScanKeys derives the streaming engine's per-scan cache keys: one
-// key per base-relation occurrence, in the pushdown pre-pass's collect
+// key per base-relation occurrence, in the pushdown phase's collect
 // (DFS) order. The reduced view of a scan depends on every reduction edge
 // of the plan, so the key embeds the whole plan's renaming-invariant
 // fingerprint; the scan position disambiguates occurrences, and DFS order
@@ -242,29 +242,9 @@ func streamScanKeys(dbFP string, p plan.Node, n int) []string {
 	return keys
 }
 
-// scanToCanonical renames a scan's (reduced) view onto positional
-// attributes 0..arity-1, so the cached relation is invariant to the
-// query's variable naming.
-func scanToCanonical(rel *relation.Relation, args []cq.Var) *relation.Relation {
-	m := make(map[relation.Attr]relation.Attr, len(args))
-	for i, a := range args {
-		m[a] = relation.Attr(i)
-	}
-	return relation.Rename(rel, m)
-}
-
-// scanFromCanonical binds a cached canonical scan view to the hitting
-// atom's actual argument variables.
-func scanFromCanonical(rel *relation.Relation, args []cq.Var) *relation.Relation {
-	m := make(map[relation.Attr]relation.Attr, len(args))
-	for i, a := range args {
-		m[relation.Attr(i)] = a
-	}
-	return relation.Rename(rel, m)
-}
-
 // toCanonical renames a subtree result onto the canonical attributes of
-// its fingerprint: vars[i] → i.
+// its fingerprint, or a scan's reduced view onto its column positions:
+// vars[i] → i, so the cached relation is invariant to variable naming.
 func toCanonical(rel *relation.Relation, vars []cq.Var) *relation.Relation {
 	m := make(map[relation.Attr]relation.Attr, len(vars))
 	for i, v := range vars {
@@ -274,7 +254,7 @@ func toCanonical(rel *relation.Relation, vars []cq.Var) *relation.Relation {
 }
 
 // fromCanonical binds a cached canonical relation to the hitting
-// subtree's actual variables: i → vars[i].
+// subtree's (or atom's) actual variables: i → vars[i].
 func fromCanonical(rel *relation.Relation, vars []cq.Var) *relation.Relation {
 	m := make(map[relation.Attr]relation.Attr, len(vars))
 	for i, v := range vars {

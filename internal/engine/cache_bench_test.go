@@ -160,8 +160,9 @@ func BenchmarkEngineIterJoin(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineIterExec measures the full iterator executor on a figure
-// workload — the end-to-end path the StreamTable port feeds.
+// BenchmarkEngineIterExec measures the pull pipeline without the pushdown
+// phase (ExecIterator) on a figure workload — the end-to-end path the
+// StreamTable port feeds.
 func BenchmarkEngineIterExec(b *testing.B) {
 	p, db := benchWorkload(b, core.MethodEarlyProjection)
 	b.ReportAllocs()

@@ -46,19 +46,21 @@ type Options struct {
 	MaxBytes int64
 	// Cache, when non-nil, memoizes Join and Project subtree results
 	// across executions of the plan walker, at any worker count (see
-	// Cache); the stream executor memoizes its semijoin-reduced base
-	// scans in it. The iterator, Yannakakis and WCOJ executors ignore it:
+	// Cache); ExecStream memoizes its semijoin-reduced base scans in it.
+	// The pull pipeline without the pushdown phase (ExecIterator, a
+	// spill-armed Exec), the Yannakakis and the WCOJ executors ignore it:
 	// they materialize no immutable subtree results to share.
 	Cache *Cache
 	// SpillDir, when non-empty, arms spill-to-disk: instead of failing
-	// with ErrMemLimit when live bytes exceed MaxBytes, the plan walker
-	// spills parked intermediates — evaluating sequentially whatever its
-	// worker count, since only a waiting sibling is ever parked — and the
-	// stream executor spills breaker partitions and hash builds to temp
-	// files under this directory, replaying them when consumed. MaxBytes
+	// with ErrMemLimit when live bytes exceed MaxBytes, the pull
+	// pipeline's breakers — hash builds and DISTINCT states — go to temp
+	// files under this directory and are replayed when consumed. MaxBytes
 	// then bounds peak residency rather than availability. Unrecoverable
-	// disk failures surface as ErrSpill. The iterator, Yannakakis, and
-	// WCOJ executors ignore it.
+	// disk failures surface as ErrSpill. Every plan entry point honors
+	// it: ExecStream and ExecIterator on their own pipelines, and Exec,
+	// ExecContext and ExecParallel by running the plan on ExecIterator's
+	// instead of the plan walker — an armed plan run therefore does not
+	// consult Cache. The Yannakakis and WCOJ executors ignore it.
 	SpillDir string
 	// MaxSpillBytes caps the live bytes a run may hold on disk when
 	// spilling (0 = unlimited). Exceeding it — or a real ENOSPC — fails
@@ -90,15 +92,16 @@ type Stats struct {
 	// Bytes is the total bytes of relation storage materialized by Join
 	// and Project operators (arena plus dedup table of each output).
 	// Cache hits replay the memoized subtree's byte count, so cache-on
-	// and cache-off totals match. The streaming executors (ExecStream,
-	// ExecIterator) report their peak of live bytes here instead — for
-	// them this equals PeakBytes.
+	// and cache-off totals match. The pull pipeline (ExecStream,
+	// ExecIterator, a spill-armed Exec) reports its peak of live bytes
+	// here instead — for it this equals PeakBytes.
 	Bytes int64
 	// PeakBytes is the high-water mark of live relation storage. The
 	// materializing executors release nothing mid-run, so for them it
-	// equals Bytes (and cache hits replay it identically); the streaming
-	// executors release operator state on close, so their peak is what
-	// admission should budget against.
+	// equals Bytes (and cache hits replay it identically); the pull
+	// pipeline releases operator state on close, so its peak is what
+	// admission should budget against — with or without a budget set,
+	// spill armed or not.
 	PeakBytes int64
 	// MaterializedTuples counts tuples written into operator outputs by
 	// Join and Project (and the Yannakakis bag evaluation) — the
@@ -185,9 +188,9 @@ func (r *Result) Nonempty() bool { return !r.Rel.Empty() }
 //     and augmented circular ladders — benefit from workers > 1, where
 //     subtree parallelism alone degenerates to sequential execution.
 //
-// A run with a spiller armed is sequential whatever its worker count: the
-// spill candidates are the inputs parked while a sibling evaluates, which
-// only exist when siblings take turns.
+// A spill-armed run (Options.SpillDir) never reaches this type: only the
+// pull pipeline's breakers can go out of core, so ExecParallelContext
+// hands such a run to the pipeline.
 type executor struct {
 	governor
 	cache *Cache
@@ -201,32 +204,10 @@ type executor struct {
 	abort   context.CancelFunc
 	sizes   map[plan.Node]int
 
-	// Spill state (nil/zero when Options.SpillDir is empty). parked
-	// holds join left inputs awaiting their sibling's evaluation — the
-	// only operator outputs alive but idle in a tree-walking executor —
-	// so they are the spill candidates under memory pressure. spillable
-	// marks relations this run materialized privately (spilling a
-	// cache-shared or base relation would free nothing). resPeak is the
-	// residency high-water mark; with a spiller the shared byte counter
-	// is credited when intermediates retire, so MaxBytes bounds
-	// residency rather than cumulative materialization.
-	spiller   *relation.Spiller
-	parked    []*parkedRel
-	spillable map[*relation.Relation]bool
-	resPeak   int64
-
 	// rows/cached record per-node output cardinalities for EXPLAIN
 	// ANALYZE; nil outside Explain.
 	rows   map[plan.Node]int
 	cached map[plan.Node]bool
-}
-
-// parkedRel is one join input parked while its sibling evaluates: either
-// still resident (rel) or spilled to disk (file).
-type parkedRel struct {
-	rel  *relation.Relation
-	size int64 // resident bytes charged for rel; 0 = not spillable
-	file *relation.SpillFile
 }
 
 func newExecutor(ctx context.Context, db cq.Database, opt Options, workers int) *executor {
@@ -236,118 +217,6 @@ func newExecutor(ctx context.Context, db cq.Database, opt Options, workers int) 
 	}
 	ex.govern(ctx, db, opt)
 	return ex
-}
-
-// arm creates the spill manager when opt requests one. The caller owns
-// Cleanup.
-func (ex *executor) arm(opt Options) error {
-	if opt.SpillDir == "" {
-		return nil
-	}
-	sp, err := relation.NewSpiller(opt.SpillDir, opt.MaxSpillBytes)
-	if err != nil {
-		return err
-	}
-	ex.spiller = sp
-	ex.spillable = make(map[*relation.Relation]bool)
-	ex.onPressure = ex.spillLargest
-	return nil
-}
-
-// park shelves a join input while its sibling evaluates, making it a
-// spill candidate. Returns nil when spilling is disarmed.
-func (ex *executor) park(rel *relation.Relation) *parkedRel {
-	if ex.spiller == nil {
-		return nil
-	}
-	pk := &parkedRel{rel: rel}
-	if ex.spillable[rel] {
-		pk.size = rel.Bytes()
-	}
-	ex.parked = append(ex.parked, pk)
-	return pk
-}
-
-// unpark returns the parked relation, reloading it from disk (and
-// re-charging its bytes) if pressure spilled it meanwhile. With
-// discard set the parked state is released without reloading (the
-// sibling failed; the join will not run).
-func (ex *executor) unpark(pk *parkedRel, orig *relation.Relation, st *Stats, discard bool) (*relation.Relation, error) {
-	if pk == nil {
-		return orig, nil
-	}
-	ex.parked = ex.parked[:len(ex.parked)-1]
-	if pk.rel != nil {
-		return pk.rel, nil
-	}
-	defer pk.file.Close()
-	if discard {
-		return nil, nil
-	}
-	rel, err := pk.file.Load()
-	if err != nil {
-		return nil, err
-	}
-	var last int64
-	if err := ex.lim(&st.Work).ChargeMemGrowth(rel, &last); err != nil {
-		return nil, err
-	}
-	ex.spillable[rel] = true
-	return rel, nil
-}
-
-// spillLargest is the Limit callback under memory pressure: spill the
-// largest parked resident intermediate and credit its bytes. It returns
-// false when nothing spillable remains, letting the charge fail with
-// ErrMemBudget honestly.
-func (ex *executor) spillLargest(int64) (bool, error) {
-	var best *parkedRel
-	for _, pk := range ex.parked {
-		if pk.rel != nil && pk.size > 0 && (best == nil || pk.size > best.size) {
-			best = pk
-		}
-	}
-	if best == nil {
-		return false, nil
-	}
-	sf, err := ex.spiller.WriteRelation(best.rel)
-	if err != nil {
-		return false, err
-	}
-	// The watermark is taken after the spill credit: the pending charge
-	// that triggered this callback is not resident until the budget check
-	// admits it, so recording the pre-spill counter would count rejected
-	// (or not-yet-admitted) bytes as live.
-	if v := ex.bytes.Add(-best.size); v > ex.resPeak {
-		ex.resPeak = v
-	}
-	delete(ex.spillable, best.rel)
-	best.rel, best.file = nil, sf
-	return true, nil
-}
-
-// retire settles an operator's accounting in spill mode: kernel
-// transients (join tables, arena overshoot) are credited now that the
-// operator returned, consumed children leave residency, and the output
-// becomes the newest spill candidate. A no-op without a spiller, so
-// spill-off byte accounting is unchanged.
-func (ex *executor) retire(before int64, out *relation.Relation, children ...*relation.Relation) {
-	if ex.spiller == nil {
-		return
-	}
-	if v := ex.bytes.Load(); v > ex.resPeak {
-		ex.resPeak = v
-	}
-	if extra := ex.bytes.Load() - before - out.Bytes(); extra > 0 {
-		ex.bytes.Add(-extra)
-	}
-	for _, c := range children {
-		if c != nil && ex.spillable[c] {
-			ex.bytes.Add(-c.Bytes())
-			delete(ex.spillable, c)
-		}
-	}
-	ex.spillable[out] = true
 }
 
 // admissible reports whether a cached subtree's recorded footprint fits
@@ -364,7 +233,8 @@ func (ex *executor) admissible(sub *Stats) bool {
 	return true
 }
 
-// Exec evaluates the plan over db under opt.
+// Exec evaluates the plan over db under opt, on the materializing plan
+// walker unless opt arms a spill directory (see ExecParallelContext).
 // On timeout, cancellation, row-cap or byte-budget violation it returns
 // ErrTimeout, ErrCanceled, ErrRowLimit or ErrMemLimit (wrapped); the
 // partial stats collected so far are returned alongside so harnesses can
@@ -398,16 +268,22 @@ func ExecParallel(n plan.Node, db cq.Database, opt Options, workers int) (*Resul
 // the goroutine boundary, cancels the sibling subtree's workers via the
 // shared limit, and surfaces as ErrInternal instead of crashing the
 // process.
+//
+// With opt.SpillDir armed the plan runs on the pull pipeline instead
+// (ExecIteratorContext, whatever the worker count): a tree walker holds
+// every operator output whole until its consumer has run, so it has
+// nothing it can shed to disk mid-operator, whereas the pipeline's
+// breakers spill and its budget already bounds live bytes.
 func ExecParallelContext(ctx context.Context, n plan.Node, db cq.Database, opt Options, workers int) (*Result, error) {
-	return newExecutor(ctx, db, opt, workers).run(n, opt)
+	if opt.SpillDir != "" {
+		return ExecIteratorContext(ctx, n, db, opt)
+	}
+	return newExecutor(ctx, db, opt, workers).run(n)
 }
 
 // run evaluates n and settles the run's totals.
-func (ex *executor) run(n plan.Node, opt Options) (*Result, error) {
-	if err := ex.arm(opt); err != nil {
-		return ex.finish(nil, err)
-	}
-	if ex.workers < 2 || ex.spiller != nil {
+func (ex *executor) run(n plan.Node) (*Result, error) {
+	if ex.workers < 2 {
 		ex.workers = 1
 	} else {
 		// The run's own context lets a failing subtree cancel its
@@ -419,15 +295,7 @@ func (ex *executor) run(n plan.Node, opt Options) (*Result, error) {
 		ex.sizes = make(map[plan.Node]int)
 		measureSubtrees(n, ex.sizes)
 	}
-	rel, err := ex.eval(n, &ex.stats)
-	if ex.spiller != nil {
-		ex.stats.SpilledBytes, ex.stats.SpillFiles = ex.spiller.Stats()
-		// Residency, not cumulative materialization, is what the budget
-		// bounded on this run.
-		ex.stats.PeakBytes = ex.resPeak
-		ex.spiller.Cleanup()
-	}
-	return ex.finish(rel, err)
+	return ex.finish(ex.eval(n, &ex.stats))
 }
 
 // measureSubtrees records the node count of every subtree in one walk, so
@@ -513,13 +381,6 @@ func (ex *executor) evalCached(n plan.Node, st *Stats) (*relation.Relation, erro
 		return nil, err
 	}
 	ex.cache.put(key, toCanonical(rel, vars), entryStats)
-	if ex.spillable != nil {
-		// The cache now retains (and may share storage with) this
-		// result: spilling our reference would free nothing real, so it
-		// stops being a spill candidate and stays charged, exactly like
-		// a cache hit.
-		delete(ex.spillable, rel)
-	}
 	return rel, nil
 }
 
@@ -539,12 +400,10 @@ func (ex *executor) evalOp(n plan.Node, st *Stats) (*relation.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		before := ex.bytes.Load()
 		out, err := ex.join(st, l, r, ex.workers)
 		if err != nil {
 			return nil, err
 		}
-		ex.retire(before, out, l, r)
 		ex.record(n, out, false)
 		return out, nil
 
@@ -553,12 +412,10 @@ func (ex *executor) evalOp(n plan.Node, st *Stats) (*relation.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		before := ex.bytes.Load()
 		out, err := ex.project(st, c, t.Cols)
 		if err != nil {
 			return nil, err
 		}
-		ex.retire(before, out, c)
 		ex.record(n, out, false)
 		return out, nil
 
@@ -568,9 +425,7 @@ func (ex *executor) evalOp(n plan.Node, st *Stats) (*relation.Relation, error) {
 }
 
 // evalPair evaluates a join's two inputs: concurrently when both are
-// non-trivial subtrees and a worker is free, otherwise left then right,
-// with the left parked meanwhile — it is idle until the join runs, so
-// under memory pressure it is the relation worth spilling.
+// non-trivial subtrees and a worker is free, otherwise left then right.
 func (ex *executor) evalPair(t *plan.Join, st *Stats) (l, r *relation.Relation, err error) {
 	if ex.sem != nil && ex.sizes[t.Left] >= 3 && ex.sizes[t.Right] >= 3 {
 		select {
@@ -583,12 +438,7 @@ func (ex *executor) evalPair(t *plan.Join, st *Stats) (l, r *relation.Relation, 
 	if l, err = ex.eval(t.Left, st); err != nil {
 		return nil, nil, err
 	}
-	pk := ex.park(l)
 	r, err = ex.eval(t.Right, st)
-	l, uerr := ex.unpark(pk, l, st, err != nil)
-	if err == nil {
-		err = uerr
-	}
 	return l, r, err
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -232,5 +233,49 @@ func TestOracleInvalidQuery(t *testing.T) {
 	q := &cq.Query{Atoms: []cq.Atom{{Rel: "nope", Args: []cq.Var{0, 1}}}}
 	if _, err := EvalOracle(q, edgeDB()); err == nil {
 		t.Fatal("expected validation error")
+	}
+}
+
+// TestStructuralFailureKeepsResult: a plan or query that cannot be bound —
+// unknown relation, arity mismatch, a projection (or free variable) that
+// names a column its input does not have — fails every entry point the
+// same way: through the governor's exit, so the Result is non-nil (the
+// contract Fallback.Run and the ladder rely on), the error is set and
+// Elapsed is stamped.
+func TestStructuralFailureKeepsResult(t *testing.T) {
+	ctx, db := context.Background(), edgeDB()
+	atoms := map[string][]cq.Atom{
+		"unknown relation": {{Rel: "nope", Args: []cq.Var{0, 1}}},
+		"arity mismatch":   {{Rel: "edge", Args: []cq.Var{0, 1, 2}}},
+		"missing column":   {{Rel: "edge", Args: []cq.Var{0, 1}}},
+	}
+	for name, as := range atoms {
+		q := &cq.Query{Atoms: as, Free: []cq.Var{0, 7}}
+		p := &plan.Project{Child: &plan.Scan{Atom: as[0]}, Cols: q.Free}
+		entries := map[string]func() (*Result, error){
+			"Exec":                func() (*Result, error) { return Exec(p, db, Options{}) },
+			"ExecContext":         func() (*Result, error) { return ExecContext(ctx, p, db, Options{}) },
+			"ExecParallel":        func() (*Result, error) { return ExecParallel(p, db, Options{}, 2) },
+			"ExecParallelContext": func() (*Result, error) { return ExecParallelContext(ctx, p, db, Options{}, 2) },
+			"Exec+spill":          func() (*Result, error) { return Exec(p, db, Options{SpillDir: t.TempDir()}) },
+			"ExecIterator":        func() (*Result, error) { return ExecIterator(p, db, Options{}) },
+			"ExecIteratorContext": func() (*Result, error) { return ExecIteratorContext(ctx, p, db, Options{}) },
+			"ExecStream":          func() (*Result, error) { return ExecStream(p, db, Options{}) },
+			"ExecStreamContext":   func() (*Result, error) { return ExecStreamContext(ctx, p, db, Options{}) },
+			"ExecYannakakis":      func() (*Result, error) { return ExecYannakakis(q, db, Options{}) },
+			"ExecYannakakisCtx":   func() (*Result, error) { return ExecYannakakisContext(ctx, q, db, Options{}) },
+			"ExecWCOJ":            func() (*Result, error) { return ExecWCOJ(q, db, Options{}) },
+			"ExecWCOJContext":     func() (*Result, error) { return ExecWCOJContext(ctx, q, db, Options{}) },
+		}
+		for entry, run := range entries {
+			res, err := run()
+			if err == nil || res == nil {
+				t.Errorf("%s on %s: result %v, err %v; want a non-nil Result and an error", entry, name, res, err)
+				continue
+			}
+			if res.Rel != nil || res.Stats.Elapsed <= 0 {
+				t.Errorf("%s on %s: failed run carries rel %v, elapsed %v", entry, name, res.Rel, res.Stats.Elapsed)
+			}
+		}
 	}
 }

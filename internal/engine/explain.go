@@ -17,14 +17,19 @@ import (
 // configured (opt.Cache), subtrees served from the cache are marked
 // "(cached)" — their descendants carry no row counts, since they were
 // never evaluated — and a final line reports the run's hit/miss counts
-// plus the cache's entry/byte/eviction totals.
+// plus the cache's entry/byte/eviction totals. An analyzed run with
+// opt.SpillDir armed executes on the pull pipeline, as Exec does, and
+// what is rendered is the operator tree that ran (see ExplainStream).
 func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, error) {
 	var ex *executor
+	if analyze && opt.SpillDir != "" {
+		return explainPipeline(p, db, opt, true, false)
+	}
 	if analyze {
 		ex = newExecutor(context.Background(), db, opt, 1)
 		ex.rows = make(map[plan.Node]int)
 		ex.cached = make(map[plan.Node]bool)
-		if _, err := ex.run(p, opt); err != nil {
+		if _, err := ex.run(p); err != nil {
 			return "", err
 		}
 	}
@@ -62,10 +67,6 @@ func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, er
 			fmt.Fprintf(&b, " (budget %d)", opt.MaxBytes)
 		}
 		b.WriteString("\n")
-		if ex.stats.SpilledBytes > 0 {
-			fmt.Fprintf(&b, "spill: %d bytes across %d files\n",
-				ex.stats.SpilledBytes, ex.stats.SpillFiles)
-		}
 		fmt.Fprintf(&b, "tuples: materialized=%d reduced=%d\n",
 			ex.stats.MaterializedTuples, ex.stats.ReducedTuples)
 	}

@@ -77,7 +77,10 @@ func TestTimeoutMatchesDeadlineExceeded(t *testing.T) {
 // and mid-run, and checks the failure is ErrCanceled (matching
 // context.Canceled) with no goroutine leak.
 func TestExecContextCancellation(t *testing.T) {
-	q, db := figure9(t, 6)
+	// Order 12 keeps every executor busy far past the 3 ms cancel below:
+	// the pull pipeline, with projection fused into its scans, finishes
+	// order 6 in about a millisecond.
+	q, db := figure9(t, 12)
 	p := buildPlan(t, core.MethodStraightforward, q)
 	base := runtime.NumGoroutine()
 

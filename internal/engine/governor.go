@@ -26,12 +26,9 @@ type governor struct {
 	// charges (and every partition worker: it is the one field forked
 	// subtrees share), so MaxBytes bounds the run, not any one operator.
 	bytes atomic.Int64
-	// onPressure, when set, lets charges over budget spill first
-	// (relation.Limit.OnPressure).
-	onPressure func(need int64) (bool, error)
-	stats      Stats
-	start      time.Time
-	ticks      int64
+	stats Stats
+	start time.Time
+	ticks int64
 }
 
 // govern fixes the run's limits and starts its clock.
@@ -48,13 +45,12 @@ func (g *governor) govern(ctx context.Context, db cq.Database, opt Options) {
 // work.
 func (g *governor) lim(work *int64) *relation.Limit {
 	return &relation.Limit{
-		MaxRows:    g.maxRows,
-		Deadline:   g.deadline,
-		Work:       work,
-		Ctx:        g.ctx,
-		MaxBytes:   g.maxBytes,
-		Bytes:      &g.bytes,
-		OnPressure: g.onPressure,
+		MaxRows:  g.maxRows,
+		Deadline: g.deadline,
+		Work:     work,
+		Ctx:      g.ctx,
+		MaxBytes: g.maxBytes,
+		Bytes:    &g.bytes,
 	}
 }
 

@@ -27,11 +27,18 @@ type Fallback struct {
 	// Run executes the strategy. It must return a non-nil Result even on
 	// failure, as the engine's entry points do.
 	Run func(ctx context.Context, db cq.Database, opt Options) (*Result, error)
-	// Build, on a rung with no Run, constructs a plan for the sequential
-	// plan walker. It runs only if the rung is reached, so plan
-	// construction is paid on demand, and its failure skips the rung: the
-	// ladder keeps the previous rung's result and error.
+	// Build, on a rung with no Run, constructs a plan for ExecContext: the
+	// sequential plan walker, or the pull pipeline on a spill-armed retry.
+	// It runs only if the rung is reached, so plan construction is paid on
+	// demand, and its failure skips the rung: the ladder keeps the
+	// previous rung's result and error.
 	Build func() (plan.Node, error)
+	// Spills states that Run honors Options.SpillDir, so a run that died
+	// of ErrMemLimit is worth one retry with the directory armed. A Build
+	// rung always does; for a Run whose executor ignores the directory
+	// (the full reducer, the leapfrog join, a remote forward) the retry
+	// would be the identical failure twice.
+	Spills bool
 	// Prepare, when non-nil, does now the set-up Run and Explain would
 	// otherwise do on first use — what depends on the query alone, like
 	// the full reducer's join tree — so that a caller who keeps the
@@ -91,7 +98,7 @@ func Degradable(err error) bool {
 func ExecResilient(ctx context.Context, n plan.Node, fallbacks []Fallback,
 	db cq.Database, opt Options, workers int) (*Result, error) {
 
-	given := Fallback{Name: "given", Run: func(ctx context.Context, db cq.Database, o Options) (*Result, error) {
+	given := Fallback{Name: "given", Spills: true, Run: func(ctx context.Context, db cq.Database, o Options) (*Result, error) {
 		return ExecParallelContext(ctx, n, db, o, workers)
 	}}
 	return ExecResilientStrategy(ctx, given, fallbacks, db, opt)
@@ -133,10 +140,10 @@ func ExecResilientStrategy(ctx context.Context, first Fallback, fallbacks []Fall
 	}
 	// runRung is the retry-with-spill wrapper: with Options.SpillDir set,
 	// every rung runs in-memory first (spill disarmed) and, on
-	// ErrMemLimit, re-runs the same strategy once with spilling armed —
-	// recorded as its own "<rung>+spill" attempt — before the ladder
-	// falls to the next rung. A plan strategy's spill retry is sequential
-	// whatever its worker count: an armed spiller makes the walker so.
+	// ErrMemLimit, a rung that can spill re-runs the same strategy once
+	// with spilling armed — recorded as its own "<rung>+spill" attempt —
+	// before the ladder falls to the next rung. A plan strategy's spill
+	// retry runs on the pull pipeline whatever its worker count.
 	runRung := func(fb Fallback) (*Result, error, bool) {
 		if opt.SpillDir == "" {
 			return try(fb, opt)
@@ -144,7 +151,7 @@ func ExecResilientStrategy(ctx context.Context, first Fallback, fallbacks []Fall
 		mem := opt
 		mem.SpillDir = ""
 		res, err, ok := try(fb, mem)
-		if !ok || err == nil || !errors.Is(err, ErrMemLimit) {
+		if !ok || !errors.Is(err, ErrMemLimit) || !(fb.Spills || fb.Run == nil) {
 			return res, err, ok
 		}
 		fb.Name += "+spill"

@@ -23,10 +23,11 @@ func spillOpts(t *testing.T, base Options) Options {
 }
 
 // TestSpillDifferentialFigureWorkloads checks that merely arming the
-// spill directory changes nothing: with no memory pressure the spill-on
-// and spill-off runs produce identical answers and identical non-byte
-// stats, and no spill traffic occurs, for both the materializing and the
-// streaming executor on every Figure-6–9 workload.
+// spill directory changes no answer and, with no memory pressure, writes
+// no file, on every Figure-6–9 workload. A spill-armed Exec runs the plan
+// on the pull pipeline without the pushdown phase, so its answer is the
+// plan walker's and its stats are ExecIterator's on the same plan; a
+// spill-armed ExecStream is the same run as an unarmed one.
 func TestSpillDifferentialFigureWorkloads(t *testing.T) {
 	for _, w := range figureWorkloads(t) {
 		for _, free := range [][]cq.Var{instance.BooleanFree(w.g), {0, 1}} {
@@ -53,7 +54,16 @@ func TestSpillDifferentialFigureWorkloads(t *testing.T) {
 						t.Fatalf("spill-armed Exec answer differs (%d vs %d rows)",
 							spilled.Rel.Len(), plain.Rel.Len())
 					}
-					assertSameNonByteStats(t, &plain.Stats, &spilled.Stats)
+					iter, err := ExecIterator(p, db, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameNonByteStats(t, &iter.Stats, &spilled.Stats)
+					if spilled.Stats.PeakBytes == 0 || spilled.Stats.PeakBytes != iter.Stats.PeakBytes ||
+						spilled.Stats.Bytes != iter.Stats.Bytes {
+						t.Fatalf("spill-armed unbudgeted Exec reports bytes=%d peak=%d, ExecIterator bytes=%d peak=%d",
+							spilled.Stats.Bytes, spilled.Stats.PeakBytes, iter.Stats.Bytes, iter.Stats.PeakBytes)
+					}
 					if spilled.Stats.SpilledBytes != 0 || spilled.Stats.SpillFiles != 0 {
 						t.Fatalf("no pressure but spill traffic: %d bytes, %d files",
 							spilled.Stats.SpilledBytes, spilled.Stats.SpillFiles)
@@ -93,13 +103,12 @@ func assertSameNonByteStats(t *testing.T, a, b *Stats) {
 }
 
 // spillPressureCase finds a memory budget under which the plain run dies
-// with ErrMemLimit while the spill-armed run completes, and returns that
-// budget. It walks the candidate budgets in order, preferring one that
-// forces real disk traffic; exec is the executor under test.
+// with ErrMemLimit while the spill-armed run completes with real disk
+// traffic, and returns that budget and run (0, nil when no candidate
+// demonstrates it). It walks the candidate budgets in order; exec is the
+// executor under test.
 func spillPressureCase(t *testing.T, exec func(Options) (*Result, error), budgets []int64) (int64, *Result) {
 	t.Helper()
-	var fbBudget int64
-	var fb *Result
 	for _, budget := range budgets {
 		if budget < 256 {
 			break
@@ -121,36 +130,16 @@ func spillPressureCase(t *testing.T, exec func(Options) (*Result, error), budget
 		if res.Stats.SpilledBytes > 0 {
 			return budget, res
 		}
-		// Rescued by residency accounting alone (spill-mode crediting);
-		// keep walking for a budget that forces real disk traffic.
-		if fb == nil {
-			fbBudget, fb = budget, res
-		}
 	}
-	return fbBudget, fb
+	return 0, nil
 }
 
-// divisorBudgets walks down from a peak by integer divisors — the
-// candidate schedule for the streaming engine, whose breakers can shed
-// almost all resident state to disk.
+// divisorBudgets walks down from a peak by integer divisors: the
+// pipeline's breakers can shed almost all resident state to disk.
 func divisorBudgets(peak int64) []int64 {
 	var budgets []int64
 	for _, div := range []int64{2, 3, 4, 6, 8, 12, 16, 24, 32} {
 		budgets = append(budgets, peak/div)
-	}
-	return budgets
-}
-
-// residencyWindowBudgets shaves a residency peak by small fractions —
-// the candidate schedule for the materializing executor, where only
-// parked join inputs can spill, so the rescue window sits just below
-// the residency high-water mark.
-func residencyWindowBudgets(resPeak int64) []int64 {
-	var budgets []int64
-	for _, f := range []struct{ num, den int64 }{
-		{127, 128}, {63, 64}, {31, 32}, {15, 16}, {7, 8}, {3, 4}, {5, 8}, {1, 2}, {1, 4},
-	} {
-		budgets = append(budgets, resPeak*f.num/f.den)
 	}
 	return budgets
 }
@@ -195,8 +184,12 @@ func TestStreamSpillUnderPressure(t *testing.T) {
 	}
 }
 
-// TestExecSpillUnderPressure drives the materializing executor's parked-
-// input spilling the same way.
+// TestExecSpillUnderPressure is the same acceptance for a plan run armed
+// through Exec, on the two projection-pushed plan shapes: under a quarter
+// of the unarmed pipeline's peak the in-memory run (the plan walker) dies
+// with ErrMemLimit, the armed one returns the oracle's answer with disk
+// traffic and peak residency within the budget — and some budget must
+// demonstrate fails-without/succeeds-with, or the test fails.
 func TestExecSpillUnderPressure(t *testing.T) {
 	g := workloadGraph(t)
 	q, err := instance.ColorQuery(g, []cq.Var{0, 1, 2, 3, 4, 5})
@@ -208,36 +201,44 @@ func TestExecSpillUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.BuildPlan(core.MethodBucketElimination, q, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range []core.Method{core.MethodBucketElimination, core.MethodEarlyProjection} {
+		t.Run(string(m), func(t *testing.T) {
+			p, err := core.BuildPlan(m, q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := ExecIterator(p, db, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			peak := base.Stats.PeakBytes
+			exec := func(o Options) (*Result, error) { return Exec(p, db, o) }
+			quarter, err := exec(spillOpts(t, Options{MaxBytes: peak / 4}))
+			if err != nil {
+				t.Fatalf("spill-armed Exec under peak/4 = %d: %v", peak/4, err)
+			}
+			budget, res := spillPressureCase(t, exec, divisorBudgets(peak))
+			if res == nil {
+				t.Fatalf("no budget under peak %d demonstrates fails-without/succeeds-with", peak)
+			}
+			for _, c := range []struct {
+				budget int64
+				res    *Result
+			}{{peak / 4, quarter}, {budget, res}} {
+				if !c.res.Rel.Equal(oracle) {
+					t.Fatalf("budget %d: spilled Exec answer differs from oracle (%d vs %d rows)",
+						c.budget, c.res.Rel.Len(), oracle.Len())
+				}
+				if c.res.Stats.SpilledBytes <= 0 || c.res.Stats.SpillFiles <= 0 {
+					t.Fatalf("budget %d: no spill traffic reported: %+v", c.budget, c.res.Stats)
+				}
+				if c.res.Stats.PeakBytes > c.budget {
+					t.Fatalf("budget %d: peak residency %d over budget despite spilling",
+						c.budget, c.res.Stats.PeakBytes)
+				}
+			}
+		})
 	}
-	// A spill-armed unbounded run reports PeakBytes as the residency
-	// high-water mark (retire() credits intermediates as they leave
-	// scope) — the quantity Exec's budget actually bounds in spill mode.
-	// The rescue window sits just below it: parked join inputs are the
-	// only spill candidates, so they can shave at most a few KiB off it.
-	probe, err := Exec(p, db, spillOpts(t, Options{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget, res := spillPressureCase(t, func(o Options) (*Result, error) {
-		return Exec(p, db, o)
-	}, residencyWindowBudgets(probe.Stats.PeakBytes))
-	if res == nil {
-		t.Skipf("no budget under residency peak %d demonstrates fails-without/succeeds-with on this plan shape", probe.Stats.PeakBytes)
-	}
-	if !res.Rel.Equal(oracle) {
-		t.Fatalf("spilled Exec answer differs from oracle (%d vs %d rows)", res.Rel.Len(), oracle.Len())
-	}
-	if res.Stats.SpilledBytes <= 0 {
-		t.Fatalf("run rescued by spilling reported no spill traffic: %+v", res.Stats)
-	}
-	if res.Stats.PeakBytes > budget {
-		t.Fatalf("peak residency %d over budget %d despite spilling", res.Stats.PeakBytes, budget)
-	}
-	t.Logf("budget %d: spilled %d bytes across %d files, peak residency %d",
-		budget, res.Stats.SpilledBytes, res.Stats.SpillFiles, res.Stats.PeakBytes)
 }
 
 // workloadGraph is the shared over-budget workload: an augmented ladder
@@ -276,7 +277,7 @@ func TestRetryWithSpillLadder(t *testing.T) {
 	opt := spillOpts(t, Options{MaxBytes: budget})
 	// Inline equivalents of resilience.Strategy / PlanLadder (that
 	// package imports engine, so the in-package test rebuilds the rungs).
-	streamRung := Fallback{Name: "stream", Run: func(ctx context.Context, db cq.Database, o Options) (*Result, error) {
+	streamRung := Fallback{Name: "stream", Spills: true, Run: func(ctx context.Context, db cq.Database, o Options) (*Result, error) {
 		return ExecStreamContext(ctx, p, db, o)
 	}}
 	ladder := []Fallback{
@@ -416,6 +417,15 @@ func TestExplainAnalyzeSpillLine(t *testing.T) {
 	}
 	if !strings.Contains(out, "spill: ") {
 		t.Fatalf("spilled EXPLAIN ANALYZE lacks the spill trailer:\n%s", out)
+	}
+	// A spill-armed plan Explain prints the operator tree that ran — the
+	// pull pipeline's, pushdown off — not the plan tree it did not walk.
+	armed, err := Explain(p, db, spillOpts(t, Options{MaxBytes: budget}), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(armed, "pull pipeline") || !strings.Contains(armed, "spill: ") {
+		t.Fatalf("spill-armed Explain ANALYZE is not the spilled pipeline's tree:\n%s", armed)
 	}
 	dry, err := ExplainStream(p, db, spillOpts(t, Options{}), true)
 	if err != nil {

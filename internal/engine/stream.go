@@ -1,26 +1,18 @@
 package engine
 
-// The streaming executor: a pipelined operator graph with late
-// materialization. It lowers the same plans as Exec and ExecIterator, but
-// with three structural differences that bound *live* intermediate size —
-// the quantity the paper shows governs cost — rather than cumulative
-// materialization:
+// The pull pipeline: the engine's one set of Volcano-style operators —
+// scan, hash join, SELECT DISTINCT — the execution model of the paper's
+// PostgreSQL backend. Tuples flow one at a time, so nothing but a hash
+// build, a DISTINCT state and the final output is ever materialized. It
+// lowers the same plans as the plan walker (Exec), with the structural
+// differences that bound *live* intermediate size — the quantity the
+// paper shows governs cost — rather than cumulative materialization:
 //
 //   - Projection is fused into scans and probes. Every operator is lowered
 //     against the set of columns its ancestors actually need, so scans
 //     emit column subsets through relation.ColumnReader (deduplicating
 //     lazily only when columns were dropped) and hash-join builds store
 //     only the needed columns of their input.
-//
-//   - Semijoin filters are pushed below hash-join builds. A pre-pass walks
-//     the plan, derives which scan pairs share an attribute that survives
-//     (is never projected away) from each scan to their common ancestor
-//     join, and runs relation.SemijoinFilter sweeps over zero-copy bound
-//     views of the base relations until a fixpoint — so build sides are
-//     pre-reduced before a single bucket is allocated. Interior joins
-//     whose build input is itself a stream are additionally pre-filtered
-//     with relation.StreamFilter probes against the probe side's reduced
-//     base relations.
 //
 //   - Materialization happens only at genuine pipeline breakers — hash
 //     builds, DISTINCT states, and the final output — and each breaker
@@ -29,26 +21,30 @@ package engine
 //     bytes, not cumulative allocation, and Stats.Bytes reports the
 //     high-water mark of live bytes.
 //
-// Per-operator row/byte/peak counters feed ExplainStream's EXPLAIN
-// ANALYZE operator tree.
+//   - With Options.SpillDir armed the breakers go out of core instead of
+//     failing the charge that put live bytes over the budget: a hash
+//     build is cut into chunks replayed against the spooled probe side, a
+//     DISTINCT state into partitions merged at the root. This is the
+//     engine's only spill path; a spill-armed Exec runs here too.
 //
-// The subplan cache (Options.Cache) memoizes the pushdown pre-pass: the
-// engine materializes no subtree join results to share, but the
-// semijoin-reduced base scans it does produce are keyed by
-// database fingerprint ⊕ whole-plan fingerprint ⊕ scan position (the
-// reduced view of one scan depends on every edge of the plan, so the
-// whole-plan fingerprint — invariant to variable renaming — is the
-// finest sound key). A run that finds every scan of its plan cached
-// swaps the reduced views in and skips the sweeps entirely; any miss
-// re-runs the fixpoint and stores all scans. Per-scan reduced-tuple
-// counts ride along in the entry stats so cache-on and cache-off runs
-// report identical ReducedTuples.
+// One phase is optional and runs ahead of lowering: semijoin pushdown
+// (pushdown.go). The entry point decides, and nothing else does —
+// ExecStream and ExplainStream run it, ExecIterator and a spill-armed
+// Exec do not. Without it a run does no work per plan node beyond
+// building the operator: on non-selective inputs (3-COLOR's complete edge
+// relation) semijoins remove nothing and the sweeps are pure overhead,
+// on selective ones they shrink every build side before it allocates.
+//
+// Per-operator row/byte/peak counters feed EXPLAIN ANALYZE's operator
+// tree, which is rendered off the operators themselves: lowering does
+// nothing only EXPLAIN reads.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -63,34 +59,22 @@ import (
 // narrow enough that a pipelined plan with pushdown stays cheap.
 const DefaultStreamWidth = 6
 
-// maxReducePasses caps the pushdown fixpoint sweeps. A forward pass
-// cascades reductions along the plan order, the backward pass carries
-// them the other way (the spider shape needs it: an outer arm first
-// reduces its inner relation, which then reduces the other arms through
-// the center); further passes only fire when a prior pass still removed
-// rows somewhere.
-const maxReducePasses = 4
-
 // opStats is one operator's slice of the EXPLAIN ANALYZE tree: rows
 // emitted, bytes materialized (cumulative) and resident (current / peak),
 // and tuples removed by pushed-down semijoin reduction.
 type opStats struct {
-	label    string
-	attrs    []cq.Var
-	rows     int64 // tuples emitted
-	total    int64 // cumulative bytes materialized by this operator
-	held     int64 // bytes currently resident
-	peak     int64 // high-water resident bytes
-	build    int64 // build-side rows stored (joins)
-	reduced  int64 // tuples removed before this operator by pushdown
-	children []*opStats
+	rows    int64 // tuples emitted
+	total   int64 // cumulative bytes materialized by this operator
+	held    int64 // bytes currently resident
+	peak    int64 // high-water resident bytes
+	build   int64 // build-side rows stored (joins)
+	reduced int64 // tuples removed before this operator by pushdown
 }
 
-// streamContext is a pipeline's run governor with the budget turned from
+// streamContext is the pipeline's run governor with the budget turned from
 // cumulative to live bytes: bytes released by a closing operator come back
 // to the budget immediately, maxBytes bounds live and peak records its
-// high-water mark. The iterator executor governs its pipeline with the
-// same type, spiller unset.
+// high-water mark.
 type streamContext struct {
 	governor
 	live int64 // resident bytes across all live operators
@@ -173,251 +157,27 @@ type streamOp interface {
 	schema() []cq.Var
 	next() (relation.Tuple, error)
 	close()
+	stats() *opStats
 }
 
-// streamScanState is one base-relation occurrence tracked by the pushdown
-// pre-pass: a zero-copy bound view of the stored relation, reduced in
-// place (well, copy-on-first-write) by the semijoin sweeps before any
-// operator runs.
-type streamScanState struct {
-	node    *plan.Scan
-	view    *relation.Relation
-	charged int64 // live bytes held for the reduced view (0 while shared)
-	epoch   int   // bumped whenever rows are removed
-	reduced int64 // tuples removed by the sweeps
-}
-
-// reduceEdge records that scans a and b may soundly semijoin-reduce each
-// other on attrs: each attr survives from both scans to a common ancestor
-// join, so a tuple of either scan whose attr values never appear in the
-// other cannot contribute to any answer.
-type reduceEdge struct {
-	a, b           int
-	attrs          []cq.Var
-	epochA, epochB int // endpoint epochs when the edge last ran
-}
-
-type streamExec struct {
-	ctx       *streamContext
-	scans     []*streamScanState
-	scanOf    map[*plan.Scan]int
-	edges     []reduceEdge
-	edgeOf    map[[2]int]int
-	aliveAt   map[plan.Node]map[cq.Var][]int
-	nextFresh relation.Attr // fresh attrs for restricted constrainer views
-}
-
-// collect walks the plan bottom-up, binding scan views and building the
-// alive-attribute map: for each node, which scans does each attribute of
-// the node's output survive from? Project drops attributes, Join merges
-// its children and — for every attribute alive on both sides — records a
-// reduction edge between each pair of source scans.
-func (e *streamExec) collect(n plan.Node) (map[cq.Var][]int, error) {
-	switch t := n.(type) {
-	case *plan.Scan:
-		view, err := e.ctx.bind(&t.Atom)
-		if err != nil {
-			return nil, err
-		}
-		idx := len(e.scans)
-		e.scans = append(e.scans, &streamScanState{node: t, view: view})
-		e.scanOf[t] = idx
-		alive := make(map[cq.Var][]int, len(t.Atom.Args))
-		for _, a := range t.Atom.Args {
-			alive[a] = []int{idx}
-		}
-		e.aliveAt[n] = alive
-		return alive, nil
-
-	case *plan.Join:
-		l, err := e.collect(t.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.collect(t.Right)
-		if err != nil {
-			return nil, err
-		}
-		for a, ls := range l {
-			rs, ok := r[a]
-			if !ok {
-				continue
-			}
-			for _, i := range ls {
-				for _, j := range rs {
-					e.addEdge(i, j, a)
-				}
-			}
-		}
-		alive := make(map[cq.Var][]int, len(l)+len(r))
-		for a, ls := range l {
-			alive[a] = append(alive[a], ls...)
-		}
-		for a, rs := range r {
-			alive[a] = append(alive[a], rs...)
-		}
-		e.aliveAt[n] = alive
-		return alive, nil
-
-	case *plan.Project:
-		c, err := e.collect(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		alive := make(map[cq.Var][]int, len(t.Cols))
-		for _, a := range t.Cols {
-			if ls, ok := c[a]; ok {
-				alive[a] = ls
-			}
-		}
-		e.aliveAt[n] = alive
-		return alive, nil
-
-	default:
-		return nil, fmt.Errorf("engine: unknown plan node %T", n)
-	}
-}
-
-func (e *streamExec) addEdge(i, j int, a cq.Var) {
-	if i == j {
-		return
-	}
-	if i > j {
-		i, j = j, i
-	}
-	key := [2]int{i, j}
-	if k, ok := e.edgeOf[key]; ok {
-		for _, have := range e.edges[k].attrs {
-			if have == a {
-				return
-			}
-		}
-		e.edges[k].attrs = append(e.edges[k].attrs, a)
-		return
-	}
-	e.edgeOf[key] = len(e.edges)
-	e.edges = append(e.edges, reduceEdge{a: i, b: j, attrs: []cq.Var{a}, epochA: -1, epochB: -1})
-}
-
-// reduceOne reduces target's view by constrainer's on attrs, returning
-// whether rows were removed. When the two views share more attributes
-// than are sound for this edge, the constrainer's extra columns are
-// renamed apart (zero-copy) so the kernel keys only on attrs.
-func (e *streamExec) reduceOne(target, constrainer *streamScanState, attrs []cq.Var) (bool, error) {
-	if target.view.Empty() {
-		return false, nil
-	}
-	ov := constrainer.view
-	shared := relation.SharedAttrs(target.view, ov)
-	if len(shared) > len(attrs) {
-		ok := make(map[cq.Var]bool, len(attrs))
-		for _, a := range attrs {
-			ok[a] = true
-		}
-		m := make(map[relation.Attr]relation.Attr)
-		for _, a := range shared {
-			if !ok[a] {
-				m[a] = e.nextFresh
-				e.nextFresh--
-			}
-		}
-		ov = relation.Rename(ov, m)
-	}
-	var counter atomic.Int64
-	out, removed, err := relation.SemijoinFilter(target.view, ov, e.ctx.kernelLim(&counter))
-	e.ctx.notePeak(&counter)
-	if err != nil {
-		return false, err
-	}
-	if removed == 0 {
-		return false, nil
-	}
-	target.view = out
-	target.epoch++
-	target.reduced += int64(removed)
-	e.ctx.stats.ReducedTuples += int64(removed)
-	// After the first removal the view owns a private arena; charge its
-	// footprint as live bytes (compactions shrink the charge again).
-	return true, e.ctx.hold(out.Bytes(), &target.charged, nil)
-}
-
-// reduceAll runs the pushdown sweeps to a fixpoint (bounded by
-// maxReducePasses): forward along plan order, then backward, skipping
-// edges whose endpoints have not changed since the edge last ran.
-func (e *streamExec) reduceAll() error {
-	for pass := 0; pass < maxReducePasses; pass++ {
-		changed := false
-		for k := range e.edges {
-			i := k
-			if pass%2 == 1 {
-				i = len(e.edges) - 1 - k
-			}
-			ed := &e.edges[i]
-			sa, sb := e.scans[ed.a], e.scans[ed.b]
-			if ed.epochA == sa.epoch && ed.epochB == sb.epoch {
-				continue
-			}
-			// Reduce the larger view first: the kernel's probe table is
-			// built over the constrainer, so constraining big-by-small
-			// keeps the sweep's own transient footprint at the small
-			// side's size — and the second call then probes an
-			// already-shrunk view.
-			x, y := sa, sb
-			if x.view.Len() < y.view.Len() {
-				x, y = y, x
-			}
-			c1, err := e.reduceOne(x, y, ed.attrs)
-			if err != nil {
-				return err
-			}
-			c2, err := e.reduceOne(y, x, ed.attrs)
-			if err != nil {
-				return err
-			}
-			ed.epochA, ed.epochB = sa.epoch, sb.epoch
-			changed = changed || c1 || c2
-		}
-		if !changed {
-			return nil
-		}
-	}
-	return nil
-}
-
-// neededFor intersects a child's output attributes with the columns its
-// parent needs plus the join attributes, preserving child order.
-func neededFor(child plan.Node, needed []cq.Var, shared []cq.Var) []cq.Var {
-	want := make(map[cq.Var]bool, len(needed)+len(shared))
-	for _, a := range needed {
-		want[a] = true
-	}
-	for _, a := range shared {
-		want[a] = true
-	}
-	var out []cq.Var
-	for _, a := range child.Attrs() {
-		if want[a] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// streamScan streams the needed columns of a (reduced) base-relation
-// view, deduplicating lazily — a seen-set is kept only when columns were
+// streamScan streams the needed columns of a base relation — its view
+// reduced by the pushdown phase, or the stored relation itself —
+// deduplicating lazily: a seen-set is kept only when columns were
 // actually dropped, since only then can duplicates arise.
 type streamScan struct {
 	ctx        *streamContext
-	state      *streamScanState
+	atom       *cq.Atom
+	state      *streamScanState // the pushdown phase's view; nil with the phase off
 	sch        []cq.Var
-	rd         *relation.ColumnReader
+	rd         relation.ColumnReader
 	dedup      *relation.Relation
 	dedupBytes int64
-	st         *opStats
+	st         opStats
 	done       bool
 }
 
 func (s *streamScan) schema() []cq.Var { return s.sch }
+func (s *streamScan) stats() *opStats  { return &s.st }
 
 func (s *streamScan) next() (relation.Tuple, error) {
 	if s.done {
@@ -429,16 +189,18 @@ func (s *streamScan) next() (relation.Tuple, error) {
 			s.close()
 			return nil, nil
 		}
-		if err := s.ctx.tick(); err != nil {
-			return nil, err
-		}
 		if s.dedup != nil {
+			// Only here can the loop spin without returning a tuple; a
+			// returned tuple is ticked by whoever consumes it.
+			if err := s.ctx.tick(); err != nil {
+				return nil, err
+			}
 			if !s.dedup.Add(t) {
 				continue
 			}
 			s.ctx.stats.Tuples++
 			s.ctx.stats.MaterializedTuples++
-			if err := s.ctx.hold(s.dedup.Bytes(), &s.dedupBytes, s.st); err != nil {
+			if err := s.ctx.hold(s.dedup.Bytes(), &s.dedupBytes, &s.st); err != nil {
 				return nil, err
 			}
 			if s.ctx.maxRows > 0 && s.dedup.Len() > s.ctx.maxRows {
@@ -455,20 +217,11 @@ func (s *streamScan) close() {
 		return
 	}
 	s.done = true
-	s.ctx.release(&s.dedupBytes, s.st)
+	s.ctx.release(&s.dedupBytes, &s.st)
 	s.dedup = nil
-	s.ctx.release(&s.state.charged, s.st)
-}
-
-// buildFilter pre-reduces a streamed build side against one of the probe
-// side's base relations: rows whose key values never appear in the scan's
-// reduced view are dropped before they reach the hash table.
-type buildFilter struct {
-	state *streamScanState
-	attrs []cq.Var
-	pos   []int // key columns in the stored (gathered) build row
-	f     *relation.StreamFilter
-	bytes int64
+	if s.state != nil {
+		s.ctx.release(&s.state.charged, &s.st)
+	}
 }
 
 // streamJoin builds a hash table over the needed columns of its right
@@ -480,18 +233,18 @@ type streamJoin struct {
 	left, right streamOp
 	sch         []cq.Var
 
-	sharedLeft []int // probe key columns in left schema
-	keyPos     []int // key columns in the stored build row
-	gather     []int // rightNeeded columns in right schema
-	leftCols   []int // schema assembly: left column index or -1
-	rightCols  []int // schema assembly: stored-row column index or -1
+	probeKey  []int // key columns in the left (probe) schema
+	keyPos    []int // key columns in the stored build row
+	gather    []int // the stored row's columns in the right schema
+	rightOnly []int // stored-row columns the output appends to the left's
 
 	filters  []buildFilter
 	table    *relation.StreamTable
 	tabBytes int64
-	built    bool
-	done     bool
-	closed   bool
+
+	built, done, closed bool
+	haveCur             bool // cur holds a probe tuple with matches left
+	replay              bool // the chunk-replay passes of a spilled build have begun
 
 	// Grace spilling (armed only when ctx.spiller is set and the build
 	// outgrew the budget): chunks holds build partitions written to
@@ -503,17 +256,17 @@ type streamJoin struct {
 	chunks  []*relation.RowFile
 	spool   *relation.RowFile
 	spoolRd *relation.RowReader
-	replay  bool
 
-	cur     relation.Tuple
-	haveCur bool
-	matches relation.StreamMatches
-	out     relation.Tuple
-	buf     relation.Tuple // gathered build row buffer
-	st      *opStats
+	// out is the output tuple: the current probe tuple (cur, its prefix)
+	// followed by the right-only columns of the matching build row.
+	out, cur relation.Tuple
+	matches  relation.StreamMatches
+	buf      relation.Tuple // gathered build row buffer
+	st       opStats
 }
 
 func (j *streamJoin) schema() []cq.Var { return j.sch }
+func (j *streamJoin) stats() *opStats  { return &j.st }
 
 func (j *streamJoin) build() error {
 	for fi := range j.filters {
@@ -525,7 +278,7 @@ func (j *streamJoin) build() error {
 			return err
 		}
 		bf.f = f
-		if err := j.ctx.hold(f.Bytes(), &bf.bytes, j.st); err != nil {
+		if err := j.ctx.hold(f.Bytes(), &bf.bytes, &j.st); err != nil {
 			return err
 		}
 	}
@@ -559,7 +312,7 @@ insert:
 		j.table.Insert(j.buf)
 		j.ctx.stats.Tuples++
 		j.ctx.stats.MaterializedTuples++
-		if err := j.ctx.hold(j.table.Bytes(), &j.tabBytes, j.st); err != nil {
+		if err := j.ctx.hold(j.table.Bytes(), &j.tabBytes, &j.st); err != nil {
 			if j.ctx.spiller == nil || !errors.Is(err, relation.ErrMemBudget) {
 				return err
 			}
@@ -575,7 +328,7 @@ insert:
 	// The build side is fully materialized; release the filters and the
 	// right subtree's state.
 	for fi := range j.filters {
-		j.ctx.release(&j.filters[fi].bytes, j.st)
+		j.ctx.release(&j.filters[fi].bytes, &j.st)
 		j.filters[fi].f = nil
 	}
 	j.filters = nil
@@ -605,9 +358,9 @@ func (j *streamJoin) spillBuild() error {
 		return err
 	}
 	j.chunks = append(j.chunks, rf)
-	j.ctx.release(&j.tabBytes, j.st)
+	j.ctx.release(&j.tabBytes, &j.st)
 	j.table = relation.NewStreamTable(len(j.buf), j.keyPos)
-	return j.ctx.hold(j.table.Bytes(), &j.tabBytes, j.st)
+	return j.ctx.hold(j.table.Bytes(), &j.tabBytes, &j.st)
 }
 
 // replayAdvance drives the chunk-replay phase: reload the next spilled
@@ -651,7 +404,7 @@ func (j *streamJoin) replayAdvance() error {
 				// budget's slack when it was written, so it must fit the
 				// slack its siblings leave now. If it does not, the run
 				// fails with an honest ErrMemBudget.
-				if err := j.ctx.hold(tab.Bytes(), &j.tabBytes, j.st); err != nil {
+				if err := j.ctx.hold(tab.Bytes(), &j.tabBytes, &j.st); err != nil {
 					rd.Close()
 					ch.Close()
 					return err
@@ -674,7 +427,7 @@ func (j *streamJoin) replayAdvance() error {
 			// Probe pass over this chunk done; drop it, move to the next.
 			j.spoolRd.Close()
 			j.spoolRd = nil
-			j.ctx.release(&j.tabBytes, j.st)
+			j.ctx.release(&j.tabBytes, &j.st)
 			j.table = nil
 			continue
 		}
@@ -683,7 +436,7 @@ func (j *streamJoin) replayAdvance() error {
 		}
 		j.cur = append(j.cur[:0], row...)
 		j.haveCur = true
-		j.matches = j.table.Probe(j.cur, j.sharedLeft)
+		j.matches = j.table.Probe(j.cur, j.probeKey)
 		return nil
 	}
 }
@@ -700,12 +453,8 @@ func (j *streamJoin) next() (relation.Tuple, error) {
 	for {
 		if j.haveCur {
 			if rt := j.matches.Next(); rt != nil {
-				for i := range j.sch {
-					if lc := j.leftCols[i]; lc >= 0 {
-						j.out[i] = j.cur[lc]
-					} else {
-						j.out[i] = rt[j.rightCols[i]]
-					}
+				for k, c := range j.rightOnly {
+					j.out[len(j.cur)+k] = rt[c]
 				}
 				j.st.rows++
 				return j.out, nil
@@ -728,7 +477,7 @@ func (j *streamJoin) next() (relation.Tuple, error) {
 		if t == nil {
 			// Probe input exhausted: the in-memory pass is over, so the
 			// resident table goes back to the governor now.
-			j.ctx.release(&j.tabBytes, j.st)
+			j.ctx.release(&j.tabBytes, &j.st)
 			j.table = nil
 			j.left.close()
 			if len(j.chunks) == 0 {
@@ -767,9 +516,9 @@ func (j *streamJoin) next() (relation.Tuple, error) {
 				return nil, err
 			}
 		}
-		j.cur = append(j.cur[:0], t...)
+		copy(j.cur, t)
 		j.haveCur = true
-		j.matches = j.table.Probe(j.cur, j.sharedLeft)
+		j.matches = j.table.Probe(j.cur, j.probeKey)
 	}
 }
 
@@ -780,10 +529,10 @@ func (j *streamJoin) close() {
 	j.closed = true
 	j.done = true
 	for fi := range j.filters {
-		j.ctx.release(&j.filters[fi].bytes, j.st)
+		j.ctx.release(&j.filters[fi].bytes, &j.st)
 	}
 	j.filters = nil
-	j.ctx.release(&j.tabBytes, j.st)
+	j.ctx.release(&j.tabBytes, &j.st)
 	j.table = nil
 	for _, ch := range j.chunks {
 		ch.Close()
@@ -813,7 +562,7 @@ type streamDistinct struct {
 	seen      *relation.Relation
 	seenBytes int64
 	out       relation.Tuple
-	st        *opStats
+	st        opStats
 	done      bool
 	detached  bool
 
@@ -827,6 +576,7 @@ type streamDistinct struct {
 }
 
 func (d *streamDistinct) schema() []cq.Var { return d.sch }
+func (d *streamDistinct) stats() *opStats  { return &d.st }
 
 func (d *streamDistinct) next() (relation.Tuple, error) {
 	if d.done {
@@ -851,7 +601,7 @@ func (d *streamDistinct) next() (relation.Tuple, error) {
 		if !d.seen.Add(d.out) {
 			continue
 		}
-		if err := d.ctx.hold(d.seen.Bytes(), &d.seenBytes, d.st); err != nil {
+		if err := d.ctx.hold(d.seen.Bytes(), &d.seenBytes, &d.st); err != nil {
 			if d.ctx.spiller == nil || !errors.Is(err, relation.ErrMemBudget) {
 				return nil, err
 			}
@@ -881,10 +631,10 @@ func (d *streamDistinct) spillSeen() error {
 		return err
 	}
 	d.chunks = append(d.chunks, sf)
-	d.ctx.release(&d.seenBytes, d.st)
+	d.ctx.release(&d.seenBytes, &d.st)
 	d.seen = relation.New(d.sch)
 	d.seen.Add(d.out)
-	return d.ctx.hold(d.seen.Bytes(), &d.seenBytes, d.st)
+	return d.ctx.hold(d.seen.Bytes(), &d.seenBytes, &d.st)
 }
 
 // detachSeen hands the dedup state to the caller as the final result; its
@@ -912,7 +662,7 @@ func (d *streamDistinct) mergeSpilled() (*relation.Relation, error) {
 			if !out.Add(t) {
 				return true
 			}
-			if err := d.ctx.hold(out.Bytes(), &outBytes, d.st); err != nil {
+			if err := d.ctx.hold(out.Bytes(), &outBytes, &d.st); err != nil {
 				ferr = err
 				return false
 			}
@@ -927,7 +677,7 @@ func (d *streamDistinct) mergeSpilled() (*relation.Relation, error) {
 	if err := addAll(d.seen); err != nil {
 		return nil, err
 	}
-	d.ctx.release(&d.seenBytes, d.st)
+	d.ctx.release(&d.seenBytes, &d.st)
 	d.seen = nil
 	d.detached = true
 	for len(d.chunks) > 0 {
@@ -939,11 +689,11 @@ func (d *streamDistinct) mergeSpilled() (*relation.Relation, error) {
 			return nil, err
 		}
 		var chBytes int64
-		if err := d.ctx.hold(rel.Bytes(), &chBytes, d.st); err != nil {
+		if err := d.ctx.hold(rel.Bytes(), &chBytes, &d.st); err != nil {
 			return nil, err
 		}
 		err = addAll(rel)
-		d.ctx.release(&chBytes, d.st)
+		d.ctx.release(&chBytes, &d.st)
 		if err != nil {
 			return nil, err
 		}
@@ -953,7 +703,7 @@ func (d *streamDistinct) mergeSpilled() (*relation.Relation, error) {
 
 func (d *streamDistinct) close() {
 	if !d.detached {
-		d.ctx.release(&d.seenBytes, d.st)
+		d.ctx.release(&d.seenBytes, &d.st)
 		d.seen = nil
 	}
 	for _, ch := range d.chunks {
@@ -966,92 +716,151 @@ func (d *streamDistinct) close() {
 	}
 }
 
+// pipeline lowers one plan onto the operators and runs it.
+type pipeline struct {
+	ctx *streamContext
+	// push is the pushdown phase's result — the reduced scan views and
+	// the alive-attribute maps the build filters are read off — or nil
+	// when the entry point runs without the phase.
+	push *pushdown
+	// joinAttrs memoizes the output schema of a join that feeds a join:
+	// plan.Join.Attrs re-derives its whole subtree on every call, which
+	// down a left-deep chain is quadratic.
+	joinAttrs map[*plan.Join][]cq.Var
+}
+
+// attrs is n's output schema.
+func (e *pipeline) attrs(n plan.Node) []cq.Var {
+	j, ok := n.(*plan.Join)
+	if !ok {
+		return n.Attrs()
+	}
+	if a, ok := e.joinAttrs[j]; ok {
+		return a
+	}
+	l, r := e.attrs(j.Left), e.attrs(j.Right)
+	out := make([]cq.Var, len(l), len(l)+len(r))
+	copy(out, l)
+	for _, a := range r {
+		if !slices.Contains(l, a) {
+			out = append(out, a)
+		}
+	}
+	if e.joinAttrs == nil {
+		e.joinAttrs = make(map[*plan.Join][]cq.Var)
+	}
+	e.joinAttrs[j] = out
+	return out
+}
+
+// pick returns the attributes of from that occur in a or in b, in from's
+// order: a join input emits what the join's consumer needs of it plus
+// what it shares with the other input. Schemas are a handful of columns,
+// so membership is a scan, not a set.
+func pick(from, a, b []cq.Var) []cq.Var {
+	out := make([]cq.Var, 0, len(from))
+	for _, v := range from {
+		if slices.Contains(a, v) || slices.Contains(b, v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// positions locates each of cols in schema.
+func positions(schema, cols []cq.Var) ([]int, error) {
+	idx := make([]int, len(cols))
+	for i, c := range cols {
+		if idx[i] = slices.Index(schema, c); idx[i] < 0 {
+			return nil, fmt.Errorf("engine: projection column x%d not in input schema", c)
+		}
+	}
+	return idx, nil
+}
+
 // lower builds the operator graph for n, emitting only the needed
-// columns. needed is always a subset of n.Attrs(); the returned
+// columns. needed is always a subset of n's schema; the returned
 // operator's schema is a superset of needed (joins keep their own key
 // columns in the streamed output — they cost nothing until the next
 // breaker, which gathers its own needed subset).
-func (e *streamExec) lower(n plan.Node, needed []cq.Var) (streamOp, *opStats, error) {
+func (e *pipeline) lower(n plan.Node, needed []cq.Var) (streamOp, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		state := e.scans[e.scanOf[t]]
-		st := &opStats{
-			label:   t.Atom.String(),
-			attrs:   needed,
-			reduced: state.reduced,
-			held:    state.charged,
-			total:   state.charged,
-			peak:    state.charged,
+		s := &streamScan{ctx: e.ctx, atom: &t.Atom, sch: t.Atom.Args}
+		var view *relation.Relation
+		if e.push != nil {
+			s.state = e.push.scans[e.push.scanOf[t]]
+			view = s.state.view
+			s.st = opStats{reduced: s.state.reduced, held: s.state.charged,
+				total: s.state.charged, peak: s.state.charged}
+		} else {
+			// Nothing rewrites the rows, so they are read by position off
+			// the stored relation: no bound view is needed.
+			var err error
+			if view, err = e.ctx.resolve(&t.Atom); err != nil {
+				return nil, err
+			}
 		}
+		var idx []int // nil: whole rows, in the atom's order
 		if len(needed) < len(t.Atom.Args) {
-			st.label += " π" + varList(needed)
+			var err error
+			if idx, err = positions(t.Atom.Args, needed); err != nil {
+				return nil, err
+			}
+			s.sch, s.dedup = needed, relation.New(needed)
 		}
-		s := &streamScan{
-			ctx:   e.ctx,
-			state: state,
-			sch:   needed,
-			rd:    relation.NewColumnReader(state.view, needed),
-			st:    st,
-		}
-		if len(needed) < state.view.Arity() {
-			s.dedup = relation.New(needed)
-		}
-		e.noteArity(len(needed))
-		return s, st, nil
+		s.rd = relation.NewColumnReader(view, idx)
+		e.noteArity(len(s.sch))
+		return s, nil
 
 	case *plan.Join:
-		shared := sharedVars(t.Left.Attrs(), t.Right.Attrs())
-		leftNeeded := neededFor(t.Left, needed, shared)
-		rightNeeded := neededFor(t.Right, needed, shared)
-		left, lst, err := e.lower(t.Left, leftNeeded)
+		la, ra := e.attrs(t.Left), e.attrs(t.Right)
+		left, err := e.lower(t.Left, pick(la, needed, ra))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		right, rst, err := e.lower(t.Right, rightNeeded)
+		// Stored build rows are the needed columns of the right input.
+		stored := pick(ra, needed, la)
+		right, err := e.lower(t.Right, stored)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		j := &streamJoin{ctx: e.ctx, left: left, right: right}
 		ls, rs := left.schema(), right.schema()
-		rpos := make(map[cq.Var]int, len(rs))
-		for i, a := range rs {
-			rpos[a] = i
-		}
-		// Stored build rows are the rightNeeded gather of the right input.
-		stored := rightNeeded
-		spos := make(map[cq.Var]int, len(stored))
+		j := &streamJoin{ctx: e.ctx, left: left, right: right}
+		// The four column lists hold at most one entry per stored column
+		// each: one backing array serves them all.
+		k := len(stored)
+		cols := make([]int, 4*k)
+		j.gather, j.keyPos, j.probeKey, j.rightOnly = cols[:k], cols[k:k:2*k], cols[2*k:2*k:3*k], cols[3*k:3*k]
+		j.sch = make([]cq.Var, len(ls), len(ls)+k)
+		copy(j.sch, ls)
 		for i, a := range stored {
-			j.gather = append(j.gather, rpos[a])
-			spos[a] = i
-		}
-		lpos := make(map[cq.Var]int, len(ls))
-		for i, a := range ls {
-			lpos[a] = i
-			j.sch = append(j.sch, a)
-			j.leftCols = append(j.leftCols, i)
-			j.rightCols = append(j.rightCols, -1)
-			if si, ok := spos[a]; ok {
-				j.sharedLeft = append(j.sharedLeft, i)
-				j.keyPos = append(j.keyPos, si)
-			}
-		}
-		for i, a := range stored {
-			if _, ok := lpos[a]; !ok {
+			j.gather[i] = slices.Index(rs, a)
+			if p := slices.Index(ls, a); p >= 0 {
+				j.probeKey = append(j.probeKey, p)
+				j.keyPos = append(j.keyPos, i)
+			} else {
+				j.rightOnly = append(j.rightOnly, i)
 				j.sch = append(j.sch, a)
-				j.leftCols = append(j.leftCols, -1)
-				j.rightCols = append(j.rightCols, i)
 			}
 		}
-		j.out = make(relation.Tuple, len(j.sch))
-		j.buf = make(relation.Tuple, len(stored))
-		j.table = relation.NewStreamTable(len(stored), j.keyPos)
-		j.filters = e.buildFilters(t, stored, spos)
-		j.st = &opStats{label: "⋈", attrs: j.sch, children: []*opStats{lst, rst}}
+		vals := make(relation.Tuple, len(j.sch)+k)
+		j.out, j.buf = vals[:len(j.sch):len(j.sch)], vals[len(j.sch):]
+		j.cur = j.out[:len(ls)]
+		j.table = relation.NewStreamTable(k, j.keyPos)
+		if e.push != nil {
+			j.filters = e.push.buildFilters(t, stored)
+		}
 		e.ctx.stats.Joins++
 		e.noteArity(len(j.sch))
-		return j, j.st, nil
+		return j, nil
 
 	case *plan.Project:
+		for i, c := range t.Cols {
+			if slices.Contains(t.Cols[:i], c) {
+				return nil, fmt.Errorf("engine: projection repeats column x%d", c)
+			}
+		}
 		// Consecutive projections collapse: π_N(π_C(X)) = π_N(X) under
 		// set semantics, so only one DISTINCT state is kept.
 		child := t.Child
@@ -1062,109 +871,44 @@ func (e *streamExec) lower(n plan.Node, needed []cq.Var) (streamOp, *opStats, er
 			}
 			break
 		}
-		in, cst, err := e.lower(child, needed)
+		in, err := e.lower(child, needed)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		pos := make(map[cq.Var]int, len(in.schema()))
-		for i, a := range in.schema() {
-			pos[a] = i
-		}
-		idx := make([]int, len(needed))
-		for i, c := range needed {
-			p, ok := pos[c]
-			if !ok {
-				return nil, nil, fmt.Errorf("engine: projection column x%d not in input schema", c)
-			}
-			idx[i] = p
+		idx, err := positions(in.schema(), needed)
+		if err != nil {
+			return nil, err
 		}
 		d := &streamDistinct{
 			ctx:  e.ctx,
 			in:   in,
-			sch:  append([]cq.Var(nil), needed...),
+			sch:  needed,
 			idx:  idx,
 			seen: relation.New(needed),
 			out:  make(relation.Tuple, len(needed)),
-			st:   &opStats{label: "π" + varList(needed), attrs: needed, children: []*opStats{cst}},
 		}
 		e.ctx.stats.Projections++
 		e.noteArity(len(needed))
-		return d, d.st, nil
+		return d, nil
 
 	default:
-		return nil, nil, fmt.Errorf("engine: unknown plan node %T", n)
+		return nil, fmt.Errorf("engine: unknown plan node %T", n)
 	}
 }
 
-// buildFilters attaches StreamFilter specs to a join whose build side is a
-// streamed subtree: for every join attribute alive at some probe-side
-// scan, build rows are checked against that scan's reduced view. Bare
-// (possibly projected) scan build sides are skipped — the pushdown
-// pre-pass already reduced those directly.
-func (e *streamExec) buildFilters(t *plan.Join, stored []cq.Var, spos map[cq.Var]int) []buildFilter {
-	n := t.Right
-	for {
-		if p, ok := n.(*plan.Project); ok {
-			n = p.Child
-			continue
-		}
-		break
-	}
-	if _, isScan := n.(*plan.Scan); isScan {
-		return nil
-	}
-	alive := e.aliveAt[t.Left]
-	byScan := make(map[int][]cq.Var)
-	var order []int
-	for _, a := range stored {
-		ls, ok := alive[a]
-		if !ok || len(ls) == 0 {
-			continue
-		}
-		si := ls[0]
-		if _, seen := byScan[si]; !seen {
-			order = append(order, si)
-		}
-		byScan[si] = append(byScan[si], a)
-	}
-	var out []buildFilter
-	for _, si := range order {
-		attrs := byScan[si]
-		pos := make([]int, len(attrs))
-		for i, a := range attrs {
-			pos[i] = spos[a]
-		}
-		out = append(out, buildFilter{state: e.scans[si], attrs: attrs, pos: pos})
-	}
-	return out
-}
-
-func (e *streamExec) noteArity(a int) {
+func (e *pipeline) noteArity(a int) {
 	if a > e.ctx.stats.MaxArity {
 		e.ctx.stats.MaxArity = a
 	}
 }
 
-func sharedVars(l, r []cq.Var) []cq.Var {
-	in := make(map[cq.Var]bool, len(r))
-	for _, a := range r {
-		in[a] = true
-	}
-	var out []cq.Var
-	for _, a := range l {
-		if in[a] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// ExecStream evaluates the plan with the pipelined streaming engine:
-// semijoin pushdown before execution, fused projections, and live-byte
-// memory accounting (Stats.Bytes and Stats.PeakBytes report the peak of
-// live bytes, not cumulative materialization). Results are identical to
-// Exec. The subplan cache (opt.Cache) memoizes the semijoin-reduced base
-// scans, so repeated plans skip the pushdown sweeps.
+// ExecStream evaluates the plan on the pull pipeline with the semijoin
+// pushdown phase ahead of it: base relations are reduced before any
+// operator runs, projections are fused, and memory is accounted in live
+// bytes (Stats.Bytes and Stats.PeakBytes report the peak of live bytes,
+// not cumulative materialization). Results are identical to Exec. The
+// subplan cache (opt.Cache) memoizes the semijoin-reduced base scans, so
+// repeated plans skip the pushdown sweeps.
 func ExecStream(p plan.Node, db cq.Database, opt Options) (*Result, error) {
 	return ExecStreamContext(context.Background(), p, db, opt)
 }
@@ -1172,17 +916,40 @@ func ExecStream(p plan.Node, db cq.Database, opt Options) (*Result, error) {
 // ExecStreamContext is ExecStream under a context: the pipeline and the
 // pushdown sweeps poll the context and surface cancellation as
 // ErrCanceled.
-func ExecStreamContext(cctx context.Context, p plan.Node, db cq.Database, opt Options) (*Result, error) {
-	res, _, err := execStream(cctx, p, db, opt)
+func ExecStreamContext(ctx context.Context, p plan.Node, db cq.Database, opt Options) (*Result, error) {
+	res, _, err := execPipeline(ctx, p, db, opt, true)
 	return res, err
 }
 
-func execStream(cctx context.Context, p plan.Node, db cq.Database, opt Options) (*Result, *opStats, error) {
-	e := newStreamExec(cctx, db, opt)
-	ctx, stats := e.ctx, &e.ctx.stats
-	// done settles the run's totals: the live-byte peak is what this engine
-	// reports as Bytes.
-	done := func(root *opStats, out *relation.Relation, err error) (*Result, *opStats, error) {
+// ExecIterator evaluates the plan on the pull pipeline alone, without the
+// pushdown phase: the plain Volcano execution of the plan, and what a
+// spill-armed Exec runs. Results are identical to Exec; Stats.Bytes and
+// Stats.PeakBytes report the peak of live bytes. The subplan cache
+// (opt.Cache) is ignored: without the phase a run produces nothing
+// immutable to share.
+func ExecIterator(p plan.Node, db cq.Database, opt Options) (*Result, error) {
+	return ExecIteratorContext(context.Background(), p, db, opt)
+}
+
+// ExecIteratorContext is ExecIterator under a context: the pipeline polls
+// the context at the same cadence as the deadline check, so cancellation
+// lands within a few thousand tuples and surfaces as ErrCanceled.
+func ExecIteratorContext(ctx context.Context, p plan.Node, db cq.Database, opt Options) (*Result, error) {
+	res, _, err := execPipeline(ctx, p, db, opt, false)
+	return res, err
+}
+
+// execPipeline runs p on the pull pipeline, with the semijoin pushdown
+// phase ahead of lowering when pushdown is set, and returns the operator
+// tree that ran alongside the result for EXPLAIN ANALYZE.
+func execPipeline(cctx context.Context, p plan.Node, db cq.Database, opt Options, pushdown bool) (*Result, streamOp, error) {
+	ctx := &streamContext{}
+	ctx.govern(cctx, db, opt)
+	e, stats := &pipeline{ctx: ctx}, &ctx.stats
+	var root streamOp
+	// done settles the run's totals: the live-byte peak is what the
+	// pipeline reports as Bytes.
+	done := func(out *relation.Relation, err error) (*Result, streamOp, error) {
 		stats.Bytes, stats.PeakBytes = ctx.peak, ctx.peak
 		if ctx.spiller != nil {
 			stats.SpilledBytes, stats.SpillFiles = ctx.spiller.Stats()
@@ -1190,68 +957,27 @@ func execStream(cctx context.Context, p plan.Node, db cq.Database, opt Options) 
 		res, err := ctx.finish(out, err)
 		return res, root, err
 	}
-	fail := func(root *opStats, err error) (*Result, *opStats, error) { return done(root, nil, err) }
 	if opt.SpillDir != "" {
 		sp, err := relation.NewSpiller(opt.SpillDir, opt.MaxSpillBytes)
 		if err != nil {
-			return fail(nil, err)
+			return done(nil, err)
 		}
 		ctx.spiller = sp
 		defer sp.Cleanup()
 	}
-	if _, err := e.collect(p); err != nil {
-		return nil, nil, err // structural, not a run failure
-	}
-	// Cached pushdown: if every scan's reduced view is memoized for this
-	// (database, plan) pair, swap the views in and skip the sweeps.
-	var scanKeys []string
-	reduced := false
-	if opt.Cache != nil {
-		scanKeys = streamScanKeys(DatabaseFingerprint(db), p, len(e.scans))
-		views := make([]*relation.Relation, len(e.scans))
-		counts := make([]int64, len(e.scans))
-		hitAll := true
-		for i := range e.scans {
-			rel, st, hit := opt.Cache.get(scanKeys[i])
-			if !hit {
-				hitAll = false
-				break
-			}
-			views[i], counts[i] = rel, st.ReducedTuples
-		}
-		if hitAll {
-			for i, s := range e.scans {
-				s.view = scanFromCanonical(views[i], s.node.Atom.Args)
-				s.reduced = counts[i]
-				stats.ReducedTuples += counts[i]
-				if counts[i] > 0 {
-					// A reduced view owns a private arena; an unreduced one
-					// is still a zero-copy binding of the base relation.
-					if err := ctx.hold(s.view.Bytes(), &s.charged, nil); err != nil {
-						return fail(nil, err)
-					}
-				}
-			}
-			stats.CacheHits += int64(len(e.scans))
-			reduced = true
-		} else {
-			stats.CacheMisses += int64(len(e.scans))
-		}
-	}
-	if !reduced {
-		if err := e.reduceAll(); err != nil {
-			return fail(nil, err)
-		}
-		if opt.Cache != nil {
-			for i, s := range e.scans {
-				opt.Cache.put(scanKeys[i], scanToCanonical(s.view, s.node.Atom.Args),
-					Stats{ReducedTuples: s.reduced})
-			}
-		}
-	}
-	root, rootSt, err := e.lower(p, append([]cq.Var(nil), p.Attrs()...))
+	// tick polls every few thousand tuples; a run shorter than that still
+	// refuses a context that was dead on arrival.
+	err := ctx.interrupted()
 	if err != nil {
-		return nil, nil, err
+		return done(nil, err)
+	}
+	if pushdown {
+		if e.push, err = runPushdown(ctx, p, opt.Cache); err != nil {
+			return done(nil, err)
+		}
+	}
+	if root, err = e.lower(p, e.attrs(p)); err != nil {
+		return done(nil, err)
 	}
 	defer root.close()
 	var out *relation.Relation
@@ -1259,7 +985,7 @@ func execStream(cctx context.Context, p plan.Node, db cq.Database, opt Options) 
 		for {
 			t, err := d.next()
 			if err != nil {
-				return fail(rootSt, err)
+				return done(nil, err)
 			}
 			if t == nil {
 				break
@@ -1267,30 +993,29 @@ func execStream(cctx context.Context, p plan.Node, db cq.Database, opt Options) 
 		}
 		if len(d.chunks) == 0 {
 			out = d.detachSeen()
-		} else {
-			var err error
-			out, err = d.mergeSpilled()
-			if err != nil {
-				return fail(rootSt, err)
-			}
+		} else if out, err = d.mergeSpilled(); err != nil {
+			return done(nil, err)
 		}
 	} else {
-		out = relation.New(append([]cq.Var(nil), root.schema()...))
-		var outBytes int64
+		out = relation.New(root.schema())
+		st, outBytes := root.stats(), int64(0)
 		for {
 			t, err := root.next()
 			if err != nil {
-				return fail(rootSt, err)
+				return done(nil, err)
 			}
 			if t == nil {
 				break
 			}
+			if err := ctx.tick(); err != nil {
+				return done(nil, err)
+			}
 			out.Add(t)
-			if err := ctx.hold(out.Bytes(), &outBytes, rootSt); err != nil {
-				return fail(rootSt, err)
+			if err := ctx.hold(out.Bytes(), &outBytes, st); err != nil {
+				return done(nil, err)
 			}
 			if opt.MaxRows > 0 && out.Len() > opt.MaxRows {
-				return fail(rootSt, fmt.Errorf("%w: final result", relation.ErrRowLimit))
+				return done(nil, fmt.Errorf("%w: final result", relation.ErrRowLimit))
 			}
 		}
 	}
@@ -1301,21 +1026,7 @@ func execStream(cctx context.Context, p plan.Node, db cq.Database, opt Options) 
 	if out.Len() > stats.MaxRows {
 		stats.MaxRows = out.Len()
 	}
-	return done(rootSt, out, nil)
-}
-
-// newStreamExec starts a pipeline run's governor and its empty pushdown
-// state.
-func newStreamExec(ctx context.Context, db cq.Database, opt Options) *streamExec {
-	e := &streamExec{
-		ctx:       &streamContext{},
-		scanOf:    make(map[*plan.Scan]int),
-		edgeOf:    make(map[[2]int]int),
-		aliveAt:   make(map[plan.Node]map[cq.Var][]int),
-		nextFresh: -1,
-	}
-	e.ctx.govern(ctx, db, opt)
-	return e
+	return done(out, nil)
 }
 
 // ExplainStream renders the streaming engine's fused operator tree. When
@@ -1326,33 +1037,56 @@ func newStreamExec(ctx context.Context, db cq.Database, opt Options) *streamExec
 // builds; the trailer reports the run's peak live bytes and
 // reduced-vs-materialized totals.
 func ExplainStream(p plan.Node, db cq.Database, opt Options, analyze bool) (string, error) {
-	var rootSt *opStats
+	return explainPipeline(p, db, opt, analyze, true)
+}
+
+// explainPipeline is ExplainStream for either way of running the
+// pipeline; the header line says which ran.
+func explainPipeline(p plan.Node, db cq.Database, opt Options, analyze, pushdown bool) (string, error) {
+	var root streamOp
 	var st Stats
 	if analyze {
-		res, r, err := execStream(context.Background(), p, db, opt)
+		res, r, err := execPipeline(context.Background(), p, db, opt, pushdown)
 		if err != nil {
 			return "", err
 		}
-		rootSt, st = r, res.Stats
+		root, st = r, res.Stats
 	} else {
-		e := newStreamExec(context.Background(), db, opt)
-		if _, err := e.collect(p); err != nil {
-			return "", err
-		}
-		root, r, err := e.lower(p, append([]cq.Var(nil), p.Attrs()...))
+		// The phase changes what the operators read, not which operators
+		// there are: the structural rendering lowers without it.
+		e := &pipeline{ctx: &streamContext{}}
+		e.ctx.govern(context.Background(), db, opt)
+		r, err := e.lower(p, e.attrs(p))
 		if err != nil {
 			return "", err
 		}
-		root.close()
-		rootSt = r
+		r.close()
+		root = r
 	}
 	var b strings.Builder
-	b.WriteString("stream pipeline\n")
-	var walk func(o *opStats, depth int)
-	walk = func(o *opStats, depth int) {
-		indent := strings.Repeat("  ", depth+1)
-		fmt.Fprintf(&b, "%s%s  arity=%d", indent, o.label, len(o.attrs))
+	if pushdown {
+		b.WriteString("stream pipeline\n")
+	} else {
+		b.WriteString("pull pipeline (no semijoin pushdown)\n")
+	}
+	var walk func(op streamOp, depth int)
+	walk = func(op streamOp, depth int) {
+		var label string
+		var inputs []streamOp
+		switch o := op.(type) {
+		case *streamScan:
+			label = o.atom.String()
+			if len(o.sch) < len(o.atom.Args) {
+				label += " π" + varList(o.sch)
+			}
+		case *streamJoin:
+			label, inputs = "⋈", []streamOp{o.left, o.right}
+		case *streamDistinct:
+			label, inputs = "π"+varList(o.sch), []streamOp{o.in}
+		}
+		fmt.Fprintf(&b, "%s%s  arity=%d", strings.Repeat("  ", depth+1), label, len(op.schema()))
 		if analyze {
+			o := op.stats()
 			fmt.Fprintf(&b, " rows=%d bytes=%d peak=%d", o.rows, o.total, o.peak)
 			if o.build > 0 {
 				fmt.Fprintf(&b, " build=%d", o.build)
@@ -1362,11 +1096,11 @@ func ExplainStream(p plan.Node, db cq.Database, opt Options, analyze bool) (stri
 			}
 		}
 		b.WriteString("\n")
-		for _, c := range o.children {
+		for _, c := range inputs {
 			walk(c, depth+1)
 		}
 	}
-	walk(rootSt, 0)
+	walk(root, 0)
 	if analyze {
 		fmt.Fprintf(&b, "memory: %d bytes peak live", st.PeakBytes)
 		if opt.MaxBytes > 0 {
@@ -1379,7 +1113,7 @@ func ExplainStream(p plan.Node, db cq.Database, opt Options, analyze bool) (stri
 		}
 		fmt.Fprintf(&b, "tuples: materialized=%d reduced=%d\n",
 			st.MaterializedTuples, st.ReducedTuples)
-		if opt.Cache != nil {
+		if pushdown && opt.Cache != nil {
 			fmt.Fprintf(&b, "cache: run hits=%d misses=%d; %s\n",
 				st.CacheHits, st.CacheMisses, opt.Cache.Counters())
 		}

@@ -326,7 +326,11 @@ func (y *Yannakakis) Prepare() error {
 // subtree results to share.
 func (y *Yannakakis) Run(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
 	if err := y.Prepare(); err != nil {
-		return &Result{}, err
+		// No tree to sweep: leave through the governor's exit all the same,
+		// so the failure carries a stamped Result like every other.
+		var ex yexec
+		ex.govern(ctx, db, opt)
+		return ex.finish(nil, err)
 	}
 	res, _, err := execYannakakis(ctx, y.tree, db, opt)
 	return res, err

@@ -8,40 +8,37 @@ package relation
 // these instead of building a projected relation first.
 type ColumnReader struct {
 	r   *Relation
-	idx []int // selected column indexes, in output order
+	idx []int // selected column indexes, in output order; nil = whole rows
 	pos int
 	buf Tuple
 }
 
-// NewColumnReader returns a cursor over the attrs columns of r, in the
-// given order. It panics if an attribute is absent: the engine computes
-// needed-column sets from the plan, so a miss is a lowering bug.
-func NewColumnReader(r *Relation, attrs []Attr) *ColumnReader {
-	idx := make([]int, len(attrs))
-	for i, a := range attrs {
-		p, ok := r.pos[a]
-		if !ok {
-			panic("relation.ColumnReader: attribute not in schema")
-		}
-		idx[i] = p
+// NewColumnReader returns a cursor over the columns of r at the given
+// indexes, in the given order. A nil idx selects every column in stored
+// order, and Next then yields the stored rows themselves.
+func NewColumnReader(r *Relation, idx []int) ColumnReader {
+	c := ColumnReader{r: r, idx: idx}
+	if idx != nil {
+		c.buf = make(Tuple, len(idx))
 	}
-	return &ColumnReader{r: r, idx: idx, buf: make(Tuple, len(attrs))}
+	return c
 }
 
 // Next returns the selected columns of the next row, or nil at end of
-// stream. The returned tuple is the cursor's reusable buffer: it is only
-// valid until the next call, and callers that retain it must copy.
+// stream. The returned tuple is the cursor's reusable buffer or, for a
+// whole-row cursor, the arena row: it is only valid until the next call,
+// callers that retain it must copy, and none may write to it.
 func (c *ColumnReader) Next() Tuple {
 	if c.pos >= c.r.n {
 		return nil
 	}
 	row := c.r.row(c.pos)
 	c.pos++
+	if c.idx == nil {
+		return row
+	}
 	for i, p := range c.idx {
 		c.buf[i] = row[p]
 	}
 	return c.buf
 }
-
-// Len returns the number of rows the cursor will yield in total.
-func (c *ColumnReader) Len() int { return c.r.n }

@@ -41,13 +41,6 @@ type Limit struct {
 	// every partition-parallel worker), making MaxBytes a per-run
 	// budget rather than a per-operator one.
 	Bytes *atomic.Int64
-	// OnPressure, when non-nil, is invoked when a charge would exceed
-	// MaxBytes: the owner may spill resident state to disk, credit the
-	// shared counter, and return true to have the charge re-evaluated.
-	// Returning false (nothing left to spill) lets the charge fail with
-	// ErrMemBudget; a non-nil error (spill I/O failure) aborts the
-	// operation with that error instead.
-	OnPressure func(need int64) (bool, error)
 }
 
 // ErrRowLimit is returned when an operation would exceed Limit.MaxRows.
@@ -125,16 +118,6 @@ func (l *Limit) chargeBytes(delta int64) error {
 	total := delta
 	if l.Bytes != nil {
 		total = l.Bytes.Add(delta)
-	}
-	for total > l.MaxBytes && l.OnPressure != nil {
-		freed, err := l.OnPressure(total - l.MaxBytes)
-		if err != nil {
-			return err
-		}
-		if !freed || l.Bytes == nil {
-			break
-		}
-		total = l.Bytes.Load()
 	}
 	if total > l.MaxBytes {
 		return fmt.Errorf("%w: charge of %d bytes puts %d in use over budget %d",

@@ -130,16 +130,6 @@ func (r *Relation) rangesPackable() bool {
 	return true
 }
 
-// FromTuples builds a relation over attrs containing the given tuples
-// (duplicates are collapsed). It panics if a tuple has the wrong arity.
-func FromTuples(attrs []Attr, tuples []Tuple) *Relation {
-	r := New(attrs)
-	for _, t := range tuples {
-		r.Add(t)
-	}
-	return r
-}
-
 // Arity returns the number of attributes.
 func (r *Relation) Arity() int { return r.arity }
 

@@ -6,7 +6,7 @@ package relation
 // equality on a column subset. It is the same kernel stack as the
 // relational join — packed-uint64/FNV key split, splitmix-mixed
 // open-addressing table with flat duplicate chains — exported so the
-// engine's iterator executor shares one hot path with the materializing
+// engine's pull pipeline shares one hot path with the materializing
 // executors instead of building string keys into a Go map.
 //
 // Key mode mirrors keyer: while every key-column value fits in a byte and
@@ -43,8 +43,8 @@ func NewStreamTable(arity int, keyPos []int) *StreamTable {
 func (st *StreamTable) Len() int { return st.n }
 
 // Bytes approximates the table's resident memory: the tuple arena, the
-// per-row keys, and the probe structure once built. It is the iterator
-// engine's accounting unit for the memory budget.
+// per-row keys, and the probe structure once built. It is the pull
+// pipeline's accounting unit for the memory budget.
 func (st *StreamTable) Bytes() int64 {
 	b := int64(cap(st.data))*4 + int64(cap(st.keys))*8
 	if st.built {

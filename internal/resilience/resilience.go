@@ -30,7 +30,10 @@ import (
 // the plan walker with up to workers goroutines (a plan no method of
 // package core built, like the hybrid optimizer's choice, lands here too)
 // and degrades down the whole DegradationLadder, since a plan that blew a
-// limit says nothing about the executors above it.
+// limit says nothing about the executors above it. The strategy also
+// states whether its executor can go out of core (Fallback.Spills): the
+// streaming engine and a plan run can, the full reducer and the leapfrog
+// join cannot.
 func Strategy(m core.Method, q *cq.Query, p plan.Node, workers int) (st engine.Fallback, ladder func(*rand.Rand) []engine.Fallback) {
 	st.Name = string(m)
 	ladder = func(rng *rand.Rand) []engine.Fallback { return PlanLadder(q, rng) }
@@ -39,6 +42,7 @@ func Strategy(m core.Method, q *cq.Query, p plan.Node, workers int) (st engine.F
 		y := engine.NewYannakakis(q) // one join tree for every run and explain
 		st.Prepare, st.Run, st.Explain = y.Prepare, y.Run, y.Explain
 	case core.MethodStream:
+		st.Spills = true
 		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
 			return engine.ExecStreamContext(ctx, p, db, opt)
 		}
@@ -53,6 +57,7 @@ func Strategy(m core.Method, q *cq.Query, p plan.Node, workers int) (st engine.F
 			return engine.ExplainWCOJ(q, db, opt, analyze)
 		}
 	default:
+		st.Spills = true
 		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
 			return engine.ExecParallelContext(ctx, p, db, opt, workers)
 		}
@@ -93,9 +98,10 @@ func Strategy(m core.Method, q *cq.Query, p plan.Node, workers int) (st engine.F
 // polynomially over the output, and the leapfrog multiway join is the
 // only executor whose work is bounded by the AGM output bound.
 //
-// With Options.SpillDir set, every rung additionally carries an implicit
-// retry-with-spill step (engine.ExecResilientStrategy): a rung that
-// fails with ErrMemLimit re-runs once with spilling armed — recorded as
+// With Options.SpillDir set, every rung that can spill (the stream rung
+// and the plan rungs; not the full reducer or the leapfrog join) carries
+// an implicit retry-with-spill step (engine.ExecResilientStrategy): a rung
+// that fails with ErrMemLimit re-runs once with spilling armed — recorded as
 // a "<rung>+spill" attempt in Stats.Attempts — before the ladder falls
 // further. Memory pressure then degrades to disk latency on the same
 // strategy instead of forcing a method change, and only an actual spill
@@ -109,7 +115,8 @@ func DegradationLadder(q *cq.Query, rng *rand.Rand) []engine.Fallback {
 	first, _ := Strategy(lead, q, nil, 1)
 	// The stream rung's plan is built only if the rung is reached.
 	stream := engine.Fallback{
-		Name: string(core.MethodStream),
+		Name:   string(core.MethodStream),
+		Spills: true,
 		Run: func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
 			p, err := core.BucketElimination(q, rng)
 			if err != nil {

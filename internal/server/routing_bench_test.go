@@ -82,9 +82,14 @@ func selectiveCases(t testing.TB, db cq.Database) []routeCase {
 // rows the size-only tier takes: triangle, 4-cycle, K4–K6). A cell that
 // exceeds the server's default budgets or cellTimeout is skipped and
 // cannot be the best. The summary row carries the worst regret and the
-// regret of the whole matrix (Σ routed / Σ best).
+// regret of the whole matrix (Σ routed / Σ best). A row whose routed
+// method runs a plan has one more cell, pull=<route>: that plan on the
+// pull pipeline without the pushdown phase (engine.ExecIterator). No
+// route reaches it, so it is never a row's best and enters no regret; it
+// records what re-routing plan tiers there would buy.
 func BenchmarkRoutingMatrix(b *testing.B) {
 	const cellTimeout = 2 * time.Second
+	const pull core.Method = "pull" // not a route: the routed plan, pushdown off
 	opt := engine.Options{MaxRows: 10_000_000, MaxBytes: 256 << 20}
 	// The matrix's rows: the cyclic shapes, Boolean, with the triangle and
 	// the 4-cycle over an e of the through-the-wire benchmark's size.
@@ -118,6 +123,11 @@ func BenchmarkRoutingMatrix(b *testing.B) {
 				return engine.ExecStreamContext(ctx, streamPlan.Plan, db, opt)
 			case core.MethodWCOJ:
 				return engine.ExecWCOJContext(ctx, q, db, opt)
+			case pull:
+				if picked == core.MethodStream {
+					return engine.ExecIteratorContext(ctx, streamPlan.Plan, db, opt)
+				}
+				return engine.ExecIteratorContext(ctx, bePlan.Plan, db, opt)
 			default:
 				return engine.ExecContext(ctx, bePlan.Plan, db, opt)
 			}
@@ -165,6 +175,9 @@ func BenchmarkRoutingMatrix(b *testing.B) {
 			sumRouted += ns[picked]
 			sumBest += best
 			worst = math.Max(worst, ns[picked]/best)
+		}
+		if picked == core.MethodStream || picked == core.MethodBucketElimination {
+			b.Run(c.name+"/pull="+string(picked), func(b *testing.B) { cell(b, pull) })
 		}
 	}
 	b.Run("summary/router", func(b *testing.B) {

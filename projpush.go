@@ -481,14 +481,16 @@ func Explain(p Plan, db Database, opt ExecOptions, analyze bool) (string, error)
 	return engine.Explain(p, db, opt, analyze)
 }
 
-// ExecuteIterator runs a plan on the Volcano-style iterator engine
-// (PostgreSQL's execution model); results are identical to Execute.
+// ExecuteIterator runs a plan on the Volcano-style pull pipeline
+// (PostgreSQL's execution model) — ExecuteStream's operators without the
+// semijoin pushdown phase ahead of them; results are identical to Execute,
+// and it is what Execute itself runs when opt arms a spill directory.
 func ExecuteIterator(p Plan, db Database, opt ExecOptions) (*Result, error) {
 	return engine.ExecIterator(p, db, opt)
 }
 
 // ExecuteIteratorContext is ExecuteIterator with cancellation, checked
-// between iterator ticks.
+// every few thousand tuples.
 func ExecuteIteratorContext(ctx context.Context, p Plan, db Database, opt ExecOptions) (*Result, error) {
 	return engine.ExecIteratorContext(ctx, p, db, opt)
 }

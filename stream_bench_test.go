@@ -12,16 +12,16 @@ import (
 	"projpush/internal/relation"
 )
 
-// Streaming-vs-materializing benchmarks on the same selective acyclic
-// workload shapes as the Yannakakis series. The quantity under test is
-// peak memory: the streaming executor's Stats.Bytes is its peak live
-// residency (projection fused into the operators, build sides
-// pre-reduced by semijoin pushdown, breaker storage released on close),
-// while the iterator engine over the identical early-projection plan
-// reports cumulative materialization. `make bench-json` pins the series
-// in BENCH_stream.json; the acceptance signal is stream peak-bytes at
-// least 5x under the iterator's on the chain and spider shapes at
-// equal-or-better latency.
+// Pushdown-on-vs-off benchmarks on the same selective acyclic workload
+// shapes as the Yannakakis series. The quantity under test is peak
+// memory: Stats.Bytes of the pull pipeline is its peak live residency
+// (projection fused into the operators, breaker storage released on
+// close), and the stream arm runs the semijoin pushdown phase ahead of it,
+// so build sides are pre-reduced, where the iterator arm runs the
+// identical early-projection plan on the same operators without the
+// phase. `make bench-json` pins the series in BENCH_stream.json; the
+// acceptance signal is stream peak-bytes at least 5x under the
+// iterator's on the chain and spider shapes at equal-or-better latency.
 
 // runStreamVariant executes one engine variant b.N times, reporting the
 // materialized/peak bytes and peak-rows instrumentation.
@@ -41,9 +41,9 @@ func runStreamVariant(b *testing.B, variant string, q *cq.Query, db cq.Database)
 			}
 			res, err = engine.ExecStream(p, db, ybenchOpts)
 		case "iterator":
-			// The same plan shape as stream (early projection), executed
-			// by the materializing iterator engine: the head-to-head that
-			// isolates late materialization from plan quality.
+			// The same plan shape as stream (early projection) on the same
+			// operators, without the pushdown phase: the head-to-head that
+			// isolates the phase from plan quality.
 			p, perr := core.BuildPlan(core.MethodEarlyProjection, q, nil)
 			if perr != nil {
 				b.Fatal(perr)
@@ -83,7 +83,7 @@ func streamVariants(b *testing.B, q *cq.Query, db cq.Database) {
 // selective head (the BenchmarkYannakakisChain workload): the pushdown
 // sweep carries the head's bindings across the chain before any join
 // builds, so every breaker stores a few surviving tuples where the
-// iterator materializes each intermediate in full.
+// iterator arm builds over each relation in full.
 func BenchmarkStreamChain(b *testing.B) {
 	const atoms, rows, dom = 8, 6000, 4000
 	rng := rand.New(rand.NewSource(3))
