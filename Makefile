@@ -53,8 +53,9 @@ bench:
 # (BenchmarkCompile/miss) and seen before (hit) — and the full reducer's
 # join-tree build on augmented-ladder-40. The routing
 # suite is the matrix of every server route × the cyclic shapes and the
-# selective acyclic ones with the router's regret against each row's best
-# (regret, regret-max, regret-total), plus the admission AGM bound on
+# selective acyclic ones, each cell what that tier runs for a methodless
+# request (both plan tiers on the pull pipeline), with the router's regret
+# against each row's best (regret, regret-max, regret-total), plus the admission AGM bound on
 # augmented-ladder-40 and the cost of the size-only routing rule (all of
 # assess where its precheck skips it and where it fires). The matrix runs
 # each cell for 200 ms, not 3 times: its cells span 15 µs to 200 ms, and
@@ -74,7 +75,8 @@ bench-json:
 	go test . -run '^$$' -bench '^BenchmarkYannakakis' -benchmem -benchtime 3x \
 		| go run ./cmd/benchjson > BENCH_yannakakis.json
 	@cat BENCH_yannakakis.json
-	go test . -run '^$$' -bench '^BenchmarkStream' -benchmem -benchtime 3x \
+	{ go test . -run '^$$' -bench '^BenchmarkStream(Chain|Spider|AugPath)' -benchmem -benchtime 3x; \
+	  go test . -run '^$$' -bench '^BenchmarkStreamStructured' -benchmem -benchtime 200ms; } \
 		| go run ./cmd/benchjson > BENCH_stream.json
 	@cat BENCH_stream.json
 	{ go test . -run '^$$' -bench '^BenchmarkWCOJ(Triangle|FourCycle|Clique)' -benchmem -benchtime 3x; \
@@ -106,9 +108,13 @@ bench-yannakakis:
 # The pushdown-on-vs-off peak-memory series of the pull pipeline on the
 # same selective workloads (peak-bytes is the acceptance signal: stream at
 # least 5x under the iterator arm on chain and spider at equal-or-better
-# latency).
+# latency), and BenchmarkStreamStructured, the other side: the augmented
+# circular ladder at orders 5-40, where the phase skips itself and the
+# stream arm has to match the iterator's, both at a fraction of the
+# walker's peak-bytes (200 ms a cell, not 3 runs: its cells start at 0.2 ms).
 bench-stream:
-	go test . -run '^$$' -bench '^BenchmarkStream' -benchmem -benchtime 3x
+	go test . -run '^$$' -bench '^BenchmarkStream(Chain|Spider|AugPath)' -benchmem -benchtime 3x
+	go test . -run '^$$' -bench '^BenchmarkStreamStructured' -benchmem -benchtime 200ms
 
 # The worst-case-optimal-vs-binary-plan series on dense cyclic workloads
 # (triangle, 4-cycle, clique coloring; the acceptance signal is wcoj

@@ -1,0 +1,197 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"strings"
+	"testing"
+	"time"
+
+	"projpush"
+	"projpush/internal/core"
+	"projpush/internal/cqparse"
+	"projpush/internal/engine"
+	"projpush/internal/experiments"
+	"projpush/internal/graph"
+	"projpush/internal/instance"
+	"projpush/internal/server"
+	"projpush/internal/server/client"
+)
+
+// counts is what tells the materializing walker from the pull pipeline on
+// one plan: the largest intermediate and the bytes and tuples charged.
+type counts struct {
+	maxRows                     int
+	tuples, materialized, bytes int64
+	peak                        int64
+}
+
+func countsOf(st *engine.Stats) counts {
+	return counts{st.MaxRows, st.Tuples, st.MaterializedTuples, st.Bytes, st.PeakBytes}
+}
+
+func wireCounts(st *server.RunStats) counts {
+	return counts{st.MaxRows, st.Tuples, st.Materialized, st.Bytes, st.PeakBytes}
+}
+
+// TestNamedMethodsKeepTheWalker pins the boundary that keeps the paper's
+// comparison from collapsing: whoever names a plan method — the facade's
+// Run, this command's execute, a harness cell, a server request — gets
+// the materializing walker's counts, the quantities Figures 6–9 plot (on
+// Figure 9 at order 4 the straightforward plan's last join materializes
+// 55 296 rows; the pull pipeline, projection fused, holds a few hundred
+// bytes and would show no blow-up at all). Only a plan the server's own
+// router picked, for a request that named nothing, runs on the pipeline,
+// and not when -workers or -cachemb ask for what only the walker has.
+func TestNamedMethodsKeepTheWalker(t *testing.T) {
+	g := graph.AugmentedCircularLadder(4)
+	drawn, err := instance.ColorQuery(g, instance.BooleanFree(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := instance.ColorDatabase(3)
+	var text bytes.Buffer
+	if err := cqparse.WriteQuery(&text, drawn); err != nil {
+		t.Fatal(err)
+	}
+	// The text form renumbers variables: every surface gets the query the
+	// server reads.
+	file, err := cqparse.ParseWith(strings.NewReader(text.String()), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := file.Query
+
+	serve := func(cfg server.Config) func(method string) counts {
+		t.Helper()
+		cfg.DB = db
+		s := server.New(cfg)
+		if err := s.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.Serve()
+		}()
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			s.Shutdown(ctx)
+			<-done
+		})
+		c := client.New(client.Options{Addr: s.Addr().String()})
+		return func(method string) counts {
+			t.Helper()
+			resp, err := c.Query(context.Background(), text.String(), method)
+			if err != nil || resp.Stats == nil {
+				t.Fatalf("server request (method %q): %v", method, err)
+			}
+			return wireCounts(resp.Stats)
+		}
+	}
+	named := serve(server.Config{})
+
+	for _, m := range []core.Method{core.MethodStraightforward, core.MethodEarlyProjection, core.MethodBucketElimination} {
+		p, err := core.BuildPlan(m, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walker, err := engine.Exec(p, db, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipeline, err := engine.ExecIterator(p, db, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := countsOf(&walker.Stats)
+		if got := countsOf(&pipeline.Stats); got.maxRows >= want.maxRows || got.bytes >= want.bytes {
+			t.Fatalf("%s: the pipeline's counts %+v do not undercut the walker's %+v: nothing to tell apart", m, got, want)
+		}
+		if m == core.MethodStraightforward && (want.maxRows != 55296 || pipeline.Stats.PeakBytes > 4096) {
+			t.Errorf("straightforward: walker materializes %d rows, pipeline peaks at %d bytes; want 55296 rows against under 4 KiB",
+				want.maxRows, pipeline.Stats.PeakBytes)
+		}
+
+		if res, err := projpush.Run(m, q, db, projpush.ExecOptions{}, nil); err != nil || countsOf(&res.Stats) != want {
+			t.Errorf("%s: projpush.Run reports %+v (%v), the walker %+v", m, countsOf(&res.Stats), err, want)
+		}
+		if res, err := execute(m, p, q, db, engine.Options{}, false, nil); err != nil || countsOf(&res.Stats) != want {
+			t.Errorf("%s: execute reports %+v (%v), the walker %+v", m, countsOf(&res.Stats), err, want)
+		}
+		if got := named(string(m)); got != want {
+			t.Errorf("%s: a server request naming it reports %+v, the walker %+v", m, got, want)
+		}
+		// A harness cell shows its executor through a row cap one under the
+		// walker's largest intermediate — the pipeline stays far below it —
+		// and through the subtree cache, which only the walker consults.
+		cfg := experiments.Config{Methods: []core.Method{m}, Reps: 1, Cache: engine.NewCache(0)}
+		for _, maxRows := range []int{0, want.maxRows - 1} {
+			cfg.MaxRows = maxRows
+			s, err := experiments.StructuredScaling(cfg, experiments.FamilyAugmentedCircularLadder, []int{4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := s.Rows[0].Cells[0]
+			if maxRows == 0 && (cell.CacheMisses == 0 || len(cell.Failures) != 0) {
+				t.Errorf("%s: harness cell looked up no subtree (failures %v): not the walker", m, cell.Failures)
+			}
+			if maxRows > 0 && cell.Failures["rowcap"] != 1 {
+				t.Errorf("%s: harness cell under a row cap of %d failed with %v, the walker materializes %d rows",
+					m, maxRows, cell.Failures, want.maxRows)
+			}
+		}
+	}
+
+	// Methodless, forced onto the default tier: the narrowest
+	// bucket-elimination plan, on the pipeline unless the configuration
+	// asks for workers or the subtree cache.
+	mcs, err := core.BuildPlan(core.MethodBucketElimination, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chosen, err := core.NarrowestBucketElimination(q, core.NewCandidate(mcs, core.OrderMCS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walker, err := engine.Exec(chosen.Plan, db, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipeline, err := engine.ExecIterator(chosen.Plan, db, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pipeline.Stats.PeakBytes >= walker.Stats.PeakBytes {
+		t.Fatalf("pipeline peak %d, walker %d: nothing to tell apart", pipeline.Stats.PeakBytes, walker.Stats.PeakBytes)
+	}
+	defaultTier := server.Config{YannakakisWidth: -1, StreamWidth: -1, WCOJAGMLog2: -1}
+	for _, tc := range []struct {
+		name string
+		cfg  func(*server.Config)
+		want *engine.Stats
+	}{
+		{"routed", func(*server.Config) {}, &pipeline.Stats},
+		{"routed, Workers=2", func(c *server.Config) { c.Workers = 2 }, &walker.Stats},
+		{"routed, Cache set", func(c *server.Config) { c.Cache = engine.NewCache(0) }, &walker.Stats},
+	} {
+		cfg := defaultTier
+		tc.cfg(&cfg)
+		if got := serve(cfg)(""); got != countsOf(tc.want) {
+			t.Errorf("%s: the default tier reports %+v, want %+v", tc.name, got, countsOf(tc.want))
+		}
+	}
+	// The stream tier was on the pipeline before and still is.
+	streamPlan, err := core.StreamPlan(q, core.NewCandidate(mcs, core.OrderMCS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := engine.ExecIterator(streamPlan.Plan, db, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := serve(server.Config{YannakakisWidth: -1, StreamWidth: 1000})(""); got != countsOf(&bare.Stats) {
+		t.Errorf("the stream tier reports %+v, the bare pipeline %+v", got, countsOf(&bare.Stats))
+	}
+}

@@ -53,7 +53,7 @@ func main() {
 		queueWait   = flag.Duration("queuewait", time.Second, "max time a request may queue before being shed")
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-request execution deadline")
 		maxRows     = flag.Int("maxrows", 10_000_000, "intermediate row cap per request (0 = unlimited)")
-		membudget   = flag.Int("membudget", 256, "materialized-bytes budget per request in MiB (0 = unlimited)")
+		membudget   = flag.Int("membudget", 256, "byte budget per request in MiB: live bytes for a plan the server routed (pull pipeline), everything materialized for a named plan method, -workers > 1 or -cachemb (0 = unlimited)")
 		spilldir    = flag.String("spilldir", "", "spill directory for out-of-core execution: runs over the memory budget degrade to disk instead of failing (empty = spilling off)")
 		maxspill    = flag.Int("maxspill", 0, "per-request spill-directory budget in MiB (0 = unlimited disk; requires -spilldir)")
 		workers     = flag.Int("workers", 1, "executor workers per request")

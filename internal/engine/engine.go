@@ -38,18 +38,24 @@ type Options struct {
 	// MaxRows caps the cardinality of any intermediate relation.
 	// Zero means no cap.
 	MaxRows int
-	// MaxBytes caps the cumulative bytes of relation storage (tuple
-	// arenas, dedup tables, join tables) materialized by the run. Zero
-	// means no budget. Exceeding it fails the run with ErrMemLimit —
-	// typically long before MaxRows would fire, since the budget charges
-	// allocation pressure, not just final cardinalities.
+	// MaxBytes caps the bytes of relation storage (tuple arenas, dedup
+	// tables, join tables) the run is charged for. What is charged depends
+	// on the executor: the materializing ones (the plan walker, the full
+	// reducer, the leapfrog join) release nothing mid-run, so for them it
+	// caps everything the run ever materialized; the pull pipeline
+	// (ExecStream, ExecIterator, a spill-armed Exec) gives a closing
+	// operator's bytes back, so there it caps the live bytes. Zero means
+	// no budget. Exceeding it fails the run with ErrMemLimit — typically
+	// long before MaxRows would fire, since the budget charges allocation
+	// pressure, not just final cardinalities.
 	MaxBytes int64
 	// Cache, when non-nil, memoizes Join and Project subtree results
 	// across executions of the plan walker, at any worker count (see
-	// Cache); ExecStream memoizes its semijoin-reduced base scans in it.
-	// The pull pipeline without the pushdown phase (ExecIterator, a
-	// spill-armed Exec), the Yannakakis and the WCOJ executors ignore it:
-	// they materialize no immutable subtree results to share.
+	// Cache); ExecStream memoizes its semijoin-reduced base scans in it
+	// when its pushdown phase runs. The pull pipeline without the phase
+	// (ExecIterator, a spill-armed Exec, an ExecStream that skipped it),
+	// the Yannakakis and the WCOJ executors ignore it: they materialize no
+	// immutable subtree results to share.
 	Cache *Cache
 	// SpillDir, when non-empty, arms spill-to-disk: instead of failing
 	// with ErrMemLimit when live bytes exceed MaxBytes, the pull

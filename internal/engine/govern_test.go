@@ -265,8 +265,16 @@ func TestExecResilientDegradation(t *testing.T) {
 	defer faultinject.Disable()
 	q, db := figure9(t, 4)
 
-	// Calibrate a budget between the two fallback rungs' appetites:
-	// early projection must blow it, bucket elimination must fit.
+	// Calibrate a budget from the rungs' own appetites: the streaming rung
+	// and early projection must blow it, bucket elimination must fit. On
+	// 3-COLOR the streaming rung skips its sweeps and holds only live
+	// bytes, so what it is handed here is the one plan whose live bytes are
+	// large: the reordering plan, which projects nothing away.
+	streamPlan := buildPlan(t, core.MethodReordering, q)
+	streamed, err := engine.ExecStream(streamPlan, db, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	early, err := engine.Exec(buildPlan(t, core.MethodEarlyProjection, q), db, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -276,23 +284,24 @@ func TestExecResilientDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bucket.Stats.Bytes >= early.Stats.Bytes {
-		t.Fatalf("workload does not separate the methods: bucket=%dB early=%dB",
-			bucket.Stats.Bytes, early.Stats.Bytes)
+	budget := min(early.Stats.Bytes, streamed.Stats.PeakBytes) * 9 / 10
+	if bucket.Stats.Bytes > budget {
+		t.Fatalf("workload does not separate the methods: bucket=%dB early=%dB stream peak=%dB",
+			bucket.Stats.Bytes, early.Stats.Bytes, streamed.Stats.PeakBytes)
 	}
-	budget := early.Stats.Bytes * 9 / 10
 	if _, err := engine.Exec(bucketPlan, db, engine.Options{MaxBytes: budget}); err != nil {
 		t.Fatalf("calibration: bucket elimination does not fit the budget %d: %v", budget, err)
 	}
 
-	// semijoin.alloc=1 knocks out the streaming rung's first pushdown
-	// sweep, so the run degrades through every rung of the explicit
-	// stream → earlyprojection → bucketelimination ladder.
-	if err := faultinject.Enable("join.panic=1,subtree.panic=1,semijoin.alloc=1", 23); err != nil {
+	// The panics knock out the given plan's workers; every later rung runs
+	// sequentially and meets only the budget, so the run degrades through
+	// every rung of the explicit stream → earlyprojection →
+	// bucketelimination ladder.
+	if err := faultinject.Enable("join.panic=1,subtree.panic=1", 23); err != nil {
 		t.Fatal(err)
 	}
 	opt := engine.Options{MaxBytes: budget}
-	stream, _ := resilience.Strategy(core.MethodStream, q, buildPlan(t, core.MethodStream, q), 1)
+	stream, _ := resilience.Strategy(core.MethodStream, q, streamPlan, 1)
 	ladder := append([]engine.Fallback{stream}, resilience.PlanLadder(q, nil)...)
 	res, err := engine.ExecResilient(context.Background(), buildPlan(t, core.MethodStraightforward, q),
 		ladder, db, opt, 4)
@@ -309,7 +318,7 @@ func TestExecResilientDegradation(t *testing.T) {
 		t.Fatalf("first attempt = %+v, want a failed 'given' run", at[0])
 	}
 	if at[1].Method != string(core.MethodStream) || !errorsContains(at[1].Err, "memory") {
-		t.Fatalf("second attempt = %+v, want the stream rung failing on the injected allocation fault", at[1])
+		t.Fatalf("second attempt = %+v, want the stream rung failing on the byte budget", at[1])
 	}
 	if at[2].Method != string(core.MethodEarlyProjection) || !errorsContains(at[2].Err, "memory") {
 		t.Fatalf("third attempt = %+v, want early projection failing on the byte budget", at[2])

@@ -28,12 +28,14 @@ package engine
 //     engine's only spill path; a spill-armed Exec runs here too.
 //
 // One phase is optional and runs ahead of lowering: semijoin pushdown
-// (pushdown.go). The entry point decides, and nothing else does —
-// ExecStream and ExplainStream run it, ExecIterator and a spill-armed
-// Exec do not. Without it a run does no work per plan node beyond
-// building the operator: on non-selective inputs (3-COLOR's complete edge
-// relation) semijoins remove nothing and the sweeps are pure overhead,
-// on selective ones they shrink every build side before it allocates.
+// (pushdown.go). The entry point says whether it may run — ExecStream and
+// ExplainStream yes, ExecIterator and a spill-armed Exec no — and where it
+// may, the scans say whether it does: mayReduce skips it when the stored
+// columns prove that no sweep can remove a tuple. Without it a run does no
+// work per plan node beyond building the operator: on non-selective
+// inputs (3-COLOR's complete edge relation) semijoins remove nothing and
+// the sweeps are pure overhead, on selective ones they shrink every build
+// side before it allocates.
 //
 // Per-operator row/byte/peak counters feed EXPLAIN ANALYZE's operator
 // tree, which is rendered off the operators themselves: lowering does
@@ -54,9 +56,11 @@ import (
 )
 
 // DefaultStreamWidth is the elimination-width ceiling under which the
-// server routes method-less queries to the streaming engine when they are
-// too wide for the Yannakakis full reducer (DefaultYannakakisWidth) but
-// narrow enough that a pipelined plan with pushdown stays cheap.
+// server routes method-less queries to the stream tier when they are too
+// wide for the Yannakakis full reducer (DefaultYannakakisWidth). The tier
+// chooses a plan, not an executor: early projection up to this width,
+// bucket elimination under the narrowest order above it, and either runs
+// on the pull pipeline, sweeps where they can pay.
 const DefaultStreamWidth = 6
 
 // opStats is one operator's slice of the EXPLAIN ANALYZE tree: rows
@@ -721,8 +725,10 @@ type pipeline struct {
 	ctx *streamContext
 	// push is the pushdown phase's result — the reduced scan views and
 	// the alive-attribute maps the build filters are read off — or nil
-	// when the entry point runs without the phase.
+	// when the run goes without the phase.
 	push *pushdown
+	// root is the lowered operator tree, kept for EXPLAIN.
+	root streamOp
 	// joinAttrs memoizes the output schema of a join that feeds a join:
 	// plan.Join.Attrs re-derives its whole subtree on every call, which
 	// down a left-deep chain is quadratic.
@@ -902,13 +908,17 @@ func (e *pipeline) noteArity(a int) {
 	}
 }
 
-// ExecStream evaluates the plan on the pull pipeline with the semijoin
-// pushdown phase ahead of it: base relations are reduced before any
-// operator runs, projections are fused, and memory is accounted in live
-// bytes (Stats.Bytes and Stats.PeakBytes report the peak of live bytes,
-// not cumulative materialization). Results are identical to Exec. The
-// subplan cache (opt.Cache) memoizes the semijoin-reduced base scans, so
-// repeated plans skip the pushdown sweeps.
+// ExecStream evaluates the plan on the pull pipeline, with the semijoin
+// pushdown phase ahead of it wherever a sweep could remove a tuple: base
+// relations are reduced before any operator runs, projections are fused,
+// and memory is accounted in live bytes (Stats.Bytes and Stats.PeakBytes
+// report the peak of live bytes, not cumulative materialization). Where
+// the scans' columns prove every semijoin the identity (mayReduce: the
+// paper's 3-COLOR workloads) the phase is skipped and the run, its Stats
+// included, is ExecIterator's. Results are identical to Exec. The subplan
+// cache (opt.Cache) memoizes the semijoin-reduced base scans, so repeated
+// plans skip the pushdown sweeps; a run that skips the phase does not
+// consult it.
 func ExecStream(p plan.Node, db cq.Database, opt Options) (*Result, error) {
 	return ExecStreamContext(context.Background(), p, db, opt)
 }
@@ -939,23 +949,23 @@ func ExecIteratorContext(ctx context.Context, p plan.Node, db cq.Database, opt O
 	return res, err
 }
 
-// execPipeline runs p on the pull pipeline, with the semijoin pushdown
-// phase ahead of lowering when pushdown is set, and returns the operator
-// tree that ran alongside the result for EXPLAIN ANALYZE.
-func execPipeline(cctx context.Context, p plan.Node, db cq.Database, opt Options, pushdown bool) (*Result, streamOp, error) {
+// execPipeline runs p on the pull pipeline and returns the pipeline that
+// ran alongside the result, for EXPLAIN ANALYZE. With sweeps set the
+// semijoin pushdown phase runs ahead of lowering, unless no sweep could
+// remove a tuple (mayReduce): then the run is the bare pipeline's.
+func execPipeline(cctx context.Context, p plan.Node, db cq.Database, opt Options, sweeps bool) (*Result, *pipeline, error) {
 	ctx := &streamContext{}
 	ctx.govern(cctx, db, opt)
 	e, stats := &pipeline{ctx: ctx}, &ctx.stats
-	var root streamOp
 	// done settles the run's totals: the live-byte peak is what the
 	// pipeline reports as Bytes.
-	done := func(out *relation.Relation, err error) (*Result, streamOp, error) {
+	done := func(out *relation.Relation, err error) (*Result, *pipeline, error) {
 		stats.Bytes, stats.PeakBytes = ctx.peak, ctx.peak
 		if ctx.spiller != nil {
 			stats.SpilledBytes, stats.SpillFiles = ctx.spiller.Stats()
 		}
 		res, err := ctx.finish(out, err)
-		return res, root, err
+		return res, e, err
 	}
 	if opt.SpillDir != "" {
 		sp, err := relation.NewSpiller(opt.SpillDir, opt.MaxSpillBytes)
@@ -971,14 +981,15 @@ func execPipeline(cctx context.Context, p plan.Node, db cq.Database, opt Options
 	if err != nil {
 		return done(nil, err)
 	}
-	if pushdown {
+	if sweeps && ctx.mayReduce(p) {
 		if e.push, err = runPushdown(ctx, p, opt.Cache); err != nil {
 			return done(nil, err)
 		}
 	}
-	if root, err = e.lower(p, e.attrs(p)); err != nil {
+	if e.root, err = e.lower(p, e.attrs(p)); err != nil {
 		return done(nil, err)
 	}
+	root := e.root
 	defer root.close()
 	var out *relation.Relation
 	if d, ok := root.(*streamDistinct); ok {
@@ -1029,44 +1040,49 @@ func execPipeline(cctx context.Context, p plan.Node, db cq.Database, opt Options
 	return done(out, nil)
 }
 
-// ExplainStream renders the streaming engine's fused operator tree. When
-// analyze is true the plan executes under opt and every operator line
-// carries its rows/bytes/peak counters — bytes is the operator's
-// cumulative materialization, peak its resident high-water mark — plus
-// reduced= where pushed-down semijoins removed tuples and build= on hash
-// builds; the trailer reports the run's peak live bytes and
-// reduced-vs-materialized totals.
+// ExplainStream renders the streaming engine's fused operator tree under
+// a header that says whether the pushdown phase runs on this plan and
+// database or is skipped (mayReduce). When analyze is true the plan
+// executes under opt and every operator line carries its rows/bytes/peak
+// counters — bytes is the operator's cumulative materialization, peak its
+// resident high-water mark — plus reduced= where pushed-down semijoins
+// removed tuples and build= on hash builds; the trailer reports the run's
+// peak live bytes and reduced-vs-materialized totals.
 func ExplainStream(p plan.Node, db cq.Database, opt Options, analyze bool) (string, error) {
 	return explainPipeline(p, db, opt, analyze, true)
 }
 
-// explainPipeline is ExplainStream for either way of running the
-// pipeline; the header line says which ran.
-func explainPipeline(p plan.Node, db cq.Database, opt Options, analyze, pushdown bool) (string, error) {
-	var root streamOp
+// explainPipeline is ExplainStream for either way of entering the
+// pipeline; the header line says which of the three possible runs it is.
+func explainPipeline(p plan.Node, db cq.Database, opt Options, analyze, sweeps bool) (string, error) {
+	var e *pipeline
 	var st Stats
+	var swept bool // the pushdown phase ran, or would
 	if analyze {
-		res, r, err := execPipeline(context.Background(), p, db, opt, pushdown)
+		res, ran, err := execPipeline(context.Background(), p, db, opt, sweeps)
 		if err != nil {
 			return "", err
 		}
-		root, st = r, res.Stats
+		e, st, swept = ran, res.Stats, ran.push != nil
 	} else {
 		// The phase changes what the operators read, not which operators
 		// there are: the structural rendering lowers without it.
-		e := &pipeline{ctx: &streamContext{}}
+		e = &pipeline{ctx: &streamContext{}}
 		e.ctx.govern(context.Background(), db, opt)
-		r, err := e.lower(p, e.attrs(p))
-		if err != nil {
+		var err error
+		if e.root, err = e.lower(p, e.attrs(p)); err != nil {
 			return "", err
 		}
-		r.close()
-		root = r
+		e.root.close()
+		swept = sweeps && e.ctx.mayReduce(p)
 	}
 	var b strings.Builder
-	if pushdown {
+	switch {
+	case swept:
 		b.WriteString("stream pipeline\n")
-	} else {
+	case sweeps:
+		b.WriteString("stream pipeline (pushdown skipped: no scan can reduce another)\n")
+	default:
 		b.WriteString("pull pipeline (no semijoin pushdown)\n")
 	}
 	var walk func(op streamOp, depth int)
@@ -1100,7 +1116,7 @@ func explainPipeline(p plan.Node, db cq.Database, opt Options, analyze, pushdown
 			walk(c, depth+1)
 		}
 	}
-	walk(root, 0)
+	walk(e.root, 0)
 	if analyze {
 		fmt.Fprintf(&b, "memory: %d bytes peak live", st.PeakBytes)
 		if opt.MaxBytes > 0 {
@@ -1113,7 +1129,7 @@ func explainPipeline(p plan.Node, db cq.Database, opt Options, analyze, pushdown
 		}
 		fmt.Fprintf(&b, "tuples: materialized=%d reduced=%d\n",
 			st.MaterializedTuples, st.ReducedTuples)
-		if pushdown && opt.Cache != nil {
+		if swept && opt.Cache != nil {
 			fmt.Fprintf(&b, "cache: run hits=%d misses=%d; %s\n",
 				st.CacheHits, st.CacheMisses, opt.Cache.Counters())
 		}

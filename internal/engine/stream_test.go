@@ -14,7 +14,6 @@ import (
 	"projpush/internal/cq"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
-	"projpush/internal/relation"
 )
 
 // TestStreamDifferentialFigureWorkloads checks the streaming executor
@@ -119,12 +118,8 @@ func selectiveChain(atoms, rows, dom int, seed int64) (*cq.Query, cq.Database) {
 		if i == 0 {
 			n = 5 // the selective head
 		}
-		r := relation.New([]relation.Attr{0, 1})
-		for j := 0; j < n; j++ {
-			r.Add(relation.Tuple{relation.Value(rng.Intn(dom)), relation.Value(rng.Intn(dom))})
-		}
 		name := fmt.Sprintf("r%d", i)
-		db[name] = r
+		db[name] = randomRel(rng, n, dom)
 		q.Atoms = append(q.Atoms, cq.Atom{Rel: name, Args: []cq.Var{cq.Var(i), cq.Var(i + 1)}})
 	}
 	return q, db

@@ -1,0 +1,113 @@
+package relation
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+)
+
+// TestDenseRange checks the density of columns against a direct count of
+// their distinct values: dense columns, a column with a gap, a range wider
+// than the row count (refused without a pass), negative values, and the
+// empty relation.
+func TestDenseRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		r := New([]Attr{0, 1, 2})
+		lo, width := Value(rng.Intn(9)-4), 1+rng.Intn(6)
+		for i := rng.Intn(4 * width); i > 0; i-- {
+			r.Add(Tuple{lo + Value(rng.Intn(width)), Value(rng.Intn(3)) * Value(width), Value(rng.Intn(1000))})
+		}
+		for j := 0; j < r.Arity(); j++ {
+			distinct := map[Value]bool{}
+			r.Each(func(t Tuple) bool {
+				distinct[t[j]] = true
+				return true
+			})
+			min, max, dense := r.DenseRange(j)
+			if r.Empty() {
+				if dense {
+					t.Fatalf("trial %d: column %d of an empty relation is dense", trial, j)
+				}
+				continue
+			}
+			want := int64(len(distinct)) == int64(max)-int64(min)+1
+			if dense != want || !distinct[min] || !distinct[max] {
+				t.Fatalf("trial %d column %d: DenseRange = [%d,%d] dense=%v over %d distinct values", trial, j, min, max, dense, len(distinct))
+			}
+		}
+	}
+}
+
+// TestDenseRangeSharedAndInvalidated: views of one stored relation share
+// one computation of its densities, from any number of goroutines, and an
+// insert gives the relation it lands in a fresh answer while its siblings
+// keep theirs.
+func TestDenseRangeSharedAndInvalidated(t *testing.T) {
+	base := New([]Attr{0, 1})
+	for v := Value(0); v < 50; v++ {
+		base.Add(Tuple{v, 2 * v}) // column 0 dense over [0,49], column 1 every other value
+	}
+	var wg sync.WaitGroup
+	views := make([]*Relation, 8)
+	for g := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each goroutine binds its own view, as concurrent requests
+			// scanning one stored relation do, and asks through it.
+			views[g] = Rename(base, map[Attr]Attr{0: 10 + g, 1: 100 + g})
+			for j, want := range []bool{true, false} {
+				if _, _, dense := views[g].DenseRange(j); dense != want {
+					t.Errorf("view %d column %d: dense = %v, want %v", g, j, dense, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g, v := range views {
+		if v.dens.Load() != base.dens.Load() {
+			t.Errorf("view %d does not share the base relation's densities", g)
+		}
+	}
+
+	// A duplicate changes nothing; a new row does, for the view it lands in.
+	shared := base.dens.Load()
+	views[0].Add(Tuple{0, 0})
+	if views[0].dens.Load() != shared {
+		t.Error("a duplicate insert dropped the densities")
+	}
+	views[0].Add(Tuple{60, 1})
+	if _, max, dense := views[0].DenseRange(0); dense || max != 60 {
+		t.Errorf("after inserting 60: column 0 = [..,%d] dense=%v, want a gap below 60", max, dense)
+	}
+	if _, max, dense := base.DenseRange(0); !dense || max != 49 || views[1].dens.Load() != shared {
+		t.Errorf("the insert into a view reached its siblings: base column 0 = [..,%d] dense=%v", max, dense)
+	}
+	for v := Value(50); v < 60; v++ {
+		views[0].Add(Tuple{v, 1})
+	}
+	if _, _, dense := views[0].DenseRange(0); !dense {
+		t.Error("column 0 is dense again once the gap is filled")
+	}
+
+	// An in-place compaction drops them as well.
+	private := New([]Attr{0, 1})
+	keep := New([]Attr{0})
+	for v := Value(0); v < 10; v++ {
+		private.Add(Tuple{v, v})
+		if v != 5 {
+			keep.Add(Tuple{v})
+		}
+	}
+	if _, _, dense := private.DenseRange(0); !dense {
+		t.Fatal("column 0 should be dense before the filter")
+	}
+	out, removed, err := SemijoinFilter(private, keep, nil)
+	if err != nil || removed != 1 || out != private {
+		t.Fatalf("SemijoinFilter = %p (input %p), removed %d, err %v: want one row compacted away in place", out, private, removed, err)
+	}
+	if _, _, dense := out.DenseRange(0); dense {
+		t.Error("column 0 lost the value 5 and still reads dense")
+	}
+}

@@ -498,8 +498,9 @@ func Difference(r, o *Relation) *Relation {
 // attributes into one.
 //
 // A pure attribute substitution cannot introduce duplicates, so the view
-// is zero-copy: it shares the source's row arena, dedup table, and range
-// metadata. Both relations turn copy-on-write — the first mutation of
+// is zero-copy: it shares the source's row arena, dedup table, range
+// metadata and column densities (DenseRange), computed or not. Both
+// relations turn copy-on-write — the first mutation of
 // either side unshares its storage — so neither can observe the other's
 // later inserts. Every Scan in both executors goes through here, which
 // turns scans from an O(n) re-hash into O(1).
@@ -534,6 +535,7 @@ func Rename(r *Relation, m map[Attr]Attr) *Relation {
 		shared: 1,
 		stale:  r.stale,
 	}
+	out.dens.Store(r.densityOf())
 	r.markShared()
 	return out
 }

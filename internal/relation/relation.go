@@ -80,6 +80,10 @@ type Relation struct {
 	stale  bool // dedup table not built (merged partition output)
 
 	hdrs []Tuple // lazy Tuples() headers into data
+
+	// dens is which columns are dense (density.go): lazily computed, shared
+	// with every zero-copy view, dropped when this relation's rows change.
+	dens atomic.Pointer[density]
 }
 
 // New returns an empty relation over the given attributes, in the given
@@ -242,6 +246,9 @@ func (r *Relation) commitStaged(t Tuple) bool {
 		}
 	}
 	r.n++
+	if r.dens.Load() != nil { // a plain load: no atomic store per inserted row
+		r.dens.Store(nil)
+	}
 	return true
 }
 

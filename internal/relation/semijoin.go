@@ -223,5 +223,6 @@ func SemijoinFilter(r, o *Relation, lim *Limit) (*Relation, int, error) {
 	r.keys, r.refs, r.used = nil, nil, 0
 	r.stale = true
 	r.hdrs = nil
+	r.dens.Store(nil)
 	return r, removed, nil
 }

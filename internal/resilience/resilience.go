@@ -7,6 +7,7 @@ package resilience
 import (
 	"context"
 	"math/rand"
+	"slices"
 
 	"projpush/internal/core"
 	"projpush/internal/cq"
@@ -25,12 +26,16 @@ import (
 // on its first run or explain, or by Prepare for a caller that keeps the
 // strategy across requests — and shared by every run after. The streaming
 // engine lowers whatever plan it is handed and never re-plans — the caller
-// has chosen p (core.StreamPlan for a request that named no method). Every
-// other method is a plan shape: p runs on
-// the plan walker with up to workers goroutines (a plan no method of
-// package core built, like the hybrid optimizer's choice, lands here too)
-// and degrades down the whole DegradationLadder, since a plan that blew a
-// limit says nothing about the executors above it. The strategy also
+// has chosen p (core.StreamPlan for a request that named no method) — and
+// runs its semijoin sweeps only where one scan can reduce another. Every
+// other method is a plan shape that somebody named: p runs on the
+// materializing plan walker with up to workers goroutines (a plan no method
+// of package core built, like the hybrid optimizer's choice, lands here
+// too), because the walker's counts are the paper's — the pull pipeline's
+// fused projection would hide the very blow-up of the straightforward
+// method that Figures 6–9 exist to show. It degrades down the whole
+// DegradationLadder, since a plan that blew a limit says nothing about the
+// executors above it. A plan nobody named is Routed's. The strategy also
 // states whether its executor can go out of core (Fallback.Spills): the
 // streaming engine and a plan run can, the full reducer and the leapfrog
 // join cannot.
@@ -65,6 +70,22 @@ func Strategy(m core.Method, q *cq.Query, p plan.Node, workers int) (st engine.F
 			return engine.Explain(p, db, opt, analyze)
 		}
 		ladder = func(rng *rand.Rand) []engine.Fallback { return DegradationLadder(q, rng) }
+	}
+	return st, ladder
+}
+
+// Routed is Strategy for a request that named no method: m is the route a
+// router picked and p the plan it chose for it. Nobody asked for the
+// walker's counts, so a routed plan runs where it runs best — on the pull
+// pipeline, entered as the streaming engine enters it, which charges what
+// the run keeps alive rather than everything it ever materialized — under
+// the route's own name and ladder. The walker keeps the two things only it
+// has: workers ≥ 2 and the subtree cache (cached).
+func Routed(m core.Method, q *cq.Query, p plan.Node, workers int, cached bool) (engine.Fallback, func(*rand.Rand) []engine.Fallback) {
+	st, ladder := Strategy(m, q, p, workers)
+	if !slices.Contains(core.Strategies, m) && workers < 2 && !cached {
+		pipe, _ := Strategy(core.MethodStream, q, p, 1)
+		st.Run, st.Explain = pipe.Run, pipe.Explain
 	}
 	return st, ladder
 }

@@ -43,7 +43,10 @@ func chain(atoms, rows, dom, headRows int) (*cq.Query, cq.Database) {
 // directly and as the first rung of its ladder, at one and four workers,
 // must return the oracle's answer, lead the attempt history under its own
 // name, and explain the executor it ran — the explain's header names it
-// and the counters of its ANALYZE trailer are the run's own.
+// and the counters of its ANALYZE trailer are the run's own. A method
+// somebody named (Strategy) runs a plan on the walker; the same method as
+// a route nobody named (Routed) runs it on the pull pipeline, unless it
+// has workers or the subtree cache to use.
 func TestStrategyRunsAndExplainsItsExecutor(t *testing.T) {
 	cyc, err := instance.ColorQuery(graph.Cycle(5), []cq.Var{0, 2})
 	if err != nil {
@@ -88,9 +91,22 @@ func TestStrategyRunsAndExplainsItsExecutor(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("%s/%s/workers=%d", in.name, m, workers)
-				strategy, ladder := resilience.Strategy(m, in.q, p, workers)
+			for _, v := range []struct {
+				workers        int
+				routed, cached bool
+			}{{1, false, false}, {4, false, false}, {1, true, false}, {4, true, false}, {1, true, true}} {
+				name := fmt.Sprintf("%s/%s/%+v", in.name, m, v)
+				strategy, ladder := resilience.Strategy(m, in.q, p, v.workers)
+				describe := executor[m]
+				if describe == nil {
+					describe = planWalker
+				}
+				if v.routed {
+					strategy, ladder = resilience.Routed(m, in.q, p, v.workers, v.cached)
+					if executor[m] == nil && v.workers < 2 && !v.cached {
+						describe = executor[core.MethodStream]
+					}
+				}
 				if strategy.Name != string(m) {
 					t.Fatalf("%s: strategy is named %q", name, strategy.Name)
 				}
@@ -114,10 +130,6 @@ func TestStrategyRunsAndExplainsItsExecutor(t *testing.T) {
 				text, err := strategy.Explain(in.db, engine.Options{}, true)
 				if err != nil {
 					t.Fatalf("%s explain: %v", name, err)
-				}
-				describe := executor[m]
-				if describe == nil {
-					describe = planWalker
 				}
 				header, trailer := describe(direct.Stats)
 				first, _, _ := strings.Cut(text, "\n")

@@ -172,8 +172,13 @@ func (s *Server) build(q *cq.Query, db cq.Database, named string) *compiled {
 	}
 
 	// The route's strategy, its static set-up done here rather than in the
-	// first run, and the ladder it degrades down.
+	// first run, and the ladder it degrades down. A method the request
+	// named runs as named; a route the server picked runs its plan where
+	// resilience.Routed puts it.
 	strategy, ladder := resilience.Strategy(method, q, chosen.Plan, s.cfg.Workers)
+	if named == "" {
+		strategy, ladder = resilience.Routed(method, q, chosen.Plan, s.cfg.Workers, s.cfg.Cache != nil)
+	}
 	if strategy.Prepare != nil {
 		_ = strategy.Prepare() // a failure is the first run's to report
 	}

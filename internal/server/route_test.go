@@ -462,16 +462,15 @@ func TestExplainAndLogShowTheExecutedPlan(t *testing.T) {
 				}
 			}
 			continue
-		case core.MethodStream:
-			want, err = engine.ExplainStream(chosen.Plan, db, engine.Options{}, false)
 		default:
-			want, err = engine.Explain(chosen.Plan, db, engine.Options{}, false)
+			// Both plan tiers run on the pull pipeline, and say so.
+			want, err = engine.ExplainStream(chosen.Plan, db, engine.Options{}, false)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if body != want {
-			t.Errorf("%s: explain is not the chosen %s plan's:\n%s\nwant:\n%s", c.name, chosen.Order, resp.Explain, want)
+		if body != want || !strings.HasPrefix(body, skippedHeader) {
+			t.Errorf("%s: explain is not the chosen %s plan's on the pipeline:\n%s\nwant:\n%s", c.name, chosen.Order, resp.Explain, want)
 		}
 		if entry["order"] != string(chosen.Order) || entry["plan_width"] != float64(chosen.Width) {
 			t.Errorf("%s: log has order=%v plan_width=%v, executed %s at width %d", c.name, entry["order"], entry["plan_width"], chosen.Order, chosen.Width)
@@ -496,4 +495,70 @@ func TestExplainAndLogShowTheExecutedPlan(t *testing.T) {
 			t.Errorf("no pool query exercised route %s", m)
 		}
 	}
+
+	// What ran, case by case, from the analyzed explain of the strategy a
+	// methodless request executes: a default-tier random graph and a
+	// Figure 9 text skip the sweeps (nothing can reduce 3-COLOR's edge
+	// relation) and are the bare pipeline's run; the same ladder over a
+	// sparse random relation with one selective rung runs them, and the
+	// scans they shrank say by how much.
+	byName := map[string]*cq.Query{}
+	for _, c := range pool {
+		byName[c.name] = c.q
+	}
+	ladder := byName["augcircladder-5"]
+	selective := &cq.Query{Free: ladder.Free}
+	for i, a := range ladder.Atoms {
+		a.Rel = "e"
+		if i == 0 {
+			a.Rel = "e3"
+		}
+		selective.Atoms = append(selective.Atoms, a)
+	}
+	for _, tc := range []struct {
+		name   string
+		q      *cq.Query
+		method core.Method
+		swept  bool
+	}{
+		{"random-18-d2", byName["random-18-d2"], core.MethodBucketElimination, false},
+		{"augcircladder-5", ladder, core.MethodStream, false},
+		{"augcircladder-5 over e, one atom over e3", selective, core.MethodStream, true},
+	} {
+		c := s.build(tc.q, db, "")
+		if c.status != "" || c.method != tc.method {
+			t.Fatalf("%s: compiled to status %q route %s, want %s", tc.name, c.status, c.method, tc.method)
+		}
+		text, err := c.strategy.Explain(db, engine.Options{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, _, _ := strings.Cut(text, "\n")
+		reducedScan := false
+		for _, line := range strings.Split(text, "\n") {
+			if strings.Contains(line, "(x") && strings.Contains(line, " reduced=") {
+				reducedScan = true
+			}
+		}
+		if tc.swept {
+			if header != "stream pipeline" || !reducedScan {
+				t.Errorf("%s: the sweeps should run and shrink a scan:\n%s", tc.name, text)
+			}
+			continue
+		}
+		bare, err := engine.ExecIterator(c.chosen.Plan, db, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if header+"\n" != skippedHeader || reducedScan ||
+			!strings.Contains(text, fmt.Sprintf("memory: %d bytes peak live\n", bare.Stats.PeakBytes)) ||
+			!strings.Contains(text, "tuples: materialized="+fmt.Sprint(bare.Stats.MaterializedTuples)+" reduced=0\n") {
+			t.Errorf("%s: the sweeps should be skipped and the run be the bare pipeline's (peak %d):\n%s",
+				tc.name, bare.Stats.PeakBytes, text)
+		}
+	}
 }
+
+// skippedHeader opens the explain of a pipeline run whose pushdown phase
+// had nothing to do.
+const skippedHeader = "stream pipeline (pushdown skipped: no scan can reduce another)\n"

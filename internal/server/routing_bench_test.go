@@ -14,6 +14,7 @@ import (
 	"projpush/internal/cqparse"
 	"projpush/internal/engine"
 	"projpush/internal/relation"
+	"projpush/internal/resilience"
 )
 
 // selectiveCases adds to db, and returns queries over, the acyclic shapes
@@ -75,21 +76,18 @@ func selectiveCases(t testing.TB, db cq.Database) []routeCase {
 // BenchmarkRoutingMatrix is ROADMAP item 3's matrix: every route the
 // server can take × the cyclic shapes and the selective acyclic ones
 // (selectiveCases), each cell executing what that
-// tier would execute for a methodless request (the stream and default
-// tiers their narrowest plan), with peak-bytes beside the time. The
+// tier would execute for a methodless request — the stream and default
+// tiers their narrowest plan on the pull pipeline, sweeps only where one
+// scan can reduce another (resilience.Routed, as the server builds it) —
+// with peak-bytes beside the time. The
 // router=<route> row re-runs the cell the server's cascade picks and
 // reports its regret: that cell's time over the row's best (1.0 on the
 // rows the size-only tier takes: triangle, 4-cycle, K4–K6). A cell that
 // exceeds the server's default budgets or cellTimeout is skipped and
 // cannot be the best. The summary row carries the worst regret and the
-// regret of the whole matrix (Σ routed / Σ best). A row whose routed
-// method runs a plan has one more cell, pull=<route>: that plan on the
-// pull pipeline without the pushdown phase (engine.ExecIterator). No
-// route reaches it, so it is never a row's best and enters no regret; it
-// records what re-routing plan tiers there would buy.
+// regret of the whole matrix (Σ routed / Σ best).
 func BenchmarkRoutingMatrix(b *testing.B) {
 	const cellTimeout = 2 * time.Second
-	const pull core.Method = "pull" // not a route: the routed plan, pushdown off
 	opt := engine.Options{MaxRows: 10_000_000, MaxBytes: 256 << 20}
 	// The matrix's rows: the cyclic shapes, Boolean, with the triangle and
 	// the 4-cycle over an e of the through-the-wire benchmark's size.
@@ -115,21 +113,18 @@ func BenchmarkRoutingMatrix(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		streamTier, _ := resilience.Routed(core.MethodStream, q, streamPlan.Plan, 1, false)
+		defaultTier, _ := resilience.Routed(core.MethodBucketElimination, q, bePlan.Plan, 1, false)
 		exec := func(ctx context.Context, m core.Method) (*engine.Result, error) {
 			switch m {
 			case core.MethodYannakakis:
 				return engine.ExecYannakakisContext(ctx, q, db, opt)
 			case core.MethodStream:
-				return engine.ExecStreamContext(ctx, streamPlan.Plan, db, opt)
+				return streamTier.Run(ctx, db, opt)
 			case core.MethodWCOJ:
 				return engine.ExecWCOJContext(ctx, q, db, opt)
-			case pull:
-				if picked == core.MethodStream {
-					return engine.ExecIteratorContext(ctx, streamPlan.Plan, db, opt)
-				}
-				return engine.ExecIteratorContext(ctx, bePlan.Plan, db, opt)
 			default:
-				return engine.ExecContext(ctx, bePlan.Plan, db, opt)
+				return defaultTier.Run(ctx, db, opt)
 			}
 		}
 		// cell runs one route b.N times after one untimed run, which
@@ -175,9 +170,6 @@ func BenchmarkRoutingMatrix(b *testing.B) {
 			sumRouted += ns[picked]
 			sumBest += best
 			worst = math.Max(worst, ns[picked]/best)
-		}
-		if picked == core.MethodStream || picked == core.MethodBucketElimination {
-			b.Run(c.name+"/pull="+string(picked), func(b *testing.B) { cell(b, pull) })
 		}
 	}
 	b.Run("summary/router", func(b *testing.B) {

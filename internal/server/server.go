@@ -70,8 +70,10 @@ type Config struct {
 	// MaxSpillBytes bounds each run's spill-directory footprint
 	// (0 = unlimited disk).
 	MaxSpillBytes int64
-	// Workers is the executor's worker count for the direct path
-	// (default 1, the sequential executor).
+	// Workers is the plan walker's worker count for the direct path
+	// (default 1, the sequential executor). At 2 or more the default
+	// tier's plan runs on the walker, which alone can use them, instead of
+	// the pull pipeline (resilience.Routed).
 	Workers int
 	// YannakakisWidth routes requests that did not name a method to the
 	// Yannakakis full reducer when their MCS elimination width is at most
@@ -112,7 +114,9 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker stays open before
 	// admitting a half-open trial (default 5s).
 	BreakerCooldown time.Duration
-	// Cache, when non-nil, is shared by every execution.
+	// Cache, when non-nil, is shared by every execution. The subtree
+	// cache is the plan walker's, so with it set the default tier's plan
+	// runs there rather than on the pull pipeline (resilience.Routed).
 	Cache *engine.Cache
 	// Log, when non-nil, receives one structured JSON line per request
 	// (fingerprint, admission verdict, status, attempts, bytes).

@@ -505,7 +505,8 @@ func TestStreamRoutingMidWidth(t *testing.T) {
 func TestStreamRoutingDisabled(t *testing.T) {
 	// StreamWidth < 0 turns mid-width stream routing off: the query falls
 	// through to the default plan method (its output bound, 2^25.85, is
-	// over the wcoj tier's).
+	// over the wcoj tier's), whose plan runs on the pull pipeline like any
+	// routed plan — with no sweeps on 3-COLOR.
 	g := graph.AugmentedCircularLadder(5)
 	in := colorQuery(t, g)
 	_, addr := startServer(t, Config{DB: in.db, StreamWidth: -1})
@@ -514,7 +515,8 @@ func TestStreamRoutingDisabled(t *testing.T) {
 	if resp.Status != StatusOK {
 		t.Fatalf("explain status = %s (%s)", resp.Status, resp.Error)
 	}
-	if resp.Verdict.Method != "bucketelimination" || strings.HasPrefix(explainPlan(t, resp), "stream pipeline") {
+	if resp.Verdict.Method != "bucketelimination" || !strings.HasPrefix(resp.Explain, "route: bucketelimination (default)") ||
+		!strings.HasPrefix(explainPlan(t, resp), skippedHeader) {
 		t.Fatalf("stream routing disabled, yet the route is %s:\n%s", resp.Verdict.Method, resp.Explain)
 	}
 }

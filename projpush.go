@@ -389,7 +389,9 @@ func ExplainYannakakis(q *Query, db Database, opt ExecOptions, analyze bool) (st
 
 // ExecuteStream runs a plan on the pipelined streaming executor:
 // projections fuse into scans and probes, semijoin filters pre-reduce
-// every hash-join build side, and tuples materialize only at pipeline
+// every hash-join build side — unless the stored columns prove that no
+// semijoin can remove a tuple, as on 3-COLOR, when the phase is skipped
+// and the run is ExecuteIterator's — and tuples materialize only at pipeline
 // breakers whose bytes are released when the operator closes. Bytes on
 // the returned stats is the peak of live storage (equal to PeakBytes),
 // not a cumulative total — on low-selectivity queries it is a small

@@ -9,6 +9,7 @@ import (
 	"projpush/internal/cq"
 	"projpush/internal/engine"
 	"projpush/internal/graph"
+	"projpush/internal/plan"
 	"projpush/internal/relation"
 )
 
@@ -22,6 +23,9 @@ import (
 // phase. `make bench-json` pins the series in BENCH_stream.json; the
 // acceptance signal is stream peak-bytes at least 5x under the
 // iterator's on the chain and spider shapes at equal-or-better latency.
+// BenchmarkStreamStructured is the other side: a Figure 9 family, where no
+// sweep can remove a tuple, the phase skips itself, and the stream arm has
+// to match the iterator's.
 
 // runStreamVariant executes one engine variant b.N times, reporting the
 // materialized/peak bytes and peak-rows instrumentation.
@@ -151,4 +155,49 @@ func BenchmarkStreamAugPath(b *testing.B) {
 		q.Atoms = append(q.Atoms, cq.Atom{Rel: name, Args: []cq.Var{cq.Var(e[0]), cq.Var(e[1])}})
 	}
 	streamVariants(b, q, db)
+}
+
+// BenchmarkStreamStructured is the server's stream tier on the paper's own
+// traffic: the Boolean 3-COLOR query of the augmented circular ladder
+// (Figure 9) at orders 5–40, on the plan that tier runs (core.StreamPlan),
+// three ways — the materializing walker, the stream engine, and the bare
+// pipeline (iterator). Every column of every scan is the edge relation's,
+// so the stream engine proves its sweeps useless and skips them: its
+// time and peak-bytes are the iterator's, and both hold a fraction of what
+// the walker charges.
+func BenchmarkStreamStructured(b *testing.B) {
+	db := ColorDatabase(3)
+	for _, order := range []int{5, 10, 20, 40} {
+		g := graph.AugmentedCircularLadder(order)
+		q, err := ColorQuery(g, BooleanFree(g))
+		if err != nil {
+			b.Fatal(err)
+		}
+		mcs, err := core.BuildPlan(core.MethodBucketElimination, q, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := core.StreamPlan(q, core.NewCandidate(mcs, core.OrderMCS))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, arm := range []struct {
+			name string
+			exec func(plan.Node, cq.Database, engine.Options) (*engine.Result, error)
+		}{{"walker", engine.Exec}, {"stream", engine.ExecStream}, {"iterator", engine.ExecIterator}} {
+			b.Run(fmt.Sprintf("augcircladder-%d/%s", order, arm.name), func(b *testing.B) {
+				// One untimed run first: the recorded series is three
+				// iterations, and a cold first one would be a third of it.
+				res, err := arm.exec(c.Plan, db, ybenchOpts)
+				b.ResetTimer()
+				for i := 0; i < b.N && err == nil; i++ {
+					res, err = arm.exec(c.Plan, db, ybenchOpts)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(res.Stats.PeakBytes), "peak-bytes")
+			})
+		}
+	}
 }
