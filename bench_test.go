@@ -399,42 +399,6 @@ func BenchmarkAblationExecutor(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationParallel measures the parallel executor against the
-// sequential one on two plan shapes that stress its two parallelism axes:
-// a bushy bucket plan (independent subtrees fork) and a chain-shaped
-// straightforward ladder plan, where the plan is one left-deep spine with
-// no independent subtrees and every speedup must come from the
-// radix-partitioned join kernel inside each join.
-func BenchmarkAblationParallel(b *testing.B) {
-	g := mustRandom(b, 18, 2.0, 13)
-	q, db := colorBench(b, g, 0, 13)
-	p, err := core.BuildPlan(core.MethodBucketElimination, q, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lq, ldb := colorBench(b, graph.Ladder(9), 0, 3)
-	lp, err := core.BuildPlan(core.MethodStraightforward, lq, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("bushy/workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.ExecParallel(p, db, benchOpts, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("chain/workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.ExecParallel(lp, ldb, benchOpts, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationLocalSearch quantifies the local-search order
 // refinement (Section 7's treewidth-approximation direction): widths and
 // plan times for plain MCS vs MCS + hill climbing.

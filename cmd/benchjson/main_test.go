@@ -46,8 +46,8 @@ func TestRecordingStampsCPUAndProcs(t *testing.T) {
 		"goarch: amd64",
 		"pkg: projpush/internal/relation",
 		"cpu: Intel(R) Xeon(R) Processor @ 2.10GHz",
-		"BenchmarkKernelParallelJoin/workers=1-2 \t 1\t 1490000000 ns/op\t 9 B/op\t 1 allocs/op",
-		"BenchmarkKernelParallelJoin/workers=8-2 \t 3\t 490000000 ns/op\t 9 B/op\t 1 allocs/op",
+		"BenchmarkKernelJoinProject/open-2 \t 1\t 1490000000 ns/op\t 9 B/op\t 1 allocs/op",
+		"BenchmarkKernelJoinProject/map-baseline-2 \t 3\t 490000000 ns/op\t 9 B/op\t 1 allocs/op",
 		"PASS",
 		"ok  \tprojpush/internal/relation\t9.1s",
 	}
@@ -55,7 +55,7 @@ func TestRecordingStampsCPUAndProcs(t *testing.T) {
 	for _, line := range captured {
 		rec.add(line)
 	}
-	if len(rec.Results) != 2 || rec.Results[1].Name != "BenchmarkKernelParallelJoin/workers=8" {
+	if len(rec.Results) != 2 || rec.Results[1].Name != "BenchmarkKernelJoinProject/map-baseline" {
 		t.Fatalf("results = %+v", rec.Results)
 	}
 	if rec.Stamp.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || rec.Stamp.GOMAXPROCS != 2 {

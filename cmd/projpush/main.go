@@ -211,7 +211,7 @@ func main() {
 			continue
 		}
 		if *explain {
-			strategy, _ := resilience.Strategy(m, q, p, 1)
+			strategy, _ := resilience.Strategy(m, q, p)
 			out, err := strategy.Explain(db, opt, true)
 			if err != nil {
 				fatal(err)
@@ -246,7 +246,7 @@ func main() {
 // methods, logging the abandoned rungs to stderr so the summary line stays
 // comparable.
 func execute(m core.Method, p plan.Node, q *cq.Query, db cq.Database, opt engine.Options, resil bool, rng *rand.Rand) (*engine.Result, error) {
-	strategy, ladder := resilience.Strategy(m, q, p, 1)
+	strategy, ladder := resilience.Strategy(m, q, p)
 	if !resil {
 		return strategy.Run(context.Background(), db, opt)
 	}

@@ -41,8 +41,9 @@ func wireCounts(st *server.RunStats) counts {
 // Figure 9 at order 4 the straightforward plan's last join materializes
 // 55 296 rows; the pull pipeline, projection fused, holds a few hundred
 // bytes and would show no blow-up at all). Only a plan the server's own
-// router picked, for a request that named nothing, runs on the pipeline,
-// and not when -workers or -cachemb ask for what only the walker has.
+// router picked, for a request that named nothing, runs on the pipeline —
+// whatever the server's configuration: the executor is a function of the
+// request alone.
 func TestNamedMethodsKeepTheWalker(t *testing.T) {
 	g := graph.AugmentedCircularLadder(4)
 	drawn, err := instance.ColorQuery(g, instance.BooleanFree(g))
@@ -145,8 +146,9 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 	}
 
 	// Methodless, forced onto the default tier: the narrowest
-	// bucket-elimination plan, on the pipeline unless the configuration
-	// asks for workers or the subtree cache.
+	// bucket-elimination plan, on the pipeline — also with a spill
+	// directory armed and as a fleet member, the configurations the drills
+	// and the end-to-end benchmark run.
 	mcs, err := core.BuildPlan(core.MethodBucketElimination, q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -167,19 +169,11 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 		t.Fatalf("pipeline peak %d, walker %d: nothing to tell apart", pipeline.Stats.PeakBytes, walker.Stats.PeakBytes)
 	}
 	defaultTier := server.Config{YannakakisWidth: -1, StreamWidth: -1, WCOJAGMLog2: -1}
-	for _, tc := range []struct {
-		name string
-		cfg  func(*server.Config)
-		want *engine.Stats
-	}{
-		{"routed", func(*server.Config) {}, &pipeline.Stats},
-		{"routed, Workers=2", func(c *server.Config) { c.Workers = 2 }, &walker.Stats},
-		{"routed, Cache set", func(c *server.Config) { c.Cache = engine.NewCache(0) }, &walker.Stats},
-	} {
-		cfg := defaultTier
-		tc.cfg(&cfg)
-		if got := serve(cfg)(""); got != countsOf(tc.want) {
-			t.Errorf("%s: the default tier reports %+v, want %+v", tc.name, got, countsOf(tc.want))
+	deployed := defaultTier
+	deployed.SpillDir, deployed.WorkerID = t.TempDir(), "w0"
+	for name, cfg := range map[string]server.Config{"routed": defaultTier, "routed, SpillDir set, fleet worker": deployed} {
+		if got := serve(cfg)(""); got != countsOf(&pipeline.Stats) {
+			t.Errorf("%s: the default tier reports %+v, the pipeline %+v", name, got, countsOf(&pipeline.Stats))
 		}
 	}
 	// The stream tier was on the pipeline before and still is.

@@ -30,7 +30,6 @@ import (
 	"projpush/internal/core"
 	"projpush/internal/cq"
 	"projpush/internal/cqparse"
-	"projpush/internal/engine"
 	"projpush/internal/faultinject"
 	"projpush/internal/instance"
 	"projpush/internal/server"
@@ -53,15 +52,13 @@ func main() {
 		queueWait   = flag.Duration("queuewait", time.Second, "max time a request may queue before being shed")
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-request execution deadline")
 		maxRows     = flag.Int("maxrows", 10_000_000, "intermediate row cap per request (0 = unlimited)")
-		membudget   = flag.Int("membudget", 256, "byte budget per request in MiB: live bytes for a plan the server routed (pull pipeline), everything materialized for a named plan method, -workers > 1 or -cachemb (0 = unlimited)")
+		membudget   = flag.Int("membudget", 256, "byte budget per request in MiB, counting live bytes for a routed plan and everything materialized for a named plan method (0 = unlimited)")
 		spilldir    = flag.String("spilldir", "", "spill directory for out-of-core execution: runs over the memory budget degrade to disk instead of failing (empty = spilling off)")
 		maxspill    = flag.Int("maxspill", 0, "per-request spill-directory budget in MiB (0 = unlimited disk; requires -spilldir)")
-		workers     = flag.Int("workers", 1, "executor workers per request")
 		resilient   = flag.Bool("resilient", true, "degrade failed runs down the method ladder instead of failing them")
 		brkN        = flag.Int("breaker", 3, "consecutive internal/memory failures that trip a method's circuit breaker (-1 disables)")
 		brkCool     = flag.Duration("breakercooldown", 5*time.Second, "open-breaker cooldown before a half-open trial")
 		drain       = flag.Duration("drain", 15*time.Second, "SIGTERM drain deadline for in-flight requests")
-		cachemb     = flag.Int("cachemb", 0, "shared subplan cache budget in MiB (0 = no cache)")
 		logFile     = flag.String("log", "", "append structured per-request JSON logs here (default stderr; 'none' disables)")
 		faults      = flag.String("faults", "", "fault-injection spec for chaos drills, e.g. 'conn.drop=0.05,join.panic=0.02'; points: "+strings.Join(faultinject.PointNames(), ", "))
 		faultseed   = flag.Int64("faultseed", 1, "seed for the fault-injection coin flips")
@@ -100,13 +97,9 @@ func main() {
 		MaxBytes:          int64(*membudget) << 20,
 		SpillDir:          *spilldir,
 		MaxSpillBytes:     int64(*maxspill) << 20,
-		Workers:           *workers,
 		Resilient:         *resilient,
 		BreakerThreshold:  *brkN,
 		BreakerCooldown:   *brkCool,
-	}
-	if *cachemb > 0 {
-		cfg.Cache = engine.NewCache(int64(*cachemb) << 20)
 	}
 	switch *logFile {
 	case "":

@@ -227,9 +227,6 @@ func TestFacadeResourceGovernor(t *testing.T) {
 	if _, err := ExecuteContext(pre, p, db, ExecOptions{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("ExecuteContext pre-canceled: err = %v, want ErrCanceled", err)
 	}
-	if _, err := ExecuteParallelContext(pre, p, db, ExecOptions{}, 2); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("ExecuteParallelContext pre-canceled: err = %v, want ErrCanceled", err)
-	}
 	if _, err := ExecuteIteratorContext(pre, p, db, ExecOptions{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("ExecuteIteratorContext pre-canceled: err = %v, want ErrCanceled", err)
 	}
@@ -240,7 +237,7 @@ func TestFacadeResourceGovernor(t *testing.T) {
 	if _, err := Execute(p, db, tight); !errors.Is(err, ErrMemLimit) {
 		t.Fatalf("Execute under 1KiB budget: err = %v, want ErrMemLimit", err)
 	}
-	res, err := ExecuteResilient(context.Background(), p, DegradationLadder(q, nil), db, ExecOptions{}, 1)
+	res, err := ExecuteResilient(context.Background(), p, DegradationLadder(q, nil), db, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,8 @@ import (
 // property the differential tests pin down.
 //
 // Sharding: keys hash onto a fixed array of mutex-guarded shards, so
-// concurrent executions (a run's forked subtrees, the experiment harness
-// worker pool) contend only per shard. Memory: every entry is accounted
+// concurrent executions (the experiment harness worker pool) contend only
+// per shard. Memory: every entry is accounted
 // at its relation's arena+table size; inserting past a shard's share of
 // MaxBytes evicts least-recently-used entries of that shard. Entries
 // whose relation alone exceeds the shard budget are not cached at all.

@@ -57,26 +57,6 @@ func BenchmarkEngineCacheRepeatedWorkload(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCacheParallel measures the cached steady state under the
-// parallel executor: shard-lock contention plus zero-copy rebinds.
-func BenchmarkEngineCacheParallel(b *testing.B) {
-	p, db := benchWorkload(b, core.MethodBucketElimination)
-	for _, name := range []string{"uncached", "cached"} {
-		var c *Cache
-		if name == "cached" {
-			c = NewCache(0)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ExecParallel(p, db, Options{Cache: c}, 4); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // mapStringJoin is the iterator executor's former hash-join inner loop:
 // a map[string][]Tuple build table keyed by raw-byte string keys, with
 // per-match output assembly. Kept as the benchmark baseline for the port

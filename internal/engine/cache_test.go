@@ -145,9 +145,10 @@ func TestCacheEvictionRespectsBudget(t *testing.T) {
 }
 
 func TestCacheConcurrentMixedExecutors(t *testing.T) {
-	// Sequential and parallel executors sharing one cache must agree
-	// with an uncached reference; run them concurrently so `-race`
-	// sweeps the shard locking and the shared cached relations.
+	// The plan walker (subtree entries) and the stream engine (reduced
+	// scans) sharing one cache must agree with an uncached reference; run
+	// them concurrently so `-race` sweeps the shard locking and the shared
+	// cached relations.
 	g := graph.Ladder(6)
 	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
 	if err != nil {
@@ -167,13 +168,11 @@ func TestCacheConcurrentMixedExecutors(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		i := i
 		go func() {
-			var res *Result
-			var err error
-			if i%2 == 0 {
-				res, err = Exec(p, db, Options{Cache: c})
-			} else {
-				res, err = ExecParallel(p, db, Options{Cache: c}, 4)
+			run := Exec
+			if i%2 == 1 {
+				run = ExecStream
 			}
+			res, err := run(p, db, Options{Cache: c})
 			if err == nil && !res.Rel.Equal(ref.Rel) {
 				err = fmt.Errorf("goroutine %d: relation differs", i)
 			}

@@ -1,15 +1,13 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"projpush/internal/core"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/plan"
 )
 
 // figureWorkloads builds the structured 3-COLOR workloads behind
@@ -33,12 +31,11 @@ func figureWorkloads(t testing.TB) []struct {
 }
 
 // TestDifferentialFigureWorkloads runs every Figure-6–9 workload and
-// every optimization method through the sequential executor and the
-// parallel one (subtree + partition-parallel joins) and checks that the
-// relations and the width instrumentation are identical. The
-// straightforward plans are left-deep chains with large intermediates, so
-// they exercise the radix-partitioned join path; the bucket plans are
-// bushy, exercising subtree forking.
+// every optimization method on the plan walker and checks the answer
+// against the backtracking oracle and the instrumentation against the
+// logical plan: the walker is kept because its counts are the paper's, so
+// MaxArity must be the plan's width and every Join and Project node must
+// be counted once.
 func TestDifferentialFigureWorkloads(t *testing.T) {
 	for _, w := range figureWorkloads(t) {
 		q, err := instance.ColorQuery(w.g, instance.BooleanFree(w.g))
@@ -46,98 +43,33 @@ func TestDifferentialFigureWorkloads(t *testing.T) {
 			t.Fatal(err)
 		}
 		db := instance.ColorDatabase(3)
+		oracle, err := EvalOracle(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, m := range core.Methods {
 			t.Run(fmt.Sprintf("%s/%s", w.name, m), func(t *testing.T) {
 				p, err := core.BuildPlan(m, q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				seq, err := Exec(p, db, Options{})
+				res, err := Exec(p, db, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{2, 4} {
-					par, err := ExecParallel(p, db, Options{}, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !seq.Rel.Equal(par.Rel) {
-						t.Fatalf("workers=%d: parallel relation differs (%d vs %d rows)",
-							workers, par.Rel.Len(), seq.Rel.Len())
-					}
-					if par.Stats.MaxArity != seq.Stats.MaxArity {
-						t.Fatalf("workers=%d: MaxArity %d != sequential %d",
-							workers, par.Stats.MaxArity, seq.Stats.MaxArity)
-					}
-					if par.Stats.MaxRows != seq.Stats.MaxRows {
-						t.Fatalf("workers=%d: MaxRows %d != sequential %d",
-							workers, par.Stats.MaxRows, seq.Stats.MaxRows)
-					}
-					if par.Stats.Joins != seq.Stats.Joins || par.Stats.Projections != seq.Stats.Projections {
-						t.Fatalf("workers=%d: operator counts differ: %+v vs %+v",
-							workers, par.Stats, seq.Stats)
-					}
+				if !res.Rel.Equal(oracle) {
+					t.Fatalf("walker relation differs from oracle (%d vs %d rows)",
+						res.Rel.Len(), oracle.Len())
+				}
+				logical := plan.Analyze(p)
+				if res.Stats.MaxArity != logical.Width {
+					t.Fatalf("MaxArity %d != plan width %d", res.Stats.MaxArity, logical.Width)
+				}
+				if res.Stats.Joins != logical.Joins || res.Stats.Projections != logical.Projects {
+					t.Fatalf("operator counts %d joins, %d projections; plan has %d, %d",
+						res.Stats.Joins, res.Stats.Projections, logical.Joins, logical.Projects)
 				}
 			})
 		}
 	}
-}
-
-// TestDifferentialExercisesPartitionedJoin pins down that at least one
-// figure workload actually reaches the partition-parallel join kernel
-// (intermediates above relation's parallel threshold of 2048 rows);
-// otherwise the differential suite would silently test only the
-// sequential fallback.
-func TestDifferentialExercisesPartitionedJoin(t *testing.T) {
-	g := graph.AugmentedPath(8)
-	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.BuildPlan(core.MethodStraightforward, q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Exec(p, instance.ColorDatabase(3), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.MaxRows <= 2048 {
-		t.Fatalf("straightforward augmented-path intermediates peak at %d rows; "+
-			"raise the workload order so the partitioned join kernel is exercised",
-			res.Stats.MaxRows)
-	}
-}
-
-// TestExecParallelPartitionedAborts exercises the partition-parallel join
-// under timeout and row-cap aborts, concurrently — the scenario the
-// -race run in `make test` is meant to sweep.
-func TestExecParallelPartitionedAborts(t *testing.T) {
-	g := graph.AugmentedCircularLadder(5)
-	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := instance.ColorDatabase(3)
-	p, err := core.BuildPlan(core.MethodStraightforward, q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Row caps small enough to trip mid-join, timeouts short
-			// enough to trip mid-run; both must surface as their engine
-			// errors, never as a hang, panic, or corrupted result.
-			if _, err := ExecParallel(p, db, Options{MaxRows: 500 + 100*i}, 4); !errors.Is(err, ErrRowLimit) {
-				t.Errorf("row cap: err = %v, want ErrRowLimit", err)
-			}
-			if _, err := ExecParallel(p, db, Options{Timeout: time.Duration(i+1) * time.Millisecond}, 4); err != nil && !errors.Is(err, ErrTimeout) {
-				t.Errorf("timeout: err = %v, want ErrTimeout or success", err)
-			}
-		}(i)
-	}
-	wg.Wait()
 }

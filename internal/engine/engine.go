@@ -12,21 +12,22 @@
 // Executions can share a subplan result Cache (Options.Cache): Join and
 // Project subtrees are memoized under a renaming-invariant fingerprint
 // plus a database fingerprint, so repeated executions of identical
-// subtrees — across methods, repetitions, and worker counts — return the
-// memoized relation instead of re-joining. Hits
-// replay the subtree's recorded instrumentation, keeping cache-on and
-// cache-off stats identical (except elapsed time, which is the point).
+// subtrees — across methods and repetitions — return the memoized relation
+// instead of re-joining. Hits replay the subtree's recorded
+// instrumentation, keeping cache-on and cache-off stats identical (except
+// elapsed time, which is the point).
+//
+// A query runs on the goroutine that called the entry point: no executor
+// starts another. Concurrency lives above the engine — the server's
+// connections, the experiment harness's measurement pool, the fleet.
 package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"projpush/internal/cq"
-	"projpush/internal/faultinject"
 	"projpush/internal/plan"
 	"projpush/internal/relation"
 )
@@ -50,8 +51,8 @@ type Options struct {
 	// pressure, not just final cardinalities.
 	MaxBytes int64
 	// Cache, when non-nil, memoizes Join and Project subtree results
-	// across executions of the plan walker, at any worker count (see
-	// Cache); ExecStream memoizes its semijoin-reduced base scans in it
+	// across executions of the plan walker (see Cache); ExecStream
+	// memoizes its semijoin-reduced base scans in it
 	// when its pushdown phase runs. The pull pipeline without the phase
 	// (ExecIterator, a spill-armed Exec, an ExecStream that skipped it),
 	// the Yannakakis and the WCOJ executors ignore it: they materialize no
@@ -63,10 +64,10 @@ type Options struct {
 	// files under this directory and are replayed when consumed. MaxBytes
 	// then bounds peak residency rather than availability. Unrecoverable
 	// disk failures surface as ErrSpill. Every plan entry point honors
-	// it: ExecStream and ExecIterator on their own pipelines, and Exec,
-	// ExecContext and ExecParallel by running the plan on ExecIterator's
-	// instead of the plan walker — an armed plan run therefore does not
-	// consult Cache. The Yannakakis and WCOJ executors ignore it.
+	// it: ExecStream and ExecIterator on their own pipelines, and Exec and
+	// ExecContext by running the plan on ExecIterator's instead of the
+	// plan walker — an armed plan run therefore does not consult Cache.
+	// The Yannakakis and WCOJ executors ignore it.
 	SpillDir string
 	// MaxSpillBytes caps the live bytes a run may hold on disk when
 	// spilling (0 = unlimited). Exceeding it — or a real ENOSPC — fails
@@ -176,39 +177,16 @@ type Result struct {
 // Boolean query.
 func (r *Result) Nonempty() bool { return !r.Rel.Empty() }
 
-// executor is the plan walker: it evaluates a plan bottom-up, materializing
-// every Join and Project output. With workers ≥ 2 it additionally
-// exploits parallelism on two axes:
-//
-//   - across the plan: the two sides of a join are computed concurrently
-//     when both are non-trivial subtrees and a worker is free. Bucket
-//     elimination and tree-decomposition plans are bushy — sibling buckets
-//     share no state — so independent subtrees parallelize cleanly. The
-//     forked side evaluates into a private stats frame merged at the join,
-//     so no frame is ever shared between goroutines.
-//
-//   - inside a join: large joins are radix-partitioned on the join key
-//     and the partitions are joined by a worker pool
-//     (relation.ParallelJoinLimited). This is what lets chain-shaped
-//     (left-deep) plans — the straightforward method on paths, ladders,
-//     and augmented circular ladders — benefit from workers > 1, where
-//     subtree parallelism alone degenerates to sequential execution.
+// executor is the plan walker: it evaluates a plan bottom-up, left input
+// then right, materializing every Join and Project output.
 //
 // A spill-armed run (Options.SpillDir) never reaches this type: only the
-// pull pipeline's breakers can go out of core, so ExecParallelContext
-// hands such a run to the pipeline.
+// pull pipeline's breakers can go out of core, so ExecContext hands such a
+// run to the pipeline.
 type executor struct {
 	governor
 	cache *Cache
 	dbFP  string
-
-	// workers bounds the concurrently evaluating subtrees and the fan-out
-	// of each partitioned join. sem is nil on a sequential run; abort
-	// cancels the run's context so a failing subtree stops its sibling.
-	workers int
-	sem     chan struct{}
-	abort   context.CancelFunc
-	sizes   map[plan.Node]int
 
 	// rows/cached record per-node output cardinalities for EXPLAIN
 	// ANALYZE; nil outside Explain.
@@ -216,8 +194,8 @@ type executor struct {
 	cached map[plan.Node]bool
 }
 
-func newExecutor(ctx context.Context, db cq.Database, opt Options, workers int) *executor {
-	ex := &executor{cache: opt.Cache, workers: workers}
+func newExecutor(ctx context.Context, db cq.Database, opt Options) *executor {
+	ex := &executor{cache: opt.Cache}
 	if ex.cache != nil {
 		ex.dbFP = DatabaseFingerprint(db)
 	}
@@ -240,7 +218,7 @@ func (ex *executor) admissible(sub *Stats) bool {
 }
 
 // Exec evaluates the plan over db under opt, on the materializing plan
-// walker unless opt arms a spill directory (see ExecParallelContext).
+// walker unless opt arms a spill directory (see ExecContext).
 // On timeout, cancellation, row-cap or byte-budget violation it returns
 // ErrTimeout, ErrCanceled, ErrRowLimit or ErrMemLimit (wrapped); the
 // partial stats collected so far are returned alongside so harnesses can
@@ -252,68 +230,29 @@ func Exec(n plan.Node, db cq.Database, opt Options) (*Result, error) {
 // ExecContext is Exec under a context: cancellation is observed by every
 // kernel within a bounded amount of work and surfaces as ErrCanceled
 // (matching context.Canceled under errors.Is).
-func ExecContext(ctx context.Context, n plan.Node, db cq.Database, opt Options) (*Result, error) {
-	return ExecParallelContext(ctx, n, db, opt, 1)
-}
-
-// ExecParallel evaluates the plan like Exec with up to workers goroutines
-// spent on independent subtrees and partitioned joins (values < 2 run
-// sequentially). Results are identical to Exec, and so are the
-// per-operator counters; Work and MaxRows are merged from each
-// goroutine's private frame. A subplan cache (opt.Cache) is shared across
-// worker counts: the stats stored with an entry cover exactly its
-// subtree, so hits replay identical instrumentation whichever run
-// populated the entry.
-func ExecParallel(n plan.Node, db cq.Database, opt Options, workers int) (*Result, error) {
-	return ExecParallelContext(context.Background(), n, db, opt, workers)
-}
-
-// ExecParallelContext is ExecParallel under a context: cancellation is
-// polled by every kernel and every partition worker, and surfaces as
-// ErrCanceled. A panic in a subtree-evaluating goroutine is recovered at
-// the goroutine boundary, cancels the sibling subtree's workers via the
-// shared limit, and surfaces as ErrInternal instead of crashing the
-// process.
 //
 // With opt.SpillDir armed the plan runs on the pull pipeline instead
-// (ExecIteratorContext, whatever the worker count): a tree walker holds
-// every operator output whole until its consumer has run, so it has
-// nothing it can shed to disk mid-operator, whereas the pipeline's
-// breakers spill and its budget already bounds live bytes.
-func ExecParallelContext(ctx context.Context, n plan.Node, db cq.Database, opt Options, workers int) (*Result, error) {
+// (ExecIteratorContext): a tree walker holds every operator output whole
+// until its consumer has run, so it has nothing it can shed to disk
+// mid-operator, whereas the pipeline's breakers spill and its budget
+// already bounds live bytes.
+func ExecContext(ctx context.Context, n plan.Node, db cq.Database, opt Options) (*Result, error) {
 	if opt.SpillDir != "" {
 		return ExecIteratorContext(ctx, n, db, opt)
 	}
-	return newExecutor(ctx, db, opt, workers).run(n)
+	return newExecutor(ctx, db, opt).run(n)
 }
 
-// run evaluates n and settles the run's totals.
+// run evaluates n and settles the run's totals, panic-isolated like the
+// other executors' run: a fault anywhere in the walk surfaces as a
+// *relation.PanicError, which classifyErr maps to ErrInternal — degradable
+// — instead of unwinding into the caller.
 func (ex *executor) run(n plan.Node) (*Result, error) {
-	if ex.workers < 2 {
-		ex.workers = 1
-	} else {
-		// The run's own context lets a failing subtree cancel its
-		// concurrently evaluating sibling instead of letting it run to its
-		// own limits.
-		ex.ctx, ex.abort = context.WithCancel(ex.ctx)
-		defer ex.abort()
-		ex.sem = make(chan struct{}, ex.workers)
-		ex.sizes = make(map[plan.Node]int)
-		measureSubtrees(n, ex.sizes)
-	}
-	return ex.finish(ex.eval(n, &ex.stats))
-}
-
-// measureSubtrees records the node count of every subtree in one walk, so
-// evalPair's fork-or-not decision is O(1) per join instead of re-walking
-// the subtree at every pair (O(n²) on deep chain plans).
-func measureSubtrees(n plan.Node, sizes map[plan.Node]int) int {
-	size := 1
-	for _, c := range n.Children() {
-		size += measureSubtrees(c, sizes)
-	}
-	sizes[n] = size
-	return size
+	rel, err := func() (rel *relation.Relation, err error) {
+		defer relation.RecoverPanic(&err)
+		return ex.eval(n, &ex.stats)
+	}()
+	return ex.finish(rel, err)
 }
 
 // observe folds one operator's output into the stats frame.
@@ -402,11 +341,15 @@ func (ex *executor) evalOp(n plan.Node, st *Stats) (*relation.Relation, error) {
 		return bound, nil
 
 	case *plan.Join:
-		l, r, err := ex.evalPair(t, st)
+		l, err := ex.eval(t.Left, st)
 		if err != nil {
 			return nil, err
 		}
-		out, err := ex.join(st, l, r, ex.workers)
+		r, err := ex.eval(t.Right, st)
+		if err != nil {
+			return nil, err
+		}
+		out, err := ex.join(st, l, r)
 		if err != nil {
 			return nil, err
 		}
@@ -428,68 +371,4 @@ func (ex *executor) evalOp(n plan.Node, st *Stats) (*relation.Relation, error) {
 	default:
 		return nil, fmt.Errorf("engine: unknown plan node %T", n)
 	}
-}
-
-// evalPair evaluates a join's two inputs: concurrently when both are
-// non-trivial subtrees and a worker is free, otherwise left then right.
-func (ex *executor) evalPair(t *plan.Join, st *Stats) (l, r *relation.Relation, err error) {
-	if ex.sem != nil && ex.sizes[t.Left] >= 3 && ex.sizes[t.Right] >= 3 {
-		select {
-		case ex.sem <- struct{}{}:
-			return ex.forkPair(t, st)
-		default:
-			// No free worker: stay sequential.
-		}
-	}
-	if l, err = ex.eval(t.Left, st); err != nil {
-		return nil, nil, err
-	}
-	r, err = ex.eval(t.Right, st)
-	return l, r, err
-}
-
-// forkPair evaluates the right input on its own goroutine, holding the
-// worker slot evalPair acquired, into a private frame merged into st once
-// both sides are done.
-func (ex *executor) forkPair(t *plan.Join, st *Stats) (l, r *relation.Relation, err error) {
-	var (
-		rst  Stats
-		rerr error
-		wg   sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() { <-ex.sem }()
-		// A failing subtree cancels its sibling; a panicking one
-		// additionally becomes a typed error at the goroutine
-		// boundary (classified as ErrInternal by the entry point)
-		// instead of crashing the process.
-		defer func() {
-			if rerr != nil {
-				ex.abort()
-			}
-		}()
-		defer relation.RecoverPanic(&rerr)
-		faultinject.Panic(faultinject.PanicSubtreeWorker)
-		r, rerr = ex.eval(t.Right, &rst)
-	}()
-	if l, err = ex.eval(t.Left, st); err != nil {
-		ex.abort()
-	}
-	wg.Wait()
-	st.merge(&rst)
-	return l, r, preferErr(err, rerr)
-}
-
-// preferErr picks the more informative of two concurrent subtree errors:
-// a genuine failure over the cancellation it induced in its sibling.
-func preferErr(a, b error) error {
-	if a == nil {
-		return b
-	}
-	if b != nil && errors.Is(a, relation.ErrCanceled) && !errors.Is(b, relation.ErrCanceled) {
-		return b
-	}
-	return a
 }

@@ -53,10 +53,10 @@ var ErrRowLimit = errors.New("engine: intermediate result exceeds row cap")
 // Options.MaxBytes.
 var ErrMemLimit = errors.New("engine: execution exceeds memory budget")
 
-// ErrInternal is returned when a worker goroutine panics mid-run: the
-// panic is recovered at the pool boundary (relation.PanicError) and
-// surfaces here instead of crashing the process. The wrapped error
-// carries the panicking goroutine's stack.
+// ErrInternal is returned when an executor panics mid-run: the panic is
+// recovered at the run boundary (relation.PanicError) and surfaces here
+// instead of crashing the process. The wrapped error carries the
+// panicking goroutine's stack.
 var ErrInternal = errors.New("engine: internal execution fault")
 
 // ErrSpill is returned when spill-to-disk execution hits an

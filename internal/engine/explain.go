@@ -26,7 +26,7 @@ func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, er
 		return explainPipeline(p, db, opt, true, false)
 	}
 	if analyze {
-		ex = newExecutor(context.Background(), db, opt, 1)
+		ex = newExecutor(context.Background(), db, opt)
 		ex.rows = make(map[plan.Node]int)
 		ex.cached = make(map[plan.Node]bool)
 		if _, err := ex.run(p); err != nil {

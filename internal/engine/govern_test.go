@@ -73,7 +73,7 @@ func TestTimeoutMatchesDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestExecContextCancellation cancels all three executors, before the run
+// TestExecContextCancellation cancels both plan executors, before the run
 // and mid-run, and checks the failure is ErrCanceled (matching
 // context.Canceled) with no goroutine leak.
 func TestExecContextCancellation(t *testing.T) {
@@ -93,10 +93,6 @@ func TestExecContextCancellation(t *testing.T) {
 	runners := []runner{
 		{"Exec", func(ctx context.Context) error {
 			_, err := engine.ExecContext(ctx, p, db, engine.Options{})
-			return err
-		}},
-		{"ExecParallel", func(ctx context.Context) error {
-			_, err := engine.ExecParallelContext(ctx, p, db, engine.Options{}, 4)
 			return err
 		}},
 		{"ExecIterator", func(ctx context.Context) error {
@@ -129,7 +125,7 @@ func TestExecContextCancellation(t *testing.T) {
 	}
 }
 
-// TestMemBudget checks Options.MaxBytes aborts all three executors with
+// TestMemBudget checks Options.MaxBytes aborts both plan executors with
 // ErrMemLimit, and that a roomy budget reports materialized bytes in
 // Stats.
 func TestMemBudget(t *testing.T) {
@@ -147,9 +143,6 @@ func TestMemBudget(t *testing.T) {
 	tight := engine.Options{MaxBytes: 256}
 	if _, err := engine.Exec(p, db, tight); !errors.Is(err, engine.ErrMemLimit) {
 		t.Fatalf("Exec: err = %v, want ErrMemLimit", err)
-	}
-	if _, err := engine.ExecParallel(p, db, tight, 4); !errors.Is(err, engine.ErrMemLimit) {
-		t.Fatalf("ExecParallel: err = %v, want ErrMemLimit", err)
 	}
 	if _, err := engine.ExecIterator(p, db, tight); !errors.Is(err, engine.ErrMemLimit) {
 		t.Fatalf("ExecIterator: err = %v, want ErrMemLimit", err)
@@ -226,23 +219,26 @@ func lineWithPrefix(s, prefix string) string {
 	return ""
 }
 
-// TestSubtreePanicIsolation injects panics into the parallel executor's
-// subtree workers and checks they surface as ErrInternal instead of
-// crashing the process.
+// TestSubtreePanicIsolation injects a panic into the join kernel under the
+// plan walker's subtree evaluation and checks it is recovered at the run
+// boundary and surfaces as ErrInternal, with the partial Result the other
+// failures carry, instead of unwinding into the caller.
 func TestSubtreePanicIsolation(t *testing.T) {
 	defer faultinject.Disable()
 	q, db := figure9(t, 4)
-	// Bucket elimination plans are bushy, so subtrees actually fork.
 	p := buildPlan(t, core.MethodBucketElimination, q)
-	if err := faultinject.Enable("subtree.panic=1", 11); err != nil {
+	if err := faultinject.Enable("join.panic=1", 11); err != nil {
 		t.Fatal(err)
 	}
-	_, err := engine.ExecParallel(p, db, engine.Options{}, 4)
+	res, err := engine.Exec(p, db, engine.Options{})
 	if !errors.Is(err, engine.ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}
+	if res == nil || res.Rel != nil || res.Stats.Elapsed <= 0 {
+		t.Fatalf("panicked run's result = %+v, want non-nil with no relation and Elapsed stamped", res)
+	}
 	faultinject.Disable()
-	res, err := engine.ExecParallel(p, db, engine.Options{}, 4)
+	res, err = engine.Exec(p, db, engine.Options{})
 	if err != nil {
 		t.Fatalf("after Disable: %v", err)
 	}
@@ -257,10 +253,12 @@ func TestSubtreePanicIsolation(t *testing.T) {
 
 // TestExecResilientDegradation is the end-to-end acceptance check of the
 // resource governor: on a Figure-9-style workload, a straightforward plan
-// run with injected worker panics and a byte budget too tight for early
-// projection degrades down resilience.DegradationLadder and returns, via
-// the bucket-elimination rung, a result differentially checked against
-// the oracle.
+// run under a byte budget too tight for early projection degrades down
+// the explicit ladder and returns, via the bucket-elimination rung, a
+// result differentially checked against the oracle; and with a panic
+// injected into the join kernel, the walker's failure is ErrInternal —
+// degradable — so resilience.DegradationLadder rescues the run on the
+// first executor that does not join through that kernel.
 func TestExecResilientDegradation(t *testing.T) {
 	defer faultinject.Disable()
 	q, db := figure9(t, 4)
@@ -293,18 +291,14 @@ func TestExecResilientDegradation(t *testing.T) {
 		t.Fatalf("calibration: bucket elimination does not fit the budget %d: %v", budget, err)
 	}
 
-	// The panics knock out the given plan's workers; every later rung runs
-	// sequentially and meets only the budget, so the run degrades through
-	// every rung of the explicit stream → earlyprojection →
-	// bucketelimination ladder.
-	if err := faultinject.Enable("join.panic=1,subtree.panic=1", 23); err != nil {
-		t.Fatal(err)
-	}
+	// The straightforward plan's intermediates dwarf early projection's,
+	// so the run degrades through every rung of the explicit stream →
+	// earlyprojection → bucketelimination ladder on the budget alone.
 	opt := engine.Options{MaxBytes: budget}
-	stream, _ := resilience.Strategy(core.MethodStream, q, streamPlan, 1)
+	stream, _ := resilience.Strategy(core.MethodStream, q, streamPlan)
 	ladder := append([]engine.Fallback{stream}, resilience.PlanLadder(q, nil)...)
 	res, err := engine.ExecResilient(context.Background(), buildPlan(t, core.MethodStraightforward, q),
-		ladder, db, opt, 4)
+		ladder, db, opt)
 	if err != nil {
 		t.Fatalf("ExecResilient failed down the whole ladder: %v\nattempts: %+v",
 			err, res.Stats.Attempts)
@@ -314,8 +308,8 @@ func TestExecResilientDegradation(t *testing.T) {
 	if len(at) != 4 {
 		t.Fatalf("attempts = %+v, want 4 (given, stream, earlyprojection, bucketelimination)", at)
 	}
-	if at[0].Method != "given" || at[0].Err == "" {
-		t.Fatalf("first attempt = %+v, want a failed 'given' run", at[0])
+	if at[0].Method != "given" || !errorsContains(at[0].Err, "memory") {
+		t.Fatalf("first attempt = %+v, want the given plan failing on the byte budget", at[0])
 	}
 	if at[1].Method != string(core.MethodStream) || !errorsContains(at[1].Err, "memory") {
 		t.Fatalf("second attempt = %+v, want the stream rung failing on the byte budget", at[1])
@@ -336,18 +330,25 @@ func TestExecResilientDegradation(t *testing.T) {
 			res.Rel.Len(), oracle.Len())
 	}
 
-	// The default ladder for this wide query leads with the
-	// worst-case-optimal rung, which survives the injected faults and the
-	// byte budget outright: the run is rescued in one fallback instead of
-	// degrading through the materializing methods.
+	// Every join of the given plan now panics. The default ladder for this
+	// wide query leads with the worst-case-optimal rung, which never calls
+	// the join kernel and fits the byte budget outright: the run is rescued
+	// in one fallback instead of degrading through the materializing
+	// methods.
+	if err := faultinject.Enable("join.panic=1", 23); err != nil {
+		t.Fatal(err)
+	}
 	res2, err := engine.ExecResilient(context.Background(), buildPlan(t, core.MethodStraightforward, q),
-		resilience.DegradationLadder(q, nil), db, opt, 4)
+		resilience.DegradationLadder(q, nil), db, opt)
 	if err != nil {
 		t.Fatalf("ExecResilient with default ladder: %v", err)
 	}
 	at2 := res2.Stats.Attempts
 	if len(at2) != 2 || at2[1].Method != string(core.MethodWCOJ) || at2[1].Err != "" {
 		t.Fatalf("default-ladder attempts = %+v, want [given, wcoj(success)]", at2)
+	}
+	if !errors.Is(res2.FirstError(), engine.ErrInternal) {
+		t.Fatalf("given attempt failed with %v, want the injected panic as ErrInternal", res2.FirstError())
 	}
 	if !res2.Rel.Equal(oracle) {
 		t.Fatalf("wcoj-rescued result differs from oracle (%d vs %d rows)",

@@ -23,8 +23,7 @@ type governor struct {
 	maxRows  int
 	maxBytes int64
 	// bytes is the byte-budget counter every kernel call of the run
-	// charges (and every partition worker: it is the one field forked
-	// subtrees share), so MaxBytes bounds the run, not any one operator.
+	// charges, so MaxBytes bounds the run, not any one operator.
 	bytes atomic.Int64
 	stats Stats
 	start time.Time
@@ -108,10 +107,9 @@ func (g *governor) scan(st *Stats, a *cq.Atom) (*relation.Relation, error) {
 	return bound, err
 }
 
-// join is the materializing Join operator, partitioned over workers when
-// the inputs are large enough (relation.ParallelJoinLimited).
-func (g *governor) join(st *Stats, l, r *relation.Relation, workers int) (*relation.Relation, error) {
-	out, err := relation.ParallelJoinLimited(l, r, g.lim(&st.Work), workers)
+// join is the materializing Join operator.
+func (g *governor) join(st *Stats, l, r *relation.Relation) (*relation.Relation, error) {
+	out, err := relation.JoinLimited(l, r, g.lim(&st.Work))
 	if err == nil {
 		st.Joins++
 		materialized(st, out)

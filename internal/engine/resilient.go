@@ -28,7 +28,7 @@ type Fallback struct {
 	// failure, as the engine's entry points do.
 	Run func(ctx context.Context, db cq.Database, opt Options) (*Result, error)
 	// Build, on a rung with no Run, constructs a plan for ExecContext: the
-	// sequential plan walker, or the pull pipeline on a spill-armed retry.
+	// plan walker, or the pull pipeline on a spill-armed retry.
 	// It runs only if the rung is reached, so plan construction is paid on
 	// demand, and its failure skips the rung: the ladder keeps the
 	// previous rung's result and error.
@@ -86,21 +86,18 @@ func Degradable(err error) bool {
 }
 
 // ExecResilient evaluates the plan over db under opt, retrying down the
-// fallback ladder on degradable failures. The given plan runs first with
-// the given worker count; fallback rungs run sequentially — the safest
-// configuration, with no worker pools to fault and the smallest memory
-// turnover. Every attempt gets a fresh byte budget and timeout.
+// fallback ladder on degradable failures. The given plan runs first (as
+// ExecContext runs it), then the rungs in order. Every attempt gets a
+// fresh byte budget and timeout.
 //
 // The returned Result carries the succeeding attempt's stats, with
 // Stats.Attempts listing every rung tried in order. When every rung
 // fails, the last rung's result and error are returned (Attempts still
 // records the full history).
 func ExecResilient(ctx context.Context, n plan.Node, fallbacks []Fallback,
-	db cq.Database, opt Options, workers int) (*Result, error) {
+	db cq.Database, opt Options) (*Result, error) {
 
-	given := Fallback{Name: "given", Spills: true, Run: func(ctx context.Context, db cq.Database, o Options) (*Result, error) {
-		return ExecParallelContext(ctx, n, db, o, workers)
-	}}
+	given := Fallback{Name: "given", Build: func() (plan.Node, error) { return n, nil }}
 	return ExecResilientStrategy(ctx, given, fallbacks, db, opt)
 }
 
@@ -143,7 +140,7 @@ func ExecResilientStrategy(ctx context.Context, first Fallback, fallbacks []Fall
 	// ErrMemLimit, a rung that can spill re-runs the same strategy once
 	// with spilling armed — recorded as its own "<rung>+spill" attempt —
 	// before the ladder falls to the next rung. A plan strategy's spill
-	// retry runs on the pull pipeline whatever its worker count.
+	// retry runs on the pull pipeline.
 	runRung := func(fb Fallback) (*Result, error, bool) {
 		if opt.SpillDir == "" {
 			return try(fb, opt)

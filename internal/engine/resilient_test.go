@@ -70,7 +70,7 @@ func TestLadderExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := engine.Options{MaxRows: 1}
-	res, err := engine.ExecResilient(context.Background(), p, resilience.DegradationLadder(q, nil), db, opt, 1)
+	res, err := engine.ExecResilient(context.Background(), p, resilience.DegradationLadder(q, nil), db, opt)
 	if !errors.Is(err, engine.ErrRowLimit) {
 		t.Fatalf("exhausted ladder: err = %v, want ErrRowLimit", err)
 	}
@@ -113,7 +113,7 @@ func TestLadderSkipsBrokenRung(t *testing.T) {
 	}
 	// A cap the straightforward plan blows but bucket elimination does not.
 	opt := engine.Options{MaxRows: 2000}
-	res, err := engine.ExecResilient(context.Background(), p, ladder, db, opt, 1)
+	res, err := engine.ExecResilient(context.Background(), p, ladder, db, opt)
 	if err != nil {
 		t.Fatalf("ladder with a working final rung: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestFirstErrorIsTheDirectPathsError(t *testing.T) {
 	if first := res.FirstError(); !errors.Is(first, engine.ErrSpill) || !errors.Is(first, engine.ErrInternal) {
 		t.Fatalf("FirstError = %v, want the ErrSpill value (matching ErrInternal)", first)
 	}
-	healthy, _ := resilience.Strategy(core.MethodYannakakis, q, nil, 1)
+	healthy, _ := resilience.Strategy(core.MethodYannakakis, q, nil)
 	res, err = engine.ExecResilientStrategy(context.Background(), healthy, nil, db, engine.Options{})
 	if err != nil || res.FirstError() != nil {
 		t.Fatalf("succeeding first attempt: err %v, FirstError %v", err, res.FirstError())

@@ -153,7 +153,7 @@ func (ex *yexec) materialize(b *ybag) error {
 		if err != nil {
 			return err
 		}
-		if cur, err = ex.join(&ex.stats, cur, next, 1); err != nil {
+		if cur, err = ex.join(&ex.stats, cur, next); err != nil {
 			return err
 		}
 	}
@@ -193,7 +193,7 @@ func (ex *yexec) eval(b *ybag) (*relation.Relation, error) {
 			cur = cr
 			continue
 		}
-		if cur, err = ex.join(&ex.stats, cur, cr, 1); err != nil {
+		if cur, err = ex.join(&ex.stats, cur, cr); err != nil {
 			return nil, err
 		}
 	}

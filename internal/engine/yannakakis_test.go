@@ -276,7 +276,7 @@ func TestYannakakisRungDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer faultinject.Disable()
-	first, ladder := resilience.Strategy(core.MethodYannakakis, q, nil, 1)
+	first, ladder := resilience.Strategy(core.MethodYannakakis, q, nil)
 	res, err := engine.ExecResilientStrategy(context.Background(), first, ladder(nil), db, engine.Options{})
 	if err != nil {
 		t.Fatalf("ladder should rescue the poisoned reducer: %v", err)

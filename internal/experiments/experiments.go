@@ -380,7 +380,7 @@ func measure(m core.Method, q *cq.Query, db cq.Database, rng *rand.Rand, cfg Con
 		return outcome{w: w, err: fmt.Errorf("%w: plan width %d over admission cap %d",
 			engine.ErrOverWidth, w, cfg.MaxWidth)}
 	}
-	strategy, ladder := resilience.Strategy(m, q, p, 1)
+	strategy, ladder := resilience.Strategy(m, q, p)
 	var res *engine.Result
 	if cfg.Resilient {
 		res, err = engine.ExecResilientStrategy(context.Background(), strategy, ladder(rng), db, cfg.execOptions())

@@ -1,7 +1,7 @@
 // Package faultinject provides deterministic, seeded fault injection for
-// the execution kernels and worker pools. It exists so the resource
-// governor's failure paths — allocation pressure, slow operators, and
-// panicking workers — can be exercised reproducibly in tests and chaos
+// the execution kernels and the harness's worker pool. It exists so the
+// resource governor's failure paths — allocation pressure, slow operators,
+// and panics — can be exercised reproducibly in tests and chaos
 // runs without depending on real memory exhaustion or scheduler luck.
 //
 // Injection is configured per point with a firing probability (and, for
@@ -25,8 +25,8 @@ type Point uint8
 
 // The injection points wired into the engine stack.
 const (
-	// AllocJoin fails "allocations" in the join kernels: JoinLimited and
-	// the partition-parallel join report a memory-budget violation.
+	// AllocJoin fails "allocations" in the join kernel: JoinLimited
+	// reports a memory-budget violation.
 	AllocJoin Point = iota
 	// AllocProject fails allocations in the projection kernel.
 	AllocProject
@@ -36,11 +36,9 @@ const (
 	// LatencyKernel injects artificial latency at kernel entry, for
 	// exercising deadlines and cancellation windows.
 	LatencyKernel
-	// PanicJoinWorker panics inside a partition-parallel join worker.
-	PanicJoinWorker
-	// PanicSubtreeWorker panics inside the plan walker's forked subtree
-	// goroutine.
-	PanicSubtreeWorker
+	// PanicJoin panics at the join kernel's entry (JoinLimited), under
+	// the run boundary of whichever executor called it.
+	PanicJoin
 	// PanicExperimentWorker panics inside the experiments measurement
 	// pool.
 	PanicExperimentWorker
@@ -92,8 +90,7 @@ var pointNames = [numPoints]string{
 	AllocProject:          "project.alloc",
 	AllocSemijoin:         "semijoin.alloc",
 	LatencyKernel:         "kernel.latency",
-	PanicJoinWorker:       "join.panic",
-	PanicSubtreeWorker:    "subtree.panic",
+	PanicJoin:             "join.panic",
 	PanicExperimentWorker: "experiment.panic",
 	AcceptFail:            "accept.fail",
 	ConnDrop:              "conn.drop",
@@ -193,6 +190,10 @@ func Disable() {
 // Enabled reports whether any injection is armed.
 func Enabled() bool { return active.Load() }
 
+// Calls returns how many times point p was drawn since the last Enable —
+// zero for a point that is armed but whose sites no run reached.
+func Calls(p Point) uint64 { return counts[p].Load() }
+
 func pointByName(name string) (Point, error) {
 	for p, n := range pointNames {
 		if n == name {
@@ -241,8 +242,9 @@ func FailAlloc(p Point) bool {
 	return ok
 }
 
-// Panic panics with a recognizable value when an injected worker panic
-// fires. Call sites must sit under the pool's recover boundary.
+// Panic panics with a recognizable value when an injected panic fires.
+// Call sites must sit under a recover boundary (an executor's run, the
+// harness pool).
 func Panic(p Point) {
 	if _, ok := fire(p); ok {
 		panic(fmt.Sprintf("faultinject: injected panic at %s", p))

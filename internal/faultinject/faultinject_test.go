@@ -25,8 +25,8 @@ func TestDisabledIsNoOp(t *testing.T) {
 			t.Fatal("disabled injection fired")
 		}
 	}
-	Panic(PanicJoinWorker) // must not panic
-	Sleep(LatencyKernel)   // must not sleep
+	Panic(PanicJoin)     // must not panic
+	Sleep(LatencyKernel) // must not sleep
 }
 
 func TestDeterministicFiringSet(t *testing.T) {
@@ -35,6 +35,10 @@ func TestDeterministicFiringSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := drain(AllocJoin, 2000)
+	Panic(PanicJoin) // unarmed: not a draw
+	if Calls(AllocJoin) != 2000 || Calls(PanicJoin) != 0 {
+		t.Fatalf("Calls = %d join.alloc, %d join.panic; want 2000, 0", Calls(AllocJoin), Calls(PanicJoin))
+	}
 	if err := Enable("join.alloc=0.25", 42); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +84,7 @@ func TestPointsAreIndependent(t *testing.T) {
 			t.Fatal("join.panic=1 did not panic")
 		}
 	}()
-	Panic(PanicJoinWorker)
+	Panic(PanicJoin)
 }
 
 func TestLatencySpec(t *testing.T) {

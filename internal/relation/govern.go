@@ -5,11 +5,11 @@ import (
 	"runtime/debug"
 )
 
-// PanicError records a panic recovered at a worker-pool boundary: the
-// panic value and the stack of the panicking goroutine. The parallel join
-// pools convert worker panics into this error instead of crashing the
-// process; the engine classifies it under its ErrInternal sentinel, so a
-// single pathological cell can never take down a whole experiments batch.
+// PanicError records a panic recovered at an executor's run boundary: the
+// panic value and the stack of the panicking goroutine. The engine's
+// executors convert a panic below them into this error instead of
+// crashing the process, and classify it under the ErrInternal sentinel, so
+// a single pathological cell can never take down a whole experiments batch.
 type PanicError struct {
 	// Value is the value passed to panic.
 	Value any
@@ -22,7 +22,7 @@ func (e *PanicError) Error() string {
 }
 
 // RecoverPanic converts an in-flight panic into a *PanicError stored at
-// dst. Use directly as a deferred call at a worker boundary:
+// dst. Use directly as a deferred call at a run boundary:
 //
 //	defer relation.RecoverPanic(&err)
 func RecoverPanic(dst *error) {

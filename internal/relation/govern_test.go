@@ -12,8 +12,7 @@ import (
 )
 
 // bigJoinInputs builds a join pair whose output has roughly
-// n/dup * (dup)^2 rows, large enough to cross the parallel-join threshold
-// and run for several milliseconds.
+// n/dup * (dup)^2 rows, large enough to run for several milliseconds.
 func bigJoinInputs(n, dup int) (*Relation, *Relation) {
 	a := New([]Attr{0, 1})
 	b := New([]Attr{1, 2})
@@ -38,11 +37,10 @@ func settleGoroutines(base int) int {
 	return n
 }
 
-// TestParallelJoinCancellationHygiene cancels a context mid-join and
-// checks that the join fails with ErrCanceled, retains no partial output,
-// and leaks no worker goroutines. Run under -race this also exercises the
-// abort-flag handoff between canceling and draining workers.
-func TestParallelJoinCancellationHygiene(t *testing.T) {
+// TestJoinCancellationHygiene cancels a context mid-join and checks that
+// the join fails with ErrCanceled, retains no partial output, and starts
+// no goroutine that outlives it.
+func TestJoinCancellationHygiene(t *testing.T) {
 	a, b := bigJoinInputs(5000, 25) // ~1M output rows
 	base := runtime.NumGoroutine()
 
@@ -51,7 +49,7 @@ func TestParallelJoinCancellationHygiene(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		delay := time.Duration(attempt+1) * 500 * time.Microsecond
 		timer := time.AfterFunc(delay, cancel)
-		out, err := ParallelJoinLimited(a, b, &Limit{Ctx: ctx}, 4)
+		out, err := JoinLimited(a, b, &Limit{Ctx: ctx})
 		timer.Stop()
 		cancel()
 		if err == nil {
@@ -83,13 +81,7 @@ func TestMemBudgetFiresBeforeRowCap(t *testing.T) {
 	var bytes atomic.Int64
 	lim := &Limit{MaxRows: 100_000_000, MaxBytes: 64 << 10, Bytes: &bytes}
 	if _, err := JoinLimited(a, b, lim); !errors.Is(err, ErrMemBudget) {
-		t.Fatalf("sequential join: err = %v, want ErrMemBudget", err)
-	}
-
-	bytes.Store(0)
-	lim = &Limit{MaxRows: 100_000_000, MaxBytes: 64 << 10, Bytes: &bytes}
-	if _, err := ParallelJoinLimited(a, b, lim, 4); !errors.Is(err, ErrMemBudget) {
-		t.Fatalf("parallel join: err = %v, want ErrMemBudget", err)
+		t.Fatalf("err = %v, want ErrMemBudget", err)
 	}
 
 	// The shared counter makes the budget cumulative across operators:
@@ -123,48 +115,34 @@ func TestProjectMemBudget(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicIsolation injects worker panics into both
-// partition-parallel join strategies and checks they surface as a typed
-// PanicError instead of crashing, without leaking goroutines.
-func TestWorkerPanicIsolation(t *testing.T) {
+// TestJoinPanicBecomesPanicError injects a panic at the join kernel's
+// entry and checks that a caller's RecoverPanic boundary turns it into a
+// typed PanicError with the stack, and that the same join succeeds once
+// injection is off.
+func TestJoinPanicBecomesPanicError(t *testing.T) {
 	defer faultinject.Disable()
-	base := runtime.NumGoroutine()
-
 	if err := faultinject.Enable("join.panic=1", 7); err != nil {
 		t.Fatal(err)
 	}
-
-	// Radix path: build side larger than chunkBuildMax.
-	a, b := bigJoinInputs(4000, 40)
-	_, err := ParallelJoinLimited(a, b, nil, 4)
+	a, b := bigJoinInputs(400, 40)
+	guarded := func() (err error) {
+		defer RecoverPanic(&err)
+		_, err = JoinLimited(a, b, nil)
+		return err
+	}
 	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("radix join: err = %v, want *PanicError", err)
+	if err := guarded(); !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
 	}
 	if len(pe.Stack) == 0 {
 		t.Fatal("PanicError carries no stack")
 	}
-
-	// Chunked path: small build side, large probe side.
-	small := New([]Attr{0, 1})
-	for i := 0; i < 500; i++ {
-		small.Add(Tuple{Value(i), Value(i % 5)})
-	}
-	probe := New([]Attr{1, 2})
-	for i := 0; i < 4000; i++ {
-		probe.Add(Tuple{Value(i % 5), Value(i)})
-	}
-	if _, err := ParallelJoinLimited(probe, small, nil, 4); !errors.As(err, &pe) {
-		t.Fatalf("chunked join: err = %v, want *PanicError", err)
+	if faultinject.Calls(faultinject.PanicJoin) != 1 {
+		t.Fatalf("join.panic drawn %d times, want 1", faultinject.Calls(faultinject.PanicJoin))
 	}
 
 	faultinject.Disable()
-	if n := settleGoroutines(base); n > base {
-		t.Fatalf("goroutines leaked after panics: %d before, %d after", base, n)
-	}
-
-	// With injection off the same joins succeed.
-	if _, err := ParallelJoinLimited(a, b, nil, 4); err != nil {
+	if err := guarded(); err != nil {
 		t.Fatalf("join after Disable: %v", err)
 	}
 }
@@ -178,9 +156,6 @@ func TestCancelBeforeStart(t *testing.T) {
 	a, b := bigJoinInputs(100, 5)
 	if _, err := JoinLimited(a, b, lim); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("JoinLimited: err = %v, want ErrCanceled", err)
-	}
-	if _, err := ParallelJoinLimited(a, b, lim, 4); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("ParallelJoinLimited: err = %v, want ErrCanceled", err)
 	}
 	if _, err := ProjectLimited(a, []Attr{0}, lim); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("ProjectLimited: err = %v, want ErrCanceled", err)

@@ -19,8 +19,7 @@ package relation
 // sits in the low bytes) spread over the whole table.
 
 // mix64 is the splitmix64 finalizer: a bijective mixer that spreads any
-// key over all 64 bits. Slot indexes are taken from its low bits, radix
-// partition numbers from its high bits, so the two never correlate.
+// key over all 64 bits. Slot indexes are taken from its low bits.
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -164,8 +163,8 @@ func (r *Relation) rebuildDedup() {
 }
 
 // ensureDedup builds the dedup table of a relation whose rows were
-// assembled without one (the merge step of the partition-parallel join
-// leaves the table stale because partition outputs are provably disjoint).
+// assembled without one (SemijoinFilter's survivors: most filtered
+// relations are only ever scanned).
 func (r *Relation) ensureDedup() {
 	if !r.stale {
 		return
@@ -194,28 +193,25 @@ type joinTable struct {
 	next     []int32 // entry -> next entry with the same key (1-based, 0 = end)
 }
 
-// newJoinTable builds the table over keys[i] for rows 0..len(keys)-1.
+// newJoinTable builds the table over keys[i] for rows 0..len(keys)-1,
+// sized for them at <=75% load.
 func newJoinTable(keys []uint64) joinTable {
-	jt := makeJoinTable(len(keys))
-	for i, k := range keys {
-		jt.insert(k, int32(i))
-	}
-	return jt
-}
-
-// makeJoinTable allocates an empty table sized for n rows at <=75% load.
-func makeJoinTable(n int) joinTable {
+	n := len(keys)
 	size := nextPow2(n*4/3 + 1)
 	if size < 8 {
 		size = 8
 	}
-	return joinTable{
+	jt := joinTable{
 		mask:     uint64(size - 1),
 		slotKey:  make([]uint64, size),
 		slotHead: make([]int32, size),
 		rowOf:    make([]int32, 0, n),
 		next:     make([]int32, 0, n),
 	}
+	for i, k := range keys {
+		jt.insert(k, int32(i))
+	}
+	return jt
 }
 
 // bytes approximates the table's resident memory: slot arrays plus chain

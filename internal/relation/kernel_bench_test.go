@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -167,23 +166,6 @@ func BenchmarkKernelDedup(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkKernelParallelJoin measures the radix-partitioned join at
-// increasing worker counts against the sequential kernel on the same
-// inputs.
-func BenchmarkKernelParallelJoin(b *testing.B) {
-	a, c := benchInputs(60000, 250)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ParallelJoinLimited(a, c, nil, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkKernelScanRename measures the per-scan cost of binding a base

@@ -37,9 +37,8 @@ type Limit struct {
 	// pressure before the row cap would fire.
 	MaxBytes int64
 	// Bytes, when non-nil, is the shared cumulative byte counter: one
-	// execution threads a single counter through every operator (and
-	// every partition-parallel worker), making MaxBytes a per-run
-	// budget rather than a per-operator one.
+	// execution threads a single counter through every operator, making
+	// MaxBytes a per-run budget rather than a per-operator one.
 	Bytes *atomic.Int64
 }
 
@@ -156,8 +155,7 @@ func SharedAttrs(r, o *Relation) []Attr {
 
 // joinSpec precomputes everything a hash join between r and o needs:
 // build/probe role assignment, keyers, verification column positions, and
-// the output assembly map. It is shared by the sequential kernel
-// (JoinLimited) and the partition-parallel one (ParallelJoinLimited).
+// the output assembly map.
 type joinSpec struct {
 	shared       []Attr
 	build, probe *Relation
@@ -278,6 +276,7 @@ func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 	if faultinject.FailAlloc(faultinject.AllocJoin) {
 		return nil, fmt.Errorf("%w: injected allocation failure", ErrMemBudget)
 	}
+	faultinject.Panic(faultinject.PanicJoin)
 	spec := makeJoinSpec(r, o)
 	out := New(spec.outAttrs)
 	if spec.build.n == 0 {

@@ -75,9 +75,10 @@ type Relation struct {
 
 	// shared is 1 when storage is shared with another relation (zero-copy
 	// Rename). Accessed atomically: concurrent scans of one base relation
-	// all mark it shared, and parallel executors do exactly that.
+	// all mark it shared, and a server's concurrent requests do exactly
+	// that.
 	shared uint32
-	stale  bool // dedup table not built (merged partition output)
+	stale  bool // dedup table not built (SemijoinFilter's survivors)
 
 	hdrs []Tuple // lazy Tuples() headers into data
 

@@ -339,6 +339,55 @@ func TestRename(t *testing.T) {
 	}
 }
 
+func TestRenameZeroCopyIndependence(t *testing.T) {
+	src := New([]Attr{0, 1})
+	src.Add(Tuple{1, 2})
+	src.Add(Tuple{3, 4})
+	view := Rename(src, map[Attr]Attr{0: 10})
+
+	// Mutating the view must not affect the source.
+	if !view.Add(Tuple{5, 6}) {
+		t.Fatal("view rejected fresh tuple")
+	}
+	if src.Len() != 2 || src.Contains(Tuple{5, 6}) {
+		t.Fatalf("view mutation leaked into source: %v", src)
+	}
+	// Mutating the source must not affect the view (or earlier views).
+	if !src.Add(Tuple{7, 8}) {
+		t.Fatal("source rejected fresh tuple")
+	}
+	if view.Len() != 3 || view.Contains(Tuple{7, 8}) {
+		t.Fatalf("source mutation leaked into view: %v", view)
+	}
+	// Dedup state still correct on both sides.
+	if src.Add(Tuple{1, 2}) || view.Add(Tuple{1, 2}) {
+		t.Fatal("duplicate accepted after unsharing")
+	}
+}
+
+func TestRenameOfRename(t *testing.T) {
+	src := New([]Attr{0, 1})
+	src.Add(Tuple{1, 2})
+	v1 := Rename(src, map[Attr]Attr{0: 10})
+	v2 := Rename(v1, map[Attr]Attr{10: 20})
+	if !v2.HasAttr(20) || !v2.HasAttr(1) || v2.Len() != 1 {
+		t.Fatalf("chained rename wrong: %v", v2)
+	}
+	v2.Add(Tuple{9, 9})
+	if src.Len() != 1 || v1.Len() != 1 {
+		t.Fatal("chained rename shares mutable state")
+	}
+}
+
+func TestRenameCollapsePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic when rename collapses attributes")
+		}
+	}()
+	Rename(New([]Attr{0, 1}), map[Attr]Attr{0: 1})
+}
+
 func TestEqualIgnoresColumnOrder(t *testing.T) {
 	a := New([]Attr{0, 1})
 	a.Add(Tuple{1, 2})

@@ -29,9 +29,9 @@ import (
 // has chosen p (core.StreamPlan for a request that named no method) — and
 // runs its semijoin sweeps only where one scan can reduce another. Every
 // other method is a plan shape that somebody named: p runs on the
-// materializing plan walker with up to workers goroutines (a plan no method
-// of package core built, like the hybrid optimizer's choice, lands here
-// too), because the walker's counts are the paper's — the pull pipeline's
+// materializing plan walker (a plan no method of package core built, like
+// the hybrid optimizer's choice, lands here too), because the walker's
+// counts are the paper's — the pull pipeline's
 // fused projection would hide the very blow-up of the straightforward
 // method that Figures 6–9 exist to show. It degrades down the whole
 // DegradationLadder, since a plan that blew a limit says nothing about the
@@ -39,7 +39,7 @@ import (
 // states whether its executor can go out of core (Fallback.Spills): the
 // streaming engine and a plan run can, the full reducer and the leapfrog
 // join cannot.
-func Strategy(m core.Method, q *cq.Query, p plan.Node, workers int) (st engine.Fallback, ladder func(*rand.Rand) []engine.Fallback) {
+func Strategy(m core.Method, q *cq.Query, p plan.Node) (st engine.Fallback, ladder func(*rand.Rand) []engine.Fallback) {
 	st.Name = string(m)
 	ladder = func(rng *rand.Rand) []engine.Fallback { return PlanLadder(q, rng) }
 	switch m {
@@ -64,7 +64,7 @@ func Strategy(m core.Method, q *cq.Query, p plan.Node, workers int) (st engine.F
 	default:
 		st.Spills = true
 		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
-			return engine.ExecParallelContext(ctx, p, db, opt, workers)
+			return engine.ExecContext(ctx, p, db, opt)
 		}
 		st.Explain = func(db cq.Database, opt engine.Options, analyze bool) (string, error) {
 			return engine.Explain(p, db, opt, analyze)
@@ -79,12 +79,12 @@ func Strategy(m core.Method, q *cq.Query, p plan.Node, workers int) (st engine.F
 // walker's counts, so a routed plan runs where it runs best — on the pull
 // pipeline, entered as the streaming engine enters it, which charges what
 // the run keeps alive rather than everything it ever materialized — under
-// the route's own name and ladder. The walker keeps the two things only it
-// has: workers ≥ 2 and the subtree cache (cached).
-func Routed(m core.Method, q *cq.Query, p plan.Node, workers int, cached bool) (engine.Fallback, func(*rand.Rand) []engine.Fallback) {
-	st, ladder := Strategy(m, q, p, workers)
-	if !slices.Contains(core.Strategies, m) && workers < 2 && !cached {
-		pipe, _ := Strategy(core.MethodStream, q, p, 1)
+// the route's own name and ladder. The executor is a function of the
+// request alone: no server setting brings the walker back.
+func Routed(m core.Method, q *cq.Query, p plan.Node) (engine.Fallback, func(*rand.Rand) []engine.Fallback) {
+	st, ladder := Strategy(m, q, p)
+	if !slices.Contains(core.Strategies, m) {
+		pipe, _ := Strategy(core.MethodStream, q, p)
 		st.Run, st.Explain = pipe.Run, pipe.Explain
 	}
 	return st, ladder
@@ -133,7 +133,7 @@ func DegradationLadder(q *cq.Query, rng *rand.Rand) []engine.Fallback {
 	if engine.MCSElimWidth(q) <= engine.DefaultYannakakisWidth {
 		lead = core.MethodYannakakis
 	}
-	first, _ := Strategy(lead, q, nil, 1)
+	first, _ := Strategy(lead, q, nil)
 	// The stream rung's plan is built only if the rung is reached.
 	stream := engine.Fallback{
 		Name:   string(core.MethodStream),
@@ -147,7 +147,7 @@ func DegradationLadder(q *cq.Query, rng *rand.Rand) []engine.Fallback {
 			if err != nil {
 				return &engine.Result{}, err
 			}
-			st, _ := Strategy(core.MethodStream, q, c.Plan, 1)
+			st, _ := Strategy(core.MethodStream, q, c.Plan)
 			return st.Run(ctx, db, opt)
 		},
 	}

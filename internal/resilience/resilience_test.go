@@ -40,13 +40,13 @@ func chain(atoms, rows, dom, headRows int) (*cq.Query, cq.Database) {
 
 // TestStrategyRunsAndExplainsItsExecutor drives the one method → executor
 // mapping from every side a call site uses it: each method's strategy, run
-// directly and as the first rung of its ladder, at one and four workers,
-// must return the oracle's answer, lead the attempt history under its own
-// name, and explain the executor it ran — the explain's header names it
-// and the counters of its ANALYZE trailer are the run's own. A method
-// somebody named (Strategy) runs a plan on the walker; the same method as
-// a route nobody named (Routed) runs it on the pull pipeline, unless it
-// has workers or the subtree cache to use.
+// directly and as the first rung of its ladder, must return the oracle's
+// answer, lead the attempt history under its own name, and explain the
+// executor it ran — the explain's header names it and the counters of its
+// ANALYZE trailer are the run's own. The whole map is five rows: a plan
+// method somebody named (Strategy) runs on the walker, the same method as
+// a route nobody named (Routed) on the pull pipeline, and yannakakis,
+// stream and wcoj on their own executor either way.
 func TestStrategyRunsAndExplainsItsExecutor(t *testing.T) {
 	cyc, err := instance.ColorQuery(graph.Cycle(5), []cq.Var{0, 2})
 	if err != nil {
@@ -91,19 +91,16 @@ func TestStrategyRunsAndExplainsItsExecutor(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range []struct {
-				workers        int
-				routed, cached bool
-			}{{1, false, false}, {4, false, false}, {1, true, false}, {4, true, false}, {1, true, true}} {
-				name := fmt.Sprintf("%s/%s/%+v", in.name, m, v)
-				strategy, ladder := resilience.Strategy(m, in.q, p, v.workers)
+			for _, routed := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/routed=%v", in.name, m, routed)
+				strategy, ladder := resilience.Strategy(m, in.q, p)
 				describe := executor[m]
 				if describe == nil {
 					describe = planWalker
 				}
-				if v.routed {
-					strategy, ladder = resilience.Routed(m, in.q, p, v.workers, v.cached)
-					if executor[m] == nil && v.workers < 2 && !v.cached {
+				if routed {
+					strategy, ladder = resilience.Routed(m, in.q, p)
+					if executor[m] == nil {
 						describe = executor[core.MethodStream]
 					}
 				}
@@ -160,7 +157,7 @@ func TestSpillRetryOnlyWhereItCanSpill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		strategy, ladder := resilience.Strategy(m, q, p, 1)
+		strategy, ladder := resilience.Strategy(m, q, p)
 		if want := m != core.MethodYannakakis && m != core.MethodWCOJ; strategy.Spills != want {
 			t.Fatalf("%s: Spills = %v, want %v", m, strategy.Spills, want)
 		}

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -113,6 +114,18 @@ func sameTuples(a, b [][]int32) bool {
 		}
 	}
 	return true
+}
+
+// undrawn lists the points a fault spec arms whose sites no run reached
+// since Enable: a drill that arms such a point verifies nothing about it.
+func undrawn(spec string) []string {
+	var out []string
+	for i, name := range faultinject.PointNames() {
+		if strings.Contains(","+spec, ","+name+"=") && faultinject.Calls(faultinject.Point(i)) == 0 {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 func TestChaosDrill(t *testing.T) {
@@ -258,6 +271,9 @@ func TestChaosDrill(t *testing.T) {
 	wg.Wait()
 	faultinject.Disable()
 
+	if idle := undrawn(spec); len(idle) > 0 {
+		t.Errorf("armed fault points never drawn: %v", idle)
+	}
 	if counts.ok+counts.degraded == 0 {
 		t.Error("drill produced no successful answers")
 	}
@@ -439,6 +455,9 @@ func TestChaosDrillSpill(t *testing.T) {
 	wg.Wait()
 	faultinject.Disable()
 
+	if idle := undrawn(spec); len(idle) > 0 {
+		t.Errorf("armed fault points never drawn: %v", idle)
+	}
 	if counts.ok+counts.degraded == 0 {
 		t.Error("spill drill produced no successful answers")
 	}

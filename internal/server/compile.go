@@ -14,9 +14,8 @@ import (
 )
 
 // compiledBudget bounds the bytes the compiled-query memo accounts. It is
-// a constant, not part of the -cachemb budget: that cache is off by
-// default and holds relations of any size, while a compiled query is a few
-// KB to a few hundred, and nothing about it is worth tuning.
+// a constant: a compiled query is a few KB to a few hundred, and nothing
+// about it is worth tuning.
 const compiledBudget = 16 << 20
 
 // compiled is everything about a request that its query text and named
@@ -175,9 +174,9 @@ func (s *Server) build(q *cq.Query, db cq.Database, named string) *compiled {
 	// first run, and the ladder it degrades down. A method the request
 	// named runs as named; a route the server picked runs its plan where
 	// resilience.Routed puts it.
-	strategy, ladder := resilience.Strategy(method, q, chosen.Plan, s.cfg.Workers)
+	strategy, ladder := resilience.Strategy(method, q, chosen.Plan)
 	if named == "" {
-		strategy, ladder = resilience.Routed(method, q, chosen.Plan, s.cfg.Workers, s.cfg.Cache != nil)
+		strategy, ladder = resilience.Routed(method, q, chosen.Plan)
 	}
 	if strategy.Prepare != nil {
 		_ = strategy.Prepare() // a failure is the first run's to report

@@ -113,8 +113,8 @@ func BenchmarkRoutingMatrix(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		streamTier, _ := resilience.Routed(core.MethodStream, q, streamPlan.Plan, 1, false)
-		defaultTier, _ := resilience.Routed(core.MethodBucketElimination, q, bePlan.Plan, 1, false)
+		streamTier, _ := resilience.Routed(core.MethodStream, q, streamPlan.Plan)
+		defaultTier, _ := resilience.Routed(core.MethodBucketElimination, q, bePlan.Plan)
 		exec := func(ctx context.Context, m core.Method) (*engine.Result, error) {
 			switch m {
 			case core.MethodYannakakis:

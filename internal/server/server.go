@@ -70,11 +70,6 @@ type Config struct {
 	// MaxSpillBytes bounds each run's spill-directory footprint
 	// (0 = unlimited disk).
 	MaxSpillBytes int64
-	// Workers is the plan walker's worker count for the direct path
-	// (default 1, the sequential executor). At 2 or more the default
-	// tier's plan runs on the walker, which alone can use them, instead of
-	// the pull pipeline (resilience.Routed).
-	Workers int
 	// YannakakisWidth routes requests that did not name a method to the
 	// Yannakakis full reducer when their MCS elimination width is at most
 	// this bound (default engine.DefaultYannakakisWidth; <0 disables the
@@ -114,10 +109,6 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker stays open before
 	// admitting a half-open trial (default 5s).
 	BreakerCooldown time.Duration
-	// Cache, when non-nil, is shared by every execution. The subtree
-	// cache is the plan walker's, so with it set the default tier's plan
-	// runs there rather than on the pull pipeline (resilience.Routed).
-	Cache *engine.Cache
 	// Log, when non-nil, receives one structured JSON line per request
 	// (fingerprint, admission verdict, status, attempts, bytes).
 	Log io.Writer
@@ -159,9 +150,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.YannakakisWidth == 0 {
 		c.YannakakisWidth = engine.DefaultYannakakisWidth
@@ -599,7 +587,7 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	ctx, cancel := context.WithTimeout(reqCtx, timeout)
 	defer cancel()
 	opt := engine.Options{
-		MaxRows: s.cfg.MaxRows, MaxBytes: s.cfg.MaxBytes, Cache: s.cfg.Cache,
+		MaxRows: s.cfg.MaxRows, MaxBytes: s.cfg.MaxBytes,
 		SpillDir: s.cfg.SpillDir, MaxSpillBytes: s.cfg.MaxSpillBytes,
 	}
 

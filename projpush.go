@@ -234,8 +234,8 @@ var (
 	// ErrOverloaded: the request was shed under load (queue full or
 	// queue wait expired). Retryable after backoff.
 	ErrOverloaded = engine.ErrOverloaded
-	// ErrInternal: a panic inside an execution worker, isolated and
-	// surfaced as an error (with the stack in the message).
+	// ErrInternal: a panic inside an executor, isolated at the run
+	// boundary and surfaced as an error (with the stack in the message).
 	ErrInternal = engine.ErrInternal
 )
 
@@ -248,19 +248,6 @@ func Execute(p Plan, db Database, opt ExecOptions) (*Result, error) {
 // (mid-join) when ctx is canceled or its deadline expires.
 func ExecuteContext(ctx context.Context, p Plan, db Database, opt ExecOptions) (*Result, error) {
 	return engine.ExecContext(ctx, p, db, opt)
-}
-
-// ExecuteParallel runs a plan with up to workers goroutines spent on
-// independent subtrees and partition-parallel joins; results and stats
-// are identical to Execute.
-func ExecuteParallel(p Plan, db Database, opt ExecOptions, workers int) (*Result, error) {
-	return engine.ExecParallel(p, db, opt, workers)
-}
-
-// ExecuteParallelContext is ExecuteParallel with cancellation; a failure
-// in any subtree cancels its siblings.
-func ExecuteParallelContext(ctx context.Context, p Plan, db Database, opt ExecOptions, workers int) (*Result, error) {
-	return engine.ExecParallelContext(ctx, p, db, opt, workers)
 }
 
 // Fallback is one rung of an ExecuteResilient degradation ladder.
@@ -284,8 +271,8 @@ func DegradationLadder(q *Query, rng *rand.Rand) []Fallback {
 // down the fallback ladder instead of giving up; Stats.Attempts on the
 // returned result records every rung tried. Timeouts and cancellations
 // are not retried.
-func ExecuteResilient(ctx context.Context, p Plan, fallbacks []Fallback, db Database, opt ExecOptions, workers int) (*Result, error) {
-	return engine.ExecResilient(ctx, p, fallbacks, db, opt, workers)
+func ExecuteResilient(ctx context.Context, p Plan, fallbacks []Fallback, db Database, opt ExecOptions) (*Result, error) {
+	return engine.ExecResilient(ctx, p, fallbacks, db, opt)
 }
 
 // Run is the one-call path: build the method's plan and execute the
@@ -299,7 +286,7 @@ func Run(m Method, q *Query, db Database, opt ExecOptions, rng *rand.Rand) (*Res
 	if err != nil {
 		return nil, err
 	}
-	strategy, _ := resilience.Strategy(m, q, p, 1)
+	strategy, _ := resilience.Strategy(m, q, p)
 	return strategy.Run(context.Background(), db, opt)
 }
 
