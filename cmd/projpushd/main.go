@@ -1,7 +1,7 @@
 // Command projpushd serves project-join queries over TCP: a hardened,
 // long-running front end to the projpush engine with width-aware
-// admission control, load shedding, per-method circuit breakers, and a
-// graceful SIGTERM drain.
+// admission control, load shedding, a degradation ladder under every
+// request, and a graceful SIGTERM drain.
 //
 //	projpushd -addr :7433 -colors 3 -maxwidth 6 -concurrency 8
 //	projpushd -addr :7433 -db instance.cq -method bucketelimination -log requests.log
@@ -52,12 +52,9 @@ func main() {
 		queueWait   = flag.Duration("queuewait", time.Second, "max time a request may queue before being shed")
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-request execution deadline")
 		maxRows     = flag.Int("maxrows", 10_000_000, "intermediate row cap per request (0 = unlimited)")
-		membudget   = flag.Int("membudget", 256, "byte budget per request in MiB, counting live bytes for a routed plan and everything materialized for a named plan method (0 = unlimited)")
-		spilldir    = flag.String("spilldir", "", "spill directory for out-of-core execution: runs over the memory budget degrade to disk instead of failing (empty = spilling off)")
+		membudget   = flag.Int("membudget", 256, "byte budget per request in MiB: live bytes for a routed plan and for every degraded attempt; everything materialized only for a named plan method's own run (0 = unlimited)")
+		spilldir    = flag.String("spilldir", "", "spill directory for out-of-core execution: an attempt over the memory budget is retried spilling to disk before the request degrades to the next method (empty = spilling off)")
 		maxspill    = flag.Int("maxspill", 0, "per-request spill-directory budget in MiB (0 = unlimited disk; requires -spilldir)")
-		resilient   = flag.Bool("resilient", true, "degrade failed runs down the method ladder instead of failing them")
-		brkN        = flag.Int("breaker", 3, "consecutive internal/memory failures that trip a method's circuit breaker (-1 disables)")
-		brkCool     = flag.Duration("breakercooldown", 5*time.Second, "open-breaker cooldown before a half-open trial")
 		drain       = flag.Duration("drain", 15*time.Second, "SIGTERM drain deadline for in-flight requests")
 		logFile     = flag.String("log", "", "append structured per-request JSON logs here (default stderr; 'none' disables)")
 		faults      = flag.String("faults", "", "fault-injection spec for chaos drills, e.g. 'conn.drop=0.05,join.panic=0.02'; points: "+strings.Join(faultinject.PointNames(), ", "))
@@ -97,9 +94,6 @@ func main() {
 		MaxBytes:          int64(*membudget) << 20,
 		SpillDir:          *spilldir,
 		MaxSpillBytes:     int64(*maxspill) << 20,
-		Resilient:         *resilient,
-		BreakerThreshold:  *brkN,
-		BreakerCooldown:   *brkCool,
 	}
 	switch *logFile {
 	case "":

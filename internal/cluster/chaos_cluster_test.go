@@ -38,7 +38,6 @@ func TestWorkerLossChaosDrill(t *testing.T) {
 			QueueWait:      50 * time.Millisecond,
 			RequestTimeout: 2 * time.Second,
 			MaxRows:        200_000,
-			Resilient:      true,
 		},
 		Coordinator: Config{
 			Hedge:          true,

@@ -101,7 +101,6 @@ func TestFleetDifferentialAgainstOracle(t *testing.T) {
 			DB:             db,
 			MaxConcurrent:  4,
 			RequestTimeout: 5 * time.Second,
-			Resilient:      true,
 		},
 		Coordinator:   Config{RequestTimeout: 5 * time.Second},
 		ChaosInterval: -1,

@@ -62,8 +62,8 @@ var ErrInternal = errors.New("engine: internal execution fault")
 // ErrSpill is returned when spill-to-disk execution hits an
 // unrecoverable disk failure: a spill write or read-back failed, or the
 // disk budget (Options.MaxSpillBytes / real ENOSPC) is exhausted. It
-// matches ErrInternal under errors.Is so circuit breakers and the
-// degradation ladder treat a dying disk like any other internal fault.
+// matches ErrInternal under errors.Is so the degradation ladder and the
+// wire status treat a dying disk like any other internal fault.
 var ErrSpill error = &sentinelError{
 	msg:   "engine: unrecoverable spill I/O failure",
 	alias: ErrInternal,

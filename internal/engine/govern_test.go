@@ -253,82 +253,81 @@ func TestSubtreePanicIsolation(t *testing.T) {
 
 // TestExecResilientDegradation is the end-to-end acceptance check of the
 // resource governor: on a Figure-9-style workload, a straightforward plan
-// run under a byte budget too tight for early projection degrades down
-// the explicit ladder and returns, via the bucket-elimination rung, a
-// result differentially checked against the oracle; and with a panic
-// injected into the join kernel, the walker's failure is ErrInternal —
-// degradable — so resilience.DegradationLadder rescues the run on the
-// first executor that does not join through that kernel.
+// run under a byte budget degrades down the plan ladder, every rung charged
+// what it keeps alive — so early projection answers under a budget below
+// everything it materializes, and under one too tight even for its live
+// bytes the bucket-elimination rung does — each result differentially
+// checked against the oracle; and with a panic injected into the join
+// kernel, the walker's failure is ErrInternal — degradable — so
+// resilience.DegradationLadder rescues the run on the first executor that
+// does not join through that kernel.
 func TestExecResilientDegradation(t *testing.T) {
 	defer faultinject.Disable()
 	q, db := figure9(t, 4)
-
-	// Calibrate a budget from the rungs' own appetites: the streaming rung
-	// and early projection must blow it, bucket elimination must fit. On
-	// 3-COLOR the streaming rung skips its sweeps and holds only live
-	// bytes, so what it is handed here is the one plan whose live bytes are
-	// large: the reordering plan, which projects nothing away.
-	streamPlan := buildPlan(t, core.MethodReordering, q)
-	streamed, err := engine.ExecStream(streamPlan, db, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	early, err := engine.Exec(buildPlan(t, core.MethodEarlyProjection, q), db, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bucketPlan := buildPlan(t, core.MethodBucketElimination, q)
-	bucket, err := engine.Exec(bucketPlan, db, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := min(early.Stats.Bytes, streamed.Stats.PeakBytes) * 9 / 10
-	if bucket.Stats.Bytes > budget {
-		t.Fatalf("workload does not separate the methods: bucket=%dB early=%dB stream peak=%dB",
-			bucket.Stats.Bytes, early.Stats.Bytes, streamed.Stats.PeakBytes)
-	}
-	if _, err := engine.Exec(bucketPlan, db, engine.Options{MaxBytes: budget}); err != nil {
-		t.Fatalf("calibration: bucket elimination does not fit the budget %d: %v", budget, err)
-	}
-
-	// The straightforward plan's intermediates dwarf early projection's,
-	// so the run degrades through every rung of the explicit stream →
-	// earlyprojection → bucketelimination ladder on the budget alone.
-	opt := engine.Options{MaxBytes: budget}
-	stream, _ := resilience.Strategy(core.MethodStream, q, streamPlan)
-	ladder := append([]engine.Fallback{stream}, resilience.PlanLadder(q, nil)...)
-	res, err := engine.ExecResilient(context.Background(), buildPlan(t, core.MethodStraightforward, q),
-		ladder, db, opt)
-	if err != nil {
-		t.Fatalf("ExecResilient failed down the whole ladder: %v\nattempts: %+v",
-			err, res.Stats.Attempts)
-	}
-
-	at := res.Stats.Attempts
-	if len(at) != 4 {
-		t.Fatalf("attempts = %+v, want 4 (given, stream, earlyprojection, bucketelimination)", at)
-	}
-	if at[0].Method != "given" || !errorsContains(at[0].Err, "memory") {
-		t.Fatalf("first attempt = %+v, want the given plan failing on the byte budget", at[0])
-	}
-	if at[1].Method != string(core.MethodStream) || !errorsContains(at[1].Err, "memory") {
-		t.Fatalf("second attempt = %+v, want the stream rung failing on the byte budget", at[1])
-	}
-	if at[2].Method != string(core.MethodEarlyProjection) || !errorsContains(at[2].Err, "memory") {
-		t.Fatalf("third attempt = %+v, want early projection failing on the byte budget", at[2])
-	}
-	if last := at[3]; last.Method != string(core.MethodBucketElimination) || last.Err != "" {
-		t.Fatalf("last attempt = %+v, want bucket elimination succeeding", at[3])
-	}
-
 	oracle, err := engine.EvalOracle(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Rel.Equal(oracle) {
-		t.Fatalf("degraded result differs from oracle (%d vs %d rows)",
-			res.Rel.Len(), oracle.Len())
+
+	// Calibrate the budgets from the rungs' own appetites: what early
+	// projection holds live on the pipeline, what it materializes in total
+	// on the walker, and what bucket elimination holds live.
+	earlyPlan := buildPlan(t, core.MethodEarlyProjection, q)
+	earlyLive, err := engine.ExecStream(earlyPlan, db, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	earlyTotal, err := engine.Exec(earlyPlan, db, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bucketLive, err := engine.ExecStream(buildPlan(t, core.MethodBucketElimination, q), db, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(bucketLive.Stats.PeakBytes < earlyLive.Stats.PeakBytes && earlyLive.Stats.PeakBytes < earlyTotal.Stats.Bytes) {
+		t.Fatalf("workload does not separate the rungs: bucket live=%dB early live=%dB early total=%dB",
+			bucketLive.Stats.PeakBytes, earlyLive.Stats.PeakBytes, earlyTotal.Stats.Bytes)
+	}
+	given := buildPlan(t, core.MethodStraightforward, q)
+	var res *engine.Result
+	for _, tc := range []struct {
+		name   string
+		budget int64
+		rungs  []string
+	}{
+		// Over early projection's live bytes, under its cumulative ones: a
+		// rung charged like the walker dies here.
+		{"live bytes fit", (earlyLive.Stats.PeakBytes + earlyTotal.Stats.Bytes) / 2,
+			[]string{"given", "earlyprojection"}},
+		{"only bucket elimination fits", (bucketLive.Stats.PeakBytes + earlyLive.Stats.PeakBytes) / 2,
+			[]string{"given", "earlyprojection", "bucketelimination"}},
+	} {
+		res, err = engine.ExecResilient(context.Background(), given, resilience.PlanLadder(q, nil), db,
+			engine.Options{MaxBytes: tc.budget})
+		if err != nil {
+			t.Fatalf("%s: ExecResilient failed down the whole ladder under %d bytes: %v\nattempts: %+v",
+				tc.name, tc.budget, err, res.Stats.Attempts)
+		}
+		at := res.Stats.Attempts
+		if len(at) != len(tc.rungs) {
+			t.Fatalf("%s: attempts = %+v, want %v", tc.name, at, tc.rungs)
+		}
+		for i, a := range at {
+			last := i == len(at)-1
+			if a.Method != tc.rungs[i] || last != (a.Err == "") || !last && !errorsContains(a.Err, "memory") {
+				t.Fatalf("%s: attempt %d = %+v, want %s failing on the byte budget unless it is the last", tc.name, i, a, tc.rungs[i])
+			}
+		}
+		// The answering rung ran on the pipeline: its bytes are its peak.
+		if res.Stats.Bytes != res.Stats.PeakBytes || res.Stats.PeakBytes > tc.budget {
+			t.Fatalf("%s: answering rung reports bytes=%d peak=%d under budget %d", tc.name, res.Stats.Bytes, res.Stats.PeakBytes, tc.budget)
+		}
+		if !res.Rel.Equal(oracle) {
+			t.Fatalf("%s: degraded result differs from oracle (%d vs %d rows)", tc.name, res.Rel.Len(), oracle.Len())
+		}
+	}
+	opt := engine.Options{MaxBytes: bucketLive.Stats.PeakBytes}
 
 	// Every join of the given plan now panics. The default ladder for this
 	// wide query leads with the worst-case-optimal rung, which never calls
@@ -338,8 +337,7 @@ func TestExecResilientDegradation(t *testing.T) {
 	if err := faultinject.Enable("join.panic=1", 23); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := engine.ExecResilient(context.Background(), buildPlan(t, core.MethodStraightforward, q),
-		resilience.DegradationLadder(q, nil), db, opt)
+	res2, err := engine.ExecResilient(context.Background(), given, resilience.DegradationLadder(q, nil), db, opt)
 	if err != nil {
 		t.Fatalf("ExecResilient with default ladder: %v", err)
 	}
@@ -347,8 +345,8 @@ func TestExecResilientDegradation(t *testing.T) {
 	if len(at2) != 2 || at2[1].Method != string(core.MethodWCOJ) || at2[1].Err != "" {
 		t.Fatalf("default-ladder attempts = %+v, want [given, wcoj(success)]", at2)
 	}
-	if !errors.Is(res2.FirstError(), engine.ErrInternal) {
-		t.Fatalf("given attempt failed with %v, want the injected panic as ErrInternal", res2.FirstError())
+	if !errorsContains(at2[0].Err, engine.ErrInternal.Error()) {
+		t.Fatalf("given attempt failed with %q, want the injected panic as ErrInternal", at2[0].Err)
 	}
 	if !res2.Rel.Equal(oracle) {
 		t.Fatalf("wcoj-rescued result differs from oracle (%d vs %d rows)",

@@ -25,19 +25,15 @@ type Fallback struct {
 	// Name labels the rung in Stats.Attempts (typically the method name).
 	Name string
 	// Run executes the strategy. It must return a non-nil Result even on
-	// failure, as the engine's entry points do.
+	// failure, as the engine's entry points do. A rung that builds its plan
+	// when reached (PlanRung) reports a construction failure as such, and
+	// the ladder skips it.
 	Run func(ctx context.Context, db cq.Database, opt Options) (*Result, error)
-	// Build, on a rung with no Run, constructs a plan for ExecContext: the
-	// plan walker, or the pull pipeline on a spill-armed retry.
-	// It runs only if the rung is reached, so plan construction is paid on
-	// demand, and its failure skips the rung: the ladder keeps the
-	// previous rung's result and error.
-	Build func() (plan.Node, error)
 	// Spills states that Run honors Options.SpillDir, so a run that died
-	// of ErrMemLimit is worth one retry with the directory armed. A Build
-	// rung always does; for a Run whose executor ignores the directory
-	// (the full reducer, the leapfrog join, a remote forward) the retry
-	// would be the identical failure twice.
+	// of ErrMemLimit is worth one retry with the directory armed. For a Run
+	// whose executor ignores the directory (the full reducer, the leapfrog
+	// join, a remote forward) the retry would be the identical failure
+	// twice.
 	Spills bool
 	// Prepare, when non-nil, does now the set-up Run and Explain would
 	// otherwise do on first use — what depends on the query alone, like
@@ -61,20 +57,28 @@ type Attempt struct {
 	Elapsed time.Duration
 	MaxRows int
 	Bytes   int64
-
-	// err is the failure itself, for callers in this module that must
-	// classify it the way the direct path would (FirstError).
-	err error
 }
 
-// FirstError returns the error of the run's first attempt — what running
-// the leading strategy on its own would have returned — or nil when it
-// succeeded or the result carries no attempt history.
-func (r *Result) FirstError() error {
-	if r == nil || len(r.Stats.Attempts) == 0 {
-		return nil
-	}
-	return r.Stats.Attempts[0].err
+// planFailure is the error of a rung that could not build its plan: the
+// rung never ran, so the ladder records the attempt and keeps the previous
+// rung's result and error.
+type planFailure struct{ error }
+
+func (e planFailure) Error() string { return "plan: " + e.error.Error() }
+
+// PlanRung is the rung that runs a plan: on the pull pipeline, entered as
+// the streaming engine enters it, so Options.MaxBytes bounds live bytes on
+// a degraded attempt exactly as on a routed first one, and its spill retry
+// is the same run with the directory armed. build runs only if the rung is
+// reached, so plan construction is paid on demand.
+func PlanRung(name string, build func() (plan.Node, error)) Fallback {
+	return Fallback{Name: name, Spills: true, Run: func(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
+		p, err := build()
+		if err != nil {
+			return &Result{}, planFailure{err}
+		}
+		return ExecStreamContext(ctx, p, db, opt)
+	}}
 }
 
 // Degradable reports whether an execution error warrants retrying with a
@@ -97,7 +101,9 @@ func Degradable(err error) bool {
 func ExecResilient(ctx context.Context, n plan.Node, fallbacks []Fallback,
 	db cq.Database, opt Options) (*Result, error) {
 
-	given := Fallback{Name: "given", Build: func() (plan.Node, error) { return n, nil }}
+	given := Fallback{Name: "given", Spills: true, Run: func(ctx context.Context, db cq.Database, o Options) (*Result, error) {
+		return ExecContext(ctx, n, db, o)
+	}}
 	return ExecResilientStrategy(ctx, given, fallbacks, db, opt)
 }
 
@@ -108,39 +114,30 @@ func ExecResilientStrategy(ctx context.Context, first Fallback, fallbacks []Fall
 	db cq.Database, opt Options) (*Result, error) {
 
 	var attempts []Attempt
-	// try executes one rung under o; ok is false when plan construction
-	// failed (the attempt is recorded with a "plan: " prefix and the
-	// caller keeps the previous rung's result and error).
-	try := func(fb Fallback, o Options) (res *Result, err error, ok bool) {
-		if fb.Run != nil {
-			res, err = fb.Run(ctx, db, o)
-		} else {
-			var p plan.Node
-			p, err = fb.Build()
-			if err != nil {
-				attempts = append(attempts, Attempt{Method: fb.Name, Err: "plan: " + err.Error(), err: err})
-				return nil, err, false
-			}
-			res, err = ExecContext(ctx, p, db, o)
-		}
-		a := Attempt{Method: fb.Name, err: err}
+	// try executes one rung under o and records the attempt; ok is false
+	// when the rung could not build its plan (the caller keeps the previous
+	// rung's result and error).
+	try := func(fb Fallback, o Options) (*Result, error, bool) {
+		res, err := fb.Run(ctx, db, o)
+		a := Attempt{Method: fb.Name}
 		if res != nil {
 			a.Elapsed = res.Stats.Elapsed
 			a.MaxRows = res.Stats.MaxRows
 			a.Bytes = res.Stats.Bytes
 		}
+		ok := true
 		if err != nil {
 			a.Err = err.Error()
+			ok = !errors.As(err, new(planFailure))
 		}
 		attempts = append(attempts, a)
-		return res, err, true
+		return res, err, ok
 	}
 	// runRung is the retry-with-spill wrapper: with Options.SpillDir set,
 	// every rung runs in-memory first (spill disarmed) and, on
 	// ErrMemLimit, a rung that can spill re-runs the same strategy once
 	// with spilling armed — recorded as its own "<rung>+spill" attempt —
-	// before the ladder falls to the next rung. A plan strategy's spill
-	// retry runs on the pull pipeline.
+	// before the ladder falls to the next rung.
 	runRung := func(fb Fallback) (*Result, error, bool) {
 		if opt.SpillDir == "" {
 			return try(fb, opt)
@@ -148,7 +145,7 @@ func ExecResilientStrategy(ctx context.Context, first Fallback, fallbacks []Fall
 		mem := opt
 		mem.SpillDir = ""
 		res, err, ok := try(fb, mem)
-		if !ok || !errors.Is(err, ErrMemLimit) || !(fb.Spills || fb.Run == nil) {
+		if !ok || !errors.Is(err, ErrMemLimit) || !fb.Spills {
 			return res, err, ok
 		}
 		fb.Name += "+spill"

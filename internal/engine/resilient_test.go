@@ -31,6 +31,7 @@ func TestDegradableMatrix(t *testing.T) {
 		{"row limit", engine.ErrRowLimit, true},
 		{"mem limit", engine.ErrMemLimit, true},
 		{"internal", engine.ErrInternal, true},
+		{"spill (aliases internal)", engine.ErrSpill, true},
 		{"timeout", engine.ErrTimeout, false},
 		{"canceled", engine.ErrCanceled, false},
 		{"ctx deadline", context.DeadlineExceeded, false},
@@ -77,7 +78,7 @@ func TestLadderExhaustion(t *testing.T) {
 	if res == nil {
 		t.Fatal("exhausted ladder must still return the last attempt's result")
 	}
-	wantRungs := []string{"given", string(core.MethodYannakakis), string(core.MethodStream), string(core.MethodEarlyProjection), string(core.MethodBucketElimination)}
+	wantRungs := []string{"given", string(core.MethodYannakakis), string(core.MethodEarlyProjection), string(core.MethodBucketElimination)}
 	if len(res.Stats.Attempts) != len(wantRungs) {
 		t.Fatalf("Attempts = %d, want %d: %+v", len(res.Stats.Attempts), len(wantRungs), res.Stats.Attempts)
 	}
@@ -92,8 +93,10 @@ func TestLadderExhaustion(t *testing.T) {
 }
 
 // TestLadderSkipsBrokenRung: a rung whose plan construction fails is
-// recorded with a "plan: " prefix and the ladder continues to the next
-// rung rather than aborting.
+// recorded with a "plan: " prefix and skipped — the ladder keeps the
+// previous rung's result and error and continues to the next rung rather
+// than aborting — wherever in the ladder it stands: first, directly after a
+// failed lead, or last.
 func TestLadderSkipsBrokenRung(t *testing.T) {
 	g := graph.AugmentedLadder(5)
 	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
@@ -105,60 +108,42 @@ func TestLadderSkipsBrokenRung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ladder := []engine.Fallback{
-		{Name: "broken", Build: func() (plan.Node, error) { return nil, errors.New("no such method") }},
-		{Name: string(core.MethodBucketElimination), Build: func() (plan.Node, error) {
-			return core.BucketElimination(q, nil)
-		}},
-	}
+	broken := engine.PlanRung("broken", func() (plan.Node, error) { return nil, errors.New("no such method") })
+	lead := engine.Fallback{Name: "lead", Run: func(context.Context, cq.Database, engine.Options) (*engine.Result, error) {
+		return &engine.Result{}, fmt.Errorf("lead: %w", engine.ErrInternal)
+	}}
+	bucket := resilience.PlanLadder(q, nil)[1]
 	// A cap the straightforward plan blows but bucket elimination does not.
 	opt := engine.Options{MaxRows: 2000}
-	res, err := engine.ExecResilient(context.Background(), p, ladder, db, opt)
-	if err != nil {
-		t.Fatalf("ladder with a working final rung: %v", err)
-	}
-	if len(res.Stats.Attempts) != 3 {
-		t.Fatalf("Attempts = %+v, want given, broken, bucketelimination", res.Stats.Attempts)
-	}
-	if !strings.HasPrefix(res.Stats.Attempts[1].Err, "plan: ") {
-		t.Errorf("broken rung err = %q, want 'plan: ' prefix", res.Stats.Attempts[1].Err)
-	}
-	if res.Stats.Attempts[2].Err != "" {
-		t.Errorf("final rung err = %q, want success", res.Stats.Attempts[2].Err)
-	}
-	if !res.Nonempty() {
-		t.Error("augmented ladder is 3-colorable: want NONEMPTY")
-	}
-}
-
-// TestFirstErrorIsTheDirectPathsError: the server's breaker must see, for
-// a run the ladder rescued, exactly the error a direct run of the leading
-// strategy would have returned — as a value, under errors.Is. A spill
-// failure is the case a message match gets wrong: ErrSpill aliases
-// ErrInternal but does not contain its text.
-func TestFirstErrorIsTheDirectPathsError(t *testing.T) {
-	g := graph.AugmentedPath(4)
-	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := instance.ColorDatabase(3)
-	dying := engine.Fallback{Name: "dying-disk", Run: func(context.Context, cq.Database, engine.Options) (*engine.Result, error) {
-		return &engine.Result{}, fmt.Errorf("%w: write r0.spill: no space left on device", engine.ErrSpill)
-	}}
-	res, err := engine.ExecResilientStrategy(context.Background(), dying, resilience.PlanLadder(q, nil), db, engine.Options{})
-	if err != nil || len(res.Stats.Attempts) != 2 {
-		t.Fatalf("ladder should rescue the spill failure on the next rung: err %v, attempts %+v", err, res.Stats.Attempts)
-	}
-	if first := res.FirstError(); !errors.Is(first, engine.ErrSpill) || !errors.Is(first, engine.ErrInternal) {
-		t.Fatalf("FirstError = %v, want the ErrSpill value (matching ErrInternal)", first)
-	}
-	healthy, _ := resilience.Strategy(core.MethodYannakakis, q, nil)
-	res, err = engine.ExecResilientStrategy(context.Background(), healthy, nil, db, engine.Options{})
-	if err != nil || res.FirstError() != nil {
-		t.Fatalf("succeeding first attempt: err %v, FirstError %v", err, res.FirstError())
-	}
-	if (*engine.Result)(nil).FirstError() != nil {
-		t.Fatal("a nil result has no first error")
+	for _, tc := range []struct {
+		name    string
+		ladder  []engine.Fallback
+		rungs   []string
+		wantErr error
+	}{
+		{"first", []engine.Fallback{broken, bucket}, []string{"given", "broken", "bucketelimination"}, nil},
+		{"after the lead", []engine.Fallback{lead, broken, bucket}, []string{"given", "lead", "broken", "bucketelimination"}, nil},
+		{"last", []engine.Fallback{broken}, []string{"given", "broken"}, engine.ErrRowLimit},
+	} {
+		res, err := engine.ExecResilient(context.Background(), p, tc.ladder, db, opt)
+		if !errors.Is(err, tc.wantErr) || res == nil {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+		}
+		at := res.Stats.Attempts
+		if len(at) != len(tc.rungs) {
+			t.Fatalf("%s: attempts = %+v, want %v", tc.name, at, tc.rungs)
+		}
+		for i, a := range at {
+			failed := a.Err != ""
+			if a.Method != tc.rungs[i] || failed != (i < len(at)-1 || tc.wantErr != nil) {
+				t.Errorf("%s: attempt %d = %+v, want %s", tc.name, i, a, tc.rungs[i])
+			}
+			if a.Method == "broken" && !strings.HasPrefix(a.Err, "plan: ") {
+				t.Errorf("%s: broken rung err = %q, want 'plan: ' prefix", tc.name, a.Err)
+			}
+		}
+		if tc.wantErr == nil && !res.Nonempty() {
+			t.Errorf("%s: augmented ladder is 3-colorable: want NONEMPTY", tc.name)
+		}
 	}
 }

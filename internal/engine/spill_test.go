@@ -281,8 +281,8 @@ func TestRetryWithSpillLadder(t *testing.T) {
 		return ExecStreamContext(ctx, p, db, o)
 	}}
 	ladder := []Fallback{
-		{Name: "earlyprojection", Build: func() (plan.Node, error) { return core.EarlyProjection(q) }},
-		{Name: "bucketelimination", Build: func() (plan.Node, error) { return core.BucketElimination(q, nil) }},
+		PlanRung("earlyprojection", func() (plan.Node, error) { return core.EarlyProjection(q) }),
+		PlanRung("bucketelimination", func() (plan.Node, error) { return core.BucketElimination(q, nil) }),
 	}
 	res, err := ExecResilientStrategy(context.Background(), streamRung, ladder, db, opt)
 	if err != nil {
@@ -304,7 +304,7 @@ func TestRetryWithSpillLadder(t *testing.T) {
 
 // TestSpillErrClassification checks the new failure domain's typing: an
 // injected spill write failure surfaces as ErrSpill, which aliases
-// ErrInternal (breakers and the ladder treat it as infrastructure), and
+// ErrInternal (the ladder treats it as infrastructure), and
 // a tiny disk quota surfaces the same way via ErrSpillFull.
 func TestSpillErrClassification(t *testing.T) {
 	g := workloadGraph(t)

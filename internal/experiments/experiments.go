@@ -76,12 +76,12 @@ type Config struct {
 	// admission, with nothing materialized, as opposed to the kinds
 	// that abort mid-execution.
 	MaxWidth int
-	// Resilient retries each structural-method run down the degradation
-	// ladder (engine.ExecResilient with resilience.DegradationLadder)
-	// when it fails on a resource limit or internal fault: the cell then
-	// measures the rescued run end to end instead of recording a
-	// failure. The naive baseline is never retried — its explosion is
-	// the quantity Figure 2 reports.
+	// Resilient retries each structural-method run down the ladder that
+	// goes with its method (resilience.Strategy) when it fails on a
+	// resource limit or internal fault: the cell then measures the rescued
+	// run end to end — its stats the rescuing rung's, live bytes on the
+	// pull pipeline — instead of recording a failure. The naive baseline
+	// is never retried — its explosion is the quantity Figure 2 reports.
 	Resilient bool
 	// FreeFraction is the fraction of vertices kept free; 0 runs the
 	// Boolean variant (one projected variable), 0.2 the paper's

@@ -35,7 +35,7 @@ import (
 // ErrSpillIO reports an unrecoverable spill I/O failure: a write or
 // read-back of spilled state failed, so the run cannot produce its
 // answer from what remains in memory. The engine classifies it as
-// ErrSpill (aliasing ErrInternal) for breaker purposes.
+// ErrSpill (aliasing ErrInternal), so the degradation ladder re-plans.
 var ErrSpillIO = errors.New("relation: spill I/O failure")
 
 // ErrSpillFull reports disk exhaustion: either the Spiller's configured

@@ -20,7 +20,8 @@ import (
 // resilient run of it degrades down. Callers run the strategy directly, or
 // as the first rung of engine.ExecResilientStrategy over ladder(rng).
 //
-// The three execution strategies degrade to the plan ladder (PlanLadder).
+// The three execution strategies degrade to the plan ladder (PlanLadder),
+// whose rungs run on the pull pipeline.
 // The Yannakakis full reducer and the leapfrog multiway join work from q
 // and ignore p; the full reducer's join tree is built once per strategy —
 // on its first run or explain, or by Prepare for a caller that keeps the
@@ -37,8 +38,8 @@ import (
 // DegradationLadder, since a plan that blew a limit says nothing about the
 // executors above it. A plan nobody named is Routed's. The strategy also
 // states whether its executor can go out of core (Fallback.Spills): the
-// streaming engine and a plan run can, the full reducer and the leapfrog
-// join cannot.
+// streaming engine and a plan run can (a spill-armed walker run is handed to
+// the pipeline), the full reducer and the leapfrog join cannot.
 func Strategy(m core.Method, q *cq.Query, p plan.Node) (st engine.Fallback, ladder func(*rand.Rand) []engine.Fallback) {
 	st.Name = string(m)
 	ladder = func(rng *rand.Rand) []engine.Fallback { return PlanLadder(q, rng) }
@@ -91,39 +92,31 @@ func Routed(m core.Method, q *cq.Query, p plan.Node) (engine.Fallback, func(*ran
 }
 
 // DegradationLadder returns the fallback ladder for engine.ExecResilient:
-// when the query is narrow (MCS elimination width at most
-// engine.DefaultYannakakisWidth — acyclic queries always qualify), the
-// Yannakakis full reducer leads, because its semijoin sweeps delete
-// non-contributing tuples before anything is materialized and so survive
-// exactly the resource aborts that trigger the ladder; then the paper's
-// methods ordered from cheapest re-plan to most robust. A plan that blows
-// the row cap or memory budget is almost always a projection-pushing
-// failure — the straightforward method's intermediates are exponential
-// exactly where early projection (Section 4) and bucket elimination
-// (Section 5) stay polynomial in the treewidth — so retrying down this
-// ladder turns a resource abort into the answer the safer method would
-// have produced all along.
+// a lead chosen by width, then the paper's two projection-pushing methods
+// from cheapest re-plan to most robust (PlanLadder). When the query is
+// narrow (MCS elimination width at most engine.DefaultYannakakisWidth —
+// acyclic queries always qualify), the Yannakakis full reducer leads,
+// because its semijoin sweeps delete non-contributing tuples before
+// anything is materialized and so survive exactly the resource aborts that
+// trigger the ladder. Wide queries lead with the worst-case-optimal rung
+// instead: over that width the query is (or behaves like) a cyclic one,
+// every join-tree method risks an intermediate polynomially over the
+// output, and the leapfrog multiway join is the only executor whose work is
+// bounded by the AGM output bound.
 //
-// rng seeds the bucket-elimination tie-breaking (nil is deterministic);
-// plans are constructed lazily, only if their rung is reached.
-// Between the full reducer and the plan methods sits the streaming rung:
-// the pipelined engine's semijoin pushdown and live-byte accounting make
-// it the natural retry when a materializing plan blew the memory budget
-// but the query is not narrow enough (or the reducer itself failed) for
-// Yannakakis. It lowers the narrower of the early-projection and
-// bucket-elimination plans (core.StreamPlan), as the server's stream
-// tier does.
-// Wide queries lead with the worst-case-optimal rung instead: when the
-// MCS width is over the Yannakakis threshold the query is (or behaves
-// like) a cyclic one, every join-tree method risks an intermediate
-// polynomially over the output, and the leapfrog multiway join is the
-// only executor whose work is bounded by the AGM output bound.
+// A plan that blows the row cap or memory budget is almost always a
+// projection-pushing failure — the straightforward method's intermediates
+// are exponential exactly where early projection (Section 4) and bucket
+// elimination (Section 5) stay polynomial in the treewidth — so retrying
+// down this ladder turns a resource abort into the answer the safer method
+// would have produced all along. rng seeds the bucket-elimination
+// tie-breaking (nil is deterministic).
 //
-// With Options.SpillDir set, every rung that can spill (the stream rung
-// and the plan rungs; not the full reducer or the leapfrog join) carries
-// an implicit retry-with-spill step (engine.ExecResilientStrategy): a rung
-// that fails with ErrMemLimit re-runs once with spilling armed — recorded as
-// a "<rung>+spill" attempt in Stats.Attempts — before the ladder falls
+// With Options.SpillDir set, every rung that can spill (the plan rungs; not
+// the full reducer or the leapfrog join) carries an implicit
+// retry-with-spill step (engine.ExecResilientStrategy): a rung that fails
+// with ErrMemLimit re-runs once with spilling armed — recorded as a
+// "<rung>+spill" attempt in Stats.Attempts — before the ladder falls
 // further. Memory pressure then degrades to disk latency on the same
 // strategy instead of forcing a method change, and only an actual spill
 // failure (ErrSpill) or a second memory violation moves the run down a
@@ -134,24 +127,7 @@ func DegradationLadder(q *cq.Query, rng *rand.Rand) []engine.Fallback {
 		lead = core.MethodYannakakis
 	}
 	first, _ := Strategy(lead, q, nil)
-	// The stream rung's plan is built only if the rung is reached.
-	stream := engine.Fallback{
-		Name:   string(core.MethodStream),
-		Spills: true,
-		Run: func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
-			p, err := core.BucketElimination(q, rng)
-			if err != nil {
-				return &engine.Result{}, err
-			}
-			c, err := core.StreamPlan(q, core.NewCandidate(p, core.OrderMCS))
-			if err != nil {
-				return &engine.Result{}, err
-			}
-			st, _ := Strategy(core.MethodStream, q, c.Plan)
-			return st.Run(ctx, db, opt)
-		},
-	}
-	return append([]engine.Fallback{first, stream}, PlanLadder(q, rng)...)
+	return append([]engine.Fallback{first}, PlanLadder(q, rng)...)
 }
 
 // RemoteRung adapts an execution that happens outside the local engine —
@@ -178,16 +154,12 @@ func RemoteRung(name string, run func(ctx context.Context) (*engine.Result, erro
 }
 
 // PlanLadder is the plan-based part of the ladder: early projection, then
-// bucket elimination.
+// bucket elimination, each built only if its rung is reached and run on the
+// pull pipeline (engine.PlanRung), where the byte budget bounds live bytes
+// as it does on a routed first attempt.
 func PlanLadder(q *cq.Query, rng *rand.Rand) []engine.Fallback {
 	return []engine.Fallback{
-		{
-			Name:  string(core.MethodEarlyProjection),
-			Build: func() (plan.Node, error) { return core.EarlyProjection(q) },
-		},
-		{
-			Name:  string(core.MethodBucketElimination),
-			Build: func() (plan.Node, error) { return core.BucketElimination(q, rng) },
-		},
+		engine.PlanRung(string(core.MethodEarlyProjection), func() (plan.Node, error) { return core.EarlyProjection(q) }),
+		engine.PlanRung(string(core.MethodBucketElimination), func() (plan.Node, error) { return core.BucketElimination(q, rng) }),
 	}
 }

@@ -337,60 +337,3 @@ func TestLimiterQueueWaitExpiry(t *testing.T) {
 	}
 	l.release()
 }
-
-func TestBreakerLifecycle(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	b := newBreaker(2, time.Second, clock)
-
-	if !b.allowDirect() {
-		t.Fatal("closed breaker must allow the direct path")
-	}
-	// Infrastructure failures trip it at the threshold.
-	b.record(engine.ErrInternal)
-	if !b.allowDirect() {
-		t.Fatal("one failure under threshold 2 must not trip")
-	}
-	b.record(engine.ErrMemLimit)
-	if b.allowDirect() {
-		t.Fatal("two consecutive failures must trip the breaker")
-	}
-	if got := b.status(); got != "open" {
-		t.Fatalf("status = %q, want open", got)
-	}
-
-	// Cooldown elapses: exactly one half-open probe is admitted.
-	now = now.Add(2 * time.Second)
-	if !b.allowDirect() {
-		t.Fatal("cooldown elapsed: want one half-open probe")
-	}
-	if b.allowDirect() {
-		t.Fatal("second concurrent probe must be rejected while half-open")
-	}
-	// Probe fails: re-open for another cooldown.
-	b.record(engine.ErrInternal)
-	if b.allowDirect() {
-		t.Fatal("failed probe must re-open the breaker")
-	}
-	// Probe succeeds after the next cooldown: breaker closes.
-	now = now.Add(2 * time.Second)
-	if !b.allowDirect() {
-		t.Fatal("want probe after second cooldown")
-	}
-	b.record(nil)
-	if !b.allowDirect() || b.status() != "closed" {
-		t.Fatalf("successful probe must close the breaker (status %q)", b.status())
-	}
-}
-
-func TestBreakerIgnoresWorkloadFailures(t *testing.T) {
-	b := newBreaker(1, time.Second, nil)
-	// Row caps, timeouts and cancellations are properties of the query,
-	// not the infrastructure: they never trip the breaker.
-	for _, err := range []error{engine.ErrRowLimit, engine.ErrTimeout, engine.ErrCanceled} {
-		b.record(err)
-		if !b.allowDirect() {
-			t.Fatalf("workload failure %v tripped the breaker", err)
-		}
-	}
-}

@@ -141,17 +141,14 @@ func TestChaosDrill(t *testing.T) {
 		// (they must survive every intermediate); K6 needs 6. The
 		// worst-case-optimal override is disabled so the wide probes
 		// exercise the rejection path this drill verifies.
-		MaxWidth:         5,
-		WCOJAGMLog2:      -1,
-		MaxConcurrent:    2,
-		MaxQueue:         2,
-		QueueWait:        50 * time.Millisecond,
-		RequestTimeout:   2 * time.Second,
-		MaxRows:          200_000,
-		MaxBytes:         8 << 20, // tight budget: injected allocs must hit it
-		Resilient:        true,
-		BreakerThreshold: 2,
-		BreakerCooldown:  100 * time.Millisecond,
+		MaxWidth:       5,
+		WCOJAGMLog2:    -1,
+		MaxConcurrent:  2,
+		MaxQueue:       2,
+		QueueWait:      50 * time.Millisecond,
+		RequestTimeout: 2 * time.Second,
+		MaxRows:        200_000,
+		MaxBytes:       8 << 20, // tight budget: injected allocs must hit it
 	})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -342,14 +339,11 @@ func TestChaosDrillSpill(t *testing.T) {
 		// 4500 bytes sits below the stream peak of most drill queries
 		// (4960–6960 bytes) but inside their out-of-core rescue window,
 		// so the resilient ladder's "+spill" rungs carry the load.
-		RequestTimeout:   2 * time.Second,
-		MaxRows:          200_000,
-		MaxBytes:         4500,
-		SpillDir:         spillDir,
-		MaxSpillBytes:    1 << 20,
-		Resilient:        true,
-		BreakerThreshold: 4,
-		BreakerCooldown:  100 * time.Millisecond,
+		RequestTimeout: 2 * time.Second,
+		MaxRows:        200_000,
+		MaxBytes:       4500,
+		SpillDir:       spillDir,
+		MaxSpillBytes:  1 << 20,
 	})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ type compiled struct {
 	db      cq.Database
 	verdict *Verdict
 	// method is what runs, reason why and chosen the plan it runs where it
-	// runs one; strategy runs it and ladder is what a resilient run
+	// runs one; strategy runs it and ladder is what a failed run
 	// degrades down, built when one first does.
 	method   core.Method
 	reason   string

@@ -3,9 +3,9 @@
 // width-aware admission control (the paper's Theorems 1–2 give a static
 // predictor of intermediate blow-up, so hopeless queries are rejected
 // before a single tuple is materialized), load shedding behind a bounded
-// wait queue, per-method circuit breakers that route repeated failures
-// onto the degradation ladder, per-connection panic isolation, and a
-// graceful drain on shutdown.
+// wait queue, a degradation ladder under every request that re-plans a
+// resource abort with a safer method, per-connection panic isolation, and
+// a graceful drain on shutdown.
 //
 // The wire protocol is deliberately dependency-free: each message is one
 // frame over a plain TCP connection that may carry any number of
@@ -260,9 +260,6 @@ type Health struct {
 	Shed      int64 `json:"shed"`
 	OverWidth int64 `json:"over_width"`
 	Failed    int64 `json:"failed"`
-	// Breakers maps each method that has seen traffic to its circuit
-	// breaker state ("closed", "open", "half-open").
-	Breakers map[string]string `json:"breakers,omitempty"`
 	// Worker echoes the server's configured worker id (fleet members
 	// only; empty on single-process servers).
 	Worker string `json:"worker,omitempty"`

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -338,9 +339,10 @@ func textOf(t testing.TB, q *cq.Query) string {
 }
 
 // TestTiersAnswerLikeTheOracle sends the pool through every tier — the
-// size-only one included, which no knob turns off — direct and resilient, and compares each answer with the backtracking oracle,
-// or with the MCS bucket-elimination plan where the oracle's search
-// space (the structured families at orders 10–40) is out of reach.
+// size-only one included, which no knob turns off — and compares each
+// answer with the backtracking oracle, or with the MCS bucket-elimination
+// plan where the oracle's search space (the structured families at orders
+// 10–40) is out of reach.
 func TestTiersAnswerLikeTheOracle(t *testing.T) {
 	pool, db := routePool(t)
 	want := make([]*relation.Relation, len(pool))
@@ -365,41 +367,38 @@ func TestTiersAnswerLikeTheOracle(t *testing.T) {
 		want[i] = rel
 	}
 	for name, cfg := range tierConfigs(db) {
-		for _, resilient := range []bool{false, true} {
-			cfg.Resilient = resilient
-			_, addr := startServer(t, cfg)
-			sizeOnly := 0
-			for i, c := range pool {
-				resp := roundTrip(t, addr, &Request{Op: "query", Query: textOf(t, c.q)})
-				if resp.Status != StatusOK {
-					t.Fatalf("%s resilient=%v %s: status %s (%s)", name, resilient, c.name, resp.Status, resp.Error)
-				}
-				// Column order is the executed plan's: compare as relations.
-				attrs := make([]relation.Attr, len(resp.Answer.Attrs))
-				for j, a := range resp.Answer.Attrs {
-					attrs[j] = relation.Attr(a)
-				}
-				got := relation.New(attrs)
-				for _, row := range resp.Answer.Tuples {
-					tuple := make(relation.Tuple, len(row))
-					for j, v := range row {
-						tuple[j] = relation.Value(v)
-					}
-					got.Add(tuple)
-				}
-				if got.Len() != resp.Answer.Rows || !got.Equal(want[i]) {
-					t.Errorf("%s resilient=%v %s (route %s): %d rows %v, reference has %d", name, resilient, c.name,
-						resp.Verdict.Method, resp.Answer.Rows, resp.Answer.Tuples, want[i].Len())
-				}
-				if noGain(resp.Verdict) {
-					sizeOnly++
-				}
+		_, addr := startServer(t, cfg)
+		sizeOnly := 0
+		for i, c := range pool {
+			resp := roundTrip(t, addr, &Request{Op: "query", Query: textOf(t, c.q)})
+			if resp.Status != StatusOK {
+				t.Fatalf("%s %s: status %s (%s)", name, c.name, resp.Status, resp.Error)
 			}
-			// The size-only tier sits above the knobs: the four triangles,
-			// the 4-cycle and K4–K6 reach it under every configuration.
-			if sizeOnly < 8 {
-				t.Errorf("%s resilient=%v: %d answers came from the size-only tier, want at least 8", name, resilient, sizeOnly)
+			// Column order is the executed plan's: compare as relations.
+			attrs := make([]relation.Attr, len(resp.Answer.Attrs))
+			for j, a := range resp.Answer.Attrs {
+				attrs[j] = relation.Attr(a)
 			}
+			got := relation.New(attrs)
+			for _, row := range resp.Answer.Tuples {
+				tuple := make(relation.Tuple, len(row))
+				for j, v := range row {
+					tuple[j] = relation.Value(v)
+				}
+				got.Add(tuple)
+			}
+			if got.Len() != resp.Answer.Rows || !got.Equal(want[i]) {
+				t.Errorf("%s %s (route %s): %d rows %v, reference has %d", name, c.name,
+					resp.Verdict.Method, resp.Answer.Rows, resp.Answer.Tuples, want[i].Len())
+			}
+			if noGain(resp.Verdict) {
+				sizeOnly++
+			}
+		}
+		// The size-only tier sits above the knobs: the four triangles,
+		// the 4-cycle and K4–K6 reach it under every configuration.
+		if sizeOnly < 8 {
+			t.Errorf("%s: %d answers came from the size-only tier, want at least 8", name, sizeOnly)
 		}
 	}
 }
@@ -555,6 +554,30 @@ func TestExplainAndLogShowTheExecutedPlan(t *testing.T) {
 			!strings.Contains(text, "tuples: materialized="+fmt.Sprint(bare.Stats.MaterializedTuples)+" reduced=0\n") {
 			t.Errorf("%s: the sweeps should be skipped and the run be the bare pipeline's (peak %d):\n%s",
 				tc.name, bare.Stats.PeakBytes, text)
+		}
+	}
+
+	// A request the ladder rescued logs which rungs it went down, in
+	// order; one that answered first time logs none.
+	var degraded bytes.Buffer
+	_, capAddr := startServer(t, Config{DB: db, Log: &degraded, MaxRows: 2000})
+	for _, tc := range []struct {
+		method string
+		status Status
+		rungs  any
+	}{
+		{string(core.MethodStraightforward), StatusDegraded, []any{"straightforward", "wcoj"}},
+		{"", StatusOK, nil},
+	} {
+		degraded.Reset()
+		resp := roundTrip(t, capAddr, &Request{Op: "query", Query: textOf(t, ladder), Method: tc.method})
+		var entry map[string]any
+		if err := json.Unmarshal(bytes.TrimSpace(degraded.Bytes()), &entry); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != tc.status || !reflect.DeepEqual(entry["rungs"], tc.rungs) {
+			t.Errorf("method %q: status %s (%s), log has attempts=%v rungs=%v, want %s with rungs %v",
+				tc.method, resp.Status, resp.Error, entry["attempts"], entry["rungs"], tc.status, tc.rungs)
 		}
 	}
 }

@@ -61,11 +61,11 @@ type Config struct {
 	MaxBytes int64
 	// SpillDir, when non-empty, arms out-of-core execution: runs that
 	// would blow MaxBytes spill pipeline-breaker and hash-build state to
-	// temp files under this directory instead of failing, and the
-	// resilient path retries memory failures with spilling before
-	// degrading methods. It also relaxes admission: a methodless query
-	// rejected only by MaxPredictedBytes is admitted when its prediction
-	// fits MaxSpillBytes (Verdict.AdmittedOnSpill).
+	// temp files under this directory instead of failing: every request
+	// retries a memory failure with spilling before degrading methods. It
+	// also relaxes admission: a methodless query rejected only by
+	// MaxPredictedBytes is admitted when its prediction fits MaxSpillBytes
+	// (Verdict.AdmittedOnSpill).
 	SpillDir string
 	// MaxSpillBytes bounds each run's spill-directory footprint
 	// (0 = unlimited disk).
@@ -98,17 +98,6 @@ type Config struct {
 	// width — cyclic queries the server used to reject with ErrOverWidth
 	// now answer.
 	WCOJAGMLog2 float64
-	// Resilient runs every degradable failure down the degradation
-	// ladder even with a closed breaker. With it off, the ladder is
-	// used only while a method's breaker is open.
-	Resilient bool
-	// BreakerThreshold trips a method's circuit breaker after this many
-	// consecutive infrastructure failures (ErrInternal/ErrMemLimit) on
-	// the direct path (default 3; <0 disables breakers).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before
-	// admitting a half-open trial (default 5s).
-	BreakerCooldown time.Duration
 	// Log, when non-nil, receives one structured JSON line per request
 	// (fingerprint, admission verdict, status, attempts, bytes).
 	Log io.Writer
@@ -129,8 +118,6 @@ type Config struct {
 	// without duplicating them.
 	Handler func(ctx context.Context, req *Request, remote string) *Response
 
-	// now is the breaker clock, injectable in tests.
-	now func() time.Time
 	// maxFrame is the response frame cap (MaxFrame), injectable in tests.
 	maxFrame int
 }
@@ -160,15 +147,6 @@ func (c Config) withDefaults() Config {
 	if c.WCOJAGMLog2 == 0 {
 		c.WCOJAGMLog2 = engine.DefaultWCOJAGMLog2
 	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.now == nil {
-		c.now = time.Now
-	}
 	if c.maxFrame == 0 {
 		c.maxFrame = MaxFrame
 	}
@@ -183,9 +161,8 @@ type Server struct {
 	ln       net.Listener
 	draining atomic.Bool
 
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	breakers map[string]*breaker
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
 
 	wg       sync.WaitGroup // connection handlers
 	inFlight atomic.Int64   // requests currently being handled
@@ -207,7 +184,6 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		lim:      newLimiter(cfg.MaxConcurrent, cfg.MaxQueue),
 		conns:    make(map[net.Conn]struct{}),
-		breakers: make(map[string]*breaker),
 		compiled: memo.New[*compiled](compiledBudget),
 	}
 }
@@ -480,38 +456,18 @@ func (s *Server) health() *Health {
 		OverWidth: s.overWidth.Load(),
 		Failed:    s.failed.Load(),
 	}
-	s.mu.Lock()
-	if len(s.breakers) > 0 {
-		h.Breakers = make(map[string]string, len(s.breakers))
-		for m, b := range s.breakers {
-			h.Breakers[m] = b.status()
-		}
-	}
-	s.mu.Unlock()
 	m := s.compiled.Stats()
 	h.CompiledHits, h.CompiledMisses, h.CompiledEntries = m.Hits, m.Misses, m.Entries
 	return h
 }
 
-// breakerFor returns the method's breaker, creating it on first use.
-func (s *Server) breakerFor(method string) *breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.breakers[method]
-	if !ok {
-		b = newBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerCooldown, s.cfg.now)
-		s.breakers[method] = b
-	}
-	return b
-}
-
 // handleQuery is the per-request lifecycle: compile (a lookup for a text
-// seen before), then explain — or gate, run (direct or ladder), classify —
+// seen before), then explain — or gate, run down the ladder, classify —
 // and log. Everything the query text decides is compile's; what is left
 // here depends on the moment: the drain, the queue, the deadline, the
-// breaker, the data. reqCtx is the connection's per-request context: a
-// peer disconnect cancels the queue wait and the execution instead of
-// holding a slot for a client that is gone.
+// data. reqCtx is the connection's per-request context: a peer disconnect
+// cancels the queue wait and the execution instead of holding a slot for a
+// client that is gone.
 func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string) *Response {
 	start := time.Now()
 	// logEntry stays nil without a log, so an unlogged request builds no
@@ -591,29 +547,23 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 		SpillDir: s.cfg.SpillDir, MaxSpillBytes: s.cfg.MaxSpillBytes,
 	}
 
-	// Execute: direct path unless this method's breaker is open (or the
-	// server runs fully resilient), in which case the degradation
-	// ladder re-plans with safer methods.
-	br := s.breakerFor(string(c.method))
-	direct := br.allowDirect()
-	var res *engine.Result
-	if s.cfg.Resilient || !direct {
-		res, err = engine.ExecResilientStrategy(ctx, c.strategy, c.ladder(), c.db, opt)
-		if direct {
-			// The direct path's own outcome, so breaker accounting is
-			// identical whether the ladder ran or not.
-			br.record(res.FirstError())
-		}
-	} else {
-		res, err = c.strategy.Run(ctx, c.db, opt)
-		br.record(err)
-	}
+	// Execute: the compiled strategy first, and on a degradable failure
+	// the ladder that goes with it re-plans with safer methods.
+	res, err := engine.ExecResilientStrategy(ctx, c.strategy, c.ladder(), c.db, opt)
 
 	resp := &Response{Verdict: c.verdict}
 	if res != nil {
 		resp.Stats = StatsOf(&res.Stats)
 		logEntry.set("bytes", res.Stats.Bytes)
 		logEntry.set("attempts", len(res.Stats.Attempts))
+		if at := res.Stats.Attempts; logEntry != nil && len(at) > 1 {
+			// Which route failed and what answered instead, in order.
+			rungs := make([]string, len(at))
+			for i, a := range at {
+				rungs[i] = a.Method
+			}
+			logEntry["rungs"] = rungs
+		}
 	}
 	if err != nil {
 		resp.Status, resp.Error = ClassifyStatus(err), err.Error()

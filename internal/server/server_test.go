@@ -241,7 +241,7 @@ func TestDegradedAnswerViaLadder(t *testing.T) {
 	// method. The degraded answer must still match the oracle.
 	g := graph.AugmentedLadder(5)
 	in := colorQuery(t, g)
-	_, addr := startServer(t, Config{DB: in.db, MaxRows: 2000, Resilient: true})
+	_, addr := startServer(t, Config{DB: in.db, MaxRows: 2000})
 
 	resp := roundTrip(t, addr, &Request{
 		Op: "query", Query: queryText(t, g), Method: string(core.MethodStraightforward),
@@ -300,49 +300,6 @@ func TestShedUnderLoad(t *testing.T) {
 	}
 	if ok == 0 || shed == 0 {
 		t.Fatalf("want both served and shed outcomes, got ok=%d shed=%d", ok, shed)
-	}
-}
-
-func TestBreakerRoutesToLadder(t *testing.T) {
-	// Every direct join panics; after BreakerThreshold failures the
-	// breaker opens and requests run on the ladder... but the ladder's
-	// rungs also panic under this spec, so instead inject only on the
-	// parallel path is not possible — use memory faults with a ladder
-	// that succeeds: join.alloc fires on early calls (direct attempt),
-	// later calls (ladder rungs) pass at low probability. Simplest
-	// deterministic check: threshold 1, a failing first request trips
-	// the breaker, and the next request is answered via the ladder even
-	// though Resilient is off.
-	if err := faultinject.Enable("join.alloc=1", 11); err != nil {
-		t.Fatal(err)
-	}
-	g := graph.AugmentedPath(4)
-	in := colorQuery(t, g)
-	s, addr := startServer(t, Config{
-		DB: in.db, BreakerThreshold: 1, BreakerCooldown: time.Minute, MaxBytes: 1 << 30,
-	})
-	text := queryText(t, g)
-
-	// First request: direct path fails with ErrMemLimit (injected),
-	// ladder not engaged (Resilient off, breaker still closed).
-	resp := roundTrip(t, addr, &Request{Op: "query", Query: text})
-	if resp.Status != StatusResourceLimit {
-		t.Fatalf("first request: status = %s (%s), want resource_limit", resp.Status, resp.Error)
-	}
-	// Breaker is now open. Disable faults so the ladder can succeed.
-	faultinject.Disable()
-	resp = roundTrip(t, addr, &Request{Op: "query", Query: text})
-	if resp.Status != StatusOK && resp.Status != StatusDegraded {
-		t.Fatalf("second request (breaker open): status = %s (%s), want answered via ladder", resp.Status, resp.Error)
-	}
-	if resp.Stats == nil || len(resp.Stats.Attempts) == 0 {
-		t.Fatalf("ladder-routed request must carry attempt history, got %+v", resp.Stats)
-	}
-	h := s.health()
-	// The methodless narrow query routes to yannakakis, so that is the
-	// breaker that tripped.
-	if h.Breakers["yannakakis"] != "open" {
-		t.Errorf("breaker state = %q, want open", h.Breakers["yannakakis"])
 	}
 }
 

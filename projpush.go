@@ -258,8 +258,8 @@ type Attempt = engine.Attempt
 
 // DegradationLadder is the standard fallback ladder for a query: the
 // Yannakakis full reducer on narrow queries (the worst-case-optimal
-// multiway join on wide ones), then the streaming executor, then early
-// projection, then bucket elimination — ordered from lowest peak memory
+// multiway join on wide ones), then early projection, then bucket
+// elimination, both on the pull pipeline — ordered from lowest peak memory
 // to most robust. rng drives bucket elimination's tie-breaking; nil is
 // deterministic.
 func DegradationLadder(q *Query, rng *rand.Rand) []Fallback {
