@@ -15,8 +15,11 @@ vet:
 # is not counted): net lines removed is ROADMAP's headline metric, so the
 # total is a ceiling. A PR that must grow it raises LOC_CEILING in the same
 # diff, where a reviewer sees it; one that shrinks it lowers the ceiling
-# to its own total.
-LOC_CEILING = 20697
+# to its own total. Raised 20697 -> 20797 by the kept connection (PR 24):
+# 100 lines — the client's idle list, Close and its call sites, open_conns —
+# for x0.6 p50 latency and x1.4-1.6 throughput on the paper's traffic
+# through a server and through the fleet (CHANGES.md has every run).
+LOC_CEILING = 20797
 loc:
 	@go list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
 		n=$$(ls $$dir/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \
@@ -62,8 +65,9 @@ bench:
 # zero-copy scan rename) recorded as JSON for trend tracking,
 # plus the engine/harness suite: subplan cache cached-vs-uncached
 # repeated workloads, iterator-join kernel port, harness scaling by
-# worker count, and the answer frame's encode/decode (wide and Boolean,
-# with the frame size as frame-bytes). The planner suite covers the incremental bitset DP,
+# worker count, the answer frame's encode/decode (wide and Boolean,
+# with the frame size as frame-bytes), and one request/response pair on
+# loopback over a kept connection against a dialed one. The planner suite covers the incremental bitset DP,
 # island GEQO by worker count, and the bucket-queue/bitset elimination
 # orders, each against the map-based baseline it replaced, plus the
 # server's front end per request on the 16 structured texts — first seen
@@ -81,8 +85,8 @@ bench-json:
 	go test ./internal/relation -run '^$$' -bench '^BenchmarkKernel' -benchmem \
 		| go run ./cmd/benchjson > BENCH_relation.json
 	@cat BENCH_relation.json
-	go test ./internal/engine ./internal/experiments ./internal/server -run '^$$' \
-		-bench '^BenchmarkEngine|^BenchmarkHarness|^BenchmarkServerAnswerFrame' -benchmem \
+	go test ./internal/engine ./internal/experiments ./internal/server/... -run '^$$' \
+		-bench '^BenchmarkEngine|^BenchmarkHarness|^BenchmarkServerAnswerFrame|^BenchmarkClientRoundTrip' -benchmem \
 		| go run ./cmd/benchjson > BENCH_engine.json
 	@cat BENCH_engine.json
 	go test ./internal/pgplanner ./internal/treedec ./internal/server ./internal/engine -run '^$$' \

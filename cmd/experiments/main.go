@@ -92,11 +92,13 @@ func main() {
 		// own timeout; the remote side's answer (or typed failure)
 		// becomes the cell. Coordinator responses also feed the
 		// failover/hedge columns.
-		base.Fleet = client.New(client.Options{
+		fleet := client.New(client.Options{
 			Addr:           *connect,
 			AttemptTimeout: *timeout + 5*time.Second,
 			MaxRetries:     -1,
 		})
+		defer fleet.Close()
+		base.Fleet = fleet
 	}
 	variants := []float64{0, 0.2}
 	if *free >= 0 {

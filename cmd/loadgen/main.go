@@ -109,6 +109,7 @@ func main() {
 				AttemptTimeout: *timeout,
 				Seed:           *seed + int64(ci),
 			})
+			defer c.Close()
 			rng := rand.New(rand.NewSource(*seed + int64(ci)*7919))
 			for r := 0; r < *requests; r++ {
 				q := queries[rng.Intn(len(queries))]

@@ -271,6 +271,7 @@ func runRemote(addr string, q *cq.Query, db cq.Database, m core.Method, timeout 
 		fatal(err)
 	}
 	c := client.New(client.Options{Addr: addr, AttemptTimeout: timeout})
+	defer c.Close()
 	resp, err := c.Query(context.Background(), buf.String(), string(m))
 	if err != nil {
 		if resp != nil && resp.Verdict != nil {

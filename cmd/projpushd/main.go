@@ -167,6 +167,7 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("-join %s: %w", *join, err))
 		}
+		coord.Close() // next used to deregister, at shutdown: hold no connection until then
 		fmt.Fprintf(os.Stderr, "projpushd: registered with coordinator %s\n", *join)
 	}
 

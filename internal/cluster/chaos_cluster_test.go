@@ -14,6 +14,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,6 +81,12 @@ func TestWorkerLossChaosDrill(t *testing.T) {
 		counts tally
 		wg     sync.WaitGroup
 	)
+	// killsDone is set once the kill/restart schedule below has run. Every
+	// client sends at least perClient requests and keeps sending until
+	// then: on kept connections the first 40 take well under the 100 ms
+	// before the first kill, and a drill whose traffic ends before its
+	// kills start drills nothing.
+	var killsDone atomic.Bool
 	for ci := 0; ci < numClients; ci++ {
 		wg.Add(1)
 		go func(ci int) {
@@ -92,7 +99,8 @@ func TestWorkerLossChaosDrill(t *testing.T) {
 				MaxBackoff:     50 * time.Millisecond,
 				Seed:           int64(ci) + 1,
 			})
-			for r := 0; r < perClient; r++ {
+			defer c.Close()
+			for r := 0; r < perClient || !killsDone.Load(); r++ {
 				cse := cases[(ci*perClient+r)%len(cases)]
 				resp, err := c.Query(context.Background(), cse.text, "")
 				if err == nil {
@@ -164,6 +172,7 @@ func TestWorkerLossChaosDrill(t *testing.T) {
 	if err := fl.Restart(1); err != nil {
 		t.Errorf("Restart(1): %v", err)
 	}
+	killsDone.Store(true)
 
 	wg.Wait()
 	faultinject.Disable()
@@ -206,12 +215,19 @@ func TestWorkerLossChaosDrill(t *testing.T) {
 			t.Errorf("worker %d (%s) still accepting connections after drain", i, wa)
 		}
 	}
+	assertNoGoroutineLeak(t, baseGoroutines)
+}
+
+// assertNoGoroutineLeak waits for the goroutine count to fall back to
+// base, and fails with every stack if it does not.
+func assertNoGoroutineLeak(t *testing.T, base int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseGoroutines && time.Now().Before(deadline) {
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := runtime.NumGoroutine(); n > baseGoroutines {
+	if n := runtime.NumGoroutine(); n > base {
 		buf := make([]byte, 1<<16)
-		t.Errorf("goroutine leak after drain: %d > %d\n%s", n, baseGoroutines, buf[:runtime.Stack(buf, true)])
+		t.Errorf("goroutine leak after drain: %d > %d\n%s", n, base, buf[:runtime.Stack(buf, true)])
 	}
 }

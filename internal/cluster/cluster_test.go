@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -303,33 +304,41 @@ func TestCanceledRequestIsTypedCanceled(t *testing.T) {
 
 // fakeWorker is a Handler-mode server whose per-request behavior is
 // switched at runtime: mode 0 answers OK, 1 answers StatusInternal, 2
-// sleeps before answering OK (the hedging victim). served counts the
-// queries it answered.
+// sleeps before answering OK (the hedging victim) unless its context is
+// canceled first, and sends that context's error on stalled either way.
+// served counts the queries it answered.
 type fakeWorker struct {
-	id     string
-	srv    *server.Server
-	addr   string
-	mode   atomic.Int32
-	delay  time.Duration
-	served atomic.Int64
+	id      string
+	srv     *server.Server
+	addr    string
+	mode    atomic.Int32
+	delay   time.Duration
+	served  atomic.Int64
+	stalled chan error
 }
 
 func startFakeWorker(t *testing.T, id string, delay time.Duration) *fakeWorker {
 	t.Helper()
-	f := &fakeWorker{id: id, delay: delay}
+	f := &fakeWorker{id: id, delay: delay, stalled: make(chan error, 1)}
 	f.srv = server.New(server.Config{
 		WorkerID: id,
-		Handler: func(_ context.Context, req *server.Request, remote string) *server.Response {
+		Handler: func(ctx context.Context, req *server.Request, remote string) *server.Response {
 			switch req.Op {
 			case "ready":
 				ready := true
 				return &server.Response{Status: server.StatusOK, Ready: &ready}
+			case "health":
+				return &server.Response{Status: server.StatusOK, Health: &server.Health{Ready: true}}
 			case "query":
 				switch f.mode.Load() {
 				case 1:
 					return &server.Response{Status: server.StatusInternal, Error: "injected"}
 				case 2:
-					time.Sleep(f.delay)
+					select {
+					case <-ctx.Done():
+					case <-time.After(f.delay):
+					}
+					f.stalled <- ctx.Err()
 				}
 				f.served.Add(1)
 				return &server.Response{
@@ -459,6 +468,148 @@ func TestHedgedRequestWinsAndCancelsLoser(t *testing.T) {
 	if h := co.health(); h.Hedges != 1 {
 		t.Errorf("health.Hedges = %d, want 1", h.Hedges)
 	}
+
+	// The loser's connection is closed, not kept: that is what cancels the
+	// stalled worker's run, and what keeps the loser's late answer from
+	// being read by the next forward. The winner's connection is kept.
+	select {
+	case err := <-primary.stalled:
+		if err == nil {
+			t.Error("the stalled worker slept out its delay: the loser's connection was not closed")
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("the stalled worker's handler never returned")
+	}
+	waitOpenConns(t, primary.addr, 0)
+	waitOpenConns(t, secondary.addr, 1)
+}
+
+// waitOpenConns polls the worker's open_conns gauge until it holds want
+// connections besides the one asking.
+func waitOpenConns(t *testing.T, addr string, want int) {
+	t.Helper()
+	probe := client.New(client.Options{Addr: addr, MaxRetries: -1})
+	defer probe.Close()
+	got := -1
+	for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		h, err := probe.Health(context.Background())
+		if err != nil {
+			t.Fatalf("health %s: %v", addr, err)
+		}
+		if got = h.OpenConns - 1; got == want {
+			return
+		}
+	}
+	t.Fatalf("worker %s holds %d connections besides the probe's, want %d", addr, got, want)
+}
+
+// TestRestartedWorkerAnswersItsFirstForward: a worker killed and restarted
+// between two forwards closed every connection the coordinator kept to
+// it. That is not a fault of the new process: the first forward after the
+// restart redials within the attempt and is answered by that worker, with
+// no failover and no strike against its breaker.
+func TestRestartedWorkerAnswersItsFirstForward(t *testing.T) {
+	db := instance.ColorDatabase(3)
+	fl, err := StartFleet("127.0.0.1:0", FleetConfig{
+		Workers:       2,
+		Worker:        server.Config{DB: db, RequestTimeout: 2 * time.Second},
+		Coordinator:   Config{HealthInterval: -1, RequestTimeout: 2 * time.Second, FailThreshold: 1},
+		ChaosInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	co := fl.Coordinator()
+	req := &server.Request{Op: "query", Query: colorQueryText(t, graph.AugmentedPath(4))}
+
+	var home string
+	for i := 0; i < 3; i++ { // the later ones travel on the kept connection
+		resp, err := co.Do(context.Background(), req)
+		if err != nil || resp.Status != server.StatusOK {
+			t.Fatalf("forward %d before the kill: %v / %+v", i, err, resp)
+		}
+		home = resp.Worker
+	}
+	slot := map[string]int{"w0": 0, "w1": 1}[home]
+	addr := fl.WorkerAddrs()[slot]
+	co.checkWorkers() // a probe's kept connection dies with the worker too
+
+	fl.Kill(slot)
+	if err := fl.Restart(slot); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := co.Do(context.Background(), req)
+	if err != nil || resp.Status != server.StatusOK {
+		t.Fatalf("first forward after the restart: %v / %+v", err, resp)
+	}
+	if resp.Worker != home || resp.Failovers != 0 {
+		t.Errorf("first forward after the restart: worker=%q failovers=%d, want %q/0", resp.Worker, resp.Failovers, home)
+	}
+	co.checkWorkers()
+	if st := co.WorkerStates()[addr]; st != "up" {
+		t.Errorf("restarted worker state = %q, want up: a stale kept connection is not a strike", st)
+	}
+}
+
+// TestReapReplaceAndShutdownReleaseWorkerConnections: a kept connection
+// costs the worker a handler and a watcher goroutine, so the coordinator
+// releases a member's when the member is reaped or replaced and every
+// member's when it shuts down.
+func TestReapReplaceAndShutdownReleaseWorkerConnections(t *testing.T) {
+	baseGoroutines := runtime.NumGoroutine()
+	db := instance.ColorDatabase(3)
+	var workers [2]*server.Server
+	var addrs [2]string
+	for i := range workers {
+		workers[i] = server.New(server.Config{DB: db, RequestTimeout: time.Second})
+		if err := workers[i].Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		go workers[i].Serve()
+		addrs[i] = workers[i].Addr().String()
+	}
+	co := New(Config{DB: db, Workers: addrs[:], HealthInterval: -1, RequestTimeout: 2 * time.Second})
+	do := func(op, addr string) {
+		t.Helper()
+		if resp, err := co.Do(context.Background(), &server.Request{Op: op, Addr: addr}); err != nil || resp.Status != server.StatusOK {
+			t.Fatalf("%s %s: %v / %+v", op, addr, err, resp)
+		}
+	}
+
+	co.checkWorkers() // one probe each: one kept connection each
+	waitOpenConns(t, addrs[0], 1)
+	waitOpenConns(t, addrs[1], 1)
+
+	// Replaced while draining: the old membership's transport is closed.
+	do("deregister", addrs[0])
+	do("register", addrs[0])
+	waitOpenConns(t, addrs[0], 0)
+	co.checkWorkers()
+	waitOpenConns(t, addrs[0], 1)
+
+	// Reaped.
+	do("deregister", addrs[0])
+	co.checkWorkers()
+	if _, ok := co.WorkerStates()[addrs[0]]; ok {
+		t.Fatal("drained idle worker was not reaped")
+	}
+	waitOpenConns(t, addrs[0], 0)
+	waitOpenConns(t, addrs[1], 1)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := co.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitOpenConns(t, addrs[1], 0)
+
+	for _, w := range workers {
+		if err := w.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertNoGoroutineLeak(t, baseGoroutines)
 }
 
 func TestDeregisterReroutesAndRegisterRestores(t *testing.T) {

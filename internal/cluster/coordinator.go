@@ -72,7 +72,7 @@ type Config struct {
 	// request, spanning every failover and hedge attempt (default 10s).
 	// Requests may tighten it, never extend it.
 	RequestTimeout time.Duration
-	// DialTimeout bounds each worker connection attempt (default 1s).
+	// DialTimeout bounds a dial to a worker, when one is needed (default 1s).
 	DialTimeout time.Duration
 	// HealthInterval is the health-probe period (default 250ms; negative
 	// disables the background prober — tests drive checkWorkers directly).
@@ -206,21 +206,32 @@ func (c *Coordinator) Serve() error { return c.srv.Serve() }
 func (c *Coordinator) Draining() bool { return c.srv.Draining() }
 
 // Shutdown drains the coordinator: the prober stops, the front listener
-// closes, and in-flight coordinated requests get until ctx's deadline.
+// closes, in-flight coordinated requests get until ctx's deadline, and
+// the connections kept to every member are released.
 // Safe to call without Listen/Serve (in-process coordinators).
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.healthWG.Wait()
-	return c.srv.Shutdown(ctx)
+	err := c.srv.Shutdown(ctx)
+	c.mu.Lock()
+	for _, w := range c.workers {
+		w.cl.Close()
+	}
+	c.mu.Unlock()
+	return err
 }
 
 // AddWorker joins a worker to the fleet (idempotent). A re-added
-// draining worker starts a fresh membership.
+// draining worker starts a fresh membership and transport; the old
+// transport's kept connections are released.
 func (c *Coordinator) AddWorker(addr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if w, ok := c.workers[addr]; ok && !w.isDraining() {
-		return
+	if w, ok := c.workers[addr]; ok {
+		if !w.isDraining() {
+			return
+		}
+		w.cl.Close()
 	}
 	c.workers[addr] = newWorker(addr, client.Options{
 		DialTimeout:    c.cfg.DialTimeout,
@@ -688,6 +699,7 @@ func (c *Coordinator) checkWorkers() {
 			if w.inFlight.Load() == 0 {
 				delete(c.workers, addr)
 				c.ring.remove(addr)
+				w.cl.Close()
 			}
 			continue
 		}

@@ -8,8 +8,9 @@ import (
 	"projpush/internal/server/client"
 )
 
-// worker is the coordinator's view of one fleet member: a dedicated
-// transport client plus a breaker-style health state machine. It mirrors
+// worker is the coordinator's view of one fleet member: its transport
+// client, which keeps the connections to that member until it is reaped
+// or replaced, plus a breaker-style health state machine. It mirrors
 // the server's per-method breaker (closed → open → half-open) but guards
 // a whole peer instead of a strategy: consecutive transport failures —
 // from the health prober or from live forwards — open it, a cooldown

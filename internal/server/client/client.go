@@ -5,6 +5,9 @@
 // retries only the former under exponential backoff with jitter, so a
 // thundering herd of failed clients decorrelates instead of
 // resynchronizing on the struggling server.
+//
+// A Client keeps its connections between requests and dials only when
+// none is idle; roundTrip says what is kept and what is sent again.
 package client
 
 import (
@@ -125,13 +128,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Client issues requests with retries. Safe for concurrent use; each
-// attempt uses its own connection.
+// maxIdle caps the idle connections a Client holds (each costs the peer
+// a handler and a watcher goroutine); one returned beyond it is closed.
+const maxIdle = 16
+
+// Client issues requests with retries. Safe for concurrent use: a
+// connection serves one exchange at a time.
 type Client struct {
 	opt Options
 
 	mu  sync.Mutex
 	rng *rand.Rand
+
+	// idle holds the kept connections (LIFO); closed stops keeping.
+	idle   []net.Conn
+	closed bool
 
 	// Attempts counts round trips issued (including retries), for
 	// drill instrumentation.
@@ -149,6 +160,18 @@ func (c *Client) Attempts() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.attempts
+}
+
+// Close releases the idle connections and stops keeping new ones. The
+// client stays usable: each later call dials and closes its own.
+func (c *Client) Close() {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle, c.closed = nil, true
+	c.mu.Unlock()
+	for _, conn := range idle {
+		conn.Close()
+	}
 }
 
 // Do sends one request, retrying retryable failures with backoff. On a
@@ -210,33 +233,80 @@ func (c *Client) Ready(ctx context.Context) (bool, error) {
 	return resp.Ready != nil && *resp.Ready, nil
 }
 
-// roundTrip performs one dial/send/receive cycle.
+// roundTrip performs one attempt: take an idle connection or dial, send
+// one frame, receive one. The peer may have closed a kept connection for
+// reasons that are not faults (a drain's force-close, a restart on the
+// same address), so when a reused one fails while the caller's context
+// and the attempt deadline are still live, the attempt is sent once more
+// on a fresh dial under the same deadline: every op is read-only or
+// idempotent. A failure on a fresh connection is the peer's, and reported.
 func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Response, error) {
+	ctxErr := ctx.Err()
 	c.mu.Lock()
 	c.attempts++
+	var conn net.Conn
+	if n := len(c.idle); n > 0 && ctxErr == nil {
+		conn, c.idle = c.idle[n-1], c.idle[:n-1]
+	}
 	c.mu.Unlock()
-	d := net.Dialer{Timeout: c.opt.DialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", c.opt.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial: %w", err)
+	if ctxErr != nil {
+		// A request that is already over takes no connection.
+		return nil, fmt.Errorf("client: %w", ctxErr)
 	}
-	defer conn.Close()
-	deadline := time.Now().Add(c.opt.AttemptTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
+	var deadline time.Time
+	for {
+		reused := conn != nil
+		if !reused {
+			d := net.Dialer{Timeout: c.opt.DialTimeout}
+			var err error
+			if conn, err = d.DialContext(ctx, "tcp", c.opt.Addr); err != nil {
+				return nil, fmt.Errorf("client: dial: %w", err)
+			}
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(c.opt.AttemptTimeout)
+			if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+				deadline = d
+			}
+		}
+		resp, err := c.exchange(ctx, conn, deadline, req)
+		if err == nil || !reused || ctx.Err() != nil || !time.Now().Before(deadline) {
+			return resp, err
+		}
+		conn = nil // stale: once more, on a fresh dial
 	}
+}
+
+// exchange writes one request frame and reads one response frame on
+// conn, then keeps the connection only if it is clean: the whole response
+// read without error, the cancel hook never fired. Closing any other is
+// what tells the server the caller is gone (its Peek watcher cancels the
+// run), and why no request can read an earlier request's answer.
+func (c *Client) exchange(ctx context.Context, conn net.Conn, deadline time.Time, req *server.Request) (*server.Response, error) {
 	conn.SetDeadline(deadline)
 	// A canceled context must unblock the read immediately — a hedged
 	// request's loser would otherwise sit in ReadFrame until the attempt
 	// deadline, holding its connection and goroutine open.
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
-	defer stop()
-	if err := server.WriteFrame(conn, req); err != nil {
-		return nil, fmt.Errorf("client: send: %w", err)
-	}
 	var resp server.Response
-	if err := server.ReadFrame(conn, &resp); err != nil {
-		return nil, fmt.Errorf("client: receive: %w", err)
+	err := server.WriteFrame(conn, req)
+	if err != nil {
+		err = fmt.Errorf("client: send: %w", err)
+	} else if err = server.ReadFrame(conn, &resp); err != nil {
+		err = fmt.Errorf("client: receive: %w", err)
+	}
+	clean := stop() && err == nil
+	c.mu.Lock()
+	keep := clean && !c.closed && len(c.idle) < maxIdle
+	if keep {
+		c.idle = append(c.idle, conn)
+	}
+	c.mu.Unlock()
+	if !keep {
+		conn.Close()
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &resp, nil
 }

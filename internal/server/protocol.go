@@ -252,6 +252,10 @@ type Health struct {
 	Ready bool `json:"ready"`
 	// InFlight is the number of requests currently executing.
 	InFlight int64 `json:"in_flight"`
+	// OpenConns is the number of client connections this server or
+	// coordinator front holds open, the asking one included: clients keep
+	// theirs between requests, and each costs two goroutines while held.
+	OpenConns int `json:"open_conns,omitempty"`
 	// Served counts successfully answered queries (ok + degraded).
 	Served int64 `json:"served"`
 	// Degraded counts answers that needed the degradation ladder.

@@ -158,7 +158,7 @@ func TestTupleLessFramesUnchanged(t *testing.T) {
 	for _, v := range []any{
 		&Request{Op: "query", Query: "query q(x) :- edge(x,y).", Method: "wcoj", Timeout: "2s"},
 		&Response{Status: StatusOK, Ready: &ready},
-		&Response{Status: StatusOK, Health: &Health{Ready: true, Served: 3, Workers: map[string]string{"127.0.0.1:7434": "up"}}},
+		&Response{Status: StatusOK, Health: &Health{Ready: true, OpenConns: 2, Served: 3, Workers: map[string]string{"127.0.0.1:7434": "up"}}},
 		&Response{Status: StatusOK, Explain: "join <x&y>", Verdict: &Verdict{Method: "stream", Admitted: true}},
 		&Response{Status: StatusOverWidth, Error: "plan width 9 > 3", Verdict: &Verdict{PlanWidth: 9}},
 		&Response{Status: StatusOK, Answer: &Answer{Attrs: []int{}, Nonempty: true, Rows: 1, Tuples: [][]int32{{}}}, Stats: &RunStats{Joins: 2}},

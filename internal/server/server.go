@@ -246,9 +246,10 @@ func (s *Server) Serve() error {
 
 // Shutdown drains the server: readiness flips false first, the listener
 // closes, in-flight requests get until ctx's deadline to finish, then
-// every connection is force-closed and the handlers joined. It is safe
-// to call once; subsequent requests on surviving connections are
-// answered StatusDraining.
+// every connection is force-closed and the handlers joined — the idle
+// ones clients keep included; such a client redials on its next call. It
+// is safe to call once; requests arriving on a surviving connection
+// during the drain are answered StatusDraining.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	if s.ln != nil {
@@ -295,17 +296,18 @@ func (s *Server) Abort() {
 	s.mu.Unlock()
 }
 
-// handleConn serves one connection's request/response loop. Each
-// request is handled under a context canceled when the peer hangs up:
-// while a request is in flight, a watcher goroutine blocks in Peek on
-// the connection's buffered reader — the only bytes that can legally
-// arrive there are the next pipelined request's, so a read error means
-// the client is gone and the in-flight work (a coordinator fan-out, an
-// execution) should stop rather than run out its timeout. The watcher
-// doubles as the idle wait between requests: it returns exactly when
-// ReadFrame would unblock, and is always joined before the next read
-// (bufio.Reader is not concurrency-safe) and before the handler exits
-// (the drain's goroutine-leak guarantee).
+// handleConn serves one connection's request/response loop; clients keep
+// their connections, so another request usually follows. Each request is
+// handled under a context canceled when the peer hangs up: while it is in
+// flight, a watcher goroutine blocks in Peek on the connection's buffered
+// reader — the only bytes that can legally arrive there are the next
+// request's, so a read error means the client is gone (it closes the
+// connection of an attempt it abandons) and the in-flight work (a
+// coordinator fan-out, an execution) should stop rather than run out its
+// timeout. The watcher doubles as the idle wait between requests: it
+// returns exactly when ReadFrame would unblock, and is always joined
+// before the next read (bufio.Reader is not concurrency-safe) and before
+// the handler exits (the drain's goroutine-leak guarantee).
 func (s *Server) handleConn(c net.Conn) {
 	defer s.wg.Done()
 	var watchDone chan struct{}
@@ -426,6 +428,12 @@ func (s *Server) handleRequest(ctx context.Context, req *Request, remote string)
 		}
 		if resp != nil && resp.Worker == "" && s.cfg.WorkerID != "" {
 			resp.Worker = s.cfg.WorkerID
+		}
+		if resp != nil && resp.Health != nil {
+			// Here, so a Handler-mode front (the coordinator) reports it too.
+			s.mu.Lock()
+			resp.Health.OpenConns = len(s.conns)
+			s.mu.Unlock()
 		}
 	}()
 	if s.cfg.Handler != nil {
