@@ -14,6 +14,7 @@ import (
 	"projpush/internal/experiments"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/resilience"
 	"projpush/internal/server"
 	"projpush/internal/server/client"
 )
@@ -145,15 +146,32 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 		}
 	}
 
-	// Methodless, forced onto the default tier: the narrowest
-	// bucket-elimination plan, on the pipeline — also with a spill
-	// directory armed and as a fleet member, the configurations the drills
-	// and the end-to-end benchmark run.
+	// Methodless, this text lands on the stream tier (elimination width 4):
+	// early projection on the pipeline — also with a spill directory armed
+	// and as a fleet member, the configurations the drills and the
+	// end-to-end benchmark run.
 	mcs, err := core.BuildPlan(core.MethodBucketElimination, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chosen, err := core.NarrowestBucketElimination(q, core.NewCandidate(mcs, core.OrderMCS))
+	inHand := core.NewCandidate(mcs, core.OrderMCS)
+	streamPlan, err := core.StreamPlan(q, inHand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := engine.ExecIterator(streamPlan.Plan, db, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deployed := server.Config{SpillDir: t.TempDir(), WorkerID: "w0"}
+	for name, cfg := range map[string]server.Config{"routed": {}, "routed, SpillDir set, fleet worker": deployed} {
+		if got := serve(cfg)(""); got != countsOf(&bare.Stats) {
+			t.Errorf("%s: the stream tier reports %+v, the bare pipeline %+v", name, got, countsOf(&bare.Stats))
+		}
+	}
+	// The default tier's plan, the narrowest bucket-elimination one, runs
+	// as a route runs it: on the pipeline, not the walker.
+	chosen, err := core.NarrowestBucketElimination(q, inHand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,24 +186,12 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 	if pipeline.Stats.PeakBytes >= walker.Stats.PeakBytes {
 		t.Fatalf("pipeline peak %d, walker %d: nothing to tell apart", pipeline.Stats.PeakBytes, walker.Stats.PeakBytes)
 	}
-	defaultTier := server.Config{YannakakisWidth: -1, StreamWidth: -1, WCOJAGMLog2: -1}
-	deployed := defaultTier
-	deployed.SpillDir, deployed.WorkerID = t.TempDir(), "w0"
-	for name, cfg := range map[string]server.Config{"routed": defaultTier, "routed, SpillDir set, fleet worker": deployed} {
-		if got := serve(cfg)(""); got != countsOf(&pipeline.Stats) {
-			t.Errorf("%s: the default tier reports %+v, the pipeline %+v", name, got, countsOf(&pipeline.Stats))
-		}
-	}
-	// The stream tier was on the pipeline before and still is.
-	streamPlan, err := core.StreamPlan(q, core.NewCandidate(mcs, core.OrderMCS))
+	strategy, _ := resilience.Routed(core.MethodBucketElimination, q, chosen.Plan)
+	res, err := strategy.Run(context.Background(), db, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := engine.ExecIterator(streamPlan.Plan, db, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := serve(server.Config{YannakakisWidth: -1, StreamWidth: 1000})(""); got != countsOf(&bare.Stats) {
-		t.Errorf("the stream tier reports %+v, the bare pipeline %+v", got, countsOf(&bare.Stats))
+	if got := countsOf(&res.Stats); got != countsOf(&pipeline.Stats) {
+		t.Errorf("the default tier reports %+v, the pipeline %+v", got, countsOf(&pipeline.Stats))
 	}
 }

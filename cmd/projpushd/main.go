@@ -4,7 +4,7 @@
 // request, and a graceful SIGTERM drain.
 //
 //	projpushd -addr :7433 -colors 3 -maxwidth 6 -concurrency 8
-//	projpushd -addr :7433 -db instance.cq -method bucketelimination -log requests.log
+//	projpushd -addr :7433 -db instance.cq -log requests.log
 //
 // Fleet topologies (internal/cluster):
 //
@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"projpush/internal/cluster"
-	"projpush/internal/core"
 	"projpush/internal/cq"
 	"projpush/internal/cqparse"
 	"projpush/internal/faultinject"
@@ -41,12 +40,9 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:7433", "TCP listen address")
 		dbFile      = flag.String("db", "", "serve this cqparse database (rel blocks; any query clause is ignored as a sample)")
 		colors      = flag.Int("colors", 3, "with no -db, serve the k-COLOR edge database for this k")
-		method      = flag.String("method", string(core.MethodBucketElimination), "default optimization method")
 		maxWidth    = flag.Int("maxwidth", 0, "admission threshold on predicted plan width (0 = off)")
 		maxAGM      = flag.Float64("maxagm", 0, "admission threshold on the AGM output bound, in log2 rows (0 = off)")
 		maxPeak     = flag.Int("maxpeak", 0, "admission threshold on predicted streaming peak bytes, in MiB (0 = off)")
-		streamWidth = flag.Int("streamwidth", 0, "route method-less queries up to this elimination width to the streaming engine (0 = engine default, <0 = off)")
-		wcojAGM     = flag.Float64("wcojagm", 0, "admit method-less queries over the width cap when their AGM output bound is at most this many log2 rows, routing them to the worst-case-optimal executor (0 = engine default, <0 = off)")
 		concurrency = flag.Int("concurrency", 4, "concurrently executing requests")
 		queue       = flag.Int("queue", 0, "bounded wait queue ahead of the executors (0 = 2x concurrency)")
 		queueWait   = flag.Duration("queuewait", time.Second, "max time a request may queue before being shed")
@@ -80,12 +76,9 @@ func main() {
 
 	cfg := server.Config{
 		DB:                db,
-		Method:            core.Method(*method),
 		MaxWidth:          *maxWidth,
 		MaxAGMLog2:        *maxAGM,
 		MaxPredictedBytes: int64(*maxPeak) << 20,
-		StreamWidth:       *streamWidth,
-		WCOJAGMLog2:       *wcojAGM,
 		MaxConcurrent:     *concurrency,
 		MaxQueue:          *queue,
 		QueueWait:         *queueWait,
@@ -119,7 +112,6 @@ func main() {
 			Worker:  cfg,
 			Coordinator: cluster.Config{
 				DB:             db,
-				Method:         core.Method(*method),
 				Hedge:          *hedge,
 				RequestTimeout: *timeout,
 				LocalFallback:  true,
@@ -131,8 +123,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "projpushd: coordinating %d workers (%s) on %s (method=%s hedge=%v)\n",
-			*fleetN, strings.Join(fl.WorkerAddrs(), ", "), fl.Addr(), *method, *hedge)
+		fmt.Fprintf(os.Stderr, "projpushd: coordinating %d workers (%s) on %s (hedge=%v)\n",
+			*fleetN, strings.Join(fl.WorkerAddrs(), ", "), fl.Addr(), *hedge)
 		sig := <-sigs
 		fmt.Fprintf(os.Stderr, "projpushd: %v, draining fleet (deadline %v)\n", sig, *drain)
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
@@ -153,8 +145,8 @@ func main() {
 	if err := srv.Listen(*addr); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "projpushd: serving %d relations on %s (method=%s maxwidth=%d concurrency=%d)\n",
-		len(db), srv.Addr(), *method, *maxWidth, *concurrency)
+	fmt.Fprintf(os.Stderr, "projpushd: serving %d relations on %s (maxwidth=%d concurrency=%d)\n",
+		len(db), srv.Addr(), *maxWidth, *concurrency)
 
 	// Worker mode: announce ourselves to the coordinator; it routes our
 	// shard of the fingerprint space here until we deregister.

@@ -47,14 +47,16 @@ func (c *Coordinator) compile(req *server.Request) (r *routed, hit bool, err err
 }
 
 // affinity computes the routing key: the renaming-invariant fingerprint
-// of the plan a worker would build, so every query in the same family
-// hashes to the worker holding that family's cached subplans. Requests
-// whose plan cannot be built fall back to hashing the raw text — they
-// still route deterministically, and the worker produces the typed error.
+// of the plan a worker would admit — the named method's, or for a
+// methodless request the MCS bucket-elimination plan, as every worker does
+// — so every query in the same family hashes to the worker holding that
+// family's cached subplans. Requests whose plan cannot be built fall back
+// to hashing the raw text — they still route deterministically, and the
+// worker produces the typed error.
 func (c *Coordinator) affinity(req *server.Request, q *cq.Query) string {
-	method := c.cfg.Method
-	if req.Method != "" {
-		method = core.Method(req.Method)
+	method := core.Method(req.Method)
+	if method == "" {
+		method = core.MethodBucketElimination
 	}
 	if p, err := core.BuildPlan(method, q, nil); err == nil {
 		return server.FingerprintID(p)

@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"projpush/internal/core"
 	"projpush/internal/cq"
 	"projpush/internal/engine"
 	"projpush/internal/memo"
@@ -49,11 +48,6 @@ type Config struct {
 	// affinity fingerprinting (the coordinator plans the query exactly as
 	// a worker would) and for LocalFallback execution.
 	DB cq.Database
-	// Method is the default optimization method assumed when a request
-	// does not name one, used only for fingerprinting (default
-	// bucketelimination, matching the server default). Workers still
-	// apply their own routing to methodless requests.
-	Method core.Method
 	// Workers seeds the fleet membership (worker TCP addresses). Workers
 	// may also join and leave at runtime via the register/deregister ops.
 	Workers []string
@@ -102,9 +96,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Method == "" {
-		c.Method = core.MethodBucketElimination
-	}
 	if c.Vnodes <= 0 {
 		c.Vnodes = 64
 	}

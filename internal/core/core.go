@@ -173,13 +173,13 @@ func EarlyProjection(q *cq.Query) (plan.Node, error) {
 	}
 	last := q.LastOccurrence() // free variables pinned past the end
 	var cur plan.Node
+	var attrs []cq.Var // cur's schema, carried: asking a join rebuilds all below it
 	for i, a := range q.Atoms {
 		if i == 0 {
-			cur = &plan.Scan{Atom: a}
+			cur, attrs = &plan.Scan{Atom: a}, a.Args
 		} else {
-			cur = &plan.Join{Left: cur, Right: &plan.Scan{Atom: a}}
+			cur, attrs = &plan.Join{Left: cur, Right: &plan.Scan{Atom: a}}, plan.JoinAttrs(attrs, a.Args)
 		}
-		attrs := cur.Attrs()
 		keep := attrs[:0:0]
 		for _, v := range attrs {
 			if last[v] > i {
@@ -187,12 +187,12 @@ func EarlyProjection(q *cq.Query) (plan.Node, error) {
 			}
 		}
 		if len(keep) < len(attrs) {
-			cur = &plan.Project{Child: cur, Cols: keep}
+			cur, attrs = &plan.Project{Child: cur, Cols: keep}, keep
 		}
 	}
 	// All non-free variables have died; fix the column order to the
 	// target schema.
-	if !sameVarSet(cur.Attrs(), q.Free) || len(cur.Attrs()) != len(q.Free) {
+	if !sameVarSet(attrs, q.Free) || len(attrs) != len(q.Free) {
 		cur = &plan.Project{Child: cur, Cols: append([]cq.Var(nil), q.Free...)}
 	}
 	return cur, nil

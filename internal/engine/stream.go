@@ -55,14 +55,6 @@ import (
 	"projpush/internal/relation"
 )
 
-// DefaultStreamWidth is the elimination-width ceiling under which the
-// server routes method-less queries to the stream tier when they are too
-// wide for the Yannakakis full reducer (DefaultYannakakisWidth). The tier
-// chooses a plan, not an executor: early projection up to this width,
-// bucket elimination under the narrowest order above it, and either runs
-// on the pull pipeline, sweeps where they can pay.
-const DefaultStreamWidth = 6
-
 // opStats is one operator's slice of the EXPLAIN ANALYZE tree: rows
 // emitted, bytes materialized (cumulative) and resident (current / peak),
 // and tuples removed by pushed-down semijoin reduction.

@@ -40,14 +40,6 @@ import (
 	"projpush/internal/treedec"
 )
 
-// DefaultWCOJAGMLog2 is the default log2 AGM-output-bound threshold under
-// which the server routes cyclic queries to the worst-case-optimal
-// executor and admits them even when their plan/MCS width exceeds the
-// width caps: 2^24 ≈ 16M output tuples is comfortably within a single
-// request's budget, while the width of such queries (cliques, dense
-// k-COLOR) grows without bound.
-const DefaultWCOJAGMLog2 = 24
-
 // wcojAtom is one atom's execution state: the bound relation, its sorted
 // index (columns ordered by the global variable order), and a bracket
 // stack — lo[k],hi[k) is the index range consistent with the bindings of

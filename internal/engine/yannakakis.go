@@ -44,8 +44,8 @@ import (
 	"projpush/internal/treedec"
 )
 
-// DefaultYannakakisWidth is the default MCS-elimination-width threshold
-// below which the server and the degradation ladder prefer the Yannakakis
+// DefaultYannakakisWidth is the MCS-elimination-width threshold up to
+// which the server's router and the degradation ladder prefer the Yannakakis
 // full reducer: acyclic queries have elimination width at most the atom
 // arity, and the full reducer's intermediates stay output-bounded while
 // the width (hence bag size) is small.

@@ -11,6 +11,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"projpush/internal/cq"
@@ -46,16 +47,17 @@ type Join struct {
 	Left, Right Node
 }
 
-// Attrs returns the joined schema.
-func (j *Join) Attrs() []cq.Var {
-	l := j.Left.Attrs()
-	out := append([]cq.Var(nil), l...)
-	in := make(map[cq.Var]bool, len(l))
-	for _, a := range l {
-		in[a] = true
-	}
-	for _, a := range j.Right.Attrs() {
-		if !in[a] {
+// Attrs returns the joined schema. It rebuilds every schema below j, so
+// code that grows or walks a deep tree carries the running schema with
+// JoinAttrs instead of asking each node.
+func (j *Join) Attrs() []cq.Var { return JoinAttrs(j.Left.Attrs(), j.Right.Attrs()) }
+
+// JoinAttrs is the schema of the join of inputs with schemas l and r: l
+// followed by r's attributes not in l.
+func JoinAttrs(l, r []cq.Var) []cq.Var {
+	out := append(make([]cq.Var, 0, len(l)+len(r)), l...)
+	for _, a := range r {
+		if !slices.Contains(l, a) {
 			out = append(out, a)
 		}
 	}
@@ -112,17 +114,8 @@ type Stats struct {
 // Analyze walks the plan and returns its structural statistics.
 func Analyze(n Node) Stats {
 	var s Stats
-	var walk func(Node) int
-	walk = func(n Node) int {
-		if a := len(n.Attrs()); a > s.Width {
-			s.Width = a
-		}
-		depth := 0
-		for _, c := range n.Children() {
-			if d := walk(c); d > depth {
-				depth = d
-			}
-		}
+	_, s.Depth = schemas(n, func(n Node, attrs []cq.Var) {
+		s.Width = max(s.Width, len(attrs))
 		switch n.(type) {
 		case *Scan:
 			s.Scans++
@@ -131,10 +124,27 @@ func Analyze(n Node) Stats {
 		case *Project:
 			s.Projects++
 		}
-		return depth + 1
-	}
-	s.Depth = walk(n)
+	})
 	return s
+}
+
+// schemas calls visit on every node of the tree under n, children first,
+// with the node's output schema, and returns n's schema and height. Each
+// schema is built once, from its children's.
+func schemas(n Node, visit func(Node, []cq.Var)) (attrs []cq.Var, depth int) {
+	switch t := n.(type) {
+	case *Scan:
+		attrs = t.Atom.Args
+	case *Join:
+		l, ld := schemas(t.Left, visit)
+		r, rd := schemas(t.Right, visit)
+		attrs, depth = JoinAttrs(l, r), max(ld, rd)
+	case *Project:
+		_, depth = schemas(t.Child, visit)
+		attrs = t.Cols
+	}
+	visit(n, attrs)
+	return attrs, depth + 1
 }
 
 // Atoms returns the scan atoms of the plan in left-to-right order.

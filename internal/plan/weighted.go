@@ -39,16 +39,7 @@ func (w Weights) RowWeight(attrs []cq.Var) int {
 // output schema — the generalization of Stats.Width that the weighted
 // optimization targets. With all weights 1 it equals Analyze(n).Width.
 func WeightedWidth(n Node, w Weights) int {
-	max := 0
-	var walk func(Node)
-	walk = func(n Node) {
-		if rw := w.RowWeight(n.Attrs()); rw > max {
-			max = rw
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(n)
-	return max
+	width := 0
+	schemas(n, func(_ Node, attrs []cq.Var) { width = max(width, w.RowWeight(attrs)) })
+	return width
 }

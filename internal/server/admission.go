@@ -28,9 +28,9 @@ import (
 // bound, and the predicted peak live bytes of a streaming run, checked
 // against the server's thresholds.
 //
-// wcojAGM, when positive, enables the worst-case-optimal override: a
-// query whose only violation is the width threshold is admitted anyway
-// (Verdict.AdmittedOnAGM) when its AGM output bound is within 2^wcojAGM
+// overrideAGM enables the worst-case-optimal override: a query whose only
+// violation is the width threshold is admitted anyway
+// (Verdict.AdmittedOnAGM) when its AGM output bound is within 2^wcojAGMLog2
 // rows, because the caller will route it to the leapfrog multiway join,
 // whose work is bounded by the output bound rather than the plan width.
 // The override never excuses an AGM or predicted-bytes violation: those
@@ -44,14 +44,13 @@ import (
 // with ErrMemLimit. Pass spillBytes < 0 when spilling is disabled. The
 // override never excuses a width or AGM violation: spill bounds
 // residency, not the work or output size those predict.
-func assess(q *cq.Query, p plan.Node, method string, maxWidth int, maxAGMLog2 float64, maxPredicted int64, wcojAGM float64, spillBytes int64, db cq.Database) *Verdict {
+func assess(q *cq.Query, p plan.Node, method string, maxWidth int, maxAGMLog2 float64, maxPredicted int64, overrideAGM bool, spillBytes int64, db cq.Database) *Verdict {
 	v := &Verdict{
 		Method:            method,
 		PlanWidth:         plan.Analyze(p).Width,
 		MaxWidth:          maxWidth,
 		MaxAGMLog2:        maxAGMLog2,
 		MaxPredictedBytes: maxPredicted,
-		WCOJAGMLog2:       wcojAGM,
 		Admitted:          true,
 	}
 	c := newCover(q, db)
@@ -67,7 +66,7 @@ func assess(q *cq.Query, p plan.Node, method string, maxWidth int, maxAGMLog2 fl
 	if overWidth || overAGM || overPredicted {
 		v.Admitted = false
 	}
-	if overWidth && !overAGM && !overPredicted && wcojAGM > 0 && v.AGMLog2 <= wcojAGM {
+	if overWidth && !overAGM && !overPredicted && overrideAGM && v.AGMLog2 <= wcojAGMLog2 {
 		v.Admitted = true
 		v.AdmittedOnAGM = true
 	}

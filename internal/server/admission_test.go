@@ -39,7 +39,7 @@ func TestAssessWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := assess(in.q, p, "bucketelimination", 0, 0, 0, 0, -1, in.db)
+	v := assess(in.q, p, "bucketelimination", 0, 0, 0, false, -1, in.db)
 	if !v.Admitted {
 		t.Fatalf("no thresholds set, want admitted, got %+v", v)
 	}
@@ -56,12 +56,12 @@ func TestAssessWidths(t *testing.T) {
 	}
 
 	// A width threshold below the plan width rejects.
-	tight := assess(in.q, p, "bucketelimination", v.PlanWidth-1, 0, 0, 0, -1, in.db)
+	tight := assess(in.q, p, "bucketelimination", v.PlanWidth-1, 0, 0, false, -1, in.db)
 	if tight.Admitted {
 		t.Errorf("threshold %d under plan width %d: want rejected", v.PlanWidth-1, v.PlanWidth)
 	}
 	// An AGM threshold below the bound rejects.
-	agmTight := assess(in.q, p, "bucketelimination", 0, v.AGMLog2/2, 0, 0, -1, in.db)
+	agmTight := assess(in.q, p, "bucketelimination", 0, v.AGMLog2/2, 0, false, -1, in.db)
 	if agmTight.Admitted {
 		t.Errorf("AGM threshold %v under bound %v: want rejected", v.AGMLog2/2, v.AGMLog2)
 	}
@@ -73,32 +73,32 @@ func TestAssessSpillOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := assess(in.q, p, "bucketelimination", 0, 0, 0, 0, -1, in.db)
+	base := assess(in.q, p, "bucketelimination", 0, 0, 0, false, -1, in.db)
 	if base.PredictedPeakBytes <= 1 {
 		t.Fatalf("want a nonzero predicted peak, got %d", base.PredictedPeakBytes)
 	}
 	tight := base.PredictedPeakBytes - 1
 	// Over the byte threshold with spilling disabled: rejected.
-	if v := assess(in.q, p, "bucketelimination", 0, 0, tight, 0, -1, in.db); v.Admitted {
+	if v := assess(in.q, p, "bucketelimination", 0, 0, tight, false, -1, in.db); v.Admitted {
 		t.Errorf("predicted %d over threshold %d without spill: want rejected", v.PredictedPeakBytes, tight)
 	}
 	// Spilling armed with unlimited disk: admitted on spill.
-	v := assess(in.q, p, "bucketelimination", 0, 0, tight, 0, 0, in.db)
+	v := assess(in.q, p, "bucketelimination", 0, 0, tight, false, 0, in.db)
 	if !v.Admitted || !v.AdmittedOnSpill {
 		t.Errorf("unlimited spill budget: want AdmittedOnSpill, got %+v", v)
 	}
 	// Spilling armed but the prediction exceeds the disk budget too:
 	// rejected — disk cannot absorb what it cannot hold.
-	if v := assess(in.q, p, "bucketelimination", 0, 0, tight, 0, tight, in.db); v.Admitted {
+	if v := assess(in.q, p, "bucketelimination", 0, 0, tight, false, tight, in.db); v.Admitted {
 		t.Errorf("prediction over both memory and disk budgets: want rejected, got %+v", v)
 	}
 	// A disk budget that fits the prediction admits.
-	fit := assess(in.q, p, "bucketelimination", 0, 0, tight, 0, base.PredictedPeakBytes, in.db)
+	fit := assess(in.q, p, "bucketelimination", 0, 0, tight, false, base.PredictedPeakBytes, in.db)
 	if !fit.Admitted || !fit.AdmittedOnSpill {
 		t.Errorf("prediction within disk budget: want AdmittedOnSpill, got %+v", fit)
 	}
 	// The override never excuses a width violation.
-	if v := assess(in.q, p, "bucketelimination", base.PlanWidth-1, 0, tight, 0, 0, in.db); v.Admitted {
+	if v := assess(in.q, p, "bucketelimination", base.PlanWidth-1, 0, tight, false, 0, in.db); v.Admitted {
 		t.Errorf("width violation with spill armed: want rejected, got %+v", v)
 	}
 }
@@ -290,7 +290,7 @@ func BenchmarkAdmissionRule(b *testing.B) {
 			b.ReportAllocs()
 			var v *Verdict
 			for i := 0; i < b.N; i++ {
-				v = assess(q, p, "bucketelimination", 0, 0, 0, engine.DefaultWCOJAGMLog2, -1, db)
+				v = assess(q, p, "bucketelimination", 0, 0, 0, true, -1, db)
 			}
 			if fires := v.BagAGMLog2 != nil && v.AGMLog2 <= *v.BagAGMLog2; fires != (name == "triangle") {
 				b.Fatalf("rule fires = %v (agm %.2f, bag %v)", fires, v.AGMLog2, v.BagAGMLog2)

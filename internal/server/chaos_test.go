@@ -83,11 +83,16 @@ func buildChaosCases(t *testing.T, db cq.Database) []chaosCase {
 	return cases
 }
 
-// overWidthQuery renders a query whose every plan's width exceeds the
-// drill's admission threshold (K6: treewidth 5, so plan width >= 6).
+// overWidthQuery renders a query over the drill's admission threshold
+// that the worst-case-optimal override cannot admit: a random order-20
+// 3-COLOR query with 80 edges, whose admitted plan has width 13 and whose
+// AGM bound, 2^28.4 rows, is over the override's 2^24.
 func overWidthQuery(t *testing.T) string {
 	t.Helper()
-	g := graph.Complete(6)
+	g, err := graph.Random(20, 80, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
 	if err != nil {
 		t.Fatal(err)
@@ -138,11 +143,10 @@ func TestChaosDrill(t *testing.T) {
 	srv := server.New(server.Config{
 		DB: db,
 		// Free variables push the drill queries' plan width to 4
-		// (they must survive every intermediate); K6 needs 6. The
-		// worst-case-optimal override is disabled so the wide probes
-		// exercise the rejection path this drill verifies.
+		// (they must survive every intermediate); the wide probe needs
+		// 13 and its output bound is too large for the override, so it
+		// exercises the rejection path this drill verifies.
 		MaxWidth:       5,
-		WCOJAGMLog2:    -1,
 		MaxConcurrent:  2,
 		MaxQueue:       2,
 		QueueWait:      50 * time.Millisecond,

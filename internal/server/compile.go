@@ -91,10 +91,11 @@ func (s *Server) build(q *cq.Query, db cq.Database, named string) *compiled {
 		return c
 	}
 
-	// Resolve the method and build its plan (static, cheap).
-	method := s.cfg.Method
-	if named != "" {
-		method = core.Method(named)
+	// Resolve the method and build its plan (static, cheap): a methodless
+	// request is admitted against the MCS bucket-elimination plan.
+	method := core.Method(named)
+	if named == "" {
+		method = core.MethodBucketElimination
 	}
 	if !core.Known(method) {
 		return fail(fmt.Sprintf("unknown method %q", method))
@@ -113,10 +114,7 @@ func (s *Server) build(q *cq.Query, db cq.Database, named string) *compiled {
 	// would actually run — a methodless request (routed below) or an
 	// explicit wcoj one — since for any other method the plan width, not
 	// the output bound, governs the intermediates.
-	wcojAGM := s.cfg.WCOJAGMLog2
-	if wcojAGM < 0 || (named != "" && method != core.MethodWCOJ) {
-		wcojAGM = 0
-	}
+	overrideAGM := named == "" || method == core.MethodWCOJ
 	// The spill override applies only to methodless requests: routing
 	// below picks an executor that can actually spill, whereas an
 	// explicitly named method may be one (yannakakis, wcoj) that ignores
@@ -125,7 +123,7 @@ func (s *Server) build(q *cq.Query, db cq.Database, named string) *compiled {
 	if s.cfg.SpillDir != "" && named == "" {
 		spillBytes = s.cfg.MaxSpillBytes
 	}
-	v := assess(q, p, string(method), s.cfg.MaxWidth, s.cfg.MaxAGMLog2, s.cfg.MaxPredictedBytes, wcojAGM, spillBytes, db)
+	v := assess(q, p, string(method), s.cfg.MaxWidth, s.cfg.MaxAGMLog2, s.cfg.MaxPredictedBytes, overrideAGM, spillBytes, db)
 	c.verdict = v
 	if !v.Admitted {
 		c.log.set("verdict", "over_width")
@@ -150,7 +148,7 @@ func (s *Server) build(q *cq.Query, db cq.Database, named string) *compiled {
 
 	// Routing: the executor, and the plan it runs, chosen once.
 	inHand := core.Candidate{Plan: p, Order: core.PlanOrder(method), Width: v.PlanWidth}
-	method, chosen, reason, err := s.route(named != "", q, method, inHand, v)
+	method, chosen, reason, err := route(core.Method(named), q, inHand, v)
 	if err != nil {
 		c.verdict = nil // nothing to keep: the query has no executable plan
 		return fail("plan: " + err.Error())

@@ -104,14 +104,13 @@ type Request struct {
 	// optionally preceded by rel blocks that extend or shadow the
 	// server's database for this request.
 	Query string `json:"query,omitempty"`
-	// Method optionally overrides the server's default optimization
-	// method (straightforward, earlyprojection, reordering,
-	// bucketelimination, yannakakis, stream, wcoj). When empty, narrow
-	// queries may be routed to the Yannakakis full reducer
-	// (Config.YannakakisWidth), mid-width queries to the streaming
-	// engine (Config.StreamWidth), and cyclic queries with a small AGM
-	// output bound to the worst-case-optimal executor
-	// (Config.WCOJAGMLog2).
+	// Method optionally names the optimization method (straightforward,
+	// earlyprojection, reordering, bucketelimination, yannakakis, stream,
+	// wcoj). When empty, the server routes the query by its structure
+	// alone: cyclic queries no decomposition helps and wide ones with a
+	// small AGM output bound to the worst-case-optimal executor, narrow
+	// queries to the Yannakakis full reducer, mid-width ones to the
+	// streaming engine, and the rest to bucket elimination.
 	Method string `json:"method,omitempty"`
 	// Timeout optionally tightens the per-request execution deadline
 	// (a Go duration string); it can never extend the server's cap.
@@ -188,14 +187,11 @@ type Verdict struct {
 	MaxWidth          int     `json:"max_width,omitempty"`
 	MaxAGMLog2        float64 `json:"max_agm_log2,omitempty"`
 	MaxPredictedBytes int64   `json:"max_predicted_bytes,omitempty"`
-	// WCOJAGMLog2 echoes the worst-case-optimal override threshold in
-	// force (0 = off; see AdmittedOnAGM).
-	WCOJAGMLog2 float64 `json:"wcoj_agm_log2,omitempty"`
 	// Admitted reports whether the query passed every threshold.
 	Admitted bool `json:"admitted"`
 	// AdmittedOnAGM reports that the query failed the width threshold
 	// but was admitted anyway because its AGM output bound is within
-	// WCOJAGMLog2 and the worst-case-optimal executor — whose total work
+	// 2^24 rows and the worst-case-optimal executor — whose total work
 	// is bounded by that output bound, not by the plan width — will run
 	// it. Width is the wrong admission quantity for a multiway join;
 	// the output bound is the right one.

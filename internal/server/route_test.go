@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 	"projpush/internal/instance"
 	"projpush/internal/plan"
 	"projpush/internal/relation"
+	"projpush/internal/resilience"
 )
 
 // routeCase is one query of the routing tests' pool.
@@ -159,139 +161,257 @@ func noGain(v *Verdict) bool {
 	return v.Method == string(core.MethodWCOJ) && v.BagAGMLog2 != nil && v.AGMLog2 <= *v.BagAGMLog2
 }
 
+// TestRouteTable pins where the router sends every shape of the pool: the
+// route, its reason and, on the two plan tiers, the executed plan's order
+// and width. The thresholds are constants and the cascade's order is
+// fixed, so a change to either shows up here as a diff.
+func TestRouteTable(t *testing.T) {
+	want := map[string]string{
+		"triangle":         "wcoj no_gain_from_decomposition",
+		"triangle/x,y":     "wcoj no_gain_from_decomposition",
+		"triangle/unequal": "wcoj no_gain_from_decomposition",
+		"triangle/empty":   "wcoj no_gain_from_decomposition",
+		"cycle4":           "wcoj no_gain_from_decomposition",
+		"K4":               "wcoj no_gain_from_decomposition",
+		"K5":               "wcoj no_gain_from_decomposition",
+		"K6":               "wcoj no_gain_from_decomposition",
+		"wheel-7":          "yannakakis narrow",
+		"wheel-12":         "yannakakis narrow",
+		"augpath-5":        "yannakakis narrow",
+		"augpath-10":       "yannakakis narrow",
+		"augpath-20":       "yannakakis narrow",
+		"augpath-40":       "yannakakis narrow",
+		"ladder-5":         "yannakakis narrow",
+		"ladder-10":        "yannakakis narrow",
+		"ladder-20":        "yannakakis narrow",
+		"ladder-40":        "yannakakis narrow",
+		"augladder-5":      "yannakakis narrow",
+		"augladder-10":     "yannakakis narrow",
+		"augladder-20":     "yannakakis narrow",
+		"augladder-40":     "yannakakis narrow",
+		"augcircladder-5":  "stream mid_width listed/5",
+		"augcircladder-10": "stream mid_width listed/5",
+		"augcircladder-20": "stream mid_width listed/5",
+		"augcircladder-40": "stream mid_width listed/5",
+		"random-16-d2":     "wcoj agm",
+		"random-16-d2/1":   "wcoj agm",
+		"random-16-d2/2":   "wcoj agm",
+		"random-16-d2/3":   "stream mid_width mcs/6",
+		"random-16-d2/4":   "stream mid_width mcs/7",
+		"random-16-d3":     "wcoj agm",
+		"random-16-d3/1":   "wcoj agm",
+		"random-16-d3/2":   "wcoj agm",
+		"random-16-d3/3":   "wcoj agm",
+		"random-16-d3/4":   "wcoj agm",
+		"random-16-d4":     "wcoj agm",
+		"random-16-d4/1":   "wcoj agm",
+		"random-16-d4/2":   "wcoj agm",
+		"random-16-d4/3":   "wcoj agm",
+		"random-16-d4/4":   "wcoj agm",
+		"random-18-d2":     "bucketelimination default minfill/8",
+		"random-18-d2/1":   "stream mid_width mcs/6",
+		"random-18-d2/2":   "bucketelimination default minfill/7",
+		"random-18-d2/3":   "bucketelimination default minfill/7",
+		"random-18-d2/4":   "bucketelimination default minfill/7",
+		"random-18-d3":     "wcoj agm",
+		"random-18-d3/1":   "bucketelimination default minfill/8",
+		"random-18-d3/2":   "wcoj agm",
+		"random-18-d3/3":   "wcoj agm",
+		"random-18-d3/4":   "bucketelimination default mcs/11",
+		"random-18-d4":     "bucketelimination default mcs/11",
+		"random-18-d4/1":   "bucketelimination default minfill/10",
+		"random-18-d4/2":   "bucketelimination default minfill/11",
+		"random-18-d4/3":   "bucketelimination default minfill/11",
+		"random-18-d4/4":   "bucketelimination default mindegree/11",
+		"random-19-d2":     "bucketelimination default minfill/6",
+		"random-19-d2/1":   "stream mid_width mcs/5",
+		"random-19-d2/2":   "stream mid_width mcs/7",
+		"random-19-d2/3":   "bucketelimination default mcs/8",
+		"random-19-d2/4":   "stream mid_width mcs/7",
+		"random-19-d3":     "bucketelimination default mcs/10",
+		"random-19-d3/1":   "bucketelimination default minfill/10",
+		"random-19-d3/2":   "bucketelimination default mindegree/9",
+		"random-19-d3/3":   "bucketelimination default mindegree/9",
+		"random-19-d3/4":   "bucketelimination default minfill/10",
+		"random-19-d4":     "bucketelimination default mindegree/11",
+		"random-19-d4/1":   "bucketelimination default minfill/11",
+		"random-19-d4/2":   "bucketelimination default mcs/11",
+		"random-19-d4/3":   "bucketelimination default minfill/11",
+		"random-19-d4/4":   "bucketelimination default minfill/12",
+		"random-20-d2":     "stream mid_width mcs/7",
+		"random-20-d2/1":   "bucketelimination default minfill/8",
+		"random-20-d2/2":   "bucketelimination default mindegree/6",
+		"random-20-d2/3":   "bucketelimination default minfill/7",
+		"random-20-d2/4":   "bucketelimination default mcs/8",
+		"random-20-d3":     "bucketelimination default minfill/9",
+		"random-20-d3/1":   "bucketelimination default minfill/10",
+		"random-20-d3/2":   "bucketelimination default minfill/8",
+		"random-20-d3/3":   "bucketelimination default minfill/9",
+		"random-20-d3/4":   "bucketelimination default mindegree/11",
+		"random-20-d4":     "bucketelimination default minfill/11",
+		"random-20-d4/1":   "bucketelimination default mindegree/10",
+		"random-20-d4/2":   "bucketelimination default minfill/12",
+		"random-20-d4/3":   "bucketelimination default minfill/12",
+		"random-20-d4/4":   "bucketelimination default mindegree/12",
+	}
+	pool, db := routePool(t)
+	if len(pool) != len(want) {
+		t.Errorf("pool has %d shapes, the table %d", len(pool), len(want))
+	}
+	s := New(Config{DB: db})
+	for _, c := range pool {
+		b := s.build(c.q, db, "")
+		if b.status != "" {
+			t.Fatalf("%s: %s: %s", c.name, b.status, b.err)
+		}
+		got := string(b.method) + " " + b.reason
+		if runsPlan(b.method) {
+			got += fmt.Sprintf(" %s/%d", b.chosen.Order, b.chosen.Width)
+		}
+		if got != want[c.name] {
+			t.Errorf("%s: routed %q, the table says %q", c.name, got, want[c.name])
+		}
+	}
+}
+
+// mcsCandidate is what a methodless request's admission measures and route
+// starts from: the MCS bucket-elimination plan.
+func mcsCandidate(t testing.TB, q *cq.Query) core.Candidate {
+	t.Helper()
+	p, err := core.BuildPlan(core.MethodBucketElimination, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.NewCandidate(p, core.OrderMCS)
+}
+
+// planTiers are the two tiers that execute a plan, by the plan choice each
+// makes from the admitted MCS candidate: every shape can be put through
+// both, whichever tier the router picks for it.
+var planTiers = []struct {
+	method core.Method
+	choose func(*cq.Query, core.Candidate) (core.Candidate, error)
+}{
+	{core.MethodStream, core.StreamPlan},
+	{core.MethodBucketElimination, core.NarrowestBucketElimination},
+}
+
 // TestNoGainTierTable pins which shapes the size-only tier takes — the
 // triangles (both free-variable sets, unequal relations, an empty one),
-// the 4-cycle and K4–K6, under every setting of the three knobs — and
-// that it takes nothing else: every Figure 6–9 family at orders 5–40,
-// both wheels and every random graph get the route and the plan the
-// cascade below it gives them, which is what they had before the tier.
+// the 4-cycle and K4–K6 — and that it takes nothing else: every Figure 6–9
+// family at orders 5–40, both wheels and every random graph get the route
+// and the plan the cascade below it gives them, which is what they had
+// before the tier.
 func TestNoGainTierTable(t *testing.T) {
 	pool, db := routePool(t)
 	takes := map[string]bool{
 		"triangle": true, "triangle/x,y": true, "triangle/unequal": true, "triangle/empty": true,
 		"cycle4": true, "K4": true, "K5": true, "K6": true,
 	}
-	// What the default cascade has always given the structured shapes.
+	// What the cascade has always given the structured shapes.
 	structured := map[string]core.Method{
 		"augpath": core.MethodYannakakis, "ladder": core.MethodYannakakis, "augladder": core.MethodYannakakis,
 		"augcircladder": core.MethodStream, "wheel": core.MethodYannakakis,
 	}
-	for name, cfg := range tierConfigs(db) {
-		s := New(cfg)
-		taken := 0
-		for _, c := range pool {
-			p, err := core.BuildPlan(s.cfg.Method, c.q, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v := assess(c.q, p, string(s.cfg.Method), 0, 0, 0, s.cfg.WCOJAGMLog2, -1, db)
-			inHand := core.Candidate{Plan: p, Order: core.PlanOrder(s.cfg.Method), Width: v.PlanWidth}
-			method, chosen, reason, err := s.route(false, c.q, s.cfg.Method, inHand, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if takes[c.name] {
-				taken++
-				if method != core.MethodWCOJ || reason != "no_gain_from_decomposition" {
-					t.Errorf("%s %s: route %s (%s), want wcoj by the size-only tier (agm %.2f, bag %v)",
-						name, c.name, method, reason, v.AGMLog2, v.BagAGMLog2)
-				}
-				continue
-			}
-			// The cascade alone: the same verdict with the rule's quantity
-			// withheld.
-			below := *v
-			below.BagAGMLog2 = nil
-			wantMethod, wantChosen, wantReason, err := s.route(false, c.q, s.cfg.Method, inHand, &below)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if method != wantMethod || reason != wantReason || FingerprintID(chosen.Plan) != FingerprintID(wantChosen.Plan) {
-				t.Errorf("%s %s: route %s (%s), the cascade gives %s (%s)", name, c.name, method, reason, wantMethod, wantReason)
-			}
-			if reason == "no_gain_from_decomposition" || reason == "named" {
-				t.Errorf("%s %s: reason %q", name, c.name, reason)
-			}
-			family, _, _ := strings.Cut(c.name, "-")
-			if want, ok := structured[family]; ok && name == "cascade" && method != want {
-				t.Errorf("%s: route %s, want %s", c.name, method, want)
-			}
-			// The precheck spares the structured families the walk.
-			if !strings.HasPrefix(c.name, "random") && !strings.HasPrefix(c.name, "wheel") && v.BagAGMLog2 != nil {
-				t.Errorf("%s %s: bags walked (bag bound %.2f, whole %.2f)", name, c.name, *v.BagAGMLog2, v.AGMLog2)
-			}
+	taken := 0
+	for _, c := range pool {
+		inHand := mcsCandidate(t, c.q)
+		v := assess(c.q, inHand.Plan, "bucketelimination", 0, 0, 0, true, -1, db)
+		method, chosen, reason, err := route("", c.q, inHand, v)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if taken != len(takes) {
-			t.Errorf("%s: pool has %d of the %d shapes the tier takes", name, taken, len(takes))
+		if takes[c.name] {
+			taken++
+			if method != core.MethodWCOJ || reason != "no_gain_from_decomposition" {
+				t.Errorf("%s: route %s (%s), want wcoj by the size-only tier (agm %.2f, bag %v)",
+					c.name, method, reason, v.AGMLog2, v.BagAGMLog2)
+			}
+			continue
+		}
+		// The cascade alone: the same verdict with the rule's quantity
+		// withheld.
+		below := *v
+		below.BagAGMLog2 = nil
+		wantMethod, wantChosen, wantReason, err := route("", c.q, inHand, &below)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if method != wantMethod || reason != wantReason || FingerprintID(chosen.Plan) != FingerprintID(wantChosen.Plan) {
+			t.Errorf("%s: route %s (%s), the cascade gives %s (%s)", c.name, method, reason, wantMethod, wantReason)
+		}
+		if reason == "no_gain_from_decomposition" || reason == "named" {
+			t.Errorf("%s: reason %q", c.name, reason)
+		}
+		family, _, _ := strings.Cut(c.name, "-")
+		if want, ok := structured[family]; ok && method != want {
+			t.Errorf("%s: route %s, want %s", c.name, method, want)
+		}
+		// The precheck spares the structured families the walk.
+		if !strings.HasPrefix(c.name, "random") && !strings.HasPrefix(c.name, "wheel") && v.BagAGMLog2 != nil {
+			t.Errorf("%s: bags walked (bag bound %.2f, whole %.2f)", c.name, *v.BagAGMLog2, v.AGMLog2)
 		}
 	}
+	if taken != len(takes) {
+		t.Errorf("pool has %d of the %d shapes the tier takes", taken, len(takes))
+	}
 	// A request that names a method is not routed.
-	s := New(Config{DB: db})
-	if m, _, reason, _ := s.route(true, pool[0].q, core.MethodStream, core.Candidate{}, &Verdict{}); m != core.MethodStream || reason != "named" {
+	if m, _, reason, _ := route(core.MethodStream, pool[0].q, core.Candidate{}, &Verdict{}); m != core.MethodStream || reason != "named" {
 		t.Errorf("named stream request routed to %s (%s)", m, reason)
 	}
 }
 
-// tierConfigs reach every tier that executes a plan: the default cascade,
-// everything forced onto the stream tier, everything forced onto the
-// default tier.
-func tierConfigs(db cq.Database) map[string]Config {
-	return map[string]Config{
-		"cascade":      {DB: db},
-		"stream-tier":  {DB: db, YannakakisWidth: -1, StreamWidth: 1000},
-		"default-tier": {DB: db, YannakakisWidth: -1, StreamWidth: -1, WCOJAGMLog2: -1},
-	}
-}
-
 // TestExecutedPlanNeverWiderThanAdmitted pins the admission hole this
-// closes: assess measured the default method's plan against -maxwidth and
-// the stream tier then ran the early-projection plan, whatever its width.
+// closes: assess measured the admitted plan against -maxwidth and the
+// stream tier then ran the early-projection plan, whatever its width.
+// Every shape goes through the plan its route executes and through both
+// plan tiers' choices, whichever tier it lands on.
 func TestExecutedPlanNeverWiderThanAdmitted(t *testing.T) {
 	pool, db := routePool(t)
+	s := New(Config{DB: db})
 	narrowedStream, narrowedDefault := 0, 0
-	configs := tierConfigs(db)
-	// The invariant holds whatever plan method the server defaults to.
-	for _, m := range []core.Method{core.MethodStraightforward, core.MethodEarlyProjection, core.MethodReordering} {
-		configs[string(m)] = Config{DB: db, YannakakisWidth: -1, Method: m}
-	}
-	for name, cfg := range configs {
-		s := New(cfg)
-		for _, c := range pool {
-			method, chosen, v := routed(t, s, c.q, db)
-			if !runsPlan(method) {
-				continue
+	for _, c := range pool {
+		method, chosen, v := routed(t, s, c.q, db)
+		check := func(tier core.Method, cand core.Candidate) {
+			if err := plan.Validate(cand.Plan, c.q); err != nil {
+				t.Fatalf("%s %s: %v", tier, c.name, err)
 			}
-			if err := plan.Validate(chosen.Plan, c.q); err != nil {
-				t.Fatalf("%s %s: %v", name, c.name, err)
-			}
-			w := plan.Analyze(chosen.Plan).Width
-			if w != chosen.Width {
-				t.Errorf("%s %s: candidate says width %d, plan has %d", name, c.name, chosen.Width, w)
+			w := plan.Analyze(cand.Plan).Width
+			if w != cand.Width {
+				t.Errorf("%s %s: candidate says width %d, plan has %d", tier, c.name, cand.Width, w)
 			}
 			if w > v.PlanWidth {
-				t.Errorf("%s %s: route %s executes width %d, admission measured %d", name, c.name, method, w, v.PlanWidth)
+				t.Errorf("%s %s: executes width %d, admission measured %d", tier, c.name, w, v.PlanWidth)
 			}
-			if name != "cascade" {
-				continue
-			}
-			// At the parent commit the stream tier ran early projection
-			// and the default tier the MCS plan.
-			parent, err := core.BuildPlan(method, c.q, nil)
+		}
+		for _, tier := range planTiers {
+			cand, err := tier.choose(c.q, mcsCandidate(t, c.q))
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch pw := plan.Analyze(parent).Width; {
-			case w < pw && method == core.MethodStream:
-				narrowedStream++
-			case w < pw:
-				narrowedDefault++
-			case w == pw:
-				// A tie keeps the parent's plan, byte for byte.
-				got, _ := plan.Fingerprint(chosen.Plan)
-				want, _ := plan.Fingerprint(parent)
-				if got != want || chosen.Order != core.PlanOrder(method) {
-					t.Errorf("%s: route %s ties at width %d but the plan changed (order %s)", c.name, method, w, chosen.Order)
-				}
+			check(tier.method, cand)
+		}
+		if !runsPlan(method) {
+			continue
+		}
+		check(method, chosen)
+		// Before the tiers chose, the stream tier ran early projection and
+		// the default tier the MCS plan.
+		parent, err := core.BuildPlan(method, c.q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch pw := plan.Analyze(parent).Width; {
+		case chosen.Width < pw && method == core.MethodStream:
+			narrowedStream++
+		case chosen.Width < pw:
+			narrowedDefault++
+		case chosen.Width == pw:
+			// A tie keeps the parent's plan, byte for byte.
+			got, _ := plan.Fingerprint(chosen.Plan)
+			want, _ := plan.Fingerprint(parent)
+			if got != want || chosen.Order != core.PlanOrder(method) {
+				t.Errorf("%s: route %s ties at width %d but the plan changed (order %s)", c.name, method, chosen.Width, chosen.Order)
 			}
 		}
 	}
@@ -338,10 +458,11 @@ func textOf(t testing.TB, q *cq.Query) string {
 	return buf.String()
 }
 
-// TestTiersAnswerLikeTheOracle sends the pool through every tier — the
-// size-only one included, which no knob turns off — and compares each
-// answer with the backtracking oracle, or with the MCS bucket-elimination
-// plan where the oracle's search space (the structured families at orders
+// TestTiersAnswerLikeTheOracle sends the pool through the server, which
+// reaches every tier, and every shape through both plan tiers' choices run
+// as the route runs them (resilience.Routed), and compares each answer
+// with the backtracking oracle, or with the MCS bucket-elimination plan
+// where the oracle's search space (the structured families at orders
 // 10–40) is out of reach.
 func TestTiersAnswerLikeTheOracle(t *testing.T) {
 	pool, db := routePool(t)
@@ -366,39 +487,56 @@ func TestTiersAnswerLikeTheOracle(t *testing.T) {
 		}
 		want[i] = rel
 	}
-	for name, cfg := range tierConfigs(db) {
-		_, addr := startServer(t, cfg)
-		sizeOnly := 0
-		for i, c := range pool {
-			resp := roundTrip(t, addr, &Request{Op: "query", Query: textOf(t, c.q)})
-			if resp.Status != StatusOK {
-				t.Fatalf("%s %s: status %s (%s)", name, c.name, resp.Status, resp.Error)
-			}
-			// Column order is the executed plan's: compare as relations.
-			attrs := make([]relation.Attr, len(resp.Answer.Attrs))
-			for j, a := range resp.Answer.Attrs {
-				attrs[j] = relation.Attr(a)
-			}
-			got := relation.New(attrs)
-			for _, row := range resp.Answer.Tuples {
-				tuple := make(relation.Tuple, len(row))
-				for j, v := range row {
-					tuple[j] = relation.Value(v)
-				}
-				got.Add(tuple)
-			}
-			if got.Len() != resp.Answer.Rows || !got.Equal(want[i]) {
-				t.Errorf("%s %s (route %s): %d rows %v, reference has %d", name, c.name,
-					resp.Verdict.Method, resp.Answer.Rows, resp.Answer.Tuples, want[i].Len())
-			}
-			if noGain(resp.Verdict) {
-				sizeOnly++
-			}
+	_, addr := startServer(t, Config{DB: db})
+	routes := map[string]int{}
+	for i, c := range pool {
+		resp := roundTrip(t, addr, &Request{Op: "query", Query: textOf(t, c.q)})
+		if resp.Status != StatusOK {
+			t.Fatalf("%s: status %s (%s)", c.name, resp.Status, resp.Error)
 		}
-		// The size-only tier sits above the knobs: the four triangles,
-		// the 4-cycle and K4–K6 reach it under every configuration.
-		if sizeOnly < 8 {
-			t.Errorf("%s: %d answers came from the size-only tier, want at least 8", name, sizeOnly)
+		// Column order is the executed plan's: compare as relations.
+		attrs := make([]relation.Attr, len(resp.Answer.Attrs))
+		for j, a := range resp.Answer.Attrs {
+			attrs[j] = relation.Attr(a)
+		}
+		got := relation.New(attrs)
+		for _, row := range resp.Answer.Tuples {
+			tuple := make(relation.Tuple, len(row))
+			for j, v := range row {
+				tuple[j] = relation.Value(v)
+			}
+			got.Add(tuple)
+		}
+		if got.Len() != resp.Answer.Rows || !got.Equal(want[i]) {
+			t.Errorf("%s (route %s): %d rows %v, reference has %d", c.name,
+				resp.Verdict.Method, resp.Answer.Rows, resp.Answer.Tuples, want[i].Len())
+		}
+		route := resp.Verdict.Method
+		if noGain(resp.Verdict) {
+			route = "no_gain"
+		}
+		routes[route]++
+	}
+	// The four triangles, the 4-cycle and K4–K6 reach the size-only tier;
+	// every other route answers something too.
+	if routes["no_gain"] < 8 || len(routes) != 5 {
+		t.Errorf("answers by route %v: want every route, and at least 8 from the size-only tier", routes)
+	}
+	for i, c := range pool {
+		for _, tier := range planTiers {
+			cand, err := tier.choose(c.q, mcsCandidate(t, c.q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			strategy, _ := resilience.Routed(tier.method, c.q, cand.Plan)
+			res, err := strategy.Run(context.Background(), db, engine.Options{})
+			if err != nil {
+				t.Fatalf("%s on the %s tier: %v", c.name, tier.method, err)
+			}
+			if !res.Rel.Equal(want[i]) {
+				t.Errorf("%s on the %s tier (%s/%d): %d rows, reference has %d", c.name, tier.method,
+					cand.Order, cand.Width, res.Rel.Len(), want[i].Len())
+			}
 		}
 	}
 }

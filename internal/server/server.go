@@ -28,12 +28,6 @@ type Config struct {
 	// Requests may carry rel blocks that extend or shadow it per
 	// request.
 	DB cq.Database
-	// Method is the default optimization method (default
-	// bucketelimination, the paper's most robust). Its plan is the one
-	// admission measures; a request that names no method and falls
-	// through every routing tier executes it — under bucketelimination,
-	// the narrowest of the MCS, min-fill and min-degree orders (route).
-	Method core.Method
 	// MaxWidth rejects queries whose chosen plan's width (maximum
 	// intermediate arity) exceeds it (0 = no width threshold).
 	MaxWidth int
@@ -70,34 +64,6 @@ type Config struct {
 	// MaxSpillBytes bounds each run's spill-directory footprint
 	// (0 = unlimited disk).
 	MaxSpillBytes int64
-	// YannakakisWidth routes requests that did not name a method to the
-	// Yannakakis full reducer when their MCS elimination width is at most
-	// this bound (default engine.DefaultYannakakisWidth; <0 disables the
-	// routing). Acyclic queries have elimination width 1 and always
-	// qualify under the default. This and the two knobs below order the
-	// tiers under route's size-only rule, which no knob governs: a cyclic
-	// query whose widest bag's AGM bound reaches the whole query's runs
-	// as one leapfrog join whatever its width.
-	YannakakisWidth int
-	// StreamWidth routes requests that did not name a method and were too
-	// wide for the Yannakakis routing to the pipelined streaming engine
-	// when their MCS elimination width is at most this bound (default
-	// engine.DefaultStreamWidth; <0 disables the routing). The streaming
-	// engine's budget bounds peak live bytes rather than cumulative
-	// materialization, so mid-width queries fit budgets the materializing
-	// executors blow. The tier lowers the early-projection plan unless
-	// the default method's plan is strictly narrower (route).
-	StreamWidth int
-	// WCOJAGMLog2 routes requests that did not name a method and were too
-	// wide for both width tiers to the worst-case-optimal executor when
-	// their AGM output bound is within 2^WCOJAGMLog2 rows (default
-	// engine.DefaultWCOJAGMLog2; <0 disables the routing). It also
-	// relaxes admission: a query rejected only by MaxWidth is admitted
-	// and routed to wcoj when its AGM bound qualifies, because the
-	// multiway join's work is bounded by the output bound, not the plan
-	// width — cyclic queries the server used to reject with ErrOverWidth
-	// now answer.
-	WCOJAGMLog2 float64
 	// Log, when non-nil, receives one structured JSON line per request
 	// (fingerprint, admission verdict, status, attempts, bytes).
 	Log io.Writer
@@ -123,9 +89,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Method == "" {
-		c.Method = core.MethodBucketElimination
-	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 4
 	}
@@ -137,15 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
-	}
-	if c.YannakakisWidth == 0 {
-		c.YannakakisWidth = engine.DefaultYannakakisWidth
-	}
-	if c.StreamWidth == 0 {
-		c.StreamWidth = engine.DefaultStreamWidth
-	}
-	if c.WCOJAGMLog2 == 0 {
-		c.WCOJAGMLog2 = engine.DefaultWCOJAGMLog2
 	}
 	if c.maxFrame == 0 {
 		c.maxFrame = MaxFrame
@@ -589,29 +543,47 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	return finish(resp)
 }
 
+// The route's thresholds below the full reducer's
+// (engine.DefaultYannakakisWidth, which the degradation ladder reads too).
+// They are constants: the query's structure decides its route, and no
+// server setting does.
+const (
+	// streamWidth is the MCS elimination width up to which a query too
+	// wide for the full reducer runs the narrower of early projection and
+	// the admitted plan on the pull pipeline, which bounds peak live bytes
+	// rather than everything materialized.
+	streamWidth = 6
+	// wcojAGMLog2 is the log2 AGM output bound up to which a query too wide
+	// for both width tiers runs as one leapfrog join, and up to which a
+	// query whose only violation is MaxWidth is admitted anyway (assess):
+	// 2^24 ≈ 16M output rows fits a request's budget, while the width of
+	// such queries (cliques, dense k-COLOR) grows without bound.
+	wcojAGMLog2 = 24
+)
+
 // route picks the executor for an admitted request, the plan it runs, and
 // the reason (the request log's route_reason). A request that named a
-// method gets that method and its plan. Otherwise one size-only rule goes
-// first: a cyclic query whose whole-query AGM bound is no larger than its
-// widest bag's (Verdict.BagAGMLog2, nil for an acyclic query) gains
+// method gets that method and inHand, its plan. Otherwise inHand is the
+// MCS bucket-elimination plan admission measured, and one size-only rule
+// goes first: a cyclic query whose whole-query AGM bound is no larger than
+// its widest bag's (Verdict.BagAGMLog2, nil for an acyclic query) gains
 // nothing from the tree decomposition — every join-tree plan still builds
 // that bag's intermediate, the multiway join pays only the output bound —
 // so it runs as one leapfrog join, whatever its width (the triangle, the
 // 4-cycle, the cliques). Below it the threshold cascade picks the
 // executor from the verdict's static quantities — narrow queries run the
 // Yannakakis full reducer, mid-width queries the streaming engine, wide
-// queries with a small output bound the leapfrog join, the rest the
-// default method — and a tier that executes a plan runs the narrowest
-// projection-pushed one in reach, never one wider than inHand, the plan
-// admission measured: width, not search effort, decides intermediate size
-// (paper Figures 3–5). The stream tier compares early projection with
-// inHand; the default tier, when it is bucket elimination, compares the
-// MCS order with min-fill and min-degree. Those two orders are computed
-// only here, for the requests that fall through every other tier, because
-// they cost several times what MCS does.
-func (s *Server) route(named bool, q *cq.Query, method core.Method, inHand core.Candidate, v *Verdict) (core.Method, core.Candidate, string, error) {
-	if named {
-		return method, inHand, "named", nil
+// queries with a small output bound the leapfrog join, the rest bucket
+// elimination — and a tier that executes a plan runs the narrowest
+// projection-pushed one in reach, never one wider than inHand: width, not
+// search effort, decides intermediate size (paper Figures 3–5). The stream
+// tier compares early projection with inHand; the default tier compares
+// the MCS order with min-fill and min-degree. Those two orders are
+// computed only here, for the requests that fall through every other
+// tier, because they cost several times what MCS does.
+func route(named core.Method, q *cq.Query, inHand core.Candidate, v *Verdict) (core.Method, core.Candidate, string, error) {
+	if named != "" {
+		return named, inHand, "named", nil
 	}
 	switch {
 	case v.BagAGMLog2 != nil && v.AGMLog2 <= *v.BagAGMLog2:
@@ -620,20 +592,18 @@ func (s *Server) route(named bool, q *cq.Query, method core.Method, inHand core.
 		// Over-width but the output bound is small: only the
 		// worst-case-optimal executor can honor that admission.
 		return core.MethodWCOJ, inHand, "agm", nil
-	case s.cfg.YannakakisWidth > 0 && v.ElimWidth <= s.cfg.YannakakisWidth:
+	case v.ElimWidth <= engine.DefaultYannakakisWidth:
 		return core.MethodYannakakis, inHand, "narrow", nil
-	case s.cfg.StreamWidth > 0 && v.ElimWidth <= s.cfg.StreamWidth:
+	case v.ElimWidth <= streamWidth:
 		c, err := core.StreamPlan(q, inHand)
 		return core.MethodStream, c, "mid_width", err
-	case s.cfg.WCOJAGMLog2 > 0 && v.AGMLog2 <= s.cfg.WCOJAGMLog2:
+	case v.AGMLog2 <= wcojAGMLog2:
 		// Too wide for both width tiers but the AGM bound is small —
 		// the cyclic-query shape the leapfrog join exists for.
 		return core.MethodWCOJ, inHand, "agm", nil
-	case method == core.MethodBucketElimination:
-		c, err := core.NarrowestBucketElimination(q, inHand)
-		return method, c, "default", err
 	}
-	return method, inHand, "default", nil
+	c, err := core.NarrowestBucketElimination(q, inHand)
+	return core.MethodBucketElimination, c, "default", err
 }
 
 // ClassifyStatus maps an engine failure to its wire status.

@@ -122,21 +122,21 @@ func TestQueryAnswerMatchesOracle(t *testing.T) {
 }
 
 func TestOverWidthRejectedWithoutMaterializing(t *testing.T) {
-	// K6 has treewidth 5: every method's plan width is 6, over the
-	// threshold of 3. Admission must reject before any execution. The
-	// worst-case-optimal override is disabled: this test pins the pure
-	// rejection path (see TestAGMOverrideAdmitsWideQuery for the
-	// admit-and-answer path).
-	g := graph.Complete(6)
+	// The augmented circular ladder of order 5 has plan width 5, over the
+	// threshold of 3, and an AGM bound of 2^25.85 rows, over the 2^24 up to
+	// which the worst-case-optimal override would admit it (see
+	// TestAGMOverrideAdmitsWideQuery for that path). Admission must reject
+	// before any execution.
+	g := graph.AugmentedCircularLadder(5)
 	in := colorQuery(t, g)
-	s, addr := startServer(t, Config{DB: in.db, MaxWidth: 3, WCOJAGMLog2: -1})
+	s, addr := startServer(t, Config{DB: in.db, MaxWidth: 3})
 
 	resp := roundTrip(t, addr, &Request{Op: "query", Query: queryText(t, g)})
 	if resp.Status != StatusOverWidth {
 		t.Fatalf("status = %s (%s), want over_width", resp.Status, resp.Error)
 	}
-	if resp.Verdict == nil || resp.Verdict.Admitted || resp.Verdict.PlanWidth <= 3 {
-		t.Fatalf("verdict = %+v, want rejected with plan width > 3", resp.Verdict)
+	if resp.Verdict == nil || resp.Verdict.Admitted || resp.Verdict.PlanWidth <= 3 || resp.Verdict.AGMLog2 <= wcojAGMLog2 {
+		t.Fatalf("verdict = %+v, want rejected with plan width > 3 and AGM log2 > %d", resp.Verdict, wcojAGMLog2)
 	}
 	// Nothing may have been materialized: no stats frame at all.
 	if resp.Stats != nil {
@@ -180,16 +180,20 @@ func TestAGMOverrideAdmitsWideQuery(t *testing.T) {
 	}
 
 	// A nonempty wide instance answers too: C5 3-COLOR under MaxWidth=2
-	// (its plan width is 3) with both width tiers disabled.
+	// (its plan width is 3). Narrow as it is, the admission override sends
+	// it to the leapfrog join ahead of the width tiers.
 	g2 := graph.Cycle(5)
 	in2 := colorQuery(t, g2)
-	_, addr2 := startServer(t, Config{DB: in2.db, MaxWidth: 2, YannakakisWidth: -1, StreamWidth: -1})
+	_, addr2 := startServer(t, Config{DB: in2.db, MaxWidth: 2})
 	resp2 := roundTrip(t, addr2, &Request{Op: "query", Query: queryText(t, g2)})
 	if resp2.Status != StatusOK {
 		t.Fatalf("C5 status = %s (%s), want ok", resp2.Status, resp2.Error)
 	}
 	if resp2.Answer == nil || !resp2.Answer.Nonempty {
 		t.Fatalf("C5 is 3-colorable, got answer %+v", resp2.Answer)
+	}
+	if resp2.Verdict.Method != string(core.MethodWCOJ) {
+		t.Errorf("C5 routed to %s, want wcoj", resp2.Verdict.Method)
 	}
 
 	// An explicit non-wcoj method request keeps the rejection: the
@@ -456,25 +460,6 @@ func TestStreamRoutingMidWidth(t *testing.T) {
 		if !strings.Contains(log.String(), want) {
 			t.Errorf("request log does not record %s:\n%s", want, log.String())
 		}
-	}
-}
-
-func TestStreamRoutingDisabled(t *testing.T) {
-	// StreamWidth < 0 turns mid-width stream routing off: the query falls
-	// through to the default plan method (its output bound, 2^25.85, is
-	// over the wcoj tier's), whose plan runs on the pull pipeline like any
-	// routed plan — with no sweeps on 3-COLOR.
-	g := graph.AugmentedCircularLadder(5)
-	in := colorQuery(t, g)
-	_, addr := startServer(t, Config{DB: in.db, StreamWidth: -1})
-
-	resp := roundTrip(t, addr, &Request{Op: "explain", Query: queryText(t, g)})
-	if resp.Status != StatusOK {
-		t.Fatalf("explain status = %s (%s)", resp.Status, resp.Error)
-	}
-	if resp.Verdict.Method != "bucketelimination" || !strings.HasPrefix(resp.Explain, "route: bucketelimination (default)") ||
-		!strings.HasPrefix(explainPlan(t, resp), skippedHeader) {
-		t.Fatalf("stream routing disabled, yet the route is %s:\n%s", resp.Verdict.Method, resp.Explain)
 	}
 }
 
