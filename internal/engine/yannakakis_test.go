@@ -134,7 +134,7 @@ func TestYannakakisRandomGraphs(t *testing.T) {
 
 // selectiveChain builds the workload where reduction matters: a chain
 // R1(x0,x1) ⋈ R2(x1,x2) ⋈ R3(x2,x3) with wide random R1, R2 and a
-// one-tuple R3, so the sweeps delete almost everything before phase 4.
+// one-tuple R3, so the sweeps delete almost everything before phase 5.
 func selectiveChain(rows int) (*cq.Query, cq.Database) {
 	rng := rand.New(rand.NewSource(5))
 	r1 := relation.New([]relation.Attr{0, 1})
@@ -169,7 +169,7 @@ func TestYannakakisReducedTuples(t *testing.T) {
 		t.Fatal("selective chain: ReducedTuples = 0, want > 0")
 	}
 	if res.Stats.MaterializedTuples == 0 {
-		t.Fatal("MaterializedTuples = 0, want > 0 (phase 4 writes the answer)")
+		t.Fatal("MaterializedTuples = 0, want > 0 (phase 5 writes the answer)")
 	}
 	want, err := engine.EvalOracle(q, db)
 	if err != nil {
@@ -335,7 +335,8 @@ func TestCacheReplaysNewCounters(t *testing.T) {
 }
 
 // TestExplainYannakakis checks both renderings: the static tree and the
-// analyzed sweep with per-bag counts and the reduced/materialized footer.
+// analyzed sweep with its seed, per-bag counts and the
+// reduced/materialized footer.
 func TestExplainYannakakis(t *testing.T) {
 	q, db := selectiveChain(200)
 	static, err := engine.ExplainYannakakis(q, db, engine.Options{}, false)
@@ -345,14 +346,14 @@ func TestExplainYannakakis(t *testing.T) {
 	if !strings.Contains(static, "yannakakis full reducer") || !strings.Contains(static, "bag") {
 		t.Fatalf("static explain missing structure:\n%s", static)
 	}
-	if strings.Contains(static, "reduced:") {
+	if strings.Contains(static, "reduced:") || strings.Contains(static, "seed") {
 		t.Fatalf("static explain must not carry analyze annotations:\n%s", static)
 	}
 	analyzed, err := engine.ExplainYannakakis(q, db, engine.Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"reduced:", "materialized:", "⋉↑", "⋉↓"} {
+	for _, want := range []string{"reduced:", "materialized:", "seed {", "⋉→", "⋉↑", "⋉↓"} {
 		if !strings.Contains(analyzed, want) {
 			t.Fatalf("analyzed explain missing %q:\n%s", want, analyzed)
 		}

@@ -1,7 +1,7 @@
 package relation
 
 // Semijoin kernels. The Yannakakis full reducer (internal/engine) drives
-// its bottom-up and top-down sweeps through SemijoinFilter, the in-place
+// its seed walk and its two sweeps through SemijoinFilter, the in-place
 // variant: reduction marks survivors in a bitmask and compacts the arena
 // instead of copying tuples into a fresh relation, so a sweep that removes
 // nothing allocates nothing beyond the probe table. SemijoinLimited is the

@@ -357,19 +357,20 @@ func Yannakakis(q *Query, db Database) (*Relation, error) {
 }
 
 // ExecuteYannakakis runs the query with the engine's Yannakakis full
-// reducer: the MCS join tree is semijoin-swept bottom-up and top-down so
-// every surviving tuple contributes to the answer, then evaluated bag by
-// bag. Works for any query whose join tree the decomposition machinery
-// produces; peak memory is proportional to the reduced inputs on
-// acyclic queries. Result.Stats.ReducedTuples counts the tuples the
-// sweeps removed.
+// reducer: semijoins walk the MCS join tree outward from its smallest bag,
+// then sweep it bottom-up and top-down so that, where the bags form a
+// join tree, every surviving tuple contributes to the answer; then it is
+// evaluated bag by bag. Works for
+// any query whose join tree the decomposition machinery produces; peak
+// memory is proportional to the reduced inputs on acyclic queries.
+// Result.Stats.ReducedTuples counts the tuples the semijoins removed.
 func ExecuteYannakakis(ctx context.Context, q *Query, db Database, opt ExecOptions) (*Result, error) {
 	return engine.ExecYannakakisContext(ctx, q, db, opt)
 }
 
 // ExplainYannakakis renders the full-reducer join tree; with analyze
-// true it executes the sweep and annotates per-bag cardinalities and the
-// reduced-vs-materialized totals.
+// true it executes the sweep and annotates the walk's seed bag, per-bag
+// cardinalities and the reduced-vs-materialized totals.
 func ExplainYannakakis(q *Query, db Database, opt ExecOptions, analyze bool) (string, error) {
 	return engine.ExplainYannakakis(q, db, opt, analyze)
 }
