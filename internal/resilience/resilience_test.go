@@ -70,7 +70,7 @@ func TestStrategyRunsAndExplainsItsExecutor(t *testing.T) {
 	}
 	executor := map[core.Method]func(engine.Stats) (string, string){
 		core.MethodYannakakis: func(st engine.Stats) (string, string) {
-			return "yannakakis full reducer", fmt.Sprintf("reduced: %d tuples removed by semijoin sweeps", st.ReducedTuples)
+			return "yannakakis full reducer", fmt.Sprintf("reduced: %d tuples removed by semijoins", st.ReducedTuples)
 		},
 		core.MethodStream: func(st engine.Stats) (string, string) {
 			return "stream pipeline", fmt.Sprintf("tuples: materialized=%d reduced=%d", st.MaterializedTuples, st.ReducedTuples)
