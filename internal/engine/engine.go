@@ -111,13 +111,17 @@ type Stats struct {
 	// spill armed or not.
 	PeakBytes int64
 	// MaterializedTuples counts tuples written into operator outputs by
-	// Join and Project (and the Yannakakis bag evaluation) — the
+	// Join and Project — for the Yannakakis full reducer, the joins of the
+	// atoms a bag hosts and the bag-by-bag evaluation — the
 	// materialization a full-reducer sweep exists to minimize. Cache
 	// hits replay the memoized subtree's count, like Bytes.
 	MaterializedTuples int64
-	// ReducedTuples counts tuples eliminated by semijoin reduction
-	// (the Yannakakis full-reducer sweeps). Zero for the plan
-	// executors, which never semijoin.
+	// ReducedTuples counts tuples eliminated by semijoin reduction: the
+	// Yannakakis seed walk and sweeps (an atom's tuple filtered before its
+	// bag's join counts once), and the pull pipeline's semijoin pushdown
+	// (its scan sweeps and build-side filters). Zero for the materializing
+	// plan walker and the worst-case-optimal executor, which never
+	// semijoin.
 	ReducedTuples int64
 	// Seeks and Extensions instrument the worst-case-optimal executor
 	// (ExecWCOJ): Seeks counts galloping SeekGE/SeekGT calls across all

@@ -81,10 +81,13 @@ func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, er
 // per bag with its working and projected labels and the atoms it hosts.
 // When analyze is true the sweep executes under opt, the header names the
 // seed bag the walk started from and its rows, and each bag line is
-// annotated with its per-phase cardinalities — rows after binding, after
-// the seed walk reduced it (⋉→, only on bags the walk reached), after the
-// bottom-up sweep (⋉↑), after the top-down sweep (⋉↓), and the evaluated
-// output — followed by the run's reduced-vs-materialized totals.
+// annotated with its per-phase cardinalities — rows when the bag relation
+// was formed, after the seed walk reduced it (⋉→, only on bags the walk
+// reached whole), after the bottom-up sweep (⋉↑), after the top-down sweep
+// (⋉↓), and the evaluated output — followed by the run's
+// reduced-vs-materialized totals. On a bag hosting two or more atoms each
+// atom carries [rows after bind ⋉→rows after the walk filtered it] from
+// before the bag's join, and rows= is the size of that join.
 func ExplainYannakakis(q *cq.Query, db cq.Database, opt Options, analyze bool) (string, error) {
 	return NewYannakakis(q).Explain(db, opt, analyze)
 }
@@ -118,7 +121,14 @@ func (y *Yannakakis) Explain(db cq.Database, opt Options, analyze bool) (string,
 		indent := strings.Repeat("  ", depth+1)
 		fmt.Fprintf(&b, "%sbag %s → π%s", indent, varList(y.node.Working), varList(y.node.Projected))
 		for _, a := range y.atoms {
-			fmt.Fprintf(&b, "  %s", a)
+			fmt.Fprintf(&b, "  %s", a.atom)
+			if analyze && len(y.atoms) > 1 {
+				fmt.Fprintf(&b, "[%d", a.rows)
+				if a.walked >= 0 {
+					fmt.Fprintf(&b, " ⋉→%d", a.walked)
+				}
+				b.WriteString("]")
+			}
 		}
 		if analyze {
 			if y.bound >= 0 {

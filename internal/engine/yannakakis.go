@@ -12,13 +12,17 @@
 //
 // Execution runs in five phases over the interior nodes of the join tree:
 //
-//  1. bind: each bag materializes the join of the atoms hosted at it
-//     (width-bounded by construction — this is the only joining that
-//     happens before reduction);
-//  2. seed walk: starting from the bag with the fewest rows after bind
-//     (ties to the first in pre-order), walk the bag tree outward as an
-//     undirected tree, each neighbour semijoin-reduced by the bag the walk
-//     came from (relation.SemijoinFilter — in place, no copying);
+//  1. bind: each bag binds the atoms hosted at it as zero-copy views — no
+//     join before reduction;
+//  2. seed walk: starting from the bag hosting the atom with the fewest
+//     rows (ties to the first in pre-order), walk the bag tree outward as
+//     an undirected tree, each neighbour semijoin-reduced by the bag the
+//     walk came from (relation.SemijoinFilter — in place, no copying). A
+//     bag hosting two or more atoms is joined, in hosting order, the first
+//     time the run needs it whole: when it becomes the source of a
+//     semijoin, or else at the end of this phase. Until then a semijoin
+//     that targets it filters each hosted atom instead, so the join is
+//     formed from atoms already reduced;
 //  3. bottom-up sweep: children before parents, each bag semijoin-reduces
 //     its parent;
 //  4. top-down sweep: parents before children, each bag is reduced by its
@@ -36,10 +40,14 @@
 // seed's neighbours instead of paying for a third pass. It never crosses
 // an atom-less root: semijoins along tree edges remove only tuples the
 // sweeps would remove too, so the sweeps still end in the same unique
-// state, and every count but Stats.Work is what they alone would give.
+// state. A filter on a hosted atom removes only tuples whose every join
+// row the bag-level semijoin would remove, so that state is what joining
+// first would reach; only the rows materialized on the way are fewer.
 //
-// Tuples deleted by phases 2–4 are counted in Stats.ReducedTuples; tuples
-// written by phases 1 and 5 in Stats.MaterializedTuples. Like the plan
+// Tuples deleted by phases 2–4 are counted in Stats.ReducedTuples — an
+// atom tuple filtered before its bag's join once, however many join rows
+// it would have fanned out to — and tuples written by the bag joins and
+// phase 5 in Stats.MaterializedTuples. Like the plan
 // executors, every kernel call is context-cancellable, deadline-bounded,
 // and charged against the shared MaxBytes budget; a panic anywhere in the
 // sweep is isolated and surfaces as ErrInternal.
@@ -90,23 +98,35 @@ func MCSElimWidth(q *cq.Query) int {
 	return treedec.InducedWidth(jg.G, elim)
 }
 
-// ybag is one interior node of the join tree during a sweep: the bag
-// relation (join of the atoms hosted here; nil when the bag hosts none)
-// plus the per-phase row counts EXPLAIN ANALYZE renders.
+// ybag is one interior node of the join tree during a sweep: the atoms
+// hosted here, the bag relation once they are joined, and the per-phase
+// row counts EXPLAIN ANALYZE renders.
 type ybag struct {
 	node     *jointree.Node
 	parent   *ybag
 	children []*ybag
-	atoms    []*cq.Atom
+	atoms    []yatom
 
+	// rel is the join of the hosted atoms. A single-atom bag's is its view
+	// from bind; a bag hosting more is nil until the run first needs it
+	// whole (see joinAtoms), and an atom-less root's stays nil.
 	rel *relation.Relation
 
-	// Row counts per phase: after bind, after the seed walk reduced it,
-	// after the bottom-up sweep, after the top-down sweep, and the
-	// evaluated output. -1 = no bag relation (the node hosts no atoms);
-	// walked is also -1 on the seed and on every bag the walk did not
-	// reach.
+	// Row counts per phase: when rel was formed, after the seed walk
+	// reduced it, after the bottom-up sweep, after the top-down sweep, and
+	// the evaluated output. -1 = no bag relation (the node hosts no
+	// atoms); walked is also -1 on the seed, on every bag the walk did not
+	// reach, and on a bag it reached before the join (see yatom.walked).
 	bound, walked, afterUp, afterDown, out int
+}
+
+// yatom is one atom hosted at a bag: its bound view, which the semijoins
+// that reach the bag before its join filter in place, and the view's rows
+// after bind and after the seed walk filtered it (-1 where it did not).
+type yatom struct {
+	atom         *cq.Atom
+	view         *relation.Relation
+	rows, walked int
 }
 
 // buildBags mirrors the interior skeleton of the join tree, splitting
@@ -122,7 +142,7 @@ func buildBags(n *jointree.Node, parent *ybag) *ybag {
 	b := &ybag{node: n, parent: parent, bound: -1, walked: -1, afterUp: -1, afterDown: -1, out: -1}
 	for _, c := range n.Children {
 		if c.Atom != nil {
-			b.atoms = append(b.atoms, c.Atom)
+			b.atoms = append(b.atoms, yatom{atom: c.Atom, walked: -1})
 		} else {
 			cb := buildBags(c, b)
 			if len(cb.atoms) == 0 {
@@ -151,65 +171,106 @@ func preorder(b *ybag, out []*ybag) []*ybag {
 // more — the bags carry the rest.
 type yexec struct{ governor }
 
-// materialize computes the bag relation: the join of the atoms hosted at
-// the bag. Bags host few atoms and the join's schema is bounded by the
-// bag (width+1 variables), so this is the cheap, width-bounded part of
-// materialization; an atom-less root (the only atom-less bag buildBags
-// keeps) stays nil and is skipped by the sweeps.
-func (ex *yexec) materialize(b *ybag) error {
-	if len(b.atoms) == 0 {
-		return nil
-	}
-	cur, err := ex.scan(&ex.stats, b.atoms[0])
-	if err != nil {
-		return err
-	}
-	for _, a := range b.atoms[1:] {
-		next, err := ex.scan(&ex.stats, a)
+// bind binds each atom hosted at b as a zero-copy view of its relation.
+// Nothing is joined: a single-atom bag's view is its bag relation, and a
+// bag hosting more waits for joinAtoms.
+func (ex *yexec) bind(b *ybag) error {
+	for i := range b.atoms {
+		a := &b.atoms[i]
+		view, err := ex.scan(&ex.stats, a.atom)
 		if err != nil {
 			return err
 		}
-		if cur, err = ex.join(&ex.stats, cur, next); err != nil {
+		a.view, a.rows = view, view.Len()
+	}
+	if len(b.atoms) == 1 {
+		return ex.joinAtoms(b)
+	}
+	return nil
+}
+
+// joinAtoms forms b's bag relation the first time the run needs it whole:
+// the join of the hosted atoms' views in hosting order (sorting them by
+// size grew the peak on wide answers). The schema is bounded by the bag
+// (width+1 variables), and the views are already filtered by every
+// semijoin that reached the bag. An atom-less root stays without one.
+func (ex *yexec) joinAtoms(b *ybag) error {
+	if b.rel != nil || len(b.atoms) == 0 {
+		return nil
+	}
+	cur := b.atoms[0].view
+	for _, a := range b.atoms[1:] {
+		var err error
+		if cur, err = ex.join(&ex.stats, cur, a.view); err != nil {
 			return err
 		}
 	}
-	b.rel = cur
-	b.bound = cur.Len()
+	b.rel, b.bound = cur, cur.Len()
 	return nil
 }
 
-// reduce semijoin-filters target's bag relation by source's, in place,
-// crediting the deleted tuples to Stats.ReducedTuples. Bags without a
-// relation neither reduce nor get reduced — correctness never depends on
-// a sweep edge, only the amount of reduction does.
-func (ex *yexec) reduce(target, source *ybag) error {
-	if target.rel == nil || source.rel == nil {
-		return nil
+// reduce semijoin-filters target by source, in place, crediting the
+// deleted tuples to Stats.ReducedTuples, and returns how many it deleted.
+// The source is joined first if it is not yet. A target not yet joined —
+// only the walk meets one — has each hosted atom that shares a variable
+// with the source filtered instead, so its join is formed from reduced
+// atoms. An atom-less root neither reduces nor gets reduced — correctness
+// never depends on a sweep edge, only the amount of reduction does.
+func (ex *yexec) reduce(target, source *ybag) (int, error) {
+	if len(target.atoms) == 0 || len(source.atoms) == 0 {
+		return 0, nil
 	}
-	out, removed, err := relation.SemijoinFilter(target.rel, source.rel, ex.lim(&ex.stats.Work))
+	if err := ex.joinAtoms(source); err != nil {
+		return 0, err
+	}
+	if target.rel != nil {
+		return ex.filter(&target.rel, source.rel)
+	}
+	removed := 0
+	for i := range target.atoms {
+		a := &target.atoms[i]
+		if len(relation.SharedAttrs(a.view, source.rel)) == 0 {
+			continue
+		}
+		n, err := ex.filter(&a.view, source.rel)
+		if err != nil {
+			return 0, err
+		}
+		a.walked = a.view.Len()
+		removed += n
+	}
+	return removed, nil
+}
+
+// filter replaces *r by *r ⋉ by and counts what it deleted.
+func (ex *yexec) filter(r **relation.Relation, by *relation.Relation) (int, error) {
+	out, removed, err := relation.SemijoinFilter(*r, by, ex.lim(&ex.stats.Work))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	ex.stats.ReducedTuples += int64(removed)
-	target.rel = out
-	return nil
+	*r = out
+	return removed, nil
 }
 
-// seedBag returns the bag the walk starts from: the fewest rows after
-// bind, ties to the first in pre-order. Only an atom-less root has no
-// relation, so some bag always qualifies.
+// seedBag returns the bag the walk starts from: the one hosting the atom
+// with the fewest rows after bind, ties to the first in pre-order. Only an
+// atom-less root hosts none, so some bag always qualifies.
 func seedBag(order []*ybag) *ybag {
 	var seed *ybag
+	least := 0
 	for _, b := range order {
-		if b.rel != nil && (seed == nil || b.bound < seed.bound) {
-			seed = b
+		for _, a := range b.atoms {
+			if seed == nil || a.rows < least {
+				seed, least = b, a.rows
+			}
 		}
 	}
 	return seed
 }
 
 // walk reduces each neighbour of b other than from by b, then walks on
-// from every neighbour that lost a tuple. A neighbour without a relation
+// from every neighbour that lost a tuple. A neighbour hosting no atoms
 // (an atom-less root) ends the walk on that side.
 func (ex *yexec) walk(b, from *ybag) error {
 	for i := -1; i < len(b.children); i++ { // -1 is the parent
@@ -217,14 +278,17 @@ func (ex *yexec) walk(b, from *ybag) error {
 		if i >= 0 {
 			n = b.children[i]
 		}
-		if n == nil || n == from || n.rel == nil {
+		if n == nil || n == from || len(n.atoms) == 0 {
 			continue
 		}
-		before := n.rel.Len()
-		if err := ex.reduce(n, b); err != nil {
+		removed, err := ex.reduce(n, b)
+		if err != nil {
 			return err
 		}
-		if n.walked = n.rel.Len(); n.walked < before {
+		if n.rel != nil {
+			n.walked = n.rel.Len()
+		}
+		if removed > 0 {
 			if err := ex.walk(n, b); err != nil {
 				return err
 			}
@@ -274,22 +338,28 @@ func (ex *yexec) run(t *jointree.Tree) (root *ybag, rel *relation.Relation, err 
 	root = buildBags(t.Root, nil)
 	order := preorder(root, nil)
 
-	// Phase 1: bind atoms and materialize the bag relations.
+	// Phase 1: bind the atoms; no bag is joined yet.
 	for _, b := range order {
-		if err := ex.materialize(b); err != nil {
+		if err := ex.bind(b); err != nil {
 			return root, nil, err
 		}
 	}
-	// Phase 2: walk outward from the smallest bag.
+	// Phase 2: walk outward from the smallest atom's bag, then join every
+	// bag the walk did not need whole.
 	if err := ex.walk(seedBag(order), nil); err != nil {
 		return root, nil, err
+	}
+	for _, b := range order {
+		if err := ex.joinAtoms(b); err != nil {
+			return root, nil, err
+		}
 	}
 	// Phase 3: bottom-up sweep. Reverse pre-order processes every
 	// descendant of a node before the node itself, so when b reduces
 	// its parent, b's bag already reflects b's whole subtree.
 	for i := len(order) - 1; i >= 0; i-- {
 		if b := order[i]; b.parent != nil {
-			if err := ex.reduce(b.parent, b); err != nil {
+			if _, err := ex.reduce(b.parent, b); err != nil {
 				return root, nil, err
 			}
 		}
@@ -302,7 +372,7 @@ func (ex *yexec) run(t *jointree.Tree) (root *ybag, rel *relation.Relation, err 
 	// Phase 4: top-down sweep, parents before children.
 	for _, b := range order {
 		if b.parent != nil {
-			if err := ex.reduce(b, b.parent); err != nil {
+			if _, err := ex.reduce(b, b.parent); err != nil {
 				return root, nil, err
 			}
 		}

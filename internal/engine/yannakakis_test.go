@@ -179,7 +179,7 @@ func TestYannakakisReducedTuples(t *testing.T) {
 		t.Fatalf("reduced run %v != oracle %v", res.Rel, want)
 	}
 
-	// The plan executors never semijoin: their ReducedTuples stays zero.
+	// The plan walker never semijoins: its ReducedTuples stays zero.
 	be, err := engine.Exec(buildPlan(t, core.MethodBucketElimination, q), db, engine.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -357,10 +357,11 @@ func Yannakakis(q *Query, db Database) (*Relation, error) {
 }
 
 // ExecuteYannakakis runs the query with the engine's Yannakakis full
-// reducer: semijoins walk the MCS join tree outward from its smallest bag,
-// then sweep it bottom-up and top-down so that, where the bags form a
-// join tree, every surviving tuple contributes to the answer; then it is
-// evaluated bag by bag. Works for
+// reducer: semijoins walk the MCS join tree outward from the bag hosting
+// its smallest relation, then sweep it bottom-up and top-down so that,
+// where the bags form a join tree, every surviving tuple contributes to
+// the answer; then it is evaluated bag by bag. A bag hosting several atoms
+// joins them only once the walk has filtered them. Works for
 // any query whose join tree the decomposition machinery produces; peak
 // memory is proportional to the reduced inputs on acyclic queries.
 // Result.Stats.ReducedTuples counts the tuples the semijoins removed.

@@ -111,18 +111,13 @@ func BenchmarkYannakakisChainFarEnd(b *testing.B) {
 	yMethods(b, &cq.Query{Atoms: body, Free: []cq.Var{8}}, db)
 }
 
-// BenchmarkYannakakisSpider is a two-level star (center x0, arms
-// x0—y_i—z_i) with one selective outer arm: bucket elimination
-// materializes each inner relation nearly in full when eliminating the
-// y_i (the selective arm's pruning reaches the other arms only at the
-// very last join), while the full reducer's semijoins — the walk out from
-// the selective arm, then the two sweeps — shrink every arm to the few
-// surviving center values before any join runs.
-func BenchmarkYannakakisSpider(b *testing.B) {
+// ySpider is a two-level star (center x0, arms x0—y_i—z_i, a_i(x0,y_i)
+// and b_i(y_i,z_i)) with the selective 8-tuple outer relation b0.
+func ySpider() ([]cq.Atom, cq.Database) {
 	const arms, rows, dom = 5, 5000, 2000
 	rng := rand.New(rand.NewSource(5))
 	db := cq.Database{}
-	q := &cq.Query{Free: []cq.Var{0}}
+	var body []cq.Atom
 	for i := 0; i < arms; i++ {
 		inner, outer := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
 		y, z := cq.Var(1+2*i), cq.Var(2+2*i)
@@ -132,11 +127,32 @@ func BenchmarkYannakakisSpider(b *testing.B) {
 		} else {
 			db[outer] = randomRel(rng, rows, dom, dom)
 		}
-		q.Atoms = append(q.Atoms,
+		body = append(body,
 			cq.Atom{Rel: inner, Args: []cq.Var{0, y}},
 			cq.Atom{Rel: outer, Args: []cq.Var{y, z}})
 	}
-	yMethods(b, q, db)
+	return body, db
+}
+
+// BenchmarkYannakakisSpider frees the center x0: bucket elimination
+// materializes each inner relation nearly in full when eliminating the
+// y_i (the selective arm's pruning reaches the other arms only at the
+// very last join), while the full reducer's semijoins — the walk out from
+// the selective arm, then the two sweeps — shrink every arm to the few
+// surviving center values before any join runs.
+func BenchmarkYannakakisSpider(b *testing.B) {
+	body, db := ySpider()
+	yMethods(b, &cq.Query{Atoms: body, Free: []cq.Var{0}}, db)
+}
+
+// BenchmarkYannakakisSpiderFarArm frees x0 and z1, the end of an
+// unselective arm: the join tree's root bag hosts both of that arm's atoms,
+// a1(x0,y1) and b1(y1,z1), and their unreduced join is ~12 500 rows. The
+// walk out from b0 filters a1 by the surviving center values before the
+// bag is joined, so the join is formed from a few dozen rows of a1.
+func BenchmarkYannakakisSpiderFarArm(b *testing.B) {
+	body, db := ySpider()
+	yMethods(b, &cq.Query{Atoms: body, Free: []cq.Var{0, 4}}, db)
 }
 
 // BenchmarkYannakakisAugPath is the Figure-6 augmented path with
