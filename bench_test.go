@@ -302,8 +302,8 @@ func BenchmarkSection7SAT(b *testing.B) {
 func BenchmarkAblationOrders(b *testing.B) {
 	g := mustRandom(b, 18, 3.0, 99)
 	q, db := colorBench(b, g, 0, 99)
-	orders := map[string][]cq.Var{"mcs": core.MCSVarOrder(q, nil)}
-	for _, h := range []core.OrderHeuristic{core.OrderMinFill, core.OrderMinDegree} {
+	orders := map[string][]cq.Var{}
+	for _, h := range []core.OrderHeuristic{core.OrderMCS, core.OrderMinFill, core.OrderMinDegree} {
 		order, err := core.VarOrder(q, h, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -333,7 +333,10 @@ func BenchmarkAblationOrders(b *testing.B) {
 func BenchmarkAblationMiniBucket(b *testing.B) {
 	g := mustRandom(b, 16, 4.0, 7)
 	q, db := colorBench(b, g, 0, 7)
-	order := core.MCSVarOrder(q, nil)
+	order, err := core.VarOrder(q, core.OrderMCS, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, bound := range []int{3, 5, 8, len(order)} {
 		b.Run(fmt.Sprintf("bound=%d", bound), func(b *testing.B) {
 			var exact bool

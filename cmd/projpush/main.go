@@ -27,6 +27,7 @@ import (
 	"projpush/internal/faultinject"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/jointree"
 	"projpush/internal/pgplanner"
 	"projpush/internal/plan"
 	"projpush/internal/resilience"
@@ -185,6 +186,10 @@ func main() {
 	if *all {
 		methods = core.Methods
 	}
+	structure, err := jointree.Analyze(q)
+	if err != nil {
+		fatal(err)
+	}
 	for _, m := range methods {
 		var p plan.Node
 		if m == "hybrid" {
@@ -211,7 +216,7 @@ func main() {
 			continue
 		}
 		if *explain {
-			strategy, _ := resilience.Strategy(m, q, p)
+			strategy, _ := resilience.Strategy(m, structure, p)
 			out, err := strategy.Explain(db, opt, true)
 			if err != nil {
 				fatal(err)
@@ -220,7 +225,7 @@ func main() {
 			continue
 		}
 		st := plan.Analyze(p)
-		res, err := execute(m, p, q, db, opt, *resilient, rng)
+		res, err := execute(m, p, structure, db, opt, *resilient, rng)
 		if err != nil {
 			fmt.Printf("%-18s width=%-3d ERROR: %v\n", m, st.Width, err)
 			continue
@@ -245,8 +250,8 @@ func main() {
 // set: a row-cap, memory-budget, or internal failure retries with safer
 // methods, logging the abandoned rungs to stderr so the summary line stays
 // comparable.
-func execute(m core.Method, p plan.Node, q *cq.Query, db cq.Database, opt engine.Options, resil bool, rng *rand.Rand) (*engine.Result, error) {
-	strategy, ladder := resilience.Strategy(m, q, p)
+func execute(m core.Method, p plan.Node, s *jointree.Structure, db cq.Database, opt engine.Options, resil bool, rng *rand.Rand) (*engine.Result, error) {
+	strategy, ladder := resilience.Strategy(m, s, p)
 	if !resil {
 		return strategy.Run(context.Background(), db, opt)
 	}
@@ -322,13 +327,17 @@ func runSuite(path string, method core.Method, all bool, opt engine.Options, res
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", sp.Name, err))
 		}
+		s, err := jointree.Analyze(q)
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", sp.Name, err))
+		}
 		for _, m := range methods {
 			p, err := core.BuildPlan(m, q, rng)
 			if err != nil {
 				fatal(fmt.Errorf("%s %s: %w", sp.Name, m, err))
 			}
 			st := plan.Analyze(p)
-			res, err := execute(m, p, q, db, opt, resil, rng)
+			res, err := execute(m, p, s, db, opt, resil, rng)
 			if err != nil {
 				fmt.Printf("%-28s %-18s width=%-3d TIMEOUT/%v\n", sp.Name, m, st.Width, err)
 				continue

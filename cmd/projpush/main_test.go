@@ -14,6 +14,7 @@ import (
 	"projpush/internal/experiments"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/jointree"
 	"projpush/internal/resilience"
 	"projpush/internal/server"
 	"projpush/internal/server/client"
@@ -63,6 +64,10 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := file.Query
+	structure, err := jointree.Analyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	serve := func(cfg server.Config) func(method string) counts {
 		t.Helper()
@@ -119,7 +124,7 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 		if res, err := projpush.Run(m, q, db, projpush.ExecOptions{}, nil); err != nil || countsOf(&res.Stats) != want {
 			t.Errorf("%s: projpush.Run reports %+v (%v), the walker %+v", m, countsOf(&res.Stats), err, want)
 		}
-		if res, err := execute(m, p, q, db, engine.Options{}, false, nil); err != nil || countsOf(&res.Stats) != want {
+		if res, err := execute(m, p, structure, db, engine.Options{}, false, nil); err != nil || countsOf(&res.Stats) != want {
 			t.Errorf("%s: execute reports %+v (%v), the walker %+v", m, countsOf(&res.Stats), err, want)
 		}
 		if got := named(string(m)); got != want {
@@ -186,7 +191,7 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 	if pipeline.Stats.PeakBytes >= walker.Stats.PeakBytes {
 		t.Fatalf("pipeline peak %d, walker %d: nothing to tell apart", pipeline.Stats.PeakBytes, walker.Stats.PeakBytes)
 	}
-	strategy, _ := resilience.Routed(core.MethodBucketElimination, q, chosen.Plan)
+	strategy, _ := resilience.Routed(core.MethodBucketElimination, structure, chosen.Plan)
 	res, err := strategy.Run(context.Background(), db, engine.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -154,7 +154,10 @@ func TestIntegrationAllPathsAgree(t *testing.T) {
 			}
 
 			// Mini-buckets with an unconstrained bound are exact.
-			order := core.MCSVarOrder(q, rng)
+			order, err := core.VarOrder(q, core.OrderMCS, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
 			mb, err := minibucket.Evaluate(q, db, order, len(order))
 			if err != nil {
 				t.Fatal(err)

@@ -12,10 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"projpush/internal/cq"
 	"projpush/internal/cqparse"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/jointree"
 	"projpush/internal/server"
 	"projpush/internal/server/client"
 )
@@ -242,7 +242,7 @@ func TestBackupEnumerationDoesNotLockOutHalfOpenWorker(t *testing.T) {
 
 	text := colorQueryText(t, graph.AugmentedPath(4))
 	req := &server.Request{Op: "query", Query: text}
-	fp := co.affinity(req, mustParse(t, co, text))
+	fp := co.affinity(req, mustAnalyze(t, co, text))
 	order := co.ring.order(fp)
 	primary, secondary := byAddr[order[0]], byAddr[order[1]]
 
@@ -391,7 +391,7 @@ func TestForwardFailoverOnInternalFault(t *testing.T) {
 
 	text := colorQueryText(t, graph.AugmentedPath(4))
 	req := &server.Request{Op: "query", Query: text}
-	fp := co.affinity(req, mustParse(t, co, text))
+	fp := co.affinity(req, mustAnalyze(t, co, text))
 	order := co.ring.order(fp)
 	primary, secondary := byAddr[order[0]], byAddr[order[1]]
 	primary.mode.Store(1) // isolated internal fault on the affinity shard
@@ -439,7 +439,7 @@ func TestHedgedRequestWinsAndCancelsLoser(t *testing.T) {
 
 	text := colorQueryText(t, graph.Ladder(3))
 	req := &server.Request{Op: "query", Query: text}
-	fp := co.affinity(req, mustParse(t, co, text))
+	fp := co.affinity(req, mustAnalyze(t, co, text))
 	order := co.ring.order(fp)
 	primary, secondary := byAddr[order[0]], byAddr[order[1]]
 	primary.mode.Store(2) // the affinity shard stalls; the hedge must win
@@ -619,7 +619,7 @@ func TestDeregisterReroutesAndRegisterRestores(t *testing.T) {
 
 	text := colorQueryText(t, graph.AugmentedPath(5))
 	req := &server.Request{Op: "query", Query: text}
-	fp := co.affinity(req, mustParse(t, co, text))
+	fp := co.affinity(req, mustAnalyze(t, co, text))
 	order := co.ring.order(fp)
 	primary, secondary := byAddr[order[0]], byAddr[order[1]]
 
@@ -955,13 +955,17 @@ func TestAffinityHeaderStampsForwards(t *testing.T) {
 	}
 }
 
-// mustParse parses request text the way the coordinator does, for tests
-// that need the query to compute ring positions.
-func mustParse(t *testing.T, co *Coordinator, text string) *cq.Query {
+// mustAnalyze parses and analyzes request text the way the coordinator
+// does, for tests that need the structure to compute ring positions.
+func mustAnalyze(t *testing.T, co *Coordinator, text string) *jointree.Structure {
 	t.Helper()
 	file, err := cqparse.ParseWith(strings.NewReader(text), co.cfg.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return file.Query
+	s, err := jointree.Analyze(file.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

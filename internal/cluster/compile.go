@@ -6,9 +6,9 @@ import (
 	"io"
 	"strings"
 
-	"projpush/internal/core"
 	"projpush/internal/cq"
 	"projpush/internal/cqparse"
+	"projpush/internal/jointree"
 	"projpush/internal/memo"
 	"projpush/internal/server"
 )
@@ -17,11 +17,11 @@ import (
 // the server's compiledBudget and for the same reasons.
 const routesBudget = 8 << 20
 
-// routed is what the coordinator needs of a request's text: the parsed
+// routed is what the coordinator needs of a request's text: the analyzed
 // query and the database it sees, for a local rescue, and the affinity id.
 // It is read-only once compile returns it.
 type routed struct {
-	q  *cq.Query
+	s  *jointree.Structure
 	db cq.Database
 	fp string
 }
@@ -39,9 +39,15 @@ func (c *Coordinator) compile(req *server.Request) (r *routed, hit bool, err err
 	if err != nil {
 		return nil, false, err
 	}
-	r = &routed{q: file.Query, db: file.DB, fp: c.affinity(req, file.Query)}
+	s, err := jointree.Analyze(file.Query)
+	if err != nil {
+		return nil, false, err
+	}
+	r = &routed{s: s, db: file.DB, fp: c.affinity(req, s)}
 	if file.Rels == 0 {
-		c.routes.Put(key, r, 512+160*int64(len(file.Query.Atoms))) // ≈ the parsed query's footprint
+		// The parsed query and its structure: 460–620 bytes per atom on the
+		// Figure 6–9 families at orders 5–40.
+		c.routes.Put(key, r, 1024+540*int64(len(file.Query.Atoms)))
 	}
 	return r, false, nil
 }
@@ -53,16 +59,12 @@ func (c *Coordinator) compile(req *server.Request) (r *routed, hit bool, err err
 // family's cached subplans. Requests whose plan cannot be built fall back
 // to hashing the raw text — they still route deterministically, and the
 // worker produces the typed error.
-func (c *Coordinator) affinity(req *server.Request, q *cq.Query) string {
-	method := core.Method(req.Method)
-	if method == "" {
-		method = core.MethodBucketElimination
-	}
-	if p, err := core.BuildPlan(method, q, nil); err == nil {
+func (c *Coordinator) affinity(req *server.Request, s *jointree.Structure) string {
+	if p, err := server.AdmissionPlan(req.Method, s); err == nil {
 		return server.FingerprintID(p)
 	}
 	h := fnv.New64a()
-	io.WriteString(h, string(method))
+	io.WriteString(h, req.Method)
 	io.WriteString(h, "\x00")
 	io.WriteString(h, req.Query)
 	return fmt.Sprintf("%016x", h.Sum64())

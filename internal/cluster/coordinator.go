@@ -31,6 +31,7 @@ import (
 
 	"projpush/internal/cq"
 	"projpush/internal/engine"
+	"projpush/internal/jointree"
 	"projpush/internal/memo"
 	"projpush/internal/resilience"
 	"projpush/internal/server"
@@ -413,7 +414,7 @@ func (c *Coordinator) coordinateInner(ctx context.Context, req *server.Request, 
 	}
 	// Every replica for this shard is gone. Rescue locally if armed.
 	if c.cfg.LocalFallback && req.Op == "query" {
-		return c.rescue(ctx, r.q, r.db, ferr, failovers)
+		return c.rescue(ctx, r.s, r.db, ferr, failovers)
 	}
 	return &server.Response{
 		Status:    server.StatusUnavailable,
@@ -602,12 +603,12 @@ func failoverable(err error) bool {
 // error. The answer comes back StatusDegraded with the failed fleet
 // attempt leading Stats.Attempts — an honest record of how it was
 // produced.
-func (c *Coordinator) rescue(ctx context.Context, q *cq.Query, db cq.Database, remoteErr error, failovers int) *server.Response {
+func (c *Coordinator) rescue(ctx context.Context, s *jointree.Structure, db cq.Database, remoteErr error, failovers int) *server.Response {
 	fleet := resilience.RemoteRung("fleet", func(context.Context) (*engine.Result, error) {
 		return nil, fmt.Errorf("%w: no replica answered: %v", engine.ErrInternal, remoteErr)
 	})
 	opt := engine.Options{MaxRows: c.cfg.MaxRows, MaxBytes: c.cfg.MaxBytes}
-	res, err := engine.ExecResilientStrategy(ctx, fleet, resilience.DegradationLadder(q, nil), db, opt)
+	res, err := engine.ExecResilientStrategy(ctx, fleet, resilience.DegradationLadder(s, nil), db, opt)
 	resp := &server.Response{Worker: "local", Failovers: failovers}
 	if res != nil {
 		resp.Stats = server.StatsOf(&res.Stats)

@@ -6,7 +6,7 @@ import (
 
 	"projpush/internal/cq"
 	"projpush/internal/hypertree"
-	"projpush/internal/joingraph"
+	"projpush/internal/jointree"
 	"projpush/internal/plan"
 	"projpush/internal/treedec"
 )
@@ -43,7 +43,11 @@ func AnalyzeStructure(q *cq.Query) (*StructuralReport, error) {
 	if len(q.Atoms) == 0 {
 		return nil, fmt.Errorf("core: query has no atoms")
 	}
-	jg := joingraph.Build(q)
+	s, err := jointree.Analyze(q)
+	if err != nil {
+		return nil, err
+	}
+	jg := s.Graph
 	r := &StructuralReport{
 		Vars:           q.NumVars(),
 		Atoms:          len(q.Atoms),
@@ -59,18 +63,19 @@ func AnalyzeStructure(q *cq.Query) (*StructuralReport, error) {
 			r.TreewidthExact = tw
 		}
 	}
-	for _, h := range []OrderHeuristic{OrderMCS, OrderMinFill, OrderMinDegree} {
+	r.InducedWidths[OrderMCS] = s.Width
+	for _, h := range []OrderHeuristic{OrderMinFill, OrderMinDegree} {
 		_, elim, err := EliminationOrder(q, h, nil)
 		if err != nil {
 			return nil, err
 		}
 		r.InducedWidths[h] = treedec.InducedWidth(jg.G, elim)
 	}
-	hw, _, err := hypertree.Estimate(q)
+	hd, err := hypertree.Greedy(q, jg, s.Dec)
 	if err != nil {
 		return nil, err
 	}
-	r.HypertreeWidth = hw
+	r.HypertreeWidth = hd.Width()
 	for _, m := range Methods {
 		p, err := BuildPlan(m, q, nil)
 		if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -95,18 +94,15 @@ func TestVarOrderHoldsBackTheTargetSchema(t *testing.T) {
 				t.Fatalf("query %d %s: %v", i, h, err)
 			}
 		}
-		if got, want := fmt.Sprint(mustVarOrder(t, q, OrderMCS)), fmt.Sprint(MCSVarOrder(q, nil)); got != want {
-			t.Errorf("query %d: VarOrder(mcs) = %s, MCSVarOrder = %s", i, got, want)
-		}
 	}
 	if _, err := VarOrder(colorQuery(t, graph.Cycle(4)), "nosuch", nil); err == nil {
 		t.Error("unknown heuristic accepted")
 	}
 }
 
-func mustVarOrder(t *testing.T, q *cq.Query, h OrderHeuristic) []cq.Var {
+func mustVarOrder(t *testing.T, q *cq.Query, h OrderHeuristic, rng *rand.Rand) []cq.Var {
 	t.Helper()
-	order, err := VarOrder(q, h, nil)
+	order, err := VarOrder(q, h, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +129,7 @@ func TestNarrowestBucketEliminationIsNoWiderThanAnyOrder(t *testing.T) {
 			t.Fatalf("query %d: candidate says width %d, plan has %d", i, got.Width, plan.Analyze(got.Plan).Width)
 		}
 		for _, h := range []OrderHeuristic{OrderMCS, OrderMinFill, OrderMinDegree} {
-			w, err := InducedWidth(q, mustVarOrder(t, q, h))
+			w, err := InducedWidth(q, mustVarOrder(t, q, h, nil))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,9 +28,7 @@ import (
 	"sort"
 
 	"projpush/internal/cq"
-	"projpush/internal/joingraph"
 	"projpush/internal/plan"
-	"projpush/internal/treedec"
 )
 
 // Method names a plan-construction strategy, as used by the experiment
@@ -265,25 +263,20 @@ func Reordering(q *cq.Query, rng *rand.Rand) (plan.Node, error) {
 	return EarlyProjection(pq)
 }
 
-// MCSVarOrder computes the paper's bucket-elimination variable order: a
-// maximum-cardinality-search numbering of the join graph seeded with the
-// target schema (Section 5). Buckets are processed from the last variable
-// down to the first.
-func MCSVarOrder(q *cq.Query, rng *rand.Rand) []cq.Var {
-	jg := joingraph.Build(q)
-	mcs := treedec.MCS(jg.G, jg.Vertices(q.Free), rng)
-	return jg.VarSet(mcs)
-}
-
 // BucketElimination builds the bucket-elimination plan of Section 5 under
-// the MCS variable order.
+// the MCS variable order: a maximum-cardinality-search numbering of the
+// join graph seeded with the target schema.
 func BucketElimination(q *cq.Query, rng *rand.Rand) (plan.Node, error) {
-	return BucketEliminationOrder(q, MCSVarOrder(q, rng))
+	order, err := VarOrder(q, OrderMCS, rng)
+	if err != nil {
+		return nil, err
+	}
+	return BucketEliminationOrder(q, order)
 }
 
 // BucketEliminationOrder builds the bucket-elimination plan for an
 // explicit variable order x1..xn (free variables must come first, since
-// they are never eliminated; MCSVarOrder guarantees that). Each atom is
+// they are never eliminated; VarOrder guarantees that). Each atom is
 // placed in the bucket of its highest-numbered variable; buckets are
 // processed from xn down: the bucket's relations are joined, the bucket
 // variable is projected out, and the result moves to the bucket of its
@@ -372,19 +365,6 @@ func BucketEliminationOrder(q *cq.Query, order []cq.Var) (plan.Node, error) {
 		root = &plan.Project{Child: root, Cols: append([]cq.Var(nil), q.Free...)}
 	}
 	return root, nil
-}
-
-// InducedWidth reports the maximum intermediate arity of the
-// bucket-elimination process for q under the given variable order —
-// computable from the schemas alone, without touching data (Section 5
-// notes the process is data-independent). It equals the width of the
-// bucket-elimination plan.
-func InducedWidth(q *cq.Query, order []cq.Var) (int, error) {
-	p, err := BucketEliminationOrder(q, order)
-	if err != nil {
-		return 0, err
-	}
-	return plan.Analyze(p).Width, nil
 }
 
 func sameVarSet(a, b []cq.Var) bool {

@@ -14,6 +14,19 @@ import (
 	"projpush/internal/treedec"
 )
 
+// InducedWidth reports the maximum intermediate arity of the
+// bucket-elimination process for q under the given variable order —
+// computable from the schemas alone, without touching data (Section 5
+// notes the process is data-independent). It equals the width of the
+// bucket-elimination plan, which is how the tests measure an order.
+func InducedWidth(q *cq.Query, order []cq.Var) (int, error) {
+	p, err := BucketEliminationOrder(q, order)
+	if err != nil {
+		return 0, err
+	}
+	return plan.Analyze(p).Width, nil
+}
+
 func colorQuery(t *testing.T, g *graph.Graph) *cq.Query {
 	t.Helper()
 	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
@@ -161,7 +174,7 @@ func TestBucketEliminationWidthTheorem2(t *testing.T) {
 			t.Fatalf("trial %d: bucket plan width %d, want tw+1 = %d", trial, w, tw+1)
 		}
 		// MCS order can only be as good or worse.
-		mcsW, err := InducedWidth(q, MCSVarOrder(q, nil))
+		mcsW, err := InducedWidth(q, mustVarOrder(t, q, OrderMCS, nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,10 +81,14 @@ func ImproveOrder(q *cq.Query, start []cq.Var, iters int, rng *rand.Rand) ([]cq.
 }
 
 // BucketEliminationImproved plans with an MCS order refined by local
-// search: MCSVarOrder followed by ImproveOrder with the given move
+// search: the MCS VarOrder followed by ImproveOrder with the given move
 // budget.
 func BucketEliminationImproved(q *cq.Query, iters int, rng *rand.Rand) (plan.Node, error) {
-	order, _, err := ImproveOrder(q, MCSVarOrder(q, rng), iters, rng)
+	start, err := VarOrder(q, OrderMCS, rng)
+	if err != nil {
+		return nil, err
+	}
+	order, _, err := ImproveOrder(q, start, iters, rng)
 	if err != nil {
 		return nil, err
 	}

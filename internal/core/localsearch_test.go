@@ -28,7 +28,7 @@ func TestImproveOrderNeverWorse(t *testing.T) {
 			continue
 		}
 		q := colorQuery(t, g)
-		start := MCSVarOrder(q, rng)
+		start := mustVarOrder(t, q, OrderMCS, rng)
 		startW, err := InducedWidth(q, start)
 		if err != nil {
 			t.Fatal(err)
@@ -91,7 +91,7 @@ func TestImproveOrderReachesTreewidthOnSmallGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		improved, _, err := ImproveOrder(q, MCSVarOrder(q, rng), 2000, rng)
+		improved, _, err := ImproveOrder(q, mustVarOrder(t, q, OrderMCS, rng), 2000, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestBucketEliminationImprovedAgreesWithOracle(t *testing.T) {
 
 func TestImproveOrderRejectsBadStart(t *testing.T) {
 	q := colorQuery(t, graph.Path(4))
-	if _, _, err := ImproveOrder(q, MCSVarOrder(q, nil)[1:], 10, nil); err == nil {
+	if _, _, err := ImproveOrder(q, mustVarOrder(t, q, OrderMCS, nil)[1:], 10, nil); err == nil {
 		t.Fatal("accepted short order")
 	}
 }

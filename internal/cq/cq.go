@@ -10,6 +10,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"projpush/internal/relation"
@@ -167,7 +168,10 @@ func (q *Query) Validate(db Database) error {
 			seen[v] = true
 		}
 	}
-	for _, v := range q.Free {
+	for i, v := range q.Free {
+		if slices.Contains(q.Free[:i], v) {
+			return fmt.Errorf("cq: target schema repeats variable x%d", v)
+		}
 		if !q.occurs(v) {
 			return fmt.Errorf("cq: free variable x%d occurs in no atom", v)
 		}

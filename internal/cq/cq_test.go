@@ -97,6 +97,10 @@ func TestValidate(t *testing.T) {
 			Atoms: []Atom{{Rel: "edge", Args: []Var{0, 1}}},
 			Free:  []Var{9},
 		}},
+		{"repeated free variable", &Query{
+			Atoms: []Atom{{Rel: "edge", Args: []Var{0, 1}}},
+			Free:  []Var{0, 0},
+		}},
 	}
 	for _, c := range cases {
 		if err := c.q.Validate(db); err == nil {

@@ -18,6 +18,7 @@ func FuzzParse(f *testing.F) {
 		"rel r {\n1\n}\nquery ans(a) :- r(a).",
 		"# only a comment",
 		"rel r {\n-5 300\n}\nquery ans(a) :- r(a, b).",
+		"rel edge {\n1 2\n2 1\n}\nquery ans(x, x) :- edge(x,y), edge(y,z), edge(z,x).",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"projpush/internal/cq"
+	"projpush/internal/jointree"
 	"projpush/internal/plan"
 )
 
@@ -89,15 +90,16 @@ func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, er
 // atom carries [rows after bind ⋉→rows after the walk filtered it] from
 // before the bag's join, and rows= is the size of that join.
 func ExplainYannakakis(q *cq.Query, db cq.Database, opt Options, analyze bool) (string, error) {
-	return NewYannakakis(q).Explain(db, opt, analyze)
-}
-
-// Explain is ExplainYannakakis over the prepared join tree.
-func (y *Yannakakis) Explain(db cq.Database, opt Options, analyze bool) (string, error) {
-	if err := y.Prepare(); err != nil {
+	s, err := jointree.Analyze(q)
+	if err != nil {
 		return "", err
 	}
-	tree := y.tree
+	return NewYannakakis(s).Explain(db, opt, analyze)
+}
+
+// Explain is ExplainYannakakis over the structure's join tree.
+func (y *Yannakakis) Explain(db cq.Database, opt Options, analyze bool) (string, error) {
+	tree := y.s.Tree
 	var root *ybag
 	var st Stats
 	if analyze {
@@ -167,15 +169,24 @@ func (y *Yannakakis) Explain(db cq.Database, opt Options, analyze bool) (string,
 // extension counts, followed by the run's totals and the memory/tuples
 // trailers the other executors report.
 func ExplainWCOJ(q *cq.Query, db cq.Database, opt Options, analyze bool) (string, error) {
+	s, err := jointree.Analyze(q)
+	if err != nil {
+		return "", err
+	}
+	return NewWCOJ(s).Explain(db, opt, analyze)
+}
+
+// Explain is ExplainWCOJ over the structure's variable order.
+func (w *WCOJ) Explain(db cq.Database, opt Options, analyze bool) (string, error) {
 	var ex *wexec
 	if analyze {
-		_, x, err := execWCOJ(context.Background(), q, db, opt)
+		_, x, err := execWCOJ(context.Background(), w.s, db, opt)
 		if err != nil {
 			return "", err
 		}
 		ex = x
 	} else {
-		ex = newWexec(context.Background(), q, db, opt)
+		ex = newWexec(context.Background(), w.s, db, opt)
 		if err := ex.prepare(); err != nil {
 			return "", err
 		}

@@ -337,7 +337,7 @@ func TestExecResilientDegradation(t *testing.T) {
 	if err := faultinject.Enable("join.panic=1", 23); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := engine.ExecResilient(context.Background(), given, resilience.DegradationLadder(q, nil), db, opt)
+	res2, err := engine.ExecResilient(context.Background(), given, resilience.DegradationLadder(analyze(t, q), nil), db, opt)
 	if err != nil {
 		t.Fatalf("ExecResilient with default ladder: %v", err)
 	}

@@ -127,6 +127,14 @@ func (g *governor) project(st *Stats, r *relation.Relation, cols []cq.Var) (*rel
 	return out, err
 }
 
+// refused is the Result of a run that cannot start — the query has no
+// structure to execute — stamped by the governor's exit like every other.
+func refused(ctx context.Context, db cq.Database, opt Options, err error) (*Result, error) {
+	var g governor
+	g.govern(ctx, db, opt)
+	return g.finish(nil, err)
+}
+
 // finish is the exit of every entry point: it stamps Elapsed and
 // classifies a failure into the engine's sentinels. The Result is never
 // nil; a failed run's carries the partial stats.

@@ -35,11 +35,6 @@ type Fallback struct {
 	// join, a remote forward) the retry would be the identical failure
 	// twice.
 	Spills bool
-	// Prepare, when non-nil, does now the set-up Run and Explain would
-	// otherwise do on first use — what depends on the query alone, like
-	// the full reducer's join tree — so that a caller who keeps the
-	// strategy across runs pays for it once, where it plans.
-	Prepare func() error
 	// Explain renders what Run executes; with analyze set it runs it and
 	// annotates the rendering with what happened. Nil on rungs that are
 	// only ever reached by degradation.

@@ -71,7 +71,7 @@ func TestLadderExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := engine.Options{MaxRows: 1}
-	res, err := engine.ExecResilient(context.Background(), p, resilience.DegradationLadder(q, nil), db, opt)
+	res, err := engine.ExecResilient(context.Background(), p, resilience.DegradationLadder(analyze(t, q), nil), db, opt)
 	if !errors.Is(err, engine.ErrRowLimit) {
 		t.Fatalf("exhausted ladder: err = %v, want ErrRowLimit", err)
 	}

@@ -14,9 +14,10 @@
 // quantity internal/server/admission.go already computes for admission.
 //
 // The variable order is treedec-informed and smallest-domain-first: the
-// MCS order seeded with the target schema (the paper's Section 5 order,
-// which puts the free variables first) with each block stably reordered
-// by an upper bound on the variable's domain. Free variables occupy the
+// query's MCS order seeded with the target schema (jointree.Structure's
+// Order: the paper's Section 5 order, which puts the free variables
+// first), computed once per query, with each block stably reordered per
+// run by an upper bound on the variable's domain. Free variables occupy the
 // order's prefix, so the first level at which every output attribute's
 // support is complete is exactly len(Free): below it the executor stops
 // at the first witness per assignment (early projection as existence
@@ -35,9 +36,8 @@ import (
 	"sort"
 
 	"projpush/internal/cq"
-	"projpush/internal/joingraph"
+	"projpush/internal/jointree"
 	"projpush/internal/relation"
-	"projpush/internal/treedec"
 )
 
 // wcojAtom is one atom's execution state: the bound relation, its sorted
@@ -72,7 +72,7 @@ type wcojLevel struct {
 // the variable order and the per-level leapfrog state.
 type wexec struct {
 	governor
-	q     *cq.Query
+	s     *jointree.Structure
 	limit *relation.Limit
 
 	vars    []cq.Var
@@ -89,8 +89,8 @@ type wexec struct {
 	outBytes int64
 }
 
-func newWexec(ctx context.Context, q *cq.Query, db cq.Database, opt Options) *wexec {
-	ex := &wexec{q: q}
+func newWexec(ctx context.Context, s *jointree.Structure, db cq.Database, opt Options) *wexec {
+	ex := &wexec{s: s}
 	ex.govern(ctx, db, opt)
 	ex.limit = ex.lim(&ex.stats.Work)
 	return ex
@@ -100,13 +100,11 @@ func newWexec(ctx context.Context, q *cq.Query, db cq.Database, opt Options) *we
 // per-level intersection structure; it does not build indexes or touch
 // tuples, so EXPLAIN without ANALYZE can render the order cheaply.
 func (ex *wexec) prepare() error {
-	if len(ex.q.Atoms) == 0 {
-		return fmt.Errorf("engine: query has no atoms")
-	}
-	ex.atoms = make([]*wcojAtom, len(ex.q.Atoms))
+	q := ex.s.Query
+	ex.atoms = make([]*wcojAtom, len(q.Atoms))
 	dom := make(map[cq.Var]int) // domain upper bound: min |R| over atoms
-	for i := range ex.q.Atoms {
-		a := &ex.q.Atoms[i]
+	for i := range q.Atoms {
+		a := &q.Atoms[i]
 		rel, err := ex.scan(&ex.stats, a)
 		if err != nil {
 			return err
@@ -122,25 +120,18 @@ func (ex *wexec) prepare() error {
 		}
 	}
 
-	// MCS order seeded with the target schema (free variables first),
-	// then each block stably reordered smallest-domain-first. Any global
-	// order is correct for the generic join; small domains first shrink
-	// the branching near the root.
-	jg := joingraph.Build(ex.q)
-	order := jg.VarSet(treedec.MCS(jg.G, jg.Vertices(ex.q.Free), nil))
-	for _, v := range ex.q.Vars() {
-		if _, ok := dom[v]; !ok {
-			return fmt.Errorf("engine: wcoj variable x%d missing a binding atom", v)
-		}
-	}
-	ex.freeCut = len(ex.q.Free)
-	if ex.freeCut > len(order) {
+	// The structure's MCS order (free variables first), each block stably
+	// reordered smallest-domain-first. Any global order is correct for
+	// the generic join; small domains first shrink the branching near the
+	// root.
+	ex.freeCut = len(q.Free)
+	if ex.freeCut > len(ex.s.Order) {
 		return fmt.Errorf("engine: wcoj order shorter than the target schema")
 	}
 	byDomain := func(block []cq.Var) {
 		sort.SliceStable(block, func(i, j int) bool { return dom[block[i]] < dom[block[j]] })
 	}
-	ex.vars = append([]cq.Var(nil), order...)
+	ex.vars = append([]cq.Var(nil), ex.s.Order...)
 	byDomain(ex.vars[:ex.freeCut])
 	byDomain(ex.vars[ex.freeCut:])
 
@@ -166,8 +157,8 @@ func (ex *wexec) prepare() error {
 	}
 	for _, lv := range ex.levels {
 		if len(lv.atoms) == 0 {
-			// Unreachable for validated queries (every variable occurs in
-			// an atom), but an unconstrained variable would mean an
+			// Unreachable for validated queries (every free variable occurs
+			// in an atom), but an unconstrained variable would mean an
 			// infinite domain — fail loudly rather than loop.
 			return fmt.Errorf("engine: wcoj variable x%d constrained by no atom", lv.v)
 		}
@@ -176,10 +167,10 @@ func (ex *wexec) prepare() error {
 	}
 
 	ex.assign = make([]relation.Value, len(ex.vars))
-	ex.out = relation.New(ex.q.Free)
-	ex.outBuf = make(relation.Tuple, len(ex.q.Free))
-	ex.outSrc = make([]int, len(ex.q.Free))
-	for i, v := range ex.q.Free {
+	ex.out = relation.New(q.Free)
+	ex.outBuf = make(relation.Tuple, len(q.Free))
+	ex.outSrc = make([]int, len(q.Free))
+	for i, v := range q.Free {
 		ex.outSrc[i] = levelOf[v]
 	}
 	return nil
@@ -364,8 +355,8 @@ func (ex *wexec) run() (err error) {
 	return nil
 }
 
-func execWCOJ(ctx context.Context, q *cq.Query, db cq.Database, opt Options) (*Result, *wexec, error) {
-	ex := newWexec(ctx, q, db, opt)
+func execWCOJ(ctx context.Context, s *jointree.Structure, db cq.Database, opt Options) (*Result, *wexec, error) {
+	ex := newWexec(ctx, s, db, opt)
 	err := ex.run()
 	for _, lv := range ex.levels {
 		ex.stats.Seeks += lv.seeks
@@ -381,15 +372,29 @@ func ExecWCOJ(q *cq.Query, db cq.Database, opt Options) (*Result, error) {
 	return ExecWCOJContext(context.Background(), q, db, opt)
 }
 
-// ExecWCOJContext evaluates q as one multiway leapfrog join under the
-// MCS/smallest-domain variable order: total work within the AGM output
-// bound, no binary-join intermediates at all. Errors are classified
-// exactly like the other executors' (ErrTimeout, ErrCanceled,
-// ErrRowLimit, ErrMemLimit, ErrInternal); the returned Result is always
-// non-nil and carries the partial stats of a failed run. The subplan
-// cache (opt.Cache) is ignored: the executor materializes no subtree
-// results to share.
+// ExecWCOJContext analyzes q (jointree.Analyze) and evaluates it as one
+// multiway leapfrog join, for callers that run a query once.
 func ExecWCOJContext(ctx context.Context, q *cq.Query, db cq.Database, opt Options) (*Result, error) {
-	res, _, err := execWCOJ(ctx, q, db, opt)
+	s, err := jointree.Analyze(q)
+	if err != nil {
+		return refused(ctx, db, opt, err)
+	}
+	return NewWCOJ(s).Run(ctx, db, opt)
+}
+
+// WCOJ is the leapfrog multiway join over one query's structure: every
+// Run and Explain starts from the structure's MCS order, so one value
+// serves concurrent requests.
+type WCOJ struct{ s *jointree.Structure }
+
+// NewWCOJ returns the leapfrog join for the analyzed query.
+func NewWCOJ(s *jointree.Structure) *WCOJ { return &WCOJ{s: s} }
+
+// Run evaluates the query under the MCS/smallest-domain variable order:
+// total work within the AGM output bound, no binary-join intermediates.
+// Errors are classified like the other executors'; the Result is never
+// nil, and opt.Cache is ignored (there are no subtree results to share).
+func (w *WCOJ) Run(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
+	res, _, err := execWCOJ(ctx, w.s, db, opt)
 	return res, err
 }

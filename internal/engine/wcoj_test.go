@@ -13,6 +13,7 @@ import (
 	"projpush/internal/cq"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/jointree"
 	"projpush/internal/relation"
 )
 
@@ -248,11 +249,11 @@ func TestWCOJSharesIndexes(t *testing.T) {
 			db[name] = e.Clone()
 			shared, private = append(shared, "e"), append(private, name)
 		}
-		res, ex, err := execWCOJ(context.Background(), cycleOver(shared...), db, Options{})
+		res, ex, err := execWCOJ(context.Background(), mustAnalyze(t, cycleOver(shared...)), db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		apart, exApart, err := execWCOJ(context.Background(), cycleOver(private...), db, Options{})
+		apart, exApart, err := execWCOJ(context.Background(), mustAnalyze(t, cycleOver(private...)), db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,4 +282,14 @@ func TestWCOJSharesIndexes(t *testing.T) {
 			t.Errorf("%d-cycle: the budget one index per atom needed refused the run: %v", n, err)
 		}
 	}
+}
+
+// mustAnalyze is jointree.Analyze for a query the test knows is valid.
+func mustAnalyze(t testing.TB, q *cq.Query) *jointree.Structure {
+	t.Helper()
+	s, err := jointree.Analyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

@@ -6,9 +6,10 @@
 // cannot contribute to the answer ("Algorithms for Optimizing Acyclic
 // Queries", arXiv 2509.14144 — the classic Yannakakis algorithm), after
 // which the bag-by-bag evaluation is output-bounded. This file implements
-// that strategy over the paper's own machinery: the MCS elimination order
-// (Section 5), the induced tree decomposition, and the join-expression
-// tree of Algorithm 3 (internal/jointree).
+// that strategy over the paper's own machinery: it sweeps the
+// join-expression tree of Algorithm 3 that the query's structural analysis
+// builds from the MCS elimination order (Section 5) and the tree
+// decomposition it induces (jointree.Analyze).
 //
 // Execution runs in five phases over the interior nodes of the join tree:
 //
@@ -56,14 +57,10 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sync"
 
 	"projpush/internal/cq"
-	"projpush/internal/joingraph"
 	"projpush/internal/jointree"
 	"projpush/internal/relation"
-	"projpush/internal/treedec"
 )
 
 // DefaultYannakakisWidth is the MCS-elimination-width threshold up to
@@ -72,31 +69,6 @@ import (
 // arity, and the full reducer's intermediates stay output-bounded while
 // the width (hence bag size) is small.
 const DefaultYannakakisWidth = 3
-
-// BuildJoinTree constructs the join-expression tree the full reducer
-// sweeps: MCS elimination order seeded with the target schema, the
-// induced tree decomposition, then Algorithm 3. rng seeds the MCS
-// tie-breaking; nil is deterministic.
-func BuildJoinTree(q *cq.Query, rng *rand.Rand) (*jointree.Tree, error) {
-	if len(q.Atoms) == 0 {
-		return nil, fmt.Errorf("engine: query has no atoms")
-	}
-	jg := joingraph.Build(q)
-	elim := treedec.EliminationOrder(treedec.MCS(jg.G, jg.Vertices(q.Free), rng))
-	dec := treedec.FromOrder(jg.G, elim)
-	return jointree.FromDecomposition(q, jg, dec)
-}
-
-// MCSElimWidth returns the induced width of q's join graph under the
-// (deterministic) MCS elimination order — the static signal admission
-// control and the degradation ladder use to decide whether the full
-// reducer should run: width ≤ DefaultYannakakisWidth means the bags stay
-// small and the sweep's intermediates stay output-bounded.
-func MCSElimWidth(q *cq.Query) int {
-	jg := joingraph.Build(q)
-	elim := treedec.EliminationOrder(treedec.MCS(jg.G, jg.Vertices(q.Free), nil))
-	return treedec.InducedWidth(jg.G, elim)
-}
 
 // ybag is one interior node of the join tree during a sweep: the atoms
 // hosted here, the bag relation once they are joined, and the per-phase
@@ -415,36 +387,24 @@ func ExecYannakakis(q *cq.Query, db cq.Database, opt Options) (*Result, error) {
 	return ExecYannakakisContext(context.Background(), q, db, opt)
 }
 
-// ExecYannakakisContext builds the MCS join tree for q and executes it
-// with the full-reducer sweep: NewYannakakis(q).Run, for callers that run
-// a query once.
+// ExecYannakakisContext analyzes q (jointree.Analyze) and executes its
+// join tree with the full-reducer sweep, for callers that run a query
+// once.
 func ExecYannakakisContext(ctx context.Context, q *cq.Query, db cq.Database, opt Options) (*Result, error) {
-	return NewYannakakis(q).Run(ctx, db, opt)
+	s, err := jointree.Analyze(q)
+	if err != nil {
+		return refused(ctx, db, opt, err)
+	}
+	return NewYannakakis(s).Run(ctx, db, opt)
 }
 
-// Yannakakis is the full reducer prepared for one query. Its join tree —
-// the part of a run that depends on the query alone — is built once, on
-// first use, and every Run and Explain after that sweeps the same tree:
-// the tree is never written again and each run builds its own bags, so one
-// value serves concurrent requests. A server keeps it per query text; the
-// degradation ladder constructs it for a lead rung it may never reach,
-// which is why construction builds nothing.
-type Yannakakis struct {
-	q    *cq.Query
-	once sync.Once
-	tree *jointree.Tree
-	err  error
-}
+// Yannakakis is the full reducer over one query's structure. Every Run
+// and Explain sweeps the structure's join tree, which nothing writes, and
+// builds its own bags, so one value serves concurrent requests.
+type Yannakakis struct{ s *jointree.Structure }
 
-// NewYannakakis returns the full reducer for q with its join tree unbuilt.
-func NewYannakakis(q *cq.Query) *Yannakakis { return &Yannakakis{q: q} }
-
-// Prepare builds the join tree now instead of on the first run, so that
-// the caller pays for it where it pays for planning.
-func (y *Yannakakis) Prepare() error {
-	y.once.Do(func() { y.tree, y.err = BuildJoinTree(y.q, nil) })
-	return y.err
-}
+// NewYannakakis returns the full reducer for the analyzed query.
+func NewYannakakis(s *jointree.Structure) *Yannakakis { return &Yannakakis{s: s} }
 
 // Run executes the full-reducer sweep. Errors are classified exactly like
 // the plan executors' (ErrTimeout, ErrCanceled, ErrRowLimit, ErrMemLimit,
@@ -453,14 +413,7 @@ func (y *Yannakakis) Prepare() error {
 // ignored: reduction mutates its inputs, so there are no immutable
 // subtree results to share.
 func (y *Yannakakis) Run(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
-	if err := y.Prepare(); err != nil {
-		// No tree to sweep: leave through the governor's exit all the same,
-		// so the failure carries a stamped Result like every other.
-		var ex yexec
-		ex.govern(ctx, db, opt)
-		return ex.finish(nil, err)
-	}
-	res, _, err := execYannakakis(ctx, y.tree, db, opt)
+	res, _, err := execYannakakis(ctx, y.s.Tree, db, opt)
 	return res, err
 }
 

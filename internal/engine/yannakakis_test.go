@@ -16,6 +16,7 @@ import (
 	"projpush/internal/faultinject"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/jointree"
 	"projpush/internal/relation"
 	"projpush/internal/resilience"
 )
@@ -276,7 +277,7 @@ func TestYannakakisRungDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer faultinject.Disable()
-	first, ladder := resilience.Strategy(core.MethodYannakakis, q, nil)
+	first, ladder := resilience.Strategy(core.MethodYannakakis, analyze(t, q), nil)
 	res, err := engine.ExecResilientStrategy(context.Background(), first, ladder(nil), db, engine.Options{})
 	if err != nil {
 		t.Fatalf("ladder should rescue the poisoned reducer: %v", err)
@@ -360,10 +361,11 @@ func TestExplainYannakakis(t *testing.T) {
 	}
 }
 
-// BenchmarkJoinTreeBuild is the full reducer's first-seen cost on
-// augmented-ladder-40, the widest of the end-to-end benchmark's structured
-// texts: MCS order, induced decomposition, Mark-and-Sweep, Algorithm 3 and
-// its validation. A server pays it once per distinct query text.
+// BenchmarkJoinTreeBuild is a query's structural analysis
+// (jointree.Analyze) on augmented-ladder-40, the widest of the end-to-end
+// benchmark's structured texts: MCS order, induced decomposition,
+// Mark-and-Sweep, Algorithm 3 and its validation. A server pays it once
+// per distinct query text.
 func BenchmarkJoinTreeBuild(b *testing.B) {
 	g := graph.AugmentedLadder(40)
 	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
@@ -373,8 +375,18 @@ func BenchmarkJoinTreeBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.BuildJoinTree(q, nil); err != nil {
+		if _, err := jointree.Analyze(q); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// analyze is jointree.Analyze for a query the test knows is valid.
+func analyze(t testing.TB, q *cq.Query) *jointree.Structure {
+	t.Helper()
+	s, err := jointree.Analyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

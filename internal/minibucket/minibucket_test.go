@@ -18,7 +18,17 @@ func setup(t *testing.T, g *graph.Graph) (*cq.Query, cq.Database, []cq.Var) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return q, instance.ColorDatabase(3), core.MCSVarOrder(q, nil)
+	return q, instance.ColorDatabase(3), mcsOrder(t, q, nil)
+}
+
+// mcsOrder is the paper's bucket-elimination variable order for q.
+func mcsOrder(t *testing.T, q *cq.Query, rng *rand.Rand) []cq.Var {
+	t.Helper()
+	order, err := core.VarOrder(q, core.OrderMCS, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return order
 }
 
 func TestExactWhenBoundLarge(t *testing.T) {
@@ -59,7 +69,7 @@ func TestUpperApproximation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		order := core.MCSVarOrder(q, rng)
+		order := mcsOrder(t, q, rng)
 		want, err := engine.EvalOracle(q, db)
 		if err != nil {
 			t.Fatal(err)
@@ -156,7 +166,7 @@ func TestFreeVariablesSurvive(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := instance.ColorDatabase(3)
-	order := core.MCSVarOrder(q, nil)
+	order := mcsOrder(t, q, nil)
 	res, err := Evaluate(q, db, order, len(order))
 	if err != nil {
 		t.Fatal(err)

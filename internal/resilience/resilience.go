@@ -12,20 +12,22 @@ import (
 	"projpush/internal/core"
 	"projpush/internal/cq"
 	"projpush/internal/engine"
+	"projpush/internal/jointree"
 	"projpush/internal/plan"
 )
 
 // Strategy is the one place a method names its executor: it returns the
-// strategy that runs (and explains) method m on query q, and the ladder a
-// resilient run of it degrades down. Callers run the strategy directly, or
-// as the first rung of engine.ExecResilientStrategy over ladder(rng).
+// strategy that runs (and explains) method m on the analyzed query s, and
+// the ladder a resilient run of it degrades down. Callers run the strategy
+// directly, or as the first rung of engine.ExecResilientStrategy over
+// ladder(rng).
 //
 // The three execution strategies degrade to the plan ladder (PlanLadder),
 // whose rungs run on the pull pipeline.
-// The Yannakakis full reducer and the leapfrog multiway join work from q
-// and ignore p; the full reducer's join tree is built once per strategy —
-// on its first run or explain, or by Prepare for a caller that keeps the
-// strategy across requests — and shared by every run after. The streaming
+// The Yannakakis full reducer and the leapfrog multiway join work from the
+// structure and ignore p: the full reducer sweeps s.Tree and the leapfrog
+// join starts from s.Order, both computed once by jointree.Analyze and
+// shared by every run. The streaming
 // engine lowers whatever plan it is handed and never re-plans — the caller
 // has chosen p (core.StreamPlan for a request that named no method) — and
 // runs its semijoin sweeps only where one scan can reduce another. Every
@@ -40,13 +42,13 @@ import (
 // states whether its executor can go out of core (Fallback.Spills): the
 // streaming engine and a plan run can (a spill-armed walker run is handed to
 // the pipeline), the full reducer and the leapfrog join cannot.
-func Strategy(m core.Method, q *cq.Query, p plan.Node) (st engine.Fallback, ladder func(*rand.Rand) []engine.Fallback) {
+func Strategy(m core.Method, s *jointree.Structure, p plan.Node) (st engine.Fallback, ladder func(*rand.Rand) []engine.Fallback) {
 	st.Name = string(m)
-	ladder = func(rng *rand.Rand) []engine.Fallback { return PlanLadder(q, rng) }
+	ladder = func(rng *rand.Rand) []engine.Fallback { return PlanLadder(s.Query, rng) }
 	switch m {
 	case core.MethodYannakakis:
-		y := engine.NewYannakakis(q) // one join tree for every run and explain
-		st.Prepare, st.Run, st.Explain = y.Prepare, y.Run, y.Explain
+		y := engine.NewYannakakis(s)
+		st.Run, st.Explain = y.Run, y.Explain
 	case core.MethodStream:
 		st.Spills = true
 		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
@@ -56,12 +58,8 @@ func Strategy(m core.Method, q *cq.Query, p plan.Node) (st engine.Fallback, ladd
 			return engine.ExplainStream(p, db, opt, analyze)
 		}
 	case core.MethodWCOJ:
-		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
-			return engine.ExecWCOJContext(ctx, q, db, opt)
-		}
-		st.Explain = func(db cq.Database, opt engine.Options, analyze bool) (string, error) {
-			return engine.ExplainWCOJ(q, db, opt, analyze)
-		}
+		w := engine.NewWCOJ(s)
+		st.Run, st.Explain = w.Run, w.Explain
 	default:
 		st.Spills = true
 		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
@@ -70,7 +68,7 @@ func Strategy(m core.Method, q *cq.Query, p plan.Node) (st engine.Fallback, ladd
 		st.Explain = func(db cq.Database, opt engine.Options, analyze bool) (string, error) {
 			return engine.Explain(p, db, opt, analyze)
 		}
-		ladder = func(rng *rand.Rand) []engine.Fallback { return DegradationLadder(q, rng) }
+		ladder = func(rng *rand.Rand) []engine.Fallback { return DegradationLadder(s, rng) }
 	}
 	return st, ladder
 }
@@ -82,10 +80,10 @@ func Strategy(m core.Method, q *cq.Query, p plan.Node) (st engine.Fallback, ladd
 // the run keeps alive rather than everything it ever materialized — under
 // the route's own name and ladder. The executor is a function of the
 // request alone: no server setting brings the walker back.
-func Routed(m core.Method, q *cq.Query, p plan.Node) (engine.Fallback, func(*rand.Rand) []engine.Fallback) {
-	st, ladder := Strategy(m, q, p)
+func Routed(m core.Method, s *jointree.Structure, p plan.Node) (engine.Fallback, func(*rand.Rand) []engine.Fallback) {
+	st, ladder := Strategy(m, s, p)
 	if !slices.Contains(core.Strategies, m) {
-		pipe, _ := Strategy(core.MethodStream, q, p)
+		pipe, _ := Strategy(core.MethodStream, s, p)
 		st.Run, st.Explain = pipe.Run, pipe.Explain
 	}
 	return st, ladder
@@ -94,8 +92,9 @@ func Routed(m core.Method, q *cq.Query, p plan.Node) (engine.Fallback, func(*ran
 // DegradationLadder returns the fallback ladder for engine.ExecResilient:
 // a lead chosen by width, then the paper's two projection-pushing methods
 // from cheapest re-plan to most robust (PlanLadder). When the query is
-// narrow (MCS elimination width at most engine.DefaultYannakakisWidth —
-// acyclic queries always qualify), the Yannakakis full reducer leads,
+// narrow (s.Width, its MCS elimination width, at most
+// engine.DefaultYannakakisWidth — acyclic queries always qualify), the
+// Yannakakis full reducer leads,
 // because its semijoin sweeps delete non-contributing tuples before
 // anything is materialized and so survive exactly the resource aborts that
 // trigger the ladder. Wide queries lead with the worst-case-optimal rung
@@ -121,13 +120,13 @@ func Routed(m core.Method, q *cq.Query, p plan.Node) (engine.Fallback, func(*ran
 // strategy instead of forcing a method change, and only an actual spill
 // failure (ErrSpill) or a second memory violation moves the run down a
 // rung.
-func DegradationLadder(q *cq.Query, rng *rand.Rand) []engine.Fallback {
+func DegradationLadder(s *jointree.Structure, rng *rand.Rand) []engine.Fallback {
 	lead := core.MethodWCOJ
-	if engine.MCSElimWidth(q) <= engine.DefaultYannakakisWidth {
+	if s.Width <= engine.DefaultYannakakisWidth {
 		lead = core.MethodYannakakis
 	}
-	first, _ := Strategy(lead, q, nil)
-	return append([]engine.Fallback{first}, PlanLadder(q, rng)...)
+	first, _ := Strategy(lead, s, nil)
+	return append([]engine.Fallback{first}, PlanLadder(s.Query, rng)...)
 }
 
 // RemoteRung adapts an execution that happens outside the local engine —

@@ -12,6 +12,7 @@ import (
 	"projpush/internal/engine"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/jointree"
 	"projpush/internal/relation"
 	"projpush/internal/resilience"
 )
@@ -93,13 +94,13 @@ func TestStrategyRunsAndExplainsItsExecutor(t *testing.T) {
 			}
 			for _, routed := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/routed=%v", in.name, m, routed)
-				strategy, ladder := resilience.Strategy(m, in.q, p)
+				strategy, ladder := resilience.Strategy(m, analyze(t, in.q), p)
 				describe := executor[m]
 				if describe == nil {
 					describe = planWalker
 				}
 				if routed {
-					strategy, ladder = resilience.Routed(m, in.q, p)
+					strategy, ladder = resilience.Routed(m, analyze(t, in.q), p)
 					if executor[m] == nil {
 						describe = executor[core.MethodStream]
 					}
@@ -157,7 +158,7 @@ func TestSpillRetryOnlyWhereItCanSpill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		strategy, ladder := resilience.Strategy(m, q, p)
+		strategy, ladder := resilience.Strategy(m, analyze(t, q), p)
 		if want := m != core.MethodYannakakis && m != core.MethodWCOJ; strategy.Spills != want {
 			t.Fatalf("%s: Spills = %v, want %v", m, strategy.Spills, want)
 		}
@@ -181,4 +182,14 @@ func TestSpillRetryOnlyWhereItCanSpill(t *testing.T) {
 				m, tried, retried, want, res.Stats.Attempts)
 		}
 	}
+}
+
+// analyze is jointree.Analyze for a query the test knows is valid.
+func analyze(t testing.TB, q *cq.Query) *jointree.Structure {
+	t.Helper()
+	s, err := jointree.Analyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

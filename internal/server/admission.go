@@ -6,12 +6,10 @@ import (
 	"math"
 
 	"projpush/internal/acyclic"
-	"projpush/internal/core"
 	"projpush/internal/cq"
 	"projpush/internal/engine"
-	"projpush/internal/joingraph"
+	"projpush/internal/jointree"
 	"projpush/internal/plan"
-	"projpush/internal/treedec"
 )
 
 // Width-aware admission control. The paper's theory gives the server a
@@ -44,7 +42,8 @@ import (
 // with ErrMemLimit. Pass spillBytes < 0 when spilling is disabled. The
 // override never excuses a width or AGM violation: spill bounds
 // residency, not the work or output size those predict.
-func assess(q *cq.Query, p plan.Node, method string, maxWidth int, maxAGMLog2 float64, maxPredicted int64, overrideAGM bool, spillBytes int64, db cq.Database) *Verdict {
+func assess(s *jointree.Structure, p plan.Node, method string, maxWidth int, maxAGMLog2 float64, maxPredicted int64, overrideAGM bool, spillBytes int64, db cq.Database) *Verdict {
+	q := s.Query
 	v := &Verdict{
 		Method:            method,
 		PlanWidth:         plan.Analyze(p).Width,
@@ -55,10 +54,8 @@ func assess(q *cq.Query, p plan.Node, method string, maxWidth int, maxAGMLog2 fl
 	}
 	c := newCover(q, db)
 	v.AGMLog2 = c.log2(nil)
-	if jg, elim, err := core.EliminationOrder(q, core.OrderMCS, nil); err == nil {
-		v.ElimWidth = treedec.InducedWidth(jg.G, elim)
-		v.BagAGMLog2 = bagAGMLog2(q, c, jg, elim, v.ElimWidth, v.AGMLog2)
-	}
+	v.ElimWidth = s.Width
+	v.BagAGMLog2 = bagAGMLog2(s, c, v.AGMLog2)
 	v.PredictedPeakBytes = predictedPeakBytes(q, db)
 	overWidth := maxWidth > 0 && v.PlanWidth > maxWidth
 	overAGM := maxAGMLog2 > 0 && v.AGMLog2 > maxAGMLog2
@@ -78,43 +75,43 @@ func assess(q *cq.Query, p plan.Node, method string, maxWidth int, maxAGMLog2 fl
 	return v
 }
 
-// bagAGMLog2 returns the largest agmLog2 over the bags of the tree
-// decomposition elim induces — the bound on the widest intermediate a
+// bagAGMLog2 returns the largest agmLog2 over the bags of the query's tree
+// decomposition (s.Dec) — the bound on the widest intermediate a
 // join-tree plan over that decomposition can build — for the size-only
 // routing rule to compare with whole, the full query's bound. It returns
 // nil where the rule cannot apply, cheapest test first. Sizes alone: a
 // bag of k variables is covered by at most k relations, so its bound is
 // at most k·log2(max |R|); a whole above that for the widest bag (width+1
 // variables) is above every bag, and a join graph of width under 2 is a
-// forest, whose query is acyclic. Only past both is the decomposition
-// built, and only its bags with enough variables to reach whole are
-// covered. Acyclicity: only when a bag does reach whole is GYO run, and an
-// acyclic query is left to the full reducer, which builds no bag.
-func bagAGMLog2(q *cq.Query, c *cover, jg *joingraph.JoinGraph, elim []int, width int, whole float64) *float64 {
+// forest, whose query is acyclic. Only past both are bags covered, and
+// only those with enough variables to reach whole. Acyclicity: only when
+// a bag does reach whole is GYO run, and an acyclic query is left to the
+// full reducer, which builds no bag.
+func bagAGMLog2(s *jointree.Structure, c *cover, whole float64) *float64 {
 	perVar := 0.0 // log2(max |R|)
 	for _, a := range c.atoms {
 		perVar = math.Max(perVar, a.log)
 	}
-	if width < 2 || whole > float64(width+1)*perVar {
+	if s.Width < 2 || whole > float64(s.Width+1)*perVar {
 		return nil
 	}
 	widest := 0.0
 	outside := make([]bool, len(c.index))
-	for _, bag := range treedec.FromOrder(jg.G, elim).Bags {
+	for _, bag := range s.Dec.Bags {
 		if whole > float64(len(bag))*perVar {
 			continue
 		}
 		for i := range outside {
 			outside[i] = true
 		}
-		for _, v := range jg.VarSet(bag) {
+		for _, v := range s.Graph.VarSet(bag) {
 			if i, ok := c.index[v]; ok {
 				outside[i] = false
 			}
 		}
 		widest = math.Max(widest, c.log2(outside))
 	}
-	if whole <= widest && acyclic.IsAcyclic(q) {
+	if whole <= widest && acyclic.IsAcyclic(s.Query) {
 		return nil
 	}
 	return &widest

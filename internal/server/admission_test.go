@@ -39,7 +39,7 @@ func TestAssessWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := assess(in.q, p, "bucketelimination", 0, 0, 0, false, -1, in.db)
+	v := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, 0, false, -1, in.db)
 	if !v.Admitted {
 		t.Fatalf("no thresholds set, want admitted, got %+v", v)
 	}
@@ -56,12 +56,12 @@ func TestAssessWidths(t *testing.T) {
 	}
 
 	// A width threshold below the plan width rejects.
-	tight := assess(in.q, p, "bucketelimination", v.PlanWidth-1, 0, 0, false, -1, in.db)
+	tight := assess(analyze(t, in.q), p, "bucketelimination", v.PlanWidth-1, 0, 0, false, -1, in.db)
 	if tight.Admitted {
 		t.Errorf("threshold %d under plan width %d: want rejected", v.PlanWidth-1, v.PlanWidth)
 	}
 	// An AGM threshold below the bound rejects.
-	agmTight := assess(in.q, p, "bucketelimination", 0, v.AGMLog2/2, 0, false, -1, in.db)
+	agmTight := assess(analyze(t, in.q), p, "bucketelimination", 0, v.AGMLog2/2, 0, false, -1, in.db)
 	if agmTight.Admitted {
 		t.Errorf("AGM threshold %v under bound %v: want rejected", v.AGMLog2/2, v.AGMLog2)
 	}
@@ -73,32 +73,32 @@ func TestAssessSpillOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := assess(in.q, p, "bucketelimination", 0, 0, 0, false, -1, in.db)
+	base := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, 0, false, -1, in.db)
 	if base.PredictedPeakBytes <= 1 {
 		t.Fatalf("want a nonzero predicted peak, got %d", base.PredictedPeakBytes)
 	}
 	tight := base.PredictedPeakBytes - 1
 	// Over the byte threshold with spilling disabled: rejected.
-	if v := assess(in.q, p, "bucketelimination", 0, 0, tight, false, -1, in.db); v.Admitted {
+	if v := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, tight, false, -1, in.db); v.Admitted {
 		t.Errorf("predicted %d over threshold %d without spill: want rejected", v.PredictedPeakBytes, tight)
 	}
 	// Spilling armed with unlimited disk: admitted on spill.
-	v := assess(in.q, p, "bucketelimination", 0, 0, tight, false, 0, in.db)
+	v := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, tight, false, 0, in.db)
 	if !v.Admitted || !v.AdmittedOnSpill {
 		t.Errorf("unlimited spill budget: want AdmittedOnSpill, got %+v", v)
 	}
 	// Spilling armed but the prediction exceeds the disk budget too:
 	// rejected — disk cannot absorb what it cannot hold.
-	if v := assess(in.q, p, "bucketelimination", 0, 0, tight, false, tight, in.db); v.Admitted {
+	if v := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, tight, false, tight, in.db); v.Admitted {
 		t.Errorf("prediction over both memory and disk budgets: want rejected, got %+v", v)
 	}
 	// A disk budget that fits the prediction admits.
-	fit := assess(in.q, p, "bucketelimination", 0, 0, tight, false, base.PredictedPeakBytes, in.db)
+	fit := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, tight, false, base.PredictedPeakBytes, in.db)
 	if !fit.Admitted || !fit.AdmittedOnSpill {
 		t.Errorf("prediction within disk budget: want AdmittedOnSpill, got %+v", fit)
 	}
 	// The override never excuses a width violation.
-	if v := assess(in.q, p, "bucketelimination", base.PlanWidth-1, 0, tight, false, 0, in.db); v.Admitted {
+	if v := assess(analyze(t, in.q), p, "bucketelimination", base.PlanWidth-1, 0, tight, false, 0, in.db); v.Admitted {
 		t.Errorf("width violation with spill armed: want rejected, got %+v", v)
 	}
 }
@@ -275,8 +275,9 @@ var agmSink float64
 // record: all of assess on the largest structured query the benchmark
 // sends, where the precheck must keep the rule free (compare with the
 // commit before the rule), and on the triangle over an e of the
-// through-the-wire benchmark's size, where the rule builds the
-// decomposition, covers its bag, runs GYO and fires.
+// through-the-wire benchmark's size, where the rule covers the
+// decomposition's bag, runs GYO and fires. The query's structure is
+// analyzed outside the loop, as compile analyzes it before admission.
 func BenchmarkAdmissionRule(b *testing.B) {
 	pool, db := shapePool(b, 20040314, 8000, 600, true)
 	for _, name := range []string{"augladder-40", "triangle"} {
@@ -286,11 +287,12 @@ func BenchmarkAdmissionRule(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		st := analyze(b, q)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var v *Verdict
 			for i := 0; i < b.N; i++ {
-				v = assess(q, p, "bucketelimination", 0, 0, 0, true, -1, db)
+				v = assess(st, p, "bucketelimination", 0, 0, 0, true, -1, db)
 			}
 			if fires := v.BagAGMLog2 != nil && v.AGMLog2 <= *v.BagAGMLog2; fires != (name == "triangle") {
 				b.Fatalf("rule fires = %v (agm %.2f, bag %v)", fires, v.AGMLog2, v.BagAGMLog2)

@@ -316,7 +316,7 @@ func TestNoGainTierTable(t *testing.T) {
 	taken := 0
 	for _, c := range pool {
 		inHand := mcsCandidate(t, c.q)
-		v := assess(c.q, inHand.Plan, "bucketelimination", 0, 0, 0, true, -1, db)
+		v := assess(analyze(t, c.q), inHand.Plan, "bucketelimination", 0, 0, 0, true, -1, db)
 		method, chosen, reason, err := route("", c.q, inHand, v)
 		if err != nil {
 			t.Fatal(err)
@@ -528,7 +528,7 @@ func TestTiersAnswerLikeTheOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			strategy, _ := resilience.Routed(tier.method, c.q, cand.Plan)
+			strategy, _ := resilience.Routed(tier.method, analyze(t, c.q), cand.Plan)
 			res, err := strategy.Run(context.Background(), db, engine.Options{})
 			if err != nil {
 				t.Fatalf("%s on the %s tier: %v", c.name, tier.method, err)

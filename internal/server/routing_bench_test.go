@@ -113,8 +113,8 @@ func BenchmarkRoutingMatrix(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		streamTier, _ := resilience.Routed(core.MethodStream, q, streamPlan.Plan)
-		defaultTier, _ := resilience.Routed(core.MethodBucketElimination, q, bePlan.Plan)
+		streamTier, _ := resilience.Routed(core.MethodStream, analyze(b, q), streamPlan.Plan)
+		defaultTier, _ := resilience.Routed(core.MethodBucketElimination, analyze(b, q), bePlan.Plan)
 		exec := func(ctx context.Context, m core.Method) (*engine.Result, error) {
 			switch m {
 			case core.MethodYannakakis:

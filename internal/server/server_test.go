@@ -214,6 +214,10 @@ func TestParseAndMethodErrors(t *testing.T) {
 	if resp.Status != StatusParseError {
 		t.Errorf("unknown relation: status = %s, want parse_error", resp.Status)
 	}
+	resp = roundTrip(t, addr, &Request{Op: "query", Query: "query ans(x, x) :- edge(x,y), edge(y,z), edge(z,x)."})
+	if resp.Status != StatusParseError || resp.Stats != nil {
+		t.Errorf("repeated head variable: status = %s, stats %+v; want parse_error with no attempts", resp.Status, resp.Stats)
+	}
 	resp = roundTrip(t, addr, &Request{Op: "query", Query: queryText(t, graph.Ladder(3)), Method: "nosuchmethod"})
 	if resp.Status != StatusError {
 		t.Errorf("unknown method: status = %s, want error", resp.Status)

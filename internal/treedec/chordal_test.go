@@ -7,6 +7,39 @@ import (
 	"projpush/internal/graph"
 )
 
+// IsChordal reports whether g is chordal, using the Tarjan–Yannakakis
+// test the paper's MCS heuristic comes from: run maximum cardinality
+// search, then verify the reverse numbering is a perfect elimination
+// order. On chordal graphs MCS-based bucket elimination is *exact* —
+// induced width equals treewidth — which is why the heuristic is a
+// reasonable stand-in for the NP-hard optimal order; the tests below
+// check that claim with this oracle.
+func IsChordal(g *graph.Graph) bool {
+	order := MCS(g, nil, nil)
+	return IsPerfectEliminationOrder(g, EliminationOrder(order))
+}
+
+// IsPerfectEliminationOrder reports whether eliminating the vertices in
+// the given order never requires fill edges: each vertex's later
+// neighbors already form a clique. elim must be a permutation of g's
+// vertices.
+func IsPerfectEliminationOrder(g *graph.Graph, elim []int) bool {
+	return FillIn(g, elim) == 0
+}
+
+// FillIn counts the fill edges the elimination order adds — zero exactly
+// for perfect elimination orders, and a standard quality measure for
+// elimination heuristics (min-fill greedily minimizes it stepwise).
+func FillIn(g *graph.Graph, elim []int) int {
+	adj := liveSets(g)
+	fill := 0
+	for _, v := range elim {
+		fill += adj.missingPairs(v)
+		eliminate(adj, v)
+	}
+	return fill
+}
+
 func TestIsChordalKnownGraphs(t *testing.T) {
 	twoTree := graph.New(5)
 	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {3, 0}, {3, 1}, {4, 1}, {4, 2}} {

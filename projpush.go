@@ -45,6 +45,7 @@ import (
 	"projpush/internal/graph"
 	"projpush/internal/hypertree"
 	"projpush/internal/instance"
+	"projpush/internal/jointree"
 	"projpush/internal/minibucket"
 	"projpush/internal/minimize"
 	"projpush/internal/pgplanner"
@@ -263,7 +264,11 @@ type Attempt = engine.Attempt
 // to most robust. rng drives bucket elimination's tie-breaking; nil is
 // deterministic.
 func DegradationLadder(q *Query, rng *rand.Rand) []Fallback {
-	return resilience.DegradationLadder(q, rng)
+	s, err := jointree.Analyze(q)
+	if err != nil {
+		return resilience.PlanLadder(q, rng) // no structure, so no rung that reads one
+	}
+	return resilience.DegradationLadder(s, rng)
 }
 
 // ExecuteResilient runs a plan and, when it fails on a resource limit
@@ -286,7 +291,11 @@ func Run(m Method, q *Query, db Database, opt ExecOptions, rng *rand.Rand) (*Res
 	if err != nil {
 		return nil, err
 	}
-	strategy, _ := resilience.Strategy(m, q, p)
+	s, err := jointree.Analyze(q)
+	if err != nil {
+		return nil, err
+	}
+	strategy, _ := resilience.Strategy(m, s, p)
 	return strategy.Run(context.Background(), db, opt)
 }
 
@@ -433,7 +442,11 @@ type MiniBucketResult = minibucket.Result
 // under the MCS order: the result over-approximates the exact answer, and
 // an empty result proves the exact answer empty.
 func MiniBucket(q *Query, db Database, bound int, rng *rand.Rand) (*MiniBucketResult, error) {
-	return minibucket.Evaluate(q, db, core.MCSVarOrder(q, rng), bound)
+	order, err := core.VarOrder(q, core.OrderMCS, rng)
+	if err != nil {
+		return nil, err
+	}
+	return minibucket.Evaluate(q, db, order, bound)
 }
 
 // HybridChoice is the hybrid optimizer's outcome: the chosen plan, the
