@@ -32,7 +32,12 @@ vet:
 # test-only helpers (treedec.IsChordal/IsPerfectEliminationOrder/FillIn,
 # graph.MaxDegree/Connected, jointree.Tree.Nodes, core.InducedWidth) into
 # the tests that call them took the total below the old ceiling.
-LOC_CEILING = 20851
+# Lowered to 20727 by one key rule for every hash kernel
+# (relation/key.go): it deleted the join keyer and its alignment, the
+# byte packers of the dedup table, StreamTable and StreamFilter, and the
+# semijoin probe; the bitmap key set the three semijoin kernels now share
+# took back less than they freed.
+LOC_CEILING = 20727
 loc:
 	@go list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
 		n=$$(ls $$dir/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \
@@ -184,6 +189,7 @@ fuzz:
 	go test ./internal/sqlparse -fuzz 'FuzzParseNaive$$' -fuzztime 30s
 	go test ./internal/server -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime 30s
 	go test ./internal/relation -run '^$$' -fuzz 'FuzzSortedIndexOrder$$' -fuzztime 30s
+	go test ./internal/relation -run '^$$' -fuzz 'FuzzSemijoinKeys$$' -fuzztime 30s
 
 # Paper-scale sweeps with timeouts (slow; see -scale to shrink).
 experiments:

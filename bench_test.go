@@ -451,32 +451,34 @@ func BenchmarkAblationHybrid(b *testing.B) {
 }
 
 // BenchmarkAblationHashKey measures the join kernel's exact-packing fast
-// path (byte-size domains, as in all paper workloads) against the
-// verify-on-collision path (values outside byte range force FNV hashing).
+// path (small domains, as in all paper workloads) against the
+// verify-on-collision path: every join shares three variables, and a
+// 3-column key packs only values under 2^21, so the hashed-wide arm's
+// offset forces FNV hashing with row verification.
 func BenchmarkAblationHashKey(b *testing.B) {
 	build := func(offset Value) (Database, *cq.Query) {
-		rel := NewRelation([]Var{0, 1})
-		for i := Value(0); i < 40; i++ {
-			for j := Value(0); j < 40; j++ {
-				if i != j {
-					// With offset 0 all values stay below 256 and keys
-					// pack exactly; a large offset forces the FNV path.
-					rel.Add(Tuple{i*6 + offset, j*6 + offset})
+		rel := NewRelation([]Var{0, 1, 2, 3})
+		for i := Value(0); i < 6*6*6*6; i++ {
+			t := Tuple{i / 216, i / 36 % 6, i / 6 % 6, i % 6}
+			if t[0] != t[1] && t[1] != t[2] && t[2] != t[3] {
+				for k := range t {
+					t[k] = t[k]*6 + offset
 				}
+				rel.Add(t)
 			}
 		}
 		db := Database{"r": rel}
 		q := &cq.Query{
 			Atoms: []cq.Atom{
-				{Rel: "r", Args: []Var{0, 1}},
-				{Rel: "r", Args: []Var{1, 2}},
-				{Rel: "r", Args: []Var{2, 3}},
+				{Rel: "r", Args: []Var{0, 1, 2, 3}},
+				{Rel: "r", Args: []Var{1, 2, 3, 4}},
+				{Rel: "r", Args: []Var{2, 3, 4, 5}},
 			},
 			Free: []Var{0},
 		}
 		return db, q
 	}
-	for name, offset := range map[string]Value{"packed-bytes": 0, "hashed-wide": 100000} {
+	for name, offset := range map[string]Value{"packed-bytes": 0, "hashed-wide": 1 << 21} {
 		db, q := build(offset)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -9,6 +9,7 @@ import (
 
 	"projpush/internal/cq"
 	"projpush/internal/plan"
+	"projpush/internal/relation"
 )
 
 func TestIteratorMatchesMaterializedOnCycle(t *testing.T) {
@@ -138,13 +139,22 @@ func TestQuickIteratorEquivalence(t *testing.T) {
 }
 
 func TestIteratorLargeValues(t *testing.T) {
-	// Values outside byte range exercise the escape key path.
+	// A triangle no 3-column key packs (the key rule gives each of three
+	// values 21 bits; -1 and 2^22 do not fit): both engines dedup its
+	// 3-column intermediates, and key the last join — on all three
+	// variables of tri — by FNV hash with row verification.
+	const big = 1 << 22
 	db := edgeDB()
-	big := db["edge"].Clone()
-	big.Add([]int32{1000, 2000})
-	big.Add([]int32{2000, 1000})
-	db["edge"] = big
+	edge := db["edge"].Clone()
+	tri := relation.New([]relation.Attr{0, 1, 2})
+	tri.Add(relation.Tuple{0, 1, 2})
+	for _, c := range [][3]relation.Value{{-1, big, 2 * big}, {big, 2 * big, -1}, {2 * big, -1, big}} {
+		edge.Add(relation.Tuple{c[0], c[1]})
+		tri.Add(relation.Tuple{c[0], c[1], c[2]})
+	}
+	db["edge"], db["tri"] = edge, tri
 	q := cycleQuery(3)
+	q.Atoms = append(q.Atoms, cq.Atom{Rel: "tri", Args: []cq.Var{0, 1, 2}})
 	p := straightforward(q)
 	a, err := Exec(p, db, Options{})
 	if err != nil {
@@ -155,6 +165,15 @@ func TestIteratorLargeValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !a.Rel.Equal(b.Rel) {
-		t.Fatal("engines disagree with out-of-byte-range values")
+		t.Fatal("engines disagree on values no 3-column key packs")
+	}
+	want := []relation.Value{-1, 0, big, 2 * big}
+	if a.Rel.Len() != len(want) {
+		t.Fatalf("answer %v, want x0 in %v", a.Rel, want)
+	}
+	for _, v := range want {
+		if !a.Rel.Contains(relation.Tuple{v}) {
+			t.Fatalf("answer %v lacks x0=%d", a.Rel, v)
+		}
 	}
 }

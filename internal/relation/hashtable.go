@@ -5,18 +5,16 @@ package relation
 //
 //   - the per-relation dedup table (fields keys/refs on Relation): an
 //     open-addressing set over uint64 keys with linear probing and
-//     power-of-two capacity, replacing the former map[uint64]struct{} /
-//     map[string]struct{} pair. In packed ("exact") mode the key is an
-//     injective byte-packing of the tuple; otherwise it is an FNV-1a hash
-//     and equality is verified against the stored row in the arena.
+//     power-of-two capacity. Its key is the whole row under the key rule
+//     (key.go): packed and injective while every row packs, otherwise an
+//     FNV-1a hash with equality verified against the stored row.
 //
-//   - joinTable: the hash-join build table, replacing map[uint64][]Tuple.
-//     Rows with equal keys are chained through flat []int32 arrays, so
-//     building allocates O(1) slices total instead of one slice header per
-//     distinct key.
+//   - joinTable: the hash-join build table. Rows with equal keys are
+//     chained through flat []int32 arrays, so building allocates O(1)
+//     slices total instead of one slice header per distinct key.
 //
 // Both use the same finalizing mixer so that packed keys (whose entropy
-// sits in the low bytes) spread over the whole table.
+// sits in the low bits) spread over the whole table.
 
 // mix64 is the splitmix64 finalizer: a bijective mixer that spreads any
 // key over all 64 bits. Slot indexes are taken from its low bits.
@@ -36,21 +34,6 @@ func nextPow2(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-// hashRow computes the FNV-1a fallback dedup key of a tuple, used when
-// the relation has left packed mode. Collisions are resolved by comparing
-// rows in the arena, so the hash only needs to be deterministic.
-func hashRow(t Tuple) uint64 {
-	var h uint64 = fnvOffset
-	for _, v := range t {
-		u := uint32(v)
-		for s := 0; s < 32; s += 8 {
-			h ^= uint64(byte(u >> s))
-			h *= fnvPrime
-		}
-	}
-	return h
 }
 
 // rowEqual reports whether stored row i equals t.
@@ -146,13 +129,7 @@ func (r *Relation) rebuildDedup() {
 	r.used = r.n
 	mask := uint64(size - 1)
 	for i := 0; i < r.n; i++ {
-		t := r.row(i)
-		var k uint64
-		if r.exact {
-			k, _ = packKey(t)
-		} else {
-			k = hashRow(t)
-		}
+		k, _ := rowKey(r.row(i), r.cols, r.exact)
 		j := mix64(k) & mask
 		for r.refs[j] != 0 {
 			j = (j + 1) & mask
@@ -170,7 +147,7 @@ func (r *Relation) ensureDedup() {
 		return
 	}
 	r.stale = false
-	r.exact = r.arity <= 8 && r.rangesPackable()
+	r.exact = r.packs(r.cols)
 	r.rebuildDedup()
 }
 
@@ -197,10 +174,7 @@ type joinTable struct {
 // sized for them at <=75% load.
 func newJoinTable(keys []uint64) joinTable {
 	n := len(keys)
-	size := nextPow2(n*4/3 + 1)
-	if size < 8 {
-		size = 8
-	}
+	size := joinTableSlots(n)
 	jt := joinTable{
 		mask:     uint64(size - 1),
 		slotKey:  make([]uint64, size),
@@ -214,12 +188,17 @@ func newJoinTable(keys []uint64) joinTable {
 	return jt
 }
 
-// bytes approximates the table's resident memory: slot arrays plus chain
-// arrays at capacity. It is the join kernels' accounting unit for the
-// memory budget (Limit.MaxBytes).
-func (jt *joinTable) bytes() int64 {
-	return int64(len(jt.slotKey))*12 + int64(cap(jt.rowOf))*8
-}
+// joinTableSlots is the slot count of a table over n rows: at most 75%
+// load, and at least 8.
+func joinTableSlots(n int) int { return max(8, nextPow2(n*4/3+1)) }
+
+// joinTableBytes approximates the resident memory of a table over n rows:
+// slot arrays plus chain arrays. It is the join kernels' accounting unit
+// for the memory budget (Limit.MaxBytes), and what the semijoin key set
+// (semijoin.go) measures a bitmap against before it builds either.
+func joinTableBytes(n int) int64 { return int64(joinTableSlots(n))*12 + int64(n)*8 }
+
+func (jt *joinTable) bytes() int64 { return joinTableBytes(len(jt.rowOf)) }
 
 // insert prepends row to the chain of key.
 func (jt *joinTable) insert(key uint64, row int32) {

@@ -39,13 +39,12 @@ func mapBaselineJoinProject(r, o *Relation, projCols []Attr) int {
 			outAttrs = append(outAttrs, a)
 		}
 	}
-	bKey := newKeyer(build, shared)
-	pKey := newKeyer(probe, shared)
+	bPos, pPos := build.colsOf(shared), probe.colsOf(shared)
 
 	table := make(map[uint64][]Tuple, build.Len())
 	for i := 0; i < build.n; i++ {
 		t := build.row(i)
-		k := bKey.key(t)
+		k, _ := packKey(t, bPos)
 		table[k] = append(table[k], t)
 	}
 
@@ -60,10 +59,12 @@ func mapBaselineJoinProject(r, o *Relation, projCols []Attr) int {
 	}
 
 	joined := make(map[uint64]struct{})
+	outCols := identityCols(len(outAttrs))
 	var rows []Tuple
 	for pi := 0; pi < probe.n; pi++ {
 		pt := probe.row(pi)
-		for _, bt := range table[pKey.key(pt)] {
+		k, _ := packKey(pt, pPos)
+		for _, bt := range table[k] {
 			row := make(Tuple, len(outAttrs))
 			for i := range outAttrs {
 				if probeSrc[i] >= 0 {
@@ -72,7 +73,7 @@ func mapBaselineJoinProject(r, o *Relation, projCols []Attr) int {
 					row[i] = bt[buildSrc[i]]
 				}
 			}
-			k, _ := packKey(row)
+			k, _ := packKey(row, outCols)
 			if _, dup := joined[k]; dup {
 				continue
 			}
@@ -90,13 +91,14 @@ func mapBaselineJoinProject(r, o *Relation, projCols []Attr) int {
 		}
 	}
 	projected := make(map[uint64]struct{})
+	projPos := identityCols(len(projCols))
 	n := 0
 	for _, t := range rows {
 		row := make(Tuple, len(projCols))
 		for i, j := range idx {
 			row[i] = t[j]
 		}
-		k, _ := packKey(row)
+		k, _ := packKey(row, projPos)
 		if _, dup := projected[k]; dup {
 			continue
 		}
@@ -153,11 +155,12 @@ func BenchmarkKernelDedup(b *testing.B) {
 	})
 	b.Run("map-baseline", func(b *testing.B) {
 		b.ReportAllocs()
+		cols := identityCols(3)
 		for i := 0; i < b.N; i++ {
 			seen := make(map[uint64]struct{})
 			var rows []Tuple
 			for _, t := range tuples {
-				k, _ := packKey(t)
+				k, _ := packKey(t, cols)
 				if _, dup := seen[k]; dup {
 					continue
 				}

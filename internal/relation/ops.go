@@ -154,15 +154,14 @@ func SharedAttrs(r, o *Relation) []Attr {
 }
 
 // joinSpec precomputes everything a hash join between r and o needs:
-// build/probe role assignment, keyers, verification column positions, and
+// build/probe role assignment, the key regime, key column positions, and
 // the output assembly map.
 type joinSpec struct {
 	shared       []Attr
 	build, probe *Relation
 	outAttrs     []Attr
-	bKey, pKey   keyer
-	needVerify   bool
-	bPos, pPos   []int // shared-attr column positions for verification
+	exact        bool  // the build side's keys pack (key.go): no verification
+	bPos, pPos   []int // shared-attr column positions on each side
 	probeSrc     []int // output column -> probe column, or -1
 	buildSrc     []int // output column -> build column (when probeSrc is -1)
 }
@@ -187,18 +186,9 @@ func makeJoinSpec(r, o *Relation) joinSpec {
 		}
 	}
 
-	s.bKey = newKeyer(s.build, s.shared)
-	s.pKey = newKeyer(s.probe, s.shared)
-	alignKeyers(&s.bKey, &s.pKey)
-	// When keys can collide across distinct shared-value vectors (the
-	// generic hasher), verify equality on shared columns explicitly.
-	s.needVerify = !s.bKey.exact || !s.pKey.exact
-	s.bPos = make([]int, len(s.shared))
-	s.pPos = make([]int, len(s.shared))
-	for i, a := range s.shared {
-		s.bPos[i] = s.build.pos[a]
-		s.pPos[i] = s.probe.pos[a]
-	}
+	s.bPos = s.build.colsOf(s.shared)
+	s.pPos = s.probe.colsOf(s.shared)
+	s.exact = s.build.packs(s.bPos)
 
 	// Output assembly: shared attributes are read from the probe side
 	// (the join condition makes the two sides agree on them).
@@ -220,7 +210,7 @@ func makeJoinSpec(r, o *Relation) joinSpec {
 func (s *joinSpec) buildKeys() []uint64 {
 	keys := make([]uint64, s.build.n)
 	for i := range keys {
-		keys[i] = s.bKey.key(s.build.row(i))
+		keys[i], _ = rowKey(s.build.row(i), s.bPos, s.exact)
 	}
 	return keys
 }
@@ -237,17 +227,6 @@ func (s *joinSpec) emit(out *Relation, pt, bt Tuple) bool {
 		}
 	}
 	return out.commitStaged(row)
-}
-
-// verifyMatch reports whether the shared columns of a probe and build row
-// really agree (needed when keys are hashes).
-func (s *joinSpec) verifyMatch(pt, bt Tuple) bool {
-	for i := range s.pPos {
-		if bt[s.bPos[i]] != pt[s.pPos[i]] {
-			return false
-		}
-	}
-	return true
 }
 
 // Join computes the natural join of r and o. It is equivalent to
@@ -298,7 +277,11 @@ func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 	for pi := 0; pi < probe.n; pi++ {
 		pt := probe.row(pi)
 		touched++
-		for e := jt.first(spec.pKey.key(pt)); e != 0; e = jt.next[e-1] {
+		key, ok := rowKey(pt, spec.pPos, spec.exact)
+		if !ok {
+			continue
+		}
+		for e := jt.first(key); e != 0; e = jt.next[e-1] {
 			bt := spec.build.row(int(jt.rowOf[e-1]))
 			touched++
 			if touched >= nextCheck {
@@ -308,7 +291,7 @@ func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 					return nil, err
 				}
 			}
-			if spec.needVerify && !spec.verifyMatch(pt, bt) {
+			if !spec.exact && !sameKey(bt, spec.bPos, pt, spec.pPos) {
 				continue
 			}
 			spec.emit(out, pt, bt)
@@ -525,6 +508,7 @@ func Rename(r *Relation, m map[Attr]Attr) *Relation {
 		arity:  r.arity,
 		data:   r.data,
 		n:      r.n,
+		cols:   r.cols,
 		exact:  r.exact,
 		keys:   r.keys,
 		refs:   r.refs,

@@ -48,15 +48,16 @@ func (t Tuple) Clone() Tuple {
 // Storage layout: all rows live in one flat []Value arena with stride
 // equal to the arity — row i is data[i*arity:(i+1)*arity] — so scans walk
 // contiguous memory and appending a row never allocates a per-row header.
-// Deduplication uses an open-addressing uint64 table (hashtable.go): keys
-// are injective byte-packings while every tuple has at most eight columns
-// with byte-range values — always true for the paper's domains — and
-// migrate transparently to FNV hashes with row verification the first
-// time a tuple falls outside that range.
+// Deduplication uses an open-addressing uint64 table (hashtable.go) keyed
+// by the whole row under the key rule (key.go): an arity-k row packs
+// exactly while each value fits 64/k bits — any int32 up to two columns,
+// and always for the paper's domains — and the table migrates
+// transparently to FNV hashes with row verification the first time a row
+// does not pack.
 //
-// Relations track per-column min/max values on insert, which lets the
-// join keyer decide packed-vs-hashed exactness without rescanning rows,
-// and lets Rename share storage with its source (copy-on-write).
+// Relations track per-column min/max values on insert, which lets a hash
+// kernel decide packed-vs-hashed keys without rescanning rows, and lets
+// Rename share storage with its source (copy-on-write).
 type Relation struct {
 	attrs []Attr
 	pos   map[Attr]int
@@ -65,7 +66,8 @@ type Relation struct {
 	data []Value // flat arena; row i = data[i*arity:(i+1)*arity]
 	n    int     // number of rows
 
-	exact bool     // dedup keys are injective byte-packings
+	cols  []int    // 0..arity-1: the dedup key's columns
+	exact bool     // dedup keys are packed (key.go), not hashed
 	keys  []uint64 // open-addressing dedup table: key per slot
 	refs  []int32  // row index + 1 per slot; 0 = empty
 	used  int      // occupied slots
@@ -103,36 +105,20 @@ func New(attrs []Attr) *Relation {
 		attrs:  append([]Attr(nil), attrs...),
 		pos:    pos,
 		arity:  len(attrs),
-		exact:  len(attrs) <= 8,
+		cols:   identityCols(len(attrs)),
+		exact:  true,
 		colMin: make([]Value, len(attrs)),
 		colMax: make([]Value, len(attrs)),
 	}
 }
 
-// packKey packs a tuple into an injective uint64 key, or reports failure
-// when a value is out of byte range.
-func packKey(t Tuple) (uint64, bool) {
-	var key uint64
-	for _, v := range t {
-		if v < 0 || v > 255 {
-			return 0, false
-		}
-		key = key<<8 | uint64(byte(v))
+// identityCols returns 0..k-1.
+func identityCols(k int) []int {
+	cols := make([]int, k)
+	for i := range cols {
+		cols[i] = i
 	}
-	return key, true
-}
-
-// rangesPackable reports whether every stored value fits in a byte.
-func (r *Relation) rangesPackable() bool {
-	if r.n == 0 {
-		return true
-	}
-	for j := 0; j < r.arity; j++ {
-		if r.colMin[j] < 0 || r.colMax[j] > 255 {
-			return false
-		}
-	}
-	return true
+	return cols
 }
 
 // Arity returns the number of attributes.
@@ -217,17 +203,10 @@ func (r *Relation) commitStaged(t Tuple) bool {
 	if r.stale {
 		r.ensureDedup()
 	}
-	var key uint64
-	if r.exact {
-		k, ok := packKey(t)
-		if !ok {
-			r.migrateHashed()
-			key = hashRow(t)
-		} else {
-			key = k
-		}
-	} else {
-		key = hashRow(t)
+	key, ok := rowKey(t, r.cols, r.exact)
+	if !ok {
+		r.migrateHashed()
+		key = hashKey(t, r.cols)
 	}
 	if !r.dedupInsert(key, t) {
 		return false
@@ -270,15 +249,8 @@ func (r *Relation) Contains(t Tuple) bool {
 		return false
 	}
 	r.ensureDedup()
-	if r.exact {
-		k, ok := packKey(t)
-		if !ok {
-			// Out-of-range tuples cannot be in a packed relation.
-			return false
-		}
-		return r.dedupContains(k, t)
-	}
-	return r.dedupContains(hashRow(t), t)
+	key, ok := rowKey(t, r.cols, r.exact)
+	return ok && r.dedupContains(key, t)
 }
 
 // Tuples returns the rows in insertion order. The caller must not modify
@@ -326,6 +298,7 @@ func (r *Relation) Clone() *Relation {
 		arity:  r.arity,
 		data:   append([]Value(nil), r.data...),
 		n:      r.n,
+		cols:   r.cols,
 		exact:  r.exact,
 		keys:   append([]uint64(nil), r.keys...),
 		refs:   append([]int32(nil), r.refs...),

@@ -628,14 +628,19 @@ func TestQuickProjectIdempotent(t *testing.T) {
 }
 
 func TestQuickHashKeyerLargeValues(t *testing.T) {
-	// Joins must stay correct when values exceed the byte-packing range.
+	// Joins must stay correct when the 3-column join key does not pack:
+	// values negative or over 2^21 are FNV-hashed and verified.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := New([]Attr{0, 1})
-		b := New([]Attr{1, 2})
+		a := New([]Attr{0, 1, 2, 3})
+		b := New([]Attr{1, 2, 3, 4})
+		wide := func() Value { return Value(rng.Intn(4)<<21 - 1<<21) }
 		for i := 0; i < 20; i++ {
-			a.Add(Tuple{Value(rng.Intn(4)), Value(rng.Intn(4)*1000 - 2000)})
-			b.Add(Tuple{Value(rng.Intn(4)*1000 - 2000), Value(rng.Intn(4))})
+			a.Add(Tuple{Value(rng.Intn(4)), wide(), Value(rng.Intn(2)), wide()})
+			b.Add(Tuple{wide(), Value(rng.Intn(2)), wide(), Value(rng.Intn(4))})
+		}
+		if pos := b.colsOf([]Attr{1, 2, 3}); b.packs(pos) {
+			return false // the key must hash
 		}
 		return Join(a, b).Equal(nestedLoopJoin(a, b))
 	}
@@ -654,54 +659,70 @@ func TestStringRendering(t *testing.T) {
 }
 
 func TestPackedModeMigration(t *testing.T) {
-	// In-range tuples use the packed set; the first out-of-range tuple
-	// migrates to string keys without losing dedup state.
-	r := New([]Attr{0, 1})
-	r.Add(Tuple{1, 2})
-	r.Add(Tuple{1, 2})
-	if r.Len() != 1 {
+	// Rows that pack use exact keys; the first row that does not (a
+	// 3-column row gives each value 21 bits) migrates to FNV keys without
+	// losing dedup state.
+	const big = 1 << 21
+	r := New([]Attr{0, 1, 2})
+	r.Add(Tuple{1, 2, 0})
+	r.Add(Tuple{1, 2, 0})
+	if r.Len() != 1 || !r.exact {
 		t.Fatal("packed dedup broken")
 	}
-	r.Add(Tuple{500, 2}) // forces migration
-	if r.Len() != 2 {
-		t.Fatal("migration lost or duplicated tuples")
+	r.Add(Tuple{big, 2, 0}) // forces migration
+	if r.Len() != 2 || r.exact {
+		t.Fatal("migration lost or duplicated tuples, or did not migrate")
 	}
 	// Pre-migration duplicates still detected.
-	if r.Add(Tuple{1, 2}) {
+	if r.Add(Tuple{1, 2, 0}) {
 		t.Fatal("duplicate accepted after migration")
 	}
-	if r.Add(Tuple{500, 2}) {
+	if r.Add(Tuple{big, 2, 0}) {
 		t.Fatal("post-migration duplicate accepted")
 	}
-	if !r.Contains(Tuple{1, 2}) || !r.Contains(Tuple{500, 2}) {
+	if !r.Contains(Tuple{1, 2, 0}) || !r.Contains(Tuple{big, 2, 0}) {
 		t.Fatal("Contains wrong after migration")
 	}
-	if r.Contains(Tuple{499, 2}) {
+	if r.Contains(Tuple{big - 1, 2, 0}) {
 		t.Fatal("Contains found absent tuple after migration")
 	}
 }
 
 func TestPackedModeContainsOutOfRange(t *testing.T) {
-	r := New([]Attr{0})
-	r.Add(Tuple{3})
-	if r.Contains(Tuple{1000}) {
-		t.Fatal("packed Contains matched out-of-range tuple")
+	r := New([]Attr{0, 1, 2})
+	r.Add(Tuple{3, 0, 0})
+	for _, tu := range []Tuple{{-1, 0, 0}, {3, 0, 1 << 21}} {
+		if r.Contains(tu) {
+			t.Fatalf("packed Contains matched %v, which does not pack", tu)
+		}
+	}
+	if !r.exact {
+		t.Fatal("a probe that does not pack migrated the relation")
 	}
 }
 
+// TestWideSchemaSkipsPackedMode: nine columns get 7 bits a value, so a
+// 9-ary row of zeros packs and one holding 2^7 sends the relation to FNV
+// keys; dedup holds in both regimes.
 func TestWideSchemaSkipsPackedMode(t *testing.T) {
 	attrs := make([]Attr, 9)
 	for i := range attrs {
 		attrs[i] = i
 	}
 	r := New(attrs)
-	tu := make(Tuple, 9)
-	r.Add(tu)
-	if r.Add(tu) {
-		t.Fatal("9-ary dedup broken")
-	}
-	if !r.Contains(tu) {
-		t.Fatal("9-ary Contains broken")
+	zeros, wide := make(Tuple, 9), make(Tuple, 9)
+	wide[8] = 1 << 7
+	for _, tu := range []Tuple{zeros, wide} {
+		r.Add(tu)
+		if r.exact != (tu[8] == 0) {
+			t.Fatalf("after adding %v: exact = %v", tu, r.exact)
+		}
+		if r.Add(tu) {
+			t.Fatal("9-ary dedup broken")
+		}
+		if !r.Contains(tu) || !r.Contains(zeros) {
+			t.Fatal("9-ary Contains broken")
+		}
 	}
 }
 

@@ -4,8 +4,17 @@ package relation
 // its seed walk and its two sweeps through SemijoinFilter, the in-place
 // variant: reduction marks survivors in a bitmask and compacts the arena
 // instead of copying tuples into a fresh relation, so a sweep that removes
-// nothing allocates nothing beyond the probe table. SemijoinLimited is the
+// nothing allocates nothing beyond the key set. SemijoinLimited is the
 // classic copying kernel under a Limit; Semijoin (ops.go) delegates to it.
+// The pipeline's StreamFilter (streamfilter.go) is the third kernel.
+//
+// A semijoin only asks whether a key is present, so all three probe one
+// keySet over the source's keys. When the keys pack (key.go), it is a
+// bitmap over [min key, max key] if that takes no more bytes than the
+// join table over the same rows, and the table otherwise; keys that do
+// not pack go in the table as FNV hashes, and a hit is verified against
+// the source row. The choice reads sizes the build already knows, so the
+// bytes charged never exceed the table's.
 
 import (
 	"fmt"
@@ -13,58 +22,70 @@ import (
 	"projpush/internal/faultinject"
 )
 
-// semijoinProbe is the shared matcher of the semijoin kernels: a hash
-// table over o's rows keyed by the shared attributes, probed with rows
-// of r.
-type semijoinProbe struct {
-	o          *Relation
-	rKey       keyer
-	oPos, rPos []int
-	needVerify bool
-	table      joinTable
+// keySet is the membership structure of the semijoin kernels: the keys of
+// o's rows over the columns pos.
+type keySet struct {
+	o      *Relation
+	pos    []int
+	exact  bool     // the keys pack: a hit needs no verification
+	bitmap bool     // bits holds the keys; else table does
+	lo     uint64   // the bitmap's first key
+	bits   []uint64 // bit k-lo is set when key k is present
+	table  joinTable
 }
 
-func newSemijoinProbe(r, o *Relation, shared []Attr) *semijoinProbe {
-	p := &semijoinProbe{
-		o:    o,
-		rKey: newKeyer(r, shared),
-		oPos: make([]int, len(shared)),
-		rPos: make([]int, len(shared)),
+func newKeySet(o *Relation, pos []int) *keySet {
+	s := &keySet{o: o, pos: pos, exact: o.packs(pos)}
+	keys := make([]uint64, o.n)
+	lo, hi := ^uint64(0), uint64(0)
+	for i := range keys {
+		keys[i], _ = rowKey(o.row(i), pos, s.exact)
+		lo, hi = min(lo, keys[i]), max(hi, keys[i])
 	}
-	oKey := newKeyer(o, shared)
-	alignKeyers(&oKey, &p.rKey)
-	p.needVerify = !oKey.exact || !p.rKey.exact
-	for i, a := range shared {
-		p.oPos[i] = o.pos[a]
-		p.rPos[i] = r.pos[a]
-	}
-	oKeys := make([]uint64, o.n)
-	for i := range oKeys {
-		oKeys[i] = oKey.key(o.row(i))
-	}
-	p.table = newJoinTable(oKeys)
-	return p
-}
-
-// matches reports whether r-row t joins with at least one row of o.
-func (p *semijoinProbe) matches(t Tuple) bool {
-	for e := p.table.first(p.rKey.key(t)); e != 0; e = p.table.next[e-1] {
-		if p.needVerify {
-			ot := p.o.row(int(p.table.rowOf[e-1]))
-			match := true
-			for j := range p.rPos {
-				if ot[p.oPos[j]] != t[p.rPos[j]] {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
+	if s.exact {
+		words := uint64(0)
+		if o.n > 0 {
+			words = (hi-lo)/64 + 1
 		}
-		return true
+		if words*8 <= uint64(joinTableBytes(o.n)) {
+			s.bitmap, s.lo, s.bits = true, lo, make([]uint64, words)
+			for _, k := range keys {
+				s.bits[(k-lo)/64] |= 1 << ((k - lo) % 64)
+			}
+			return s
+		}
+	}
+	s.table = newJoinTable(keys)
+	return s
+}
+
+// contains reports whether t's columns pos, parallel to the set's, equal
+// the key columns of at least one row of o.
+func (s *keySet) contains(t Tuple, pos []int) bool {
+	k, ok := rowKey(t, pos, s.exact)
+	switch {
+	case !ok:
+		return false
+	case s.bitmap:
+		d := k - s.lo
+		return d < uint64(len(s.bits))*64 && s.bits[d/64]&(1<<(d%64)) != 0
+	case s.exact:
+		return s.table.first(k) != 0
+	}
+	for e := s.table.first(k); e != 0; e = s.table.next[e-1] {
+		if sameKey(s.o.row(int(s.table.rowOf[e-1])), s.pos, t, pos) {
+			return true
+		}
 	}
 	return false
+}
+
+// bytes is the set's resident memory; the rows belong to o.
+func (s *keySet) bytes() int64 {
+	if s.bitmap {
+		return int64(len(s.bits)) * 8
+	}
+	return s.table.bytes()
 }
 
 // SemijoinLimited computes r ⋉ o (the tuples of r that join with at least
@@ -90,9 +111,9 @@ func SemijoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 		}
 		return out, nil
 	}
-	probe := newSemijoinProbe(r, o, shared)
+	set, rPos := newKeySet(o, o.colsOf(shared)), r.colsOf(shared)
 	lim.charge(int64(o.n))
-	if err := lim.chargeBytes(probe.table.bytes()); err != nil {
+	if err := lim.chargeBytes(set.bytes()); err != nil {
 		return nil, err
 	}
 	out := New(r.attrs)
@@ -108,7 +129,7 @@ func SemijoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 			}
 		}
 		t := r.row(i)
-		if !probe.matches(t) {
+		if !set.contains(t, rPos) {
 			continue
 		}
 		out.Add(t)
@@ -149,9 +170,9 @@ func SemijoinFilter(r, o *Relation, lim *Limit) (*Relation, int, error) {
 	if r.n == 0 {
 		return r, 0, nil
 	}
-	probe := newSemijoinProbe(r, o, shared)
+	set, rPos := newKeySet(o, o.colsOf(shared)), r.colsOf(shared)
 	lim.charge(int64(o.n))
-	if err := lim.chargeBytes(probe.table.bytes()); err != nil {
+	if err := lim.chargeBytes(set.bytes()); err != nil {
 		return nil, 0, err
 	}
 
@@ -168,7 +189,7 @@ func SemijoinFilter(r, o *Relation, lim *Limit) (*Relation, int, error) {
 				return nil, 0, err
 			}
 		}
-		if probe.matches(r.row(i)) {
+		if set.contains(r.row(i), rPos) {
 			mask[i>>6] |= 1 << (i & 63)
 			kept++
 		}
@@ -195,6 +216,7 @@ func SemijoinFilter(r, o *Relation, lim *Limit) (*Relation, int, error) {
 			arity:  r.arity,
 			data:   data,
 			n:      kept,
+			cols:   r.cols,
 			exact:  r.exact,
 			colMin: append([]Value(nil), r.colMin...),
 			colMax: append([]Value(nil), r.colMax...),

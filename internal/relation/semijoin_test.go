@@ -2,7 +2,9 @@ package relation
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -31,41 +33,193 @@ func nestedLoopSemijoin(r, o *Relation) *Relation {
 	return out
 }
 
+// keySetKind names the structure a key set chose: "bitmap", "table"
+// (packed keys) or "hashed" (FNV keys, verified).
+func keySetKind(s *keySet) string {
+	switch {
+	case s.bitmap:
+		return "bitmap"
+	case s.exact:
+		return "table"
+	}
+	return "hashed"
+}
+
+// checkSemijoinKernels runs r ⋉ o through SemijoinLimited, SemijoinFilter
+// and a StreamFilter, and r ⋈ o through JoinLimited, against the nested
+// loop oracles; it checks that the key set's charge is at most the join
+// table's over the same rows and returns the structure it chose.
+func checkSemijoinKernels(t *testing.T, r, o *Relation) string {
+	t.Helper()
+	want := nestedLoopSemijoin(r, o)
+	got, err := SemijoinLimited(r, o, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("SemijoinLimited %v != oracle %v (r=%v o=%v)", got, want, r, o)
+	}
+	// SemijoinFilter consumes its receiver: run it on a private clone.
+	filtered, removed, err := SemijoinFilter(r.Clone(), o, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !filtered.Equal(want) || removed != r.Len()-want.Len() {
+		t.Fatalf("SemijoinFilter %v (removed %d) != oracle %v (r=%v o=%v)", filtered, removed, want, r, o)
+	}
+	if joined := Join(r, o); !joined.Equal(nestedLoopJoin(r, o)) {
+		t.Fatalf("JoinLimited %v != oracle (r=%v o=%v)", joined, r, o)
+	}
+	shared := SharedAttrs(r, o)
+	if len(shared) == 0 {
+		return "disjoint"
+	}
+	f, err := NewStreamFilter(o, shared, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rPos := r.colsOf(shared)
+	r.Each(func(rt Tuple) bool {
+		if f.Match(rt, rPos) != want.Contains(rt) {
+			t.Fatalf("StreamFilter.Match(%v) = %v, oracle %v (o=%v)", rt, !want.Contains(rt), want.Contains(rt), o)
+		}
+		return true
+	})
+	if f.Bytes() > joinTableBytes(o.Len()) {
+		t.Fatalf("%s key set over %d rows charges %d bytes, the table %d (o=%v)",
+			keySetKind(f.set), o.Len(), f.Bytes(), joinTableBytes(o.Len()), o)
+	}
+	return keySetKind(f.set)
+}
+
+// poolRelation builds a relation over attrs with n tuples whose values are
+// drawn from pool.
+func poolRelation(rng *rand.Rand, attrs []Attr, n int, pool []Value) *Relation {
+	r := New(attrs)
+	t := make(Tuple, len(attrs))
+	for i := 0; i < n; i++ {
+		for j := range t {
+			t[j] = pool[rng.Intn(len(pool))]
+		}
+		r.Add(t)
+	}
+	return r
+}
+
+// TestSemijoinKernelsMatchOracle drives every semijoin kernel and the join
+// through each key regime — a dense bitmap, sparse keys the size rule sends
+// to the table, two-column keys, three- and four-column keys that do not
+// pack, negative values and the int32 extremes — plus empty sources and a
+// disjoint schema, and checks that each regime reached its structure.
 func TestSemijoinKernelsMatchOracle(t *testing.T) {
+	const big = 1 << 21 // no value from here up packs in a 3-column key
+	regimes := []struct {
+		name   string
+		shared int
+		pool   []Value
+		want   string
+	}{
+		{"disjoint", 0, []Value{0, 1, 2}, "disjoint"},
+		{"dense", 1, denseValues(200), "bitmap"},
+		{"sparse", 1, []Value{0, 100_003, 200_006, 300_009, 400_012, 500_015}, "table"},
+		{"two-column", 2, []Value{0, 1, 2, 3}, "table"},
+		{"three-column-packed", 3, []Value{0, 1, 2, big - 1}, "table"},
+		{"three-column-wide", 3, []Value{0, 1, big, big + 7}, "hashed"},
+		{"four-column-negative", 4, []Value{-3, 0, 1, 2}, "hashed"},
+		{"extremes", 1, []Value{math.MinInt32, -1, 0, 1, math.MaxInt32}, "table"},
+		{"two-column-extremes", 2, []Value{math.MinInt32, -1, 0, math.MaxInt32}, "table"},
+	}
 	rng := rand.New(rand.NewSource(7))
-	schemas := []struct{ r, o []Attr }{
-		{[]Attr{0, 1}, []Attr{1, 2}},
-		{[]Attr{0, 1, 2}, []Attr{1, 2}},
-		{[]Attr{0, 1}, []Attr{0, 1}},
-		{[]Attr{0, 1}, []Attr{2, 3}}, // disjoint
-	}
-	for trial := 0; trial < 60; trial++ {
-		sc := schemas[trial%len(schemas)]
-		r := randomRelation(rng, sc.r, rng.Intn(30), 4)
-		o := randomRelation(rng, sc.o, rng.Intn(30), 4)
-		want := nestedLoopSemijoin(r, o)
-
-		got, err := SemijoinLimited(r, o, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, rg := range regimes {
+		rAttrs, oAttrs := []Attr{0}, []Attr{9}
+		for a := 1; a <= rg.shared; a++ {
+			rAttrs = append(rAttrs, a)
+			oAttrs = append(oAttrs, rg.shared+1-a) // o orders the shared columns the other way
 		}
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: SemijoinLimited %v != oracle %v", trial, got, want)
+		reached := map[string]int{}
+		for trial := 0; trial < 60; trial++ {
+			on := rng.Intn(30)
+			if trial%10 == 0 {
+				on = 0 // an empty source
+			}
+			r := poolRelation(rng, rAttrs, rng.Intn(30), rg.pool)
+			o := poolRelation(rng, oAttrs, on, rg.pool)
+			kind := checkSemijoinKernels(t, r, o)
+			if o.Len() > 1 { // an empty or one-row source is always a bitmap
+				reached[kind]++
+			}
+			checkSemijoinKernels(t, o, r)
 		}
-
-		// SemijoinFilter consumes its receiver: run it on a private clone.
-		in := r.Clone()
-		filtered, removed, err := SemijoinFilter(in, o, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !filtered.Equal(want) {
-			t.Fatalf("trial %d: SemijoinFilter %v != oracle %v", trial, filtered, want)
-		}
-		if removed != r.Len()-want.Len() {
-			t.Fatalf("trial %d: removed = %d, want %d", trial, removed, r.Len()-want.Len())
+		if reached[rg.want] == 0 {
+			t.Errorf("%s: no key set reached the %s regime (reached %v)", rg.name, rg.want, reached)
 		}
 	}
+}
+
+// TestKeySetChargeNeverExceedsTable pins the size rule at its boundary:
+// a bitmap exactly the join table's bytes is chosen, one word more is not,
+// so the key set never charges more than the table it replaces.
+func TestKeySetChargeNeverExceedsTable(t *testing.T) {
+	for _, n := range []int{2, 7, 100, 1000} {
+		table := joinTableBytes(n)
+		for _, tc := range []struct {
+			words int64
+			want  string
+		}{{table / 8, "bitmap"}, {table/8 + 1, "table"}} {
+			o := New([]Attr{0})
+			for v := 0; v < n-1; v++ {
+				o.Add(Tuple{Value(v)})
+			}
+			o.Add(Tuple{Value((tc.words - 1) * 64)}) // the key span is tc.words words
+			s := newKeySet(o, []int{0})
+			if kind := keySetKind(s); kind != tc.want || s.bytes() > table {
+				t.Errorf("n=%d, span of %d words: %s charging %d bytes, want %s within the table's %d",
+					n, tc.words, kind, s.bytes(), tc.want, table)
+			}
+		}
+	}
+}
+
+// denseValues returns 0..n-1.
+func denseValues(n int) []Value {
+	v := make([]Value, n)
+	for i := range v {
+		v[i] = Value(i)
+	}
+	return v
+}
+
+// FuzzSemijoinKeys feeds fuzzer-chosen int32 values to two relations that
+// share 1–4 columns and checks the three semijoin kernels and JoinLimited
+// against nested loops. The first byte picks the shared-column count; the
+// rest is little-endian int32 values, rows alternating between the sides.
+func FuzzSemijoinKeys(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0})
+	f.Add([]byte{2, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0x20, 0, 1, 0, 0, 0,
+		0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0x20, 0, 5, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := 1 + int(data[0])%4
+		data = data[1:]
+		rAttrs, oAttrs := []Attr{0}, []Attr{9}
+		for a := 1; a <= k; a++ {
+			rAttrs = append(rAttrs, a)
+			oAttrs = append(oAttrs, k+1-a)
+		}
+		r, o := New(rAttrs), New(oAttrs)
+		row := make(Tuple, k+1)
+		for side := 0; len(data) >= 4*len(row) && r.Len()+o.Len() < 128; side++ {
+			for j := range row {
+				row[j] = Value(binary.LittleEndian.Uint32(data[4*j:]))
+			}
+			data = data[4*len(row):]
+			[]*Relation{r, o}[side%2].Add(row)
+		}
+		checkSemijoinKernels(t, r, o)
+		checkSemijoinKernels(t, o, r)
+	})
 }
 
 func TestSemijoinFilterAllSurviveIsIdentity(t *testing.T) {
@@ -211,43 +365,32 @@ func TestSemijoinLimitedChargesBytes(t *testing.T) {
 	}
 }
 
-// TestSemijoinMixedKeyWidths pins the keyer-alignment regression: when one
-// side's shared columns are all byte-range (packed exact keys) and the
-// other's are not (FNV keys), the probe must not look up packed keys in an
-// FNV table — that misses every match and silently empties the result.
+// TestSemijoinMixedKeyWidths pins the mixed-regime case: one side's shared
+// columns pack and the other's do not. The source's regime alone decides
+// the key set's, and a probe row that does not pack against a packed set
+// must miss rather than be looked up as a hash — while a packed probe
+// against a hashed set must hash, not miss every match.
 func TestSemijoinMixedKeyWidths(t *testing.T) {
-	small := New([]Attr{0, 1})
-	small.Add(Tuple{3, 7})
-	small.Add(Tuple{200, 9})
-	big := New([]Attr{1, 2})
-	big.Add(Tuple{7, 1000})
-	big.Add(Tuple{9, 77})
-	big.Add(Tuple{1000, 1000}) // pushes big's column 1 out of byte range
-
-	want := nestedLoopSemijoin(small, big)
-	if want.Len() != 2 {
+	small := New([]Attr{0, 1, 2, 3})
+	small.Add(Tuple{3, 7, 7, 7})
+	small.Add(Tuple{200, 9, 9, 9})
+	big := New([]Attr{1, 2, 3, 4})
+	big.Add(Tuple{7, 7, 7, 1000})
+	big.Add(Tuple{9, 9, 9, 77})
+	big.Add(Tuple{1 << 22, 0, 0, 1000}) // over 21 bits: a 3-column key cannot pack it
+	shared := SharedAttrs(small, big)
+	if len(shared) != 3 || !small.packs(small.colsOf(shared)) || big.packs(big.colsOf(shared)) {
+		t.Fatal("setup: want small's 3 shared columns packed and big's hashed")
+	}
+	if kind := keySetKind(newKeySet(big, big.colsOf(shared))); kind != "hashed" {
+		t.Fatalf("key set over big is %s, want hashed", kind)
+	}
+	if want := nestedLoopSemijoin(small, big); want.Len() != 2 {
 		t.Fatalf("oracle sanity: got %d rows, want 2", want.Len())
 	}
-	got, err := SemijoinLimited(small, big, nil)
-	if err != nil {
-		t.Fatal(err)
+	if want := nestedLoopSemijoin(big, small); want.Len() != 2 {
+		t.Fatalf("oracle sanity: got %d rows, want 2", want.Len())
 	}
-	if !got.Equal(want) {
-		t.Fatalf("SemijoinLimited with mixed key widths: %v, want %v", got, want)
-	}
-	filtered, removed, err := SemijoinFilter(small.Clone(), big, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !filtered.Equal(want) || removed != 0 {
-		t.Fatalf("SemijoinFilter with mixed key widths: %v (removed %d), want %v (removed 0)",
-			filtered, removed, want)
-	}
-	joined, err := JoinLimited(small, big, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if joined.Len() != 2 {
-		t.Fatalf("JoinLimited with mixed key widths: %d rows, want 2", joined.Len())
-	}
+	checkSemijoinKernels(t, small, big)
+	checkSemijoinKernels(t, big, small)
 }

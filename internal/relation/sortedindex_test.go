@@ -11,9 +11,9 @@ import (
 )
 
 // randomIndexed builds a random relation and a sorted index over a random
-// permutation of its attributes. maxVal > 255 puts the arena on FNV dedup
-// keys; the index packs its sort keys either way (referenceOrder's test
-// covers the ranges that do not fit).
+// permutation of its attributes. At arity ≥ 3, maxVal ≥ 2^(64/arity) puts
+// the arena on FNV dedup keys; the index packs its sort keys either way
+// (referenceOrder's test covers the ranges that do not fit).
 func randomIndexed(t *testing.T, rng *rand.Rand, n, arity int, maxVal int32) (*Relation, *SortedIndex, []Attr) {
 	t.Helper()
 	attrs := make([]Attr, arity)
@@ -69,13 +69,16 @@ func TestSortedIndexSeekProperty(t *testing.T) {
 		n, arity int
 		maxVal   int32
 	}{
-		{0, 2, 10},      // empty relation
-		{1, 1, 5},       // single row
-		{400, 2, 6},     // dense duplicates, packed keys
-		{400, 3, 255},   // packed boundary
-		{400, 3, 70000}, // FNV-key arena
+		{0, 2, 10},        // empty relation
+		{1, 1, 5},         // single row
+		{400, 2, 6},       // dense duplicates, packed keys
+		{400, 3, 255},     // packed keys
+		{400, 3, 1 << 22}, // FNV-key arena: a 3-column key packs values under 2^21
 	} {
-		_, ix, _ := randomIndexed(t, rng, tc.n, tc.arity, tc.maxVal)
+		r, ix, _ := randomIndexed(t, rng, tc.n, tc.arity, tc.maxVal)
+		if hashed := tc.maxVal >= 1<<21; r.exact == hashed {
+			t.Fatalf("n=%d maxVal=%d: dedup exact=%v, want %v", tc.n, tc.maxVal, r.exact, !hashed)
+		}
 		linear := func(d, lo, hi int, v Value, strict bool) int {
 			for i := lo; i < hi; i++ {
 				u := ix.Value(i, d)

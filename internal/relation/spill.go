@@ -10,8 +10,8 @@ package relation
 // (packed-uint64) vs hashed (column-compare) dedup mode explicitly, and
 // Load rebuilds the dedup table under the stored mode rather than
 // re-deriving it from value ranges (a relation that migrated to hashed
-// keys on a duplicate out-of-range insert may have byte-range ranges
-// again; re-deriving would silently flip its regime).
+// keys on a duplicate insert of a row that does not pack may have
+// packable ranges again; re-deriving would silently flip its regime).
 //
 // Every disk failure mode is deterministic in tests via faultinject:
 // spill.write.fail and spill.read.fail fire in the serialization paths,

@@ -26,9 +26,10 @@ func spillDirEntries(t *testing.T, sp *Spiller) []string {
 	return names
 }
 
-// randomRelation builds a relation in the requested dedup regime:
-// packed (arity ≤ 8, values ≤ 255, exact uint64 keys) or hashed
-// (values beyond the packable byte range force FNV keys).
+// spillTestRelation builds a relation of arity ≥ 3 in the requested dedup
+// regime: packed (values under 2^7, which every arity up to 9 packs) or
+// hashed (values up to 2^22, over the 64/arity bits the key rule gives a
+// column, force FNV keys).
 func spillTestRelation(t *testing.T, rng *rand.Rand, arity, n int, packed bool) *Relation {
 	t.Helper()
 	attrs := make([]Attr, arity)
@@ -36,9 +37,9 @@ func spillTestRelation(t *testing.T, rng *rand.Rand, arity, n int, packed bool) 
 		attrs[i] = Attr(i + 1)
 	}
 	r := New(attrs)
-	lim := 256
+	lim := 1 << 7
 	if !packed {
-		lim = 100_000
+		lim = 1 << 22
 	}
 	row := make(Tuple, arity)
 	for i := 0; i < n; i++ {
@@ -72,19 +73,16 @@ func TestSpillRoundTripBothRegimes(t *testing.T) {
 	}{
 		{"packed-uint64", 3, true},
 		{"hashed-values", 3, false},
-		{"hashed-arity9", 9, true}, // arity > 8 can never pack: New starts hashed
+		{"hashed-arity9", 9, false},
 		{"packed-arity0", 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			packed := tc.packed && tc.arity <= 8
 			var orig *Relation
-			if tc.arity > 8 {
-				orig = spillTestRelation(t, rng, tc.arity, 50, false)
-			} else if tc.arity == 0 {
+			if tc.arity == 0 {
 				orig = New(nil)
 				orig.Add(Tuple{})
 			} else {
-				orig = spillTestRelation(t, rng, tc.arity, 200, packed)
+				orig = spillTestRelation(t, rng, tc.arity, 200, tc.packed)
 			}
 			f, err := sp.WriteRelation(orig)
 			if err != nil {
@@ -133,20 +131,19 @@ func TestSpillRoundTripBothRegimes(t *testing.T) {
 	}
 }
 
-// TestSpillRegimePreservedAfterMigration pins the subtle case the header
-// flag exists for: a relation that migrated to hashed keys (duplicate
-// detection saw an out-of-range value) but whose resident rows all fit
-// the packable byte range again. Re-deriving the regime from ranges
-// would flip it back to packed; the stored flag must win.
+// TestSpillRegimePreservedAfterMigration pins the case the header flag
+// exists for: a relation that migrated to hashed keys (duplicate
+// detection saw a row that does not pack) must come back hashed. The
+// stored flag, not a regime re-derived from ranges, decides.
 func TestSpillRegimePreservedAfterMigration(t *testing.T) {
 	sp, err := NewSpiller(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sp.Cleanup()
-	r := New([]Attr{1, 2})
-	r.Add(Tuple{1, 2})
-	r.Add(Tuple{3, 70000}) // out of byte range: migrates to hashed keys
+	r := New([]Attr{1, 2, 3})
+	r.Add(Tuple{1, 2, 3})
+	r.Add(Tuple{3, 1 << 22, 0}) // over the 21 bits of a 3-column key: migrates to hashed keys
 	if r.exact {
 		t.Fatal("setup: expected hashed regime after out-of-range insert")
 	}

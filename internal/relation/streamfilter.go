@@ -1,18 +1,14 @@
 package relation
 
-// StreamFilter is the streaming half of the semijoin kernel pair: where
+// StreamFilter is the streaming member of the semijoin kernels: where
 // SemijoinFilter reduces a materialized relation in place, StreamFilter is
 // built once over the key columns of a (typically already-reduced)
 // relation and then answers "could this tuple join with o?" for tuples
 // arriving one at a time. The pipelined executor uses it to pre-reduce
 // hash-join build sides whose input is itself a stream — rows that cannot
 // join with the probe side's base relations are dropped before a single
-// bucket is allocated.
-//
-// Key handling mirrors StreamTable: injective byte-packed keys while every
-// build value fits in a byte (no verification on match), FNV-1a with
-// arena verification otherwise. An out-of-range probe value in packed mode
-// short-circuits to "no match".
+// bucket is allocated. It is the semijoin key set (semijoin.go) behind an
+// exported face.
 
 import (
 	"fmt"
@@ -22,17 +18,11 @@ import (
 
 // StreamFilter answers streaming membership queries against the key
 // columns of a built relation.
-type StreamFilter struct {
-	o      *Relation
-	oPos   []int
-	packed bool
-	keys   []uint64
-	jt     joinTable
-}
+type StreamFilter struct{ set *keySet }
 
 // NewStreamFilter builds a filter over o keyed by attrs (which must all be
-// attributes of o). The probe-table build charges lim like the other
-// semijoin kernels.
+// attributes of o). The key-set build charges lim like the other semijoin
+// kernels.
 func NewStreamFilter(o *Relation, attrs []Attr, lim *Limit) (*StreamFilter, error) {
 	if err := lim.interrupted(); err != nil {
 		return nil, err
@@ -41,30 +31,12 @@ func NewStreamFilter(o *Relation, attrs []Attr, lim *Limit) (*StreamFilter, erro
 	if faultinject.FailAlloc(faultinject.AllocSemijoin) {
 		return nil, fmt.Errorf("%w: injected allocation failure", ErrMemBudget)
 	}
-	f := &StreamFilter{o: o, oPos: make([]int, len(attrs)), packed: len(attrs) <= 8}
-	for i, a := range attrs {
-		p, ok := o.pos[a]
-		if !ok {
+	for _, a := range attrs {
+		if !o.HasAttr(a) {
 			return nil, fmt.Errorf("relation: filter attribute %d not in schema", a)
 		}
-		f.oPos[i] = p
 	}
-	f.keys = make([]uint64, o.n)
-	for i := 0; i < o.n; i++ {
-		t := o.row(i)
-		if f.packed {
-			if k, ok := packCols(t, f.oPos); ok {
-				f.keys[i] = k
-				continue
-			}
-			f.packed = false
-			for j := 0; j < i; j++ {
-				f.keys[j] = hashCols(o.row(j), f.oPos)
-			}
-		}
-		f.keys[i] = hashCols(t, f.oPos)
-	}
-	f.jt = newJoinTable(f.keys)
+	f := &StreamFilter{newKeySet(o, o.colsOf(attrs))}
 	lim.charge(int64(o.n))
 	if err := lim.chargeBytes(f.Bytes()); err != nil {
 		return nil, err
@@ -74,38 +46,8 @@ func NewStreamFilter(o *Relation, attrs []Attr, lim *Limit) (*StreamFilter, erro
 
 // Match reports whether t's columns pos (parallel to the attrs the filter
 // was built with) equal the key columns of at least one row of o.
-func (f *StreamFilter) Match(t Tuple, pos []int) bool {
-	if f.o.n == 0 {
-		return false
-	}
-	if f.packed {
-		k, ok := packCols(t, pos)
-		if !ok {
-			// All build values are byte-range; an out-of-range probe
-			// value cannot match any of them.
-			return false
-		}
-		return f.jt.first(k) != 0
-	}
-	k := hashCols(t, pos)
-	for e := f.jt.first(k); e != 0; e = f.jt.next[e-1] {
-		ot := f.o.row(int(f.jt.rowOf[e-1]))
-		match := true
-		for i, p := range f.oPos {
-			if ot[p] != t[pos[i]] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
-}
+func (f *StreamFilter) Match(t Tuple, pos []int) bool { return f.set.contains(t, pos) }
 
-// Bytes approximates the filter's resident memory (keys plus the probe
-// structure); the arena belongs to o and is not counted.
-func (f *StreamFilter) Bytes() int64 {
-	return int64(cap(f.keys))*8 + f.jt.bytes()
-}
+// Bytes approximates the filter's resident memory: the key set; the arena
+// belongs to o and is not counted.
+func (f *StreamFilter) Bytes() int64 { return f.set.bytes() }

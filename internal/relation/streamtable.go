@@ -9,13 +9,11 @@ package relation
 // engine's pull pipeline shares one hot path with the materializing
 // executors instead of building string keys into a Go map.
 //
-// Key mode mirrors keyer: while every key-column value fits in a byte and
-// there are at most eight key columns, keys are injective byte-packings
-// and matches need no verification; the first out-of-range value migrates
-// every stored key to FNV-1a, after which probes verify candidate rows
-// against the arena. Probing in packed mode with an out-of-range probe
-// value short-circuits to "no match" — the build side is known to contain
-// byte-range values only.
+// Keys follow the key rule (key.go): while every inserted row's key
+// columns pack, keys are exact and matches need no verification; the first
+// row that does not pack migrates every stored key to FNV-1a, after which
+// probes verify candidate rows against the arena. A probe that does not
+// pack against a packed table short-circuits to "no match".
 type StreamTable struct {
 	arity  int
 	keyPos []int // key columns in inserted rows
@@ -35,7 +33,7 @@ func NewStreamTable(arity int, keyPos []int) *StreamTable {
 	return &StreamTable{
 		arity:  arity,
 		keyPos: append([]int(nil), keyPos...),
-		packed: len(keyPos) <= 8,
+		packed: true,
 	}
 }
 
@@ -66,33 +64,6 @@ func (st *StreamTable) Row(i int) Tuple {
 	return st.data[i*st.arity : (i+1)*st.arity]
 }
 
-// packCols packs the key columns of t, reporting failure on an
-// out-of-range value.
-func packCols(t Tuple, pos []int) (uint64, bool) {
-	var key uint64
-	for _, p := range pos {
-		v := t[p]
-		if v < 0 || v > 255 {
-			return 0, false
-		}
-		key = key<<8 | uint64(byte(v))
-	}
-	return key, true
-}
-
-// hashCols FNV-hashes the key columns of t.
-func hashCols(t Tuple, pos []int) uint64 {
-	var h uint64 = fnvOffset
-	for _, p := range pos {
-		v := uint32(t[p])
-		for s := 0; s < 32; s += 8 {
-			h ^= uint64(byte(v >> s))
-			h *= fnvPrime
-		}
-	}
-	return h
-}
-
 // Insert copies the row into the arena. It panics if called after the
 // first Probe: the build phase of a hash join completes before probing.
 func (st *StreamTable) Insert(t Tuple) {
@@ -103,15 +74,10 @@ func (st *StreamTable) Insert(t Tuple) {
 		panic("relation.StreamTable: row arity mismatch")
 	}
 	st.data = append(st.data, t...)
-	var k uint64
-	if st.packed {
-		var ok bool
-		if k, ok = packCols(t, st.keyPos); !ok {
-			st.migrate()
-			k = hashCols(t, st.keyPos)
-		}
-	} else {
-		k = hashCols(t, st.keyPos)
+	k, ok := rowKey(t, st.keyPos, st.packed)
+	if !ok {
+		st.migrate()
+		k = hashKey(t, st.keyPos)
 	}
 	st.keys = append(st.keys, k)
 	st.n++
@@ -121,7 +87,7 @@ func (st *StreamTable) Insert(t Tuple) {
 func (st *StreamTable) migrate() {
 	st.packed = false
 	for i := range st.keys {
-		st.keys[i] = hashCols(st.Row(i), st.keyPos)
+		st.keys[i] = hashKey(st.Row(i), st.keyPos)
 	}
 }
 
@@ -146,21 +112,11 @@ func (st *StreamTable) Probe(pt Tuple, probePos []int) StreamMatches {
 	if !st.built {
 		st.build()
 	}
-	if st.n == 0 {
+	k, ok := rowKey(pt, probePos, st.packed)
+	if st.n == 0 || !ok {
 		return StreamMatches{}
 	}
-	var k uint64
-	if st.packed {
-		var ok bool
-		if k, ok = packCols(pt, probePos); !ok {
-			// All build values are byte-range; an out-of-range probe
-			// value cannot match any of them.
-			return StreamMatches{}
-		}
-		return StreamMatches{st: st, e: st.jt.first(k)}
-	}
-	k = hashCols(pt, probePos)
-	return StreamMatches{st: st, e: st.jt.first(k), verify: true, probe: pt, pPos: probePos}
+	return StreamMatches{st: st, e: st.jt.first(k), verify: !st.packed, probe: pt, pPos: probePos}
 }
 
 // Next returns the next matching build row, or nil when exhausted. The
@@ -169,17 +125,8 @@ func (m *StreamMatches) Next() Tuple {
 	for m.e != 0 {
 		row := m.st.Row(int(m.st.jt.rowOf[m.e-1]))
 		m.e = m.st.jt.next[m.e-1]
-		if m.verify {
-			match := true
-			for i, p := range m.st.keyPos {
-				if row[p] != m.probe[m.pPos[i]] {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
+		if m.verify && !sameKey(row, m.st.keyPos, m.probe, m.pPos) {
+			continue
 		}
 		return row
 	}

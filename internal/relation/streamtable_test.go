@@ -40,40 +40,42 @@ func collectMatches(st *StreamTable, probe Tuple, probePos []int) []string {
 }
 
 func TestStreamTableDifferential(t *testing.T) {
-	// Three value regimes: packed stays packed, "wide" forces migration
-	// to FNV keys mid-build, "mixed" interleaves both so packed inserts
-	// precede and follow the migration point.
+	// Three value regimes over a 3-column key (21 bits a value): packed
+	// stays packed, "wide" forces migration to FNV keys mid-build, "mixed"
+	// interleaves both so packed inserts precede and follow the migration
+	// point.
 	regimes := []struct {
-		name string
-		gen  func(rng *rand.Rand) Value
+		name   string
+		gen    func(rng *rand.Rand) Value
+		packed bool
 	}{
-		{"packed", func(rng *rand.Rand) Value { return Value(rng.Intn(5)) }},
-		{"wide", func(rng *rand.Rand) Value { return Value(rng.Intn(100_000) - 50_000) }},
+		{"packed", func(rng *rand.Rand) Value { return Value(rng.Intn(5)) }, true},
+		{"wide", func(rng *rand.Rand) Value { return Value(rng.Intn(1<<23) - 1<<22) }, false},
 		{"mixed", func(rng *rand.Rand) Value {
 			if rng.Intn(4) == 0 {
-				return Value(rng.Intn(100_000))
+				return Value(rng.Intn(1 << 23))
 			}
 			return Value(rng.Intn(5))
-		}},
+		}, false},
 	}
 	for _, reg := range regimes {
 		t.Run(reg.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			const arity = 3
-			keyPos := []int{0, 2}
-			probePos := []int{1, 0}
+			const arity = 4
+			keyPos := []int{0, 2, 3}
+			probePos := []int{1, 0, 2}
 			var rows []Tuple
 			st := NewStreamTable(arity, keyPos)
 			for i := 0; i < 500; i++ {
-				r := Tuple{reg.gen(rng), reg.gen(rng), reg.gen(rng)}
+				r := Tuple{reg.gen(rng), reg.gen(rng), reg.gen(rng), reg.gen(rng)}
 				rows = append(rows, r)
 				st.Insert(r)
 			}
-			if st.Len() != len(rows) {
-				t.Fatalf("Len = %d, want %d", st.Len(), len(rows))
+			if st.Len() != len(rows) || st.packed != reg.packed {
+				t.Fatalf("Len = %d packed = %v, want %d and %v", st.Len(), st.packed, len(rows), reg.packed)
 			}
 			for i := 0; i < 300; i++ {
-				probe := Tuple{reg.gen(rng), reg.gen(rng)}
+				probe := Tuple{reg.gen(rng), reg.gen(rng), reg.gen(rng)}
 				got := collectMatches(st, probe, probePos)
 				want := streamTableReference(rows, keyPos, probe, probePos)
 				if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -85,16 +87,19 @@ func TestStreamTableDifferential(t *testing.T) {
 }
 
 func TestStreamTableOutOfRangeProbe(t *testing.T) {
-	st := NewStreamTable(2, []int{0})
-	st.Insert(Tuple{1, 1})
-	st.Insert(Tuple{2, 2})
-	// Packed build side, out-of-range probe value: must short-circuit to
-	// no matches, not hash.
-	if got := collectMatches(st, Tuple{1000}, []int{0}); got != nil {
-		t.Fatalf("out-of-range probe matched %v", got)
+	st := NewStreamTable(3, []int{0, 1, 2})
+	st.Insert(Tuple{1, 1, 1})
+	st.Insert(Tuple{2, 2, 2})
+	// Packed build side, a probe that does not pack (negative, or over
+	// the 21 bits of a 3-column key): must short-circuit to no matches,
+	// not hash.
+	for _, probe := range []Tuple{{1, 1, -1}, {2, 2, 1 << 21}} {
+		if got := collectMatches(st, probe, []int{0, 1, 2}); got != nil {
+			t.Fatalf("probe %v matched %v", probe, got)
+		}
 	}
-	if got := collectMatches(st, Tuple{2}, []int{0}); len(got) != 1 {
-		t.Fatalf("in-range probe matched %v, want one row", got)
+	if got := collectMatches(st, Tuple{2, 2, 2}, []int{0, 1, 2}); len(got) != 1 || !st.packed {
+		t.Fatalf("packed probe matched %v (packed=%v), want one row", got, st.packed)
 	}
 }
 
