@@ -36,8 +36,12 @@ vet:
 # (relation/key.go): it deleted the join keyer and its alignment, the
 # byte packers of the dedup table, StreamTable and StreamFilter, and the
 # semijoin probe; the bitmap key set the three semijoin kernels now share
-# took back less than they freed.
-LOC_CEILING = 20727
+# took back less than they freed. Raised 20727 -> 20740 by appending
+# join rows without a dedup table: 13 lines — the append path and the
+# bookkeeping helper it shares with commitStaged, net of the spill
+# header's regime word and Load's eager table rebuild, which went — for
+# x1.3 throughput on wide-answer (CHANGES.md has the runs).
+LOC_CEILING = 20740
 loc:
 	@go list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
 		n=$$(ls $$dir/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \

@@ -216,8 +216,8 @@ func (s *joinSpec) buildKeys() []uint64 {
 }
 
 // emit assembles the (probe row, build row) output tuple into out and
-// inserts it, reporting whether it was new.
-func (s *joinSpec) emit(out *Relation, pt, bt Tuple) bool {
+// appends it: each pair makes a row no other pair makes (see JoinLimited).
+func (s *joinSpec) emit(out *Relation, pt, bt Tuple) {
 	row := out.stage()
 	for i, ps := range s.probeSrc {
 		if ps >= 0 {
@@ -226,7 +226,7 @@ func (s *joinSpec) emit(out *Relation, pt, bt Tuple) bool {
 			row[i] = bt[s.buildSrc[i]]
 		}
 	}
-	return out.commitStaged(row)
+	out.appendStaged(row)
 }
 
 // Join computes the natural join of r and o. It is equivalent to
@@ -247,6 +247,9 @@ func Join(r, o *Relation) *Relation {
 // table on the smaller input keyed by the shared attributes, probe with
 // the larger one. This mirrors the paper's setup, which forced hash joins
 // in PostgreSQL.
+// The natural join of two sets is a set (an output row determines both
+// input rows), so rows are appended with no membership test and the
+// output's dedup table is built only if Add or Contains asks.
 func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 	if err := lim.interrupted(); err != nil {
 		return nil, err

@@ -12,8 +12,9 @@
 // The paper's experimental setting ("Projection Pushing Revisited", EDBT
 // 2004) forces hash joins in PostgreSQL and works with main-memory
 // databases under SELECT DISTINCT semantics; this package is the
-// corresponding substrate: every operation deduplicates, and joins are
-// hash joins.
+// corresponding substrate: every result is a set, and joins are hash
+// joins. A join writes its rows without a membership test: the natural
+// join of two sets is a set.
 package relation
 
 import (
@@ -53,7 +54,9 @@ func (t Tuple) Clone() Tuple {
 // exactly while each value fits 64/k bits — any int32 up to two columns,
 // and always for the paper's domains — and the table migrates
 // transparently to FNV hashes with row verification the first time a row
-// does not pack.
+// does not pack. A relation written without membership tests (a join's
+// output, SemijoinFilter's survivors, a reloaded spill file) is stale:
+// its table is built on the first Add or Contains.
 //
 // Relations track per-column min/max values on insert, which lets a hash
 // kernel decide packed-vs-hashed keys without rescanning rows, and lets
@@ -80,7 +83,7 @@ type Relation struct {
 	// all mark it shared, and a server's concurrent requests do exactly
 	// that.
 	shared uint32
-	stale  bool // dedup table not built (SemijoinFilter's survivors)
+	stale  bool // dedup table not built and exact not current: rows written without membership tests
 
 	hdrs []Tuple // lazy Tuples() headers into data
 
@@ -173,9 +176,9 @@ func (r *Relation) privatize() {
 }
 
 // stage returns a writable scratch row at the end of the arena, growing
-// it if needed. The caller fills the row and calls commitStaged; staged
-// data is simply abandoned (overwritten by the next stage) if the row
-// turns out to be a duplicate.
+// it if needed. The caller fills the row and calls commitStaged, or
+// appendStaged for a row known to be new; staged data is abandoned
+// (overwritten by the next stage) if the row turns out to be a duplicate.
 func (r *Relation) stage() Tuple {
 	if r.isShared() {
 		r.privatize()
@@ -211,6 +214,24 @@ func (r *Relation) commitStaged(t Tuple) bool {
 	if !r.dedupInsert(key, t) {
 		return false
 	}
+	r.keep(t)
+	return true
+}
+
+// appendStaged keeps the staged row t without a membership test: the
+// caller guarantees it is not yet present. The dedup table is dropped and
+// left stale until Add or Contains asks for it (ensureDedup).
+func (r *Relation) appendStaged(t Tuple) {
+	if !r.stale {
+		r.keys, r.refs, r.used = nil, nil, 0
+		r.stale = true
+	}
+	r.keep(t)
+}
+
+// keep extends the arena over the staged row t and folds it into the
+// column ranges, the row count and the density cache.
+func (r *Relation) keep(t Tuple) {
 	r.data = r.data[:(r.n+1)*r.arity]
 	if r.n == 0 {
 		copy(r.colMin, t)
@@ -229,7 +250,6 @@ func (r *Relation) commitStaged(t Tuple) bool {
 	if r.dens.Load() != nil { // a plain load: no atomic store per inserted row
 		r.dens.Store(nil)
 	}
-	return true
 }
 
 // Add inserts the tuple if not already present and reports whether it was
@@ -282,10 +302,11 @@ func (r *Relation) Value(t Tuple, a Attr) Value {
 }
 
 // Bytes approximates the relation's resident memory in bytes: the tuple
-// arena plus the dedup table. It is the accounting unit of the engine's
-// subplan result cache; approximation (headers and the attribute schema
-// are ignored) is fine there because cached relations are dominated by
-// their arenas.
+// arena plus the dedup table, if built (not for a stale relation, such as
+// a join's output). It is the accounting unit of the engine's subplan
+// result cache; approximation (headers and the attribute schema are
+// ignored) is fine there because cached relations are dominated by their
+// arenas.
 func (r *Relation) Bytes() int64 {
 	return int64(cap(r.data))*4 + int64(len(r.keys))*8 + int64(len(r.refs))*4
 }

@@ -67,9 +67,7 @@ func checkSemijoinKernels(t *testing.T, r, o *Relation) string {
 	if !filtered.Equal(want) || removed != r.Len()-want.Len() {
 		t.Fatalf("SemijoinFilter %v (removed %d) != oracle %v (r=%v o=%v)", filtered, removed, want, r, o)
 	}
-	if joined := Join(r, o); !joined.Equal(nestedLoopJoin(r, o)) {
-		t.Fatalf("JoinLimited %v != oracle (r=%v o=%v)", joined, r, o)
-	}
+	checkJoinOutput(t, r, o)
 	shared := SharedAttrs(r, o)
 	if len(shared) == 0 {
 		return "disjoint"
@@ -90,6 +88,35 @@ func checkSemijoinKernels(t *testing.T, r, o *Relation) string {
 			keySetKind(f.set), o.Len(), f.Bytes(), joinTableBytes(o.Len()), o)
 	}
 	return keySetKind(f.set)
+}
+
+// checkJoinOutput checks r ⋈ o against the nested-loop oracle, and that
+// the output, written without membership tests, has no dedup table until
+// asked and then answers in the regime its column ranges call for: Equal
+// asks Contains of every oracle row, and Add must refuse a stored row and
+// accept a new one.
+func checkJoinOutput(t *testing.T, r, o *Relation) {
+	t.Helper()
+	joined, want := Join(r, o), nestedLoopJoin(r, o)
+	if joined.keys != nil || joined.Bytes() != int64(cap(joined.data))*4 {
+		t.Fatalf("join output holds a dedup table before any membership query (r=%v o=%v)", r, o)
+	}
+	if !joined.Equal(want) {
+		t.Fatalf("JoinLimited %v != oracle %v (r=%v o=%v)", joined, want, r, o)
+	}
+	fresh := make(Tuple, joined.Arity())
+	if joined.Len() > 0 {
+		if joined.Add(joined.row(0).Clone()) {
+			t.Fatalf("join output re-admitted %v (r=%v o=%v)", joined.row(0), r, o)
+		}
+		copy(fresh, joined.row(0))
+	}
+	for want.Contains(fresh) {
+		fresh[0]++
+	}
+	if !joined.Add(fresh) || !joined.Contains(fresh) || joined.Len() != want.Len()+1 {
+		t.Fatalf("join output refused or lost the new row %v (r=%v o=%v)", fresh, r, o)
+	}
 }
 
 // poolRelation builds a relation over attrs with n tuples whose values are

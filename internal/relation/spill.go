@@ -5,13 +5,12 @@ package relation
 // tuple arenas (WriteRelation) or row streams (NewRowFile) when live
 // bytes exceed Limit.MaxBytes, and stream them back when the consumer
 // is ready. Files carry the arena in its packed on-heap layout —
-// little-endian int32 values, row i at offset i*arity — so a round trip
-// is bit-identical in both key regimes: the header records the exact
-// (packed-uint64) vs hashed (column-compare) dedup mode explicitly, and
-// Load rebuilds the dedup table under the stored mode rather than
-// re-deriving it from value ranges (a relation that migrated to hashed
-// keys on a duplicate insert of a row that does not pack may have
-// packable ranges again; re-deriving would silently flip its regime).
+// little-endian int32 values, row i at offset i*arity — with the
+// per-column ranges, so a round trip is bit-identical. No dedup table or
+// key regime is stored: a relation's exact flag is not current while it
+// is stale (a join's output), so Load leaves the reloaded relation stale
+// and the first membership query derives the regime from the restored
+// ranges, which cover every row (ensureDedup).
 //
 // Every disk failure mode is deterministic in tests via faultinject:
 // spill.write.fail and spill.read.fail fire in the serialization paths,
@@ -247,12 +246,7 @@ func (s *Spiller) WriteRelation(r *Relation) (*SpillFile, error) {
 }
 
 func (s *Spiller) writeRelationTo(sw *spillWriter, r *Relation) error {
-	exact := uint64(0)
-	if r.exact {
-		exact = 1
-	}
-	hdr := []uint64{spillMagic, uint64(r.arity), uint64(r.n), exact}
-	for _, v := range hdr {
+	for _, v := range []uint64{spillMagic, uint64(r.arity), uint64(r.n)} {
 		if err := sw.writeUint64(v); err != nil {
 			return err
 		}
@@ -271,10 +265,10 @@ func (s *Spiller) writeRelationTo(sw *spillWriter, r *Relation) error {
 	return sw.writeValues(r.data[:r.n*r.arity])
 }
 
-// Load streams the file back into a fresh private relation: the arena
-// is restored byte-identically, the dedup key regime comes from the
-// stored exact flag, and the dedup table is rebuilt under that regime.
-// The file stays on disk until Close.
+// Load streams the file back into a fresh private relation: the arena and
+// the column ranges are restored byte-identically, and the dedup table is
+// left stale, to be built only if a caller asks membership (the merge of
+// spilled partials only scans). The file stays on disk until Close.
 func (f *SpillFile) Load() (*Relation, error) {
 	faultinject.Sleep(faultinject.SpillSlow)
 	if faultinject.FailAlloc(faultinject.SpillRead) {
@@ -325,10 +319,6 @@ func (f *SpillFile) Load() (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	exact64, err := readUint64()
-	if err != nil {
-		return nil, err
-	}
 	arity, n := int(arity64), int(n64)
 	if arity != len(f.attrs) {
 		return nil, fmt.Errorf("%w: spill file arity %d != schema arity %d",
@@ -354,9 +344,7 @@ func (f *SpillFile) Load() (*Relation, error) {
 		return nil, err
 	}
 	r.n = n
-	r.exact = exact64 != 0
-	r.stale = false
-	r.rebuildDedup()
+	r.stale = true
 	return r, nil
 }
 

@@ -54,11 +54,12 @@ func spillTestRelation(t *testing.T, rng *rand.Rand, arity, n int, packed bool) 
 	return r
 }
 
-// TestSpillRoundTripBothRegimes is the tentpole's core property: a
-// spill round trip is bit-identical in both dedup key regimes — same
-// arena bytes, same schema, same per-column ranges, same exact flag —
-// and the reloaded relation dedups correctly (Contains agrees, adding a
-// spilled tuple again is a no-op).
+// TestSpillRoundTripBothRegimes is the spill's core property: a round
+// trip is bit-identical in both dedup key regimes — same arena bytes,
+// same schema, same per-column ranges — the reloaded relation comes back
+// without a dedup table, and once asked membership it is in the original's
+// regime and dedups correctly (Contains agrees, adding a spilled tuple
+// again is a no-op).
 func TestSpillRoundTripBothRegimes(t *testing.T) {
 	sp, err := NewSpiller(t.TempDir(), 0)
 	if err != nil {
@@ -70,18 +71,24 @@ func TestSpillRoundTripBothRegimes(t *testing.T) {
 		name   string
 		arity  int
 		packed bool
+		join   bool // spill a join's output: stale, its exact flag New's default
 	}{
-		{"packed-uint64", 3, true},
-		{"hashed-values", 3, false},
-		{"hashed-arity9", 9, false},
-		{"packed-arity0", 0, true},
+		{"packed-uint64", 3, true, false},
+		{"hashed-values", 3, false, false},
+		{"hashed-arity9", 9, false, false},
+		{"packed-arity0", 0, true, false},
+		{"hashed-join-output", 3, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var orig *Relation
-			if tc.arity == 0 {
+			switch {
+			case tc.arity == 0:
 				orig = New(nil)
 				orig.Add(Tuple{})
-			} else {
+			case tc.join:
+				src := spillTestRelation(t, rng, tc.arity, 200, tc.packed)
+				orig = Join(src, Project(src, []Attr{1}))
+			default:
 				orig = spillTestRelation(t, rng, tc.arity, 200, tc.packed)
 			}
 			f, err := sp.WriteRelation(orig)
@@ -93,8 +100,12 @@ func TestSpillRoundTripBothRegimes(t *testing.T) {
 				t.Fatalf("Load: %v", err)
 			}
 			defer f.Close()
-			if got.exact != orig.exact {
-				t.Fatalf("round trip flipped dedup regime: exact %v -> %v", orig.exact, got.exact)
+			if !got.stale || got.keys != nil {
+				t.Fatal("Load built a dedup table nobody asked for")
+			}
+			// Asking both builds both tables, so both flags are current.
+			if !got.Contains(orig.row(0)) || !orig.Contains(orig.row(0)) || got.exact != orig.exact {
+				t.Fatalf("round trip lost row 0 or flipped dedup regime: exact %v -> %v", orig.exact, got.exact)
 			}
 			if got.n != orig.n || got.arity != orig.arity {
 				t.Fatalf("shape changed: (%d,%d) -> (%d,%d)", orig.n, orig.arity, got.n, got.arity)
@@ -131,10 +142,10 @@ func TestSpillRoundTripBothRegimes(t *testing.T) {
 	}
 }
 
-// TestSpillRegimePreservedAfterMigration pins the case the header flag
-// exists for: a relation that migrated to hashed keys (duplicate
-// detection saw a row that does not pack) must come back hashed. The
-// stored flag, not a regime re-derived from ranges, decides.
+// TestSpillRegimePreservedAfterMigration pins a relation that migrated to
+// hashed keys (duplicate detection saw a row that does not pack): it must
+// come back hashed once asked membership. No flag is stored; the restored
+// ranges cover the row that forced the migration, so they decide.
 func TestSpillRegimePreservedAfterMigration(t *testing.T) {
 	sp, err := NewSpiller(t.TempDir(), 0)
 	if err != nil {
@@ -156,8 +167,8 @@ func TestSpillRegimePreservedAfterMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.exact {
-		t.Fatal("Load re-derived the packed regime instead of honoring the stored flag")
+	if !got.Contains(Tuple{3, 1 << 22, 0}) || got.exact {
+		t.Fatal("the reloaded relation did not come back in the hashed regime its ranges call for")
 	}
 	if !got.Equal(r) {
 		t.Fatal("reloaded relation differs")
