@@ -40,8 +40,10 @@ vet:
 # join rows without a dedup table: 13 lines — the append path and the
 # bookkeeping helper it shares with commitStaged, net of the spill
 # header's regime word and Load's eager table rebuild, which went — for
-# x1.3 throughput on wide-answer (CHANGES.md has the runs).
-LOC_CEILING = 20740
+# x1.3 throughput on wide-answer (CHANGES.md has the runs). Lowered to
+# 20709 by serving answers in the executor's order: the packed-key
+# answer sort went, for one arena copy and a comparator SortedTuples.
+LOC_CEILING = 20709
 loc:
 	@go list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
 		n=$$(ls $$dir/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \

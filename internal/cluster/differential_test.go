@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -69,21 +70,13 @@ func buildFleetCases(t *testing.T, db cq.Database) []fleetCase {
 	return cases
 }
 
-func sameTuples(a, b [][]int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+// sameTuples compares an answer received in the executor's row order
+// with the oracle's sorted rows: it sorts a copy of got, then checks row
+// count, arity and every value.
+func sameTuples(got, sorted [][]int32) bool {
+	got = slices.Clone(got)
+	slices.SortFunc(got, slices.Compare[[]int32])
+	return slices.EqualFunc(got, sorted, slices.Equal[[]int32])
 }
 
 // TestFleetDifferentialAgainstOracle pins the fleet's answers to the

@@ -363,45 +363,18 @@ func (r *Relation) colBits(j int) uint {
 	return uint(bits.Len64(uint64(int64(r.colMax[j]) - int64(r.colMin[j]))))
 }
 
-// AppendSortedRows appends the rows in lexicographic order to dst, arity
-// values per row, and returns the extended slice. It is the one sort of
-// the answer path and never builds tuple headers. When the column ranges
-// together fit 64 bits (Σ bits(colMax−colMin) ≤ 64) each row packs into
-// one order-preserving uint64, the keys are sorted as machine words and
-// unpacked into dst — rows are a set, so there are no ties and no
-// permutation to carry. Otherwise row ids are sorted by comparing arena
-// columns.
-func (r *Relation) AppendSortedRows(dst []Value) []Value {
-	if r.n == 0 || r.arity == 0 {
-		return dst
-	}
-	dst = slices.Grow(dst, r.n*r.arity)
-	width := make([]uint, r.arity)
-	total := uint(0)
-	for j := range width {
-		width[j] = r.colBits(j)
-		total += width[j]
-	}
-	if total <= 64 {
-		keys := make([]uint64, r.n)
-		for i := range keys {
-			var key uint64
-			for j, v := range r.row(i) {
-				key = key<<width[j] | uint64(int64(v)-int64(r.colMin[j]))
-			}
-			keys[i] = key
-		}
-		slices.Sort(keys)
-		for _, key := range keys {
-			base := len(dst)
-			dst = dst[:base+r.arity]
-			for j := r.arity - 1; j >= 0; j-- {
-				dst[base+j] = Value(int64(r.colMin[j]) + int64(key&(1<<width[j]-1)))
-				key >>= width[j]
-			}
-		}
-		return dst
-	}
+// AppendRows appends the rows in arena order to dst, arity values per
+// row, and returns the extended slice: one copy, no sort and no tuple
+// headers.
+func (r *Relation) AppendRows(dst []Value) []Value {
+	return append(dst, r.data[:r.n*r.arity]...)
+}
+
+// SortedTuples returns the tuples sorted lexicographically, as headers
+// into one freshly sorted copy of the arena. Useful for deterministic
+// output in tests and examples; it sorts row ids by comparing arena
+// columns, which suits the small relations those print.
+func (r *Relation) SortedTuples() []Tuple {
 	ids := make([]int32, r.n)
 	for i := range ids {
 		ids[i] = int32(i)
@@ -409,19 +382,10 @@ func (r *Relation) AppendSortedRows(dst []Value) []Value {
 	slices.SortFunc(ids, func(a, b int32) int {
 		return slices.Compare(r.row(int(a)), r.row(int(b)))
 	})
-	for _, id := range ids {
-		dst = append(dst, r.row(int(id))...)
-	}
-	return dst
-}
-
-// SortedTuples returns the tuples sorted lexicographically, as headers
-// into one freshly sorted copy of the arena. Useful for deterministic
-// output in tests and examples.
-func (r *Relation) SortedTuples() []Tuple {
-	flat := r.AppendSortedRows(make([]Value, 0, r.n*r.arity))
+	flat := make([]Value, 0, r.n*r.arity)
 	out := make([]Tuple, r.n)
-	for i := range out {
+	for i, id := range ids {
+		flat = append(flat, r.row(int(id))...)
 		out[i] = flat[i*r.arity : (i+1)*r.arity : (i+1)*r.arity]
 	}
 	return out

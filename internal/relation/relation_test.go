@@ -1,10 +1,7 @@
 package relation
 
 import (
-	"math"
 	"math/rand"
-	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -422,77 +419,6 @@ func TestSortedTuplesDeterministic(t *testing.T) {
 	for i := range want {
 		if s[i][0] != want[i][0] || s[i][1] != want[i][1] {
 			t.Fatalf("sorted order %v, want %v", s, want)
-		}
-	}
-}
-
-// TestAppendSortedRowsMatchesComparator checks the sort kernel against a
-// plain lexicographic sort of the row headers on both of its paths:
-// column ranges that pack into 64 bits and ranges that do not, with
-// negative values, MinInt32/MaxInt32 and more than eight columns.
-func TestAppendSortedRowsMatchesComparator(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	cases := []struct {
-		name   string
-		arity  int
-		lo, hi int64 // values drawn from [lo, hi]
-	}{
-		{"arity0", 0, 0, 0},
-		{"packed-1col", 1, -5, 5},
-		{"packed-3x12bit", 3, 0, 4095},
-		{"packed-negative", 4, -30000, 30000},
-		{"packed-2xfull", 2, math.MinInt32, math.MaxInt32},
-		{"compare-3xfull", 3, math.MinInt32, math.MaxInt32},
-		{"compare-9cols", 9, -1000, 1000},
-		{"packed-9cols", 9, 0, 100},
-	}
-	for _, c := range cases {
-		attrs := make([]Attr, c.arity)
-		for j := range attrs {
-			attrs[j] = j
-		}
-		for _, n := range []int{0, 1, 500} {
-			r := New(attrs)
-			row := make(Tuple, c.arity)
-			for i := 0; i < n; i++ {
-				for j := range row {
-					row[j] = Value(c.lo + rng.Int63n(c.hi-c.lo+1))
-				}
-				r.Add(row)
-			}
-			if n > 1 && c.arity > 0 {
-				for j := range row { // pin the extremes of the range
-					row[j] = Value(c.lo)
-				}
-				r.Add(row)
-				for j := range row {
-					row[j] = Value(c.hi)
-				}
-				r.Add(row)
-			}
-			want := append([]Tuple(nil), r.Tuples()...)
-			sort.Slice(want, func(a, b int) bool {
-				for k := range want[a] {
-					if want[a][k] != want[b][k] {
-						return want[a][k] < want[b][k]
-					}
-				}
-				return false
-			})
-			prefix := []Value{7, 8}
-			flat := r.AppendSortedRows(append([]Value(nil), prefix...))
-			if len(flat) != 2+r.Len()*c.arity || flat[0] != 7 || flat[1] != 8 {
-				t.Fatalf("%s n=%d: appended %d values to a 2-value prefix, want %d", c.name, n, len(flat)-2, r.Len()*c.arity)
-			}
-			got := r.SortedTuples()
-			if len(got) != len(want) {
-				t.Fatalf("%s n=%d: %d sorted tuples, want %d", c.name, n, len(got), len(want))
-			}
-			for i := range want {
-				if !slices.Equal(got[i], want[i]) || !slices.Equal(flat[2+i*c.arity:2+(i+1)*c.arity], want[i]) {
-					t.Fatalf("%s n=%d: row %d = %v, want %v", c.name, n, i, got[i], want[i])
-				}
-			}
 		}
 	}
 }

@@ -19,11 +19,11 @@ import (
 // sorted, so galloping SeekGE/SeekGT find the next candidate value and
 // the end of its run in O(log gap).
 //
-// Sorting packs each row's indexed columns, offset by the column minimum,
-// above its row id into one uint64 whenever the column ranges and the row
-// count together fit 64 bits — the packing AppendSortedRows uses, with the
-// row id as the least significant field — and sorts machine words;
-// otherwise it compares arena columns. Rows equal on every indexed column
+// Sorting packs each row's indexed columns, offset by the column minimum
+// (colBits wide each), with the row id as the least significant field
+// into one uint64 whenever the column ranges and the row count together
+// fit 64 bits, and sorts machine words; otherwise it compares arena
+// columns. Rows equal on every indexed column
 // are ordered by row id either way, so the order is deterministic.
 type SortedIndex struct {
 	rel  *Relation

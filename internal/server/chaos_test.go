@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -104,21 +105,13 @@ func overWidthQuery(t *testing.T) string {
 	return buf.String()
 }
 
-func sameTuples(a, b [][]int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+// sameTuples compares an answer received in the executor's row order
+// with the oracle's sorted rows: it sorts a copy of got, then checks row
+// count, arity and every value.
+func sameTuples(got, sorted [][]int32) bool {
+	got = slices.Clone(got)
+	slices.SortFunc(got, slices.Compare[[]int32])
+	return slices.EqualFunc(got, sorted, slices.Equal[[]int32])
 }
 
 // undrawn lists the points a fault spec arms whose sites no run reached

@@ -18,9 +18,10 @@
 // whose answer has tuples of arity ≥ 1 does not carry them as JSON: the
 // object leaves answer.tuples out and gains a descriptor,
 // "tuple_block":{"rows":R,"arity":A}, and the R×A values follow the
-// object's closing brace as little-endian int32 in sorted row order —
-// the same layout as a relation's arena, so an answer costs a copy, not
-// a parse. The block is exactly 4·R·A bytes and ends the frame; a reader
+// object's closing brace as little-endian int32 in the executor's row
+// order — the same layout as a relation's arena, so an answer costs a
+// copy, not a parse. An answer is a set: no row order is promised, and
+// a reader that needs one sorts what it received. The block is exactly 4·R·A bytes and ends the frame; a reader
 // checks that against the descriptor before it allocates anything.
 // Every other frame — each Request, and each Response without tuples or
 // with the one empty tuple of a true Boolean answer — is the JSON object
@@ -139,12 +140,14 @@ type Answer struct {
 	Nonempty bool `json:"nonempty"`
 	// Rows is the result cardinality.
 	Rows int `json:"rows"`
-	// Tuples is the full result in sorted order. On the wire it travels
-	// as the frame's binary tuple block, not as JSON (see the package
-	// comment); AnswerOf and ReadFrame both build it as row sub-slices
-	// of one backing array, so a wide answer is two allocations. The
-	// JSON tag is what json.Marshal of a Response renders outside a
-	// frame: request logs, `projpush -connect`.
+	// Tuples is the full result in the executor's row order: a set, with
+	// no order promised (a reader that needs one sorts; a relay keeps the
+	// order it received). On the wire it travels as the frame's binary
+	// tuple block, not as JSON (see the package comment); AnswerOf and
+	// ReadFrame both build it as row sub-slices of one backing array, so
+	// a wide answer is two allocations. The JSON tag is what json.Marshal
+	// of a Response renders outside a frame: request logs, `projpush
+	// -connect`.
 	Tuples [][]int32 `json:"tuples,omitempty"`
 }
 

@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -34,34 +34,16 @@ func randomResult(rng *rand.Rand, arity, n int, lo, hi int64) *engine.Result {
 	return &engine.Result{Rel: rel}
 }
 
-// oracleSorted is the pre-binary-frame SortedTuples: a sort.Slice over
-// tuple headers with the column-wise comparator, kept here as the order
-// every decoded answer must reproduce exactly.
-func oracleSorted(rel *relation.Relation) [][]int32 {
-	out := make([][]int32, rel.Len())
-	for i, t := range rel.Tuples() {
-		out[i] = slices.Clone(t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-	return out
-}
-
 func sameRows(a, b [][]int32) bool {
 	return slices.EqualFunc(a, b, func(x, y []int32) bool { return slices.Equal(x, y) })
 }
 
-// TestFrameRoundTripRandomRelations is the codec's property test:
-// AnswerOf → WriteFrame → ReadFrame returns the relation's rows in the
-// old SortedTuples order, for every arity and value range the sort
-// kernel and the block distinguish.
+// TestFrameRoundTripRandomRelations is the codec's property test and the
+// wire's order contract: AnswerOf returns exactly the relation's rows in
+// arena order, and WriteFrame → ReadFrame keeps that order row for row
+// (the coordinator relays worker frames, so the codec must not reorder),
+// for every arity and value range the block distinguishes. Each arity
+// also sends rows added in descending order, an arena that is not sorted.
 func TestFrameRoundTripRandomRelations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	full := [2]int64{math.MinInt32, math.MaxInt32}
@@ -79,41 +61,61 @@ func TestFrameRoundTripRandomRelations(t *testing.T) {
 						res.Rel.Add(row)
 					}
 				}
-				want := oracleSorted(res.Rel)
-				sent := &Response{Status: StatusOK, Answer: AnswerOf(res), Stats: StatsOf(&res.Stats)}
-				if !sameRows(sent.Answer.Tuples, want) {
-					t.Fatalf("arity %d range %v n %d: AnswerOf order differs from the old SortedTuples", arity, rg, n)
-				}
-				var frame bytes.Buffer
-				if err := WriteFrame(&frame, sent); err != nil {
-					t.Fatalf("arity %d range %v n %d: WriteFrame: %v", arity, rg, n, err)
-				}
-				hasBlock := bytes.Contains(frame.Bytes(), []byte(`"tuple_block"`))
-				if hasBlock != (arity > 0 && res.Rel.Len() > 0) {
-					t.Fatalf("arity %d rows %d: tuple block present = %v", arity, res.Rel.Len(), hasBlock)
-				}
-				if bytes.Contains(frame.Bytes(), []byte(`"tuples":[`)) != (arity == 0 && res.Rel.Len() > 0) {
-					t.Fatalf("arity %d rows %d: JSON tuples on the wire: %q", arity, res.Rel.Len(), frame.Bytes()[4:])
-				}
-				var got Response
-				if err := ReadFrame(&frame, &got); err != nil {
-					t.Fatalf("arity %d range %v n %d: ReadFrame: %v", arity, rg, n, err)
-				}
-				if frame.Len() != 0 {
-					t.Fatalf("arity %d: %d bytes left unread", arity, frame.Len())
-				}
-				if len(got.Answer.Tuples) != res.Rel.Len() || !sameRows(got.Answer.Tuples, want) {
-					t.Fatalf("arity %d range %v n %d: decoded %d rows differ from the oracle's %d", arity, rg, n, len(got.Answer.Tuples), len(want))
-				}
-				// Everything but the tuples travels as before.
-				sent.Answer.Tuples, got.Answer.Tuples = nil, nil
-				a, _ := json.Marshal(sent)
-				b, _ := json.Marshal(&got)
-				if !bytes.Equal(a, b) {
-					t.Fatalf("arity %d: response changed in transit:\n sent %s\n got  %s", arity, a, b)
-				}
+				checkFrameRoundTrip(t, fmt.Sprintf("arity %d range %v n %d", arity, rg, n), res)
 			}
 		}
+		res := randomResult(rng, arity, 0, 0, 0)
+		row := make(relation.Tuple, arity)
+		for v := relation.Value(299); v >= 0; v-- {
+			for j := range row {
+				row[j] = v
+			}
+			res.Rel.Add(row)
+		}
+		checkFrameRoundTrip(t, fmt.Sprintf("arity %d descending", arity), res)
+	}
+}
+
+// checkFrameRoundTrip sends res through AnswerOf, WriteFrame and
+// ReadFrame and checks that the rows keep the relation's arena order.
+func checkFrameRoundTrip(t *testing.T, name string, res *engine.Result) {
+	t.Helper()
+	arity, rows := res.Rel.Arity(), res.Rel.Len()
+	want := make([][]int32, rows)
+	for i, tup := range res.Rel.Tuples() {
+		want[i] = slices.Clone(tup)
+	}
+	sent := &Response{Status: StatusOK, Answer: AnswerOf(res), Stats: StatsOf(&res.Stats)}
+	if !sameRows(sent.Answer.Tuples, want) {
+		t.Fatalf("%s: AnswerOf rows differ from the arena's, in order", name)
+	}
+	var frame bytes.Buffer
+	if err := WriteFrame(&frame, sent); err != nil {
+		t.Fatalf("%s: WriteFrame: %v", name, err)
+	}
+	hasBlock := bytes.Contains(frame.Bytes(), []byte(`"tuple_block"`))
+	if hasBlock != (arity > 0 && rows > 0) {
+		t.Fatalf("%s: tuple block present = %v", name, hasBlock)
+	}
+	if bytes.Contains(frame.Bytes(), []byte(`"tuples":[`)) != (arity == 0 && rows > 0) {
+		t.Fatalf("%s: JSON tuples on the wire: %q", name, frame.Bytes()[4:])
+	}
+	var got Response
+	if err := ReadFrame(&frame, &got); err != nil {
+		t.Fatalf("%s: ReadFrame: %v", name, err)
+	}
+	if frame.Len() != 0 {
+		t.Fatalf("%s: %d bytes left unread", name, frame.Len())
+	}
+	if len(got.Answer.Tuples) != rows || !sameRows(got.Answer.Tuples, want) {
+		t.Fatalf("%s: decoded %d rows differ from the %d sent, in order", name, len(got.Answer.Tuples), rows)
+	}
+	// Everything but the tuples travels as before.
+	sent.Answer.Tuples, got.Answer.Tuples = nil, nil
+	a, _ := json.Marshal(sent)
+	b, _ := json.Marshal(&got)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("%s: response changed in transit:\n sent %s\n got  %s", name, a, b)
 	}
 }
 

@@ -622,15 +622,17 @@ func ClassifyStatus(err error) Status {
 	}
 }
 
-// AnswerOf renders a result relation in sorted order: one sorted copy of
-// the arena and one slice of row headers into it, whatever the row count.
+// AnswerOf renders a result relation in the executor's row order: one
+// copy of the arena and one slice of row headers into it, whatever the
+// row count. The copy keeps Answer.Tuples from aliasing storage that a
+// zero-copy rename may share with a base relation.
 func AnswerOf(res *engine.Result) *Answer {
 	rel := res.Rel
 	attrs := make([]int, len(rel.Attrs()))
 	for i, a := range rel.Attrs() {
 		attrs[i] = int(a)
 	}
-	flat := rel.AppendSortedRows(make([]int32, 0, rel.Len()*rel.Arity()))
+	flat := rel.AppendRows(make([]int32, 0, rel.Len()*rel.Arity()))
 	return &Answer{Attrs: attrs, Nonempty: rel.Len() > 0, Rows: rel.Len(), Tuples: rowsOf(flat, rel.Len(), rel.Arity())}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -86,13 +87,15 @@ func TestQueryAnswerMatchesOracle(t *testing.T) {
 	if resp.Answer == nil || resp.Answer.Rows != oracle.Len() {
 		t.Fatalf("answer rows = %+v, oracle has %d", resp.Answer, oracle.Len())
 	}
-	want := oracle.SortedTuples()
-	for i, row := range resp.Answer.Tuples {
-		for j, v := range row {
-			if v != int32(want[i][j]) {
-				t.Fatalf("tuple[%d][%d] = %d, oracle %d", i, j, v, want[i][j])
-			}
-		}
+	// The answer is a set in the executor's row order: sort a copy.
+	got := slices.Clone(resp.Answer.Tuples)
+	slices.SortFunc(got, slices.Compare[[]int32])
+	want := make([][]int32, oracle.Len())
+	for i, tup := range oracle.SortedTuples() {
+		want[i] = tup
+	}
+	if !sameRows(got, want) {
+		t.Fatalf("sorted tuples %v, oracle %v", got, want)
 	}
 	if resp.Stats == nil || resp.Stats.Joins == 0 {
 		t.Errorf("executed query must carry run stats, got %+v", resp.Stats)
