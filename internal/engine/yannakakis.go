@@ -18,7 +18,9 @@
 //  2. seed walk: starting from the bag hosting the atom with the fewest
 //     rows (ties to the first in pre-order), walk the bag tree outward as
 //     an undirected tree, each neighbour semijoin-reduced by the bag the
-//     walk came from (relation.SemijoinFilter — in place, no copying). A
+//     walk came from (relation.SemijoinFilter: a bound view is marked from
+//     its stored relation's column index and its survivors copied out, a
+//     relation the run made is compacted in place). A
 //     bag hosting two or more atoms is joined, in hosting order, the first
 //     time the run needs it whole: when it becomes the source of a
 //     semijoin, or else at the end of this phase. Until then a semijoin

@@ -31,7 +31,7 @@ const (
 	// AllocProject fails allocations in the projection kernel.
 	AllocProject
 	// AllocSemijoin fails allocations in the semijoin kernels
-	// (SemijoinLimited and the in-place SemijoinFilter).
+	// (SemijoinFilter and the pipeline's NewStreamFilter).
 	AllocSemijoin
 	// LatencyKernel injects artificial latency at kernel entry, for
 	// exercising deadlines and cancellation windows.

@@ -1,0 +1,109 @@
+package relation
+
+import "sync"
+
+// arenaFacts holds what one stored arena's rows determine and a reader may
+// ask for repeatedly: which columns are dense (DenseRange) and, per column,
+// a hash index from value to rows (columnIndex). Each fact is computed at
+// most once per arena, by whichever reader asks first, and shared: Rename
+// hands the holder to its view, so any number of views and concurrent
+// requests over one stored relation settle on one answer and one index. An
+// insert or an in-place compaction gives the mutated relation a fresh
+// holder and leaves its siblings theirs.
+//
+// A column's index is resident state of the arena, like its dedup table,
+// so no request is charged for it. It is built only for a column a
+// semijoin keys on, and takes joinTableBytes(n) for an n-row arena: 12
+// bytes a slot at ≤ 75% load plus 8 a row, at most 40n + 96 bytes. A
+// caller may also rename a per-request arena — the pipeline's pushdown
+// renames a reduced constrainer apart — and an index built there is
+// garbage with that arena, after at most the same joinTableBytes(n) that
+// the key set it replaces would have charged over the same rows.
+type arenaFacts struct {
+	denseOnce sync.Once
+	dense     []bool
+	index     []columnIndex // one per column, built on first use
+}
+
+// columnIndex is the join table over one column's packed keys. A
+// one-column key always packs (key.go), so a chain holds the rows of
+// exactly one value.
+type columnIndex struct {
+	once  sync.Once
+	table joinTable
+}
+
+// factsOf returns r's holder, installing one if r has none yet.
+func (r *Relation) factsOf() *arenaFacts {
+	if f := r.facts.Load(); f != nil {
+		return f
+	}
+	r.facts.CompareAndSwap(nil, &arenaFacts{index: make([]columnIndex, r.arity)})
+	return r.facts.Load()
+}
+
+// columnIndex returns the index of column j, building it on first use.
+func (r *Relation) columnIndex(j int) *joinTable {
+	ix := &r.factsOf().index[j]
+	ix.once.Do(func() {
+		keys, pos := make([]uint64, r.n), []int{j}
+		for i := range keys {
+			keys[i], _ = packKey(r.row(i), pos)
+		}
+		ix.table = newJoinTable(keys)
+	})
+	return &ix.table
+}
+
+// DenseRange returns column j's value range and whether the column is
+// dense. Two dense columns with equal ranges hold exactly the same values,
+// so a semijoin of either on the other removes nothing: the engine's
+// pushdown phase skips itself on that fact. No column of an empty relation
+// is dense. Refusing a column whose range is wider than the row count is
+// O(1); anything else costs one pass over the rows, once per arena.
+func (r *Relation) DenseRange(j int) (lo, hi Value, dense bool) {
+	if r.n == 0 {
+		return 0, 0, false
+	}
+	f := r.factsOf()
+	f.denseOnce.Do(func() { f.dense = r.denseCols() })
+	return r.colMin[j], r.colMax[j], f.dense[j]
+}
+
+// denseCols marks the dense columns in one pass over the rows: a bitset
+// per candidate column over its range, full when the column is dense.
+// colMin/colMax may be wider than the rows after an in-place compaction;
+// such a column reads as not dense, which only ever errs towards work.
+func (r *Relation) denseCols() []bool {
+	dense := make([]bool, r.arity)
+	seen := make([][]uint64, r.arity)
+	missing := make([]int64, r.arity)
+	candidates := 0
+	for j := range dense {
+		width := int64(r.colMax[j]) - int64(r.colMin[j]) + 1
+		if width > int64(r.n) {
+			continue // fewer rows than values in range
+		}
+		seen[j], missing[j] = make([]uint64, (width+63)/64), width
+		candidates++
+	}
+	if candidates == 0 {
+		return dense
+	}
+	for i := 0; i < r.n; i++ {
+		for j, v := range r.row(i) {
+			if seen[j] == nil {
+				continue
+			}
+			off := uint64(int64(v) - int64(r.colMin[j]))
+			if seen[j][off>>6]&(1<<(off&63)) == 0 {
+				seen[j][off>>6] |= 1 << (off & 63)
+				missing[j]--
+			}
+		}
+	}
+	for j := range dense {
+		dense[j] = seen[j] != nil && missing[j] == 0
+	}
+	return dense
+}

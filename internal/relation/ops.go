@@ -364,131 +364,17 @@ func ProjectLimited(r *Relation, attrs []Attr, lim *Limit) (*Relation, error) {
 	return out, nil
 }
 
-// Select returns the tuples of r whose attribute a equals v.
-func Select(r *Relation, a Attr, v Value) *Relation {
-	j := r.Pos(a)
-	if j < 0 {
-		panic(fmt.Sprintf("relation.Select: attribute %d not in schema", a))
-	}
-	out := New(r.attrs)
-	for i := 0; i < r.n; i++ {
-		t := r.row(i)
-		if t[j] == v {
-			out.Add(t)
-		}
-	}
-	return out
-}
-
-// SelectEq returns the tuples of r where attributes a and b are equal.
-func SelectEq(r *Relation, a, b Attr) *Relation {
-	i, j := r.Pos(a), r.Pos(b)
-	if i < 0 || j < 0 {
-		panic("relation.SelectEq: attribute not in schema")
-	}
-	out := New(r.attrs)
-	for n := 0; n < r.n; n++ {
-		t := r.row(n)
-		if t[i] == t[j] {
-			out.Add(t)
-		}
-	}
-	return out
-}
-
-// Semijoin returns the tuples of r that join with at least one tuple of o
-// (r ⋉ o). With no shared attributes, the result is r itself when o is
-// nonempty and empty otherwise. It is SemijoinLimited (semijoin.go) with
-// no limits; it never fails.
-func Semijoin(r, o *Relation) *Relation {
-	out, err := SemijoinLimited(r, o, nil)
-	if err != nil {
-		panic("relation.Semijoin: unreachable error without limits: " + err.Error())
-	}
-	return out
-}
-
-// sameAttrSet reports whether r and o have identical attribute sets.
-func sameAttrSet(r, o *Relation) bool {
-	if len(r.attrs) != len(o.attrs) {
-		return false
-	}
-	for _, a := range r.attrs {
-		if !o.HasAttr(a) {
-			return false
-		}
-	}
-	return true
-}
-
-// reorderTo converts a tuple of o into r's column order.
-func reorderTo(r, o *Relation, t Tuple, buf Tuple) Tuple {
-	for i, a := range r.attrs {
-		buf[i] = t[o.pos[a]]
-	}
-	return buf
-}
-
-// Union returns r ∪ o. The relations must have the same attribute set;
-// column order may differ. The result uses r's column order.
-func Union(r, o *Relation) *Relation {
-	if !sameAttrSet(r, o) {
-		panic("relation.Union: schema mismatch")
-	}
-	out := r.Clone()
-	buf := make(Tuple, len(r.attrs))
-	for i := 0; i < o.n; i++ {
-		out.Add(reorderTo(r, o, o.row(i), buf))
-	}
-	return out
-}
-
-// Intersect returns r ∩ o over identical attribute sets.
-func Intersect(r, o *Relation) *Relation {
-	if !sameAttrSet(r, o) {
-		panic("relation.Intersect: schema mismatch")
-	}
-	out := New(r.attrs)
-	buf := make(Tuple, len(r.attrs))
-	for i := 0; i < o.n; i++ {
-		if r.Contains(reorderTo(r, o, o.row(i), buf)) {
-			out.Add(buf)
-		}
-	}
-	return out
-}
-
-// Difference returns r − o over identical attribute sets.
-func Difference(r, o *Relation) *Relation {
-	if !sameAttrSet(r, o) {
-		panic("relation.Difference: schema mismatch")
-	}
-	neg := New(r.attrs)
-	buf := make(Tuple, len(r.attrs))
-	for i := 0; i < o.n; i++ {
-		neg.Add(reorderTo(r, o, o.row(i), buf))
-	}
-	out := New(r.attrs)
-	for i := 0; i < r.n; i++ {
-		t := r.row(i)
-		if !neg.Contains(t) {
-			out.Add(t)
-		}
-	}
-	return out
-}
-
 // Rename returns a view of r with attributes substituted according to m.
 // Attributes not in m are kept. It panics if the renaming collapses two
 // attributes into one.
 //
 // A pure attribute substitution cannot introduce duplicates, so the view
 // is zero-copy: it shares the source's row arena, dedup table, range
-// metadata and column densities (DenseRange), computed or not. Both
-// relations turn copy-on-write — the first mutation of
-// either side unshares its storage — so neither can observe the other's
-// later inserts. Every Scan in both executors goes through here, which
-// turns scans from an O(n) re-hash into O(1).
+// metadata and the arena's facts (facts.go: column densities and column
+// indexes), computed or not. Both relations turn copy-on-write — the first
+// mutation of either side unshares its storage — so neither can observe
+// the other's later inserts. Every Scan in both executors goes through
+// here, which turns scans from an O(n) re-hash into O(1).
 func Rename(r *Relation, m map[Attr]Attr) *Relation {
 	attrs := make([]Attr, len(r.attrs))
 	for i, a := range r.attrs {
@@ -521,7 +407,7 @@ func Rename(r *Relation, m map[Attr]Attr) *Relation {
 		shared: 1,
 		stale:  r.stale,
 	}
-	out.dens.Store(r.densityOf())
+	out.facts.Store(r.factsOf())
 	r.markShared()
 	return out
 }

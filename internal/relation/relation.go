@@ -1,7 +1,8 @@
 // Package relation implements in-memory relations with set semantics and
 // the relational-algebra operations needed for project-join query
-// evaluation: natural join, projection, selection, semijoin, and the set
-// operations.
+// evaluation: natural join, projection and semijoin. A semijoin into or
+// from a stored relation looks keys up in a column index that the stored
+// arena builds once and shares with its views (facts.go, semijoin.go).
 //
 // A relation has an ordered schema of attributes and a deduplicated set of
 // tuples. Attributes are plain ints; in query processing they are the
@@ -87,9 +88,10 @@ type Relation struct {
 
 	hdrs []Tuple // lazy Tuples() headers into data
 
-	// dens is which columns are dense (density.go): lazily computed, shared
-	// with every zero-copy view, dropped when this relation's rows change.
-	dens atomic.Pointer[density]
+	// facts is the arena's column densities and column indexes (facts.go):
+	// lazily computed, shared with every zero-copy view, dropped when this
+	// relation's rows change.
+	facts atomic.Pointer[arenaFacts]
 }
 
 // New returns an empty relation over the given attributes, in the given
@@ -230,7 +232,7 @@ func (r *Relation) appendStaged(t Tuple) {
 }
 
 // keep extends the arena over the staged row t and folds it into the
-// column ranges, the row count and the density cache.
+// column ranges and the row count, dropping the arena's facts.
 func (r *Relation) keep(t Tuple) {
 	r.data = r.data[:(r.n+1)*r.arity]
 	if r.n == 0 {
@@ -247,8 +249,8 @@ func (r *Relation) keep(t Tuple) {
 		}
 	}
 	r.n++
-	if r.dens.Load() != nil { // a plain load: no atomic store per inserted row
-		r.dens.Store(nil)
+	if r.facts.Load() != nil { // a plain load: no atomic store per inserted row
+		r.facts.Store(nil)
 	}
 }
 

@@ -6,12 +6,15 @@ import (
 	"testing"
 )
 
-// Semijoin kernel microbenchmarks: the copying kernel (SemijoinLimited)
-// against the in-place filter (SemijoinFilter) across survivor rates.
-// The filter's advantage grows as the survivor rate rises — at 99% it
-// compacts almost nothing and at 100% it returns its receiver — while
-// the copying kernel always pays for a full output relation. `make
-// bench-json` pins the BenchmarkKernel* series in BENCH_relation.json.
+// Semijoin kernel microbenchmarks across survivor rates: SemijoinFilter
+// into a private relation, which builds a key set over the source and
+// scans the whole target (filter), against SemijoinFilter into a zero-copy
+// view of a stored relation, which walks the source into the stored
+// arena's column index and copies the survivors out (view). The filter
+// pays for the target's rows at every rate, compacting almost nothing at
+// 99% and returning its receiver at 100%; the view pays for the source and
+// the survivors. `make bench-json` pins the BenchmarkKernel* series in
+// BENCH_relation.json.
 
 // semijoinInputs builds R(0,1) with `rows` tuples and S(1) holding the
 // fraction of the domain that makes ~hit of R's tuples survive R ⋉ S.
@@ -33,10 +36,11 @@ func BenchmarkKernelSemijoin(b *testing.B) {
 	const rows, domain = 100_000, 1000
 	for _, hit := range []float64{0.01, 0.50, 0.99} {
 		r, s := semijoinInputs(rows, domain, hit)
-		b.Run(fmt.Sprintf("hit=%d%%/copy", int(hit*100)), func(b *testing.B) {
+		b.Run(fmt.Sprintf("hit=%d%%/view", int(hit*100)), func(b *testing.B) {
+			r.columnIndex(1) // resident: built once per stored arena, outside the timer
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := SemijoinLimited(r, s, nil)
+				out, _, err := SemijoinFilter(Rename(r, nil), s, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

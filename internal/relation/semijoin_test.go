@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -45,27 +46,43 @@ func keySetKind(s *keySet) string {
 	return "hashed"
 }
 
-// checkSemijoinKernels runs r ⋉ o through SemijoinLimited, SemijoinFilter
-// and a StreamFilter, and r ⋈ o through JoinLimited, against the nested
-// loop oracles; it checks that the key set's charge is at most the join
-// table's over the same rows and returns the structure it chose.
+// checkSemijoinKernels runs r ⋉ o through SemijoinFilter in four arms —
+// the target a view, the source a view, both, and neither (the key set's
+// scan) — and through a StreamFilter, and r ⋈ o through JoinLimited,
+// against the nested loop oracles. Every arm must keep exactly the
+// oracle's rows, row for row in r's arena order, so the index arms and the
+// scan agree on every later join, count and byte. It checks that the key
+// set's charge is at most the join table's over the same rows and returns
+// the structure it chose.
 func checkSemijoinKernels(t *testing.T, r, o *Relation) string {
 	t.Helper()
 	want := nestedLoopSemijoin(r, o)
-	got, err := SemijoinLimited(r, o, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("SemijoinLimited %v != oracle %v (r=%v o=%v)", got, want, r, o)
-	}
-	// SemijoinFilter consumes its receiver: run it on a private clone.
-	filtered, removed, err := SemijoinFilter(r.Clone(), o, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !filtered.Equal(want) || removed != r.Len()-want.Len() {
-		t.Fatalf("SemijoinFilter %v (removed %d) != oracle %v (r=%v o=%v)", filtered, removed, want, r, o)
+	var inOrder []Value
+	r.Each(func(rt Tuple) bool {
+		if want.Contains(rt) {
+			inOrder = append(inOrder, rt...)
+		}
+		return true
+	})
+	view := func(x *Relation) *Relation { return Rename(x, nil) }
+	for _, arm := range []struct {
+		name string
+		r, o *Relation
+	}{
+		{"target a view", view(r), o.Clone()},
+		{"source a view", r.Clone(), view(o)},
+		{"both views", view(r), view(o)},
+		{"neither a view", r.Clone(), o.Clone()},
+	} {
+		// SemijoinFilter consumes its receiver: each arm gets its own.
+		got, removed, err := SemijoinFilter(arm.r, arm.o, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.AppendRows(nil), inOrder) || removed != r.Len()-want.Len() {
+			t.Fatalf("SemijoinFilter, %s: %v (removed %d), want %v in r's order (r=%v o=%v)",
+				arm.name, got.AppendRows(nil), removed, inOrder, r, o)
+		}
 	}
 	checkJoinOutput(t, r, o)
 	shared := SharedAttrs(r, o)
@@ -169,7 +186,11 @@ func TestSemijoinKernelsMatchOracle(t *testing.T) {
 			if trial%10 == 0 {
 				on = 0 // an empty source
 			}
-			r := poolRelation(rng, rAttrs, rng.Intn(30), rg.pool)
+			rn := rng.Intn(30)
+			if trial%3 == 1 {
+				rn = 64 + rng.Intn(150) // more than one word of survivor mask, where the pool allows
+			}
+			r := poolRelation(rng, rAttrs, rn, rg.pool)
 			o := poolRelation(rng, oAttrs, on, rg.pool)
 			kind := checkSemijoinKernels(t, r, o)
 			if o.Len() > 1 { // an empty or one-row source is always a bitmap
@@ -217,9 +238,10 @@ func denseValues(n int) []Value {
 }
 
 // FuzzSemijoinKeys feeds fuzzer-chosen int32 values to two relations that
-// share 1–4 columns and checks the three semijoin kernels and JoinLimited
-// against nested loops. The first byte picks the shared-column count; the
-// rest is little-endian int32 values, rows alternating between the sides.
+// share 1–4 columns and checks SemijoinFilter's four arms, StreamFilter and
+// JoinLimited against nested loops. The first byte picks the shared-column
+// count; the rest is little-endian int32 values, rows alternating between
+// the sides.
 func FuzzSemijoinKeys(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0})
 	f.Add([]byte{2, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0x20, 0, 1, 0, 0, 0,
@@ -286,12 +308,8 @@ func TestSemijoinFilterSharedStorageCopies(t *testing.T) {
 	if !base.Equal(before) {
 		t.Fatalf("sibling view corrupted: %v, want %v", base, before)
 	}
-	want, err := SemijoinLimited(view, single, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Equal(want) {
-		t.Fatalf("shared-path filter %v != copying kernel %v", out, want)
+	if want := nestedLoopSemijoin(view, single); !out.Equal(want) {
+		t.Fatalf("shared-path filter %v != oracle %v", out, want)
 	}
 }
 
@@ -374,21 +392,27 @@ func TestSemijoinKernelsHonorCancellation(t *testing.T) {
 	o := randomRelation(rng, []Attr{1, 2}, 20000, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SemijoinLimited(r, o, &Limit{Ctx: ctx}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SemijoinLimited under canceled ctx: err = %v", err)
-	}
 	if _, _, err := SemijoinFilter(r.Clone(), o, &Limit{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SemijoinFilter under canceled ctx: err = %v", err)
 	}
 }
 
+// TestSemijoinLimitedChargesBytes: SemijoinFilter under a byte budget
+// charges what it allocates for the request — a key set over the source
+// when no index serves the key, and a view's survivors, which it copies
+// into a fresh arena.
 func TestSemijoinLimitedChargesBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	r := randomRelation(rng, []Attr{0, 1}, 5000, 20)
-	o := randomRelation(rng, []Attr{1, 2}, 5000, 20)
-	lim := &Limit{MaxBytes: 64}
-	if _, err := SemijoinLimited(r, o, lim); !errors.Is(err, ErrMemBudget) {
-		t.Fatalf("tiny byte budget: err = %v, want ErrMemBudget", err)
+	r := randomRelation(rng, []Attr{0, 1, 2}, 5000, 20)
+	o := randomRelation(rng, []Attr{1, 2, 3}, 5000, 20)
+	// No index serves a two-column key: the kernel builds a key set over o.
+	if _, _, err := SemijoinFilter(r, o, &Limit{MaxBytes: 64}); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("key set under a tiny byte budget: err = %v, want ErrMemBudget", err)
+	}
+	sel := New([]Attr{1})
+	sel.Add(Tuple{3})
+	if _, _, err := SemijoinFilter(Rename(r, nil), sel, &Limit{MaxBytes: 64}); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("a view's survivors under a tiny byte budget: err = %v, want ErrMemBudget", err)
 	}
 }
 
@@ -420,4 +444,42 @@ func TestSemijoinMixedKeyWidths(t *testing.T) {
 	}
 	checkSemijoinKernels(t, small, big)
 	checkSemijoinKernels(t, big, small)
+}
+
+// TestSemijoinWorkIsSourcePlusSurvivors is the column index's cost
+// contract: a semijoin of a k-row source into a view of an n-row stored
+// relation charges Limit.Work at most k + survivors, not n — the call that
+// builds the index too — and a target probing a view source is charged its
+// own rows, with nothing for a key set over the source.
+func TestSemijoinWorkIsSourcePlusSurvivors(t *testing.T) {
+	const n = 6000
+	stored := New([]Attr{0, 1})
+	for i := 0; i < n; i++ {
+		stored.Add(Tuple{Value(i), Value(i % 3000)}) // two rows per value of column 1
+	}
+	src := New([]Attr{1})
+	for v := 0; v < 9; v++ {
+		src.Add(Tuple{Value(100 * v)})
+	}
+	src.Add(Tuple{5000}) // matches nothing
+	want := nestedLoopSemijoin(stored, src)
+	for call := 0; call < 2; call++ {
+		var work int64
+		out, _, err := SemijoinFilter(Rename(stored, nil), src, &Limit{Work: &work})
+		if err != nil || !out.Equal(want) {
+			t.Fatalf("call %d: %v (err %v), want %v", call, out, err, want)
+		}
+		if limit := int64(src.Len() + out.Len()); work > limit {
+			t.Errorf("call %d: a %d-row source into a view of %d rows charged Work %d, want at most %d (source + survivors)",
+				call, src.Len(), n, work, limit)
+		}
+	}
+	var work int64
+	out, _, err := SemijoinFilter(src.Clone(), Rename(stored, nil), &Limit{Work: &work})
+	if err != nil || !out.Equal(nestedLoopSemijoin(src, stored)) {
+		t.Fatalf("probing a view source: %v (err %v)", out, err)
+	}
+	if work != int64(src.Len()) {
+		t.Errorf("a %d-row target probing a view source charged Work %d, want %d (its own rows)", src.Len(), work, src.Len())
+	}
 }
