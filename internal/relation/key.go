@@ -1,12 +1,12 @@
 package relation
 
 // The key rule. Every hash kernel in this package — the join build table,
-// a relation's dedup table, StreamTable and the semijoin key set — keys a
-// row by some k of its columns, and packs that key exactly when it can: each
-// value takes 64/k bits, so any int32 packs when k ≤ 2 and, for k ≥ 3,
-// values in [0, 2^(64/k)) do. A packed key is injective, so a match needs
-// no verification. A key that does not pack is an FNV-1a hash, and matches
-// are verified against the stored row.
+// a relation's dedup table, StreamTable, the semijoin key set and a stored
+// arena's column index — keys a row by some k of its columns, and packs
+// that key exactly when it can: each value takes 64/k bits, so any int32
+// packs when k ≤ 2 and, for k ≥ 3, values in [0, 2^(64/k)) do. A packed
+// key is injective, so a match needs no verification. A key that does not
+// pack is an FNV-1a hash, and matches are verified against the stored row.
 //
 // A structure is in one regime at a time: mixing would let a packed key
 // collide with a hash. Whether a relation's columns pack is read from its

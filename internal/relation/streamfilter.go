@@ -1,7 +1,7 @@
 package relation
 
 // StreamFilter is the streaming member of the semijoin kernels: where
-// SemijoinFilter reduces a materialized relation in place, StreamFilter is
+// SemijoinFilter reduces a materialized relation, StreamFilter is
 // built once over the key columns of a (typically already-reduced)
 // relation and then answers "could this tuple join with o?" for tuples
 // arriving one at a time. The pipelined executor uses it to pre-reduce
