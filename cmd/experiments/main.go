@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"projpush/internal/core"
-	"projpush/internal/engine"
 	"projpush/internal/experiments"
 	"projpush/internal/faultinject"
 	"projpush/internal/server/client"
@@ -37,8 +36,6 @@ func main() {
 		chart     = flag.Bool("chart", false, "render ASCII logscale charts (the paper's figure style) instead of tables")
 		csv       = flag.Bool("csv", false, "emit CSV (median seconds per method) instead of tables")
 		workers   = flag.Int("workers", 1, "harness goroutines per data point, also the planner's GEQO island count; structural methods are identical for any value, the cost-based naive planner on GEQO-sized queries depends deterministically on it (default matches the serial planner)")
-		cache     = flag.Bool("cache", false, "share a subplan result cache across all measured executions")
-		cachemb   = flag.Int("cachemb", 0, "subplan cache budget in MiB (0 = engine default); implies -cache")
 		membudget = flag.Int("membudget", 0, "per-run materialized-bytes budget in MiB (0 = unlimited); runs that blow it are annotated 'membudget'")
 		spilldir  = flag.String("spilldir", "", "spill directory for out-of-core execution: runs over the memory budget degrade to disk instead of failing (empty = spilling off)")
 		maxspill  = flag.Int("maxspill", 0, "per-run spill-directory budget in MiB (0 = unlimited disk; requires -spilldir)")
@@ -83,9 +80,6 @@ func main() {
 			os.Exit(1)
 		}
 		base.Methods = ms
-	}
-	if *cache || *cachemb > 0 {
-		base.Cache = engine.NewCache(int64(*cachemb) << 20)
 	}
 	if *connect != "" {
 		// Each measured request carries the instance's rel blocks and its

@@ -131,23 +131,15 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 			t.Errorf("%s: a server request naming it reports %+v, the walker %+v", m, got, want)
 		}
 		// A harness cell shows its executor through a row cap one under the
-		// walker's largest intermediate — the pipeline stays far below it —
-		// and through the subtree cache, which only the walker consults.
-		cfg := experiments.Config{Methods: []core.Method{m}, Reps: 1, Cache: engine.NewCache(0)}
-		for _, maxRows := range []int{0, want.maxRows - 1} {
-			cfg.MaxRows = maxRows
-			s, err := experiments.StructuredScaling(cfg, experiments.FamilyAugmentedCircularLadder, []int{4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cell := s.Rows[0].Cells[0]
-			if maxRows == 0 && (cell.CacheMisses == 0 || len(cell.Failures) != 0) {
-				t.Errorf("%s: harness cell looked up no subtree (failures %v): not the walker", m, cell.Failures)
-			}
-			if maxRows > 0 && cell.Failures["rowcap"] != 1 {
-				t.Errorf("%s: harness cell under a row cap of %d failed with %v, the walker materializes %d rows",
-					m, maxRows, cell.Failures, want.maxRows)
-			}
+		// walker's largest intermediate: the pipeline stays far below it.
+		cfg := experiments.Config{Methods: []core.Method{m}, Reps: 1, MaxRows: want.maxRows - 1}
+		s, err := experiments.StructuredScaling(cfg, experiments.FamilyAugmentedCircularLadder, []int{4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cell := s.Rows[0].Cells[0]; cell.Failures["rowcap"] != 1 {
+			t.Errorf("%s: harness cell under a row cap of %d failed with %v, the walker materializes %d rows",
+				m, cfg.MaxRows, cell.Failures, want.maxRows)
 		}
 	}
 

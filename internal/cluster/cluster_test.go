@@ -842,7 +842,7 @@ func TestUnavailableWithoutFallbackIsTypedAndRetryable(t *testing.T) {
 	}
 }
 
-// TestAffinityHeaderStampsForwards pins the distributed-cache contract:
+// TestAffinityHeaderStampsForwards pins the affinity contract:
 // the coordinator stamps every forward with the plan fingerprint it
 // routed on, and repeats of the same query family land on the same
 // worker with the same affinity header.

@@ -4,9 +4,9 @@
 // outcomes — while individual workers die, flap, and rejoin.
 //
 // Routing is consistent hashing by the renaming-invariant plan
-// fingerprint, so each query family lands on the worker whose subplan
-// cache already holds its plans (an affinity-sharded distributed cache),
-// and a membership change remaps only the dead worker's shard. Around
+// fingerprint, so each query family lands on the worker whose compile
+// memo already holds its analyses (one per request text, reported as
+// compiled_hits in health), and a membership change remaps only the dead worker's shard. Around
 // that sit the failure-domain mechanisms: per-worker health probing with
 // a breaker-style state machine (closed → open → half-open), failover
 // down the ring with the remaining deadline propagated to each attempt,
@@ -426,7 +426,7 @@ func (c *Coordinator) coordinateInner(ctx context.Context, req *server.Request, 
 // candidates returns the shard's failover sequence: every eligible
 // worker in ring order from the fingerprint. Health filtering happens
 // here, after the walk, so the ring itself stays stable under flapping
-// and a recovered worker gets its old shard (and warm cache) back.
+// and a recovered worker gets its old shard (and warm compile memo) back.
 // Enumeration is deliberately non-claiming: a half-open worker's single
 // trial token is claimed only when forward actually launches an attempt
 // at it, so listing one as a backup that the primary's answer makes

@@ -157,7 +157,7 @@ func (f *Fleet) Kill(i int) {
 // Restart revives worker i on its original address with a fresh server,
 // retrying the bind briefly (the dead listener's port may linger). The
 // ring never changed, so the revived worker gets its exact shard — and
-// begins rebuilding its subplan cache for it — as soon as a health probe
+// begins rebuilding its compile memo for it — as soon as a health probe
 // notices it.
 func (f *Fleet) Restart(i int) error {
 	f.mu.Lock()

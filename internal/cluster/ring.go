@@ -12,8 +12,7 @@ import (
 // key-stable preference order — the failover sequence. Virtual nodes keep
 // shard ownership balanced and membership changes minimal: adding or
 // removing one worker of n moves only ~1/n of the fingerprint space, so
-// the affinity-sharded subplan caches of the surviving workers stay warm
-// through churn.
+// the compile memos of the surviving workers stay warm through churn.
 type ring struct {
 	vnodes int
 	points []ringPoint // sorted by hash

@@ -192,8 +192,8 @@ func TestStreamPlanKeepsEarlyProjectionUnlessStrictlyNarrower(t *testing.T) {
 			}
 		default:
 			kept++
-			gotFP, _ := plan.Fingerprint(got.Plan)
-			wantFP, _ := plan.Fingerprint(ep)
+			gotFP := plan.Fingerprint(got.Plan)
+			wantFP := plan.Fingerprint(ep)
 			if got.Order != OrderListed || got.Width != epWidth || gotFP != wantFP {
 				t.Errorf("query %d: early projection (width %d) ties or beats the plan in hand (%d), yet chose %s/%d", i, epWidth, inHand.Width, got.Order, got.Width)
 			}

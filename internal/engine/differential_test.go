@@ -73,3 +73,36 @@ func TestDifferentialFigureWorkloads(t *testing.T) {
 		}
 	}
 }
+
+// TestDifferentialIteratorUnchanged pins that the iterator executor still
+// matches the materializing executor on the figure workloads after its
+// port onto the packed-key kernels.
+func TestDifferentialIteratorUnchanged(t *testing.T) {
+	db := instance.ColorDatabase(3)
+	for _, w := range figureWorkloads(t) {
+		q, err := instance.ColorQuery(w.g, instance.BooleanFree(w.g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range core.Methods {
+			t.Run(fmt.Sprintf("%s/%s", w.name, m), func(t *testing.T) {
+				p, err := core.BuildPlan(m, q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := Exec(p, db, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ExecIterator(p, db, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ref.Rel.Equal(got.Rel) {
+					t.Fatalf("iterator relation differs (%d vs %d rows)",
+						got.Rel.Len(), ref.Rel.Len())
+				}
+			})
+		}
+	}
+}

@@ -9,14 +9,6 @@
 // straightforward method on augmented circular ladders) terminate the way
 // the paper reports them: as timeouts.
 //
-// Executions can share a subplan result Cache (Options.Cache): Join and
-// Project subtrees are memoized under a renaming-invariant fingerprint
-// plus a database fingerprint, so repeated executions of identical
-// subtrees — across methods and repetitions — return the memoized relation
-// instead of re-joining. Hits replay the subtree's recorded
-// instrumentation, keeping cache-on and cache-off stats identical (except
-// elapsed time, which is the point).
-//
 // A query runs on the goroutine that called the entry point: no executor
 // starts another. Concurrency lives above the engine — the server's
 // connections, the experiment harness's measurement pool, the fleet.
@@ -50,14 +42,6 @@ type Options struct {
 	// long before MaxRows would fire, since the budget charges allocation
 	// pressure, not just final cardinalities.
 	MaxBytes int64
-	// Cache, when non-nil, memoizes Join and Project subtree results
-	// across executions of the plan walker (see Cache); ExecStream
-	// memoizes its semijoin-reduced base scans in it
-	// when its pushdown phase runs. The pull pipeline without the phase
-	// (ExecIterator, a spill-armed Exec, an ExecStream that skipped it),
-	// the Yannakakis and the WCOJ executors ignore it: they materialize no
-	// immutable subtree results to share.
-	Cache *Cache
 	// SpillDir, when non-empty, arms spill-to-disk: instead of failing
 	// with ErrMemLimit when live bytes exceed MaxBytes, the pull
 	// pipeline's breakers — hash builds and DISTINCT states — go to temp
@@ -66,8 +50,7 @@ type Options struct {
 	// disk failures surface as ErrSpill. Every plan entry point honors
 	// it: ExecStream and ExecIterator on their own pipelines, and Exec and
 	// ExecContext by running the plan on ExecIterator's instead of the
-	// plan walker — an armed plan run therefore does not consult Cache.
-	// The Yannakakis and WCOJ executors ignore it.
+	// plan walker. The Yannakakis and WCOJ executors ignore it.
 	SpillDir string
 	// MaxSpillBytes caps the live bytes a run may hold on disk when
 	// spilling (0 = unlimited). Exceeding it — or a real ENOSPC — fails
@@ -91,30 +74,22 @@ type Stats struct {
 	Work int64
 	// Joins and Projections count operators executed.
 	Joins, Projections int
-	// CacheHits and CacheMisses count subplan cache lookups by this
-	// execution (zero when Options.Cache is nil). A hit replays the
-	// memoized subtree's stats into the counters above, so the totals
-	// match a cache-off run.
-	CacheHits, CacheMisses int64
 	// Bytes is the total bytes of relation storage materialized by Join
 	// and Project operators (arena plus dedup table of each output).
-	// Cache hits replay the memoized subtree's byte count, so cache-on
-	// and cache-off totals match. The pull pipeline (ExecStream,
-	// ExecIterator, a spill-armed Exec) reports its peak of live bytes
-	// here instead — for it this equals PeakBytes.
+	// The pull pipeline (ExecStream, ExecIterator, a spill-armed Exec)
+	// reports its peak of live bytes here instead — for it this equals
+	// PeakBytes.
 	Bytes int64
 	// PeakBytes is the high-water mark of live relation storage. The
 	// materializing executors release nothing mid-run, so for them it
-	// equals Bytes (and cache hits replay it identically); the pull
-	// pipeline releases operator state on close, so its peak is what
-	// admission should budget against — with or without a budget set,
-	// spill armed or not.
+	// equals Bytes; the pull pipeline releases operator state on close,
+	// so its peak is what admission should budget against — with or
+	// without a budget set, spill armed or not.
 	PeakBytes int64
 	// MaterializedTuples counts tuples written into operator outputs by
 	// Join and Project — for the Yannakakis full reducer, the joins of the
 	// atoms a bag hosts and the bag-by-bag evaluation — the
-	// materialization a full-reducer sweep exists to minimize. Cache
-	// hits replay the memoized subtree's count, like Bytes.
+	// materialization a full-reducer sweep exists to minimize.
 	MaterializedTuples int64
 	// ReducedTuples counts tuples eliminated by semijoin reduction: the
 	// Yannakakis seed walk and sweeps (an atom's tuple filtered before its
@@ -131,9 +106,7 @@ type Stats struct {
 	// SpilledBytes and SpillFiles count the cumulative spill traffic of
 	// the run: bytes written to and temp files created under
 	// Options.SpillDir. Zero when spilling is disabled or memory
-	// pressure never fired. They are a run-level property, not a
-	// subtree one: a subplan cache hit replays no spill traffic (the
-	// memoized result is already resident).
+	// pressure never fired.
 	SpilledBytes int64
 	SpillFiles   int
 	// Attempts records the degradation history of an ExecResilient run:
@@ -142,31 +115,6 @@ type Stats struct {
 	Attempts []Attempt
 	// Elapsed is the wall-clock execution time.
 	Elapsed time.Duration
-}
-
-// merge folds a subtree's stats into s: maxima for the size watermarks,
-// sums for the additive counters.
-func (s *Stats) merge(o *Stats) {
-	if o.MaxRows > s.MaxRows {
-		s.MaxRows = o.MaxRows
-	}
-	if o.MaxArity > s.MaxArity {
-		s.MaxArity = o.MaxArity
-	}
-	s.Tuples += o.Tuples
-	s.Work += o.Work
-	s.Joins += o.Joins
-	s.Projections += o.Projections
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.Bytes += o.Bytes
-	s.PeakBytes += o.PeakBytes
-	s.MaterializedTuples += o.MaterializedTuples
-	s.ReducedTuples += o.ReducedTuples
-	s.Seeks += o.Seeks
-	s.Extensions += o.Extensions
-	s.SpilledBytes += o.SpilledBytes
-	s.SpillFiles += o.SpillFiles
 }
 
 // Result is the outcome of executing a plan.
@@ -189,36 +137,16 @@ func (r *Result) Nonempty() bool { return !r.Rel.Empty() }
 // run to the pipeline.
 type executor struct {
 	governor
-	cache *Cache
-	dbFP  string
 
-	// rows/cached record per-node output cardinalities for EXPLAIN
-	// ANALYZE; nil outside Explain.
-	rows   map[plan.Node]int
-	cached map[plan.Node]bool
+	// rows records per-node output cardinalities for EXPLAIN ANALYZE;
+	// nil outside Explain.
+	rows map[plan.Node]int
 }
 
 func newExecutor(ctx context.Context, db cq.Database, opt Options) *executor {
-	ex := &executor{cache: opt.Cache}
-	if ex.cache != nil {
-		ex.dbFP = DatabaseFingerprint(db)
-	}
+	ex := &executor{}
 	ex.govern(ctx, db, opt)
 	return ex
-}
-
-// admissible reports whether a cached subtree's recorded footprint fits
-// this run's limits. An inadmissible hit falls through to honest
-// re-execution, which reports the violation exactly as an uncached run
-// would.
-func (ex *executor) admissible(sub *Stats) bool {
-	if ex.maxRows > 0 && sub.MaxRows > ex.maxRows {
-		return false
-	}
-	if ex.maxBytes > 0 && ex.bytes.Load()+sub.Bytes > ex.maxBytes {
-		return false
-	}
-	return true
 }
 
 // Exec evaluates the plan over db under opt, on the materializing plan
@@ -280,68 +208,21 @@ func materialized(st *Stats, out *relation.Relation) {
 }
 
 // record notes a node's output cardinality for EXPLAIN ANALYZE.
-func (ex *executor) record(n plan.Node, r *relation.Relation, fromCache bool) {
-	if ex.rows == nil {
-		return
-	}
-	ex.rows[n] = r.Len()
-	if fromCache {
-		ex.cached[n] = true
+func (ex *executor) record(n plan.Node, r *relation.Relation) {
+	if ex.rows != nil {
+		ex.rows[n] = r.Len()
 	}
 }
 
 // eval evaluates n, charging instrumentation into the stats frame st.
-// With a cache configured, Join and Project subtrees are memoized: a miss
-// evaluates the subtree into a private frame whose totals are stored with
-// the result and then merged into st, so a later hit can replay exactly
-// the instrumentation the evaluation would have produced.
 func (ex *executor) eval(n plan.Node, st *Stats) (*relation.Relation, error) {
-	if _, isScan := n.(*plan.Scan); !isScan && ex.cache != nil {
-		return ex.evalCached(n, st)
-	}
-	return ex.evalOp(n, st)
-}
-
-// evalCached wraps evalOp in a cache lookup/store for a Join or Project
-// subtree.
-func (ex *executor) evalCached(n plan.Node, st *Stats) (*relation.Relation, error) {
-	key, vars := cacheKey(ex.dbFP, n)
-	if rel, sub, ok := ex.cache.get(key); ok && ex.admissible(&sub) {
-		// A hit whose recorded intermediates exceed this run's row cap
-		// or byte budget falls through to honest re-execution (which
-		// will report the violation, as the uncached run would).
-		st.CacheHits++
-		st.merge(&sub)
-		ex.bytes.Add(sub.Bytes)
-		out := fromCanonical(rel, vars)
-		ex.record(n, out, true)
-		return out, nil
-	}
-	st.CacheMisses++
-	var sub Stats
-	rel, err := ex.evalOp(n, &sub)
-	// Cache counters of nested lookups live in the live run, not in the
-	// stored entry: a future hit replays the subtree's execution stats,
-	// not its cache traffic.
-	entryStats := sub
-	entryStats.CacheHits, entryStats.CacheMisses = 0, 0
-	st.merge(&sub)
-	if err != nil {
-		return nil, err
-	}
-	ex.cache.put(key, toCanonical(rel, vars), entryStats)
-	return rel, nil
-}
-
-// evalOp evaluates one operator node, recursing through eval for children.
-func (ex *executor) evalOp(n plan.Node, st *Stats) (*relation.Relation, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
 		bound, err := ex.scan(st, &t.Atom)
 		if err != nil {
 			return nil, err
 		}
-		ex.record(n, bound, false)
+		ex.record(n, bound)
 		return bound, nil
 
 	case *plan.Join:
@@ -357,7 +238,7 @@ func (ex *executor) evalOp(n plan.Node, st *Stats) (*relation.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex.record(n, out, false)
+		ex.record(n, out)
 		return out, nil
 
 	case *plan.Project:
@@ -369,7 +250,7 @@ func (ex *executor) evalOp(n plan.Node, st *Stats) (*relation.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex.record(n, out, false)
+		ex.record(n, out)
 		return out, nil
 
 	default:

@@ -14,11 +14,7 @@ import (
 // with its output schema and arity — the structural facts the paper's
 // analysis runs on. When analyze is true the plan is executed under opt
 // and each line is annotated with the actual output cardinality, in the
-// spirit of EXPLAIN ANALYZE on the paper's backend. With a subplan cache
-// configured (opt.Cache), subtrees served from the cache are marked
-// "(cached)" — their descendants carry no row counts, since they were
-// never evaluated — and a final line reports the run's hit/miss counts
-// plus the cache's entry/byte/eviction totals. An analyzed run with
+// spirit of EXPLAIN ANALYZE on the paper's backend. An analyzed run with
 // opt.SpillDir armed executes on the pull pipeline, as Exec does, and
 // what is rendered is the operator tree that ran (see ExplainStream).
 func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, error) {
@@ -29,7 +25,6 @@ func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, er
 	if analyze {
 		ex = newExecutor(context.Background(), db, opt)
 		ex.rows = make(map[plan.Node]int)
-		ex.cached = make(map[plan.Node]bool)
 		if _, err := ex.run(p); err != nil {
 			return "", err
 		}
@@ -52,9 +47,6 @@ func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, er
 			if rows, ok := ex.rows[n]; ok {
 				fmt.Fprintf(&b, " rows=%d", rows)
 			}
-			if ex.cached[n] {
-				b.WriteString(" (cached)")
-			}
 		}
 		b.WriteString("\n")
 		for _, c := range n.Children() {
@@ -70,10 +62,6 @@ func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, er
 		b.WriteString("\n")
 		fmt.Fprintf(&b, "tuples: materialized=%d reduced=%d\n",
 			ex.stats.MaterializedTuples, ex.stats.ReducedTuples)
-	}
-	if analyze && opt.Cache != nil {
-		fmt.Fprintf(&b, "cache: run hits=%d misses=%d; %s\n",
-			ex.stats.CacheHits, ex.stats.CacheMisses, opt.Cache.Counters())
 	}
 	return b.String(), nil
 }

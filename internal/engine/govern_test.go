@@ -158,67 +158,6 @@ func TestMemBudget(t *testing.T) {
 	}
 }
 
-// TestStatsBytesCacheReplay checks cache hits replay the memoized
-// subtree's byte counts, keeping cache-on and cache-off Stats.Bytes
-// identical.
-func TestStatsBytesCacheReplay(t *testing.T) {
-	q, db := figure9(t, 4)
-	p := buildPlan(t, core.MethodEarlyProjection, q)
-
-	bare, err := engine.Exec(p, db, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := engine.NewCache(0)
-	cold, err := engine.Exec(p, db, engine.Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := engine.Exec(p, db, engine.Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Stats.CacheHits == 0 {
-		t.Fatal("warm run had no cache hits")
-	}
-	if cold.Stats.Bytes != bare.Stats.Bytes || warm.Stats.Bytes != bare.Stats.Bytes {
-		t.Fatalf("Stats.Bytes diverges: bare=%d cold=%d warm=%d",
-			bare.Stats.Bytes, cold.Stats.Bytes, warm.Stats.Bytes)
-	}
-	if cold.Stats.PeakBytes != bare.Stats.PeakBytes || warm.Stats.PeakBytes != bare.Stats.PeakBytes {
-		t.Fatalf("Stats.PeakBytes diverges: bare=%d cold=%d warm=%d",
-			bare.Stats.PeakBytes, cold.Stats.PeakBytes, warm.Stats.PeakBytes)
-	}
-
-	// The EXPLAIN ANALYZE memory and tuple trailers are rendered from the
-	// replayed counters, so a fully warmed cache must print the same
-	// lines as a cache-off run (the tree differs: hits are marked).
-	offOut, err := engine.Explain(p, db, engine.Options{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onOut, err := engine.Explain(p, db, engine.Options{Cache: cache}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, prefix := range []string{"memory:", "tuples:"} {
-		offLine, onLine := lineWithPrefix(offOut, prefix), lineWithPrefix(onOut, prefix)
-		if offLine == "" || offLine != onLine {
-			t.Fatalf("EXPLAIN ANALYZE %q line diverges under cache replay:\noff: %s\non:  %s",
-				prefix, offLine, onLine)
-		}
-	}
-}
-
-func lineWithPrefix(s, prefix string) string {
-	for _, line := range strings.Split(s, "\n") {
-		if strings.HasPrefix(line, prefix) {
-			return line
-		}
-	}
-	return ""
-}
-
 // TestSubtreePanicIsolation injects a panic into the join kernel under the
 // plan walker's subtree evaluation and checks it is recovered at the run
 // boundary and surfaces as ErrInternal, with the partial Result the other

@@ -11,18 +11,6 @@ package engine
 // a join whose build input is itself a stream additionally pre-filters it
 // with relation.StreamFilter probes against the probe side's reduced base
 // relations (buildFilters).
-//
-// The subplan cache (Options.Cache) memoizes the phase: the pipeline
-// materializes no subtree join results to share, but the semijoin-reduced
-// base scans it does produce are keyed by database fingerprint ⊕
-// whole-plan fingerprint ⊕ scan position (the reduced view of one scan
-// depends on every edge of the plan, so the whole-plan fingerprint —
-// invariant to variable renaming — is the finest sound key). A run that
-// finds every scan of its plan cached swaps the reduced views in and skips
-// the sweeps entirely; any miss re-runs the fixpoint and stores all scans.
-// Per-scan reduced-tuple counts ride along in the entry stats so cache-on
-// and cache-off runs report identical ReducedTuples. A run whose phase is
-// skipped makes no lookup: it has no reduced scans to find or to store.
 
 import (
 	"fmt"
@@ -198,10 +186,8 @@ type pushdown struct {
 	nextFresh relation.Attr // fresh attrs for restricted constrainer views
 }
 
-// runPushdown binds p's scans and reduces them to the fixpoint, or swaps
-// in the reduced views a previous run of the same plan over the same
-// database left in cache.
-func runPushdown(ctx *streamContext, p plan.Node, cache *Cache) (*pushdown, error) {
+// runPushdown binds p's scans and reduces them to the fixpoint.
+func runPushdown(ctx *streamContext, p plan.Node) (*pushdown, error) {
 	pd := &pushdown{
 		ctx:       ctx,
 		scanOf:    make(map[*plan.Scan]int),
@@ -212,50 +198,7 @@ func runPushdown(ctx *streamContext, p plan.Node, cache *Cache) (*pushdown, erro
 	if _, err := pd.collect(p); err != nil {
 		return nil, err
 	}
-	if cache == nil {
-		return pd, pd.reduceAll()
-	}
-	keys := streamScanKeys(DatabaseFingerprint(ctx.db), p, len(pd.scans))
-	if pd.restore(cache, keys) {
-		ctx.stats.CacheHits += int64(len(pd.scans))
-		for _, s := range pd.scans {
-			ctx.stats.ReducedTuples += s.reduced
-			if s.reduced > 0 {
-				// A reduced view owns a private arena; an unreduced one
-				// is still a zero-copy binding of the base relation.
-				if err := ctx.hold(s.view.Bytes(), &s.charged, nil); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return pd, nil
-	}
-	ctx.stats.CacheMisses += int64(len(pd.scans))
-	if err := pd.reduceAll(); err != nil {
-		return nil, err
-	}
-	for i, s := range pd.scans {
-		cache.put(keys[i], toCanonical(s.view, s.node.Atom.Args), Stats{ReducedTuples: s.reduced})
-	}
-	return pd, nil
-}
-
-// restore swaps every scan's memoized reduced view in, or none: the views
-// are one fixpoint, so a partial hit is a miss.
-func (pd *pushdown) restore(cache *Cache, keys []string) bool {
-	views := make([]*relation.Relation, len(pd.scans))
-	counts := make([]int64, len(pd.scans))
-	for i := range pd.scans {
-		rel, st, hit := cache.get(keys[i])
-		if !hit {
-			return false
-		}
-		views[i], counts[i] = rel, st.ReducedTuples
-	}
-	for i, s := range pd.scans {
-		s.view, s.reduced = fromCanonical(views[i], s.node.Atom.Args), counts[i]
-	}
-	return true
+	return pd, pd.reduceAll()
 }
 
 // collect walks the plan bottom-up, binding scan views and building the

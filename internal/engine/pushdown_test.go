@@ -129,7 +129,7 @@ func TestPushdownSkipRule(t *testing.T) {
 				continue
 			}
 			skipped++
-			if _, err := runPushdown(ctx, p, nil); err != nil {
+			if _, err := runPushdown(ctx, p); err != nil {
 				t.Fatal(err)
 			}
 			if ctx.stats.ReducedTuples != 0 {

@@ -907,10 +907,7 @@ func (e *pipeline) noteArity(a int) {
 // report the peak of live bytes, not cumulative materialization). Where
 // the scans' columns prove every semijoin the identity (mayReduce: the
 // paper's 3-COLOR workloads) the phase is skipped and the run, its Stats
-// included, is ExecIterator's. Results are identical to Exec. The subplan
-// cache (opt.Cache) memoizes the semijoin-reduced base scans, so repeated
-// plans skip the pushdown sweeps; a run that skips the phase does not
-// consult it.
+// included, is ExecIterator's. Results are identical to Exec.
 func ExecStream(p plan.Node, db cq.Database, opt Options) (*Result, error) {
 	return ExecStreamContext(context.Background(), p, db, opt)
 }
@@ -926,9 +923,7 @@ func ExecStreamContext(ctx context.Context, p plan.Node, db cq.Database, opt Opt
 // ExecIterator evaluates the plan on the pull pipeline alone, without the
 // pushdown phase: the plain Volcano execution of the plan, and what a
 // spill-armed Exec runs. Results are identical to Exec; Stats.Bytes and
-// Stats.PeakBytes report the peak of live bytes. The subplan cache
-// (opt.Cache) is ignored: without the phase a run produces nothing
-// immutable to share.
+// Stats.PeakBytes report the peak of live bytes.
 func ExecIterator(p plan.Node, db cq.Database, opt Options) (*Result, error) {
 	return ExecIteratorContext(context.Background(), p, db, opt)
 }
@@ -974,7 +969,7 @@ func execPipeline(cctx context.Context, p plan.Node, db cq.Database, opt Options
 		return done(nil, err)
 	}
 	if sweeps && ctx.mayReduce(p) {
-		if e.push, err = runPushdown(ctx, p, opt.Cache); err != nil {
+		if e.push, err = runPushdown(ctx, p); err != nil {
 			return done(nil, err)
 		}
 	}
@@ -1121,10 +1116,6 @@ func explainPipeline(p plan.Node, db cq.Database, opt Options, analyze, sweeps b
 		}
 		fmt.Fprintf(&b, "tuples: materialized=%d reduced=%d\n",
 			st.MaterializedTuples, st.ReducedTuples)
-		if swept && opt.Cache != nil {
-			fmt.Fprintf(&b, "cache: run hits=%d misses=%d; %s\n",
-				st.CacheHits, st.CacheMisses, opt.Cache.Counters())
-		}
 	}
 	return b.String(), nil
 }

@@ -14,6 +14,7 @@ import (
 	"projpush/internal/cq"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/relation"
 )
 
 // TestStreamDifferentialFigureWorkloads checks the streaming executor
@@ -104,6 +105,35 @@ func TestStreamDifferentialRandomGraphs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomRel is a binary relation of up to rows random tuples over [0,dom)².
+func randomRel(rng *rand.Rand, rows, dom int) *relation.Relation {
+	r := relation.New([]relation.Attr{0, 1})
+	for i := 0; i < rows; i++ {
+		r.Add(relation.Tuple{relation.Value(rng.Intn(dom)), relation.Value(rng.Intn(dom))})
+	}
+	return r
+}
+
+// selectiveSpider is stream_bench_test.go's spider at test scale: the
+// two-level star a_i(x0,y_i), b_i(y_i,z_i) whose arm end b0 has 4 rows.
+func selectiveSpider(arms, rows, dom int, seed int64) (*cq.Query, cq.Database) {
+	rng := rand.New(rand.NewSource(seed))
+	db := cq.Database{}
+	q := &cq.Query{Free: []cq.Var{0}}
+	for i := 0; i < arms; i++ {
+		inner, outer := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
+		y, z := cq.Var(1+2*i), cq.Var(2+2*i)
+		db[inner], db[outer] = randomRel(rng, rows, dom), randomRel(rng, rows, dom)
+		if i == 0 {
+			db[outer] = randomRel(rng, 4, dom) // the selective arm
+		}
+		q.Atoms = append(q.Atoms,
+			cq.Atom{Rel: inner, Args: []cq.Var{0, y}},
+			cq.Atom{Rel: outer, Args: []cq.Var{y, z}})
+	}
+	return q, db
 }
 
 // selectiveChain builds the Figure-6-style selective path workload the

@@ -393,7 +393,7 @@ func NewWCOJ(s *jointree.Structure) *WCOJ { return &WCOJ{s: s} }
 // Run evaluates the query under the MCS/smallest-domain variable order:
 // total work within the AGM output bound, no binary-join intermediates.
 // Errors are classified like the other executors'; the Result is never
-// nil, and opt.Cache is ignored (there are no subtree results to share).
+// nil.
 func (w *WCOJ) Run(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
 	res, _, err := execWCOJ(ctx, w.s, db, opt)
 	return res, err

@@ -411,9 +411,7 @@ func NewYannakakis(s *jointree.Structure) *Yannakakis { return &Yannakakis{s: s}
 // Run executes the full-reducer sweep. Errors are classified exactly like
 // the plan executors' (ErrTimeout, ErrCanceled, ErrRowLimit, ErrMemLimit,
 // ErrInternal); the returned Result is always non-nil and carries the
-// partial stats of a failed run. The subplan cache (opt.Cache) is
-// ignored: reduction mutates its inputs, so there are no immutable
-// subtree results to share.
+// partial stats of a failed run.
 func (y *Yannakakis) Run(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
 	res, _, err := execYannakakis(ctx, y.s.Tree, db, opt)
 	return res, err

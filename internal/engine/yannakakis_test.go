@@ -298,43 +298,6 @@ func TestYannakakisRungDegrades(t *testing.T) {
 	}
 }
 
-// TestCacheReplaysNewCounters is the cache-coherence contract extended
-// to the new Stats fields: a fully warmed cache-on run must report the
-// same MaterializedTuples/ReducedTuples totals as a cache-off run.
-func TestCacheReplaysNewCounters(t *testing.T) {
-	q, db := figure9(t, 4)
-	p := buildPlan(t, core.MethodBucketElimination, q)
-
-	off, err := engine.Exec(p, db, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := engine.NewCache(0)
-	if _, err := engine.Exec(p, db, engine.Options{Cache: cache}); err != nil {
-		t.Fatal(err) // warm
-	}
-	on, err := engine.Exec(p, db, engine.Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Stats.CacheHits == 0 {
-		t.Fatal("warmed run recorded no cache hits")
-	}
-	if on.Stats.MaterializedTuples != off.Stats.MaterializedTuples {
-		t.Fatalf("cache-on MaterializedTuples = %d, cache-off = %d; replay must match",
-			on.Stats.MaterializedTuples, off.Stats.MaterializedTuples)
-	}
-	if on.Stats.ReducedTuples != off.Stats.ReducedTuples {
-		t.Fatalf("cache-on ReducedTuples = %d, cache-off = %d", on.Stats.ReducedTuples, off.Stats.ReducedTuples)
-	}
-	if on.Stats.Bytes != off.Stats.Bytes {
-		t.Fatalf("cache-on Bytes = %d, cache-off = %d", on.Stats.Bytes, off.Stats.Bytes)
-	}
-	if on.Stats.PeakBytes != off.Stats.PeakBytes {
-		t.Fatalf("cache-on PeakBytes = %d, cache-off = %d", on.Stats.PeakBytes, off.Stats.PeakBytes)
-	}
-}
-
 // TestExplainYannakakis checks both renderings: the static tree and the
 // analyzed sweep with its seed, per-bag counts and the
 // reduced/materialized footer.

@@ -102,9 +102,8 @@ type Config struct {
 	// derived from (Seed, x, rep, method), so every randomized choice —
 	// instances, planner tie-breaking, free-variable selection — and
 	// therefore every width, cardinality, and timeout/success outcome is
-	// identical for any worker count. Only wall-clock durations (and,
-	// with a shared Cache, the hit/miss split between concurrent
-	// duplicate misses) vary with the schedule.
+	// identical for any worker count. Only wall-clock durations vary
+	// with the schedule.
 	//
 	// Workers is also handed to the cost-based planner as its island
 	// count (pgplanner.Options.Workers). One exception to the
@@ -116,12 +115,6 @@ type Config struct {
 	// results, and the default Workers=1 matches the serial planner
 	// exactly, so the published figures are unchanged.
 	Workers int
-	// Cache, when non-nil, is a subplan result cache shared by every
-	// measured execution (engine.Options.Cache). The structural
-	// methods' plans share subtrees across methods and repetitions over
-	// one fixed database, so repeated sweeps hit heavily; per-cell hit
-	// and miss counts land in Cell.CacheHits/CacheMisses.
-	Cache *engine.Cache
 	// Fleet, when non-nil, routes every structural-method measurement
 	// through it instead of the local engine: each repetition ships its
 	// query and database as one request and measures the round trip, so
@@ -154,9 +147,6 @@ type Cell struct {
 	// Width is the maximum plan width observed across repetitions —
 	// the structural quantity behind the running times.
 	Width int
-	// CacheHits and CacheMisses total the subplan-cache traffic of this
-	// cell's executions (zero when Config.Cache is nil).
-	CacheHits, CacheMisses int64
 	// Seeks and Extensions total the leapfrog index-seek and
 	// variable-extension counts of this cell's executions; only the
 	// worst-case-optimal strategy produces them, so they stay zero for
@@ -266,9 +256,6 @@ type Series struct {
 	Title  string
 	XLabel string
 	Rows   []Row
-	// Cache records whether the sweep ran with a subplan cache; CSV
-	// adds per-method hit/miss columns when set.
-	Cache bool
 	// Fleet records whether the sweep routed through a fleet coordinator
 	// (Config.Fleet); CSV adds per-method failover/hedge columns when set.
 	Fleet bool
@@ -323,21 +310,19 @@ func freeVars(g *graph.Graph, frac float64, rng *rand.Rand) []cq.Var {
 	return instance.ChooseFree(instance.EdgeVertices(g), frac, rng)
 }
 
-// execOptions translates a config into engine options, threading the
-// shared subplan cache through every measured execution.
+// execOptions translates a config into engine options.
 func (c Config) execOptions() engine.Options {
 	return engine.Options{
-		Timeout: c.Timeout, MaxRows: c.MaxRows, MaxBytes: c.MaxBytes, Cache: c.Cache,
+		Timeout: c.Timeout, MaxRows: c.MaxRows, MaxBytes: c.MaxBytes,
 		SpillDir: c.SpillDir, MaxSpillBytes: c.MaxSpillBytes,
 	}
 }
 
-// outcome is one measurement: duration, plan width, cache traffic, and
-// the error (timeout / row cap) if the run was aborted.
+// outcome is one measurement: duration, plan width, executor counters,
+// and the error (timeout / row cap) if the run was aborted.
 type outcome struct {
 	d                 time.Duration
 	w                 int
-	hits, misses      int64
 	seeks, extensions int64
 	spilled           int64
 	spillFiles        int
@@ -351,7 +336,6 @@ func (o *outcome) fold(res *engine.Result) {
 	if res == nil {
 		return
 	}
-	o.hits, o.misses = res.Stats.CacheHits, res.Stats.CacheMisses
 	o.seeks, o.extensions = res.Stats.Seeks, res.Stats.Extensions
 	o.spilled, o.spillFiles = res.Stats.SpilledBytes, res.Stats.SpillFiles
 }
@@ -571,8 +555,6 @@ func runPoint(x float64, cfg Config, gen func(rep int, rng *rand.Rand) (*cq.Quer
 			if o.w > cell.Width {
 				cell.Width = o.w
 			}
-			cell.CacheHits += o.hits
-			cell.CacheMisses += o.misses
 			cell.Seeks += o.seeks
 			cell.Extensions += o.extensions
 			cell.SpilledBytes += o.spilled
@@ -603,7 +585,6 @@ func DensityScaling(cfg Config, order int, densities []float64) (*Series, error)
 	s := &Series{
 		Title:  fmt.Sprintf("3-COLOR density scaling, order=%d, free=%.0f%%", order, cfg.FreeFraction*100),
 		XLabel: "density",
-		Cache:  cfg.Cache != nil,
 		Fleet:  cfg.Fleet != nil,
 	}
 	for _, d := range densities {
@@ -637,7 +618,6 @@ func OrderScaling(cfg Config, density float64, orders []int) (*Series, error) {
 	s := &Series{
 		Title:  fmt.Sprintf("3-COLOR order scaling, density=%.1f, free=%.0f%%", density, cfg.FreeFraction*100),
 		XLabel: "order",
-		Cache:  cfg.Cache != nil,
 		Fleet:  cfg.Fleet != nil,
 	}
 	for _, n := range orders {
@@ -671,7 +651,6 @@ func StructuredScaling(cfg Config, family Family, orders []int) (*Series, error)
 	s := &Series{
 		Title:  fmt.Sprintf("3-COLOR %s, free=%.0f%%", family, cfg.FreeFraction*100),
 		XLabel: "order",
-		Cache:  cfg.Cache != nil,
 		Fleet:  cfg.Fleet != nil,
 	}
 	for _, n := range orders {
@@ -753,7 +732,6 @@ func SATScaling(cfg Config, k, nvars int, densities []float64) (*Series, error) 
 	s := &Series{
 		Title:  fmt.Sprintf("%d-SAT density scaling, %d variables, free=%.0f%%", k, nvars, cfg.FreeFraction*100),
 		XLabel: "density",
-		Cache:  cfg.Cache != nil,
 		Fleet:  cfg.Fleet != nil,
 	}
 	for _, d := range densities {
@@ -866,9 +844,7 @@ func hasSpill(s *Series) bool {
 
 // CSV renders a series as comma-separated values: one row per x with a
 // median-seconds column per method (empty for timeouts) — the format for
-// external plotting tools. A sweep run with a subplan cache additionally
-// gets <method>_cache_hits and <method>_cache_misses columns, a sweep
-// with any failed repetition gets <method>_rejected (turned away at
+// external plotting tools. A sweep with any failed repetition gets <method>_rejected (turned away at
 // admission: over-width, shed) and <method>_aborted (failed
 // mid-execution) columns, a sweep that ran the worst-case-optimal
 // strategy gets <method>_seeks and <method>_extensions columns with its
@@ -886,11 +862,6 @@ func CSV(s *Series) string {
 		for _, c := range s.Rows[0].Cells {
 			b.WriteString(",")
 			b.WriteString(c.Method)
-		}
-		if s.Cache {
-			for _, c := range s.Rows[0].Cells {
-				fmt.Fprintf(&b, ",%s_cache_hits,%s_cache_misses", c.Method, c.Method)
-			}
 		}
 		if failures {
 			for _, c := range s.Rows[0].Cells {
@@ -920,11 +891,6 @@ func CSV(s *Series) string {
 			b.WriteString(",")
 			if med, ok := r.Cells[i].Sample.Median(); ok {
 				fmt.Fprintf(&b, "%g", med.Seconds())
-			}
-		}
-		if s.Cache {
-			for i := range r.Cells {
-				fmt.Fprintf(&b, ",%d,%d", r.Cells[i].CacheHits, r.Cells[i].CacheMisses)
 			}
 		}
 		if failures {

@@ -4,16 +4,14 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"projpush/internal/engine"
 )
 
 // benchSweep is one fixed structured sweep: 4 reps × 4 methods × 2
 // orders = 32 measurements per invocation, the grid the worker pool
 // fans out.
-func benchSweep(b *testing.B, workers int, cache *engine.Cache) {
+func benchSweep(b *testing.B, workers int) {
 	b.Helper()
-	cfg := Config{Seed: 11, Reps: 4, Timeout: 30 * time.Second, Workers: workers, Cache: cache}
+	cfg := Config{Seed: 11, Reps: 4, Timeout: 30 * time.Second, Workers: workers}
 	if _, err := StructuredScaling(cfg, FamilyLadder, []int{5, 7}); err != nil {
 		b.Fatal(err)
 	}
@@ -29,31 +27,8 @@ func BenchmarkHarnessWorkers(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSweep(b, w, nil)
+				benchSweep(b, w)
 			}
 		})
 	}
-}
-
-// BenchmarkHarnessCache measures the same sweep with and without a
-// shared subplan cache. Structured families reuse one plan shape across
-// repetitions, so a warm cache collapses most executions to lookups.
-func BenchmarkHarnessCache(b *testing.B) {
-	b.Run("uncached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSweep(b, 1, nil)
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		c := engine.NewCache(0)
-		for i := 0; i < b.N; i++ {
-			benchSweep(b, 1, c)
-		}
-	})
-	b.Run("cached-workers=4", func(b *testing.B) {
-		c := engine.NewCache(0)
-		for i := 0; i < b.N; i++ {
-			benchSweep(b, 4, c)
-		}
-	})
 }

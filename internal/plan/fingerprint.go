@@ -15,23 +15,15 @@ import (
 // same join/projection structure over differently-named variables — the
 // common case across repetitions of a structured workload — maps to one
 // fingerprint.
-//
-// The second result is the canonicalization witness: vars[i] is the
-// actual variable assigned canonical id i. A cached execution result can
-// therefore be stored over canonical attributes (rename actual → index)
-// and re-bound on a later hit from a renamed but structurally identical
-// subtree (rename index → that subtree's vars[i]).
-func Fingerprint(n Node) (string, []cq.Var) {
+func Fingerprint(n Node) string {
 	var b strings.Builder
 	canon := make(map[cq.Var]int)
-	var order []cq.Var
 	id := func(v cq.Var) int {
 		if c, ok := canon[v]; ok {
 			return c
 		}
-		c := len(order)
+		c := len(canon)
 		canon[v] = c
-		order = append(order, v)
 		return c
 	}
 	writeVars := func(vs []cq.Var) {
@@ -71,5 +63,5 @@ func Fingerprint(n Node) (string, []cq.Var) {
 		}
 	}
 	walk(n)
-	return b.String(), order
+	return b.String()
 }

@@ -305,10 +305,9 @@ func (r *Relation) Value(t Tuple, a Attr) Value {
 
 // Bytes approximates the relation's resident memory in bytes: the tuple
 // arena plus the dedup table, if built (not for a stale relation, such as
-// a join's output). It is the accounting unit of the engine's subplan
-// result cache; approximation (headers and the attribute schema are
-// ignored) is fine there because cached relations are dominated by their
-// arenas.
+// a join's output). It is the accounting unit of the engine's byte
+// budget; approximation (headers and the attribute schema are ignored)
+// is fine there because relations are dominated by their arenas.
 func (r *Relation) Bytes() int64 {
 	return int64(cap(r.data))*4 + int64(len(r.keys))*8 + int64(len(r.refs))*4
 }

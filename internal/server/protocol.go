@@ -122,8 +122,8 @@ type Request struct {
 	// Affinity is the fingerprint-affinity header a fleet coordinator
 	// stamps on forwarded requests: the renaming-invariant plan
 	// fingerprint it consistent-hashed to pick the worker, so the
-	// worker's request log can audit that affinity-sharded subplan-cache
-	// traffic really lands on its shard. Empty on direct requests.
+	// worker's request log can audit that a query's repeats really land
+	// on its shard. Empty on direct requests.
 	Affinity string `json:"affinity,omitempty"`
 	// Addr is the worker's serving address, for the coordinator ops
 	// "register" (join the fleet) and "deregister" (leave gracefully:

@@ -408,8 +408,8 @@ func TestExecutedPlanNeverWiderThanAdmitted(t *testing.T) {
 			narrowedDefault++
 		case chosen.Width == pw:
 			// A tie keeps the parent's plan, byte for byte.
-			got, _ := plan.Fingerprint(chosen.Plan)
-			want, _ := plan.Fingerprint(parent)
+			got := plan.Fingerprint(chosen.Plan)
+			want := plan.Fingerprint(parent)
 			if got != want || chosen.Order != core.PlanOrder(method) {
 				t.Errorf("%s: route %s ties at width %d but the plan changed (order %s)", c.name, method, chosen.Width, chosen.Order)
 			}

@@ -463,8 +463,8 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 		}
 		if req.Affinity != "" {
 			// Coordinator-stamped affinity header: lets the log audit that
-			// consistent-hash routing keeps a fingerprint's subplan-cache
-			// traffic on this shard.
+			// consistent-hash routing keeps a fingerprint's requests, and
+			// so their compile memo entries, on this shard.
 			logEntry["affinity"] = req.Affinity
 		}
 	}
@@ -663,7 +663,7 @@ func StatsOf(st *engine.Stats) *RunStats {
 // FingerprintID hashes a plan's renaming-invariant fingerprint to a
 // short stable id for the request log.
 func FingerprintID(p plan.Node) string {
-	fp, _ := plan.Fingerprint(p)
+	fp := plan.Fingerprint(p)
 	h := fnv.New64a()
 	io.WriteString(h, fp)
 	return fmt.Sprintf("%016x", h.Sum64())

@@ -83,10 +83,6 @@ type (
 	Result = engine.Result
 	// ExecStats instruments one execution.
 	ExecStats = engine.Stats
-	// SubplanCache memoizes Join/Project subtree results across
-	// executions under a renaming-invariant plan fingerprint; share one
-	// via ExecOptions.Cache (safe across goroutines and executors).
-	SubplanCache = engine.Cache
 )
 
 // The optimization methods, in the paper's presentation order.
@@ -117,10 +113,6 @@ var Methods = core.Methods
 
 // NewRelation returns an empty relation over the attributes.
 func NewRelation(attrs []Var) *Relation { return relation.New(attrs) }
-
-// NewSubplanCache returns a subplan result cache bounded by maxBytes of
-// cached relation storage (<= 0 uses the engine default of 256 MiB).
-func NewSubplanCache(maxBytes int64) *SubplanCache { return engine.NewCache(maxBytes) }
 
 // NewGraph returns an empty graph on n vertices.
 func NewGraph(n int) *Graph { return graph.New(n) }
