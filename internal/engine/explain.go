@@ -198,7 +198,7 @@ func (w *WCOJ) Explain(db cq.Database, opt Options, analyze bool) (string, error
 	}
 	if analyze {
 		fmt.Fprintf(&b, "seeks: total=%d extensions=%d\n", ex.stats.Seeks, ex.stats.Extensions)
-		fmt.Fprintf(&b, "indexes: %d built for %d atoms\n", ex.indexes, len(ex.atoms))
+		fmt.Fprintf(&b, "indexes: %d shared by %d atoms\n", ex.indexes, len(ex.atoms))
 		fmt.Fprintf(&b, "memory: %d bytes materialized, peak %d live", ex.stats.Bytes, ex.stats.PeakBytes)
 		if opt.MaxBytes > 0 {
 			fmt.Fprintf(&b, " (budget %d)", opt.MaxBytes)

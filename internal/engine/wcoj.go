@@ -7,8 +7,8 @@
 // O(m^1.5), but any join tree materializes an Ω(m²) intermediate in the
 // worst case. This file implements the generic/leapfrog worst-case-
 // optimal alternative: pick one global variable order, index every atom's
-// relation sorted by that order (relation.SortedIndex — row ids over the
-// PR-1 flat arenas, no tuple copies), and extend the output one variable
+// relation sorted by that order (relation.SortedIndex, resident on the
+// arena and shared across requests), and extend the output one variable
 // at a time by leapfrog-intersecting the participating atoms' candidate
 // runs. The total work is bounded by the AGM fractional-cover bound, the
 // quantity internal/server/admission.go already computes for admission.
@@ -24,8 +24,8 @@
 // checking) instead of enumerating the full expansion.
 //
 // Like the other executors: every loop polls the shared Limit at the
-// relation.CheckInterval cadence (context cancellation, deadline), index
-// builds and output growth are charged against Options.MaxBytes, panics
+// relation.CheckInterval cadence (context cancellation, deadline), output
+// growth is charged against Options.MaxBytes, panics
 // are isolated to ErrInternal, and Stats carries per-run Seeks/Extensions
 // counters that EXPLAIN ANALYZE renders per variable level.
 package engine
@@ -33,9 +33,11 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"projpush/internal/cq"
+	"projpush/internal/faultinject"
 	"projpush/internal/jointree"
 	"projpush/internal/relation"
 )
@@ -81,7 +83,7 @@ type wexec struct {
 	levels  []*wcojLevel
 	assign  []relation.Value
 	empty   bool // some bound relation is empty: the answer is empty
-	indexes int  // sorted indexes built; atoms on one arena and order share
+	indexes int  // distinct sorted indexes read; atoms on one arena and order share
 
 	out      *relation.Relation
 	outBuf   relation.Tuple
@@ -176,44 +178,38 @@ func (ex *wexec) prepare() error {
 	return nil
 }
 
-// execute builds the sorted indexes and runs the leapfrog enumeration.
-// Atoms over the same stored relation in the same column order — the
-// triangle's e(x,y) and e(y,z), every second edge atom of a 3-COLOR
-// query — share one index: it reads the arena by column position, so the
-// atoms' renamings do not matter, and each atom keeps its own brackets.
+// execute looks the atoms' sorted indexes up and runs the leapfrog
+// enumeration. An index is resident state of its arena, built by the first
+// run that asks and charged to none; atoms over one arena in one column
+// order — the triangle's e(x,y) and e(y,z) — share it, each with its own
+// brackets. Each distinct index passes the kernel's fault points.
 func (ex *wexec) execute() error {
 	if ex.empty {
 		return nil
 	}
-	type indexKey struct {
-		base *relation.Relation
-		cols string
-	}
-	built := make(map[indexKey]*relation.SortedIndex)
-	for _, a := range ex.atoms {
+	for i, a := range ex.atoms {
 		if a.rel.Arity() == 0 {
 			// A nonempty arity-0 atom is a satisfied Boolean factor.
 			continue
 		}
-		pos := make([]int, len(a.cols))
-		for k, v := range a.cols {
-			pos[k] = a.rel.Pos(v)
-		}
-		key := indexKey{ex.db[a.atom.Rel], fmt.Sprint(pos)}
-		ix := built[key]
-		if ix == nil {
-			var err error
-			if ix, err = relation.NewSortedIndexLimited(a.rel, a.cols, ex.limit); err != nil {
-				return err
-			}
-			built[key] = ix
-			ex.stats.Bytes += ix.Bytes()
-			ex.stats.PeakBytes += ix.Bytes()
+		ix, err := a.rel.SortedIndex(a.cols)
+		if err != nil {
+			return err
 		}
 		a.ix = ix
 		a.lo[0], a.hi[0] = 0, ix.Len()
+		if slices.ContainsFunc(ex.atoms[:i], func(b *wcojAtom) bool { return b.ix == ix }) {
+			continue
+		}
+		ex.indexes++
+		if err := ex.limit.Interrupted(); err != nil {
+			return err
+		}
+		faultinject.Sleep(faultinject.LatencyKernel)
+		if faultinject.FailAlloc(faultinject.AllocJoin) {
+			return fmt.Errorf("%w: injected allocation failure", relation.ErrMemBudget)
+		}
 	}
-	ex.indexes = len(built)
 	ex.stats.Joins++
 	return ex.enumerate(0)
 }

@@ -7,10 +7,12 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"projpush/internal/cq"
+	"projpush/internal/faultinject"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
 	"projpush/internal/jointree"
@@ -207,7 +209,7 @@ func TestExplainWCOJ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"seeks=", "extensions=", "seeks: total=", "indexes: 2 built for 5 atoms", "memory:", "tuples:"} {
+	for _, want := range []string{"seeks=", "extensions=", "seeks: total=", "indexes: 2 shared by 5 atoms", "memory:", "tuples:"} {
 		if !strings.Contains(analyzed, want) {
 			t.Fatalf("analyze explain missing %q:\n%s", want, analyzed)
 		}
@@ -225,15 +227,13 @@ func cycleOver(rels ...string) *cq.Query {
 }
 
 // TestWCOJSharesIndexes: atoms over one stored relation in one column
-// order share a sorted index — the triangle over e builds two (e by
+// order share a sorted index — the triangle over e reads two (e by
 // columns 0,1 for e(x0,x1) and e(x1,x2); by 1,0 for e(x2,x0)), the
-// 4-cycle two — and a shared index is charged once to Stats.Bytes,
-// PeakBytes and the byte budget. Against the same query over a private
-// copy of e per atom, which shares nothing, the answer, Seeks and
-// Extensions are identical and the bytes differ by exactly the indexes
-// not built. The budget bills the distinct indexes plus the output and
-// nothing else: a run fits in exactly its own Stats.Bytes, and so in
-// what one index per atom used to be billed.
+// 4-cycle two — and the indexes are resident state of the arena, so a
+// run's Stats.Bytes, PeakBytes and byte budget hold its output and
+// nothing else. Against the same query over a private copy of e per
+// atom, which shares nothing, the answer, Seeks, Extensions and bytes
+// are identical.
 func TestWCOJSharesIndexes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	e := relation.New([]relation.Attr{0, 1})
@@ -241,7 +241,6 @@ func TestWCOJSharesIndexes(t *testing.T) {
 		e.Add(relation.Tuple{relation.Value(rng.Intn(300)), relation.Value(rng.Intn(300))})
 	}
 	db := cq.Database{"e": e}
-	perIndex := int64(e.Len()) * 4
 	for _, n := range []int{3, 4} {
 		var shared, private []string
 		for i := 0; i < n; i++ {
@@ -258,29 +257,139 @@ func TestWCOJSharesIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ex.indexes != 2 || exApart.indexes != n {
-			t.Errorf("%d-cycle: built %d indexes over e and %d over %d copies, want 2 and %d", n, ex.indexes, exApart.indexes, n, n)
+			t.Errorf("%d-cycle: read %d indexes over e and %d over %d copies, want 2 and %d", n, ex.indexes, exApart.indexes, n, n)
 		}
 		if !res.Rel.Equal(apart.Rel) || res.Stats.Seeks != apart.Stats.Seeks || res.Stats.Extensions != apart.Stats.Extensions {
 			t.Errorf("%d-cycle: sharing changed the run: %d rows %d seeks %d extensions, apart %d rows %d seeks %d extensions", n,
 				res.Rel.Len(), res.Stats.Seeks, res.Stats.Extensions, apart.Rel.Len(), apart.Stats.Seeks, apart.Stats.Extensions)
 		}
-		if want := 2*perIndex + res.Rel.Bytes(); res.Stats.Bytes != want || res.Stats.PeakBytes != want {
-			t.Errorf("%d-cycle: Bytes %d PeakBytes %d, want two indexes and the output = %d", n, res.Stats.Bytes, res.Stats.PeakBytes, want)
-		}
-		if got, want := apart.Stats.Bytes-res.Stats.Bytes, int64(n-2)*perIndex; got != want {
-			t.Errorf("%d-cycle: sharing saved %d bytes, want %d (the %d indexes not built)", n, got, want, n-2)
+		for _, r := range []*Result{res, apart} {
+			if want := r.Rel.Bytes(); r.Stats.Bytes != want || r.Stats.PeakBytes != want {
+				t.Errorf("%d-cycle: Bytes %d PeakBytes %d, want the output only = %d", n, r.Stats.Bytes, r.Stats.PeakBytes, want)
+			}
 		}
 
 		q := cycleOver(shared...)
 		if _, err := ExecWCOJ(q, db, Options{MaxBytes: res.Stats.Bytes}); err != nil {
-			t.Errorf("%d-cycle: a budget of the distinct indexes plus the output (%d) refused the run: %v", n, res.Stats.Bytes, err)
+			t.Errorf("%d-cycle: a budget of the output (%d) refused the run: %v", n, res.Stats.Bytes, err)
 		}
 		if _, err := ExecWCOJ(q, db, Options{MaxBytes: res.Stats.Bytes - 1}); !errors.Is(err, ErrMemLimit) {
-			t.Errorf("%d-cycle: one byte under the bill: err = %v, want ErrMemLimit", n, err)
+			t.Errorf("%d-cycle: one byte under the output: err = %v, want ErrMemLimit", n, err)
 		}
-		if _, err := ExecWCOJ(q, db, Options{MaxBytes: int64(n)*perIndex + res.Rel.Bytes()}); err != nil {
-			t.Errorf("%d-cycle: the budget one index per atom needed refused the run: %v", n, err)
+	}
+}
+
+// TestWCOJResidentIndexesConcurrent runs the triangle over one stored e
+// from 8 goroutines at once, each binding its own views, under -race in
+// `make test`: every run gets the same answer and Seeks, and all of them
+// read exactly one index per (arena, column order) — two, built once,
+// the same pointers in every run — whose bytes the arena reports.
+func TestWCOJResidentIndexesConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	e := relation.New([]relation.Attr{0, 1})
+	for e.Len() < 3000 {
+		e.Add(relation.Tuple{relation.Value(rng.Intn(200)), relation.Value(rng.Intn(200))})
+	}
+	db := cq.Database{"e": e}
+	s := mustAnalyze(t, cycleOver("e", "e", "e"))
+	want, err := EvalOracle(s.Query, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 8
+	results := make([]*Result, runs)
+	execs := make([]*wexec, runs)
+	var wg sync.WaitGroup
+	for g := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if results[g], execs[g], err = execWCOJ(context.Background(), s, db, Options{}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	distinct := map[*relation.SortedIndex]bool{}
+	for g := range runs {
+		if !results[g].Rel.Equal(want) || results[g].Stats.Seeks != results[0].Stats.Seeks {
+			t.Errorf("run %d: %d rows %d seeks, want the oracle's %d rows and run 0's %d seeks",
+				g, results[g].Rel.Len(), results[g].Stats.Seeks, want.Len(), results[0].Stats.Seeks)
 		}
+		for k, a := range execs[g].atoms {
+			distinct[a.ix] = true
+			if a.ix != execs[0].atoms[k].ix {
+				t.Errorf("run %d atom %s reads a different index than run 0", g, a.atom)
+			}
+		}
+	}
+	if len(distinct) != 2 || execs[0].indexes != 2 {
+		t.Errorf("%d runs read %d distinct indexes (run 0 counts %d), want 2: one per column order of e", runs, len(distinct), execs[0].indexes)
+	}
+	if got, want := e.ResidentIndexBytes(), 2*int64(e.Len())*2*4; got != want {
+		t.Errorf("e holds %d resident index bytes, want two 2-column indexes = %d", got, want)
+	}
+}
+
+// TestWCOJIndexInvalidatedByInsert: an insert into a stored relation
+// after its index is built drops the index with the arena's other facts,
+// so the next run reads a fresh one and answers like the oracle over the
+// new rows.
+func TestWCOJIndexInvalidatedByInsert(t *testing.T) {
+	e := relation.New([]relation.Attr{0, 1})
+	for v := relation.Value(0); v <= 40; v++ {
+		e.Add(relation.Tuple{v, v + 1}) // a path 0 → … → 41: no triangle
+	}
+	db := cq.Database{"e": e}
+	s := mustAnalyze(t, cycleOver("e", "e", "e"))
+	before, ex, err := execWCOJ(context.Background(), s, db, Options{})
+	if err != nil || before.Rel.Len() != 0 {
+		t.Fatalf("the path holds %d triangles (err %v), want none", before.Rel.Len(), err)
+	}
+	held := ex.atoms[0].ix
+	e.Add(relation.Tuple{41, 39}) // closes 39 → 40 → 41 → 39
+	after, ex, err := execWCOJ(context.Background(), s, db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EvalOracle(s.Query, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.Rel.Equal(want) || want.Len() != 3 {
+		t.Errorf("after the insert: %v, want the oracle's %v (3 rows)", after.Rel, want)
+	}
+	if ex.atoms[0].ix == held {
+		t.Error("the run after the insert read the index built before it")
+	}
+}
+
+// TestWCOJFaultArmOnWarmIndex: the join.alloc fault point is drawn per
+// run at the index lookup, so with the arm at rate 1 a run whose indexes
+// are already resident still fails with ErrMemLimit — the arm cannot go
+// silent because nothing is built any more.
+func TestWCOJFaultArmOnWarmIndex(t *testing.T) {
+	defer faultinject.Disable()
+	q := cycleOver("e", "e", "e")
+	db := cq.Database{"e": instance.ColorDatabase(3)["edge"]}
+	if _, err := ExecWCOJ(q, db, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if db["e"].ResidentIndexBytes() == 0 {
+		t.Fatal("the warm-up run left no resident index")
+	}
+	if err := faultinject.Enable("join.alloc=1", 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExecWCOJ(q, db, Options{}); !errors.Is(err, ErrMemLimit) {
+		t.Fatalf("join.alloc=1 on a warm index: err = %v, want ErrMemLimit", err)
+	}
+	if faultinject.Calls(faultinject.AllocJoin) == 0 {
+		t.Fatal("join.alloc was never drawn")
 	}
 }
 

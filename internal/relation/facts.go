@@ -1,10 +1,16 @@
 package relation
 
-import "sync"
+import (
+	"encoding/binary"
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // arenaFacts holds what one stored arena's rows determine and a reader may
-// ask for repeatedly: which columns are dense (DenseRange) and, per column,
-// a hash index from value to rows (columnIndex). Each fact is computed at
+// ask for repeatedly: which columns are dense (DenseRange), per column a
+// hash index from value to rows (columnIndex), and per column order a
+// sorted index (SortedIndex). Each fact is computed at
 // most once per arena, by whichever reader asks first, and shared: Rename
 // hands the holder to its view, so any number of views and concurrent
 // requests over one stored relation settle on one answer and one index. An
@@ -18,11 +24,17 @@ import "sync"
 // caller may also rename a per-request arena — the pipeline's pushdown
 // renames a reduced constrainer apart — and an index built there is
 // garbage with that arena, after at most the same joinTableBytes(n) that
-// the key set it replaces would have charged over the same rows.
+// the key set it replaces would have charged over the same rows. A sorted
+// index is resident the same way and takes 4n bytes per indexed column.
 type arenaFacts struct {
 	denseOnce sync.Once
 	dense     []bool
 	index     []columnIndex // one per column, built on first use
+
+	sortedMu sync.Mutex
+	sorted   map[string]func() *SortedIndex // by column order, uvarint-packed; sync.OnceValue each
+
+	resident atomic.Int64 // bytes of the indexes built so far
 }
 
 // columnIndex is the join table over one column's packed keys. A
@@ -44,16 +56,52 @@ func (r *Relation) factsOf() *arenaFacts {
 
 // columnIndex returns the index of column j, building it on first use.
 func (r *Relation) columnIndex(j int) *joinTable {
-	ix := &r.factsOf().index[j]
+	f := r.factsOf()
+	ix := &f.index[j]
 	ix.once.Do(func() {
 		keys, pos := make([]uint64, r.n), []int{j}
 		for i := range keys {
 			keys[i], _ = packKey(r.row(i), pos)
 		}
 		ix.table = newJoinTable(keys)
+		f.resident.Add(ix.table.bytes())
 	})
 	return &ix.table
 }
+
+// SortedIndex returns the index of r's arena ordered by attrs (each of
+// which must be in r's schema), building it on first use. It reads the
+// arena by column position, so every view of one storage gets the same
+// index; readers of one order wait for its single build.
+func (r *Relation) SortedIndex(attrs []Attr) (*SortedIndex, error) {
+	cols, key := make([]int, len(attrs)), make([]byte, 0, 2*len(attrs))
+	for i, a := range attrs {
+		if cols[i] = r.Pos(a); cols[i] < 0 {
+			return nil, fmt.Errorf("relation.SortedIndex: attribute %d not in schema", a)
+		}
+		key = binary.AppendUvarint(key, uint64(cols[i]))
+	}
+	f := r.factsOf()
+	f.sortedMu.Lock()
+	build := f.sorted[string(key)]
+	if build == nil {
+		if f.sorted == nil {
+			f.sorted = make(map[string]func() *SortedIndex)
+		}
+		build = sync.OnceValue(func() *SortedIndex {
+			ix := newSortedIndex(r, cols)
+			f.resident.Add(ix.Bytes())
+			return ix
+		})
+		f.sorted[string(key)] = build
+	}
+	f.sortedMu.Unlock()
+	return build(), nil
+}
+
+// ResidentIndexBytes is the bytes of the column and sorted indexes built
+// so far over r's arena: resident state no request is charged for.
+func (r *Relation) ResidentIndexBytes() int64 { return r.factsOf().resident.Load() }
 
 // DenseRange returns column j's value range and whether the column is
 // dense. Two dense columns with equal ranges hold exactly the same values,

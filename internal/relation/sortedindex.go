@@ -2,22 +2,20 @@ package relation
 
 import (
 	"cmp"
-	"fmt"
 	"math/bits"
 	"slices"
-
-	"projpush/internal/faultinject"
 )
 
-// SortedIndex is a sorted row-id view over a relation's flat arena: the
-// rows of the relation ordered lexicographically by a caller-chosen
-// column sequence, with no tuple copies — the index stores one int32 row
-// id per tuple and reads values straight out of the arena. It is the
-// access path of the worst-case-optimal join executor: a leapfrog
-// intersection narrows a [lo,hi) row-id bracket one column (depth) at a
-// time, and within a bracket where depths 0..d-1 are constant, depth d is
-// sorted, so galloping SeekGE/SeekGT find the next candidate value and
-// the end of its run in O(log gap).
+// SortedIndex is one stored arena's rows ordered lexicographically by a
+// column sequence, laid out column by column: vals[d][i] is the depth-d
+// value of the i-th row in sorted order, so a probe reads one slice
+// element, with no row id to chase into the arena. It is the access path
+// of the worst-case-optimal join executor: a leapfrog intersection
+// narrows a [lo,hi) bracket one column (depth) at a time, and within a
+// bracket where depths 0..d-1 are constant, depth d is sorted, so
+// galloping SeekGE/SeekGT find the next candidate value and the end of
+// its run in O(log gap). An index is resident state of its arena
+// (facts.go), no larger than the arena (depth ≤ arity).
 //
 // Sorting packs each row's indexed columns, offset by the column minimum
 // (colBits wide each), with the row id as the least significant field
@@ -26,49 +24,15 @@ import (
 // columns. Rows equal on every indexed column
 // are ordered by row id either way, so the order is deterministic.
 type SortedIndex struct {
-	rel  *Relation
-	cols []int   // arena column index per depth
-	rows []int32 // row ids, sorted lexicographically by cols
+	n    int
+	vals [][]Value // one column of sorted values per depth
 }
 
-// NewSortedIndex builds a sorted index over r ordered by attrs. It is
-// NewSortedIndexLimited with no limits; it never fails on a valid schema.
-func NewSortedIndex(r *Relation, attrs []Attr) (*SortedIndex, error) {
-	return NewSortedIndexLimited(r, attrs, nil)
-}
-
-// NewSortedIndexLimited builds a sorted index over r ordered by attrs
-// (each of which must be in r's schema) under lim: the resident row-id
-// array is charged against the byte budget — the sort's key scratch is
-// gone before the build returns and is not — and the rows touched are
-// charged as work. The index reads r's arena by column position, so it
-// serves every renamed view of the same storage.
-func NewSortedIndexLimited(r *Relation, attrs []Attr, lim *Limit) (*SortedIndex, error) {
-	if err := lim.interrupted(); err != nil {
-		return nil, err
-	}
-	faultinject.Sleep(faultinject.LatencyKernel)
-	if faultinject.FailAlloc(faultinject.AllocJoin) {
-		return nil, fmt.Errorf("%w: injected allocation failure", ErrMemBudget)
-	}
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		j := r.Pos(a)
-		if j < 0 {
-			return nil, fmt.Errorf("relation.NewSortedIndex: attribute %d not in schema", a)
-		}
-		cols[i] = j
-	}
-	ix := &SortedIndex{rel: r, cols: cols, rows: make([]int32, r.n)}
-	lim.charge(int64(r.n))
-	if err := lim.chargeBytes(ix.Bytes()); err != nil {
-		return nil, err
-	}
-	if r.n == 0 {
-		return ix, nil
-	}
-
-	idBits := uint(bits.Len64(uint64(r.n - 1)))
+// newSortedIndex sorts r's rows by cols and copies the indexed columns
+// out in that order; the row ids are scratch.
+func newSortedIndex(r *Relation, cols []int) *SortedIndex {
+	rows := make([]int32, r.n)
+	idBits := uint(bits.Len64(uint64(max(r.n, 1) - 1)))
 	width := make([]uint, len(cols))
 	total := idBits
 	for k, c := range cols {
@@ -87,40 +51,45 @@ func NewSortedIndexLimited(r *Relation, attrs []Attr, lim *Limit) (*SortedIndex,
 		}
 		slices.Sort(keys)
 		for i, key := range keys {
-			ix.rows[i] = int32(key & (1<<idBits - 1))
+			rows[i] = int32(key & (1<<idBits - 1))
 		}
-		return ix, lim.interrupted()
+	} else {
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+		slices.SortFunc(rows, func(a, b int32) int {
+			ta, tb := r.row(int(a)), r.row(int(b))
+			for _, c := range cols {
+				if ta[c] != tb[c] {
+					return cmp.Compare(ta[c], tb[c])
+				}
+			}
+			return cmp.Compare(a, b)
+		})
 	}
 
-	for i := range ix.rows {
-		ix.rows[i] = int32(i)
-	}
-	slices.SortFunc(ix.rows, func(a, b int32) int {
-		ta, tb := r.row(int(a)), r.row(int(b))
-		for _, c := range cols {
-			if ta[c] != tb[c] {
-				return cmp.Compare(ta[c], tb[c])
-			}
+	ix := &SortedIndex{n: r.n}
+	for _, c := range cols {
+		col := make([]Value, r.n)
+		for i, row := range rows {
+			col[i] = r.data[int(row)*r.arity+c]
 		}
-		return cmp.Compare(a, b)
-	})
-	return ix, lim.interrupted()
+		ix.vals = append(ix.vals, col)
+	}
+	return ix
 }
 
 // Len returns the number of indexed rows.
-func (ix *SortedIndex) Len() int { return len(ix.rows) }
+func (ix *SortedIndex) Len() int { return ix.n }
 
 // Depths returns the number of indexed columns.
-func (ix *SortedIndex) Depths() int { return len(ix.cols) }
+func (ix *SortedIndex) Depths() int { return len(ix.vals) }
 
-// Bytes approximates the index's resident memory: the row-id array (the
-// arena it points into is accounted to its relation).
-func (ix *SortedIndex) Bytes() int64 { return int64(len(ix.rows)) * 4 }
+// Bytes is the index's resident memory: one Value per row and depth.
+func (ix *SortedIndex) Bytes() int64 { return int64(ix.n) * int64(len(ix.vals)) * 4 }
 
 // Value returns the depth-d column value of the i-th row in sorted order.
-func (ix *SortedIndex) Value(i, d int) Value {
-	return ix.rel.data[int(ix.rows[i])*ix.rel.arity+ix.cols[d]]
-}
+func (ix *SortedIndex) Value(i, d int) Value { return ix.vals[d][i] }
 
 // SeekGE returns the smallest position in [lo,hi) whose depth-d value is
 // >= v, or hi when none is. The bracket must be one where depths 0..d-1
@@ -145,8 +114,8 @@ func (ix *SortedIndex) seek(d, lo, hi int, floor int64) int {
 	if lo >= hi {
 		return hi
 	}
-	data, rows, stride, col := ix.rel.data, ix.rows, ix.rel.arity, ix.cols[d]
-	if int64(data[int(rows[lo])*stride+col]) >= floor {
+	col := ix.vals[d]
+	if int64(col[lo]) >= floor {
 		return lo
 	}
 	// Gallop: double the step until it overshoots or runs off the end,
@@ -155,7 +124,7 @@ func (ix *SortedIndex) seek(d, lo, hi int, floor int64) int {
 	prev, bound := lo, hi
 	for step := 1; lo+step < hi; step <<= 1 {
 		i := lo + step
-		if int64(data[int(rows[i])*stride+col]) >= floor {
+		if int64(col[i]) >= floor {
 			bound = i
 			break
 		}
@@ -163,7 +132,7 @@ func (ix *SortedIndex) seek(d, lo, hi int, floor int64) int {
 	}
 	for prev+1 < bound {
 		mid := int(uint(prev+bound) >> 1)
-		if int64(data[int(rows[mid])*stride+col]) >= floor {
+		if int64(col[mid]) >= floor {
 			bound = mid
 		} else {
 			prev = mid

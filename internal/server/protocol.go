@@ -288,6 +288,10 @@ type Health struct {
 	CompiledHits    int64 `json:"compiled_hits,omitempty"`
 	CompiledMisses  int64 `json:"compiled_misses,omitempty"`
 	CompiledEntries int   `json:"compiled_entries,omitempty"`
+	// ResidentIndexBytes is the bytes of the column and sorted indexes
+	// built over the server database's relations: resident state shared
+	// by every request, which no request's stats or budget carry.
+	ResidentIndexBytes int64 `json:"resident_index_bytes,omitempty"`
 }
 
 // Response is one server message.

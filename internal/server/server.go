@@ -420,6 +420,9 @@ func (s *Server) health() *Health {
 	}
 	m := s.compiled.Stats()
 	h.CompiledHits, h.CompiledMisses, h.CompiledEntries = m.Hits, m.Misses, m.Entries
+	for _, rel := range s.cfg.DB {
+		h.ResidentIndexBytes += rel.ResidentIndexBytes()
+	}
 	return h
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"runtime"
 	"slices"
@@ -13,10 +14,13 @@ import (
 	"time"
 
 	"projpush/internal/core"
+	"projpush/internal/cq"
+	"projpush/internal/cqparse"
 	"projpush/internal/engine"
 	"projpush/internal/faultinject"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/relation"
 )
 
 // queryText renders a graph's Boolean 3-COLOR query as a query-only
@@ -582,5 +586,63 @@ func TestPipelinedRequestsAllAnswered(t *testing.T) {
 		if resp.Status != StatusOK || resp.Explain != fmt.Sprintf("q-%d", i) {
 			t.Fatalf("response %d = %+v, want ok/q-%d", i, resp, i)
 		}
+	}
+}
+
+// TestRelBlockShadowsTheResidentIndex: a request whose rel block shadows
+// the server's e runs leapfrog over its own e — an arena of its own, with
+// its own indexes — and answers like the oracle over it, while the plain
+// request after it still reads the indexes resident on the server's e:
+// health's resident_index_bytes is what the first plain request built and
+// does not move.
+func TestRelBlockShadowsTheResidentIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	e := relation.New([]relation.Attr{0, 1})
+	for e.Len() < 1500 {
+		e.Add(relation.Tuple{relation.Value(rng.Intn(80)), relation.Value(rng.Intn(80))})
+	}
+	s := New(Config{DB: cq.Database{"e": e}})
+	const text = "query ans(x) :- e(x, y), e(y, z), e(z, x).\n"
+	own := cq.Database{"e": relation.New([]relation.Attr{0, 1})}
+	block := "rel e {\n"
+	for _, t := range []relation.Tuple{{1, 2}, {2, 3}, {3, 1}, {3, 4}, {4, 5}} {
+		own["e"].Add(t)
+		block += fmt.Sprintf(" %d %d\n", t[0], t[1])
+	}
+	block += "}\n"
+
+	ask := func(text string, db cq.Database) {
+		t.Helper()
+		resp := s.handleRequest(context.Background(), &Request{Op: "query", Query: text}, "test")
+		if resp.Status != StatusOK || resp.Stats == nil || resp.Stats.Seeks == 0 {
+			t.Fatalf("status %s (%s), stats %+v: want an answer from leapfrog", resp.Status, resp.Error, resp.Stats)
+		}
+		f, err := cqparse.ParseWith(strings.NewReader(text), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := engine.EvalOracle(f.Query, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := slices.Clone(resp.Answer.Tuples)
+		slices.SortFunc(got, slices.Compare[[]int32])
+		want := make([][]int32, oracle.Len())
+		for i, tup := range oracle.SortedTuples() {
+			want[i] = tup
+		}
+		if !sameRows(got, want) {
+			t.Fatalf("answer %v, oracle %v", got, want)
+		}
+	}
+	ask(text, s.cfg.DB)
+	resident := s.health().ResidentIndexBytes
+	if want := 2 * int64(e.Len()) * 2 * 4; resident != want {
+		t.Fatalf("resident_index_bytes = %d after the first run, want e's two 2-column indexes = %d", resident, want)
+	}
+	ask(block+text, own)
+	ask(text, s.cfg.DB)
+	if got := s.health().ResidentIndexBytes; got != resident {
+		t.Errorf("resident_index_bytes moved %d → %d: the shadowing request reached the server's e", resident, got)
 	}
 }

@@ -128,11 +128,12 @@ func BenchmarkWCOJClique(b *testing.B) {
 // BenchmarkWCOJEndToEndSize runs the leapfrog join on the triangle and the
 // 4-cycle at the size the through-the-wire benchmark's cyclic-dense
 // workload sends them (e: 8000 rows over 600 values, one free variable),
-// and splits the time: build-ns is the two sorted indexes the executor
-// builds per request (e by columns 0,1 and by 1,0 — every atom shares one
-// of them), timed outside the loop's clock through the same constructor;
-// enumerate-ns is the rest. The split answers ROADMAP item 1(d): what a
-// cross-request index cache could still save is build-ns.
+// and splits the time. build-ns is the two sorted indexes the executor
+// reads (e by columns 0,1 and by 1,0 — every atom shares one of them),
+// built fresh over a clone of e outside the loop's clock: resident state
+// of the arena, it is paid once per arena, by the first request, not per
+// request. enumerate-ns is a run over the warm indexes, which is what
+// every later request pays.
 func BenchmarkWCOJEndToEndSize(b *testing.B) {
 	const rows, dom = 8000, 600
 	e := relation.New([]relation.Attr{0, 1})
@@ -149,27 +150,29 @@ func BenchmarkWCOJEndToEndSize(b *testing.B) {
 			q.Atoms = append(q.Atoms, cq.Atom{Rel: "e", Args: []cq.Var{cq.Var(i), cq.Var((i + 1) % shape.n)}})
 		}
 		b.Run(shape.name, func(b *testing.B) {
+			res, err := engine.ExecWCOJ(q, db, ybenchOpts) // warms e's indexes
+			if err != nil {
+				b.Fatal(err)
+			}
 			var build time.Duration
-			var res *engine.Result
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				fresh := e.Clone()
 				start := time.Now()
 				for _, cols := range [][]relation.Attr{{0, 1}, {1, 0}} {
-					if _, err := relation.NewSortedIndex(e, cols); err != nil {
+					if _, err := fresh.SortedIndex(cols); err != nil {
 						b.Fatal(err)
 					}
 				}
 				build += time.Since(start)
 				b.StartTimer()
-				var err error
 				if res, err = engine.ExecWCOJ(q, db, ybenchOpts); err != nil {
 					b.Fatal(err)
 				}
 			}
-			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			buildNs := float64(build.Nanoseconds()) / float64(b.N)
-			b.ReportMetric(buildNs, "build-ns")
-			b.ReportMetric(perOp-buildNs, "enumerate-ns")
+			b.ReportMetric(float64(build.Nanoseconds())/float64(b.N), "build-ns")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "enumerate-ns")
 			b.ReportMetric(float64(res.Stats.PeakBytes), "peak-bytes")
 			b.ReportMetric(float64(res.Stats.Seeks), "seeks")
 			b.ReportMetric(float64(res.Stats.Extensions), "extensions")
