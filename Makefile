@@ -53,7 +53,9 @@ vet:
 # (the per-arena sorted-index map, health's resident_index_bytes) net of
 # the per-run dedupe map and the index's Limit plumbing, for x1.16
 # throughput on cyclic-dense (CHANGES.md has the runs).
-LOC_CEILING = 20130
+# Lowered to 19922 by deleting the harness's fleet, spill, admission-cap
+# and resilient modes and their five cmd/experiments flags.
+LOC_CEILING = 19922
 loc:
 	@go list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
 		n=$$(ls $$dir/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \
@@ -64,11 +66,20 @@ loc:
 # roadmap's design aim argues against, so a new one needs an old one
 # deleted, or FLAG_CEILING raised in the same diff. Lowered 25 -> 22 when
 # -method, -streamwidth and -wcojagm became constants (PR 25).
+# cmd/experiments' flags have their own ceiling under the same rule: the
+# harness measures the paper's figures, so a serving feature gets no flag
+# there (projpushd, projpush and bench already serve, drill and measure
+# them). Set to 13 when -connect, -spilldir, -maxspill, -maxwidth and
+# -resilient went.
 FLAG_CEILING = 22
+EXP_FLAG_CEILING = 13
 flags:
 	@n=$$(go run ./cmd/projpushd -h 2>&1 | grep -c '^  -'); \
 		echo "$$n  projpushd flags (ceiling $(FLAG_CEILING))"; \
 		test $$n -le $(FLAG_CEILING)
+	@n=$$(go run ./cmd/experiments -h 2>&1 | grep -c '^  -'); \
+		echo "$$n  cmd/experiments flags (ceiling $(EXP_FLAG_CEILING))"; \
+		test $$n -le $(EXP_FLAG_CEILING)
 
 # bench/ is a frozen module that compiles against the engine's and the
 # server's API: vetting it here makes an API change that breaks it fail

@@ -22,7 +22,6 @@ import (
 	"projpush/internal/core"
 	"projpush/internal/experiments"
 	"projpush/internal/faultinject"
-	"projpush/internal/server/client"
 )
 
 func main() {
@@ -37,14 +36,9 @@ func main() {
 		csv       = flag.Bool("csv", false, "emit CSV (median seconds per method) instead of tables")
 		workers   = flag.Int("workers", 1, "harness goroutines per data point, also the planner's GEQO island count; structural methods are identical for any value, the cost-based naive planner on GEQO-sized queries depends deterministically on it (default matches the serial planner)")
 		membudget = flag.Int("membudget", 0, "per-run materialized-bytes budget in MiB (0 = unlimited); runs that blow it are annotated 'membudget'")
-		spilldir  = flag.String("spilldir", "", "spill directory for out-of-core execution: runs over the memory budget degrade to disk instead of failing (empty = spilling off)")
-		maxspill  = flag.Int("maxspill", 0, "per-run spill-directory budget in MiB (0 = unlimited disk; requires -spilldir)")
-		maxwidth  = flag.Int("maxwidth", 0, "width-admission cap (0 = off); plans wider than this are rejected before executing and annotated 'overwidth'")
-		resilient = flag.Bool("resilient", false, "retry resource-aborted runs down the degradation ladder (early projection, then bucket elimination) instead of annotating them as failures")
 		faults    = flag.String("faults", "", "fault-injection spec for robustness drills, e.g. 'join.panic=0.01,experiment.panic=0.1'; points: "+strings.Join(faultinject.PointNames(), ", "))
 		faultseed = flag.Int64("faultseed", 1, "seed for the fault-injection coin flips")
 		methods   = flag.String("methods", "", "comma-separated method list overriding the paper's default grid (straightforward, earlyprojection, reordering, bucketelimination, yannakakis, stream, wcoj)")
-		connect   = flag.String("connect", "", "route every measurement through the projpushd server or fleet coordinator at this address instead of the local engine; the CSV gains per-method failover/hedge columns")
 	)
 	flag.Parse()
 
@@ -69,9 +63,7 @@ func main() {
 
 	base := experiments.Config{
 		Seed: *seed, Reps: *reps, Timeout: *timeout, Workers: *workers,
-		MaxBytes: int64(*membudget) << 20, Resilient: *resilient,
-		MaxWidth: *maxwidth,
-		SpillDir: *spilldir, MaxSpillBytes: int64(*maxspill) << 20,
+		MaxBytes: int64(*membudget) << 20,
 	}
 	if *methods != "" {
 		ms, err := parseMethods(*methods)
@@ -80,19 +72,6 @@ func main() {
 			os.Exit(1)
 		}
 		base.Methods = ms
-	}
-	if *connect != "" {
-		// Each measured request carries the instance's rel blocks and its
-		// own timeout; the remote side's answer (or typed failure)
-		// becomes the cell. Coordinator responses also feed the
-		// failover/hedge columns.
-		fleet := client.New(client.Options{
-			Addr:           *connect,
-			AttemptTimeout: *timeout + 5*time.Second,
-			MaxRetries:     -1,
-		})
-		defer fleet.Close()
-		base.Fleet = fleet
 	}
 	variants := []float64{0, 0.2}
 	if *free >= 0 {

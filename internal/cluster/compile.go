@@ -55,8 +55,10 @@ func (c *Coordinator) compile(req *server.Request) (r *routed, hit bool, err err
 // affinity computes the routing key: the renaming-invariant fingerprint
 // of the plan a worker would admit — the named method's, or for a
 // methodless request the MCS bucket-elimination plan, as every worker does
-// — so every query in the same family hashes to the worker holding that
-// family's cached subplans. Requests whose plan cannot be built fall back
+// — so every query in the same family hashes to one worker. What that
+// keeps warm is the worker's compile memo, which is keyed by method and
+// text: a repeated text hits it there, while two renamings of one query
+// each compile once. Requests whose plan cannot be built fall back
 // to hashing the raw text — they still route deterministically, and the
 // worker produces the typed error.
 func (c *Coordinator) affinity(req *server.Request, s *jointree.Structure) string {

@@ -130,4 +130,23 @@ func TestCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[3], "15,,") {
 		t.Fatalf("timeout row: %q", lines[3])
 	}
+
+	// A failed repetition grows one aborted column per method.
+	failed := syntheticSeries()
+	failed.Rows[0].Cells[0].fail("rowcap")
+	flines := strings.Split(CSV(failed), "\n")
+	if flines[0] != "order,straightforward,bucketelimination,straightforward_aborted,bucketelimination_aborted" {
+		t.Fatalf("csv header with a failure: %q", flines[0])
+	}
+	if flines[1] != "5,0.001,0.0001,1,0" {
+		t.Fatalf("csv row with a failure: %q", flines[1])
+	}
+	// A clean sweep grows no failure columns (header stability).
+	clean, err := StructuredScaling(robustConfig(), FamilyAugmentedPath, []int{4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := CSV(clean); strings.Contains(out, "_aborted") {
+		t.Fatalf("clean sweep CSV grew failure columns:\n%s", out)
+	}
 }

@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -23,7 +22,6 @@ import (
 
 	"projpush/internal/core"
 	"projpush/internal/cq"
-	"projpush/internal/cqparse"
 	"projpush/internal/engine"
 	"projpush/internal/faultinject"
 	"projpush/internal/graph"
@@ -32,18 +30,8 @@ import (
 	"projpush/internal/pgplanner"
 	"projpush/internal/plan"
 	"projpush/internal/resilience"
-	"projpush/internal/server"
 	"projpush/internal/stats"
 )
-
-// Remote executes a measurement somewhere else — a fleet coordinator
-// (cluster.Coordinator satisfies it in process, client.Client over TCP).
-// The harness ships each instance as a self-contained request and takes
-// the wire answer's stats, so the same sweeps that profile the local
-// engine also profile a distributed fleet under failures.
-type Remote interface {
-	Do(ctx context.Context, req *server.Request) (*server.Response, error)
-}
 
 // Config controls a sweep.
 type Config struct {
@@ -60,30 +48,6 @@ type Config struct {
 	// MaxBytes caps the bytes of relation storage each run may
 	// materialize (engine.Options.MaxBytes); 0 means no byte budget.
 	MaxBytes int64
-	// SpillDir, when non-empty, arms out-of-core execution
-	// (engine.Options.SpillDir): runs that would blow MaxBytes spill
-	// breaker and hash-build state to temp files under this directory
-	// instead of aborting, and resilient runs retry memory failures with
-	// spilling before degrading methods. Per-cell spill traffic lands in
-	// Cell.SpilledBytes/SpillFiles.
-	SpillDir string
-	// MaxSpillBytes bounds each run's spill-directory footprint
-	// (0 = unlimited disk).
-	MaxSpillBytes int64
-	// MaxWidth, when positive, is a width-admission cap mirroring the
-	// serving layer (internal/server): a method whose plan width
-	// exceeds it is rejected before execution with engine.ErrOverWidth
-	// and counted as "overwidth" in Cell.Failures — rejected at
-	// admission, with nothing materialized, as opposed to the kinds
-	// that abort mid-execution.
-	MaxWidth int
-	// Resilient retries each structural-method run down the ladder that
-	// goes with its method (resilience.Strategy) when it fails on a
-	// resource limit or internal fault: the cell then measures the rescued
-	// run end to end — its stats the rescuing rung's, live bytes on the
-	// pull pipeline — instead of recording a failure. The naive baseline
-	// is never retried — its explosion is the quantity Figure 2 reports.
-	Resilient bool
 	// FreeFraction is the fraction of vertices kept free; 0 runs the
 	// Boolean variant (one projected variable), 0.2 the paper's
 	// non-Boolean variant.
@@ -115,13 +79,6 @@ type Config struct {
 	// results, and the default Workers=1 matches the serial planner
 	// exactly, so the published figures are unchanged.
 	Workers int
-	// Fleet, when non-nil, routes every structural-method measurement
-	// through it instead of the local engine: each repetition ships its
-	// query and database as one request and measures the round trip, so
-	// the sweep profiles a distributed fleet — failovers and hedge wins
-	// land in Cell.Failovers/Hedges. The naive baseline (and compile-time
-	// sweeps) stay local: their quantity is planner effort, not serving.
-	Fleet Remote
 }
 
 func (c Config) withDefaults() Config {
@@ -152,39 +109,11 @@ type Cell struct {
 	// worst-case-optimal strategy produces them, so they stay zero for
 	// the plan-based methods.
 	Seeks, Extensions int64
-	// SpilledBytes and SpillFiles total the out-of-core traffic of this
-	// cell's executions (zero unless Config.SpillDir is set and some run
-	// actually spilled).
-	SpilledBytes int64
-	SpillFiles   int
-	// Failures counts failed repetitions by kind; nil when every
-	// repetition succeeded. Admission verdicts ("overwidth", "shed")
-	// mean the run was rejected before executing; the rest ("timeout",
-	// "rowcap", "membudget", "panic", "canceled", "generator", "error")
-	// aborted mid-execution. Failed repetitions also count into
+	// Failures counts failed repetitions by kind ("timeout", "rowcap",
+	// "membudget", "panic", "canceled", "generator", "error"); nil when
+	// every repetition succeeded. Failed repetitions also count into
 	// Sample.Timeouts, as the paper's plots lump every abort together.
 	Failures map[string]int
-	// Failovers and Hedges total the coordinator-side fleet events behind
-	// this cell's answers: replicas given up on before an answer arrived,
-	// and answers won by a hedge request (zero for local sweeps).
-	Failovers, Hedges int64
-}
-
-// rejected counts the repetitions turned away at admission, before any
-// intermediate was materialized.
-func (c *Cell) rejected() int {
-	return c.Failures["overwidth"] + c.Failures["shed"]
-}
-
-// aborted counts the repetitions that started executing and failed.
-func (c *Cell) aborted() int {
-	n := 0
-	for k, v := range c.Failures {
-		if k != "overwidth" && k != "shed" {
-			n += v
-		}
-	}
-	return n
 }
 
 // fail annotates one aborted repetition on the cell.
@@ -232,14 +161,8 @@ func failureKind(err error) string {
 		return "rowcap"
 	case errors.Is(err, engine.ErrMemLimit):
 		return "membudget"
-	case errors.Is(err, engine.ErrSpill):
-		return "spillfail"
 	case errors.Is(err, engine.ErrInternal):
 		return "panic"
-	case errors.Is(err, engine.ErrOverWidth):
-		return "overwidth"
-	case errors.Is(err, engine.ErrOverloaded):
-		return "shed"
 	default:
 		return "error"
 	}
@@ -256,9 +179,6 @@ type Series struct {
 	Title  string
 	XLabel string
 	Rows   []Row
-	// Fleet records whether the sweep routed through a fleet coordinator
-	// (Config.Fleet); CSV adds per-method failover/hedge columns when set.
-	Fleet bool
 }
 
 // Family names a structured graph family from Figure 1.
@@ -312,10 +232,7 @@ func freeVars(g *graph.Graph, frac float64, rng *rand.Rand) []cq.Var {
 
 // execOptions translates a config into engine options.
 func (c Config) execOptions() engine.Options {
-	return engine.Options{
-		Timeout: c.Timeout, MaxRows: c.MaxRows, MaxBytes: c.MaxBytes,
-		SpillDir: c.SpillDir, MaxSpillBytes: c.MaxSpillBytes,
-	}
+	return engine.Options{Timeout: c.Timeout, MaxRows: c.MaxRows, MaxBytes: c.MaxBytes}
 }
 
 // outcome is one measurement: duration, plan width, executor counters,
@@ -324,10 +241,6 @@ type outcome struct {
 	d                 time.Duration
 	w                 int
 	seeks, extensions int64
-	spilled           int64
-	spillFiles        int
-	failovers         int64
-	hedged            bool
 	err               error
 }
 
@@ -337,7 +250,6 @@ func (o *outcome) fold(res *engine.Result) {
 		return
 	}
 	o.seeks, o.extensions = res.Stats.Seeks, res.Stats.Extensions
-	o.spilled, o.spillFiles = res.Stats.SpilledBytes, res.Stats.SpillFiles
 }
 
 // measure builds and executes one method on one query, returning the
@@ -346,15 +258,10 @@ func (o *outcome) fold(res *engine.Result) {
 // For the execution strategies the width is their static surrogate's
 // (core.BuildPlan): the full reducer's join tree has exactly that width,
 // the streaming engine lowers that plan, and for the leapfrog join it is
-// the quantity the multiway join beats on cyclic queries — which is why
-// the serving layer admits wcoj routes on the AGM bound instead, while the
-// harness keeps MaxWidth a uniform plan-width cap. Resilient runs lead
-// with the method's strategy and degrade down its ladder
-// (resilience.Strategy).
+// the quantity the multiway join beats on cyclic queries. The method runs
+// as its strategy (resilience.Strategy) with no degradation ladder: a
+// failed run is the cell's failure, as the paper reports it.
 func measure(m core.Method, q *cq.Query, db cq.Database, rng *rand.Rand, cfg Config) outcome {
-	if cfg.Fleet != nil {
-		return measureFleet(m, q, db, cfg)
-	}
 	s, err := jointree.Analyze(q) // structure is compile-time, like a server's: outside the timer
 	if err != nil {
 		return outcome{err: err}
@@ -365,55 +272,10 @@ func measure(m core.Method, q *cq.Query, db cq.Database, rng *rand.Rand, cfg Con
 		return outcome{err: err}
 	}
 	w := plan.Analyze(p).Width
-	if cfg.MaxWidth > 0 && w > cfg.MaxWidth {
-		return outcome{w: w, err: fmt.Errorf("%w: plan width %d over admission cap %d",
-			engine.ErrOverWidth, w, cfg.MaxWidth)}
-	}
-	strategy, ladder := resilience.Strategy(m, s, p)
-	var res *engine.Result
-	if cfg.Resilient {
-		res, err = engine.ExecResilientStrategy(context.Background(), strategy, ladder(rng), db, cfg.execOptions())
-	} else {
-		res, err = strategy.Run(context.Background(), db, cfg.execOptions())
-	}
+	strategy, _ := resilience.Strategy(m, s, p)
+	res, err := strategy.Run(context.Background(), db, cfg.execOptions())
 	o := outcome{d: time.Since(start), w: w, err: err}
 	o.fold(res)
-	return o
-}
-
-// measureFleet runs one measurement through Config.Fleet: the instance is
-// rendered as a self-contained request (rel blocks plus the query, so the
-// remote side needs no shared database) and the round trip is measured
-// end to end — routing, failover, hedging, and any local rescue included.
-// Wire statuses classify through the same failureKind buckets as local
-// errors (a client.StatusError aliases the engine sentinels), so fleet
-// and local sweeps share failure vocabulary; the plan-width column comes
-// from the responder's admission verdict.
-func measureFleet(m core.Method, q *cq.Query, db cq.Database, cfg Config) outcome {
-	var buf bytes.Buffer
-	if err := cqparse.Write(&buf, db, q); err != nil {
-		return outcome{err: err}
-	}
-	req := &server.Request{
-		Op:      "query",
-		Query:   buf.String(),
-		Method:  string(m),
-		Timeout: cfg.Timeout.String(),
-	}
-	start := time.Now()
-	resp, err := cfg.Fleet.Do(context.Background(), req)
-	o := outcome{d: time.Since(start), err: err}
-	if resp != nil {
-		o.failovers = int64(resp.Failovers)
-		o.hedged = resp.Hedged
-		if resp.Verdict != nil {
-			o.w = resp.Verdict.PlanWidth
-		}
-		if resp.Stats != nil {
-			o.seeks, o.extensions = resp.Stats.Seeks, resp.Stats.Extensions
-			o.spilled, o.spillFiles = resp.Stats.SpilledBytes, resp.Stats.SpillFiles
-		}
-	}
 	return o
 }
 
@@ -433,10 +295,6 @@ func measureNaive(q *cq.Query, db cq.Database, rng *rand.Rand, cfg Config) outco
 		return outcome{err: err}
 	}
 	w := plan.Analyze(p).Width
-	if cfg.MaxWidth > 0 && w > cfg.MaxWidth {
-		return outcome{w: w, err: fmt.Errorf("%w: plan width %d over admission cap %d",
-			engine.ErrOverWidth, w, cfg.MaxWidth)}
-	}
 	er, err := engine.Exec(p, db, cfg.execOptions())
 	o := outcome{d: time.Since(start), w: w, err: err}
 	o.fold(er)
@@ -557,12 +415,6 @@ func runPoint(x float64, cfg Config, gen func(rep int, rng *rand.Rand) (*cq.Quer
 			}
 			cell.Seeks += o.seeks
 			cell.Extensions += o.extensions
-			cell.SpilledBytes += o.spilled
-			cell.SpillFiles += o.spillFiles
-			cell.Failovers += o.failovers
-			if o.hedged {
-				cell.Hedges++
-			}
 			if o.err != nil {
 				if genErrs[rep] != nil {
 					cell.fail("generator")
@@ -585,7 +437,6 @@ func DensityScaling(cfg Config, order int, densities []float64) (*Series, error)
 	s := &Series{
 		Title:  fmt.Sprintf("3-COLOR density scaling, order=%d, free=%.0f%%", order, cfg.FreeFraction*100),
 		XLabel: "density",
-		Fleet:  cfg.Fleet != nil,
 	}
 	for _, d := range densities {
 		row, err := runPoint(d, cfg, func(rep int, rng *rand.Rand) (*cq.Query, cq.Database, error) {
@@ -618,7 +469,6 @@ func OrderScaling(cfg Config, density float64, orders []int) (*Series, error) {
 	s := &Series{
 		Title:  fmt.Sprintf("3-COLOR order scaling, density=%.1f, free=%.0f%%", density, cfg.FreeFraction*100),
 		XLabel: "order",
-		Fleet:  cfg.Fleet != nil,
 	}
 	for _, n := range orders {
 		row, err := runPoint(float64(n), cfg, func(rep int, rng *rand.Rand) (*cq.Query, cq.Database, error) {
@@ -651,7 +501,6 @@ func StructuredScaling(cfg Config, family Family, orders []int) (*Series, error)
 	s := &Series{
 		Title:  fmt.Sprintf("3-COLOR %s, free=%.0f%%", family, cfg.FreeFraction*100),
 		XLabel: "order",
-		Fleet:  cfg.Fleet != nil,
 	}
 	for _, n := range orders {
 		g, err := BuildFamily(family, n)
@@ -732,7 +581,6 @@ func SATScaling(cfg Config, k, nvars int, densities []float64) (*Series, error) 
 	s := &Series{
 		Title:  fmt.Sprintf("%d-SAT density scaling, %d variables, free=%.0f%%", k, nvars, cfg.FreeFraction*100),
 		XLabel: "density",
-		Fleet:  cfg.Fleet != nil,
 	}
 	for _, d := range densities {
 		m := int(d*float64(nvars) + 0.5)
@@ -830,32 +678,15 @@ func hasSeeks(s *Series) bool {
 	return false
 }
 
-// hasSpill reports whether any cell spilled to disk.
-func hasSpill(s *Series) bool {
-	for _, r := range s.Rows {
-		for i := range r.Cells {
-			if r.Cells[i].SpilledBytes > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // CSV renders a series as comma-separated values: one row per x with a
 // median-seconds column per method (empty for timeouts) — the format for
-// external plotting tools. A sweep with any failed repetition gets <method>_rejected (turned away at
-// admission: over-width, shed) and <method>_aborted (failed
-// mid-execution) columns, a sweep that ran the worst-case-optimal
+// external plotting tools. A sweep with any failed repetition gets
+// <method>_aborted columns, and a sweep that ran the worst-case-optimal
 // strategy gets <method>_seeks and <method>_extensions columns with its
-// leapfrog work counters, a sweep where any run spilled to disk gets
-// <method>_spilled_bytes and <method>_spill_files columns, and a sweep
-// routed through a fleet coordinator gets <method>_failovers and
-// <method>_hedges columns with the per-cell fleet event totals.
+// leapfrog work counters.
 func CSV(s *Series) string {
 	failures := hasFailures(s)
 	seeks := hasSeeks(s)
-	spill := hasSpill(s)
 	var b strings.Builder
 	b.WriteString(s.XLabel)
 	if len(s.Rows) > 0 {
@@ -865,22 +696,12 @@ func CSV(s *Series) string {
 		}
 		if failures {
 			for _, c := range s.Rows[0].Cells {
-				fmt.Fprintf(&b, ",%s_rejected,%s_aborted", c.Method, c.Method)
+				fmt.Fprintf(&b, ",%s_aborted", c.Method)
 			}
 		}
 		if seeks {
 			for _, c := range s.Rows[0].Cells {
 				fmt.Fprintf(&b, ",%s_seeks,%s_extensions", c.Method, c.Method)
-			}
-		}
-		if spill {
-			for _, c := range s.Rows[0].Cells {
-				fmt.Fprintf(&b, ",%s_spilled_bytes,%s_spill_files", c.Method, c.Method)
-			}
-		}
-		if s.Fleet {
-			for _, c := range s.Rows[0].Cells {
-				fmt.Fprintf(&b, ",%s_failovers,%s_hedges", c.Method, c.Method)
 			}
 		}
 	}
@@ -895,22 +716,12 @@ func CSV(s *Series) string {
 		}
 		if failures {
 			for i := range r.Cells {
-				fmt.Fprintf(&b, ",%d,%d", r.Cells[i].rejected(), r.Cells[i].aborted())
+				fmt.Fprintf(&b, ",%d", r.Cells[i].Sample.Timeouts)
 			}
 		}
 		if seeks {
 			for i := range r.Cells {
 				fmt.Fprintf(&b, ",%d,%d", r.Cells[i].Seeks, r.Cells[i].Extensions)
-			}
-		}
-		if spill {
-			for i := range r.Cells {
-				fmt.Fprintf(&b, ",%d,%d", r.Cells[i].SpilledBytes, r.Cells[i].SpillFiles)
-			}
-		}
-		if s.Fleet {
-			for i := range r.Cells {
-				fmt.Fprintf(&b, ",%d,%d", r.Cells[i].Failovers, r.Cells[i].Hedges)
 			}
 		}
 		b.WriteString("\n")

@@ -221,8 +221,8 @@ var (
 	// ErrMemLimit: materialized bytes exceeded ExecOptions.MaxBytes.
 	ErrMemLimit = engine.ErrMemLimit
 	// ErrOverWidth: the serving layer's width-aware admission control
-	// (internal/server, experiments.Config.MaxWidth) rejected the query
-	// before executing it. Terminal: retrying cannot shrink a plan.
+	// (internal/server) rejected the query before executing it.
+	// Terminal: retrying cannot shrink a plan.
 	ErrOverWidth = engine.ErrOverWidth
 	// ErrOverloaded: the request was shed under load (queue full or
 	// queue wait expired). Retryable after backoff.
