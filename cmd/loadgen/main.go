@@ -89,11 +89,6 @@ func main() {
 	// the leapfrog work those answers reported.
 	var wcojRouted, agmAdmitted int64
 	var aggSeeks, aggExtensions int64
-	// spilledRuns counts answers that went out of core, aggSpilled and
-	// aggSpillFiles the disk traffic they reported; spillAdmitted counts
-	// admissions that only got in through the spill override.
-	var spilledRuns, spillAdmitted int64
-	var aggSpilled, aggSpillFiles int64
 	// failovers sums the replicas coordinators gave up on before
 	// answering; hedgeWins counts answers that came from a hedge request
 	// that beat the first replica. Both are zero against plain servers.
@@ -133,14 +128,6 @@ func main() {
 					atomic.AddInt64(&statsN, 1)
 					atomic.AddInt64(&aggSeeks, resp.Stats.Seeks)
 					atomic.AddInt64(&aggExtensions, resp.Stats.Extensions)
-					if resp.Stats.SpilledBytes > 0 {
-						atomic.AddInt64(&spilledRuns, 1)
-						atomic.AddInt64(&aggSpilled, resp.Stats.SpilledBytes)
-						atomic.AddInt64(&aggSpillFiles, int64(resp.Stats.SpillFiles))
-					}
-				}
-				if resp != nil && resp.Verdict != nil && resp.Verdict.AdmittedOnSpill {
-					atomic.AddInt64(&spillAdmitted, 1)
 				}
 				if resp != nil && resp.Verdict != nil && resp.Verdict.Method == "wcoj" {
 					atomic.AddInt64(&wcojRouted, 1)
@@ -241,10 +228,6 @@ func main() {
 	if wcojRouted > 0 || aggSeeks > 0 {
 		fmt.Printf("wcoj route: %d answers (%d admitted on the AGM override), seeks=%d extensions=%d\n",
 			wcojRouted, agmAdmitted, aggSeeks, aggExtensions)
-	}
-	if spilledRuns > 0 || spillAdmitted > 0 {
-		fmt.Printf("spill: %d answers went out of core (%d admitted on the spill override), %d bytes across %d files\n",
-			spilledRuns, spillAdmitted, aggSpilled, aggSpillFiles)
 	}
 }
 

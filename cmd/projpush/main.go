@@ -48,9 +48,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-run execution timeout")
 		maxRows   = flag.Int("maxrows", 10_000_000, "intermediate row cap (0 = unlimited)")
 		membudget = flag.Int("membudget", 0, "materialized-bytes budget in MiB (0 = unlimited)")
-		spilldir  = flag.String("spilldir", "", "spill directory for out-of-core execution: runs over the memory budget degrade to disk instead of failing (empty = spilling off)")
-		maxspill  = flag.Int("maxspill", 0, "spill-directory budget in MiB (0 = unlimited disk; requires -spilldir)")
-		resilient = flag.Bool("resilient", false, "on row-cap/memory/internal failures, degrade to early projection then bucket elimination instead of reporting the error")
+		resilient = flag.Bool("resilient", false, "on row-cap/memory/internal failures, degrade instead of reporting the error: to yannakakis (elimination width <= 3) or else wcoj, then early projection, then bucket elimination (yannakakis, stream and wcoj go straight to early projection)")
 		showSQL   = flag.Bool("sql", false, "print the generated SQL instead of executing")
 		explain   = flag.Bool("explain", false, "print the plan tree with actual cardinalities instead of the summary line")
 		analyze   = flag.Bool("analyze", false, "print the structural report (treewidth bounds, induced widths, plan widths) and exit")
@@ -82,10 +80,7 @@ func main() {
 		}
 		return
 	}
-	opt := engine.Options{
-		Timeout: *timeout, MaxRows: *maxRows, MaxBytes: int64(*membudget) << 20,
-		SpillDir: *spilldir, MaxSpillBytes: int64(*maxspill) << 20,
-	}
+	opt := engine.Options{Timeout: *timeout, MaxRows: *maxRows, MaxBytes: int64(*membudget) << 20}
 
 	if *suiteFile != "" {
 		runSuite(*suiteFile, core.Method(*method), *all, opt, *resilient, rng)
@@ -233,9 +228,6 @@ func main() {
 		answer := "EMPTY"
 		if res.Nonempty() {
 			answer = fmt.Sprintf("NONEMPTY (%d tuples)", res.Rel.Len())
-		}
-		if res.Stats.SpilledBytes > 0 {
-			answer += fmt.Sprintf(" spilled=%dB/%df", res.Stats.SpilledBytes, res.Stats.SpillFiles)
 		}
 		fmt.Printf("%-18s width=%-3d time=%-12v maxrows=%-8d tuples=%-9d joins=%-3d %s\n",
 			m, st.Width, res.Stats.Elapsed.Round(time.Microsecond),

@@ -144,9 +144,8 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 	}
 
 	// Methodless, this text lands on the stream tier (elimination width 4):
-	// early projection on the pipeline — also with a spill directory armed
-	// and as a fleet member, the configurations the drills and the
-	// end-to-end benchmark run.
+	// early projection on the pipeline — also as a fleet member, the
+	// configuration the fleet drills and the end-to-end benchmark run.
 	mcs, err := core.BuildPlan(core.MethodBucketElimination, q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +159,7 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deployed := server.Config{SpillDir: t.TempDir(), WorkerID: "w0"}
-	for name, cfg := range map[string]server.Config{"routed": {}, "routed, SpillDir set, fleet worker": deployed} {
+	for name, cfg := range map[string]server.Config{"routed": {}, "routed, fleet worker": {WorkerID: "w0"}} {
 		if got := serve(cfg)(""); got != countsOf(&bare.Stats) {
 			t.Errorf("%s: the stream tier reports %+v, the bare pipeline %+v", name, got, countsOf(&bare.Stats))
 		}

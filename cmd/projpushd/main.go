@@ -49,8 +49,6 @@ func main() {
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-request execution deadline")
 		maxRows     = flag.Int("maxrows", 10_000_000, "intermediate row cap per request (0 = unlimited)")
 		membudget   = flag.Int("membudget", 256, "byte budget per request in MiB: live bytes for a routed plan and for every degraded attempt; everything materialized only for a named plan method's own run (0 = unlimited)")
-		spilldir    = flag.String("spilldir", "", "spill directory for out-of-core execution: an attempt over the memory budget is retried spilling to disk before the request degrades to the next method (empty = spilling off)")
-		maxspill    = flag.Int("maxspill", 0, "per-request spill-directory budget in MiB (0 = unlimited disk; requires -spilldir)")
 		drain       = flag.Duration("drain", 15*time.Second, "SIGTERM drain deadline for in-flight requests")
 		logFile     = flag.String("log", "", "append structured per-request JSON logs here (default stderr; 'none' disables)")
 		faults      = flag.String("faults", "", "fault-injection spec for chaos drills, e.g. 'conn.drop=0.05,join.panic=0.02'; points: "+strings.Join(faultinject.PointNames(), ", "))
@@ -85,8 +83,6 @@ func main() {
 		RequestTimeout:    *timeout,
 		MaxRows:           *maxRows,
 		MaxBytes:          int64(*membudget) << 20,
-		SpillDir:          *spilldir,
-		MaxSpillBytes:     int64(*maxspill) << 20,
 	}
 	switch *logFile {
 	case "":

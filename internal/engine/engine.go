@@ -36,26 +36,12 @@ type Options struct {
 	// on the executor: the materializing ones (the plan walker, the full
 	// reducer, the leapfrog join) release nothing mid-run, so for them it
 	// caps everything the run ever materialized; the pull pipeline
-	// (ExecStream, ExecIterator, a spill-armed Exec) gives a closing
-	// operator's bytes back, so there it caps the live bytes. Zero means
+	// (ExecStream, ExecIterator) gives a closing operator's bytes back,
+	// so there it caps the live bytes. Zero means
 	// no budget. Exceeding it fails the run with ErrMemLimit — typically
 	// long before MaxRows would fire, since the budget charges allocation
 	// pressure, not just final cardinalities.
 	MaxBytes int64
-	// SpillDir, when non-empty, arms spill-to-disk: instead of failing
-	// with ErrMemLimit when live bytes exceed MaxBytes, the pull
-	// pipeline's breakers — hash builds and DISTINCT states — go to temp
-	// files under this directory and are replayed when consumed. MaxBytes
-	// then bounds peak residency rather than availability. Unrecoverable
-	// disk failures surface as ErrSpill. Every plan entry point honors
-	// it: ExecStream and ExecIterator on their own pipelines, and Exec and
-	// ExecContext by running the plan on ExecIterator's instead of the
-	// plan walker. The Yannakakis and WCOJ executors ignore it.
-	SpillDir string
-	// MaxSpillBytes caps the live bytes a run may hold on disk when
-	// spilling (0 = unlimited). Exceeding it — or a real ENOSPC — fails
-	// the run with ErrSpill.
-	MaxSpillBytes int64
 }
 
 // Stats instruments one execution.
@@ -76,15 +62,14 @@ type Stats struct {
 	Joins, Projections int
 	// Bytes is the total bytes of relation storage materialized by Join
 	// and Project operators (arena plus dedup table of each output).
-	// The pull pipeline (ExecStream, ExecIterator, a spill-armed Exec)
-	// reports its peak of live bytes here instead — for it this equals
-	// PeakBytes.
+	// The pull pipeline (ExecStream, ExecIterator) reports its peak of
+	// live bytes here instead — for it this equals PeakBytes.
 	Bytes int64
 	// PeakBytes is the high-water mark of live relation storage. The
 	// materializing executors release nothing mid-run, so for them it
 	// equals Bytes; the pull pipeline releases operator state on close,
 	// so its peak is what admission should budget against — with or
-	// without a budget set, spill armed or not.
+	// without a budget set.
 	PeakBytes int64
 	// MaterializedTuples counts tuples written into operator outputs by
 	// Join and Project — for the Yannakakis full reducer, the joins of the
@@ -103,12 +88,6 @@ type Stats struct {
 	// variable levels, Extensions the values that survived a level's
 	// leapfrog intersection. Zero for every other executor.
 	Seeks, Extensions int64
-	// SpilledBytes and SpillFiles count the cumulative spill traffic of
-	// the run: bytes written to and temp files created under
-	// Options.SpillDir. Zero when spilling is disabled or memory
-	// pressure never fired.
-	SpilledBytes int64
-	SpillFiles   int
 	// Attempts records the degradation history of an ExecResilient run:
 	// one entry per plan tried, in order, the last being the one whose
 	// stats this struct carries. Nil for the plain entry points.
@@ -131,10 +110,6 @@ func (r *Result) Nonempty() bool { return !r.Rel.Empty() }
 
 // executor is the plan walker: it evaluates a plan bottom-up, left input
 // then right, materializing every Join and Project output.
-//
-// A spill-armed run (Options.SpillDir) never reaches this type: only the
-// pull pipeline's breakers can go out of core, so ExecContext hands such a
-// run to the pipeline.
 type executor struct {
 	governor
 
@@ -150,7 +125,7 @@ func newExecutor(ctx context.Context, db cq.Database, opt Options) *executor {
 }
 
 // Exec evaluates the plan over db under opt, on the materializing plan
-// walker unless opt arms a spill directory (see ExecContext).
+// walker.
 // On timeout, cancellation, row-cap or byte-budget violation it returns
 // ErrTimeout, ErrCanceled, ErrRowLimit or ErrMemLimit (wrapped); the
 // partial stats collected so far are returned alongside so harnesses can
@@ -162,16 +137,7 @@ func Exec(n plan.Node, db cq.Database, opt Options) (*Result, error) {
 // ExecContext is Exec under a context: cancellation is observed by every
 // kernel within a bounded amount of work and surfaces as ErrCanceled
 // (matching context.Canceled under errors.Is).
-//
-// With opt.SpillDir armed the plan runs on the pull pipeline instead
-// (ExecIteratorContext): a tree walker holds every operator output whole
-// until its consumer has run, so it has nothing it can shed to disk
-// mid-operator, whereas the pipeline's breakers spill and its budget
-// already bounds live bytes.
 func ExecContext(ctx context.Context, n plan.Node, db cq.Database, opt Options) (*Result, error) {
-	if opt.SpillDir != "" {
-		return ExecIteratorContext(ctx, n, db, opt)
-	}
 	return newExecutor(ctx, db, opt).run(n)
 }
 

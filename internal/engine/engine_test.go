@@ -255,7 +255,6 @@ func TestStructuralFailureKeepsResult(t *testing.T) {
 		entries := map[string]func() (*Result, error){
 			"Exec":                func() (*Result, error) { return Exec(p, db, Options{}) },
 			"ExecContext":         func() (*Result, error) { return ExecContext(ctx, p, db, Options{}) },
-			"Exec+spill":          func() (*Result, error) { return Exec(p, db, Options{SpillDir: t.TempDir()}) },
 			"ExecIterator":        func() (*Result, error) { return ExecIterator(p, db, Options{}) },
 			"ExecIteratorContext": func() (*Result, error) { return ExecIteratorContext(ctx, p, db, Options{}) },
 			"ExecStream":          func() (*Result, error) { return ExecStream(p, db, Options{}) },

@@ -59,16 +59,6 @@ var ErrMemLimit = errors.New("engine: execution exceeds memory budget")
 // panicking goroutine's stack.
 var ErrInternal = errors.New("engine: internal execution fault")
 
-// ErrSpill is returned when spill-to-disk execution hits an
-// unrecoverable disk failure: a spill write or read-back failed, or the
-// disk budget (Options.MaxSpillBytes / real ENOSPC) is exhausted. It
-// matches ErrInternal under errors.Is so the degradation ladder and the
-// wire status treat a dying disk like any other internal fault.
-var ErrSpill error = &sentinelError{
-	msg:   "engine: unrecoverable spill I/O failure",
-	alias: ErrInternal,
-}
-
 // ErrOverWidth is returned when width-aware admission control rejects a
 // query before execution: its predicted intermediate arity (plan width)
 // or AGM output bound exceeds the configured threshold. The paper's
@@ -99,8 +89,6 @@ func classifyErr(err error, elapsed time.Duration) error {
 		return fmt.Errorf("%w: %v", ErrCanceled, err)
 	case errors.Is(err, relation.ErrRowLimit):
 		return fmt.Errorf("%w: %v", ErrRowLimit, err)
-	case errors.Is(err, relation.ErrSpillIO), errors.Is(err, relation.ErrSpillFull):
-		return fmt.Errorf("%w: %v", ErrSpill, err)
 	case errors.Is(err, relation.ErrMemBudget):
 		return fmt.Errorf("%w: %v", ErrMemLimit, err)
 	case errors.As(err, &pe):

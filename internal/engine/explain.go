@@ -14,14 +14,9 @@ import (
 // with its output schema and arity — the structural facts the paper's
 // analysis runs on. When analyze is true the plan is executed under opt
 // and each line is annotated with the actual output cardinality, in the
-// spirit of EXPLAIN ANALYZE on the paper's backend. An analyzed run with
-// opt.SpillDir armed executes on the pull pipeline, as Exec does, and
-// what is rendered is the operator tree that ran (see ExplainStream).
+// spirit of EXPLAIN ANALYZE on the paper's backend.
 func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, error) {
 	var ex *executor
-	if analyze && opt.SpillDir != "" {
-		return explainPipeline(p, db, opt, true, false)
-	}
 	if analyze {
 		ex = newExecutor(context.Background(), db, opt)
 		ex.rows = make(map[plan.Node]int)

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -296,4 +297,48 @@ func TestExecResilientDegradation(t *testing.T) {
 // errorsContains reports whether the recorded attempt error mentions sub.
 func errorsContains(errStr, sub string) bool {
 	return errStr != "" && strings.Contains(errStr, sub)
+}
+
+// workloadGraph is the shared over-budget workload: an augmented ladder
+// large enough that the streaming run's resident state dominates tiny
+// base relations but small enough for the oracle.
+func workloadGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	return graph.AugmentedLadder(5)
+}
+
+// TestMemLimitMessageCarriesNumbers pins the satellite contract: the
+// ErrMemLimit failure names the budget and the charge that blew it, for
+// both the materializing and the streaming accounting paths.
+func TestMemLimitMessageCarriesNumbers(t *testing.T) {
+	g := workloadGraph(t)
+	q, err := instance.ColorQuery(g, []cq.Var{0, 1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := instance.ColorDatabase(3)
+	for _, m := range []core.Method{core.MethodBucketElimination, core.MethodStream} {
+		p, err := core.BuildPlan(m, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(o engine.Options) (*engine.Result, error) {
+			if m == core.MethodStream {
+				return engine.ExecStream(p, db, o)
+			}
+			return engine.Exec(p, db, o)
+		}
+		const budget = 4096
+		_, err = run(engine.Options{MaxBytes: budget})
+		if !errors.Is(err, engine.ErrMemLimit) {
+			t.Fatalf("%s: got %v, want ErrMemLimit", m, err)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, fmt.Sprintf("budget %d", budget)) {
+			t.Fatalf("%s: failure message lacks the budget: %q", m, msg)
+		}
+		if !strings.Contains(msg, "charge of ") {
+			t.Fatalf("%s: failure message lacks the failed charge size: %q", m, msg)
+		}
+	}
 }

@@ -2,7 +2,7 @@ package engine
 
 // Semijoin pushdown: the phase ExecStream and ExplainStream run ahead of
 // lowering when some sweep could remove a tuple (mayReduce), and
-// ExecIterator and a spill-armed Exec never run. It walks the
+// ExecIterator never runs. It walks the
 // plan, derives which scan pairs share an attribute that survives (is
 // never projected away) from each scan to their common ancestor join, and
 // runs relation.SemijoinFilter sweeps over zero-copy bound views of the

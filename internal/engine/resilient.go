@@ -29,12 +29,6 @@ type Fallback struct {
 	// when reached (PlanRung) reports a construction failure as such, and
 	// the ladder skips it.
 	Run func(ctx context.Context, db cq.Database, opt Options) (*Result, error)
-	// Spills states that Run honors Options.SpillDir, so a run that died
-	// of ErrMemLimit is worth one retry with the directory armed. For a Run
-	// whose executor ignores the directory (the full reducer, the leapfrog
-	// join, a remote forward) the retry would be the identical failure
-	// twice.
-	Spills bool
 	// Explain renders what Run executes; with analyze set it runs it and
 	// annotates the rendering with what happened. Nil on rungs that are
 	// only ever reached by degradation.
@@ -63,11 +57,10 @@ func (e planFailure) Error() string { return "plan: " + e.error.Error() }
 
 // PlanRung is the rung that runs a plan: on the pull pipeline, entered as
 // the streaming engine enters it, so Options.MaxBytes bounds live bytes on
-// a degraded attempt exactly as on a routed first one, and its spill retry
-// is the same run with the directory armed. build runs only if the rung is
-// reached, so plan construction is paid on demand.
+// a degraded attempt exactly as on a routed first one. build runs only if
+// the rung is reached, so plan construction is paid on demand.
 func PlanRung(name string, build func() (plan.Node, error)) Fallback {
-	return Fallback{Name: name, Spills: true, Run: func(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
+	return Fallback{Name: name, Run: func(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
 		p, err := build()
 		if err != nil {
 			return &Result{}, planFailure{err}
@@ -96,7 +89,7 @@ func Degradable(err error) bool {
 func ExecResilient(ctx context.Context, n plan.Node, fallbacks []Fallback,
 	db cq.Database, opt Options) (*Result, error) {
 
-	given := Fallback{Name: "given", Spills: true, Run: func(ctx context.Context, db cq.Database, o Options) (*Result, error) {
+	given := Fallback{Name: "given", Run: func(ctx context.Context, db cq.Database, o Options) (*Result, error) {
 		return ExecContext(ctx, n, db, o)
 	}}
 	return ExecResilientStrategy(ctx, given, fallbacks, db, opt)
@@ -109,11 +102,11 @@ func ExecResilientStrategy(ctx context.Context, first Fallback, fallbacks []Fall
 	db cq.Database, opt Options) (*Result, error) {
 
 	var attempts []Attempt
-	// try executes one rung under o and records the attempt; ok is false
-	// when the rung could not build its plan (the caller keeps the previous
-	// rung's result and error).
-	try := func(fb Fallback, o Options) (*Result, error, bool) {
-		res, err := fb.Run(ctx, db, o)
+	// try executes one rung and records the attempt; ok is false when the
+	// rung could not build its plan (the caller keeps the previous rung's
+	// result and error).
+	try := func(fb Fallback) (*Result, error, bool) {
+		res, err := fb.Run(ctx, db, opt)
 		a := Attempt{Method: fb.Name}
 		if res != nil {
 			a.Elapsed = res.Stats.Elapsed
@@ -128,31 +121,12 @@ func ExecResilientStrategy(ctx context.Context, first Fallback, fallbacks []Fall
 		attempts = append(attempts, a)
 		return res, err, ok
 	}
-	// runRung is the retry-with-spill wrapper: with Options.SpillDir set,
-	// every rung runs in-memory first (spill disarmed) and, on
-	// ErrMemLimit, a rung that can spill re-runs the same strategy once
-	// with spilling armed — recorded as its own "<rung>+spill" attempt —
-	// before the ladder falls to the next rung.
-	runRung := func(fb Fallback) (*Result, error, bool) {
-		if opt.SpillDir == "" {
-			return try(fb, opt)
-		}
-		mem := opt
-		mem.SpillDir = ""
-		res, err, ok := try(fb, mem)
-		if !ok || !errors.Is(err, ErrMemLimit) || !fb.Spills {
-			return res, err, ok
-		}
-		fb.Name += "+spill"
-		return try(fb, opt)
-	}
-
-	res, err, _ := runRung(first)
+	res, err, _ := try(first)
 	for _, fb := range fallbacks {
 		if err == nil || !Degradable(err) {
 			break
 		}
-		r, e, ok := runRung(fb)
+		r, e, ok := try(fb)
 		if !ok {
 			continue
 		}

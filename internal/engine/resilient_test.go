@@ -31,7 +31,6 @@ func TestDegradableMatrix(t *testing.T) {
 		{"row limit", engine.ErrRowLimit, true},
 		{"mem limit", engine.ErrMemLimit, true},
 		{"internal", engine.ErrInternal, true},
-		{"spill (aliases internal)", engine.ErrSpill, true},
 		{"timeout", engine.ErrTimeout, false},
 		{"canceled", engine.ErrCanceled, false},
 		{"ctx deadline", context.DeadlineExceeded, false},

@@ -21,15 +21,9 @@ package engine
 //     bytes, not cumulative allocation, and Stats.Bytes reports the
 //     high-water mark of live bytes.
 //
-//   - With Options.SpillDir armed the breakers go out of core instead of
-//     failing the charge that put live bytes over the budget: a hash
-//     build is cut into chunks replayed against the spooled probe side, a
-//     DISTINCT state into partitions merged at the root. This is the
-//     engine's only spill path; a spill-armed Exec runs here too.
-//
 // One phase is optional and runs ahead of lowering: semijoin pushdown
 // (pushdown.go). The entry point says whether it may run — ExecStream and
-// ExplainStream yes, ExecIterator and a spill-armed Exec no — and where it
+// ExplainStream yes, ExecIterator no — and where it
 // may, the scans say whether it does: mayReduce skips it when the stored
 // columns prove that no sweep can remove a tuple. Without it a run does no
 // work per plan node beyond building the operator: on non-selective
@@ -43,7 +37,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -75,10 +68,6 @@ type streamContext struct {
 	governor
 	live int64 // resident bytes across all live operators
 	peak int64 // high-water mark of live
-	// spiller, when non-nil, lets pipeline breakers and hash builds
-	// spill their resident state to disk instead of failing the hold
-	// that pushed live over maxBytes.
-	spiller *relation.Spiller
 }
 
 // hold re-charges one operator's resident state at its current size (now
@@ -98,8 +87,7 @@ func (c *streamContext) hold(now int64, last *int64, op *opStats) error {
 		}
 	}
 	if c.maxBytes > 0 && c.live > c.maxBytes {
-		// The rejected charge stays out of the peak watermarks: a caller
-		// that spills unwinds it entirely (release + re-hold), so peak
+		// The rejected charge stays out of the peak watermarks, so peak
 		// tracks what was ever successfully resident.
 		return fmt.Errorf("%w: charge of %d bytes puts %d live over budget %d",
 			relation.ErrMemBudget, delta, c.live, c.maxBytes)
@@ -240,18 +228,6 @@ type streamJoin struct {
 
 	built, done, closed bool
 	haveCur             bool // cur holds a probe tuple with matches left
-	replay              bool // the chunk-replay passes of a spilled build have begun
-
-	// Grace spilling (armed only when ctx.spiller is set and the build
-	// outgrew the budget): chunks holds build partitions written to
-	// disk, spool the probe-side tuples replayed against each reloaded
-	// chunk after the in-memory pass, spoolRd the reader of the chunk
-	// pass in progress. Equal build rows may recur across chunks, so a
-	// spilled join can emit duplicate tuples; every consumer
-	// deduplicates (set semantics), so answers are unchanged.
-	chunks  []*relation.RowFile
-	spool   *relation.RowFile
-	spoolRd *relation.RowReader
 
 	// out is the output tuple: the current probe tuple (cur, its prefix)
 	// followed by the right-only columns of the matching build row.
@@ -309,12 +285,7 @@ insert:
 		j.ctx.stats.Tuples++
 		j.ctx.stats.MaterializedTuples++
 		if err := j.ctx.hold(j.table.Bytes(), &j.tabBytes, &j.st); err != nil {
-			if j.ctx.spiller == nil || !errors.Is(err, relation.ErrMemBudget) {
-				return err
-			}
-			if err := j.spillBuild(); err != nil {
-				return err
-			}
+			return err
 		}
 	}
 	j.st.build = int64(n)
@@ -331,110 +302,6 @@ insert:
 	j.right.close()
 	j.built = true
 	return nil
-}
-
-// spillBuild writes the whole in-progress hash build to a fresh chunk
-// file, releases its bytes to the governor, and restarts the table
-// empty — grace-style partitioning driven by memory pressure. The
-// chunks are replayed against the spooled probe side once the in-memory
-// pass (over the final, resident partition) finishes.
-func (j *streamJoin) spillBuild() error {
-	rf, err := j.ctx.spiller.NewRowFile(len(j.buf))
-	if err != nil {
-		return err
-	}
-	for i := 0; i < j.table.Len(); i++ {
-		if err := rf.Append(j.table.Row(i)); err != nil {
-			rf.Close()
-			return err
-		}
-	}
-	if err := rf.Finish(); err != nil {
-		rf.Close()
-		return err
-	}
-	j.chunks = append(j.chunks, rf)
-	j.ctx.release(&j.tabBytes, &j.st)
-	j.table = relation.NewStreamTable(len(j.buf), j.keyPos)
-	return j.ctx.hold(j.table.Bytes(), &j.tabBytes, &j.st)
-}
-
-// replayAdvance drives the chunk-replay phase: reload the next spilled
-// build chunk into a fresh table and stream the spooled probe tuples
-// through it, one chunk at a time, holding exactly one chunk resident.
-// It leaves the next probe tuple in j.cur/j.matches, or sets j.done.
-func (j *streamJoin) replayAdvance() error {
-	for {
-		if j.table == nil {
-			if len(j.chunks) == 0 {
-				j.done = true
-				j.spool.Close()
-				j.spool = nil
-				return nil
-			}
-			ch := j.chunks[0]
-			j.chunks = j.chunks[1:]
-			tab := relation.NewStreamTable(len(j.buf), j.keyPos)
-			rd, err := ch.Reader()
-			if err != nil {
-				ch.Close()
-				return err
-			}
-			for {
-				row, err := rd.Next()
-				if err != nil {
-					rd.Close()
-					ch.Close()
-					return err
-				}
-				if row == nil {
-					break
-				}
-				if err := j.ctx.tick(); err != nil {
-					rd.Close()
-					ch.Close()
-					return err
-				}
-				tab.Insert(row)
-				// A reloaded chunk cannot spill again: it was cut at the
-				// budget's slack when it was written, so it must fit the
-				// slack its siblings leave now. If it does not, the run
-				// fails with an honest ErrMemBudget.
-				if err := j.ctx.hold(tab.Bytes(), &j.tabBytes, &j.st); err != nil {
-					rd.Close()
-					ch.Close()
-					return err
-				}
-			}
-			rd.Close()
-			ch.Close()
-			j.table = tab
-			spoolRd, err := j.spool.Reader()
-			if err != nil {
-				return err
-			}
-			j.spoolRd = spoolRd
-		}
-		row, err := j.spoolRd.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			// Probe pass over this chunk done; drop it, move to the next.
-			j.spoolRd.Close()
-			j.spoolRd = nil
-			j.ctx.release(&j.tabBytes, &j.st)
-			j.table = nil
-			continue
-		}
-		if err := j.ctx.tick(); err != nil {
-			return err
-		}
-		j.cur = append(j.cur[:0], row...)
-		j.haveCur = true
-		j.matches = j.table.Probe(j.cur, j.probeKey)
-		return nil
-	}
 }
 
 func (j *streamJoin) next() (relation.Tuple, error) {
@@ -457,60 +324,21 @@ func (j *streamJoin) next() (relation.Tuple, error) {
 			}
 			j.haveCur = false
 		}
-		if j.replay {
-			if err := j.replayAdvance(); err != nil {
-				return nil, err
-			}
-			if j.done {
-				return nil, nil
-			}
-			continue
-		}
 		t, err := j.left.next()
 		if err != nil {
 			return nil, err
 		}
 		if t == nil {
-			// Probe input exhausted: the in-memory pass is over, so the
-			// resident table goes back to the governor now.
+			// Probe input exhausted: the resident table goes back to the
+			// governor now.
 			j.ctx.release(&j.tabBytes, &j.st)
 			j.table = nil
 			j.left.close()
-			if len(j.chunks) == 0 {
-				j.done = true
-				return nil, nil
-			}
-			if j.spool == nil {
-				// No probe tuple ever arrived; the spilled chunks cannot
-				// match anything.
-				for _, ch := range j.chunks {
-					ch.Close()
-				}
-				j.chunks = nil
-				j.done = true
-				return nil, nil
-			}
-			if err := j.spool.Finish(); err != nil {
-				return nil, err
-			}
-			j.replay = true
-			continue
+			j.done = true
+			return nil, nil
 		}
 		if err := j.ctx.tick(); err != nil {
 			return nil, err
-		}
-		if len(j.chunks) > 0 {
-			// Spool the probe side for the chunk-replay passes.
-			if j.spool == nil {
-				rf, err := j.ctx.spiller.NewRowFile(len(t))
-				if err != nil {
-					return nil, err
-				}
-				j.spool = rf
-			}
-			if err := j.spool.Append(t); err != nil {
-				return nil, err
-			}
 		}
 		copy(j.cur, t)
 		j.haveCur = true
@@ -530,18 +358,6 @@ func (j *streamJoin) close() {
 	j.filters = nil
 	j.ctx.release(&j.tabBytes, &j.st)
 	j.table = nil
-	for _, ch := range j.chunks {
-		ch.Close()
-	}
-	j.chunks = nil
-	if j.spoolRd != nil {
-		j.spoolRd.Close()
-		j.spoolRd = nil
-	}
-	if j.spool != nil {
-		j.spool.Close()
-		j.spool = nil
-	}
 	j.left.close()
 	j.right.close()
 }
@@ -561,14 +377,6 @@ type streamDistinct struct {
 	st        opStats
 	done      bool
 	detached  bool
-
-	// chunks holds seen-set partitions spilled under memory pressure.
-	// A fresh seen-set forgets what the spilled partitions contain, so
-	// an interior distinct may re-emit a tuple it already passed once;
-	// downstream breakers re-deduplicate, and when the distinct is the
-	// plan root the engine merges chunks and the resident seen-set with
-	// full deduplication (mergeSpilled) instead of detaching.
-	chunks []*relation.SpillFile
 }
 
 func (d *streamDistinct) schema() []cq.Var { return d.sch }
@@ -598,12 +406,7 @@ func (d *streamDistinct) next() (relation.Tuple, error) {
 			continue
 		}
 		if err := d.ctx.hold(d.seen.Bytes(), &d.seenBytes, &d.st); err != nil {
-			if d.ctx.spiller == nil || !errors.Is(err, relation.ErrMemBudget) {
-				return nil, err
-			}
-			if err := d.spillSeen(); err != nil {
-				return nil, err
-			}
+			return nil, err
 		}
 		if d.ctx.maxRows > 0 && d.seen.Len() > d.ctx.maxRows {
 			return nil, relation.ErrRowLimit
@@ -618,21 +421,6 @@ func (d *streamDistinct) next() (relation.Tuple, error) {
 	}
 }
 
-// spillSeen writes the whole seen-set (which already contains the
-// current row) to disk, releases its bytes, and restarts deduplication
-// from the current row so the near-term stream still dedups cheaply.
-func (d *streamDistinct) spillSeen() error {
-	sf, err := d.ctx.spiller.WriteRelation(d.seen)
-	if err != nil {
-		return err
-	}
-	d.chunks = append(d.chunks, sf)
-	d.ctx.release(&d.seenBytes, &d.st)
-	d.seen = relation.New(d.sch)
-	d.seen.Add(d.out)
-	return d.ctx.hold(d.seen.Bytes(), &d.seenBytes, &d.st)
-}
-
 // detachSeen hands the dedup state to the caller as the final result; its
 // bytes stay charged (the result is live until the run returns).
 func (d *streamDistinct) detachSeen() *relation.Relation {
@@ -640,72 +428,11 @@ func (d *streamDistinct) detachSeen() *relation.Relation {
 	return d.seen
 }
 
-// mergeSpilled unions the spilled seen-set chunks with the resident one
-// into the final result, deduplicating across chunk overlaps. One chunk
-// is resident at a time, and the growing result is itself charged — an
-// answer that genuinely exceeds the budget still fails honestly, since
-// the run must return it materialized.
-func (d *streamDistinct) mergeSpilled() (*relation.Relation, error) {
-	out := relation.New(d.sch)
-	var outBytes int64
-	addAll := func(r *relation.Relation) error {
-		var ferr error
-		r.Each(func(t relation.Tuple) bool {
-			if err := d.ctx.tick(); err != nil {
-				ferr = err
-				return false
-			}
-			if !out.Add(t) {
-				return true
-			}
-			if err := d.ctx.hold(out.Bytes(), &outBytes, &d.st); err != nil {
-				ferr = err
-				return false
-			}
-			if d.ctx.maxRows > 0 && out.Len() > d.ctx.maxRows {
-				ferr = fmt.Errorf("%w: final result", relation.ErrRowLimit)
-				return false
-			}
-			return true
-		})
-		return ferr
-	}
-	if err := addAll(d.seen); err != nil {
-		return nil, err
-	}
-	d.ctx.release(&d.seenBytes, &d.st)
-	d.seen = nil
-	d.detached = true
-	for len(d.chunks) > 0 {
-		ch := d.chunks[0]
-		d.chunks = d.chunks[1:]
-		rel, err := ch.Load()
-		ch.Close()
-		if err != nil {
-			return nil, err
-		}
-		var chBytes int64
-		if err := d.ctx.hold(rel.Bytes(), &chBytes, &d.st); err != nil {
-			return nil, err
-		}
-		err = addAll(rel)
-		d.ctx.release(&chBytes, &d.st)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 func (d *streamDistinct) close() {
 	if !d.detached {
 		d.ctx.release(&d.seenBytes, &d.st)
 		d.seen = nil
 	}
-	for _, ch := range d.chunks {
-		ch.Close()
-	}
-	d.chunks = nil
 	if !d.done {
 		d.done = true
 		d.in.close()
@@ -921,8 +648,8 @@ func ExecStreamContext(ctx context.Context, p plan.Node, db cq.Database, opt Opt
 }
 
 // ExecIterator evaluates the plan on the pull pipeline alone, without the
-// pushdown phase: the plain Volcano execution of the plan, and what a
-// spill-armed Exec runs. Results are identical to Exec; Stats.Bytes and
+// pushdown phase: the plain Volcano execution of the plan. Results are
+// identical to Exec; Stats.Bytes and
 // Stats.PeakBytes report the peak of live bytes.
 func ExecIterator(p plan.Node, db cq.Database, opt Options) (*Result, error) {
 	return ExecIteratorContext(context.Background(), p, db, opt)
@@ -948,19 +675,8 @@ func execPipeline(cctx context.Context, p plan.Node, db cq.Database, opt Options
 	// pipeline reports as Bytes.
 	done := func(out *relation.Relation, err error) (*Result, *pipeline, error) {
 		stats.Bytes, stats.PeakBytes = ctx.peak, ctx.peak
-		if ctx.spiller != nil {
-			stats.SpilledBytes, stats.SpillFiles = ctx.spiller.Stats()
-		}
 		res, err := ctx.finish(out, err)
 		return res, e, err
-	}
-	if opt.SpillDir != "" {
-		sp, err := relation.NewSpiller(opt.SpillDir, opt.MaxSpillBytes)
-		if err != nil {
-			return done(nil, err)
-		}
-		ctx.spiller = sp
-		defer sp.Cleanup()
 	}
 	// tick polls every few thousand tuples; a run shorter than that still
 	// refuses a context that was dead on arrival.
@@ -989,11 +705,7 @@ func execPipeline(cctx context.Context, p plan.Node, db cq.Database, opt Options
 				break
 			}
 		}
-		if len(d.chunks) == 0 {
-			out = d.detachSeen()
-		} else if out, err = d.mergeSpilled(); err != nil {
-			return done(nil, err)
-		}
+		out = d.detachSeen()
 	} else {
 		out = relation.New(root.schema())
 		st, outBytes := root.stats(), int64(0)
@@ -1036,17 +748,11 @@ func execPipeline(cctx context.Context, p plan.Node, db cq.Database, opt Options
 // removed tuples and build= on hash builds; the trailer reports the run's
 // peak live bytes and reduced-vs-materialized totals.
 func ExplainStream(p plan.Node, db cq.Database, opt Options, analyze bool) (string, error) {
-	return explainPipeline(p, db, opt, analyze, true)
-}
-
-// explainPipeline is ExplainStream for either way of entering the
-// pipeline; the header line says which of the three possible runs it is.
-func explainPipeline(p plan.Node, db cq.Database, opt Options, analyze, sweeps bool) (string, error) {
 	var e *pipeline
 	var st Stats
 	var swept bool // the pushdown phase ran, or would
 	if analyze {
-		res, ran, err := execPipeline(context.Background(), p, db, opt, sweeps)
+		res, ran, err := execPipeline(context.Background(), p, db, opt, true)
 		if err != nil {
 			return "", err
 		}
@@ -1061,16 +767,13 @@ func explainPipeline(p plan.Node, db cq.Database, opt Options, analyze, sweeps b
 			return "", err
 		}
 		e.root.close()
-		swept = sweeps && e.ctx.mayReduce(p)
+		swept = e.ctx.mayReduce(p)
 	}
 	var b strings.Builder
-	switch {
-	case swept:
+	if swept {
 		b.WriteString("stream pipeline\n")
-	case sweeps:
+	} else {
 		b.WriteString("stream pipeline (pushdown skipped: no scan can reduce another)\n")
-	default:
-		b.WriteString("pull pipeline (no semijoin pushdown)\n")
 	}
 	var walk func(op streamOp, depth int)
 	walk = func(op streamOp, depth int) {
@@ -1110,10 +813,6 @@ func explainPipeline(p plan.Node, db cq.Database, opt Options, analyze, sweeps b
 			fmt.Fprintf(&b, " (budget %d)", opt.MaxBytes)
 		}
 		b.WriteString("\n")
-		if st.SpilledBytes > 0 {
-			fmt.Fprintf(&b, "spill: %d bytes across %d files\n",
-				st.SpilledBytes, st.SpillFiles)
-		}
 		fmt.Fprintf(&b, "tuples: materialized=%d reduced=%d\n",
 			st.MaterializedTuples, st.ReducedTuples)
 	}

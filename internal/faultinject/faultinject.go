@@ -68,19 +68,6 @@ const (
 	// crashed or OOM-killed process would, and the supervisor restarts
 	// the worker after its restart delay.
 	WorkerKill
-	// SpillWrite fails a spill-file write: the spill manager reports an
-	// unrecoverable I/O failure mid-serialization, as a dying disk or a
-	// yanked volume would.
-	SpillWrite
-	// SpillRead fails a spill-file read-back: a spilled partition cannot
-	// be reloaded when its breaker replays it.
-	SpillRead
-	// SpillFull reports disk exhaustion (ENOSPC) from the spill manager
-	// without needing a genuinely full filesystem.
-	SpillFull
-	// SpillSlow injects latency on spill file creation and read-back
-	// open, modeling a saturated or throttled disk.
-	SpillSlow
 
 	numPoints
 )
@@ -98,10 +85,6 @@ var pointNames = [numPoints]string{
 	ConnReadFail:          "conn.read.fail",
 	SlowRead:              "read.slow",
 	WorkerKill:            "worker.kill",
-	SpillWrite:            "spill.write.fail",
-	SpillRead:             "spill.read.fail",
-	SpillFull:             "spill.full",
-	SpillSlow:             "spill.slow",
 }
 
 // PointNames returns every valid spec point name, in declaration order.

@@ -101,7 +101,9 @@ func TestLatencySpec(t *testing.T) {
 
 func TestSpecErrors(t *testing.T) {
 	defer Disable()
-	for _, bad := range []string{"nope=0.5", "join.alloc", "join.alloc=2", "kernel.latency=xx:0.5"} {
+	// The last entry names a deleted point: a drill spec written for a
+	// layer that is gone must fail as an unknown point, not arm nothing.
+	for _, bad := range []string{"nope=0.5", "join.alloc", "join.alloc=2", "kernel.latency=xx:0.5", "spill.write.fail=0.1"} {
 		if err := Enable(bad, 1); err == nil {
 			t.Errorf("Enable(%q) accepted", bad)
 		}

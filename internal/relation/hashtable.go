@@ -140,8 +140,8 @@ func (r *Relation) rebuildDedup() {
 }
 
 // ensureDedup builds the dedup table of a relation whose rows were
-// assembled without one (a join's output, SemijoinFilter's survivors, a
-// reloaded spill file: most are only ever scanned). The stale exact flag
+// assembled without one (a join's output, SemijoinFilter's survivors:
+// most are only ever scanned). The stale exact flag
 // is not trusted; the column ranges, which cover every row, decide.
 func (r *Relation) ensureDedup() {
 	if !r.stale {

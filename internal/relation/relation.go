@@ -56,7 +56,7 @@ func (t Tuple) Clone() Tuple {
 // and always for the paper's domains — and the table migrates
 // transparently to FNV hashes with row verification the first time a row
 // does not pack. A relation written without membership tests (a join's
-// output, SemijoinFilter's survivors, a reloaded spill file) is stale:
+// output, SemijoinFilter's survivors) is stale:
 // its table is built on the first Add or Contains.
 //
 // Relations track per-column min/max values on insert, which lets a hash

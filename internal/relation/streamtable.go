@@ -37,9 +37,6 @@ func NewStreamTable(arity int, keyPos []int) *StreamTable {
 	}
 }
 
-// Len returns the number of inserted rows.
-func (st *StreamTable) Len() int { return st.n }
-
 // Bytes approximates the table's resident memory: the tuple arena, the
 // per-row keys, and the probe structure once built. It is the pull
 // pipeline's accounting unit for the memory budget.

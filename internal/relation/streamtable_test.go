@@ -71,8 +71,8 @@ func TestStreamTableDifferential(t *testing.T) {
 				rows = append(rows, r)
 				st.Insert(r)
 			}
-			if st.Len() != len(rows) || st.packed != reg.packed {
-				t.Fatalf("Len = %d packed = %v, want %d and %v", st.Len(), st.packed, len(rows), reg.packed)
+			if st.n != len(rows) || st.packed != reg.packed {
+				t.Fatalf("rows = %d packed = %v, want %d and %v", st.n, st.packed, len(rows), reg.packed)
 			}
 			for i := 0; i < 300; i++ {
 				probe := Tuple{reg.gen(rng), reg.gen(rng), reg.gen(rng)}

@@ -38,10 +38,7 @@ import (
 // fused projection would hide the very blow-up of the straightforward
 // method that Figures 6–9 exist to show. It degrades down the whole
 // DegradationLadder, since a plan that blew a limit says nothing about the
-// executors above it. A plan nobody named is Routed's. The strategy also
-// states whether its executor can go out of core (Fallback.Spills): the
-// streaming engine and a plan run can (a spill-armed walker run is handed to
-// the pipeline), the full reducer and the leapfrog join cannot.
+// executors above it. A plan nobody named is Routed's.
 func Strategy(m core.Method, s *jointree.Structure, p plan.Node) (st engine.Fallback, ladder func(*rand.Rand) []engine.Fallback) {
 	st.Name = string(m)
 	ladder = func(rng *rand.Rand) []engine.Fallback { return PlanLadder(s.Query, rng) }
@@ -50,7 +47,6 @@ func Strategy(m core.Method, s *jointree.Structure, p plan.Node) (st engine.Fall
 		y := engine.NewYannakakis(s)
 		st.Run, st.Explain = y.Run, y.Explain
 	case core.MethodStream:
-		st.Spills = true
 		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
 			return engine.ExecStreamContext(ctx, p, db, opt)
 		}
@@ -61,7 +57,6 @@ func Strategy(m core.Method, s *jointree.Structure, p plan.Node) (st engine.Fall
 		w := engine.NewWCOJ(s)
 		st.Run, st.Explain = w.Run, w.Explain
 	default:
-		st.Spills = true
 		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
 			return engine.ExecContext(ctx, p, db, opt)
 		}
@@ -110,16 +105,6 @@ func Routed(m core.Method, s *jointree.Structure, p plan.Node) (engine.Fallback,
 // down this ladder turns a resource abort into the answer the safer method
 // would have produced all along. rng seeds the bucket-elimination
 // tie-breaking (nil is deterministic).
-//
-// With Options.SpillDir set, every rung that can spill (the plan rungs; not
-// the full reducer or the leapfrog join) carries an implicit
-// retry-with-spill step (engine.ExecResilientStrategy): a rung that fails
-// with ErrMemLimit re-runs once with spilling armed — recorded as a
-// "<rung>+spill" attempt in Stats.Attempts — before the ladder falls
-// further. Memory pressure then degrades to disk latency on the same
-// strategy instead of forcing a method change, and only an actual spill
-// failure (ErrSpill) or a second memory violation moves the run down a
-// rung.
 func DegradationLadder(s *jointree.Structure, rng *rand.Rand) []engine.Fallback {
 	lead := core.MethodWCOJ
 	if s.Width <= engine.DefaultYannakakisWidth {

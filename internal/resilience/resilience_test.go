@@ -140,50 +140,6 @@ func TestStrategyRunsAndExplainsItsExecutor(t *testing.T) {
 	}
 }
 
-// TestSpillRetryOnlyWhereItCanSpill: with a spill directory set and a
-// budget nothing fits, the ladder retries "<rung>+spill" exactly on the
-// rungs whose executor honors the directory — the strategy states which
-// (Fallback.Spills) — and never re-runs the full reducer or the leapfrog
-// join, for which the armed run would be the identical failure twice.
-func TestSpillRetryOnlyWhereItCanSpill(t *testing.T) {
-	g := graph.AugmentedLadder(5)
-	q, err := instance.ColorQuery(g, []cq.Var{0, 1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := instance.ColorDatabase(3)
-	opt := engine.Options{MaxBytes: 600, SpillDir: t.TempDir()}
-	for _, m := range append(append([]core.Method(nil), core.Methods...), core.Strategies...) {
-		p, err := core.BuildPlan(m, q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		strategy, ladder := resilience.Strategy(m, analyze(t, q), p)
-		if want := m != core.MethodYannakakis && m != core.MethodWCOJ; strategy.Spills != want {
-			t.Fatalf("%s: Spills = %v, want %v", m, strategy.Spills, want)
-		}
-		res, _ := engine.ExecResilientStrategy(context.Background(), strategy, ladder(nil), db, opt)
-		var tried, retried []string
-		for _, a := range res.Stats.Attempts {
-			if base, ok := strings.CutSuffix(a.Method, "+spill"); ok {
-				retried = append(retried, base)
-			} else {
-				tried = append(tried, a.Method)
-			}
-		}
-		var want []string
-		for _, name := range tried {
-			if name != string(core.MethodYannakakis) && name != string(core.MethodWCOJ) {
-				want = append(want, name)
-			}
-		}
-		if len(tried) < 3 || fmt.Sprint(retried) != fmt.Sprint(want) {
-			t.Fatalf("%s: rungs %v were retried with spill armed as %v, want %v\nattempts: %+v",
-				m, tried, retried, want, res.Stats.Attempts)
-		}
-	}
-}
-
 // analyze is jointree.Analyze for a query the test knows is valid.
 func analyze(t testing.TB, q *cq.Query) *jointree.Structure {
 	t.Helper()

@@ -33,16 +33,7 @@ import (
 // whose work is bounded by the output bound rather than the plan width.
 // The override never excuses an AGM or predicted-bytes violation: those
 // bound exactly what the multiway join produces and holds resident.
-//
-// spillBytes ≥ 0 enables the spill override: a query whose only
-// violation is the predicted-bytes threshold is admitted anyway
-// (Verdict.AdmittedOnSpill) when spilling is armed and the prediction
-// fits the disk budget (spillBytes, 0 = unlimited disk), because the
-// executors will degrade the overage to disk latency instead of dying
-// with ErrMemLimit. Pass spillBytes < 0 when spilling is disabled. The
-// override never excuses a width or AGM violation: spill bounds
-// residency, not the work or output size those predict.
-func assess(s *jointree.Structure, p plan.Node, method string, maxWidth int, maxAGMLog2 float64, maxPredicted int64, overrideAGM bool, spillBytes int64, db cq.Database) *Verdict {
+func assess(s *jointree.Structure, p plan.Node, method string, maxWidth int, maxAGMLog2 float64, maxPredicted int64, overrideAGM bool, db cq.Database) *Verdict {
 	q := s.Query
 	v := &Verdict{
 		Method:            method,
@@ -66,11 +57,6 @@ func assess(s *jointree.Structure, p plan.Node, method string, maxWidth int, max
 	if overWidth && !overAGM && !overPredicted && overrideAGM && v.AGMLog2 <= wcojAGMLog2 {
 		v.Admitted = true
 		v.AdmittedOnAGM = true
-	}
-	if overPredicted && !overWidth && !overAGM && spillBytes >= 0 &&
-		(spillBytes == 0 || v.PredictedPeakBytes <= spillBytes) {
-		v.Admitted = true
-		v.AdmittedOnSpill = true
 	}
 	return v
 }

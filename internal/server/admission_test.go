@@ -39,7 +39,7 @@ func TestAssessWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, 0, false, -1, in.db)
+	v := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, 0, false, in.db)
 	if !v.Admitted {
 		t.Fatalf("no thresholds set, want admitted, got %+v", v)
 	}
@@ -56,50 +56,21 @@ func TestAssessWidths(t *testing.T) {
 	}
 
 	// A width threshold below the plan width rejects.
-	tight := assess(analyze(t, in.q), p, "bucketelimination", v.PlanWidth-1, 0, 0, false, -1, in.db)
+	tight := assess(analyze(t, in.q), p, "bucketelimination", v.PlanWidth-1, 0, 0, false, in.db)
 	if tight.Admitted {
 		t.Errorf("threshold %d under plan width %d: want rejected", v.PlanWidth-1, v.PlanWidth)
 	}
 	// An AGM threshold below the bound rejects.
-	agmTight := assess(analyze(t, in.q), p, "bucketelimination", 0, v.AGMLog2/2, 0, false, -1, in.db)
+	agmTight := assess(analyze(t, in.q), p, "bucketelimination", 0, v.AGMLog2/2, 0, false, in.db)
 	if agmTight.Admitted {
 		t.Errorf("AGM threshold %v under bound %v: want rejected", v.AGMLog2/2, v.AGMLog2)
 	}
-}
-
-func TestAssessSpillOverride(t *testing.T) {
-	in := colorQuery(t, graph.AugmentedPath(6))
-	p, err := core.BuildPlan(core.MethodBucketElimination, in.q, nil)
-	if err != nil {
-		t.Fatal(err)
+	// A predicted-bytes threshold below the prediction rejects.
+	if v.PredictedPeakBytes <= 1 {
+		t.Fatalf("want a nonzero predicted peak, got %d", v.PredictedPeakBytes)
 	}
-	base := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, 0, false, -1, in.db)
-	if base.PredictedPeakBytes <= 1 {
-		t.Fatalf("want a nonzero predicted peak, got %d", base.PredictedPeakBytes)
-	}
-	tight := base.PredictedPeakBytes - 1
-	// Over the byte threshold with spilling disabled: rejected.
-	if v := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, tight, false, -1, in.db); v.Admitted {
-		t.Errorf("predicted %d over threshold %d without spill: want rejected", v.PredictedPeakBytes, tight)
-	}
-	// Spilling armed with unlimited disk: admitted on spill.
-	v := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, tight, false, 0, in.db)
-	if !v.Admitted || !v.AdmittedOnSpill {
-		t.Errorf("unlimited spill budget: want AdmittedOnSpill, got %+v", v)
-	}
-	// Spilling armed but the prediction exceeds the disk budget too:
-	// rejected — disk cannot absorb what it cannot hold.
-	if v := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, tight, false, tight, in.db); v.Admitted {
-		t.Errorf("prediction over both memory and disk budgets: want rejected, got %+v", v)
-	}
-	// A disk budget that fits the prediction admits.
-	fit := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, tight, false, base.PredictedPeakBytes, in.db)
-	if !fit.Admitted || !fit.AdmittedOnSpill {
-		t.Errorf("prediction within disk budget: want AdmittedOnSpill, got %+v", fit)
-	}
-	// The override never excuses a width violation.
-	if v := assess(analyze(t, in.q), p, "bucketelimination", base.PlanWidth-1, 0, tight, false, 0, in.db); v.Admitted {
-		t.Errorf("width violation with spill armed: want rejected, got %+v", v)
+	if peakTight := assess(analyze(t, in.q), p, "bucketelimination", 0, 0, v.PredictedPeakBytes-1, false, in.db); peakTight.Admitted {
+		t.Errorf("byte threshold %d under prediction %d: want rejected", v.PredictedPeakBytes-1, v.PredictedPeakBytes)
 	}
 }
 
@@ -292,7 +263,7 @@ func BenchmarkAdmissionRule(b *testing.B) {
 			b.ReportAllocs()
 			var v *Verdict
 			for i := 0; i < b.N; i++ {
-				v = assess(st, p, "bucketelimination", 0, 0, 0, true, -1, db)
+				v = assess(st, p, "bucketelimination", 0, 0, 0, true, db)
 			}
 			if fires := v.BagAGMLog2 != nil && v.AGMLog2 <= *v.BagAGMLog2; fires != (name == "triangle") {
 				b.Fatalf("rule fires = %v (agm %.2f, bag %v)", fires, v.AGMLog2, v.BagAGMLog2)

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -302,177 +301,6 @@ func TestChaosDrill(t *testing.T) {
 	}
 	if _, err := hc.Ready(context.Background()); err == nil {
 		t.Error("server still answering after drain")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseGoroutines && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseGoroutines {
-		buf := make([]byte, 1<<16)
-		t.Errorf("goroutine leak after drain: %d > %d\n%s", n, baseGoroutines, buf[:runtime.Stack(buf, true)])
-	}
-}
-
-// TestChaosDrillSpill is the disk-failure-domain drill (ISSUE 9): the
-// server runs with spilling enabled under a memory budget tight enough
-// that most drill queries must go out of core, while spill.* faults
-// corrupt writes, reads, disk capacity, and latency. The acceptance
-// bar is the same as the network drill: typed outcomes only, every
-// returned answer differentially equal to the oracle, at least one
-// success actually went through the spill path, and the drain leaves
-// no goroutines behind — all under -race.
-func TestChaosDrillSpill(t *testing.T) {
-	baseGoroutines := runtime.NumGoroutine()
-
-	db := instance.ColorDatabase(3)
-	cases := buildChaosCases(t, db)
-	spillDir := t.TempDir()
-
-	srv := server.New(server.Config{
-		DB:            db,
-		MaxConcurrent: 2,
-		MaxQueue:      2,
-		QueueWait:     50 * time.Millisecond,
-		// 4500 bytes sits below the stream peak of most drill queries
-		// (4960–6960 bytes) but inside their out-of-core rescue window,
-		// so the resilient ladder's "+spill" rungs carry the load.
-		RequestTimeout: 2 * time.Second,
-		MaxRows:        200_000,
-		MaxBytes:       4500,
-		SpillDir:       spillDir,
-		MaxSpillBytes:  1 << 20,
-	})
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve() }()
-	addr := srv.Addr().String()
-
-	// Disk faults on every spill point, plus a little connection churn
-	// so the retry loop stays honest. The probabilities are per check
-	// site and a single out-of-core run makes hundreds of faultable
-	// calls (every block write, read, and byte charge), so per-run
-	// fault rates are much higher than these numbers suggest: at these
-	// settings some spill attempts die of injected disk failures (and
-	// recover down the ladder) while others complete with real traffic.
-	spec := "conn.drop=0.03,spill.write.fail=0.003,spill.read.fail=0.002," +
-		"spill.full=0.001,spill.slow=1ms:0.02"
-	if err := faultinject.Enable(spec, 43); err != nil {
-		t.Fatal(err)
-	}
-	defer faultinject.Disable()
-
-	const (
-		numClients = 4
-		perClient  = 6
-	)
-	type tally struct {
-		ok, degraded, spilled, shed, timeout, resource, internal int
-	}
-	var (
-		mu     sync.Mutex
-		counts tally
-		wg     sync.WaitGroup
-	)
-	for ci := 0; ci < numClients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			c := client.New(client.Options{
-				Addr:           addr,
-				MaxRetries:     8,
-				AttemptTimeout: 3 * time.Second,
-				BaseBackoff:    2 * time.Millisecond,
-				MaxBackoff:     50 * time.Millisecond,
-				Seed:           int64(ci) + 1,
-			})
-			for r := 0; r < perClient; r++ {
-				cse := cases[(ci*perClient+r)%len(cases)]
-				// The stream route: its live-byte accounting blows the
-				// 4500-byte budget on most drill queries, forcing the
-				// "stream+spill" retry (the methodless route leads with
-				// the full reducer, which fits these queries in memory).
-				resp, err := c.Query(context.Background(), cse.text, "stream")
-				if err == nil {
-					if resp.Status != server.StatusOK && resp.Status != server.StatusDegraded {
-						t.Errorf("client %d: nil error with status %s", ci, resp.Status)
-						continue
-					}
-					if resp.Answer == nil {
-						t.Errorf("client %d: %s: OK without an answer", ci, cse.name)
-						continue
-					}
-					// Differential check: answers recovered through spill
-					// (and spill faults) lose and duplicate nothing.
-					if !sameTuples(resp.Answer.Tuples, cse.tuples) {
-						t.Errorf("client %d: %s: answer has %d rows, oracle has %d (or rows differ)",
-							ci, cse.name, len(resp.Answer.Tuples), len(cse.tuples))
-					}
-					mu.Lock()
-					if resp.Status == server.StatusDegraded {
-						counts.degraded++
-					} else {
-						counts.ok++
-					}
-					if resp.Stats != nil && resp.Stats.SpilledBytes > 0 {
-						counts.spilled++
-					}
-					mu.Unlock()
-					continue
-				}
-				var se *client.StatusError
-				if !errors.As(err, &se) {
-					t.Errorf("client %d: %s: untyped failure after retries: %v", ci, cse.name, err)
-					continue
-				}
-				mu.Lock()
-				switch se.Status {
-				case server.StatusShed, server.StatusDraining:
-					counts.shed++
-				case server.StatusTimeout:
-					counts.timeout++
-				case server.StatusResourceLimit:
-					counts.resource++
-				case server.StatusInternal:
-					counts.internal++
-				default:
-					t.Errorf("client %d: %s: unexpected typed status %s: %v", ci, cse.name, se.Status, err)
-				}
-				mu.Unlock()
-			}
-		}(ci)
-	}
-	wg.Wait()
-	faultinject.Disable()
-
-	if idle := undrawn(spec); len(idle) > 0 {
-		t.Errorf("armed fault points never drawn: %v", idle)
-	}
-	if counts.ok+counts.degraded == 0 {
-		t.Error("spill drill produced no successful answers")
-	}
-	if counts.spilled == 0 {
-		t.Error("no successful answer reported spill traffic; the drill never exercised the disk path")
-	}
-	t.Logf("spill drill outcomes: ok=%d degraded=%d spilled=%d shed=%d timeout=%d resource=%d internal=%d",
-		counts.ok, counts.degraded, counts.spilled, counts.shed, counts.timeout, counts.resource, counts.internal)
-
-	// Clean drain, no goroutine leaks, no stray spill files: the spill
-	// directory must be empty once every run has settled (each run's
-	// Cleanup removes its own tempdir).
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatalf("Serve returned %v after drain", err)
-	}
-	if entries, err := os.ReadDir(spillDir); err != nil {
-		t.Errorf("reading spill dir after drain: %v", err)
-	} else if len(entries) > 0 {
-		t.Errorf("%d spill temp dirs left behind after drain (faulted runs must clean up)", len(entries))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseGoroutines && time.Now().Before(deadline) {

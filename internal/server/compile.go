@@ -141,15 +141,7 @@ func (s *Server) build(q *cq.Query, db cq.Database, named string) *compiled {
 	// explicit wcoj one — since for any other method the plan width, not
 	// the output bound, governs the intermediates.
 	overrideAGM := named == "" || method == core.MethodWCOJ
-	// The spill override applies only to methodless requests: routing
-	// below picks an executor that can actually spill, whereas an
-	// explicitly named method may be one (yannakakis, wcoj) that ignores
-	// the spill directory and would die at the budget anyway.
-	spillBytes := int64(-1)
-	if s.cfg.SpillDir != "" && named == "" {
-		spillBytes = s.cfg.MaxSpillBytes
-	}
-	v := assess(st, p, string(method), s.cfg.MaxWidth, s.cfg.MaxAGMLog2, s.cfg.MaxPredictedBytes, overrideAGM, spillBytes, db)
+	v := assess(st, p, string(method), s.cfg.MaxWidth, s.cfg.MaxAGMLog2, s.cfg.MaxPredictedBytes, overrideAGM, db)
 	c.verdict = v
 	if !v.Admitted {
 		c.log.set("verdict", "over_width")
@@ -165,11 +157,6 @@ func (s *Server) build(q *cq.Query, db cq.Database, named string) *compiled {
 		// one admission the log must distinguish from a plain admit.
 		c.log.set("verdict", "admitted_on_agm")
 		c.log.set("agm_log2", v.AGMLog2)
-	}
-	if v.AdmittedOnSpill {
-		// The byte cap said no and the spill budget overrode it.
-		c.log.set("verdict", "admitted_on_spill")
-		c.log.set("predicted_peak_bytes", v.PredictedPeakBytes)
 	}
 
 	// Routing: the executor, and the plan it runs, chosen once.

@@ -199,12 +199,6 @@ type Verdict struct {
 	// it. Width is the wrong admission quantity for a multiway join;
 	// the output bound is the right one.
 	AdmittedOnAGM bool `json:"admitted_on_agm,omitempty"`
-	// AdmittedOnSpill reports that the query failed the predicted-bytes
-	// threshold but was admitted anyway because the server has spilling
-	// armed (Config.SpillDir) and the prediction fits the disk budget —
-	// the executors degrade the overage to disk latency instead of dying
-	// with ErrMemLimit.
-	AdmittedOnSpill bool `json:"admitted_on_spill,omitempty"`
 }
 
 // AttemptInfo is one degradation-ladder rung of an executed request.
@@ -234,15 +228,10 @@ type RunStats struct {
 	Reduced      int64 `json:"reduced,omitempty"`
 	// Seeks and Extensions instrument the worst-case-optimal executor's
 	// leapfrog intersections (zero for every other route).
-	Seeks      int64 `json:"seeks,omitempty"`
-	Extensions int64 `json:"extensions,omitempty"`
-	// SpilledBytes and SpillFiles instrument out-of-core execution: the
-	// cumulative bytes and file count the run wrote to the spill
-	// directory (zero when the run stayed in memory).
-	SpilledBytes int64         `json:"spilled_bytes,omitempty"`
-	SpillFiles   int           `json:"spill_files,omitempty"`
-	ElapsedUS    int64         `json:"elapsed_us"`
-	Attempts     []AttemptInfo `json:"attempts,omitempty"`
+	Seeks      int64         `json:"seeks,omitempty"`
+	Extensions int64         `json:"extensions,omitempty"`
+	ElapsedUS  int64         `json:"elapsed_us"`
+	Attempts   []AttemptInfo `json:"attempts,omitempty"`
 }
 
 // Health is the health endpoint's payload.

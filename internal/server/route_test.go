@@ -316,7 +316,7 @@ func TestNoGainTierTable(t *testing.T) {
 	taken := 0
 	for _, c := range pool {
 		inHand := mcsCandidate(t, c.q)
-		v := assess(analyze(t, c.q), inHand.Plan, "bucketelimination", 0, 0, 0, true, -1, db)
+		v := assess(analyze(t, c.q), inHand.Plan, "bucketelimination", 0, 0, 0, true, db)
 		method, chosen, reason, err := route("", c.q, inHand, v)
 		if err != nil {
 			t.Fatal(err)

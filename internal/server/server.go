@@ -53,17 +53,6 @@ type Config struct {
 	// MaxRows and MaxBytes bound each execution (engine.Options).
 	MaxRows  int
 	MaxBytes int64
-	// SpillDir, when non-empty, arms out-of-core execution: runs that
-	// would blow MaxBytes spill pipeline-breaker and hash-build state to
-	// temp files under this directory instead of failing: every request
-	// retries a memory failure with spilling before degrading methods. It
-	// also relaxes admission: a methodless query rejected only by
-	// MaxPredictedBytes is admitted when its prediction fits MaxSpillBytes
-	// (Verdict.AdmittedOnSpill).
-	SpillDir string
-	// MaxSpillBytes bounds each run's spill-directory footprint
-	// (0 = unlimited disk).
-	MaxSpillBytes int64
 	// Log, when non-nil, receives one structured JSON line per request
 	// (fingerprint, admission verdict, status, attempts, bytes).
 	Log io.Writer
@@ -507,10 +496,7 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	}
 	ctx, cancel := context.WithTimeout(reqCtx, timeout)
 	defer cancel()
-	opt := engine.Options{
-		MaxRows: s.cfg.MaxRows, MaxBytes: s.cfg.MaxBytes,
-		SpillDir: s.cfg.SpillDir, MaxSpillBytes: s.cfg.MaxSpillBytes,
-	}
+	opt := engine.Options{MaxRows: s.cfg.MaxRows, MaxBytes: s.cfg.MaxBytes}
 
 	// Execute: the compiled strategy first, and on a degradable failure
 	// the ladder that goes with it re-plans with safer methods.
@@ -653,8 +639,6 @@ func StatsOf(st *engine.Stats) *RunStats {
 		Reduced:      st.ReducedTuples,
 		Seeks:        st.Seeks,
 		Extensions:   st.Extensions,
-		SpilledBytes: st.SpilledBytes,
-		SpillFiles:   st.SpillFiles,
 		ElapsedUS:    st.Elapsed.Microseconds(),
 	}
 	for _, a := range st.Attempts {

@@ -479,8 +479,8 @@ func Explain(p Plan, db Database, opt ExecOptions, analyze bool) (string, error)
 
 // ExecuteIterator runs a plan on the Volcano-style pull pipeline
 // (PostgreSQL's execution model) — ExecuteStream's operators without the
-// semijoin pushdown phase ahead of them; results are identical to Execute,
-// and it is what Execute itself runs when opt arms a spill directory.
+// semijoin pushdown phase ahead of them; results are identical to
+// Execute.
 func ExecuteIterator(p Plan, db Database, opt ExecOptions) (*Result, error) {
 	return engine.ExecIterator(p, db, opt)
 }
