@@ -18,14 +18,16 @@ import (
 // holder and leaves its siblings theirs.
 //
 // A column's index is resident state of the arena, like its dedup table,
-// so no request is charged for it. It is built only for a column a
-// semijoin keys on, and takes joinTableBytes(n) for an n-row arena: 12
-// bytes a slot at ≤ 75% load plus 8 a row, at most 40n + 96 bytes. A
-// caller may also rename a per-request arena — the pipeline's pushdown
-// renames a reduced constrainer apart — and an index built there is
-// garbage with that arena, after at most the same joinTableBytes(n) that
-// the key set it replaces would have charged over the same rows. A sorted
-// index is resident the same way and takes 4n bytes per indexed column.
+// so no request is charged for it. It is built only for a column that a
+// semijoin or a join keys on alone with this arena's view as a side
+// (SemijoinFilter, JoinLimited), and takes joinTableBytes(n) for an n-row
+// arena: 12 bytes a slot at ≤ 75% load plus 8 a row, at most 40n + 96
+// bytes. A caller may also rename a per-request arena — the pipeline's
+// pushdown renames a reduced constrainer apart, and a request may ship
+// its own database — and an index built there is garbage with that arena,
+// after the joinTableBytes(n) that a key set or join table over the same
+// rows would have charged. A sorted index is resident the same way and
+// takes 4n bytes per indexed column.
 type arenaFacts struct {
 	denseOnce sync.Once
 	dense     []bool

@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -174,5 +176,61 @@ func TestColumnIndexSharedAndInvalidated(t *testing.T) {
 		if out, _, err := SemijoinFilter(src.Clone(), Rename(tc.r, nil), nil); err != nil || !out.Equal(back) {
 			t.Errorf("%s, as the source: %v (err %v), want %v", tc.name, out, err, back)
 		}
+	}
+}
+
+// TestJoinOfStoredViewsProbesResidentIndex: a join of two stored views on
+// one column builds no table. It probes the larger arena's column index,
+// built once and charged to no request, so it fits a budget just above
+// its output arena, where the same join over private copies must also pay
+// for a table and fails. Later joins over fresh views of the arena, from
+// any number of goroutines, add nothing to its resident bytes.
+func TestJoinOfStoredViewsProbesResidentIndex(t *testing.T) {
+	stored := func() (*Relation, *Relation) {
+		big, small := New([]Attr{0, 1}), New([]Attr{1, 2})
+		for v := Value(0); v < 3000; v++ {
+			big.Add(Tuple{v, v % 100})
+		}
+		for v := Value(0); v < 200; v++ {
+			small.Add(Tuple{v % 100, v})
+		}
+		return big, small
+	}
+	big, small := stored()
+	want := nestedLoopJoin(big, small)
+	budget := Join(big.Clone(), small.Clone()).Bytes() + 1000
+	limit := func() *Limit { return &Limit{MaxBytes: budget, Bytes: new(atomic.Int64)} }
+
+	for i := 1; i <= 2; i++ {
+		out, err := JoinLimited(Rename(big, nil), Rename(small, nil), limit())
+		if err != nil || !out.Equal(want) {
+			t.Fatalf("join %d of two stored views under a budget of %d bytes: %v (err %v)", i, budget, out, err)
+		}
+		if got := big.ResidentIndexBytes(); got != joinTableBytes(big.Len()) {
+			t.Fatalf("after join %d the larger arena holds %d resident bytes, want one index of %d", i, got, joinTableBytes(big.Len()))
+		}
+		if got := small.ResidentIndexBytes(); got != 0 {
+			t.Fatalf("after join %d the smaller arena holds %d resident bytes, want none", i, got)
+		}
+	}
+	if _, err := JoinLimited(big.Clone(), small.Clone(), limit()); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("the join of two private copies under %d bytes: err %v, want ErrMemBudget for its table", budget, err)
+	}
+
+	big, small = stored()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := JoinLimited(Rename(small, map[Attr]Attr{2: 10 + g}), Rename(big, nil), limit())
+			if err != nil || out.Len() != want.Len() {
+				t.Errorf("concurrent join %d: %d rows (err %v), want %d", g, out.Len(), err, want.Len())
+			}
+		}()
+	}
+	wg.Wait()
+	if got := big.ResidentIndexBytes(); got != joinTableBytes(big.Len()) {
+		t.Fatalf("concurrent joins left %d resident bytes, want one index of %d", got, joinTableBytes(big.Len()))
 	}
 }

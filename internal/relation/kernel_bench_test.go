@@ -110,14 +110,17 @@ func mapBaselineJoinProject(r, o *Relation, projCols []Attr) int {
 
 // BenchmarkKernelJoinProject measures the join+project hot path — the
 // operation pair that dominates every figure's running time — on the
-// open-addressing kernels against the map-based baseline.
+// open-addressing kernels against the map-based baseline. "open" joins
+// private relations, so it builds a table each time; "view" joins the
+// same rows as fresh views of stored arenas, as a query's scans bind
+// them, so it probes the larger arena's resident column index.
 func BenchmarkKernelJoinProject(b *testing.B) {
 	a, c := benchInputs(20000, 120)
 	proj := []Attr{0, 2}
-	b.Run("open", func(b *testing.B) {
+	joinProject := func(b *testing.B, r, o func() *Relation) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, err := JoinLimited(a, c, nil)
+			out, err := JoinLimited(r(), o(), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -125,6 +128,13 @@ func BenchmarkKernelJoinProject(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("open", func(b *testing.B) {
+		joinProject(b, func() *Relation { return a }, func() *Relation { return c })
+	})
+	b.Run("view", func(b *testing.B) {
+		sa, sc := a.Clone(), c.Clone()
+		joinProject(b, func() *Relation { return Rename(sa, nil) }, func() *Relation { return Rename(sc, nil) })
 	})
 	b.Run("map-baseline", func(b *testing.B) {
 		b.ReportAllocs()

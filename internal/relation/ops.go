@@ -157,8 +157,8 @@ func SharedAttrs(r, o *Relation) []Attr {
 // build/probe role assignment, the key regime, key column positions, and
 // the output assembly map.
 type joinSpec struct {
-	shared       []Attr
 	build, probe *Relation
+	resident     bool // probe the build side's column index (facts.go)
 	outAttrs     []Attr
 	exact        bool  // the build side's keys pack (key.go): no verification
 	bPos, pPos   []int // shared-attr column positions on each side
@@ -167,14 +167,19 @@ type joinSpec struct {
 }
 
 // makeJoinSpec prepares the join of r and o. The output schema is r's
-// attributes followed by o's attributes not in r; the smaller input
-// becomes the build side, as in the original kernel.
+// attributes followed by o's attributes not in r. On a one-column key a
+// zero-copy view of a stored arena (isShared) is the build side, whatever
+// the sizes, and its arena's column index is the table: the larger side
+// when both are views. Otherwise the smaller input is built.
 func makeJoinSpec(r, o *Relation) joinSpec {
-	s := joinSpec{shared: SharedAttrs(r, o)}
-
-	// Build on the smaller side.
-	s.build, s.probe = r, o
-	if s.probe.n < s.build.n {
+	shared := SharedAttrs(r, o)
+	rView, oView := r.isShared(), o.isShared()
+	s := joinSpec{build: r, probe: o, resident: len(shared) == 1 && (rView || oView)}
+	swap := o.n < r.n
+	if s.resident {
+		swap = oView && (!rView || o.n > r.n)
+	}
+	if swap {
 		s.build, s.probe = o, r
 	}
 
@@ -186,9 +191,9 @@ func makeJoinSpec(r, o *Relation) joinSpec {
 		}
 	}
 
-	s.bPos = s.build.colsOf(s.shared)
-	s.pPos = s.probe.colsOf(s.shared)
-	s.exact = s.build.packs(s.bPos)
+	s.bPos = s.build.colsOf(shared)
+	s.pPos = s.probe.colsOf(shared)
+	s.exact = s.build.packs(s.bPos) // always, on one column
 
 	// Output assembly: shared attributes are read from the probe side
 	// (the join condition makes the two sides agree on them).
@@ -206,27 +211,19 @@ func makeJoinSpec(r, o *Relation) joinSpec {
 	return s
 }
 
-// buildKeys computes the join key of every build-side row.
-func (s *joinSpec) buildKeys() []uint64 {
+// table returns the join table over the build side: its arena's resident
+// column index, charged to no request, or a table built and charged now.
+func (s *joinSpec) table(lim *Limit) (*joinTable, error) {
+	if s.resident {
+		return s.build.columnIndex(s.bPos[0]), nil
+	}
 	keys := make([]uint64, s.build.n)
 	for i := range keys {
 		keys[i], _ = rowKey(s.build.row(i), s.bPos, s.exact)
 	}
-	return keys
-}
-
-// emit assembles the (probe row, build row) output tuple into out and
-// appends it: each pair makes a row no other pair makes (see JoinLimited).
-func (s *joinSpec) emit(out *Relation, pt, bt Tuple) {
-	row := out.stage()
-	for i, ps := range s.probeSrc {
-		if ps >= 0 {
-			row[i] = pt[ps]
-		} else {
-			row[i] = bt[s.buildSrc[i]]
-		}
-	}
-	out.appendStaged(row)
+	jt := newJoinTable(keys)
+	lim.charge(int64(s.build.n))
+	return &jt, lim.chargeBytes(jt.bytes())
 }
 
 // Join computes the natural join of r and o. It is equivalent to
@@ -243,13 +240,20 @@ func Join(r, o *Relation) *Relation {
 // schema is r's attributes followed by o's attributes not in r. When the
 // relations share no attributes the result is the cross product.
 //
-// The implementation is a classic hash join: build an open-addressing
-// table on the smaller input keyed by the shared attributes, probe with
-// the larger one. This mirrors the paper's setup, which forced hash joins
-// in PostgreSQL.
+// The implementation is a classic hash join, which mirrors the paper's
+// setup (it forced hash joins in PostgreSQL): probe a table keyed by the
+// shared attributes with the other side's rows. When the key is one
+// column and a side is a view of a stored arena, the table is that
+// arena's column index, built once and shared like SemijoinFilter's, and
+// nothing is built or charged; otherwise an open-addressing table is
+// built on the smaller input and charged.
+//
 // The natural join of two sets is a set (an output row determines both
-// input rows), so rows are appended with no membership test and the
-// output's dedup table is built only if Add or Contains asks.
+// input rows), so rows are written straight into the output's arena with
+// no membership test, and the output's dedup table is built only if Add
+// or Contains asks. The arena grows as stage grows one, so the bytes
+// charged are the same; each output column's range is that of the input
+// column it copies, a superset of the rows' own.
 func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 	if err := lim.interrupted(); err != nil {
 		return nil, err
@@ -261,21 +265,20 @@ func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 	faultinject.Panic(faultinject.PanicJoin)
 	spec := makeJoinSpec(r, o)
 	out := New(spec.outAttrs)
-	if spec.build.n == 0 {
+	if r.n == 0 || o.n == 0 {
 		return out, nil
 	}
-
-	jt := newJoinTable(spec.buildKeys())
-	lim.charge(int64(spec.build.n))
-	if err := lim.chargeBytes(jt.bytes()); err != nil {
+	jt, err := spec.table(lim)
+	if err != nil {
 		return nil, err
 	}
 
 	// The interrupt check ticks on tuples touched, not probe rows: a
 	// high-fanout join can emit millions of rows from a handful of probe
 	// rows, and cancellation must land within a bounded amount of work.
-	probe := spec.probe
-	var touched, outBytes int64
+	probe, build, w := spec.probe, spec.build, out.arity
+	data, n := out.data, 0
+	var touched int64
 	nextCheck := int64(deadlineCheckInterval)
 	for pi := 0; pi < probe.n; pi++ {
 		pt := probe.row(pi)
@@ -285,7 +288,7 @@ func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 			continue
 		}
 		for e := jt.first(key); e != 0; e = jt.next[e-1] {
-			bt := spec.build.row(int(jt.rowOf[e-1]))
+			bt := build.row(int(jt.rowOf[e-1]))
 			touched++
 			if touched >= nextCheck {
 				nextCheck = touched + deadlineCheckInterval
@@ -297,18 +300,38 @@ func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 			if !spec.exact && !sameKey(bt, spec.bPos, pt, spec.pPos) {
 				continue
 			}
-			spec.emit(out, pt, bt)
-			if err := lim.chargeMem(out, &outBytes); err != nil {
-				lim.charge(touched)
-				return nil, err
+			if len(data)+w > cap(data) {
+				grown := growArena(data, len(data)+w, w)
+				if err := lim.chargeBytes(int64(cap(grown)-cap(data)) * 4); err != nil {
+					lim.charge(touched)
+					return nil, err
+				}
+				data = grown
 			}
-			if lim.overRows(out.n) {
+			data = data[:len(data)+w]
+			row := data[len(data)-w:]
+			for i, ps := range spec.probeSrc {
+				if ps >= 0 {
+					row[i] = pt[ps]
+				} else {
+					row[i] = bt[spec.buildSrc[i]]
+				}
+			}
+			if n++; lim.overRows(n) {
 				lim.charge(touched)
 				return nil, ErrRowLimit
 			}
 		}
 	}
 	lim.charge(touched)
+	out.data, out.n, out.stale = data, n, true
+	for i, ps := range spec.probeSrc {
+		src, j := probe, ps
+		if ps < 0 {
+			src, j = build, spec.buildSrc[i]
+		}
+		out.colMin[i], out.colMax[i] = src.colMin[j], src.colMax[j]
+	}
 	return out, nil
 }
 

@@ -1,8 +1,9 @@
 // Package relation implements in-memory relations with set semantics and
 // the relational-algebra operations needed for project-join query
-// evaluation: natural join, projection and semijoin. A semijoin into or
-// from a stored relation looks keys up in a column index that the stored
-// arena builds once and shares with its views (facts.go, semijoin.go).
+// evaluation: natural join, projection and semijoin. A semijoin or a join
+// on one column of a stored relation looks keys up in a column index that
+// the stored arena builds once and shares with its views (facts.go,
+// semijoin.go, ops.go).
 //
 // A relation has an ordered schema of attributes and a deduplicated set of
 // tuples. Attributes are plain ints; in query processing they are the
@@ -14,8 +15,8 @@
 // 2004) forces hash joins in PostgreSQL and works with main-memory
 // databases under SELECT DISTINCT semantics; this package is the
 // corresponding substrate: every result is a set, and joins are hash
-// joins. A join writes its rows without a membership test: the natural
-// join of two sets is a set.
+// joins. A join writes its rows straight into its output's arena, without
+// a membership test: the natural join of two sets is a set.
 package relation
 
 import (
@@ -61,7 +62,9 @@ func (t Tuple) Clone() Tuple {
 //
 // Relations track per-column min/max values on insert, which lets a hash
 // kernel decide packed-vs-hashed keys without rescanning rows, and lets
-// Rename share storage with its source (copy-on-write).
+// Rename share storage with its source (copy-on-write). The ranges bound
+// the rows and may be wider: a join's output takes each column's range
+// from the input column it copies, and a compaction keeps its input's.
 type Relation struct {
 	attrs []Attr
 	pos   map[Attr]int
@@ -178,27 +181,28 @@ func (r *Relation) privatize() {
 }
 
 // stage returns a writable scratch row at the end of the arena, growing
-// it if needed. The caller fills the row and calls commitStaged, or
-// appendStaged for a row known to be new; staged data is abandoned
-// (overwritten by the next stage) if the row turns out to be a duplicate.
+// it if needed. The caller fills the row and calls commitStaged; staged
+// data is abandoned (overwritten by the next stage) if the row turns out
+// to be a duplicate.
 func (r *Relation) stage() Tuple {
 	if r.isShared() {
 		r.privatize()
 	}
 	need := (r.n + 1) * r.arity
-	if need > cap(r.data) {
-		newCap := 2 * cap(r.data)
-		if minCap := 64 * r.arity; newCap < minCap {
-			newCap = minCap
-		}
-		if newCap < need {
-			newCap = need
-		}
-		nd := make([]Value, r.n*r.arity, newCap)
-		copy(nd, r.data)
-		r.data = nd
-	}
+	r.data = growArena(r.data, need, r.arity)
 	return r.data[r.n*r.arity : need]
+}
+
+// growArena returns data with room for need values: capacity doubles, from
+// 64 rows of the given arity. stage and JoinLimited both grow this way, so
+// a join's output takes the bytes of the same rows added one by one.
+func growArena(data []Value, need, arity int) []Value {
+	if need <= cap(data) {
+		return data
+	}
+	nd := make([]Value, len(data), max(2*cap(data), 64*arity, need))
+	copy(nd, data)
+	return nd
 }
 
 // commitStaged deduplicates the staged row t (which must be the slice
@@ -218,17 +222,6 @@ func (r *Relation) commitStaged(t Tuple) bool {
 	}
 	r.keep(t)
 	return true
-}
-
-// appendStaged keeps the staged row t without a membership test: the
-// caller guarantees it is not yet present. The dedup table is dropped and
-// left stale until Add or Contains asks for it (ensureDedup).
-func (r *Relation) appendStaged(t Tuple) {
-	if !r.stale {
-		r.keys, r.refs, r.used = nil, nil, 0
-		r.stale = true
-	}
-	r.keep(t)
 }
 
 // keep extends the arena over the staged row t and folds it into the

@@ -64,16 +64,7 @@ func checkSemijoinKernels(t *testing.T, r, o *Relation) string {
 		}
 		return true
 	})
-	view := func(x *Relation) *Relation { return Rename(x, nil) }
-	for _, arm := range []struct {
-		name string
-		r, o *Relation
-	}{
-		{"target a view", view(r), o.Clone()},
-		{"source a view", r.Clone(), view(o)},
-		{"both views", view(r), view(o)},
-		{"neither a view", r.Clone(), o.Clone()},
-	} {
+	for _, arm := range kernelArms(r, o) {
 		// SemijoinFilter consumes its receiver: each arm gets its own.
 		got, removed, err := SemijoinFilter(arm.r, arm.o, nil)
 		if err != nil {
@@ -107,32 +98,71 @@ func checkSemijoinKernels(t *testing.T, r, o *Relation) string {
 	return keySetKind(f.set)
 }
 
-// checkJoinOutput checks r ⋈ o against the nested-loop oracle, and that
-// the output, written without membership tests, has no dedup table until
-// asked and then answers in the regime its column ranges call for: Equal
-// asks Contains of every oracle row, and Add must refuse a stored row and
-// accept a new one.
+// kernelArms returns fresh copies of r and o in the four arms every
+// kernel check runs: r a view, o a view, both, and neither. A view is a
+// zero-copy Rename, which reads its stored arena's column index; a Clone
+// is private and makes the kernel build.
+func kernelArms(r, o *Relation) []struct {
+	name string
+	r, o *Relation
+} {
+	view := func(x *Relation) *Relation { return Rename(x, nil) }
+	return []struct {
+		name string
+		r, o *Relation
+	}{
+		{"target a view", view(r), o.Clone()},
+		{"source a view", r.Clone(), view(o)},
+		{"both views", view(r), view(o)},
+		{"neither a view", r.Clone(), o.Clone()},
+	}
+}
+
+// checkJoinOutput checks r ⋈ o against the nested-loop oracle in the four
+// arms of kernelArms (on a one-column key a view's column index is the
+// table; otherwise the smaller side is built), and that every output row
+// lies inside the output's column ranges. The output, written without
+// membership tests, takes the arena bytes of the same rows added one by
+// one, has no dedup table until asked, and then answers in the regime its
+// column ranges call for: Equal asks Contains of every oracle row, and
+// Add must refuse a stored row and accept a new one.
 func checkJoinOutput(t *testing.T, r, o *Relation) {
 	t.Helper()
-	joined, want := Join(r, o), nestedLoopJoin(r, o)
-	if joined.keys != nil || joined.Bytes() != int64(cap(joined.data))*4 {
-		t.Fatalf("join output holds a dedup table before any membership query (r=%v o=%v)", r, o)
-	}
-	if !joined.Equal(want) {
-		t.Fatalf("JoinLimited %v != oracle %v (r=%v o=%v)", joined, want, r, o)
-	}
-	fresh := make(Tuple, joined.Arity())
-	if joined.Len() > 0 {
-		if joined.Add(joined.row(0).Clone()) {
-			t.Fatalf("join output re-admitted %v (r=%v o=%v)", joined.row(0), r, o)
+	want := nestedLoopJoin(r, o)
+	for _, arm := range kernelArms(r, o) {
+		joined, err := JoinLimited(arm.r, arm.o, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		copy(fresh, joined.row(0))
-	}
-	for want.Contains(fresh) {
-		fresh[0]++
-	}
-	if !joined.Add(fresh) || !joined.Contains(fresh) || joined.Len() != want.Len()+1 {
-		t.Fatalf("join output refused or lost the new row %v (r=%v o=%v)", fresh, r, o)
+		if joined.keys != nil || joined.Bytes() != int64(cap(want.data))*4 {
+			t.Fatalf("join output, %s, takes %d bytes, want %d: the arena of its rows added one by one, and no dedup table before any membership query (r=%v o=%v)",
+				arm.name, joined.Bytes(), cap(want.data)*4, r, o)
+		}
+		if !joined.Equal(want) {
+			t.Fatalf("JoinLimited, %s: %v != oracle %v (r=%v o=%v)", arm.name, joined, want, r, o)
+		}
+		joined.Each(func(jt Tuple) bool {
+			for j, v := range jt {
+				if v < joined.colMin[j] || v > joined.colMax[j] {
+					t.Fatalf("JoinLimited, %s: row %v outside column %d's range [%d,%d] (r=%v o=%v)",
+						arm.name, jt, j, joined.colMin[j], joined.colMax[j], r, o)
+				}
+			}
+			return true
+		})
+		fresh := make(Tuple, joined.Arity())
+		if joined.Len() > 0 {
+			if joined.Add(joined.row(0).Clone()) {
+				t.Fatalf("join output, %s, re-admitted %v (r=%v o=%v)", arm.name, joined.row(0), r, o)
+			}
+			copy(fresh, joined.row(0))
+		}
+		for want.Contains(fresh) {
+			fresh[0]++
+		}
+		if !joined.Add(fresh) || !joined.Contains(fresh) || joined.Len() != want.Len()+1 {
+			t.Fatalf("join output, %s, refused or lost the new row %v (r=%v o=%v)", arm.name, fresh, r, o)
+		}
 	}
 }
 
