@@ -21,9 +21,10 @@ import (
 // stamp records what a file's numbers were taken on, so that a stale file
 // or a one-shot recording on a noisy host can be told from a regression.
 type stamp struct {
-	// Commit is `git describe --always --dirty` when the file was written.
-	// `make bench-json` redirects to an untracked file and renames it after,
-	// so a series recorded from a clean tree is stamped with no -dirty.
+	// Commit is `git describe --always` when the file was written, plus
+	// -dirty when a tracked file other than a BENCH_*.json differs from it.
+	// `make bench-json` rewrites those files one after another, so every
+	// series recorded from a clean tree is stamped with no -dirty.
 	Commit string `json:"commit"`
 	Go     string `json:"go"`
 	// GOMAXPROCS is read off the benchmark names' "-N" suffix, which go
@@ -50,8 +51,12 @@ type result struct {
 
 func main() {
 	commit := "unknown"
-	if out, err := exec.Command("git", "describe", "--always", "--dirty").Output(); err == nil {
+	if out, err := exec.Command("git", "describe", "--always").Output(); err == nil {
 		commit = strings.TrimSpace(string(out))
+		diff := exec.Command("git", "status", "--porcelain", "--untracked-files=no", "--", ":/", ":(top,exclude)BENCH_*.json")
+		if changed, err := diff.Output(); err != nil || len(changed) > 0 {
+			commit += "-dirty"
+		}
 	}
 	rec := recording{
 		Stamp:   stamp{Commit: commit, Go: runtime.Version(), GOMAXPROCS: 1},
