@@ -57,7 +57,12 @@ vet:
 # and resilient modes and their five cmd/experiments flags.
 # Lowered to 18918 by deleting spill-to-disk, which no measured request needed.
 # Raised 18918 -> 18942 by joins that probe a stored view's column index (x1.24 wide-answer throughput) and benchjson stamps blind to BENCH_*.json rewrites.
-LOC_CEILING = 18942
+# Raised 18942 -> 19022 by pipeline builds that copy nothing their input
+# holds: 80 lines — StreamTable's resident and adopted constructors and
+# Freeze, streamJoin's build paths and their EXPLAIN mark, the probe
+# table's full charge, and projpushd's -debug listener — for a lower
+# server_peak_bytes_per_req on cyclic-dense (CHANGES.md has the runs).
+LOC_CEILING = 19022
 loc:
 	@go list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
 		n=$$(ls $$dir/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \
@@ -69,12 +74,15 @@ loc:
 # deleted, or FLAG_CEILING raised in the same diff. Lowered 25 -> 22 when
 # -method, -streamwidth and -wcojagm became constants (PR 25).
 # Lowered 22 -> 20 when -spilldir and -maxspill went with spill-to-disk.
+# Raised 20 -> 21 by -debug, the opt-in net/http/pprof and expvar listener
+# (ROADMAP item 1's first slice): profiles come from the server itself
+# instead of a harness, and it serves nothing unless it is set.
 # cmd/experiments' flags have their own ceiling under the same rule: the
 # harness measures the paper's figures, so a serving feature gets no flag
 # there (projpushd, projpush and bench already serve, drill and measure
 # them). Set to 13 when -connect, -spilldir, -maxspill, -maxwidth and
 # -resilient went.
-FLAG_CEILING = 20
+FLAG_CEILING = 21
 EXP_FLAG_CEILING = 13
 flags:
 	@n=$$(go run ./cmd/projpushd -h 2>&1 | grep -c '^  -'); \
@@ -179,9 +187,11 @@ bench-yannakakis:
 	go test . -run '^$$' -bench '^BenchmarkYannakakis' -benchmem -benchtime 3x
 
 # The pushdown-on-vs-off peak-memory series of the pull pipeline on the
-# same selective workloads (peak-bytes is the acceptance signal: stream at
-# least 5x under the iterator arm on chain and spider at equal-or-better
-# latency), and BenchmarkStreamStructured, the other side: the augmented
+# same selective workloads (the acceptance signal is maxrows, the largest
+# materialized state: stream at least 5x under the iterator arm on chain
+# and spider at equal-or-better latency, with peak-bytes no higher; the
+# iterator's builds over whole stored relations hold no bytes, so its
+# peak-bytes no longer counts them), and BenchmarkStreamStructured, the other side: the augmented
 # circular ladder at orders 5-40, where the phase skips itself and the
 # stream arm has to match the iterator's, both at a fraction of the
 # walker's peak-bytes (200 ms a cell, not 3 runs: its cells start at 0.2 ms).
@@ -214,6 +224,7 @@ fuzz:
 	go test ./internal/server -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime 30s
 	go test ./internal/relation -run '^$$' -fuzz 'FuzzSortedIndexOrder$$' -fuzztime 30s
 	go test ./internal/relation -run '^$$' -fuzz 'FuzzSemijoinKeys$$' -fuzztime 30s
+	go test ./internal/relation -run '^$$' -fuzz 'FuzzStreamBuild$$' -fuzztime 30s
 
 # Paper-scale sweeps with timeouts (slow; see -scale to shrink).
 experiments:

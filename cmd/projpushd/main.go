@@ -18,8 +18,12 @@ package main
 
 import (
 	"context"
+	_ "expvar" // /debug/vars on the -debug listener
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
+	_ "net/http/pprof" // /debug/pprof/ on the -debug listener
 	"os"
 	"os/signal"
 	"strings"
@@ -57,8 +61,17 @@ func main() {
 		hedge       = flag.Bool("hedge", false, "fleet mode: hedge slow requests against a second replica after the p95 delay")
 		join        = flag.String("join", "", "worker mode: register with the fleet coordinator at this address after listening, deregister before draining")
 		workerID    = flag.String("workerid", "", "fleet member id stamped on every response (worker mode; default the listen address)")
+		debug       = flag.String("debug", "", "serve net/http/pprof and expvar on this address (empty = off)")
 	)
 	flag.Parse()
+
+	if *debug != "" {
+		ln, err := serveDebug(*debug)
+		if err != nil {
+			fatal(fmt.Errorf("-debug: %w", err))
+		}
+		fmt.Fprintf(os.Stderr, "projpushd: debug listener on %s\n", ln.Addr())
+	}
 
 	if *faults != "" {
 		if err := faultinject.Enable(*faults, *faultseed); err != nil {
@@ -186,6 +199,15 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// serveDebug serves net/http/pprof's and expvar's default-mux handlers on addr.
+func serveDebug(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err == nil {
+		go http.Serve(ln, nil)
+	}
+	return ln, err
 }
 
 // loadDB builds the served database: a cqparse file's rel blocks, or the

@@ -52,12 +52,13 @@ import (
 // emitted, bytes materialized (cumulative) and resident (current / peak),
 // and tuples removed by pushed-down semijoin reduction.
 type opStats struct {
-	rows    int64 // tuples emitted
-	total   int64 // cumulative bytes materialized by this operator
-	held    int64 // bytes currently resident
-	peak    int64 // high-water resident bytes
-	build   int64 // build-side rows stored (joins)
-	reduced int64 // tuples removed before this operator by pushdown
+	rows    int64  // tuples emitted
+	total   int64  // cumulative bytes materialized by this operator
+	held    int64  // bytes currently resident
+	peak    int64  // high-water resident bytes
+	build   int64  // build-side rows stored (joins)
+	reduced int64  // tuples removed before this operator by pushdown
+	via     string // a build that copied nothing: " resident" or " adopted"
 }
 
 // streamContext is the pipeline's run governor with the budget turned from
@@ -151,7 +152,8 @@ type streamOp interface {
 type streamScan struct {
 	ctx        *streamContext
 	atom       *cq.Atom
-	state      *streamScanState // the pushdown phase's view; nil with the phase off
+	state      *streamScanState   // the pushdown phase's view; nil with the phase off
+	view       *relation.Relation // what rd reads: stored, or the phase's view
 	sch        []cq.Var
 	rd         relation.ColumnReader
 	dedup      *relation.Relation
@@ -240,7 +242,53 @@ type streamJoin struct {
 func (j *streamJoin) schema() []cq.Var { return j.sch }
 func (j *streamJoin) stats() *opStats  { return &j.st }
 
-func (j *streamJoin) build() error {
+// build makes the table and holds its full size. A keyed, unfiltered
+// build over a whole-row scan or a DISTINCT, which emit exactly the stored
+// columns, copies nothing: it probes a stored arena's column index
+// (resident) or takes the input's arena and its charge (adopted).
+func (j *streamJoin) build() (err error) {
+	var rel *relation.Relation
+	resident := false
+	if len(j.filters) == 0 && len(j.keyPos) > 0 {
+		switch in := j.right.(type) {
+		case *streamScan:
+			if in.dedup == nil {
+				rel, resident = in.view, in.state == nil || in.state.epoch == 0
+				in.st.rows = int64(rel.Len())
+			}
+		case *streamDistinct:
+			if rel, err = in.drain(); err != nil {
+				return err
+			}
+		}
+	}
+	switch {
+	case rel == nil:
+		err = j.buildCopy()
+	case j.ctx.maxRows > 0 && rel.Len() > j.ctx.maxRows:
+		err = relation.ErrRowLimit
+	case resident:
+		j.table, j.st.via = relation.NewStreamTableResident(rel, j.keyPos), " resident"
+	default:
+		j.table, j.st.via = relation.NewStreamTableOver(rel, j.keyPos), " adopted"
+	}
+	if err != nil {
+		return err
+	}
+	j.right.close() // drained: its bytes go back before the table's are held
+	if err := j.ctx.hold(j.table.Bytes(), &j.tabBytes, &j.st); err != nil {
+		return err
+	}
+	j.st.build = int64(j.table.Len())
+	j.ctx.stats.MaxRows = max(j.ctx.stats.MaxRows, j.table.Len())
+	j.built = true
+	return nil
+}
+
+// buildCopy inserts the right input's needed columns row by row, through
+// any build filters, and freezes the table.
+func (j *streamJoin) buildCopy() error {
+	j.table = relation.NewStreamTable(len(j.gather), j.keyPos)
 	for fi := range j.filters {
 		bf := &j.filters[fi]
 		var counter atomic.Int64
@@ -288,19 +336,14 @@ insert:
 			return err
 		}
 	}
-	j.st.build = int64(n)
-	if n > j.ctx.stats.MaxRows {
-		j.ctx.stats.MaxRows = n
-	}
-	// The build side is fully materialized; release the filters and the
-	// right subtree's state.
+	// The build side is fully materialized; release the filters and
+	// freeze the table, whose probe structure build charges.
 	for fi := range j.filters {
 		j.ctx.release(&j.filters[fi].bytes, &j.st)
 		j.filters[fi].f = nil
 	}
 	j.filters = nil
-	j.right.close()
-	j.built = true
+	j.table.Freeze()
 	return nil
 }
 
@@ -363,9 +406,8 @@ func (j *streamJoin) close() {
 }
 
 // streamDistinct projects its input onto cols and deduplicates — the
-// SELECT DISTINCT pipeline breaker. When it is the plan root, the engine
-// takes ownership of the seen-set as the final result instead of
-// materializing a second copy.
+// SELECT DISTINCT pipeline breaker. Its seen-set is never copied: at the
+// plan root it is the final result, and under a join it is the build.
 type streamDistinct struct {
 	ctx       *streamContext
 	in        streamOp
@@ -376,7 +418,6 @@ type streamDistinct struct {
 	out       relation.Tuple
 	st        opStats
 	done      bool
-	detached  bool
 }
 
 func (d *streamDistinct) schema() []cq.Var { return d.sch }
@@ -421,18 +462,19 @@ func (d *streamDistinct) next() (relation.Tuple, error) {
 	}
 }
 
-// detachSeen hands the dedup state to the caller as the final result; its
-// bytes stay charged (the result is live until the run returns).
-func (d *streamDistinct) detachSeen() *relation.Relation {
-	d.detached = true
-	return d.seen
+// drain runs d to its end and returns its seen-set (close releases its charge).
+func (d *streamDistinct) drain() (*relation.Relation, error) {
+	for {
+		t, err := d.next()
+		if t == nil || err != nil {
+			return d.seen, err
+		}
+	}
 }
 
 func (d *streamDistinct) close() {
-	if !d.detached {
-		d.ctx.release(&d.seenBytes, &d.st)
-		d.seen = nil
-	}
+	d.ctx.release(&d.seenBytes, &d.st)
+	d.seen = nil
 	if !d.done {
 		d.done = true
 		d.in.close()
@@ -534,7 +576,7 @@ func (e *pipeline) lower(n plan.Node, needed []cq.Var) (streamOp, error) {
 			}
 			s.sch, s.dedup = needed, relation.New(needed)
 		}
-		s.rd = relation.NewColumnReader(view, idx)
+		s.view, s.rd = view, relation.NewColumnReader(view, idx)
 		e.noteArity(len(s.sch))
 		return s, nil
 
@@ -572,7 +614,6 @@ func (e *pipeline) lower(n plan.Node, needed []cq.Var) (streamOp, error) {
 		vals := make(relation.Tuple, len(j.sch)+k)
 		j.out, j.buf = vals[:len(j.sch):len(j.sch)], vals[len(j.sch):]
 		j.cur = j.out[:len(ls)]
-		j.table = relation.NewStreamTable(k, j.keyPos)
 		if e.push != nil {
 			j.filters = e.push.buildFilters(t, stored)
 		}
@@ -696,16 +737,9 @@ func execPipeline(cctx context.Context, p plan.Node, db cq.Database, opt Options
 	defer root.close()
 	var out *relation.Relation
 	if d, ok := root.(*streamDistinct); ok {
-		for {
-			t, err := d.next()
-			if err != nil {
-				return done(nil, err)
-			}
-			if t == nil {
-				break
-			}
+		if out, err = d.drain(); err != nil {
+			return done(nil, err)
 		}
-		out = d.detachSeen()
 	} else {
 		out = relation.New(root.schema())
 		st, outBytes := root.stats(), int64(0)
@@ -795,7 +829,7 @@ func ExplainStream(p plan.Node, db cq.Database, opt Options, analyze bool) (stri
 			o := op.stats()
 			fmt.Fprintf(&b, " rows=%d bytes=%d peak=%d", o.rows, o.total, o.peak)
 			if o.build > 0 {
-				fmt.Fprintf(&b, " build=%d", o.build)
+				fmt.Fprintf(&b, " build=%d%s", o.build, o.via)
 			}
 			if o.reduced > 0 {
 				fmt.Fprintf(&b, " reduced=%d", o.reduced)

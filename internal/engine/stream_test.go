@@ -155,10 +155,13 @@ func selectiveChain(atoms, rows, dom int, seed int64) (*cq.Query, cq.Database) {
 	return q, db
 }
 
-// TestStreamPeakBytesReduction pins the tentpole's acceptance property at
-// test scale: on the selective chain, the streaming engine's peak live
-// bytes are at least 5x below the iterator engine's on the same plan,
-// with identical results.
+// TestStreamPeakBytesReduction pins the pushdown phase's acceptance
+// property at test scale: on the selective chain, the largest state the
+// streaming engine materializes (Stats.MaxRows) is at least 5x below the
+// iterator engine's on the same plan, with identical results and no more
+// peak live bytes. The 5x is on rows, not bytes: the iterator's builds
+// over whole stored relations probe their resident column indexes and
+// hold no bytes, so its peak no longer counts those relations.
 func TestStreamPeakBytesReduction(t *testing.T) {
 	q, db := selectiveChain(5, 500, 300, 11)
 	p, err := core.BuildPlan(core.MethodEarlyProjection, q, nil)
@@ -177,9 +180,13 @@ func TestStreamPeakBytesReduction(t *testing.T) {
 		t.Fatalf("stream relation differs from iterator (%d vs %d rows)",
 			stream.Rel.Len(), iter.Rel.Len())
 	}
-	if stream.Stats.Bytes*5 > iter.Stats.Bytes {
-		t.Fatalf("peak bytes not reduced 5x: stream=%d iterator=%d",
-			stream.Stats.Bytes, iter.Stats.Bytes)
+	if stream.Stats.MaxRows*5 > iter.Stats.MaxRows {
+		t.Fatalf("largest state not reduced 5x: stream=%d rows iterator=%d rows",
+			stream.Stats.MaxRows, iter.Stats.MaxRows)
+	}
+	if stream.Stats.PeakBytes > iter.Stats.PeakBytes {
+		t.Fatalf("peak bytes rose: stream=%d iterator=%d",
+			stream.Stats.PeakBytes, iter.Stats.PeakBytes)
 	}
 	if stream.Stats.ReducedTuples == 0 {
 		t.Fatal("pushdown removed no tuples on the selective chain")

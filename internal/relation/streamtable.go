@@ -17,30 +17,54 @@ package relation
 type StreamTable struct {
 	arity  int
 	keyPos []int // key columns in inserted rows
+	keyed  int   // how many of them the probe structure hashes: 1 if resident
 
 	data []Value // flat arena; row i = data[i*arity:(i+1)*arity]
 	n    int
-	keys []uint64 // per-row key under the current mode
+	keys []uint64 // per-row key under the current mode; nil once frozen
 
-	packed bool
-	built  bool
-	jt     joinTable
+	packed   bool
+	built    bool
+	resident bool // jt is a stored arena's column index on keyPos[0]
+	jt       joinTable
 }
 
 // NewStreamTable returns an empty table for rows of the given arity keyed
 // by the columns keyPos (which it copies).
 func NewStreamTable(arity int, keyPos []int) *StreamTable {
-	return &StreamTable{
-		arity:  arity,
-		keyPos: append([]int(nil), keyPos...),
-		packed: true,
-	}
+	return &StreamTable{arity: arity, keyPos: append([]int(nil), keyPos...), keyed: len(keyPos), packed: true}
 }
 
+// NewStreamTableResident returns a frozen table over r's rows that probes
+// their arena's column index (facts.go) on keyPos[0], verifying the rest
+// of the key; like the index, it is charged to no request (Bytes is 0).
+func NewStreamTableResident(r *Relation, keyPos []int) *StreamTable {
+	return &StreamTable{arity: r.arity, keyPos: keyPos, keyed: 1, data: r.data, n: r.n,
+		packed: true, built: true, resident: true, jt: *r.columnIndex(keyPos[0])}
+}
+
+// NewStreamTableOver returns a frozen table over r's arena, adopted in
+// place: r must not change after. Bytes is the arena and probe structure.
+func NewStreamTableOver(r *Relation, keyPos []int) *StreamTable {
+	st := &StreamTable{arity: r.arity, keyPos: keyPos, keyed: len(keyPos), data: r.data, n: r.n,
+		packed: r.packs(keyPos), keys: make([]uint64, r.n)}
+	for i := range st.keys {
+		st.keys[i], _ = rowKey(r.row(i), keyPos, st.packed)
+	}
+	st.Freeze()
+	return st
+}
+
+// Len returns the number of stored rows.
+func (st *StreamTable) Len() int { return st.n }
+
 // Bytes approximates the table's resident memory: the tuple arena, the
-// per-row keys, and the probe structure once built. It is the pull
-// pipeline's accounting unit for the memory budget.
+// per-row keys until the table is frozen, and the probe structure after.
+// It is the pull pipeline's accounting unit for the memory budget.
 func (st *StreamTable) Bytes() int64 {
+	if st.resident {
+		return 0
+	}
 	b := int64(cap(st.data))*4 + int64(cap(st.keys))*8
 	if st.built {
 		b += st.jt.bytes()
@@ -61,11 +85,11 @@ func (st *StreamTable) Row(i int) Tuple {
 	return st.data[i*st.arity : (i+1)*st.arity]
 }
 
-// Insert copies the row into the arena. It panics if called after the
-// first Probe: the build phase of a hash join completes before probing.
+// Insert copies the row into the arena. It panics if called after Freeze:
+// the build phase of a hash join completes before probing.
 func (st *StreamTable) Insert(t Tuple) {
 	if st.built {
-		panic("relation.StreamTable: Insert after Probe")
+		panic("relation.StreamTable: Insert after Freeze")
 	}
 	if len(t) != st.arity {
 		panic("relation.StreamTable: row arity mismatch")
@@ -88,10 +112,12 @@ func (st *StreamTable) migrate() {
 	}
 }
 
-// build freezes the table: no more inserts, probing allowed.
-func (st *StreamTable) build() {
-	st.jt = newJoinTable(st.keys)
-	st.built = true
+// Freeze ends the build, as the first Probe does: it keys the probe
+// structure over the rows and frees the per-row keys, which probes skip.
+func (st *StreamTable) Freeze() {
+	if !st.built {
+		st.jt, st.keys, st.built = newJoinTable(st.keys), nil, true
+	}
 }
 
 // StreamMatches iterates the build rows matching one probe tuple.
@@ -106,14 +132,12 @@ type StreamMatches struct {
 // Probe returns an iterator over the stored rows whose key columns equal
 // probePos of pt. The first Probe freezes the table.
 func (st *StreamTable) Probe(pt Tuple, probePos []int) StreamMatches {
-	if !st.built {
-		st.build()
-	}
-	k, ok := rowKey(pt, probePos, st.packed)
+	st.Freeze()
+	k, ok := rowKey(pt, probePos[:st.keyed], st.packed)
 	if st.n == 0 || !ok {
 		return StreamMatches{}
 	}
-	return StreamMatches{st: st, e: st.jt.first(k), verify: !st.packed, probe: pt, pPos: probePos}
+	return StreamMatches{st: st, e: st.jt.first(k), verify: !st.packed || st.resident, probe: pt, pPos: probePos}
 }
 
 // Next returns the next matching build row, or nil when exhausted. The

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -133,4 +134,88 @@ func TestStreamTableZeroArity(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("zero-arity probe matched %d rows, want 1", got)
 	}
+}
+
+// FuzzStreamBuild checks the three ways a pipeline build can hold its
+// rows against each other and against the string-keyed reference: rows
+// copied into a StreamTable, an arena adopted in place
+// (NewStreamTableOver), and a stored arena probed through its column
+// index (NewStreamTableResident). The input picks the arity (1–4), the
+// key columns and their order, and the rows; values are either masked to
+// [0, 4), where every key packs, or raw int32s, which at three or more
+// key columns mostly do not (key.go).
+func FuzzStreamBuild(f *testing.F) {
+	f.Add([]byte{1, 3, 1, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0})
+	f.Add([]byte{2, 0x47, 0, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0x20, 0, 1, 0, 0, 0,
+		0xff, 0xff, 0xff, 0x7f, 0, 0, 0x20, 0, 2, 0, 0, 0, 0, 0, 0, 0x80, 5, 0, 0, 0, 7, 0, 0, 0})
+	f.Add([]byte{3, 0xcd, 1, 9, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0,
+		2, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		arity := 1 + int(data[0])%4
+		var keyPos []int
+		for j := 0; j < arity; j++ {
+			if data[1]>>j&1 == 1 {
+				keyPos = append(keyPos, j)
+			}
+		}
+		if len(keyPos) == 0 {
+			keyPos = []int{int(data[1]>>4) % arity}
+		}
+		// The resident table indexes its first key column: rotate so any
+		// key column can be first.
+		rot := int(data[1]>>6) % len(keyPos)
+		keyPos = append(keyPos[rot:], keyPos[:rot]...)
+		small := data[2]&1 == 1
+		data = data[3:]
+		r := New(identityCols(arity))
+		row := make(Tuple, arity)
+		for len(data) >= 4*arity && r.Len() < 128 {
+			for j := range row {
+				row[j] = Value(binary.LittleEndian.Uint32(data[4*j:]))
+				if small {
+					row[j] &= 3
+				}
+			}
+			data = data[4*arity:]
+			r.Add(row)
+		}
+		rows := r.Tuples()
+		copied := NewStreamTable(arity, keyPos)
+		for _, row := range rows {
+			copied.Insert(row)
+		}
+		copied.Freeze()
+		tables := []struct {
+			name string
+			st   *StreamTable
+		}{
+			{"copied", copied},
+			{"adopted", NewStreamTableOver(r, keyPos)},
+			{"resident", NewStreamTableResident(r, keyPos)},
+		}
+		// Probe with every stored key, the key with its last value moved
+		// by one, and the key with its first value out of every packed
+		// range: hits, near misses and regime misses.
+		probePos := identityCols(len(keyPos))
+		for _, row := range rows {
+			key := make(Tuple, len(keyPos))
+			for i, p := range keyPos {
+				key[i] = row[p]
+			}
+			near, far := key.Clone(), key.Clone()
+			near[len(near)-1]++
+			far[0] ^= 1 << 30
+			for _, probe := range []Tuple{key, near, far} {
+				want := fmt.Sprint(streamTableReference(rows, keyPos, probe, probePos))
+				for _, tb := range tables {
+					if got := fmt.Sprint(collectMatches(tb.st, probe, probePos)); got != want {
+						t.Fatalf("%s build, key %v, probe %v: got %v want %v", tb.name, keyPos, probe, got, want)
+					}
+				}
+			}
+		}
+	})
 }
