@@ -62,7 +62,11 @@ vet:
 # Freeze, streamJoin's build paths and their EXPLAIN mark, the probe
 # table's full charge, and projpushd's -debug listener — for a lower
 # server_peak_bytes_per_req on cyclic-dense (CHANGES.md has the runs).
-LOC_CEILING = 19022
+# Lowered to 18592 by one path per job: the coordinator routes on a hash
+# of (method, text) and no longer compiles what its workers compile (its
+# routes memo went), cmd/sqlgen folded into projpush -sql, and the JSON
+# workload suites (internal/workload, -suite, -emitsuite) went.
+LOC_CEILING = 18592
 loc:
 	@go list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
 		n=$$(ls $$dir/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \
@@ -82,8 +86,13 @@ loc:
 # there (projpushd, projpush and bench already serve, drill and measure
 # them). Set to 13 when -connect, -spilldir, -maxspill, -maxwidth and
 # -resilient went.
+# cmd/projpush's flags get a ceiling under the same rule, set to its count
+# when -suite and -emitsuite went with the JSON workload suites (24 -> 22),
+# which cmd/experiments and -emitquery/-query already did: a new flag
+# needs an old one deleted, or the ceiling raised in the same diff.
 FLAG_CEILING = 21
 EXP_FLAG_CEILING = 13
+PROJPUSH_FLAG_CEILING = 22
 flags:
 	@n=$$(go run ./cmd/projpushd -h 2>&1 | grep -c '^  -'); \
 		echo "$$n  projpushd flags (ceiling $(FLAG_CEILING))"; \
@@ -91,6 +100,9 @@ flags:
 	@n=$$(go run ./cmd/experiments -h 2>&1 | grep -c '^  -'); \
 		echo "$$n  cmd/experiments flags (ceiling $(EXP_FLAG_CEILING))"; \
 		test $$n -le $(EXP_FLAG_CEILING)
+	@n=$$(go run ./cmd/projpush -h 2>&1 | grep -c '^  -'); \
+		echo "$$n  cmd/projpush flags (ceiling $(PROJPUSH_FLAG_CEILING))"; \
+		test $$n -le $(PROJPUSH_FLAG_CEILING)
 
 # bench/ is a frozen module that compiles against the engine's and the
 # server's API: vetting it here makes an API change that breaks it fail

@@ -5,9 +5,15 @@
 // structural statistics the paper's analysis is about (plan width, maximum
 // intermediate cardinality, tuples materialized).
 //
+// With -sql it prints the SQL each method's plan renders to instead, in
+// the dialect the paper ships to PostgreSQL; -family pentagon is the
+// paper's Appendix A example, with its exact atom listing.
+//
 //	projpush -family random -order 20 -density 3.0 -method bucketelimination
 //	projpush -family augladder -order 10 -all
 //	projpush -family ladder -order 4 -method earlyprojection -sql
+//	projpush -family pentagon -all -sql      # Appendix A: naive first, then every method
+//	projpush -query q.cq -method naive -sql  # the naive WHERE-style query alone
 package main
 
 import (
@@ -33,15 +39,14 @@ import (
 	"projpush/internal/resilience"
 	"projpush/internal/server/client"
 	"projpush/internal/sqlgen"
-	"projpush/internal/workload"
 )
 
 func main() {
 	var (
-		family    = flag.String("family", "random", "graph family: random, augpath, ladder, augladder, augcircladder, cycle, complete")
+		family    = flag.String("family", "random", "graph family: random, augpath, ladder, augladder, augcircladder, cycle, complete, pentagon")
 		order     = flag.Int("order", 15, "graph order (vertices for random, family parameter otherwise)")
 		density   = flag.Float64("density", 3.0, "edge density m/n (random family only)")
-		method    = flag.String("method", string(core.MethodBucketElimination), "optimization method: straightforward, earlyprojection, reordering, bucketelimination, yannakakis, stream, wcoj, hybrid")
+		method    = flag.String("method", string(core.MethodBucketElimination), "optimization method: straightforward, earlyprojection, reordering, bucketelimination, yannakakis, stream, wcoj, hybrid; with -sql also naive")
 		all       = flag.Bool("all", false, "run every method and compare")
 		free      = flag.Float64("free", 0, "fraction of vertices kept free (0 = Boolean query)")
 		seed      = flag.Int64("seed", 1, "random seed")
@@ -49,15 +54,13 @@ func main() {
 		maxRows   = flag.Int("maxrows", 10_000_000, "intermediate row cap (0 = unlimited)")
 		membudget = flag.Int("membudget", 0, "materialized-bytes budget in MiB (0 = unlimited)")
 		resilient = flag.Bool("resilient", false, "on row-cap/memory/internal failures, degrade instead of reporting the error: to yannakakis (elimination width <= 3) or else wcoj, then early projection, then bucket elimination (yannakakis, stream and wcoj go straight to early projection)")
-		showSQL   = flag.Bool("sql", false, "print the generated SQL instead of executing")
+		showSQL   = flag.Bool("sql", false, "print the generated SQL instead of executing (with -all the naive query first)")
 		explain   = flag.Bool("explain", false, "print the plan tree with actual cardinalities instead of the summary line")
 		analyze   = flag.Bool("analyze", false, "print the structural report (treewidth bounds, induced widths, plan widths) and exit")
 		colors    = flag.Int("colors", 3, "number of colors (k-COLOR)")
 		graphFile = flag.String("graphfile", "", "load a DIMACS .col graph instead of generating one")
 		cnfFile   = flag.String("cnffile", "", "load a DIMACS CNF formula and solve it as a project-join query")
 		queryFile = flag.String("query", "", "load a query+database file (Datalog-style, see internal/cqparse)")
-		suiteFile = flag.String("suite", "", "run every instance of a JSON workload suite (see -emitsuite)")
-		emitSuite = flag.Float64("emitsuite", 0, "print the paper's workload suite at the given scale as JSON and exit")
 		emitQuery = flag.Bool("emitquery", false, "print the generated instance as a query file (the -query format) and exit")
 		connect   = flag.String("connect", "", "send the instance to a projpushd server at this address instead of executing locally")
 		faults    = flag.String("faults", "", "fault-injection spec for robustness drills, e.g. 'join.panic=0.01,kernel.latency=500us:0.1'; points: "+strings.Join(faultinject.PointNames(), ", "))
@@ -74,18 +77,7 @@ func main() {
 
 	rng := rand.New(rand.NewSource(*seed))
 
-	if *emitSuite > 0 {
-		if err := workload.WriteSuite(os.Stdout, workload.PaperSuite(*emitSuite)); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	opt := engine.Options{Timeout: *timeout, MaxRows: *maxRows, MaxBytes: int64(*membudget) << 20}
-
-	if *suiteFile != "" {
-		runSuite(*suiteFile, core.Method(*method), *all, opt, *resilient, rng)
-		return
-	}
 
 	var (
 		q   *cq.Query
@@ -130,6 +122,9 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "instance: CNF %s, %d clauses, %d variables, free=%v\n",
 			*cnfFile, len(sat.Clauses), sat.NumVars, q.Free)
+	case *family == "pentagon" && *graphFile == "":
+		q, db = pentagon(), instance.ColorDatabase(*colors)
+		fmt.Fprintf(os.Stderr, "instance: Appendix A pentagon, %d atoms, %d variables, free=%v\n", len(q.Atoms), q.NumVars(), q.Free)
 	default:
 		if *graphFile != "" {
 			f, ferr := os.Open(*graphFile)
@@ -180,6 +175,16 @@ func main() {
 	methods := []core.Method{core.Method(*method)}
 	if *all {
 		methods = core.Methods
+	}
+	if *showSQL && (*all || *method == "naive") {
+		sql, err := sqlgen.Naive(q)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("-- naive\n%s\n\n", sql)
+		if !*all {
+			return
+		}
 	}
 	structure, err := jointree.Analyze(q)
 	if err != nil {
@@ -297,50 +302,18 @@ func runRemote(addr string, q *cq.Query, db cq.Database, m core.Method, timeout 
 	}
 }
 
-// runSuite executes every spec of a workload suite under the chosen
-// method(s), one summary line per (spec, method).
-func runSuite(path string, method core.Method, all bool, opt engine.Options, resil bool, rng *rand.Rand) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	suite, err := workload.ReadSuite(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
-	methods := []core.Method{method}
-	if all {
-		methods = core.Methods
-	}
-	fmt.Printf("suite %s: %d instances\n", suite.Name, len(suite.Specs))
-	for _, sp := range suite.Specs {
-		q, db, err := sp.Build()
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", sp.Name, err))
-		}
-		s, err := jointree.Analyze(q)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", sp.Name, err))
-		}
-		for _, m := range methods {
-			p, err := core.BuildPlan(m, q, rng)
-			if err != nil {
-				fatal(fmt.Errorf("%s %s: %w", sp.Name, m, err))
-			}
-			st := plan.Analyze(p)
-			res, err := execute(m, p, s, db, opt, resil, rng)
-			if err != nil {
-				fmt.Printf("%-28s %-18s width=%-3d TIMEOUT/%v\n", sp.Name, m, st.Width, err)
-				continue
-			}
-			answer := "EMPTY"
-			if res.Nonempty() {
-				answer = "NONEMPTY"
-			}
-			fmt.Printf("%-28s %-18s width=%-3d time=%-12v %s\n",
-				sp.Name, m, st.Width, res.Stats.Elapsed.Round(time.Microsecond), answer)
-		}
+// pentagon is the query of the paper's Appendix A: the 5-cycle's
+// 3-COLOR query with vertex 1 free, atoms in the appendix's order.
+func pentagon() *cq.Query {
+	return &cq.Query{
+		Atoms: []cq.Atom{
+			{Rel: "edge", Args: []cq.Var{1, 2}},
+			{Rel: "edge", Args: []cq.Var{1, 5}},
+			{Rel: "edge", Args: []cq.Var{4, 5}},
+			{Rel: "edge", Args: []cq.Var{3, 4}},
+			{Rel: "edge", Args: []cq.Var{2, 3}},
+		},
+		Free: []cq.Var{1},
 	}
 }
 

@@ -158,7 +158,7 @@ func main() {
 		len(db), srv.Addr(), *maxWidth, *concurrency)
 
 	// Worker mode: announce ourselves to the coordinator; it routes our
-	// shard of the fingerprint space here until we deregister.
+	// shard of the affinity space here until we deregister.
 	var coord *client.Client
 	if *join != "" {
 		coord = client.New(client.Options{Addr: *join})

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,7 +17,6 @@ import (
 	"projpush/internal/cqparse"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
-	"projpush/internal/jointree"
 	"projpush/internal/server"
 	"projpush/internal/server/client"
 )
@@ -242,8 +243,7 @@ func TestBackupEnumerationDoesNotLockOutHalfOpenWorker(t *testing.T) {
 
 	text := colorQueryText(t, graph.AugmentedPath(4))
 	req := &server.Request{Op: "query", Query: text}
-	fp := co.affinity(req, mustAnalyze(t, co, text))
-	order := co.ring.order(fp)
+	order := co.ring.order(affinity(req))
 	primary, secondary := byAddr[order[0]], byAddr[order[1]]
 
 	// Open the backup replica's breaker and elapse the cooldown: it is
@@ -391,8 +391,7 @@ func TestForwardFailoverOnInternalFault(t *testing.T) {
 
 	text := colorQueryText(t, graph.AugmentedPath(4))
 	req := &server.Request{Op: "query", Query: text}
-	fp := co.affinity(req, mustAnalyze(t, co, text))
-	order := co.ring.order(fp)
+	order := co.ring.order(affinity(req))
 	primary, secondary := byAddr[order[0]], byAddr[order[1]]
 	primary.mode.Store(1) // isolated internal fault on the affinity shard
 
@@ -439,8 +438,7 @@ func TestHedgedRequestWinsAndCancelsLoser(t *testing.T) {
 
 	text := colorQueryText(t, graph.Ladder(3))
 	req := &server.Request{Op: "query", Query: text}
-	fp := co.affinity(req, mustAnalyze(t, co, text))
-	order := co.ring.order(fp)
+	order := co.ring.order(affinity(req))
 	primary, secondary := byAddr[order[0]], byAddr[order[1]]
 	primary.mode.Store(2) // the affinity shard stalls; the hedge must win
 
@@ -619,8 +617,7 @@ func TestDeregisterReroutesAndRegisterRestores(t *testing.T) {
 
 	text := colorQueryText(t, graph.AugmentedPath(5))
 	req := &server.Request{Op: "query", Query: text}
-	fp := co.affinity(req, mustAnalyze(t, co, text))
-	order := co.ring.order(fp)
+	order := co.ring.order(affinity(req))
 	primary, secondary := byAddr[order[0]], byAddr[order[1]]
 
 	resp, err := co.Do(context.Background(), req)
@@ -785,31 +782,38 @@ func TestLocalFallbackRescuesWhenFleetIsGone(t *testing.T) {
 		co.Shutdown(ctx)
 	}()
 
-	text := colorQueryText(t, graph.AugmentedPath(4))
-	// The second rescue runs from the parse the first one left in the memo.
-	for _, arrival := range []string{"first", "second"} {
-		resp, err := co.Do(context.Background(), &server.Request{Op: "query", Query: text})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Status != server.StatusDegraded {
-			t.Fatalf("%s: status = %s (%s), want degraded (rescued locally)", arrival, resp.Status, resp.Error)
-		}
-		if resp.Worker != "local" {
-			t.Errorf("%s: Worker = %q, want local", arrival, resp.Worker)
-		}
-		if resp.Answer == nil || !resp.Answer.Nonempty {
-			t.Fatalf("%s: rescued answer = %+v, want the nonempty 3-coloring", arrival, resp.Answer)
-		}
-		if resp.Stats == nil || len(resp.Stats.Attempts) < 2 {
-			t.Fatalf("%s: Stats.Attempts = %+v, want the failed fleet attempt leading a local rung", arrival, resp.Stats)
-		}
-		if a := resp.Stats.Attempts[0]; a.Method != "fleet" || a.Err == "" {
-			t.Errorf("%s: Attempts[0] = %+v, want the failed fleet rung with its error", arrival, a)
-		}
+	// The rescue is the one path where the coordinator parses: a text it
+	// cannot parse is a parse error there, and counts as no rescue.
+	resp, err := co.Do(context.Background(), &server.Request{Op: "query", Query: "query ans(x) :- nosuch(x."})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if h := co.health(); h.Rescued != 2 || h.CompiledHits != 1 || h.CompiledMisses != 1 {
-		t.Errorf("health %+v, want 2 rescued, the second a compiled hit", h)
+	if resp.Status != server.StatusParseError || resp.Worker != "local" {
+		t.Errorf("unparseable rescue: status %s from %q (%s), want parse_error from local", resp.Status, resp.Worker, resp.Error)
+	}
+
+	text := colorQueryText(t, graph.AugmentedPath(4))
+	resp, err = co.Do(context.Background(), &server.Request{Op: "query", Query: text})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != server.StatusDegraded {
+		t.Fatalf("status = %s (%s), want degraded (rescued locally)", resp.Status, resp.Error)
+	}
+	if resp.Worker != "local" {
+		t.Errorf("Worker = %q, want local", resp.Worker)
+	}
+	if resp.Answer == nil || !resp.Answer.Nonempty {
+		t.Fatalf("rescued answer = %+v, want the nonempty 3-coloring", resp.Answer)
+	}
+	if resp.Stats == nil || len(resp.Stats.Attempts) < 2 {
+		t.Fatalf("Stats.Attempts = %+v, want the failed fleet attempt leading a local rung", resp.Stats)
+	}
+	if a := resp.Stats.Attempts[0]; a.Method != "fleet" || a.Err == "" {
+		t.Errorf("Attempts[0] = %+v, want the failed fleet rung with its error", a)
+	}
+	if h := co.health(); h.Rescued != 1 {
+		t.Errorf("health %+v, want 1 rescued", h)
 	}
 }
 
@@ -842,15 +846,12 @@ func TestUnavailableWithoutFallbackIsTypedAndRetryable(t *testing.T) {
 	}
 }
 
-// TestAffinityHeaderStampsForwards pins the affinity contract:
-// the coordinator stamps every forward with the plan fingerprint it
-// routed on, and repeats of the same query family land on the same
-// worker with the same affinity header.
-func TestAffinityHeaderStampsForwards(t *testing.T) {
-	var seen struct {
-		mu         sync.Mutex
-		affinities []string
-	}
+// startRecordingWorker starts a Handler-mode worker that answers every
+// query and explain OK and records each one it is sent.
+func startRecordingWorker(t *testing.T) (*fakeWorker, func() []server.Request) {
+	t.Helper()
+	var mu sync.Mutex
+	var seen []server.Request
 	f := &fakeWorker{id: "w-a"}
 	f.srv = server.New(server.Config{
 		WorkerID: f.id,
@@ -859,9 +860,9 @@ func TestAffinityHeaderStampsForwards(t *testing.T) {
 				ready := true
 				return &server.Response{Status: server.StatusOK, Ready: &ready}
 			}
-			seen.mu.Lock()
-			seen.affinities = append(seen.affinities, req.Affinity)
-			seen.mu.Unlock()
+			mu.Lock()
+			seen = append(seen, *req)
+			mu.Unlock()
 			return &server.Response{Status: server.StatusOK, Answer: &server.Answer{}}
 		},
 	})
@@ -870,102 +871,150 @@ func TestAffinityHeaderStampsForwards(t *testing.T) {
 	}
 	f.addr = f.srv.Addr().String()
 	go f.srv.Serve()
-	var log bytes.Buffer
-	co, _ := newTestCoordinator(t, Config{RequestTimeout: 2 * time.Second, Log: &log}, f)
-	defer func() {
+	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		f.srv.Shutdown(ctx)
-	}()
+	})
+	return f, func() []server.Request {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(seen)
+	}
+}
+
+// TestAffinityHeaderStampsForwards pins the affinity contract: every
+// forward carries the affinity id it was routed on, and the log line says
+// which. The id is a function of the named method and the text alone —
+// the key of the worker's compile memo — so repeats of a text under any
+// op or timeout carry one header, and naming another method on the same
+// text is another key.
+func TestAffinityHeaderStampsForwards(t *testing.T) {
+	f, seen := startRecordingWorker(t)
+	var log bytes.Buffer
+	co, _ := newTestCoordinator(t, Config{RequestTimeout: 2 * time.Second, Log: &log}, f)
 
 	text := colorQueryText(t, graph.Cycle(5))
-	for i := 0; i < 3; i++ {
-		// The timeout is not part of what the coordinator compiles.
-		req := &server.Request{Op: "query", Query: text, Timeout: fmt.Sprintf("%dms", 900+i)}
+	var reqs []*server.Request
+	for i, op := range []string{"query", "explain", "query"} {
+		reqs = append(reqs, &server.Request{Op: op, Query: text, Timeout: fmt.Sprintf("%dms", 900+i)})
+	}
+	reqs = append(reqs,
+		&server.Request{Op: "query", Query: text, Method: "bucketelimination"},
+		&server.Request{Op: "query", Query: text, Method: "yannakakis"})
+	for _, req := range reqs {
 		if _, err := co.Do(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 	}
-	seen.mu.Lock()
-	defer seen.mu.Unlock()
-	if len(seen.affinities) != 3 {
-		t.Fatalf("worker saw %d forwards, want 3", len(seen.affinities))
+	got := seen()
+	if len(got) != len(reqs) {
+		t.Fatalf("worker saw %d forwards, want %d", len(got), len(reqs))
 	}
-	for _, a := range seen.affinities {
-		if a == "" {
-			t.Fatal("forward missing the affinity header")
+	for i, fwd := range got {
+		if fwd.Affinity != affinity(reqs[i]) || len(fwd.Affinity) != 16 {
+			t.Errorf("forward %d: affinity %q, want the 16-hex id %q", i, fwd.Affinity, affinity(reqs[i]))
 		}
-		if a != seen.affinities[0] {
-			t.Fatalf("affinity changed between repeats: %v", seen.affinities)
-		}
+	}
+	if got[1].Affinity != got[0].Affinity || got[2].Affinity != got[0].Affinity {
+		t.Errorf("repeats of one text under other ops and timeouts moved: %q %q %q", got[0].Affinity, got[1].Affinity, got[2].Affinity)
+	}
+	if got[3].Affinity == got[0].Affinity || got[4].Affinity == got[3].Affinity {
+		t.Errorf("named methods share the methodless key: %q %q %q", got[0].Affinity, got[3].Affinity, got[4].Affinity)
 	}
 
-	// The log says which forwards were compiled and which looked up, and
-	// carries the same id either way; health counts them.
 	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d log lines, want 3: %s", len(lines), log.String())
+	if len(lines) != len(reqs) {
+		t.Fatalf("%d log lines, want %d: %s", len(lines), len(reqs), log.String())
 	}
 	for i, line := range lines {
 		var entry map[string]any
 		if err := json.Unmarshal([]byte(line), &entry); err != nil {
 			t.Fatalf("log line %q: %v", line, err)
 		}
-		want := "hit"
-		if i == 0 {
-			want = "miss"
+		if entry["affinity"] != got[i].Affinity {
+			t.Errorf("log line %d: affinity %v, want %s", i, entry["affinity"], got[i].Affinity)
 		}
-		if entry["compiled"] != want || entry["fp"] != seen.affinities[0] {
-			t.Errorf("log line %d: compiled=%v fp=%v, want %s and %s", i, entry["compiled"], entry["fp"], want, seen.affinities[0])
-		}
-	}
-	if h := co.health(); h.CompiledHits != 2 || h.CompiledMisses != 1 || h.CompiledEntries != 1 {
-		t.Errorf("health %+v, want 2 compiled hits, 1 miss, 1 entry", h)
-	}
-
-	// The 16 structured texts of the end-to-end benchmark keep the affinity
-	// ids — and so the shards — the coordinator gave them when it planned
-	// every request: these are the values of the commit before the memo.
-	golden := map[string]string{
-		"augpath-5": "c42899ff7fbe9576", "augpath-10": "dfb7a11d130527d7", "augpath-20": "43e47458a578ac2f", "augpath-40": "7276900dcae64e33",
-		"ladder-5": "585e625bbb2ada08", "ladder-10": "10138ba9609eb0ad", "ladder-20": "1e073fe1ed9541c1", "ladder-40": "d62ba5ab02368755",
-		"augladder-5": "3015a9ce68ec925e", "augladder-10": "b819db872f8f4f99", "augladder-20": "30d3dc85430dc0ee", "augladder-40": "b6f3cf9179807457",
-		"augcircladder-5": "d49c9cc0ae10618e", "augcircladder-10": "882f7089f636ea55", "augcircladder-20": "1dfa143f031e0ec8", "augcircladder-40": "06bd79cd29fdb2e7",
-	}
-	for _, fam := range []struct {
-		name string
-		gen  func(int) *graph.Graph
-	}{
-		{"augpath", graph.AugmentedPath}, {"ladder", graph.Ladder},
-		{"augladder", graph.AugmentedLadder}, {"augcircladder", graph.AugmentedCircularLadder},
-	} {
-		for _, order := range []int{5, 10, 20, 40} {
-			name := fmt.Sprintf("%s-%d", fam.name, order)
-			req := &server.Request{Op: "query", Query: colorQueryText(t, fam.gen(order))}
-			for _, arrival := range []string{"first", "second"} {
-				r, _, err := co.compile(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r.fp != golden[name] {
-					t.Errorf("%s, %s arrival: affinity id %s, want %s", name, arrival, r.fp, golden[name])
-				}
-			}
+		if _, ok := entry["compiled"]; ok {
+			t.Errorf("log line %d: the coordinator compiles nothing, but logs %v", i, entry["compiled"])
 		}
 	}
 }
 
-// mustAnalyze parses and analyzes request text the way the coordinator
-// does, for tests that need the structure to compute ring positions.
-func mustAnalyze(t *testing.T, co *Coordinator, text string) *jointree.Structure {
-	t.Helper()
-	file, err := cqparse.ParseWith(strings.NewReader(text), co.cfg.DB)
+// TestRelBlockTextIsForwardedUnparsed pins that routing reads no query: a
+// text carrying its own rel blocks reaches the worker byte for byte, and
+// its affinity id costs the same allocations as a one-line text's (the
+// hex id), where a parse would allocate per tuple.
+func TestRelBlockTextIsForwardedUnparsed(t *testing.T) {
+	f, seen := startRecordingWorker(t)
+	co, _ := newTestCoordinator(t, Config{RequestTimeout: 2 * time.Second}, f)
+
+	var text strings.Builder
+	text.WriteString("rel r {\n")
+	for i := 0; i < 5000; i++ {
+		fmt.Fprintf(&text, "  %d %d\n", i, i+1)
+	}
+	text.WriteString("}\nquery ans(x) :- r(x, y), r(y, z).\n")
+	req := &server.Request{Op: "query", Query: text.String()}
+	resp, err := co.Do(context.Background(), req)
+	if err != nil || resp.Status != server.StatusOK {
+		t.Fatalf("forward: %v / %+v", err, resp)
+	}
+	if got := seen(); len(got) != 1 || got[0].Query != req.Query {
+		t.Fatalf("worker saw %d forwards, want the text unchanged", len(got))
+	}
+	short := &server.Request{Op: "query", Query: "query ans(x) :- r(x, y)."}
+	if long, one := testing.AllocsPerRun(20, func() { affinity(req) }), testing.AllocsPerRun(20, func() { affinity(short) }); long != one {
+		t.Errorf("affinity allocates %v times on a %d-byte text and %v on a one-line one", long, len(req.Query), one)
+	}
+}
+
+// TestUnparseableTextIsTheWorkersParseError pins where a malformed text
+// fails: the coordinator forwards it like any other and relays the
+// worker's parse_error — terminal, so no failover.
+func TestUnparseableTextIsTheWorkersParseError(t *testing.T) {
+	fl, err := StartFleet("127.0.0.1:0", FleetConfig{
+		Workers:       2,
+		Worker:        server.Config{DB: instance.ColorDatabase(3), RequestTimeout: 2 * time.Second},
+		Coordinator:   Config{RequestTimeout: 2 * time.Second},
+		ChaosInterval: -1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := jointree.Analyze(file.Query)
+	defer fl.Close()
+	resp, err := fl.Coordinator().Do(context.Background(), &server.Request{Op: "query", Query: "query ans(x) :- edge(x, y"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	if resp.Status != server.StatusParseError || resp.Failovers != 0 || resp.Worker == "" || resp.Worker == "local" {
+		t.Errorf("status %s from %q after %d failovers (%s), want a worker's parse_error and 0 failovers",
+			resp.Status, resp.Worker, resp.Failovers, resp.Error)
+	}
+	if h := fl.Coordinator().health(); h.Failovers != 0 || h.Failed != 1 {
+		t.Errorf("coordinator health %+v, want 0 failovers and 1 failed", h)
+	}
+}
+
+// TestHash64ReadsItsKeyInPlace pins the ring hash: FNV-64a through the
+// splitmix64 finalizer, the same value as hash/fnv's in every process, so
+// ring points and a key's shard do not move, and no copy of the key.
+func TestHash64ReadsItsKeyInPlace(t *testing.T) {
+	key := strings.Repeat("query ans(x) :- edge(x, y). ", 100)
+	if n := testing.AllocsPerRun(100, func() { hash64(key) }); n != 0 {
+		t.Errorf("hash64 allocates %v times per call, want 0", n)
+	}
+	for _, k := range []string{"", "a", "127.0.0.1:7434#63", key} {
+		h := fnv.New64a()
+		h.Write([]byte(k))
+		x := h.Sum64()
+		x ^= x >> 30
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 27
+		x *= 0x94d049bb133111eb
+		x ^= x >> 31
+		if got := hash64(k); got != x {
+			t.Errorf("hash64(%.20q) = %016x, want %016x", k, got, x)
+		}
+	}
 }

@@ -3,10 +3,11 @@
 // length-prefixed protocol and keeps answering — correctly and with typed
 // outcomes — while individual workers die, flap, and rejoin.
 //
-// Routing is consistent hashing by the renaming-invariant plan
-// fingerprint, so each query family lands on the worker whose compile
-// memo already holds its analyses (one per request text, reported as
-// compiled_hits in health), and a membership change remaps only the dead worker's shard. Around
+// Routing is consistent hashing by a request's named method and text, the
+// key of a worker's compile memo, so every repeat of a text lands on the
+// worker that already compiled it (reported as compiled_hits in its
+// health); the coordinator parses nothing on the way. A membership change
+// remaps only the dead worker's shard. Around
 // that sit the failure-domain mechanisms: per-worker health probing with
 // a breaker-style state machine (closed → open → half-open), failover
 // down the ring with the remaining deadline propagated to each attempt,
@@ -25,14 +26,15 @@ import (
 	"io"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"projpush/internal/cq"
+	"projpush/internal/cqparse"
 	"projpush/internal/engine"
 	"projpush/internal/jointree"
-	"projpush/internal/memo"
 	"projpush/internal/resilience"
 	"projpush/internal/server"
 	"projpush/internal/server/client"
@@ -45,9 +47,8 @@ const latencyWindow = 256
 // Config configures a Coordinator. The zero value of every bound means
 // "use the default", documented per field.
 type Config struct {
-	// DB is the coordinator's copy of the database. It is required for
-	// affinity fingerprinting (the coordinator plans the query exactly as
-	// a worker would) and for LocalFallback execution.
+	// DB is the coordinator's copy of the database, which a LocalFallback
+	// rescue parses and executes the request against.
 	DB cq.Database
 	// Workers seeds the fleet membership (worker TCP addresses). Workers
 	// may also join and leave at runtime via the register/deregister ops.
@@ -89,7 +90,7 @@ type Config struct {
 	MaxRows  int
 	MaxBytes int64
 	// Log, when non-nil, receives one structured JSON line per forwarded
-	// request (fingerprint, chosen worker, failovers, hedging, status).
+	// request (affinity id, chosen worker, failovers, hedging, status).
 	Log io.Writer
 
 	// now is the breaker/health clock, injectable in tests.
@@ -143,10 +144,6 @@ type Coordinator struct {
 	stopOnce sync.Once
 	healthWG sync.WaitGroup
 
-	// routes is the front end's memo: a request's text and named method to
-	// its parse and affinity id.
-	routes *memo.Memo[*routed]
-
 	// health counters (coordinator-side outcomes)
 	served, degraded, shed, overWidth, failed    atomic.Int64
 	failovers, hedges, rescued, unavailableCount atomic.Int64
@@ -169,7 +166,6 @@ func New(cfg Config) *Coordinator {
 		ring:    newRing(cfg.Vnodes),
 		workers: make(map[string]*worker),
 		stop:    make(chan struct{}),
-		routes:  memo.New[*routed](routesBudget),
 	}
 	c.srv = server.New(server.Config{
 		RequestTimeout: cfg.RequestTimeout,
@@ -300,9 +296,7 @@ func (c *Coordinator) handle(ctx context.Context, req *server.Request, remote st
 
 // health aggregates the fleet view with the coordinator's own counters.
 func (c *Coordinator) health() *server.Health {
-	m := c.routes.Stats()
 	return &server.Health{
-		CompiledHits: m.Hits, CompiledMisses: m.Misses, CompiledEntries: m.Entries,
 		Ready:       !c.srv.Draining(),
 		InFlight:    c.srv.InFlightRequests(),
 		Served:      c.served.Load(),
@@ -362,15 +356,9 @@ func (c *Coordinator) coordinateInner(ctx context.Context, req *server.Request, 
 	if c.srv.Draining() {
 		return &server.Response{Status: server.StatusDraining, Error: "coordinator is draining"}
 	}
-	// Parse locally: a malformed query fails fast at the front instead of
-	// burning a forward, and the parse yields the query the affinity
-	// fingerprint and any local rescue need.
-	r, hit, err := c.compile(req)
-	if err != nil {
-		return &server.Response{Status: server.StatusParseError, Error: err.Error()}
-	}
+	key := affinity(req)
 	if logEntry != nil {
-		logEntry["fp"], logEntry["compiled"] = r.fp, memo.Outcome(hit)
+		logEntry["affinity"] = key
 	}
 
 	timeout := c.cfg.RequestTimeout
@@ -382,11 +370,10 @@ func (c *Coordinator) coordinateInner(ctx context.Context, req *server.Request, 
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	fp := r.fp
 	fwd := *req
-	fwd.Affinity = fp
+	fwd.Affinity = key
 
-	resp, who, failovers, hedged, ferr := c.forward(ctx, &fwd, fp)
+	resp, who, failovers, hedged, ferr := c.forward(ctx, &fwd, key)
 	c.failovers.Add(int64(failovers))
 	if resp != nil {
 		if resp.Worker == "" {
@@ -414,29 +401,38 @@ func (c *Coordinator) coordinateInner(ctx context.Context, req *server.Request, 
 	}
 	// Every replica for this shard is gone. Rescue locally if armed.
 	if c.cfg.LocalFallback && req.Op == "query" {
-		return c.rescue(ctx, r.s, r.db, ferr, failovers)
+		return c.rescue(ctx, req, ferr, failovers)
 	}
 	return &server.Response{
 		Status:    server.StatusUnavailable,
-		Error:     fmt.Sprintf("no healthy worker for shard %s: %v", fp, ferr),
+		Error:     fmt.Sprintf("no healthy worker for shard %s: %v", key, ferr),
 		Failovers: failovers,
 	}
 }
 
+// affinity is a request's routing key and the Affinity header its forwards
+// carry: the FNV-64a hash, in 16 hex digits, of its named method and text.
+// Those two strings key a worker's compile memo, so every repeat of a text
+// — under any op or timeout — lands on the worker that compiled it.
+func affinity(req *server.Request) string {
+	h := fnv1a(fnv1a(fnv1a(fnvOffset64, req.Method), "\x00"), req.Query)
+	return fmt.Sprintf("%016x", h)
+}
+
 // candidates returns the shard's failover sequence: every eligible
-// worker in ring order from the fingerprint. Health filtering happens
+// worker in ring order from the affinity id. Health filtering happens
 // here, after the walk, so the ring itself stays stable under flapping
 // and a recovered worker gets its old shard (and warm compile memo) back.
 // Enumeration is deliberately non-claiming: a half-open worker's single
 // trial token is claimed only when forward actually launches an attempt
 // at it, so listing one as a backup that the primary's answer makes
 // moot does not burn the trial and lock the worker out of recovery.
-func (c *Coordinator) candidates(fp string) []*worker {
+func (c *Coordinator) candidates(key string) []*worker {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.now()
 	var out []*worker
-	for _, addr := range c.ring.order(fp) {
+	for _, addr := range c.ring.order(key) {
 		w := c.workers[addr]
 		if w == nil {
 			continue
@@ -464,8 +460,8 @@ type attemptResult struct {
 // statuses, and relay the first usable answer. Losing attempts are
 // cancelled; their goroutines unblock promptly (the client arms a
 // context.AfterFunc read deadline) and drain into the buffered channel.
-func (c *Coordinator) forward(ctx context.Context, req *server.Request, fp string) (resp *server.Response, who string, failovers int, hedged bool, err error) {
-	cands := c.candidates(fp)
+func (c *Coordinator) forward(ctx context.Context, req *server.Request, key string) (resp *server.Response, who string, failovers int, hedged bool, err error) {
+	cands := c.candidates(key)
 	if len(cands) == 0 {
 		return nil, "", 0, false, errNoWorkers
 	}
@@ -598,18 +594,27 @@ func failoverable(err error) bool {
 }
 
 // rescue is the last rung: every replica for the shard is down, so the
-// coordinator executes locally through the engine's resilience ladder,
-// led by a RemoteRung that replays the fleet failure as a degradable
-// error. The answer comes back StatusDegraded with the failed fleet
-// attempt leading Stats.Attempts — an honest record of how it was
-// produced.
-func (c *Coordinator) rescue(ctx context.Context, s *jointree.Structure, db cq.Database, remoteErr error, failovers int) *server.Response {
+// coordinator parses the request — the one place it does — and executes
+// it locally through the engine's resilience ladder, led by a RemoteRung
+// that replays the fleet failure as a degradable error. The answer comes
+// back StatusDegraded with the failed fleet attempt leading
+// Stats.Attempts — an honest record of how it was produced.
+func (c *Coordinator) rescue(ctx context.Context, req *server.Request, remoteErr error, failovers int) *server.Response {
+	resp := &server.Response{Worker: "local", Failovers: failovers}
+	file, err := cqparse.ParseWith(strings.NewReader(req.Query), c.cfg.DB)
+	var s *jointree.Structure
+	if err == nil {
+		s, err = jointree.Analyze(file.Query)
+	}
+	if err != nil {
+		resp.Status, resp.Error = server.StatusParseError, err.Error()
+		return resp
+	}
 	fleet := resilience.RemoteRung("fleet", func(context.Context) (*engine.Result, error) {
 		return nil, fmt.Errorf("%w: no replica answered: %v", engine.ErrInternal, remoteErr)
 	})
 	opt := engine.Options{MaxRows: c.cfg.MaxRows, MaxBytes: c.cfg.MaxBytes}
-	res, err := engine.ExecResilientStrategy(ctx, fleet, resilience.DegradationLadder(s, nil), db, opt)
-	resp := &server.Response{Worker: "local", Failovers: failovers}
+	res, err := engine.ExecResilientStrategy(ctx, fleet, resilience.DegradationLadder(s, nil), file.DB, opt)
 	if res != nil {
 		resp.Stats = server.StatsOf(&res.Stats)
 	}

@@ -134,13 +134,12 @@ func TestFleetDifferentialAgainstOracle(t *testing.T) {
 }
 
 // TestFleetSharedCompileUnderWorkerLoss fires 8 clients × the same texts at
-// a fresh 4-worker fleet, so that coordinator and workers each compile a
-// text once and share it across goroutines, aborts a worker mid-run (its
-// shard fails over to the next replica, which compiles the text then), and
-// finally aborts the rest: the coordinator rescues every text locally from
-// the parse its memo holds. Every answer equals the oracle's throughout.
-// Under -race it is the fleet half of the proof that compiled values are
-// read-only.
+// a fresh 4-worker fleet, so that each worker compiles a text of its shard
+// once and shares it across goroutines, aborts a worker mid-run (its shard
+// fails over to the next replica, which compiles the text then), and
+// finally aborts the rest: the coordinator parses and rescues every text
+// locally. Every answer equals the oracle's throughout. Under -race it is
+// the fleet half of the proof that compiled values are read-only.
 func TestFleetSharedCompileUnderWorkerLoss(t *testing.T) {
 	db := instance.ColorDatabase(3)
 	cases := buildFleetCases(t, db)
@@ -206,10 +205,6 @@ func TestFleetSharedCompileUnderWorkerLoss(t *testing.T) {
 		}
 	}
 	h := fl.Coordinator().health()
-	if want := int64(clients * rounds * len(cases)); h.CompiledEntries != len(cases) || h.CompiledHits < want-int64(clients*len(cases)) {
-		t.Errorf("coordinator health %+v: want %d compiled texts and all but the racing first arrivals of %d requests hits",
-			h, len(cases), want)
-	}
 	if h.Rescued != int64(len(cases)) {
 		t.Errorf("coordinator rescued %d, want %d", h.Rescued, len(cases))
 	}

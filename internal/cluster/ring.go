@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -11,7 +10,7 @@ import (
 // after its hash, and the full walk from there yields every worker in a
 // key-stable preference order — the failover sequence. Virtual nodes keep
 // shard ownership balanced and membership changes minimal: adding or
-// removing one worker of n moves only ~1/n of the fingerprint space, so
+// removing one worker of n moves only ~1/n of the key space, so
 // the compile memos of the surviving workers stay warm through churn.
 type ring struct {
 	vnodes int
@@ -30,15 +29,27 @@ func newRing(vnodes int) *ring {
 	return &ring{vnodes: vnodes}
 }
 
+// fnvOffset64 is FNV-64a's initial state.
+const fnvOffset64 = 14695981039346656037
+
+// fnv1a folds s into the FNV-64a state h. It reads the string in place:
+// hashing a request text copies nothing, and the value is the same in
+// every process.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 // hash64 places keys on the circle. Raw FNV-64a diffuses short, similar
 // keys (sequential worker ports, the "#i" vnode suffixes) into narrow
 // bands, which collapses the ring into unbalanced range partitioning —
 // so the FNV digest is passed through a splitmix64 finalizer to
 // avalanche it across the full 64-bit circle.
 func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	x := h.Sum64()
+	x := fnv1a(fnvOffset64, s)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

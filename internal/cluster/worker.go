@@ -10,9 +10,8 @@ import (
 
 // worker is the coordinator's view of one fleet member: its transport
 // client, which keeps the connections to that member until it is reaped
-// or replaced, plus a breaker-style health state machine. It mirrors
-// the server's per-method breaker (closed → open → half-open) but guards
-// a whole peer instead of a strategy: consecutive transport failures —
+// or replaced, plus a breaker-style health state machine (closed → open
+// → half-open) guarding the whole peer: consecutive transport failures —
 // from the health prober or from live forwards — open it, a cooldown
 // later one trial request (or probe) is admitted, and a single success
 // closes it again. Typed responses count as successes even when they

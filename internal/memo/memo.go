@@ -1,7 +1,7 @@
 // Package memo is the bounded map from a request's text to what was
 // compiled from it: the server keeps a query's parse, verdict, route and
-// strategy there, the fleet coordinator its parse and affinity id, so a
-// text seen before costs one lookup instead of the front end.
+// strategy there, so a text seen before costs one lookup instead of the
+// front end.
 //
 // Values are published once and never written again, so every hit shares
 // one value without further locking; only the map itself is guarded. Two

@@ -86,12 +86,12 @@ func (s *Server) compile(text, named string) (c *compiled, hit bool) {
 // is accounted by the memo.
 func compiledSize(q *cq.Query) int64 { return 1536 + 680*int64(len(q.Atoms)) }
 
-// AdmissionPlan is the plan a request is admitted against: the named
+// admissionPlan is the plan a request is admitted against: the named
 // method's, or for a methodless request the bucket-elimination plan under
 // the structure's MCS order, which is also what naming bucket elimination
 // or the leapfrog join builds. Naming the full reducer gives its join tree
-// lowered to a plan. A coordinator fingerprints the same plan.
-func AdmissionPlan(named string, s *jointree.Structure) (plan.Node, error) {
+// lowered to a plan.
+func admissionPlan(named string, s *jointree.Structure) (plan.Node, error) {
 	switch core.Method(named) {
 	case "", core.MethodBucketElimination, core.MethodWCOJ:
 		return core.BucketEliminationOrder(s.Query, s.Order)
@@ -126,7 +126,7 @@ func (s *Server) build(q *cq.Query, db cq.Database, named string) *compiled {
 		return fail("plan: " + err.Error())
 	}
 	c.structure = st
-	p, err := AdmissionPlan(named, st)
+	p, err := admissionPlan(named, st)
 	if err != nil {
 		return fail("plan: " + err.Error())
 	}

@@ -119,11 +119,10 @@ type Request struct {
 	// request's remaining deadline, so failover retries shrink the
 	// worker-side budget instead of resetting it.
 	Timeout string `json:"timeout,omitempty"`
-	// Affinity is the fingerprint-affinity header a fleet coordinator
-	// stamps on forwarded requests: the renaming-invariant plan
-	// fingerprint it consistent-hashed to pick the worker, so the
-	// worker's request log can audit that a query's repeats really land
-	// on its shard. Empty on direct requests.
+	// Affinity is the header a fleet coordinator stamps on forwarded
+	// requests: the hash of the named method and text it consistent-hashed
+	// to pick the worker, so the worker's request log can audit that a
+	// text's repeats really land on its shard. Empty on direct requests.
 	Affinity string `json:"affinity,omitempty"`
 	// Addr is the worker's serving address, for the coordinator ops
 	// "register" (join the fleet) and "deregister" (leave gracefully:
@@ -271,8 +270,7 @@ type Health struct {
 	Unavailable int64 `json:"unavailable,omitempty"`
 	// CompiledHits and CompiledMisses count query and explain requests
 	// whose text (with its named method) had and had not been compiled by
-	// this process before — on a server the parse, plan, verdict and
-	// route, on a coordinator the parse and affinity id — and
+	// this server before — its parse, plan, verdict and route — and
 	// CompiledEntries is how many compiled texts are held now.
 	CompiledHits    int64 `json:"compiled_hits,omitempty"`
 	CompiledMisses  int64 `json:"compiled_misses,omitempty"`

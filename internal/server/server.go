@@ -455,8 +455,8 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 		}
 		if req.Affinity != "" {
 			// Coordinator-stamped affinity header: lets the log audit that
-			// consistent-hash routing keeps a fingerprint's requests, and
-			// so their compile memo entries, on this shard.
+			// consistent-hash routing keeps a text's requests, and so its
+			// compile memo entry, on this shard.
 			logEntry["affinity"] = req.Affinity
 		}
 	}

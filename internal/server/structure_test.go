@@ -151,10 +151,10 @@ func minDegreeStructure(t *testing.T, q *cq.Query) *jointree.Structure {
 	return &jointree.Structure{Query: q, Order: order, Tree: tree}
 }
 
-// admissionFP fingerprints AdmissionPlan(named, s).
+// admissionFP fingerprints admissionPlan(named, s).
 func admissionFP(t *testing.T, named string, s *jointree.Structure) string {
 	t.Helper()
-	p, err := AdmissionPlan(named, s)
+	p, err := admissionPlan(named, s)
 	if err != nil {
 		t.Fatal(err)
 	}
