@@ -66,7 +66,12 @@ vet:
 # of (method, text) and no longer compiles what its workers compile (its
 # routes memo went), cmd/sqlgen folded into projpush -sql, and the JSON
 # workload suites (internal/workload, -suite, -emitsuite) went.
-LOC_CEILING = 18592
+# Raised 18592 -> 18620 by writing answers from the result arena to the
+# socket: 28 lines — the Answer's reference to its result relation, the
+# frame-buffer pool WriteFrame and ReadFrame share and its 1 MiB cap, and
+# the block written from the arena or a relay's rows — for no answer copy
+# and no per-frame buffer on either end (CHANGES.md has the runs).
+LOC_CEILING = 18620
 loc:
 	@go list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
 		n=$$(ls $$dir/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \

@@ -357,11 +357,11 @@ func (r *Relation) colBits(j int) uint {
 	return uint(bits.Len64(uint64(int64(r.colMax[j]) - int64(r.colMin[j]))))
 }
 
-// AppendRows appends the rows in arena order to dst, arity values per
-// row, and returns the extended slice: one copy, no sort and no tuple
-// headers.
-func (r *Relation) AppendRows(dst []Value) []Value {
-	return append(dst, r.data[:r.n*r.arity]...)
+// Arena returns the rows in arena order, arity values per row, as a view
+// of the arena itself: no copy. The caller must not write to it, and it
+// is valid until the relation's rows next change.
+func (r *Relation) Arena() []Value {
+	return r.data[: r.n*r.arity : r.n*r.arity]
 }
 
 // SortedTuples returns the tuples sorted lexicographically, as headers

@@ -70,9 +70,9 @@ func checkSemijoinKernels(t *testing.T, r, o *Relation) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.AppendRows(nil), inOrder) || removed != r.Len()-want.Len() {
+		if !slices.Equal(got.Arena(), inOrder) || removed != r.Len()-want.Len() {
 			t.Fatalf("SemijoinFilter, %s: %v (removed %d), want %v in r's order (r=%v o=%v)",
-				arm.name, got.AppendRows(nil), removed, inOrder, r, o)
+				arm.name, got.Arena(), removed, inOrder, r, o)
 		}
 	}
 	checkJoinOutput(t, r, o)

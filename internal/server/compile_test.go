@@ -45,16 +45,14 @@ func compileCases(t testing.TB) ([]compileCase, Config) {
 	return cases, Config{DB: db, MaxConcurrent: 8}
 }
 
-// timeless strips what differs between two runs of one request: the
-// clocks.
-func timeless(r *Response) *Response {
-	c := *r
-	if r.Stats != nil {
-		st := *r.Stats
-		st.ElapsedUS = 0
-		c.Stats = &st
+// timeless is the response as a client decodes it, stripped of what
+// differs between two runs of one request: the clocks.
+func timeless(t testing.TB, r *Response) *Response {
+	c := decoded(t, r)
+	if c != nil && c.Stats != nil {
+		c.Stats.ElapsedUS = 0
 	}
-	return &c
+	return c
 }
 
 // logLines decodes a request log.
@@ -102,8 +100,8 @@ func TestCompiledHitEqualsMiss(t *testing.T) {
 			if first.Status != want {
 				t.Fatalf("%s: status %s (%s), want %s", name, first.Status, first.Error, want)
 			}
-			if !reflect.DeepEqual(timeless(first), timeless(second)) {
-				t.Errorf("%s: the hit answered\n%+v\nthe miss\n%+v", name, timeless(second), timeless(first))
+			if a, b := timeless(t, first), timeless(t, second); !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: the hit answered\n%+v\nthe miss\n%+v", name, b, a)
 			}
 			if op == "query" && want == StatusOK && (first.Answer == nil || first.Stats == nil) {
 				t.Errorf("%s: answer %v stats %v", name, first.Answer, first.Stats)
@@ -139,7 +137,7 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 	want := map[string]*Response{}
 	for _, op := range []string{"query", "explain"} {
 		for _, c := range cases {
-			want[op+"/"+c.name] = timeless(ref.handleRequest(context.Background(), &Request{Op: op, Query: c.text, Method: c.method}, "ref"))
+			want[op+"/"+c.name] = timeless(t, ref.handleRequest(context.Background(), &Request{Op: op, Query: c.text, Method: c.method}, "ref"))
 		}
 	}
 	s := New(cfg)
@@ -153,8 +151,8 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 					c := cases[(i+g)%len(cases)]
 					for _, op := range []string{"query", "explain"} {
 						got := s.handleRequest(context.Background(), &Request{Op: op, Query: c.text, Method: c.method}, "test")
-						if !reflect.DeepEqual(timeless(got), want[op+"/"+c.name]) {
-							t.Errorf("goroutine %d %s/%s: got %+v, want %+v", g, op, c.name, timeless(got), want[op+"/"+c.name])
+						if got := timeless(t, got); !reflect.DeepEqual(got, want[op+"/"+c.name]) {
+							t.Errorf("goroutine %d %s/%s: got %+v, want %+v", g, op, c.name, got, want[op+"/"+c.name])
 						}
 					}
 				}

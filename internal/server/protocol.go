@@ -19,10 +19,11 @@
 // object leaves answer.tuples out and gains a descriptor,
 // "tuple_block":{"rows":R,"arity":A}, and the R×A values follow the
 // object's closing brace as little-endian int32 in the executor's row
-// order — the same layout as a relation's arena, so an answer costs a
-// copy, not a parse. An answer is a set: no row order is promised, and
-// a reader that needs one sorts what it received. The block is exactly 4·R·A bytes and ends the frame; a reader
-// checks that against the descriptor before it allocates anything.
+// order — a relation's arena layout: a server appends its result's arena
+// to the frame, a reader copies the block out. An answer is a set: no row
+// order is promised; a reader that needs one sorts what it received. The
+// block is exactly 4·R·A bytes and ends the frame; a reader checks that
+// against the descriptor before it allocates anything.
 // Every other frame — each Request, and each Response without tuples or
 // with the one empty tuple of a true Boolean answer — is the JSON object
 // alone. There is one format: no version field and no negotiation.
@@ -35,6 +36,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
+
+	"projpush/internal/relation"
 )
 
 // MaxFrame bounds a single protocol frame. Oversized frames fail the
@@ -142,12 +147,14 @@ type Answer struct {
 	// Tuples is the full result in the executor's row order: a set, with
 	// no order promised (a reader that needs one sorts; a relay keeps the
 	// order it received). On the wire it travels as the frame's binary
-	// tuple block, not as JSON (see the package comment); AnswerOf and
-	// ReadFrame both build it as row sub-slices of one backing array, so
-	// a wide answer is two allocations. The JSON tag is what json.Marshal
-	// of a Response renders outside a frame: request logs, `projpush
-	// -connect`.
+	// tuple block, not as JSON (see the package comment). ReadFrame builds
+	// it as row sub-slices of one backing array; AnswerOf leaves it nil at
+	// arity ≥ 1. The JSON tag is what json.Marshal of a decoded Response
+	// renders outside a frame: request logs, `projpush -connect`.
 	Tuples [][]int32 `json:"tuples,omitempty"`
+	// rel is AnswerOf's result relation at arity ≥ 1: WriteFrame writes
+	// the tuple block from its arena.
+	rel *relation.Relation
 }
 
 // Verdict is the admission-control assessment of a query, computed from
@@ -323,14 +330,17 @@ type wireResponse struct {
 	TupleBlock *tupleBlock `json:"tuple_block,omitempty"`
 }
 
-// rowsOf cuts flat into rows sub-slices of arity values each, capped so
-// that appending to one row cannot overwrite the next.
-func rowsOf(flat []int32, rows, arity int) [][]int32 {
-	out := make([][]int32, rows)
-	for i := range out {
-		out[i] = flat[i*arity : (i+1)*arity : (i+1)*arity]
+// frameBufs recycles the buffers WriteFrame builds frames in and ReadFrame
+// reads them into; nothing decoded aliases one. A buffer over
+// maxPooledFrame is dropped, so a frame near MaxFrame pins no memory.
+var frameBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+const maxPooledFrame = 1 << 20
+
+func putFrameBuf(p *[]byte, b []byte) {
+	if *p = b[:0]; cap(b) <= maxPooledFrame {
+		frameBufs.Put(p)
 	}
-	return out
 }
 
 // WriteFrame writes v as one frame: the length prefix, v's JSON and,
@@ -343,40 +353,49 @@ func WriteFrame(w io.Writer, v any) error { return writeFrame(w, v, MaxFrame) }
 
 func writeFrame(w io.Writer, v any, limit int) error {
 	resp, _ := v.(*Response)
-	var tuples [][]int32
+	var tuples [][]int32 // the block's values in order: a relayed answer's rows, or AnswerOf's arena
+	rows, arity := 0, 0
 	if resp != nil && resp.Answer != nil {
-		tuples = resp.Answer.Tuples
-	}
-	arity := 0
-	for i, row := range tuples {
-		if i == 0 {
-			arity = len(row)
-		} else if len(row) != arity {
-			return fmt.Errorf("server: ragged answer: row %d has %d values, row 0 has %d", i, len(row), arity)
+		tuples, rows = resp.Answer.Tuples, len(resp.Answer.Tuples)
+		for i, row := range tuples {
+			if i == 0 {
+				arity = len(row)
+			} else if len(row) != arity {
+				return fmt.Errorf("server: ragged answer: row %d has %d values, row 0 has %d", i, len(row), arity)
+			}
+		}
+		if rel := resp.Answer.rel; rel != nil {
+			tuples, rows, arity = [][]int32{rel.Arena()}, rel.Len(), rel.Arity()
 		}
 	}
-	blockLen := 4 * len(tuples) * arity
+	blockLen := 4 * rows * arity
 	if blockLen > 0 {
 		if blockLen > limit {
 			return fmt.Errorf("%w: answer of %d rows x %d columns needs %d bytes, MaxFrame is %d",
-				ErrFrameTooLarge, len(tuples), arity, blockLen, limit)
+				ErrFrameTooLarge, rows, arity, blockLen, limit)
 		}
 		detached, ans := *resp, *resp.Answer
 		ans.Tuples = nil
 		detached.Answer = &ans
-		v = wireResponse{Response: &detached, TupleBlock: &tupleBlock{Rows: len(tuples), Arity: arity}}
+		v = wireResponse{Response: &detached, TupleBlock: &tupleBlock{Rows: rows, Arity: arity}}
 	}
 
-	// Header, JSON and block are built in one buffer and written once.
-	buf := bytes.NewBuffer(make([]byte, 4, 1024+blockLen))
+	// Header, JSON and block are built in one pooled buffer and written once.
+	p := frameBufs.Get().(*[]byte)
+	buf := bytes.NewBuffer((*p)[:4])
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		return fmt.Errorf("server: marshal frame: %w", err)
 	}
+	buf.Truncate(buf.Len() - 1) // Encode ends with a newline; the frame does not
+	buf.Grow(blockLen)
 	frame := buf.Bytes()
-	frame = frame[:len(frame)-1] // Encode ends with a newline; the frame does not
-	for _, row := range tuples { // appends nothing when the tuples stayed in the JSON (arity 0)
+	defer func() { putFrameBuf(p, frame) }()
+	block := frame[len(frame) : len(frame)+blockLen]
+	frame = frame[:len(frame)+blockLen]
+	for _, row := range tuples { // nothing when the tuples stayed in the JSON (arity 0)
 		for _, x := range row {
-			frame = binary.LittleEndian.AppendUint32(frame, uint32(x))
+			binary.LittleEndian.PutUint32(block, uint32(x))
+			block = block[4:]
 		}
 	}
 	if n := len(frame) - 4; n > limit {
@@ -389,8 +408,8 @@ func writeFrame(w io.Writer, v any, limit int) error {
 
 // ReadFrame reads one frame and unmarshals it into v. When v is a
 // *Response and the frame carries a tuple block, the block is checked
-// against its descriptor and becomes Answer.Tuples; into any other v a
-// frame with a block does not decode.
+// against its descriptor and copied into Answer.Tuples; into any other v
+// a frame with a block does not decode.
 func ReadFrame(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -400,7 +419,9 @@ func ReadFrame(r io.Reader, v any) error {
 	if n > MaxFrame {
 		return fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
 	}
-	payload := make([]byte, n)
+	p := frameBufs.Get().(*[]byte)
+	payload := slices.Grow((*p)[:0], int(n))[:n]
+	defer putFrameBuf(p, payload)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return err
 	}
@@ -435,6 +456,10 @@ func ReadFrame(r io.Reader, v any) error {
 	for i := range flat {
 		flat[i] = int32(binary.LittleEndian.Uint32(block[4*i:]))
 	}
-	resp.Answer.Tuples = rowsOf(flat, tb.Rows, tb.Arity)
+	// Rows are capped so that appending to one cannot overwrite the next.
+	resp.Answer.Tuples = make([][]int32, tb.Rows)
+	for i := range resp.Answer.Tuples {
+		resp.Answer.Tuples[i] = flat[i*tb.Arity : (i+1)*tb.Arity : (i+1)*tb.Arity]
+	}
 	return nil
 }

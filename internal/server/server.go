@@ -611,18 +611,21 @@ func ClassifyStatus(err error) Status {
 	}
 }
 
-// AnswerOf renders a result relation in the executor's row order: one
-// copy of the arena and one slice of row headers into it, whatever the
-// row count. The copy keeps Answer.Tuples from aliasing storage that a
-// zero-copy rename may share with a base relation.
+// AnswerOf makes a result relation an answer without copying it: at arity
+// ≥ 1 the answer keeps the relation, only reads it (a zero-copy rename may
+// share its arena with a base relation), and WriteFrame writes the arena
+// as the tuple block, in the executor's row order; Tuples stay nil.
 func AnswerOf(res *engine.Result) *Answer {
 	rel := res.Rel
 	attrs := make([]int, len(rel.Attrs()))
 	for i, a := range rel.Attrs() {
 		attrs[i] = int(a)
 	}
-	flat := rel.AppendRows(make([]int32, 0, rel.Len()*rel.Arity()))
-	return &Answer{Attrs: attrs, Nonempty: rel.Len() > 0, Rows: rel.Len(), Tuples: rowsOf(flat, rel.Len(), rel.Arity())}
+	ans := &Answer{Attrs: attrs, Nonempty: rel.Len() > 0, Rows: rel.Len(), rel: rel}
+	if rel.Arity() == 0 && rel.Len() > 0 {
+		ans.rel, ans.Tuples = nil, [][]int32{{}} // "true" travels as JSON
+	}
+	return ans
 }
 
 // StatsOf converts engine stats for the wire.

@@ -625,7 +625,7 @@ func TestRelBlockShadowsTheResidentIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := slices.Clone(resp.Answer.Tuples)
+		got := decoded(t, resp).Answer.Tuples
 		slices.SortFunc(got, slices.Compare[[]int32])
 		want := make([][]int32, oracle.Len())
 		for i, tup := range oracle.SortedTuples() {
