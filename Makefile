@@ -71,7 +71,10 @@ vet:
 # frame-buffer pool WriteFrame and ReadFrame share and its 1 MiB cap, and
 # the block written from the arena or a relay's rows — for no answer copy
 # and no per-frame buffer on either end (CHANGES.md has the runs).
-LOC_CEILING = 18620
+# Lowered to 18456 by one entry point per verb: each executor is one
+# constructor returning an engine.Fallback, and the facade's 19 per-executor
+# wrappers and uncalled re-exports went behind Run and Explain.
+LOC_CEILING = 18456
 loc:
 	@go list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
 		n=$$(ls $$dir/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \

@@ -15,6 +15,7 @@
 package projpush
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -363,7 +364,7 @@ func BenchmarkAblationSemijoin(b *testing.B) {
 	q, db := colorBench(b, graph.AugmentedPath(25), 0, 3)
 	b.Run("yannakakis", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.ExecYannakakis(q, db, engine.Options{}); err != nil {
+			if _, err := engine.ExecYannakakisContext(context.Background(), q, db, engine.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -482,7 +483,7 @@ func BenchmarkAblationHashKey(b *testing.B) {
 		db, q := build(offset)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(EarlyProjection, q, db, ExecOptions{}, nil); err != nil {
+				if _, err := Run(context.Background(), EarlyProjection, q, db, ExecOptions{}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -121,7 +121,7 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 				want.maxRows, pipeline.Stats.PeakBytes)
 		}
 
-		if res, err := projpush.Run(m, q, db, projpush.ExecOptions{}, nil); err != nil || countsOf(&res.Stats) != want {
+		if res, err := projpush.Run(context.Background(), m, q, db, projpush.ExecOptions{}, nil); err != nil || countsOf(&res.Stats) != want {
 			t.Errorf("%s: projpush.Run reports %+v (%v), the walker %+v", m, countsOf(&res.Stats), err, want)
 		}
 		if res, err := execute(m, p, structure, db, engine.Options{}, false, nil); err != nil || countsOf(&res.Stats) != want {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -66,7 +67,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := projpush.Run(projpush.BucketElimination, q, db, projpush.ExecOptions{
+		res, err := projpush.Run(context.Background(), projpush.BucketElimination, q, db, projpush.ExecOptions{
 			Timeout: 10 * time.Second,
 		}, rng)
 		if err != nil {
@@ -93,7 +94,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := projpush.Run(projpush.BucketElimination, q, db, projpush.ExecOptions{}, rng)
+	res, err := projpush.Run(context.Background(), projpush.BucketElimination, q, db, projpush.ExecOptions{}, rng)
 	if err != nil {
 		log.Fatal(err)
 	}

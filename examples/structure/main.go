@@ -49,11 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := projpush.BuildPlan(projpush.BucketElimination, q, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	out, err := projpush.Explain(p, projpush.ColorDatabase(3), projpush.ExecOptions{}, true)
+	out, err := projpush.Explain(projpush.BucketElimination, q, projpush.ColorDatabase(3), projpush.ExecOptions{}, true, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"projpush/internal/acyclic"
+	"projpush/internal/engine"
 )
 
 func TestFacadeAnalyzeStructure(t *testing.T) {
@@ -52,7 +56,7 @@ func TestFacadeExplainAndIterator(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := ColorDatabase(3)
-	out, err := Explain(p, db, ExecOptions{}, true)
+	out, err := Explain(BucketElimination, q, db, ExecOptions{}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +67,7 @@ func TestFacadeExplainAndIterator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ExecuteIterator(p, db, ExecOptions{})
+	b, err := engine.ExecIterator(p, db, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +116,10 @@ func TestFacadeMiniBucketAndYannakakis(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := ColorDatabase(3)
-	if !IsAcyclic(q) {
+	if !acyclic.IsAcyclic(q) {
 		t.Fatal("augmented path query must be acyclic")
 	}
-	y, err := Yannakakis(q, db)
+	y, err := Run(context.Background(), MethodYannakakis, q, db, ExecOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,7 @@ func TestFacadeMiniBucketAndYannakakis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mb.Exact || !mb.Rel.Equal(y) {
+	if !mb.Exact || !mb.Rel.Equal(y.Rel) {
 		t.Fatal("exact mini-bucket and Yannakakis disagree")
 	}
 }
@@ -177,7 +181,7 @@ func TestFacadeSATPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(BucketElimination, q, db, ExecOptions{}, rng)
+	res, err := Run(context.Background(), BucketElimination, q, db, ExecOptions{}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +228,10 @@ func TestFacadeResourceGovernor(t *testing.T) {
 
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExecuteContext(pre, p, db, ExecOptions{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("ExecuteContext pre-canceled: err = %v, want ErrCanceled", err)
-	}
-	if _, err := ExecuteIteratorContext(pre, p, db, ExecOptions{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("ExecuteIteratorContext pre-canceled: err = %v, want ErrCanceled", err)
+	for _, m := range slices.Concat(Methods, []Method{MethodYannakakis, MethodStream, MethodWCOJ}) {
+		if _, err := Run(pre, m, q, db, ExecOptions{}, nil); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("Run(%s) pre-canceled: err = %v, want ErrCanceled", m, err)
+		}
 	}
 
 	// A tiny byte budget fails the straightforward plan with ErrMemLimit;
@@ -257,11 +260,11 @@ func TestFacadeStream(t *testing.T) {
 	}
 	db := ColorDatabase(3)
 
-	res, err := Run(MethodStream, q, db, ExecOptions{}, nil)
+	res, err := Run(context.Background(), MethodStream, q, db, ExecOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Run(BucketElimination, q, db, ExecOptions{}, nil)
+	ref, err := Run(context.Background(), BucketElimination, q, db, ExecOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,21 +277,17 @@ func TestFacadeStream(t *testing.T) {
 			res.Stats.Bytes, res.Stats.PeakBytes)
 	}
 
-	p, err := BuildPlan(MethodStream, q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ExplainStream(p, db, ExecOptions{}, true)
+	out, err := Explain(MethodStream, q, db, ExecOptions{}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(out, "stream pipeline") || !strings.Contains(out, "rows=") {
-		t.Fatalf("ExplainStream analyze output:\n%s", out)
+		t.Fatalf("Explain(MethodStream) analyze output:\n%s", out)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExecuteStreamContext(ctx, p, db, ExecOptions{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("ExecuteStreamContext pre-canceled: err = %v, want ErrCanceled", err)
+	if _, err := Run(ctx, MethodStream, q, db, ExecOptions{}, nil); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Run(MethodStream) pre-canceled: err = %v, want ErrCanceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package projpush
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -146,7 +147,7 @@ func TestIntegrationAllPathsAgree(t *testing.T) {
 
 			// Yannakakis (acyclic queries only).
 			if acyclic.IsAcyclic(q) {
-				yr, err := engine.ExecYannakakis(q, db, opts)
+				yr, err := engine.ExecYannakakisContext(context.Background(), q, db, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

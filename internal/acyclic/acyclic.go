@@ -3,7 +3,7 @@
 // and 7): the GYO ear-removal acyclicity test of Tarjan & Yannakakis and
 // the join forest it leaves behind. Evaluation — the full semijoin
 // reducer and Yannakakis's algorithm with linear-size intermediate
-// results — is the engine's (engine.ExecYannakakis), governed and
+// results — is the engine's (engine.NewYannakakis), governed and
 // instrumented like every other executor.
 //
 // The paper notes that for its 3-COLOR queries semijoins are useless —

@@ -1,6 +1,7 @@
 package acyclic
 
 import (
+	"context"
 	"testing"
 
 	"projpush/internal/cq"
@@ -84,7 +85,7 @@ func TestSemijoinsUselessFor3Color(t *testing.T) {
 		if !IsAcyclic(q) {
 			t.Fatalf("%v: family must be acyclic", g)
 		}
-		res, err := engine.ExecYannakakis(q, db, engine.Options{})
+		res, err := engine.ExecYannakakisContext(context.Background(), q, db, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,7 @@ const (
 )
 
 // MethodYannakakis names the Yannakakis full-reducer execution strategy
-// (engine.ExecYannakakis): semijoin-sweep the MCS join tree, then
+// (engine.NewYannakakis): semijoin-sweep the MCS join tree, then
 // evaluate bag by bag. It is deliberately not in Methods — it is an
 // execution strategy, not a plan shape; BuildPlan returns the
 // tree-decomposition plan over the same join tree as its static surrogate
@@ -53,7 +53,7 @@ const (
 const MethodYannakakis Method = "yannakakis"
 
 // MethodStream names the pipelined streaming execution strategy
-// (engine.ExecStream): semijoin pushdown over the base relations, fused
+// (engine.NewPipeline): semijoin pushdown over the base relations, fused
 // projection, and late materialization with live-byte accounting. Like
 // MethodYannakakis it is an execution strategy, not a plan shape, so it is
 // not in Methods. The engine lowers whatever plan it is handed, with the
@@ -65,7 +65,7 @@ const MethodYannakakis Method = "yannakakis"
 const MethodStream Method = "stream"
 
 // MethodWCOJ names the worst-case-optimal multiway join execution
-// strategy (engine.ExecWCOJ): one global variable order, sorted per-atom
+// strategy (engine.NewWCOJ): one global variable order, sorted per-atom
 // indexes, and leapfrog intersection variable by variable, with total
 // work inside the AGM output bound. Like MethodYannakakis and
 // MethodStream it is an execution strategy, not a plan shape, so it is

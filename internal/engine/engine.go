@@ -36,7 +36,7 @@ type Options struct {
 	// on the executor: the materializing ones (the plan walker, the full
 	// reducer, the leapfrog join) release nothing mid-run, so for them it
 	// caps everything the run ever materialized; the pull pipeline
-	// (ExecStream, ExecIterator) gives a closing operator's bytes back,
+	// (NewPipeline, ExecIterator) gives a closing operator's bytes back,
 	// so there it caps the live bytes. Zero means
 	// no budget. Exceeding it fails the run with ErrMemLimit — typically
 	// long before MaxRows would fire, since the budget charges allocation
@@ -62,7 +62,7 @@ type Stats struct {
 	Joins, Projections int
 	// Bytes is the total bytes of relation storage materialized by Join
 	// and Project operators (arena plus dedup table of each output).
-	// The pull pipeline (ExecStream, ExecIterator) reports its peak of
+	// The pull pipeline (NewPipeline, ExecIterator) reports its peak of
 	// live bytes here instead — for it this equals PeakBytes.
 	Bytes int64
 	// PeakBytes is the high-water mark of live relation storage. The
@@ -84,13 +84,13 @@ type Stats struct {
 	// semijoin.
 	ReducedTuples int64
 	// Seeks and Extensions instrument the worst-case-optimal executor
-	// (ExecWCOJ): Seeks counts galloping SeekGE/SeekGT calls across all
+	// (NewWCOJ): Seeks counts galloping SeekGE/SeekGT calls across all
 	// variable levels, Extensions the values that survived a level's
 	// leapfrog intersection. Zero for every other executor.
 	Seeks, Extensions int64
-	// Attempts records the degradation history of an ExecResilient run:
-	// one entry per plan tried, in order, the last being the one whose
-	// stats this struct carries. Nil for the plain entry points.
+	// Attempts records the degradation history of an ExecResilientStrategy
+	// run: one entry per rung tried, in order, the last being the one whose
+	// stats this struct carries. Nil for a run of a single executor.
 	Attempts []Attempt
 	// Elapsed is the wall-clock execution time.
 	Elapsed time.Duration
@@ -124,21 +124,33 @@ func newExecutor(ctx context.Context, db cq.Database, opt Options) *executor {
 	return ex
 }
 
-// Exec evaluates the plan over db under opt, on the materializing plan
-// walker.
-// On timeout, cancellation, row-cap or byte-budget violation it returns
-// ErrTimeout, ErrCanceled, ErrRowLimit or ErrMemLimit (wrapped); the
-// partial stats collected so far are returned alongside so harnesses can
-// report how far a run got.
-func Exec(n plan.Node, db cq.Database, opt Options) (*Result, error) {
-	return ExecContext(context.Background(), n, db, opt)
+// NewWalker returns the materializing plan walker for p: Run evaluates the
+// plan bottom-up, materializing every Join and Project output, and Explain
+// renders it as the π…/⋈ tree (explainWalker). On timeout, cancellation,
+// row-cap or byte-budget violation Run returns ErrTimeout, ErrCanceled,
+// ErrRowLimit or ErrMemLimit (wrapped); the partial stats collected so far
+// are returned alongside so harnesses can report how far a run got.
+// Cancellation is observed by every kernel within a bounded amount of work
+// and surfaces as ErrCanceled (matching context.Canceled under errors.Is).
+func NewWalker(p plan.Node) Fallback {
+	return Fallback{
+		Run: func(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
+			return newExecutor(ctx, db, opt).run(p)
+		},
+		Explain: func(db cq.Database, opt Options, analyze bool) (string, error) {
+			return explainWalker(p, db, opt, analyze)
+		},
+	}
 }
 
-// ExecContext is Exec under a context: cancellation is observed by every
-// kernel within a bounded amount of work and surfaces as ErrCanceled
-// (matching context.Canceled under errors.Is).
+// Exec runs the plan on the walker (NewWalker) without a context.
+func Exec(n plan.Node, db cq.Database, opt Options) (*Result, error) {
+	return NewWalker(n).Run(context.Background(), db, opt)
+}
+
+// ExecContext runs the plan on the walker (NewWalker) under ctx.
 func ExecContext(ctx context.Context, n plan.Node, db cq.Database, opt Options) (*Result, error) {
-	return newExecutor(ctx, db, opt).run(n)
+	return NewWalker(n).Run(ctx, db, opt)
 }
 
 // run evaluates n and settles the run's totals, panic-isolated like the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"projpush/internal/cq"
+	"projpush/internal/jointree"
 	"projpush/internal/plan"
 	"projpush/internal/relation"
 )
@@ -253,16 +254,24 @@ func TestStructuralFailureKeepsResult(t *testing.T) {
 		q := &cq.Query{Atoms: as, Free: []cq.Var{0, 7}}
 		p := &plan.Project{Child: &plan.Scan{Atom: as[0]}, Cols: q.Free}
 		entries := map[string]func() (*Result, error){
-			"Exec":                func() (*Result, error) { return Exec(p, db, Options{}) },
-			"ExecContext":         func() (*Result, error) { return ExecContext(ctx, p, db, Options{}) },
-			"ExecIterator":        func() (*Result, error) { return ExecIterator(p, db, Options{}) },
-			"ExecIteratorContext": func() (*Result, error) { return ExecIteratorContext(ctx, p, db, Options{}) },
-			"ExecStream":          func() (*Result, error) { return ExecStream(p, db, Options{}) },
-			"ExecStreamContext":   func() (*Result, error) { return ExecStreamContext(ctx, p, db, Options{}) },
-			"ExecYannakakis":      func() (*Result, error) { return ExecYannakakis(q, db, Options{}) },
-			"ExecYannakakisCtx":   func() (*Result, error) { return ExecYannakakisContext(ctx, q, db, Options{}) },
-			"ExecWCOJ":            func() (*Result, error) { return ExecWCOJ(q, db, Options{}) },
-			"ExecWCOJContext":     func() (*Result, error) { return ExecWCOJContext(ctx, q, db, Options{}) },
+			"NewWalker":             func() (*Result, error) { return NewWalker(p).Run(ctx, db, Options{}) },
+			"NewPipeline":           func() (*Result, error) { return NewPipeline(p).Run(ctx, db, Options{}) },
+			"Exec":                  func() (*Result, error) { return Exec(p, db, Options{}) },
+			"ExecContext":           func() (*Result, error) { return ExecContext(ctx, p, db, Options{}) },
+			"ExecIterator":          func() (*Result, error) { return ExecIterator(p, db, Options{}) },
+			"ExecStreamContext":     func() (*Result, error) { return ExecStreamContext(ctx, p, db, Options{}) },
+			"ExecYannakakisContext": func() (*Result, error) { return ExecYannakakisContext(ctx, q, db, Options{}) },
+			"ExecWCOJContext":       func() (*Result, error) { return ExecWCOJContext(ctx, q, db, Options{}) },
+		}
+		// Analysis refuses the missing column itself (the shims report it),
+		// so the constructors that take a structure get the binding failures.
+		s, err := jointree.Analyze(&cq.Query{Atoms: as, Free: q.Free[:1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name != "missing column" {
+			entries["NewYannakakis"] = func() (*Result, error) { return NewYannakakis(s).Run(ctx, db, Options{}) }
+			entries["NewWCOJ"] = func() (*Result, error) { return NewWCOJ(s).Run(ctx, db, Options{}) }
 		}
 		for entry, run := range entries {
 			res, err := run()

@@ -10,12 +10,12 @@ import (
 	"projpush/internal/plan"
 )
 
-// Explain renders a plan as an indented operator tree, one line per node
-// with its output schema and arity — the structural facts the paper's
+// explainWalker renders a plan as an indented operator tree, one line per
+// node with its output schema and arity — the structural facts the paper's
 // analysis runs on. When analyze is true the plan is executed under opt
 // and each line is annotated with the actual output cardinality, in the
 // spirit of EXPLAIN ANALYZE on the paper's backend.
-func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, error) {
+func explainWalker(p plan.Node, db cq.Database, opt Options, analyze bool) (string, error) {
 	var ex *executor
 	if analyze {
 		ex = newExecutor(context.Background(), db, opt)
@@ -61,28 +61,18 @@ func Explain(p plan.Node, db cq.Database, opt Options, analyze bool) (string, er
 	return b.String(), nil
 }
 
-// ExplainYannakakis renders the full-reducer join tree for q: one line
-// per bag with its working and projected labels and the atoms it hosts.
-// When analyze is true the sweep executes under opt, the header names the
-// seed bag the walk started from and its rows, and each bag line is
-// annotated with its per-phase cardinalities — rows when the bag relation
-// was formed, after the seed walk reduced it (⋉→, only on bags the walk
+// explainYannakakis renders the full-reducer join tree: one line per bag
+// with its working and projected labels and the atoms it hosts. When
+// analyze is true the sweep executes under opt, the header names the seed
+// bag the walk started from and its rows, and each bag line is annotated
+// with its per-phase cardinalities — rows when the bag relation was
+// formed, after the seed walk reduced it (⋉→, only on bags the walk
 // reached whole), after the bottom-up sweep (⋉↑), after the top-down sweep
 // (⋉↓), and the evaluated output — followed by the run's
 // reduced-vs-materialized totals. On a bag hosting two or more atoms each
 // atom carries [rows after bind ⋉→rows after the walk filtered it] from
 // before the bag's join, and rows= is the size of that join.
-func ExplainYannakakis(q *cq.Query, db cq.Database, opt Options, analyze bool) (string, error) {
-	s, err := jointree.Analyze(q)
-	if err != nil {
-		return "", err
-	}
-	return NewYannakakis(s).Explain(db, opt, analyze)
-}
-
-// Explain is ExplainYannakakis over the structure's join tree.
-func (y *Yannakakis) Explain(db cq.Database, opt Options, analyze bool) (string, error) {
-	tree := y.s.Tree
+func explainYannakakis(tree *jointree.Tree, db cq.Database, opt Options, analyze bool) (string, error) {
 	var root *ybag
 	var st Stats
 	if analyze {
@@ -144,32 +134,23 @@ func (y *Yannakakis) Explain(db cq.Database, opt Options, analyze bool) (string,
 	return b.String(), nil
 }
 
-// ExplainWCOJ renders the worst-case-optimal executor's variable order
-// for q: one line per variable level with the atoms whose intersection
+// explainWCOJ renders the worst-case-optimal executor's variable order:
+// one line per variable level with the atoms whose intersection
 // constrains it, levels past the free prefix marked ∃ (existence-checked
 // only — the executor's early projection). When analyze is true the join
 // executes under opt and each level is annotated with its seek and
 // extension counts, followed by the run's totals and the memory/tuples
 // trailers the other executors report.
-func ExplainWCOJ(q *cq.Query, db cq.Database, opt Options, analyze bool) (string, error) {
-	s, err := jointree.Analyze(q)
-	if err != nil {
-		return "", err
-	}
-	return NewWCOJ(s).Explain(db, opt, analyze)
-}
-
-// Explain is ExplainWCOJ over the structure's variable order.
-func (w *WCOJ) Explain(db cq.Database, opt Options, analyze bool) (string, error) {
+func explainWCOJ(s *jointree.Structure, db cq.Database, opt Options, analyze bool) (string, error) {
 	var ex *wexec
 	if analyze {
-		_, x, err := execWCOJ(context.Background(), w.s, db, opt)
+		_, x, err := execWCOJ(context.Background(), s, db, opt)
 		if err != nil {
 			return "", err
 		}
 		ex = x
 	} else {
-		ex = newWexec(context.Background(), w.s, db, opt)
+		ex = newWexec(context.Background(), s, db, opt)
 		if err := ex.prepare(); err != nil {
 			return "", err
 		}

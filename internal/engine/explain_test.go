@@ -11,7 +11,7 @@ import (
 func TestExplainStructureOnly(t *testing.T) {
 	q := cycleQuery(3)
 	p := straightforward(q)
-	out, err := Explain(p, edgeDB(), Options{}, false)
+	out, err := NewWalker(p).Explain(edgeDB(), Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestExplainStructureOnly(t *testing.T) {
 func TestExplainAnalyze(t *testing.T) {
 	q := cycleQuery(3)
 	p := straightforward(q)
-	out, err := Explain(p, edgeDB(), Options{}, true)
+	out, err := NewWalker(p).Explain(edgeDB(), Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestExplainAnalyze(t *testing.T) {
 
 func TestExplainAnalyzePropagatesErrors(t *testing.T) {
 	p := &plan.Scan{Atom: cq.Atom{Rel: "nope", Args: []cq.Var{0, 1}}}
-	if _, err := Explain(p, edgeDB(), Options{}, true); err == nil {
+	if _, err := NewWalker(p).Explain(edgeDB(), Options{}, true); err == nil {
 		t.Fatal("expected error for unknown relation")
 	}
 }

@@ -1,6 +1,6 @@
 package engine
 
-// Semijoin pushdown: the phase ExecStream and ExplainStream run ahead of
+// Semijoin pushdown: the phase NewPipeline's Run and Explain run ahead of
 // lowering when some sweep could remove a tuple (mayReduce), and
 // ExecIterator never runs. It walks the
 // plan, derives which scan pairs share an attribute that survives (is

@@ -9,23 +9,17 @@ import (
 	"projpush/internal/plan"
 )
 
-// ExecResilient runs a plan with graceful method degradation: when the
-// given plan blows a resource limit (row cap or byte budget) or hits an
-// internal fault, progressively safer plans from the fallback ladder are
-// tried instead of giving up. This mirrors how the paper's methods relate
-// in practice: the straightforward method legitimately explodes on
-// treewidth-bounded instances where early projection or bucket
-// elimination stays polynomial, so a failure of the former is an
-// instruction to re-plan, not a property of the query.
-
 // Fallback is one execution strategy: a way to answer a query that can
 // run on its own or as a rung of a degradation ladder, tried when the
-// previous rung failed degradably.
+// previous rung failed degradably. Each executor has one constructor that
+// returns it — NewWalker, NewPipeline, NewYannakakis, NewWCOJ — and
+// leaves Name to the caller (resilience.Strategy names it after the
+// method).
 type Fallback struct {
 	// Name labels the rung in Stats.Attempts (typically the method name).
 	Name string
 	// Run executes the strategy. It must return a non-nil Result even on
-	// failure, as the engine's entry points do. A rung that builds its plan
+	// failure, as the engine's executors do. A rung that builds its plan
 	// when reached (PlanRung) reports a construction failure as such, and
 	// the ladder skips it.
 	Run func(ctx context.Context, db cq.Database, opt Options) (*Result, error)
@@ -35,9 +29,9 @@ type Fallback struct {
 	Explain func(db cq.Database, opt Options, analyze bool) (string, error)
 }
 
-// Attempt records one rung of an ExecResilient run.
+// Attempt records one rung of an ExecResilientStrategy run.
 type Attempt struct {
-	// Method is the rung's label ("given" for the initial plan).
+	// Method is the rung's label (its Fallback's Name).
 	Method string
 	// Err is the failure, empty for the succeeding attempt. Plan
 	// construction failures are prefixed "plan: ".
@@ -65,7 +59,7 @@ func PlanRung(name string, build func() (plan.Node, error)) Fallback {
 		if err != nil {
 			return &Result{}, planFailure{err}
 		}
-		return ExecStreamContext(ctx, p, db, opt)
+		return NewPipeline(p).Run(ctx, db, opt)
 	}}
 }
 
@@ -77,27 +71,21 @@ func Degradable(err error) bool {
 	return errors.Is(err, ErrRowLimit) || errors.Is(err, ErrMemLimit) || errors.Is(err, ErrInternal)
 }
 
-// ExecResilient evaluates the plan over db under opt, retrying down the
-// fallback ladder on degradable failures. The given plan runs first (as
-// ExecContext runs it), then the rungs in order. Every attempt gets a
-// fresh byte budget and timeout.
+// ExecResilientStrategy runs first — the strategy a method names
+// (resilience.Strategy) — over db under opt and, when it fails on a
+// resource limit (ErrRowLimit, ErrMemLimit) or an internal fault
+// (ErrInternal), retries down the fallback ladder instead of giving up.
+// This mirrors how the paper's methods relate
+// in practice: the straightforward method legitimately explodes on
+// treewidth-bounded instances where early projection or bucket
+// elimination stays polynomial, so a failure of the former is an
+// instruction to re-plan, not a property of the query. Every attempt gets
+// a fresh byte budget and timeout.
 //
 // The returned Result carries the succeeding attempt's stats, with
 // Stats.Attempts listing every rung tried in order. When every rung
 // fails, the last rung's result and error are returned (Attempts still
 // records the full history).
-func ExecResilient(ctx context.Context, n plan.Node, fallbacks []Fallback,
-	db cq.Database, opt Options) (*Result, error) {
-
-	given := Fallback{Name: "given", Run: func(ctx context.Context, db cq.Database, o Options) (*Result, error) {
-		return ExecContext(ctx, n, db, o)
-	}}
-	return ExecResilientStrategy(ctx, given, fallbacks, db, opt)
-}
-
-// ExecResilientStrategy is ExecResilient with an arbitrary first rung:
-// the strategy a method names (resilience.Strategy), degrading down the
-// ladder that goes with it.
 func ExecResilientStrategy(ctx context.Context, first Fallback, fallbacks []Fallback,
 	db cq.Database, opt Options) (*Result, error) {
 

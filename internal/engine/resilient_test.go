@@ -70,7 +70,7 @@ func TestLadderExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := engine.Options{MaxRows: 1}
-	res, err := engine.ExecResilient(context.Background(), p, resilience.DegradationLadder(analyze(t, q), nil), db, opt)
+	res, err := engine.ExecResilientStrategy(context.Background(), givenRung(p), resilience.DegradationLadder(analyze(t, q), nil), db, opt)
 	if !errors.Is(err, engine.ErrRowLimit) {
 		t.Fatalf("exhausted ladder: err = %v, want ErrRowLimit", err)
 	}
@@ -124,7 +124,7 @@ func TestLadderSkipsBrokenRung(t *testing.T) {
 		{"after the lead", []engine.Fallback{lead, broken, bucket}, []string{"given", "lead", "broken", "bucketelimination"}, nil},
 		{"last", []engine.Fallback{broken}, []string{"given", "broken"}, engine.ErrRowLimit},
 	} {
-		res, err := engine.ExecResilient(context.Background(), p, tc.ladder, db, opt)
+		res, err := engine.ExecResilientStrategy(context.Background(), givenRung(p), tc.ladder, db, opt)
 		if !errors.Is(err, tc.wantErr) || res == nil {
 			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
 		}
@@ -145,4 +145,12 @@ func TestLadderSkipsBrokenRung(t *testing.T) {
 			t.Errorf("%s: augmented ladder is 3-colorable: want NONEMPTY", tc.name)
 		}
 	}
+}
+
+// givenRung is the first rung of a resilient run of a bare plan: the plan
+// on the walker, labelled "given" as the facade's ExecuteResilient does.
+func givenRung(p plan.Node) engine.Fallback {
+	f := engine.NewWalker(p)
+	f.Name = "given"
+	return f
 }

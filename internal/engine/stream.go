@@ -4,7 +4,7 @@ package engine
 // scan, hash join, SELECT DISTINCT — the execution model of the paper's
 // PostgreSQL backend. Tuples flow one at a time, so nothing but a hash
 // build, a DISTINCT state and the final output is ever materialized. It
-// lowers the same plans as the plan walker (Exec), with the structural
+// lowers the same plans as the plan walker (NewWalker), with the structural
 // differences that bound *live* intermediate size — the quantity the
 // paper shows governs cost — rather than cumulative materialization:
 //
@@ -22,8 +22,8 @@ package engine
 //     high-water mark of live bytes.
 //
 // One phase is optional and runs ahead of lowering: semijoin pushdown
-// (pushdown.go). The entry point says whether it may run — ExecStream and
-// ExplainStream yes, ExecIterator no — and where it
+// (pushdown.go). The entry point says whether it may run — NewPipeline
+// yes, ExecIterator no — and where it
 // may, the scans say whether it does: mayReduce skips it when the stored
 // columns prove that no sweep can remove a tuple. Without it a run does no
 // work per plan node beyond building the operator: on non-selective
@@ -668,39 +668,39 @@ func (e *pipeline) noteArity(a int) {
 	}
 }
 
-// ExecStream evaluates the plan on the pull pipeline, with the semijoin
-// pushdown phase ahead of it wherever a sweep could remove a tuple: base
-// relations are reduced before any operator runs, projections are fused,
-// and memory is accounted in live bytes (Stats.Bytes and Stats.PeakBytes
-// report the peak of live bytes, not cumulative materialization). Where
-// the scans' columns prove every semijoin the identity (mayReduce: the
-// paper's 3-COLOR workloads) the phase is skipped and the run, its Stats
-// included, is ExecIterator's. Results are identical to Exec.
-func ExecStream(p plan.Node, db cq.Database, opt Options) (*Result, error) {
-	return ExecStreamContext(context.Background(), p, db, opt)
+// NewPipeline returns the pull pipeline for p, with the semijoin pushdown
+// phase ahead of it wherever a sweep could remove a tuple: base relations
+// are reduced before any operator runs, projections are fused, and memory
+// is accounted in live bytes (Stats.Bytes and Stats.PeakBytes report the
+// peak of live bytes, not cumulative materialization). Where the scans'
+// columns prove every semijoin the identity (mayReduce: the paper's
+// 3-COLOR workloads) the phase is skipped and the run, its Stats included,
+// is ExecIterator's. Results are identical to the walker's. The pipeline
+// and the pushdown sweeps poll the context and surface cancellation as
+// ErrCanceled. Explain renders the fused operator tree (explainPipeline).
+func NewPipeline(p plan.Node) Fallback {
+	return Fallback{
+		Run: func(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
+			res, _, err := execPipeline(ctx, p, db, opt, true)
+			return res, err
+		},
+		Explain: func(db cq.Database, opt Options, analyze bool) (string, error) {
+			return explainPipeline(p, db, opt, analyze)
+		},
+	}
 }
 
-// ExecStreamContext is ExecStream under a context: the pipeline and the
-// pushdown sweeps poll the context and surface cancellation as
-// ErrCanceled.
+// ExecStreamContext runs p on the pull pipeline (NewPipeline) under ctx.
 func ExecStreamContext(ctx context.Context, p plan.Node, db cq.Database, opt Options) (*Result, error) {
-	res, _, err := execPipeline(ctx, p, db, opt, true)
-	return res, err
+	return NewPipeline(p).Run(ctx, db, opt)
 }
 
 // ExecIterator evaluates the plan on the pull pipeline alone, without the
 // pushdown phase: the plain Volcano execution of the plan. Results are
-// identical to Exec; Stats.Bytes and
-// Stats.PeakBytes report the peak of live bytes.
+// identical to the walker's; Stats.Bytes and Stats.PeakBytes report the
+// peak of live bytes.
 func ExecIterator(p plan.Node, db cq.Database, opt Options) (*Result, error) {
-	return ExecIteratorContext(context.Background(), p, db, opt)
-}
-
-// ExecIteratorContext is ExecIterator under a context: the pipeline polls
-// the context at the same cadence as the deadline check, so cancellation
-// lands within a few thousand tuples and surfaces as ErrCanceled.
-func ExecIteratorContext(ctx context.Context, p plan.Node, db cq.Database, opt Options) (*Result, error) {
-	res, _, err := execPipeline(ctx, p, db, opt, false)
+	res, _, err := execPipeline(context.Background(), p, db, opt, false)
 	return res, err
 }
 
@@ -773,7 +773,7 @@ func execPipeline(cctx context.Context, p plan.Node, db cq.Database, opt Options
 	return done(out, nil)
 }
 
-// ExplainStream renders the streaming engine's fused operator tree under
+// explainPipeline renders the streaming engine's fused operator tree under
 // a header that says whether the pushdown phase runs on this plan and
 // database or is skipped (mayReduce). When analyze is true the plan
 // executes under opt and every operator line carries its rows/bytes/peak
@@ -781,7 +781,7 @@ func execPipeline(cctx context.Context, p plan.Node, db cq.Database, opt Options
 // resident high-water mark — plus reduced= where pushed-down semijoins
 // removed tuples and build= on hash builds; the trailer reports the run's
 // peak live bytes and reduced-vs-materialized totals.
-func ExplainStream(p plan.Node, db cq.Database, opt Options, analyze bool) (string, error) {
+func explainPipeline(p plan.Node, db cq.Database, opt Options, analyze bool) (string, error) {
 	var e *pipeline
 	var st Stats
 	var swept bool // the pushdown phase ran, or would

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -44,7 +43,7 @@ func TestStreamDifferentialFigureWorkloads(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					stream, err := ExecStream(p, db, Options{})
+					stream, err := ExecStreamContext(context.Background(), p, db, Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -95,7 +94,7 @@ func TestStreamDifferentialRandomGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ExecStream(p, db, Options{})
+			res, err := ExecStreamContext(context.Background(), p, db, Options{})
 			if err != nil {
 				t.Fatalf("trial %d (%s, n=%d m=%d): %v", trial, method, n, m, err)
 			}
@@ -172,7 +171,7 @@ func TestStreamPeakBytesReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := ExecStream(p, db, Options{})
+	stream, err := ExecStreamContext(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +209,7 @@ func TestStreamLiveBudget(t *testing.T) {
 	}
 	engines := []engineFn{
 		{"iterator", func(opt Options) (*Result, error) { return ExecIterator(p, db, opt) }},
-		{"stream", func(opt Options) (*Result, error) { return ExecStream(p, db, opt) }},
+		{"stream", func(opt Options) (*Result, error) { return ExecStreamContext(context.Background(), p, db, opt) }},
 	}
 	for _, e := range engines {
 		free, err := e.run(Options{})
@@ -248,50 +247,6 @@ func TestStreamLiveBudget(t *testing.T) {
 	}
 }
 
-// TestStreamCancellation cancels the streaming executor before the run
-// and mid-pipeline, expecting ErrCanceled (matching context.Canceled) and
-// no goroutine leak — the -race run in `make test` sweeps this.
-func TestStreamCancellation(t *testing.T) {
-	// Order 14 streams for seconds; the cancels below cut it to
-	// milliseconds.
-	g := graph.AugmentedCircularLadder(14)
-	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := instance.ColorDatabase(3)
-	p, err := core.BuildPlan(core.MethodStraightforward, q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := runtime.NumGoroutine()
-
-	pre, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ExecStreamContext(pre, p, db, Options{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("pre-canceled: err = %v, want ErrCanceled", err)
-	}
-	ctx, cancelMid := context.WithCancel(context.Background())
-	timer := time.AfterFunc(3*time.Millisecond, cancelMid)
-	_, err = ExecStreamContext(ctx, p, db, Options{})
-	timer.Stop()
-	cancelMid()
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("mid-run: err = %v, want ErrCanceled", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-run: err = %v, want errors.Is(err, context.Canceled)", err)
-	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("goroutines leaked after cancellations: %d before, %d after", base, n)
-	}
-}
-
 // TestExplainStreamAnalyze checks the EXPLAIN ANALYZE operator tree: one
 // line per fused operator with rows/bytes/peak counters, pushdown
 // reductions on the scans, and the peak-live trailer.
@@ -301,7 +256,7 @@ func TestExplainStreamAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ExplainStream(p, db, Options{MaxBytes: 1 << 20}, true)
+	out, err := NewPipeline(p).Explain(db, Options{MaxBytes: 1 << 20}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +272,7 @@ func TestExplainStreamAnalyze(t *testing.T) {
 			t.Fatalf("EXPLAIN ANALYZE output missing %q:\n%s", want, out)
 		}
 	}
-	structural, err := ExplainStream(p, db, Options{}, false)
+	structural, err := NewPipeline(p).Explain(db, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +305,7 @@ func TestStreamRowAndTimeLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 3*2^7 = 384 proper colorings of the path blow a 100-row cap.
-	if _, err := ExecStream(p, db, Options{MaxRows: 100}); !errors.Is(err, ErrRowLimit) {
+	if _, err := ExecStreamContext(context.Background(), p, db, Options{MaxRows: 100}); !errors.Is(err, ErrRowLimit) {
 		t.Fatalf("row cap: err = %v, want ErrRowLimit", err)
 	}
 
@@ -363,7 +318,7 @@ func TestStreamRowAndTimeLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecStream(bp, db, Options{Timeout: 5 * time.Millisecond}); !errors.Is(err, ErrTimeout) {
+	if _, err := ExecStreamContext(context.Background(), bp, db, Options{Timeout: 5 * time.Millisecond}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("timeout: err = %v, want ErrTimeout", err)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -40,7 +41,7 @@ func TestStreamBuildPaths(t *testing.T) {
 		{"reduced", chain, chainDB, "build=4 adopted", 4},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			out, err := ExplainStream(c.p, c.db, Options{}, true)
+			out, err := NewPipeline(c.p).Explain(c.db, Options{}, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +52,7 @@ func TestStreamBuildPaths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ExecStream(c.p, c.db, Options{})
+			got, err := ExecStreamContext(context.Background(), c.p, c.db, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +129,7 @@ func TestStreamResidentIndexRace(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			results[i], errs[i] = ExecStream(p, db, Options{})
+			results[i], errs[i] = ExecStreamContext(context.Background(), p, db, Options{})
 		}(i)
 	}
 	close(start)

@@ -362,14 +362,8 @@ func execWCOJ(ctx context.Context, s *jointree.Structure, db cq.Database, opt Op
 	return res, ex, err
 }
 
-// ExecWCOJ evaluates q with the worst-case-optimal leapfrog strategy. See
-// ExecWCOJContext.
-func ExecWCOJ(q *cq.Query, db cq.Database, opt Options) (*Result, error) {
-	return ExecWCOJContext(context.Background(), q, db, opt)
-}
-
-// ExecWCOJContext analyzes q (jointree.Analyze) and evaluates it as one
-// multiway leapfrog join, for callers that run a query once.
+// ExecWCOJContext analyzes q (jointree.Analyze) and runs it on the
+// leapfrog join (NewWCOJ), for callers that run a query once.
 func ExecWCOJContext(ctx context.Context, q *cq.Query, db cq.Database, opt Options) (*Result, error) {
 	s, err := jointree.Analyze(q)
 	if err != nil {
@@ -378,19 +372,21 @@ func ExecWCOJContext(ctx context.Context, q *cq.Query, db cq.Database, opt Optio
 	return NewWCOJ(s).Run(ctx, db, opt)
 }
 
-// WCOJ is the leapfrog multiway join over one query's structure: every
-// Run and Explain starts from the structure's MCS order, so one value
-// serves concurrent requests.
-type WCOJ struct{ s *jointree.Structure }
-
-// NewWCOJ returns the leapfrog join for the analyzed query.
-func NewWCOJ(s *jointree.Structure) *WCOJ { return &WCOJ{s: s} }
-
-// Run evaluates the query under the MCS/smallest-domain variable order:
+// NewWCOJ returns the leapfrog multiway join for the analyzed query. Run
+// evaluates it under the structure's MCS/smallest-domain variable order:
 // total work within the AGM output bound, no binary-join intermediates.
 // Errors are classified like the other executors'; the Result is never
-// nil.
-func (w *WCOJ) Run(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
-	res, _, err := execWCOJ(ctx, w.s, db, opt)
-	return res, err
+// nil. Explain renders the variable order (explainWCOJ). Every run starts
+// from the structure, which nothing writes, so one value serves concurrent
+// requests.
+func NewWCOJ(s *jointree.Structure) Fallback {
+	return Fallback{
+		Run: func(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
+			res, _, err := execWCOJ(ctx, s, db, opt)
+			return res, err
+		},
+		Explain: func(db cq.Database, opt Options, analyze bool) (string, error) {
+			return explainWCOJ(s, db, opt, analyze)
+		},
+	}
 }

@@ -383,15 +383,8 @@ func sameVarsOrdered(a []relation.Attr, b []cq.Var) bool {
 	return true
 }
 
-// ExecYannakakis evaluates q with the full-reducer strategy. See
-// ExecYannakakisContext.
-func ExecYannakakis(q *cq.Query, db cq.Database, opt Options) (*Result, error) {
-	return ExecYannakakisContext(context.Background(), q, db, opt)
-}
-
-// ExecYannakakisContext analyzes q (jointree.Analyze) and executes its
-// join tree with the full-reducer sweep, for callers that run a query
-// once.
+// ExecYannakakisContext analyzes q (jointree.Analyze) and runs it on the
+// full reducer (NewYannakakis), for callers that run a query once.
 func ExecYannakakisContext(ctx context.Context, q *cq.Query, db cq.Database, opt Options) (*Result, error) {
 	s, err := jointree.Analyze(q)
 	if err != nil {
@@ -400,21 +393,24 @@ func ExecYannakakisContext(ctx context.Context, q *cq.Query, db cq.Database, opt
 	return NewYannakakis(s).Run(ctx, db, opt)
 }
 
-// Yannakakis is the full reducer over one query's structure. Every Run
-// and Explain sweeps the structure's join tree, which nothing writes, and
-// builds its own bags, so one value serves concurrent requests.
-type Yannakakis struct{ s *jointree.Structure }
-
-// NewYannakakis returns the full reducer for the analyzed query.
-func NewYannakakis(s *jointree.Structure) *Yannakakis { return &Yannakakis{s: s} }
-
-// Run executes the full-reducer sweep. Errors are classified exactly like
-// the plan executors' (ErrTimeout, ErrCanceled, ErrRowLimit, ErrMemLimit,
-// ErrInternal); the returned Result is always non-nil and carries the
-// partial stats of a failed run.
-func (y *Yannakakis) Run(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
-	res, _, err := execYannakakis(ctx, y.s.Tree, db, opt)
-	return res, err
+// NewYannakakis returns the full reducer for the analyzed query. Run
+// executes the full-reducer sweep over the structure's join tree. Errors
+// are classified exactly like the plan executors' (ErrTimeout,
+// ErrCanceled, ErrRowLimit, ErrMemLimit, ErrInternal); the returned Result
+// is always non-nil and carries the partial stats of a failed run. Explain
+// renders the sweep tree (explainYannakakis). Every run sweeps the join
+// tree, which nothing writes, and builds its own bags, so one value serves
+// concurrent requests.
+func NewYannakakis(s *jointree.Structure) Fallback {
+	return Fallback{
+		Run: func(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
+			res, _, err := execYannakakis(ctx, s.Tree, db, opt)
+			return res, err
+		},
+		Explain: func(db cq.Database, opt Options, analyze bool) (string, error) {
+			return explainYannakakis(s.Tree, db, opt, analyze)
+		},
+	}
 }
 
 func execYannakakis(ctx context.Context, t *jointree.Tree, db cq.Database, opt Options) (*Result, *ybag, error) {

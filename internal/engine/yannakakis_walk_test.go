@@ -414,14 +414,14 @@ func TestYannakakisJoinsBagsAfterTheWalk(t *testing.T) {
 	if !shrunk || bag.bound >= whole.bound {
 		t.Fatalf("bag %s: joined %d rows, %d unreduced; the walk filtered none of its atoms before the join", varList(bag.node.Working), bag.bound, whole.bound)
 	}
-	res, err := ExecYannakakis(q, db, Options{})
+	res, err := ExecYannakakisContext(context.Background(), q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.PeakBytes >= whole.rel.Bytes() {
 		t.Fatalf("peak %d bytes, the unreduced join of %s alone %d", res.Stats.PeakBytes, varList(bag.node.Working), whole.rel.Bytes())
 	}
-	explain, err := ExplainYannakakis(q, db, Options{}, true)
+	explain, err := NewYannakakis(mustAnalyze(t, q)).Explain(db, Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestYannakakisNothingReducesNothingChanges(t *testing.T) {
 	}
 	check := func(name string, q *cq.Query, db cq.Database, want counts) {
 		t.Helper()
-		res, err := ExecYannakakis(q, db, Options{})
+		res, err := ExecYannakakisContext(context.Background(), q, db, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

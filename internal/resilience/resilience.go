@@ -17,54 +17,44 @@ import (
 )
 
 // Strategy is the one place a method names its executor: it returns the
-// strategy that runs (and explains) method m on the analyzed query s, and
-// the ladder a resilient run of it degrades down. Callers run the strategy
+// strategy that runs (and explains) method m on the analyzed query s —
+// one of the engine's four executor constructors, named after m — and the
+// ladder a resilient run of it degrades down. Callers run the strategy
 // directly, or as the first rung of engine.ExecResilientStrategy over
 // ladder(rng).
 //
 // The three execution strategies degrade to the plan ladder (PlanLadder),
 // whose rungs run on the pull pipeline.
-// The Yannakakis full reducer and the leapfrog multiway join work from the
-// structure and ignore p: the full reducer sweeps s.Tree and the leapfrog
-// join starts from s.Order, both computed once by jointree.Analyze and
-// shared by every run. The streaming
-// engine lowers whatever plan it is handed and never re-plans — the caller
-// has chosen p (core.StreamPlan for a request that named no method) — and
-// runs its semijoin sweeps only where one scan can reduce another. Every
-// other method is a plan shape that somebody named: p runs on the
-// materializing plan walker (a plan no method of package core built, like
-// the hybrid optimizer's choice, lands here too), because the walker's
-// counts are the paper's — the pull pipeline's
-// fused projection would hide the very blow-up of the straightforward
-// method that Figures 6–9 exist to show. It degrades down the whole
-// DegradationLadder, since a plan that blew a limit says nothing about the
-// executors above it. A plan nobody named is Routed's.
+// The Yannakakis full reducer (engine.NewYannakakis) and the leapfrog
+// multiway join (engine.NewWCOJ) work from the structure and ignore p: the
+// full reducer sweeps s.Tree and the leapfrog join starts from s.Order,
+// both computed once by jointree.Analyze and shared by every run. The
+// streaming engine (engine.NewPipeline) lowers whatever plan it is handed
+// and never re-plans — the caller has chosen p (core.StreamPlan for a
+// request that named no method) — and runs its semijoin sweeps only where
+// one scan can reduce another. Every other method is a plan shape that
+// somebody named: p runs on the materializing plan walker
+// (engine.NewWalker; a plan no method of package core built, like the
+// hybrid optimizer's choice, lands here too), because the walker's counts
+// are the paper's — the pull pipeline's fused projection would hide the
+// very blow-up of the straightforward method that Figures 6–9 exist to
+// show. It degrades down the whole DegradationLadder, since a plan that
+// blew a limit says nothing about the executors above it. A plan nobody
+// named is Routed's.
 func Strategy(m core.Method, s *jointree.Structure, p plan.Node) (st engine.Fallback, ladder func(*rand.Rand) []engine.Fallback) {
-	st.Name = string(m)
 	ladder = func(rng *rand.Rand) []engine.Fallback { return PlanLadder(s.Query, rng) }
 	switch m {
 	case core.MethodYannakakis:
-		y := engine.NewYannakakis(s)
-		st.Run, st.Explain = y.Run, y.Explain
+		st = engine.NewYannakakis(s)
 	case core.MethodStream:
-		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
-			return engine.ExecStreamContext(ctx, p, db, opt)
-		}
-		st.Explain = func(db cq.Database, opt engine.Options, analyze bool) (string, error) {
-			return engine.ExplainStream(p, db, opt, analyze)
-		}
+		st = engine.NewPipeline(p)
 	case core.MethodWCOJ:
-		w := engine.NewWCOJ(s)
-		st.Run, st.Explain = w.Run, w.Explain
+		st = engine.NewWCOJ(s)
 	default:
-		st.Run = func(ctx context.Context, db cq.Database, opt engine.Options) (*engine.Result, error) {
-			return engine.ExecContext(ctx, p, db, opt)
-		}
-		st.Explain = func(db cq.Database, opt engine.Options, analyze bool) (string, error) {
-			return engine.Explain(p, db, opt, analyze)
-		}
+		st = engine.NewWalker(p)
 		ladder = func(rng *rand.Rand) []engine.Fallback { return DegradationLadder(s, rng) }
 	}
+	st.Name = string(m)
 	return st, ladder
 }
 
@@ -78,25 +68,24 @@ func Strategy(m core.Method, s *jointree.Structure, p plan.Node) (st engine.Fall
 func Routed(m core.Method, s *jointree.Structure, p plan.Node) (engine.Fallback, func(*rand.Rand) []engine.Fallback) {
 	st, ladder := Strategy(m, s, p)
 	if !slices.Contains(core.Strategies, m) {
-		pipe, _ := Strategy(core.MethodStream, s, p)
-		st.Run, st.Explain = pipe.Run, pipe.Explain
+		st = engine.NewPipeline(p)
+		st.Name = string(m)
 	}
 	return st, ladder
 }
 
-// DegradationLadder returns the fallback ladder for engine.ExecResilient:
-// a lead chosen by width, then the paper's two projection-pushing methods
-// from cheapest re-plan to most robust (PlanLadder). When the query is
-// narrow (s.Width, its MCS elimination width, at most
-// engine.DefaultYannakakisWidth — acyclic queries always qualify), the
-// Yannakakis full reducer leads,
-// because its semijoin sweeps delete non-contributing tuples before
-// anything is materialized and so survive exactly the resource aborts that
-// trigger the ladder. Wide queries lead with the worst-case-optimal rung
-// instead: over that width the query is (or behaves like) a cyclic one,
-// every join-tree method risks an intermediate polynomially over the
-// output, and the leapfrog multiway join is the only executor whose work is
-// bounded by the AGM output bound.
+// DegradationLadder returns the fallback ladder for
+// engine.ExecResilientStrategy: a lead chosen by width, then the paper's
+// two projection-pushing methods from cheapest re-plan to most robust
+// (PlanLadder). When the query is narrow (s.Width, its MCS elimination
+// width, at most engine.DefaultYannakakisWidth — acyclic queries always
+// qualify), the Yannakakis full reducer leads, because its semijoin sweeps
+// delete non-contributing tuples before anything is materialized and so
+// survive exactly the resource aborts that trigger the ladder. Wide queries
+// lead with the worst-case-optimal rung instead: over that width the query
+// is (or behaves like) a cyclic one, every join-tree method risks an
+// intermediate polynomially over the output, and the leapfrog multiway join
+// is the only executor whose work is bounded by the AGM output bound.
 //
 // A plan that blows the row cap or memory budget is almost always a
 // projection-pushing failure — the straightforward method's intermediates

@@ -601,7 +601,7 @@ func TestExplainAndLogShowTheExecutedPlan(t *testing.T) {
 			continue
 		default:
 			// Both plan tiers run on the pull pipeline, and say so.
-			want, err = engine.ExplainStream(chosen.Plan, db, engine.Options{}, false)
+			want, err = engine.NewPipeline(chosen.Plan).Explain(db, engine.Options{}, false)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package projpush
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -22,6 +23,84 @@ var facadeOnly = map[string]string{
 	"internal/minibucket": "§7 future work, mini-bucket approximation: the facade's MiniBucket and BenchmarkAblationMiniBucket",
 	"internal/minimize":   "§7 future work, Chandra–Merlin minimization: the facade's MinimizeQuery, ContainedIn and Equivalent, run by examples/minimization",
 	"internal/sqlparse":   "Appendix A's dialect read back: the facade's ParseSQL, the round-trip oracle for what projpush -sql prints, and make fuzz",
+}
+
+// facadeAPI names each exported function of projpush.go that no example,
+// example_test.go or command calls, with what needs it: the section or
+// library use that would lose something if it went. A facade function
+// earns its place by such a caller or by an entry here.
+var facadeAPI = map[string]string{
+	"ValidatePlan":              "§3's plan invariants for a hand-built, ParseSQL or Hybrid plan before Execute runs it",
+	"DegradationLadder":         "the ladder ExecuteResilient degrades a library caller's plan down",
+	"ExecuteResilient":          "a hand-built plan that blows a limit re-planned down the paper's safer methods, as projpushd does for a request",
+	"ParseSQL":                  "Appendix A's dialect read back into a plan: internal/sqlparse's facadeOnly entry",
+	"TreeDecompositionPlan":     "Theorem 1's constructive path: elimination order → tree decomposition → join-expression tree → plan",
+	"WeightedWidth":             "§7's weighted attributes: the cost BucketEliminationWeighted minimizes",
+	"BucketEliminationWeighted": "§7's weighted attributes: a variable order by byte width, not column count",
+	"MiniBucket":                "§7's mini-bucket approximation: internal/minibucket's facadeOnly entry",
+	"Hybrid":                    "§7's structural plus cost-based optimizer",
+	"ReadDIMACSGraph":           "DIMACS .col coloring benchmarks as workloads for library callers",
+	"ReadDIMACSCNF":             "DIMACS CNF formulas as the §7 SAT workloads for library callers",
+}
+
+// TestFacadeExportsEarnTheirPlace is the facade's guard against growing
+// back: every exported function of projpush.go is called as projpush.X
+// from examples/, example_test.go or cmd/, or is listed in facadeAPI with
+// its reason, and the list names no function that has such a caller or
+// no longer exists.
+func TestFacadeExportsEarnTheirPlace(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "projpush.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := make(map[string]bool)
+	for _, d := range facade.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+			exported[fn.Name.Name] = true
+		}
+	}
+	files := []string{"example_test.go"}
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, _ fs.DirEntry, err error) error {
+			if err == nil && strings.HasSuffix(path, ".go") {
+				files = append(files, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	called := make(map[string]bool)
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "projpush" {
+					called[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	for name := range exported {
+		reason, listed := facadeAPI[name]
+		switch {
+		case !called[name] && !listed:
+			t.Errorf("projpush.%s: no caller in examples/, example_test.go or cmd/ and no reason in facadeAPI: call it, name what needs it, or delete it", name)
+		case called[name] && listed:
+			t.Errorf("projpush.%s has a caller, so its facadeAPI entry %q is stale", name, reason)
+		}
+	}
+	for name := range facadeAPI {
+		if !exported[name] {
+			t.Errorf("facadeAPI names %s, which projpush.go does not export", name)
+		}
+	}
 }
 
 // moduleImports walks this module's non-test Go files. It returns the

@@ -32,15 +32,12 @@ package projpush
 
 import (
 	"context"
-	"errors"
 	"io"
 	"math/rand"
 	"time"
 
-	"projpush/internal/acyclic"
 	"projpush/internal/core"
 	"projpush/internal/cq"
-	"projpush/internal/cqparse"
 	"projpush/internal/engine"
 	"projpush/internal/graph"
 	"projpush/internal/hypertree"
@@ -91,20 +88,21 @@ const (
 	EarlyProjection   = core.MethodEarlyProjection
 	Reordering        = core.MethodReordering
 	BucketElimination = core.MethodBucketElimination
-	// MethodYannakakis is the full-reducer execution strategy
-	// (ExecuteYannakakis); not listed in Methods since it is not a plan
-	// shape.
+	// MethodYannakakis is the full-reducer execution strategy: Run and
+	// Explain give it to engine.NewYannakakis, which semijoin-sweeps the
+	// query's join tree and evaluates it bag by bag. Not listed in Methods
+	// since it is not a plan shape.
 	MethodYannakakis = core.MethodYannakakis
-	// MethodStream is the pipelined streaming execution strategy
-	// (ExecuteStream): early projection's plan shape, executed with fused
-	// projections, semijoin pushdown, and late materialization. Not
-	// listed in Methods since it is not a plan shape.
+	// MethodStream is the pipelined streaming execution strategy: Run and
+	// Explain give early projection's plan to engine.NewPipeline, which
+	// executes it with fused projections, semijoin pushdown, and late
+	// materialization. Not listed in Methods since it is not a plan shape.
 	MethodStream = core.MethodStream
-	// MethodWCOJ is the worst-case-optimal execution strategy
-	// (ExecuteWCOJ): one leapfrog multiway join over sorted arena
-	// indexes, whose work is bounded by the AGM output bound rather than
-	// any join tree's intermediate width. Not listed in Methods since it
-	// is not a plan shape.
+	// MethodWCOJ is the worst-case-optimal execution strategy: Run and
+	// Explain give it to engine.NewWCOJ, one leapfrog multiway join over
+	// sorted arena indexes, whose work is bounded by the AGM output bound
+	// rather than any join tree's intermediate width. Not listed in
+	// Methods since it is not a plan shape.
 	MethodWCOJ = core.MethodWCOJ
 )
 
@@ -116,10 +114,6 @@ func NewRelation(attrs []Var) *Relation { return relation.New(attrs) }
 
 // NewGraph returns an empty graph on n vertices.
 func NewGraph(n int) *Graph { return graph.New(n) }
-
-// RandomGraph generates a uniform random graph with n vertices and m
-// distinct edges.
-func RandomGraph(n, m int, rng *rand.Rand) (*Graph, error) { return graph.Random(n, m, rng) }
 
 // AugmentedPath builds Figure 1a: a path of order n with one dangling
 // edge per path vertex.
@@ -145,26 +139,9 @@ func ColorDatabase(k int) Database { return instance.ColorDatabase(k) }
 // emulation).
 func ColorQuery(g *Graph, free []Var) (*Query, error) { return instance.ColorQuery(g, free) }
 
-// HomomorphismDatabase returns the database for graph-homomorphism
-// queries into the target graph h; with h = K_k this is k-COLOR (the
-// Kolaitis–Vardi CSP connection the paper builds on).
-func HomomorphismDatabase(h *Graph) Database { return instance.HomomorphismDatabase(h) }
-
-// HomomorphismQuery translates a source graph into the query deciding
-// whether it maps homomorphically into the database's target graph.
-func HomomorphismQuery(g *Graph, free []Var) (*Query, error) {
-	return instance.HomomorphismQuery(g, free)
-}
-
 // BooleanFree returns the paper's Boolean emulation target schema: the
 // first vertex occurring in an edge.
 func BooleanFree(g *Graph) []Var { return instance.BooleanFree(g) }
-
-// ChooseFree samples the paper's non-Boolean target schema: a random
-// fraction of the candidate variables.
-func ChooseFree(candidates []Var, frac float64, rng *rand.Rand) []Var {
-	return instance.ChooseFree(candidates, frac, rng)
-}
 
 // SAT workload types, re-exported for the k-SAT encodings of Section 7.
 type (
@@ -213,7 +190,7 @@ type ExecOptions = engine.Options
 var (
 	// ErrTimeout: the ExecOptions.Timeout or a context deadline expired.
 	ErrTimeout = engine.ErrTimeout
-	// ErrCanceled: the context passed to a *Context entry point was
+	// ErrCanceled: the context passed to Run or ExecuteResilient was
 	// canceled.
 	ErrCanceled = engine.ErrCanceled
 	// ErrRowLimit: an intermediate result exceeded ExecOptions.MaxRows.
@@ -232,15 +209,11 @@ var (
 	ErrInternal = engine.ErrInternal
 )
 
-// Execute runs a plan over a database.
+// Execute runs a plan over a database on the materializing plan walker
+// (engine.NewWalker): a hand-built or ParseSQL plan, counted as the paper
+// counts it.
 func Execute(p Plan, db Database, opt ExecOptions) (*Result, error) {
 	return engine.Exec(p, db, opt)
-}
-
-// ExecuteContext is Execute with cancellation: the run aborts promptly
-// (mid-join) when ctx is canceled or its deadline expires.
-func ExecuteContext(ctx context.Context, p Plan, db Database, opt ExecOptions) (*Result, error) {
-	return engine.ExecContext(ctx, p, db, opt)
 }
 
 // Fallback is one rung of an ExecuteResilient degradation ladder.
@@ -263,41 +236,64 @@ func DegradationLadder(q *Query, rng *rand.Rand) []Fallback {
 	return resilience.DegradationLadder(s, rng)
 }
 
-// ExecuteResilient runs a plan and, when it fails on a resource limit
-// (ErrRowLimit, ErrMemLimit) or an internal fault (ErrInternal), retries
-// down the fallback ladder instead of giving up; Stats.Attempts on the
-// returned result records every rung tried. Timeouts and cancellations
-// are not retried.
+// ExecuteResilient runs a plan on the walker and, when it fails on a
+// resource limit (ErrRowLimit, ErrMemLimit) or an internal fault
+// (ErrInternal), retries down the fallback ladder instead of giving up;
+// Stats.Attempts on the returned result records every rung tried, the
+// plan's as "given". Timeouts and cancellations are not retried.
 func ExecuteResilient(ctx context.Context, p Plan, fallbacks []Fallback, db Database, opt ExecOptions) (*Result, error) {
-	return engine.ExecResilient(ctx, p, fallbacks, db, opt)
+	given := engine.NewWalker(p)
+	given.Name = "given"
+	return engine.ExecResilientStrategy(ctx, given, fallbacks, db, opt)
 }
 
 // Run is the one-call path: build the method's plan and execute the
-// method's strategy — the materializing executor for the four plan
-// shapes, the full reducer for MethodYannakakis, the pipelined streaming
-// executor for MethodStream, and the worst-case-optimal multiway join for
-// MethodWCOJ (the reducer and the multiway join work from the query;
-// their plan is only the static surrogate BuildPlan documents).
-func Run(m Method, q *Query, db Database, opt ExecOptions, rng *rand.Rand) (*Result, error) {
-	p, err := BuildPlan(m, q, rng)
+// method's strategy (resilience.Strategy) under ctx — the materializing
+// plan walker for the four plan shapes, the full reducer for
+// MethodYannakakis, the pipelined streaming executor for MethodStream,
+// and the worst-case-optimal multiway join for MethodWCOJ (the reducer
+// and the multiway join work from the query; their plan is only the
+// static surrogate BuildPlan documents). A canceled ctx surfaces as
+// ErrCanceled.
+func Run(ctx context.Context, m Method, q *Query, db Database, opt ExecOptions, rng *rand.Rand) (*Result, error) {
+	st, err := strategy(m, q, rng)
 	if err != nil {
 		return nil, err
+	}
+	return st.Run(ctx, db, opt)
+}
+
+// Explain renders what Run executes for the method: the plan walker's
+// π…/⋈ operator tree for the four plan shapes, the full reducer's sweep
+// tree, the streaming pipeline's operators, or the leapfrog variable
+// order. With analyze true it executes and annotates the rendering with
+// actual cardinalities and the run's memory and tuple totals.
+func Explain(m Method, q *Query, db Database, opt ExecOptions, analyze bool, rng *rand.Rand) (string, error) {
+	st, err := strategy(m, q, rng)
+	if err != nil {
+		return "", err
+	}
+	return st.Explain(db, opt, analyze)
+}
+
+// strategy builds the method's plan, analyzes the query, and returns the
+// executor the method names.
+func strategy(m Method, q *Query, rng *rand.Rand) (Fallback, error) {
+	p, err := BuildPlan(m, q, rng)
+	if err != nil {
+		return Fallback{}, err
 	}
 	s, err := jointree.Analyze(q)
 	if err != nil {
-		return nil, err
+		return Fallback{}, err
 	}
-	strategy, _ := resilience.Strategy(m, s, p)
-	return strategy.Run(context.Background(), db, opt)
+	st, _ := resilience.Strategy(m, s, p)
+	return st, nil
 }
 
 // SQL renders a plan in the paper's SQL dialect (JOIN ... ON with
 // SELECT DISTINCT subqueries).
 func SQL(p Plan) (string, error) { return sqlgen.FromPlan(p) }
-
-// NaiveSQL renders the query in the paper's naive dialect (comma FROM
-// list with WHERE equalities).
-func NaiveSQL(q *Query) (string, error) { return sqlgen.Naive(q) }
 
 // ParseSQL parses the JOIN-form dialect back into a plan.
 func ParseSQL(sql string) (Plan, error) { return sqlparse.Parse(sql) }
@@ -332,99 +328,6 @@ func WeightedWidth(p Plan, w Weights) int { return plan.WeightedWidth(p, w) }
 // weighted intermediate arity instead of column count.
 func BucketEliminationWeighted(q *Query, w Weights) (Plan, error) {
 	return core.BucketEliminationWeighted(q, w)
-}
-
-// IsAcyclic reports whether the query's hypergraph is acyclic (GYO ear
-// removal).
-func IsAcyclic(q *Query) bool { return acyclic.IsAcyclic(q) }
-
-// Yannakakis evaluates an acyclic query with full semijoin reduction and
-// linear-size intermediate results; it fails on cyclic queries. It is
-// ExecuteYannakakis without limits, restricted to the queries the
-// classical algorithm is defined for; ExecuteYannakakis also handles
-// low-width cyclic queries through a tree decomposition.
-func Yannakakis(q *Query, db Database) (*Relation, error) {
-	if err := q.Validate(db); err != nil {
-		return nil, err
-	}
-	if !acyclic.IsAcyclic(q) {
-		return nil, errors.New("projpush: Yannakakis: query is cyclic")
-	}
-	res, err := engine.ExecYannakakis(q, db, ExecOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Rel, nil
-}
-
-// ExecuteYannakakis runs the query with the engine's Yannakakis full
-// reducer: semijoins walk the MCS join tree outward from the bag hosting
-// its smallest relation, then sweep it bottom-up and top-down so that,
-// where the bags form a join tree, every surviving tuple contributes to
-// the answer; then it is evaluated bag by bag. A bag hosting several atoms
-// joins them only once the walk has filtered them. Works for
-// any query whose join tree the decomposition machinery produces; peak
-// memory is proportional to the reduced inputs on acyclic queries.
-// Result.Stats.ReducedTuples counts the tuples the semijoins removed.
-func ExecuteYannakakis(ctx context.Context, q *Query, db Database, opt ExecOptions) (*Result, error) {
-	return engine.ExecYannakakisContext(ctx, q, db, opt)
-}
-
-// ExplainYannakakis renders the full-reducer join tree; with analyze
-// true it executes the sweep and annotates the walk's seed bag, per-bag
-// cardinalities and the reduced-vs-materialized totals.
-func ExplainYannakakis(q *Query, db Database, opt ExecOptions, analyze bool) (string, error) {
-	return engine.ExplainYannakakis(q, db, opt, analyze)
-}
-
-// ExecuteStream runs a plan on the pipelined streaming executor:
-// projections fuse into scans and probes, semijoin filters pre-reduce
-// every hash-join build side — unless the stored columns prove that no
-// semijoin can remove a tuple, as on 3-COLOR, when the phase is skipped
-// and the run is ExecuteIterator's — and tuples materialize only at pipeline
-// breakers whose bytes are released when the operator closes. Bytes on
-// the returned stats is the peak of live storage (equal to PeakBytes),
-// not a cumulative total — on low-selectivity queries it is a small
-// fraction of the materializing executors' footprint.
-func ExecuteStream(p Plan, db Database, opt ExecOptions) (*Result, error) {
-	return engine.ExecStream(p, db, opt)
-}
-
-// ExecuteStreamContext is ExecuteStream with caller-driven cancellation.
-func ExecuteStreamContext(ctx context.Context, p Plan, db Database, opt ExecOptions) (*Result, error) {
-	return engine.ExecStreamContext(ctx, p, db, opt)
-}
-
-// ExplainStream renders the streaming operator pipeline; with analyze
-// true it executes and annotates every operator with rows emitted,
-// bytes held, and its peak residency, plus build and semijoin-reduction
-// counts.
-func ExplainStream(p Plan, db Database, opt ExecOptions, analyze bool) (string, error) {
-	return engine.ExplainStream(p, db, opt, analyze)
-}
-
-// ExecuteWCOJ runs the query as one worst-case-optimal multiway join:
-// a global variable order is chosen (free variables first, each block
-// smallest-domain-first along an MCS order), every atom gets a sorted
-// index over its arena, and the leapfrog intersection extends one
-// variable at a time — bound variables are existence-checked only (early
-// projection at the first complete level), so total work is governed by
-// the AGM output bound, not by any join tree's intermediate width.
-// Result.Stats.Seeks and Extensions instrument the intersections.
-func ExecuteWCOJ(q *Query, db Database, opt ExecOptions) (*Result, error) {
-	return engine.ExecWCOJ(q, db, opt)
-}
-
-// ExecuteWCOJContext is ExecuteWCOJ with caller-driven cancellation.
-func ExecuteWCOJContext(ctx context.Context, q *Query, db Database, opt ExecOptions) (*Result, error) {
-	return engine.ExecWCOJContext(ctx, q, db, opt)
-}
-
-// ExplainWCOJ renders the worst-case-optimal variable order (existence
-// levels marked ∃); with analyze true it executes and annotates every
-// level with its seek and extension counts.
-func ExplainWCOJ(q *Query, db Database, opt ExecOptions, analyze bool) (string, error) {
-	return engine.ExplainWCOJ(q, db, opt, analyze)
 }
 
 // MiniBucketResult is the outcome of an approximate mini-bucket run.
@@ -471,33 +374,6 @@ func HypertreeWidth(q *Query) (int, error) {
 	return w, err
 }
 
-// Explain renders a plan as an indented operator tree; with analyze true
-// it executes the plan and annotates actual cardinalities.
-func Explain(p Plan, db Database, opt ExecOptions, analyze bool) (string, error) {
-	return engine.Explain(p, db, opt, analyze)
-}
-
-// ExecuteIterator runs a plan on the Volcano-style pull pipeline
-// (PostgreSQL's execution model) — ExecuteStream's operators without the
-// semijoin pushdown phase ahead of them; results are identical to
-// Execute.
-func ExecuteIterator(p Plan, db Database, opt ExecOptions) (*Result, error) {
-	return engine.ExecIterator(p, db, opt)
-}
-
-// ExecuteIteratorContext is ExecuteIterator with cancellation, checked
-// every few thousand tuples.
-func ExecuteIteratorContext(ctx context.Context, p Plan, db Database, opt ExecOptions) (*Result, error) {
-	return engine.ExecIteratorContext(ctx, p, db, opt)
-}
-
-// CQFile is a parsed query+database text file (Datalog-flavoured; see
-// internal/cqparse for the format).
-type CQFile = cqparse.File
-
-// ParseCQ reads a query and its database from the text format.
-func ParseCQ(r io.Reader) (*CQFile, error) { return cqparse.Parse(r) }
-
 // ReadDIMACSGraph parses a DIMACS .col graph.
 func ReadDIMACSGraph(r io.Reader) (*Graph, error) { return instance.ReadDIMACSGraph(r) }
 
@@ -529,5 +405,5 @@ func Solve3Coloring(g *Graph, m Method, rng *rand.Rand) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Run(m, q, ColorDatabase(3), ExecOptions{Timeout: 30 * time.Second}, rng)
+	return Run(context.Background(), m, q, ColorDatabase(3), ExecOptions{Timeout: 30 * time.Second}, rng)
 }

@@ -1,6 +1,7 @@
 package projpush
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -46,7 +47,7 @@ func runStreamVariant(b *testing.B, variant string, q *cq.Query, db cq.Database)
 			if perr != nil {
 				b.Fatal(perr)
 			}
-			res, err = engine.ExecStream(p, db, ybenchOpts)
+			res, err = engine.ExecStreamContext(context.Background(), p, db, ybenchOpts)
 		case "iterator":
 			// The same plan shape as stream (early projection) on the same
 			// operators, without the pushdown phase: the head-to-head that
@@ -57,7 +58,7 @@ func runStreamVariant(b *testing.B, variant string, q *cq.Query, db cq.Database)
 			}
 			res, err = engine.ExecIterator(p, db, ybenchOpts)
 		case "yannakakis":
-			res, err = engine.ExecYannakakis(q, db, ybenchOpts)
+			res, err = engine.ExecYannakakisContext(context.Background(), q, db, ybenchOpts)
 		default:
 			p, perr := core.BuildPlan(core.Method(variant), q, nil)
 			if perr != nil {
@@ -187,7 +188,9 @@ func BenchmarkStreamStructured(b *testing.B) {
 		for _, arm := range []struct {
 			name string
 			exec func(plan.Node, cq.Database, engine.Options) (*engine.Result, error)
-		}{{"walker", engine.Exec}, {"stream", engine.ExecStream}, {"iterator", engine.ExecIterator}} {
+		}{{"walker", engine.Exec}, {"stream", func(p plan.Node, db cq.Database, o engine.Options) (*engine.Result, error) {
+			return engine.ExecStreamContext(context.Background(), p, db, o)
+		}}, {"iterator", engine.ExecIterator}} {
 			b.Run(fmt.Sprintf("augcircladder-%d/%s", order, arm.name), func(b *testing.B) {
 				// One untimed run first: the recorded series is three
 				// iterations, and a cold first one would be a third of it.

@@ -1,6 +1,7 @@
 package projpush
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -34,13 +35,13 @@ func runWCOJVariant(b *testing.B, variant string, q *cq.Query, db cq.Database) {
 		var err error
 		switch variant {
 		case "wcoj":
-			res, err = engine.ExecWCOJ(q, db, ybenchOpts)
+			res, err = engine.ExecWCOJContext(context.Background(), q, db, ybenchOpts)
 		case "stream":
 			p, perr := core.BuildPlan(core.MethodStream, q, nil)
 			if perr != nil {
 				b.Fatal(perr)
 			}
-			res, err = engine.ExecStream(p, db, ybenchOpts)
+			res, err = engine.ExecStreamContext(context.Background(), p, db, ybenchOpts)
 		default:
 			p, perr := core.BuildPlan(core.Method(variant), q, nil)
 			if perr != nil {
@@ -150,7 +151,7 @@ func BenchmarkWCOJEndToEndSize(b *testing.B) {
 			q.Atoms = append(q.Atoms, cq.Atom{Rel: "e", Args: []cq.Var{cq.Var(i), cq.Var((i + 1) % shape.n)}})
 		}
 		b.Run(shape.name, func(b *testing.B) {
-			res, err := engine.ExecWCOJ(q, db, ybenchOpts) // warms e's indexes
+			res, err := engine.ExecWCOJContext(context.Background(), q, db, ybenchOpts) // warms e's indexes
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -167,7 +168,7 @@ func BenchmarkWCOJEndToEndSize(b *testing.B) {
 				}
 				build += time.Since(start)
 				b.StartTimer()
-				if res, err = engine.ExecWCOJ(q, db, ybenchOpts); err != nil {
+				if res, err = engine.ExecWCOJContext(context.Background(), q, db, ybenchOpts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package projpush
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -35,7 +36,7 @@ func runYMethod(b *testing.B, m core.Method, q *cq.Query, db cq.Database) {
 		var res *engine.Result
 		var err error
 		if m == core.MethodYannakakis {
-			res, err = engine.ExecYannakakis(q, db, ybenchOpts)
+			res, err = engine.ExecYannakakisContext(context.Background(), q, db, ybenchOpts)
 		} else {
 			p, perr := core.BuildPlan(m, q, nil)
 			if perr != nil {
