@@ -2,8 +2,10 @@ package projpush
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"projpush/internal/cq"
@@ -122,5 +124,33 @@ func TestYannakakisFacade(t *testing.T) {
 	}
 	if got.Rel.Len() != 1 || !got.Rel.Contains(relation.Tuple{0}) {
 		t.Fatalf("2-step chain = %v, want exactly x0=0", got.Rel)
+	}
+}
+
+// TestUnboundHeadVariableIsNamed: a head variable that no atom binds is
+// the caller's error, reported by name before any tree is built — it used
+// to surface as Algorithm 3 producing an invalid tree — both through the
+// leapfrog join's entry point and through Run, for every executor that
+// analyzes the query.
+func TestUnboundHeadVariableIsNamed(t *testing.T) {
+	q := &cq.Query{Atoms: []cq.Atom{{Rel: "edge", Args: []cq.Var{0, 1}}}, Free: []cq.Var{0, 7}}
+	db := ColorDatabase(3)
+	check := func(entry string, res *engine.Result, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "free variable x7 occurs in no atom") || errors.Is(err, engine.ErrInternal) {
+			t.Errorf("%s: error %v, want the unbound variable x7 named", entry, err)
+		}
+		if res != nil && res.Rel != nil {
+			t.Errorf("%s: a refused query answered %v", entry, res.Rel)
+		}
+	}
+	res, err := engine.ExecWCOJContext(context.Background(), q, db, engine.Options{})
+	if res == nil {
+		t.Error("ExecWCOJContext: nil Result")
+	}
+	check("ExecWCOJContext", res, err)
+	for _, m := range []Method{MethodYannakakis, MethodStream, MethodWCOJ} {
+		res, err := Run(context.Background(), m, q, db, ExecOptions{}, nil)
+		check("Run("+string(m)+")", res, err)
 	}
 }

@@ -263,43 +263,3 @@ func SATVariablesInClauses(s *SAT) []cq.Var {
 	sort.Ints(out)
 	return out
 }
-
-// HomomorphismDatabase returns the database for graph-homomorphism
-// queries into the target graph h: a binary relation "hedge" containing
-// both orientations of every edge of h. Homomorphism problems are the
-// general form of the paper's CSP connection (Kolaitis–Vardi): a graph g
-// maps homomorphically into h iff the query HomomorphismQuery(g, ...) is
-// nonempty over this database. With h = K_k this is exactly k-COLOR.
-func HomomorphismDatabase(h *graph.Graph) cq.Database {
-	rel := relation.New([]relation.Attr{0, 1})
-	for _, e := range h.Edges {
-		rel.Add(relation.Tuple{relation.Value(e[0]), relation.Value(e[1])})
-		rel.Add(relation.Tuple{relation.Value(e[1]), relation.Value(e[0])})
-	}
-	return cq.Database{"hedge": rel}
-}
-
-// HomomorphismQuery translates the source graph g into the conjunctive
-// query deciding g → h homomorphism over HomomorphismDatabase(h): one
-// hedge atom per edge of g. free follows the same conventions as
-// ColorQuery.
-func HomomorphismQuery(g *graph.Graph, free []cq.Var) (*cq.Query, error) {
-	if g.M() == 0 {
-		return nil, fmt.Errorf("instance.HomomorphismQuery: source graph has no edges")
-	}
-	q := &cq.Query{Free: append([]cq.Var(nil), free...)}
-	for _, e := range g.Edges {
-		q.Atoms = append(q.Atoms, cq.Atom{Rel: "hedge", Args: []cq.Var{e[0], e[1]}})
-	}
-	touched := make(map[cq.Var]bool)
-	for _, e := range g.Edges {
-		touched[e[0]] = true
-		touched[e[1]] = true
-	}
-	for _, v := range q.Free {
-		if !touched[v] {
-			return nil, fmt.Errorf("instance.HomomorphismQuery: free vertex %d touches no edge", v)
-		}
-	}
-	return q, nil
-}

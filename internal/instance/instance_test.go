@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"projpush/internal/core"
 	"projpush/internal/cq"
 	"projpush/internal/engine"
 	"projpush/internal/graph"
@@ -397,124 +396,5 @@ func TestQuick2SATQueriesConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHomomorphismGeneralizesColoring(t *testing.T) {
-	// Hom into K3 is exactly 3-COLOR.
-	rng := rand.New(rand.NewSource(44))
-	k3 := graph.Complete(3)
-	for trial := 0; trial < 15; trial++ {
-		n := 4 + rng.Intn(4)
-		m := n + rng.Intn(n)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
-		g, err := graph.Random(n, m, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.M() == 0 {
-			continue
-		}
-		hq, err := HomomorphismQuery(g, BooleanFree(g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hGot, err := engine.OracleNonempty(hq, HomomorphismDatabase(k3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cq3, err := ColorQuery(g, BooleanFree(g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cGot, err := engine.OracleNonempty(cq3, ColorDatabase(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hGot != cGot {
-			t.Fatalf("trial %d: hom-to-K3 %v != 3-COLOR %v", trial, hGot, cGot)
-		}
-	}
-}
-
-func TestHomomorphismOddCycleTargets(t *testing.T) {
-	// C5 maps into C5 (identity) but C3 does not map into C5
-	// (a triangle needs an odd girth <= 3 target).
-	c5, c3 := graph.Cycle(5), graph.Cycle(3)
-	q5, err := HomomorphismQuery(c5, BooleanFree(c5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := engine.OracleNonempty(q5, HomomorphismDatabase(c5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Fatal("C5 -> C5 must exist")
-	}
-	q3, err := HomomorphismQuery(c3, BooleanFree(c3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = engine.OracleNonempty(q3, HomomorphismDatabase(c5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got {
-		t.Fatal("C3 -> C5 must not exist")
-	}
-	// Bipartite sources map into a single edge (K2).
-	lad := graph.Ladder(4)
-	ql, err := HomomorphismQuery(lad, BooleanFree(lad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = engine.OracleNonempty(ql, HomomorphismDatabase(graph.Complete(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Fatal("bipartite ladder -> K2 must exist")
-	}
-}
-
-func TestHomomorphismQueryErrors(t *testing.T) {
-	if _, err := HomomorphismQuery(graph.New(3), nil); err == nil {
-		t.Fatal("accepted edgeless source")
-	}
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	if _, err := HomomorphismQuery(g, []cq.Var{2}); err == nil {
-		t.Fatal("accepted isolated free vertex")
-	}
-}
-
-func TestHomomorphismMethodsAgree(t *testing.T) {
-	// The optimization methods work unchanged on homomorphism queries.
-	g := graph.Ladder(3)
-	target := graph.Wheel(4) // 3-colorable wheel as a nontrivial target
-	q, err := HomomorphismQuery(g, BooleanFree(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := HomomorphismDatabase(target)
-	want, err := engine.EvalOracle(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range core.Methods {
-		p, err := core.BuildPlan(m, q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := engine.Exec(p, db, engine.Options{MaxRows: 2_000_000})
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		if !res.Rel.Equal(want) {
-			t.Fatalf("%s disagrees on homomorphism query", m)
-		}
 	}
 }

@@ -188,7 +188,14 @@ func sameVarSet(a, b []cq.Var) bool {
 // attaches a leaf for every atom to the node covering it, roots the tree
 // at the node covering the target schema, and computes working and
 // projected labels. The resulting tree has width at most dec.Width() + 1.
+// A free variable that no atom binds has no tree: it is refused first, by
+// name, as the caller's error.
 func FromDecomposition(q *cq.Query, jg *joingraph.JoinGraph, dec *treedec.Decomposition) (*Tree, error) {
+	for _, v := range q.Free {
+		if !slices.ContainsFunc(q.Atoms, func(a cq.Atom) bool { return a.HasVar(v) }) {
+			return nil, fmt.Errorf("jointree: free variable x%d occurs in no atom", v)
+		}
+	}
 	// Relations for the sweep: each atom's vertex set, then R_T.
 	size := len(q.Free)
 	for _, a := range q.Atoms {

@@ -54,7 +54,7 @@ func mapBaselineJoinProject(r, o *Relation, projCols []Attr) int {
 		if j := probe.Pos(a); j >= 0 {
 			probeSrc[i], buildSrc[i] = j, -1
 		} else {
-			probeSrc[i], buildSrc[i] = -1, build.pos[a]
+			probeSrc[i], buildSrc[i] = -1, build.Pos(a)
 		}
 	}
 

@@ -98,7 +98,7 @@ func (r *Relation) packs(pos []int) bool {
 func (r *Relation) colsOf(attrs []Attr) []int {
 	pos := make([]int, len(attrs))
 	for i, a := range attrs {
-		pos[i] = r.pos[a]
+		pos[i] = r.Pos(a)
 	}
 	return pos
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -205,7 +206,7 @@ func makeJoinSpec(r, o *Relation) joinSpec {
 			s.buildSrc[i] = -1
 		} else {
 			s.probeSrc[i] = -1
-			s.buildSrc[i] = s.build.pos[a]
+			s.buildSrc[i] = s.build.Pos(a)
 		}
 	}
 	return s
@@ -407,16 +408,13 @@ func Rename(r *Relation, m map[Attr]Attr) *Relation {
 			attrs[i] = a
 		}
 	}
-	pos := make(map[Attr]int, len(attrs))
 	for i, a := range attrs {
-		if _, dup := pos[a]; dup {
+		if slices.Contains(attrs[:i], a) {
 			panic(fmt.Sprintf("relation.Rename: duplicate attribute %d", a))
 		}
-		pos[a] = i
 	}
 	out := &Relation{
 		attrs:  attrs,
-		pos:    pos,
 		arity:  r.arity,
 		data:   r.data,
 		n:      r.n,

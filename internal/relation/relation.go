@@ -67,7 +67,6 @@ func (t Tuple) Clone() Tuple {
 // from the input column it copies, and a compaction keeps its input's.
 type Relation struct {
 	attrs []Attr
-	pos   map[Attr]int
 	arity int
 
 	data []Value // flat arena; row i = data[i*arity:(i+1)*arity]
@@ -102,26 +101,39 @@ type Relation struct {
 // rename columns apart before joining, and a repeated column is always a
 // construction bug in this codebase.
 func New(attrs []Attr) *Relation {
-	pos := make(map[Attr]int, len(attrs))
 	for i, a := range attrs {
-		if _, dup := pos[a]; dup {
+		if slices.Contains(attrs[:i], a) {
 			panic(fmt.Sprintf("relation.New: duplicate attribute %d", a))
 		}
-		pos[a] = i
 	}
+	k := len(attrs)
+	ranges := make([]Value, 2*k)
 	return &Relation{
 		attrs:  append([]Attr(nil), attrs...),
-		pos:    pos,
-		arity:  len(attrs),
-		cols:   identityCols(len(attrs)),
+		arity:  k,
+		cols:   identityCols(k),
 		exact:  true,
-		colMin: make([]Value, len(attrs)),
-		colMax: make([]Value, len(attrs)),
+		colMin: ranges[:k:k],
+		colMax: ranges[k:],
 	}
 }
 
-// identityCols returns 0..k-1.
+// identity is 0..63: the dedup key's columns of every relation up to that
+// arity, shared and never written.
+var identity = func() []int {
+	cols := make([]int, 64)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}()
+
+// identityCols returns 0..k-1, shared up to arity 64. The caller must not
+// modify it.
 func identityCols(k int) []int {
+	if k <= len(identity) {
+		return identity[:k:k]
+	}
 	cols := make([]int, k)
 	for i := range cols {
 		cols[i] = i
@@ -142,18 +154,11 @@ func (r *Relation) Empty() bool { return r.n == 0 }
 func (r *Relation) Attrs() []Attr { return r.attrs }
 
 // HasAttr reports whether a is in the schema.
-func (r *Relation) HasAttr(a Attr) bool {
-	_, ok := r.pos[a]
-	return ok
-}
+func (r *Relation) HasAttr(a Attr) bool { return slices.Contains(r.attrs, a) }
 
-// Pos returns the column index of attribute a, or -1 if absent.
-func (r *Relation) Pos(a Attr) int {
-	if i, ok := r.pos[a]; ok {
-		return i
-	}
-	return -1
-}
+// Pos returns the column index of attribute a, or -1 if absent. A schema
+// is a plan's width at most, so a scan beats a lookup table.
+func (r *Relation) Pos(a Attr) int { return slices.Index(r.attrs, a) }
 
 // row returns stored row i as a slice into the arena. The caller must not
 // modify it.
@@ -293,7 +298,7 @@ func (r *Relation) Each(f func(Tuple) bool) {
 // Value returns the value of attribute a in tuple t (which must belong to
 // this relation's schema).
 func (r *Relation) Value(t Tuple, a Attr) Value {
-	return t[r.pos[a]]
+	return t[r.Pos(a)]
 }
 
 // Bytes approximates the relation's resident memory in bytes: the tuple
@@ -309,7 +314,6 @@ func (r *Relation) Bytes() int64 {
 func (r *Relation) Clone() *Relation {
 	return &Relation{
 		attrs:  r.attrs,
-		pos:    r.pos,
 		arity:  r.arity,
 		data:   append([]Value(nil), r.data...),
 		n:      r.n,
@@ -332,8 +336,8 @@ func (r *Relation) Equal(o *Relation) bool {
 	}
 	perm := make([]int, r.arity)
 	for i, a := range r.attrs {
-		j, ok := o.pos[a]
-		if !ok {
+		j := o.Pos(a)
+		if j < 0 {
 			return false
 		}
 		perm[i] = j

@@ -29,6 +29,35 @@ func TestNewPanicsOnDuplicateAttr(t *testing.T) {
 	New([]Attr{1, 2, 1})
 }
 
+// TestNewAndRenameAllocations pins what a relation header costs: New
+// allocates the struct, its schema and one slab for both column ranges,
+// and takes its key columns from the shared identity; Rename allocates the
+// view and its schema. Every scan of every executor goes through one of
+// the two, so a per-attribute lookup map (two more allocations each) shows
+// up per operator per request. Pos and HasAttr scan the schema.
+func TestNewAndRenameAllocations(t *testing.T) {
+	attrs := []Attr{3, 5, 9}
+	src := New(attrs)
+	src.Add(Tuple{1, 2, 3})
+	m := map[Attr]Attr{3: 30, 5: 50}
+	if n := testing.AllocsPerRun(100, func() { New(attrs) }); n > 3 {
+		t.Errorf("New: %v allocations, want at most 3", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { Rename(src, m) }); n > 2 {
+		t.Errorf("Rename: %v allocations, want at most 2", n)
+	}
+	v := Rename(src, m)
+	for _, c := range []struct {
+		r    *Relation
+		a    Attr
+		want int
+	}{{src, 5, 1}, {src, 50, -1}, {v, 50, 1}, {v, 9, 2}, {v, 3, -1}} {
+		if got := c.r.Pos(c.a); got != c.want || c.r.HasAttr(c.a) != (c.want >= 0) {
+			t.Errorf("%v: Pos(%d) = %d, HasAttr %v; want %d", c.r.Attrs(), c.a, got, c.r.HasAttr(c.a), c.want)
+		}
+	}
+}
+
 func TestAddDedup(t *testing.T) {
 	r := New([]Attr{0, 1})
 	if !r.Add(Tuple{1, 2}) {

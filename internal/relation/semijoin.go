@@ -223,7 +223,6 @@ func SemijoinFilter(r, o *Relation, lim *Limit) (*Relation, int, error) {
 		// membership query.
 		out := &Relation{
 			attrs:  r.attrs,
-			pos:    r.pos,
 			arity:  r.arity,
 			data:   dst,
 			n:      kept,

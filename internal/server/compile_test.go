@@ -31,11 +31,12 @@ func compileCases(t testing.TB) ([]compileCase, Config) {
 		texts[c.name] = textOf(t, c.q)
 	}
 	cases := []compileCase{
-		{"narrow", texts["wheel-7"], "", "narrow"},
-		{"mid_width", texts["augcircladder-5"], "", "mid_width"},
-		{"agm", texts["random-16-d2"], "", "agm"},
+		{"narrow", texts["augpath-5"], "", "narrow"},
+		{"mid_width", texts["augcircladder-5/20%"], "", "mid_width"},
+		{"agm", texts["random-16-d3/8"], "", "agm"},
 		{"no_gain", texts["triangle"], "", "no_gain_from_decomposition"},
-		{"default", texts["random-18-d2"], "", "default"},
+		{"free_vars", texts["augcircladder-5"], "", "free_vars_under_bag"},
+		{"default", texts["random-18-d2/4"], "", "default"},
 	}
 	for _, list := range [][]core.Method{core.Methods, core.Strategies} {
 		for _, m := range list {
@@ -76,8 +77,8 @@ func logLines(t testing.TB, log *bytes.Buffer) []map[string]any {
 // explain, and an over-width rejection.
 func TestCompiledHitEqualsMiss(t *testing.T) {
 	cases, cfg := compileCases(t)
-	// augcircladder-5's plan width is 5 and its AGM bound 2^25.85, over the
-	// override's 2^24: a width cap of 3 rejects it.
+	// augcircladder-5/20%'s plan width is over 3 and its AGM bound 2^25.85,
+	// over the override's 2^24: a width cap of 3 rejects it.
 	narrow := cfg
 	narrow.MaxWidth = 3
 	for _, op := range []string{"query", "explain"} {

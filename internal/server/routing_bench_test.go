@@ -80,9 +80,10 @@ func selectiveCases(t testing.TB, db cq.Database) []routeCase {
 // tiers their narrowest plan on the pull pipeline, sweeps only where one
 // scan can reduce another (resilience.Routed, as the server builds it) —
 // with peak-bytes beside the time. The
-// router=<route> row re-runs the cell the server's cascade picks and
-// reports its regret: that cell's time over the row's best (1.0 on the
-// rows the size-only tier takes: triangle, 4-cycle, K4–K6). A cell that
+// router=<route> row re-runs the cell the server's router picks and
+// reports its regret: that cell's time over the row's best. Every cyclic
+// row here is Boolean, so the size-only rule sends each to the leapfrog
+// join, and its regret is that executor's. A cell that
 // exceeds the server's default budgets or cellTimeout is skipped and
 // cannot be the best. The summary row carries the worst regret and the
 // regret of the whole matrix (Σ routed / Σ best).

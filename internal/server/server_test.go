@@ -439,17 +439,24 @@ func explainPlan(t *testing.T, resp *Response) string {
 }
 
 func TestStreamRoutingMidWidth(t *testing.T) {
-	// The augmented circular ladder of order 5 has elimination width 4:
-	// over the yannakakis cutoff (3), under the stream cutoff (6), and its
-	// bags are far under the whole query's output bound, so the
-	// decomposition helps. A method-less request must route to the
-	// streaming engine.
+	// The augmented circular ladder of order 5 with the paper's 20 % of
+	// its vertices free has elimination width 4 or more: over the
+	// yannakakis cutoff (3), under the stream cutoff (6). Its bags are far
+	// under the whole query's output bound, so the decomposition helps,
+	// and its four free variables span the widest bag, so the leapfrog
+	// join's free prefix would enumerate more than any bag holds. A
+	// method-less request must route to the streaming engine.
 	g := graph.AugmentedCircularLadder(5)
 	in := colorQuery(t, g)
+	q, err := instance.ColorQuery(g, instance.ChooseFree(instance.EdgeVertices(g), 0.2, rand.New(rand.NewSource(1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := textOf(t, q)
 	var log bytes.Buffer
 	_, addr := startServer(t, Config{DB: in.db, Log: &log})
 
-	resp := roundTrip(t, addr, &Request{Op: "explain", Query: queryText(t, g)})
+	resp := roundTrip(t, addr, &Request{Op: "explain", Query: text})
 	if resp.Status != StatusOK {
 		t.Fatalf("explain status = %s (%s)", resp.Status, resp.Error)
 	}
@@ -460,7 +467,7 @@ func TestStreamRoutingMidWidth(t *testing.T) {
 		t.Fatalf("mid-width explain is not a stream pipeline:\n%s", resp.Explain)
 	}
 
-	resp = roundTrip(t, addr, &Request{Op: "query", Query: queryText(t, g)})
+	resp = roundTrip(t, addr, &Request{Op: "query", Query: text})
 	if resp.Status != StatusOK {
 		t.Fatalf("query status = %s (%s)", resp.Status, resp.Error)
 	}
