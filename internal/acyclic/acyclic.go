@@ -140,8 +140,40 @@ func subset(a, b map[cq.Var]bool) bool {
 	return true
 }
 
-// IsAcyclic reports whether the query's hypergraph is acyclic.
+// IsAcyclic reports whether the query's hypergraph is acyclic. When every
+// atom has arity ≤ 2 the hypergraph is a graph, acyclic exactly when its
+// distinct variable pairs close no cycle, which one union-find pass over
+// them decides without GYO's quadratic ear search; a wider atom takes GYO.
 func IsAcyclic(q *cq.Query) bool {
-	_, ok := GYO(q)
-	return ok
+	pairs := make(map[[2]cq.Var]bool, len(q.Atoms))
+	for _, a := range q.Atoms {
+		switch {
+		case len(a.Args) > 2:
+			_, ok := GYO(q)
+			return ok
+		case len(a.Args) == 2 && a.Args[0] != a.Args[1]:
+			pairs[[2]cq.Var{min(a.Args[0], a.Args[1]), max(a.Args[0], a.Args[1])}] = true
+		}
+	}
+	parent := make(map[cq.Var]cq.Var) // a root has no entry
+	find := func(x cq.Var) cq.Var {
+		for {
+			p, ok := parent[x]
+			if !ok {
+				return x
+			}
+			if g, ok := parent[p]; ok {
+				parent[x] = g // path halving
+			}
+			x = p
+		}
+	}
+	for p := range pairs {
+		x, y := find(p[0]), find(p[1])
+		if x == y {
+			return false
+		}
+		parent[x] = y
+	}
+	return true
 }

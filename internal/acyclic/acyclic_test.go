@@ -2,6 +2,7 @@ package acyclic
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"projpush/internal/cq"
@@ -51,6 +52,34 @@ func TestIsAcyclicHypergraph(t *testing.T) {
 	}
 	if !IsAcyclic(q) {
 		t.Fatal("hyperedge-covered triangle must be acyclic")
+	}
+}
+
+// TestGraphPathAgreesWithGYO: IsAcyclic's union-find pass over binary
+// atoms agrees with GYO on parallel and reversed atoms, unary atoms,
+// repeated variables and disconnected components, and ternary atoms take
+// GYO itself.
+func TestGraphPathAgreesWithGYO(t *testing.T) {
+	atom := func(vs ...cq.Var) cq.Atom { return cq.Atom{Rel: fmt.Sprintf("r%d", len(vs)), Args: vs} }
+	for _, c := range []struct {
+		name    string
+		atoms   []cq.Atom
+		acyclic bool
+	}{
+		{"path", []cq.Atom{atom(0, 1), atom(1, 2), atom(2, 3)}, true},
+		{"parallel and reversed", []cq.Atom{atom(0, 1), atom(1, 0), atom(0, 1), atom(1, 2)}, true},
+		{"unary and a loop", []cq.Atom{atom(0), atom(0, 1), atom(1), atom(1, 1)}, true},
+		{"triangle", []cq.Atom{atom(0, 1), atom(1, 2), atom(2, 0)}, false},
+		{"forest and a cycle", []cq.Atom{atom(0, 1), atom(2, 3), atom(3, 4), atom(4, 5), atom(5, 2)}, false},
+		{"ternary ear", []cq.Atom{atom(0, 1, 2), atom(0, 1), atom(2, 3)}, true},
+		{"ternary cycle", []cq.Atom{atom(0, 1, 2), atom(2, 3), atom(3, 0)}, false},
+		{"covered triangle", []cq.Atom{atom(0, 1, 2), atom(0, 1), atom(1, 2), atom(2, 0)}, true},
+	} {
+		q := &cq.Query{Atoms: c.atoms, Free: []cq.Var{0}}
+		_, gyo := GYO(q)
+		if got := IsAcyclic(q); got != c.acyclic || got != gyo {
+			t.Errorf("%s: IsAcyclic %v, want %v (GYO says %v)", c.name, got, c.acyclic, gyo)
+		}
 	}
 }
 

@@ -271,7 +271,7 @@ func TestStructuralFailureKeepsResult(t *testing.T) {
 		}
 		if name != "missing column" {
 			entries["NewYannakakis"] = func() (*Result, error) { return NewYannakakis(s).Run(ctx, db, Options{}) }
-			entries["NewWCOJ"] = func() (*Result, error) { return NewWCOJ(s).Run(ctx, db, Options{}) }
+			entries["NewWCOJ"] = func() (*Result, error) { return NewWCOJ(s, 0).Run(ctx, db, Options{}) }
 		}
 		for entry, run := range entries {
 			res, err := run()

@@ -53,6 +53,11 @@ var ErrRowLimit = errors.New("engine: intermediate result exceeds row cap")
 // Options.MaxBytes.
 var ErrMemLimit = errors.New("engine: execution exceeds memory budget")
 
+// ErrWorkLimit is returned when a run spends the step budget its
+// constructor was given (NewWCOJ's steps) before it finishes: the budget
+// is what a cheaper plan is bounded by, so the run stops and degrades.
+var ErrWorkLimit = errors.New("engine: run exceeds its step budget")
+
 // ErrInternal is returned when an executor panics mid-run: the panic is
 // recovered at the run boundary (relation.PanicError) and surfaces here
 // instead of crashing the process. The wrapped error carries the

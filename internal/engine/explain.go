@@ -141,16 +141,16 @@ func explainYannakakis(tree *jointree.Tree, db cq.Database, opt Options, analyze
 // executes under opt and each level is annotated with its seek and
 // extension counts, followed by the run's totals and the memory/tuples
 // trailers the other executors report.
-func explainWCOJ(s *jointree.Structure, db cq.Database, opt Options, analyze bool) (string, error) {
+func explainWCOJ(s *jointree.Structure, steps int64, db cq.Database, opt Options, analyze bool) (string, error) {
 	var ex *wexec
 	if analyze {
-		_, x, err := execWCOJ(context.Background(), s, db, opt)
+		_, x, err := execWCOJ(context.Background(), s, steps, db, opt)
 		if err != nil {
 			return "", err
 		}
 		ex = x
 	} else {
-		ex = newWexec(context.Background(), s, db, opt)
+		ex = newWexec(context.Background(), s, steps, db, opt)
 		if err := ex.prepare(); err != nil {
 			return "", err
 		}

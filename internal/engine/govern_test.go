@@ -144,7 +144,7 @@ func TestWCOJCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCancellation(t, engine.NewWCOJ(analyze(t, q)), instance.ColorDatabase(3), engine.Options{MaxRows: 10_000_000}, "")
+	checkCancellation(t, engine.NewWCOJ(analyze(t, q), 0), instance.ColorDatabase(3), engine.Options{MaxRows: 10_000_000}, "")
 }
 
 // TestMemBudget checks Options.MaxBytes aborts both plan executors with

@@ -64,11 +64,13 @@ func PlanRung(name string, build func() (plan.Node, error)) Fallback {
 }
 
 // Degradable reports whether an execution error warrants retrying with a
-// safer plan: resource exhaustion (ErrRowLimit, ErrMemLimit) and internal
-// faults (ErrInternal) do; timeouts and cancellations do not — the caller
-// asked the run to stop, and a safer method cannot un-expire a deadline.
+// safer plan: resource exhaustion (ErrRowLimit, ErrMemLimit, ErrWorkLimit)
+// and internal faults (ErrInternal) do; timeouts and cancellations do not
+// — the caller asked the run to stop, and a safer method cannot un-expire
+// a deadline.
 func Degradable(err error) bool {
-	return errors.Is(err, ErrRowLimit) || errors.Is(err, ErrMemLimit) || errors.Is(err, ErrInternal)
+	return errors.Is(err, ErrRowLimit) || errors.Is(err, ErrMemLimit) ||
+		errors.Is(err, ErrWorkLimit) || errors.Is(err, ErrInternal)
 }
 
 // ExecResilientStrategy runs first — the strategy a method names

@@ -77,6 +77,7 @@ type wexec struct {
 	s     *jointree.Structure
 	limit *relation.Limit
 
+	steps   int64 // the seek budget (NewWCOJ); 0 is none
 	vars    []cq.Var
 	freeCut int // levels [0,freeCut) are free; below it, existence only
 	atoms   []*wcojAtom
@@ -91,8 +92,8 @@ type wexec struct {
 	outBytes int64
 }
 
-func newWexec(ctx context.Context, s *jointree.Structure, db cq.Database, opt Options) *wexec {
-	ex := &wexec{s: s}
+func newWexec(ctx context.Context, s *jointree.Structure, steps int64, db cq.Database, opt Options) *wexec {
+	ex := &wexec{s: s, steps: steps}
 	ex.govern(ctx, db, opt)
 	ex.limit = ex.lim(&ex.stats.Work)
 	return ex
@@ -306,6 +307,9 @@ func (ex *wexec) intersect(d int, visit func() (bool, error)) (bool, error) {
 		}
 		ex.assign[d] = vmax
 		lv.extensions++
+		if ex.steps > 0 && ex.ticks > ex.steps {
+			return false, ErrWorkLimit
+		}
 		stop, err := visit()
 		if err != nil || stop {
 			return stop, err
@@ -351,8 +355,8 @@ func (ex *wexec) run() (err error) {
 	return nil
 }
 
-func execWCOJ(ctx context.Context, s *jointree.Structure, db cq.Database, opt Options) (*Result, *wexec, error) {
-	ex := newWexec(ctx, s, db, opt)
+func execWCOJ(ctx context.Context, s *jointree.Structure, steps int64, db cq.Database, opt Options) (*Result, *wexec, error) {
+	ex := newWexec(ctx, s, steps, db, opt)
 	err := ex.run()
 	for _, lv := range ex.levels {
 		ex.stats.Seeks += lv.seeks
@@ -369,7 +373,7 @@ func ExecWCOJContext(ctx context.Context, q *cq.Query, db cq.Database, opt Optio
 	if err != nil {
 		return refused(ctx, db, opt, err)
 	}
-	return NewWCOJ(s).Run(ctx, db, opt)
+	return NewWCOJ(s, 0).Run(ctx, db, opt)
 }
 
 // NewWCOJ returns the leapfrog multiway join for the analyzed query. Run
@@ -378,15 +382,16 @@ func ExecWCOJContext(ctx context.Context, q *cq.Query, db cq.Database, opt Optio
 // Errors are classified like the other executors'; the Result is never
 // nil. Explain renders the variable order (explainWCOJ). Every run starts
 // from the structure, which nothing writes, so one value serves concurrent
-// requests.
-func NewWCOJ(s *jointree.Structure) Fallback {
+// requests. A positive steps caps a run's seeks: one that spends them
+// before it finishes fails with ErrWorkLimit, which degrades; 0 is no cap.
+func NewWCOJ(s *jointree.Structure, steps int64) Fallback {
 	return Fallback{
 		Run: func(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
-			res, _, err := execWCOJ(ctx, s, db, opt)
+			res, _, err := execWCOJ(ctx, s, steps, db, opt)
 			return res, err
 		},
 		Explain: func(db cq.Database, opt Options, analyze bool) (string, error) {
-			return explainWCOJ(s, db, opt, analyze)
+			return explainWCOJ(s, steps, db, opt, analyze)
 		},
 	}
 }

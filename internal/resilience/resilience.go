@@ -49,7 +49,7 @@ func Strategy(m core.Method, s *jointree.Structure, p plan.Node) (st engine.Fall
 	case core.MethodStream:
 		st = engine.NewPipeline(p)
 	case core.MethodWCOJ:
-		st = engine.NewWCOJ(s)
+		st = engine.NewWCOJ(s, 0)
 	default:
 		st = engine.NewWalker(p)
 		ladder = func(rng *rand.Rand) []engine.Fallback { return DegradationLadder(s, rng) }
