@@ -83,7 +83,9 @@ vet:
 # query with no witness backtracks through 3^n colorings — and the bounds
 # in the verdict, explain and request log; for x2.5 throughput on
 # structured-families (CHANGES.md has the runs).
-LOC_CEILING = 18633
+# Lowered to 18621 by folding the stream routing tier (mid_width) into
+# bucket elimination: streamWidth, core.StreamPlan and tierPlan went.
+LOC_CEILING = 18621
 loc:
 	@go list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
 		n=$$(ls $$dir/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \

@@ -21,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -55,7 +56,7 @@ func main() {
 		membudget = flag.Int("membudget", 0, "materialized-bytes budget in MiB (0 = unlimited)")
 		resilient = flag.Bool("resilient", false, "on row-cap/memory/internal failures, degrade instead of reporting the error: to yannakakis (elimination width <= 3) or else wcoj, then early projection, then bucket elimination (yannakakis, stream and wcoj go straight to early projection)")
 		showSQL   = flag.Bool("sql", false, "print the generated SQL instead of executing (with -all the naive query first)")
-		explain   = flag.Bool("explain", false, "print the plan tree with actual cardinalities instead of the summary line")
+		explain   = flag.Bool("explain", false, "print the plan tree with actual cardinalities instead of the summary line (with -connect: the server's route line and plan, not executed)")
 		analyze   = flag.Bool("analyze", false, "print the structural report (treewidth bounds, induced widths, plan widths) and exit")
 		colors    = flag.Int("colors", 3, "number of colors (k-COLOR)")
 		graphFile = flag.String("graphfile", "", "load a DIMACS .col graph instead of generating one")
@@ -160,7 +161,7 @@ func main() {
 		return
 	}
 	if *connect != "" {
-		runRemote(*connect, q, db, core.Method(*method), *timeout)
+		runRemote(os.Stdout, *connect, q, db, core.Method(*method), *timeout, *explain)
 		return
 	}
 	if *analyze {
@@ -264,17 +265,23 @@ func execute(m core.Method, p plan.Node, s *jointree.Structure, db cq.Database, 
 }
 
 // runRemote ships the instance (database and query) to a projpushd
-// server and reports its verdict: the request carries the full cqparse
-// rendering, so the server answers over these relations even when its
-// resident database differs.
-func runRemote(addr string, q *cq.Query, db cq.Database, m core.Method, timeout time.Duration) {
+// server and writes its verdict to out: the request carries the full
+// cqparse rendering, so the server answers over these relations even when
+// its resident database differs. With explain it asks for the explain op
+// instead and writes the server's explain, which opens with the route it
+// took and why.
+func runRemote(out io.Writer, addr string, q *cq.Query, db cq.Database, m core.Method, timeout time.Duration, explain bool) {
 	var buf bytes.Buffer
 	if err := cqparse.Write(&buf, db, q); err != nil {
 		fatal(err)
 	}
 	c := client.New(client.Options{Addr: addr, AttemptTimeout: timeout})
 	defer c.Close()
-	resp, err := c.Query(context.Background(), buf.String(), string(m))
+	do := c.Query
+	if explain {
+		do = c.Explain
+	}
+	resp, err := do(context.Background(), buf.String(), string(m))
 	if err != nil {
 		if resp != nil && resp.Verdict != nil {
 			v := resp.Verdict
@@ -283,13 +290,17 @@ func runRemote(addr string, q *cq.Query, db cq.Database, m core.Method, timeout 
 		}
 		fatal(fmt.Errorf("%s after %d attempt(s): %w", addr, c.Attempts(), err))
 	}
+	if explain {
+		fmt.Fprint(out, resp.Explain)
+		return
+	}
 	answer := "EMPTY"
 	if resp.Answer != nil && resp.Answer.Nonempty {
 		answer = fmt.Sprintf("NONEMPTY (%d tuples)", resp.Answer.Rows)
 	}
 	status := string(resp.Status)
 	if resp.Stats != nil {
-		fmt.Printf("%-18s status=%-9s time=%-12v maxrows=%-8d tuples=%-9d joins=%-3d %s\n",
+		fmt.Fprintf(out, "%-18s status=%-9s time=%-12v maxrows=%-8d tuples=%-9d joins=%-3d %s\n",
 			m, status, time.Duration(resp.Stats.ElapsedUS)*time.Microsecond,
 			resp.Stats.MaxRows, resp.Stats.Tuples, resp.Stats.Joins, answer)
 		for _, a := range resp.Stats.Attempts {
@@ -298,7 +309,7 @@ func runRemote(addr string, q *cq.Query, db cq.Database, m core.Method, timeout 
 			}
 		}
 	} else {
-		fmt.Printf("%-18s status=%-9s %s\n", m, status, answer)
+		fmt.Fprintf(out, "%-18s status=%-9s %s\n", m, status, answer)
 	}
 }
 

@@ -73,22 +73,7 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 	serve := func(cfg server.Config) func(text, method string) counts {
 		t.Helper()
 		cfg.DB = db
-		s := server.New(cfg)
-		if err := s.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			s.Serve()
-		}()
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			s.Shutdown(ctx)
-			<-done
-		})
-		c := client.New(client.Options{Addr: s.Addr().String()})
+		c := client.New(client.Options{Addr: startServer(t, cfg)})
 		return func(text, method string) counts {
 			t.Helper()
 			resp, err := c.Query(context.Background(), text, method)
@@ -146,9 +131,10 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 
 	// Methodless, this text goes to the leapfrog join (its free variable
 	// is cheaper than its widest bag), and with 20 % of its vertices free
-	// it lands on the stream tier (elimination width 4 or more): early
-	// projection on the pipeline — also as a fleet member, the
-	// configuration the fleet drills and the end-to-end benchmark run.
+	// it lands on the default tier (elimination width 4 or more): the
+	// narrowest bucket-elimination plan on the pipeline — also as a fleet
+	// member, the configuration the fleet drills and the end-to-end
+	// benchmark run.
 	leapfrog, err := engine.NewWCOJ(structure, 0).Run(context.Background(), db, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -169,11 +155,11 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamPlan, err := core.StreamPlan(file20.Query, core.NewCandidate(mcs20, core.OrderMCS))
+	chosen20, err := core.NarrowestBucketElimination(file20.Query, core.NewCandidate(mcs20, core.OrderMCS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := engine.ExecIterator(streamPlan.Plan, db, engine.Options{})
+	bare, err := engine.ExecIterator(chosen20.Plan, db, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +169,7 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 			t.Errorf("%s: the Boolean text reports %+v, the leapfrog join %+v", name, got, countsOf(&leapfrog.Stats))
 		}
 		if got := ask(text20.String(), ""); got != countsOf(&bare.Stats) {
-			t.Errorf("%s: the stream tier reports %+v, the bare pipeline %+v", name, got, countsOf(&bare.Stats))
+			t.Errorf("%s: the default tier reports %+v, the bare pipeline %+v", name, got, countsOf(&bare.Stats))
 		}
 	}
 	mcs, err := core.BuildPlan(core.MethodBucketElimination, q, nil)
@@ -215,5 +201,55 @@ func TestNamedMethodsKeepTheWalker(t *testing.T) {
 	}
 	if got := countsOf(&res.Stats); got != countsOf(&pipeline.Stats) {
 		t.Errorf("the default tier reports %+v, the pipeline %+v", got, countsOf(&pipeline.Stats))
+	}
+}
+
+// startServer serves cfg on a loopback port until the test ends and
+// returns its address.
+func startServer(t *testing.T, cfg server.Config) string {
+	t.Helper()
+	s := server.New(cfg)
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Serve()
+	}()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+		<-done
+	})
+	return s.Addr().String()
+}
+
+// TestRemoteExplainShowsTheRoute: -explain with -connect asks the server
+// for its explain, which opens with the route the request took and why,
+// where without -explain the command prints the run's summary line.
+func TestRemoteExplainShowsTheRoute(t *testing.T) {
+	db := instance.ColorDatabase(3)
+	g := graph.AugmentedCircularLadder(5)
+	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, server.Config{DB: db})
+	for _, tc := range []struct {
+		method  core.Method
+		explain bool
+		want    string
+	}{
+		{"", true, "route: wcoj (free_vars_under_bag)  elim_width="},
+		{core.MethodStream, true, "route: stream (named)  elim_width="},
+		{"", false, "                   status=ok "},
+	} {
+		var out bytes.Buffer
+		runRemote(&out, addr, q, db, tc.method, 5*time.Second, tc.explain)
+		if !strings.HasPrefix(out.String(), tc.want) {
+			t.Errorf("method %q, explain %v: printed\n%s\nwant it to open with %q", tc.method, tc.explain, out.String(), tc.want)
+		}
 	}
 }

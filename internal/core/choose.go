@@ -54,17 +54,6 @@ func Narrowest(first Candidate, rest ...Candidate) Candidate {
 	return best
 }
 
-// StreamPlan is the plan the streaming engine lowers for a request that
-// named no method: the early-projection plan, unless the plan already in
-// hand (the one admission measured) is strictly narrower.
-func StreamPlan(q *cq.Query, inHand Candidate) (Candidate, error) {
-	p, err := EarlyProjection(q)
-	if err != nil {
-		return Candidate{}, err
-	}
-	return Narrowest(NewCandidate(p, OrderListed), inHand), nil
-}
-
 // NarrowestBucketElimination is the bucket-elimination plan of least
 // width among the MCS order (given, since the caller has built it), the
 // min-fill order and the min-degree order. The two extra orders cost a

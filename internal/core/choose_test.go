@@ -160,50 +160,64 @@ func TestNarrowestBucketEliminationIsNoWiderThanAnyOrder(t *testing.T) {
 	}
 }
 
-func TestStreamPlanKeepsEarlyProjectionUnlessStrictlyNarrower(t *testing.T) {
-	kept, replaced := 0, 0
-	queries := randomColorQueries(t)
-	for _, g := range []*graph.Graph{
-		graph.AugmentedCircularLadder(5), graph.AugmentedCircularLadder(40),
-		graph.Complete(4), graph.Complete(5), graph.Complete(6), graph.AugmentedLadder(8),
-	} {
-		queries = append(queries, colorQuery(t, g))
+// TestNarrowestBucketEliminationNeverWiderThanEarlyProjection is the
+// paper's Theorems 1–2 on the texts a router sends to a plan: on the four
+// Figure 6–9 families at orders 4–20 and on random 3-COLOR graphs of order
+// 9–25 at densities 1.5–4, Boolean and with 10–50 % of their vertices free,
+// the narrowest bucket-elimination plan is never wider than early
+// projection's. It is what lets one plan tier serve every width early
+// projection was once kept for.
+func TestNarrowestBucketEliminationNeverWiderThanEarlyProjection(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	var graphs []*graph.Graph
+	for _, gen := range []func(int) *graph.Graph{graph.AugmentedPath, graph.Ladder, graph.AugmentedLadder, graph.AugmentedCircularLadder} {
+		for order := 4; order <= 20; order++ {
+			graphs = append(graphs, gen(order))
+		}
 	}
-	for i, q := range queries {
-		be, err := BucketElimination(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inHand := NewCandidate(be, OrderMCS)
-		ep, err := EarlyProjection(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := StreamPlan(q, inHand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		epWidth := plan.Analyze(ep).Width
-		switch {
-		case inHand.Width < epWidth:
-			replaced++
-			if got.Plan != be || got.Order != OrderMCS || got.Width != inHand.Width {
-				t.Errorf("query %d: early projection is width %d, in hand %d, yet chose %s/%d", i, epWidth, inHand.Width, got.Order, got.Width)
+	for order := 9; order <= 25; order++ {
+		for _, density := range []float64{1.5, 2, 2.5, 3, 3.5, 4} {
+			g, err := graph.RandomDensity(order, density, rng)
+			if err != nil {
+				t.Fatal(err)
 			}
-		default:
-			kept++
-			gotFP := plan.Fingerprint(got.Plan)
-			wantFP := plan.Fingerprint(ep)
-			if got.Order != OrderListed || got.Width != epWidth || gotFP != wantFP {
-				t.Errorf("query %d: early projection (width %d) ties or beats the plan in hand (%d), yet chose %s/%d", i, epWidth, inHand.Width, got.Order, got.Width)
+			graphs = append(graphs, g)
+		}
+	}
+	texts, narrower := 0, 0
+	for _, g := range graphs {
+		for _, frac := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
+			free := instance.BooleanFree(g)
+			if frac > 0 {
+				free = instance.ChooseFree(instance.EdgeVertices(g), frac, rng)
+			}
+			q, err := instance.ColorQuery(g, free)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep, err := EarlyProjection(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mcs, err := BucketElimination(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			be, err := NarrowestBucketElimination(q, NewCandidate(mcs, OrderMCS))
+			if err != nil {
+				t.Fatal(err)
+			}
+			texts++
+			switch epWidth := plan.Analyze(ep).Width; {
+			case be.Width > epWidth:
+				t.Errorf("%v free %v: bucket elimination (%s) is width %d, early projection %d", g, free, be.Order, be.Width, epWidth)
+			case be.Width < epWidth && epWidth >= 4 && epWidth <= 6:
+				narrower++
 			}
 		}
 	}
-	if kept == 0 || replaced == 0 {
-		t.Errorf("kept %d, replaced %d: want both branches exercised", kept, replaced)
-	}
-	if _, err := StreamPlan(&cq.Query{}, Candidate{}); err == nil {
-		t.Error("empty query accepted")
+	if texts != 1020 || narrower == 0 {
+		t.Errorf("%d texts, %d of width 4–6 narrowed: want 1020, and some narrowed", texts, narrower)
 	}
 }
 

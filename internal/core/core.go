@@ -58,10 +58,7 @@ const MethodYannakakis Method = "yannakakis"
 // MethodYannakakis it is an execution strategy, not a plan shape, so it is
 // not in Methods. The engine lowers whatever plan it is handed, with the
 // pushdown and fusion applied at execution time: BuildPlan returns the
-// early-projection plan, which is what a request naming this method
-// runs, while a request that named no method and was routed here runs
-// StreamPlan's choice — early projection unless the plan already in hand
-// is strictly narrower.
+// early-projection plan, which is what a request naming this method runs.
 const MethodStream Method = "stream"
 
 // MethodWCOJ names the worst-case-optimal multiway join execution

@@ -30,9 +30,8 @@ import (
 // full reducer sweeps s.Tree and the leapfrog join starts from s.Order,
 // both computed once by jointree.Analyze and shared by every run. The
 // streaming engine (engine.NewPipeline) lowers whatever plan it is handed
-// and never re-plans — the caller has chosen p (core.StreamPlan for a
-// request that named no method) — and runs its semijoin sweeps only where
-// one scan can reduce another. Every other method is a plan shape that
+// and never re-plans — the caller has chosen p — and runs its semijoin
+// sweeps only where one scan can reduce another. Every other method is a plan shape that
 // somebody named: p runs on the materializing plan walker
 // (engine.NewWalker; a plan no method of package core built, like the
 // hybrid optimizer's choice, lands here too), because the walker's counts

@@ -209,12 +209,14 @@ func (s *Server) build(q *cq.Query, db cq.Database, named string) *compiled {
 // budgeted is the free_vars_under_bag route's strategy and ladder: the
 // leapfrog join under a budget of 2^planLog2 seeks, the most a plan over
 // the decomposition builds, then the rung of m, the cascade's pick, and
-// its ladder. The route's premise — a first witness per free assignment —
-// fails on an instance with no witness, where leapfrog backtracks through
-// every existential assignment (a ladder with a K4 at its far end: 3^n
-// of them) while the plan stays linear; the budget caps the detour at
-// what the plan is bounded by. m's plan is built only if the budget is
-// spent. A cascade that picks the leapfrog join itself gets no budget.
+// the plan ladder (resilience.PlanLadder) — not m's own ladder, whose
+// leapfrog lead above width 3 would run the spent join again, unbudgeted.
+// The route's premise — a first witness per free assignment — fails on an
+// instance with no witness, where leapfrog backtracks through every
+// existential assignment (a ladder with a K4 at its far end: 3^n of them)
+// while the plan stays linear; the budget caps the detour at what the
+// plan is bounded by. m's plan is built only if the budget is spent. A
+// cascade that picks the leapfrog join itself gets no budget.
 func budgeted(m core.Method, st *jointree.Structure, inHand core.Candidate, planLog2 float64) (engine.Fallback, func(*rand.Rand) []engine.Fallback) {
 	steps := int64(math.MaxInt64)
 	if planLog2 < 62 {
@@ -222,14 +224,14 @@ func budgeted(m core.Method, st *jointree.Structure, inHand core.Candidate, plan
 	}
 	lead := engine.NewWCOJ(st, steps)
 	lead.Name = string(core.MethodWCOJ)
-	behind, ladder := resilience.Routed(m, st, nil)
+	behind, _ := resilience.Routed(m, st, nil)
 	if runsPlan(m) {
 		behind = engine.PlanRung(string(m), func() (plan.Node, error) {
-			c, err := tierPlan(m, st.Query, inHand)
+			c, err := core.NarrowestBucketElimination(st.Query, inHand)
 			return c.Plan, err
 		})
 	}
 	return lead, func(rng *rand.Rand) []engine.Fallback {
-		return append([]engine.Fallback{behind}, ladder(rng)...)
+		return append([]engine.Fallback{behind}, resilience.PlanLadder(st.Query, rng)...)
 	}
 }

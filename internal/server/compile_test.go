@@ -32,11 +32,11 @@ func compileCases(t testing.TB) ([]compileCase, Config) {
 	}
 	cases := []compileCase{
 		{"narrow", texts["augpath-5"], "", "narrow"},
-		{"mid_width", texts["augcircladder-5/20%"], "", "mid_width"},
+		{"default", texts["augcircladder-5/20%"], "", "default"},
 		{"agm", texts["random-16-d3/8"], "", "agm"},
 		{"no_gain", texts["triangle"], "", "no_gain_from_decomposition"},
 		{"free_vars", texts["augcircladder-5"], "", "free_vars_under_bag"},
-		{"default", texts["random-18-d2/4"], "", "default"},
+		{"default/wide", texts["random-18-d2/4"], "", "default"},
 	}
 	for _, list := range [][]core.Method{core.Methods, core.Strategies} {
 		for _, m := range list {

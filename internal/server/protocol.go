@@ -115,8 +115,8 @@ type Request struct {
 	// wcoj). When empty, the server routes the query by its structure
 	// alone: cyclic queries no decomposition helps and wide ones with a
 	// small AGM output bound to the worst-case-optimal executor, narrow
-	// queries to the Yannakakis full reducer, mid-width ones to the
-	// streaming engine, and the rest to bucket elimination.
+	// queries to the Yannakakis full reducer, and the rest to bucket
+	// elimination.
 	Method string `json:"method,omitempty"`
 	// Timeout optionally tightens the per-request execution deadline
 	// (a Go duration string); it can never extend the server's cap.

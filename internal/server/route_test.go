@@ -150,7 +150,7 @@ func shapePool(t testing.TB, seed int64, edgeRows, edgeDom int, variants bool) (
 	}
 	if variants {
 		// Half the variables of the order-16 graphs free: they span the
-		// widest bag, the width is over the stream tier's and the output
+		// widest bag, the width is over the agm tier's floor and the output
 		// bound under 2^24, so the cascade's agm tier takes them.
 		for _, c := range pool {
 			if name, ok := strings.CutPrefix(c.name, "random-16-"); ok && !strings.Contains(name, "/") {
@@ -228,18 +228,18 @@ func TestRouteTable(t *testing.T) {
 		"augcircladder-20":     "wcoj free_vars_under_bag",
 		"augcircladder-40":     "wcoj free_vars_under_bag",
 		"augpath-5/20%":        "yannakakis narrow",
-		"augpath-10/20%":       "stream mid_width listed/5",
+		"augpath-10/20%":       "bucketelimination default mcs/5",
 		"ladder-5/20%":         "wcoj free_vars_under_bag",
-		"ladder-10/20%":        "stream mid_width listed/6",
-		"augladder-5/20%":      "stream mid_width mcs/5",
+		"ladder-10/20%":        "bucketelimination default mindegree/5",
+		"augladder-5/20%":      "bucketelimination default mindegree/4",
 		"augladder-10/20%":     "bucketelimination default mcs/8",
-		"augcircladder-5/20%":  "stream mid_width mcs/6",
+		"augcircladder-5/20%":  "bucketelimination default mcs/6",
 		"augcircladder-10/20%": "bucketelimination default minfill/9",
 		"random-16-d2":         "wcoj free_vars_under_bag",
 		"random-16-d2/1":       "wcoj free_vars_under_bag",
 		"random-16-d2/2":       "wcoj free_vars_under_bag",
 		"random-16-d2/3":       "wcoj free_vars_under_bag",
-		"random-16-d2/4":       "stream mid_width mcs/7",
+		"random-16-d2/4":       "bucketelimination default mcs/7",
 		"random-16-d3":         "wcoj free_vars_under_bag",
 		"random-16-d3/1":       "wcoj free_vars_under_bag",
 		"random-16-d3/2":       "wcoj free_vars_under_bag",
@@ -269,7 +269,7 @@ func TestRouteTable(t *testing.T) {
 		"random-19-d2/1":       "wcoj free_vars_under_bag",
 		"random-19-d2/2":       "wcoj free_vars_under_bag",
 		"random-19-d2/3":       "wcoj free_vars_under_bag",
-		"random-19-d2/4":       "stream mid_width mcs/7",
+		"random-19-d2/4":       "bucketelimination default mcs/7",
 		"random-19-d3":         "wcoj free_vars_under_bag",
 		"random-19-d3/1":       "wcoj free_vars_under_bag",
 		"random-19-d3/2":       "wcoj free_vars_under_bag",
@@ -330,17 +330,6 @@ func mcsCandidate(t testing.TB, q *cq.Query) core.Candidate {
 	return core.NewCandidate(p, core.OrderMCS)
 }
 
-// planTiers are the two tiers that execute a plan, by the plan choice each
-// makes from the admitted MCS candidate: every shape can be put through
-// both, whichever tier the router picks for it.
-var planTiers = []struct {
-	method core.Method
-	choose func(*cq.Query, core.Candidate) (core.Candidate, error)
-}{
-	{core.MethodStream, core.StreamPlan},
-	{core.MethodBucketElimination, core.NarrowestBucketElimination},
-}
-
 // TestNoGainTierTable pins which shapes the size-only rule takes, by which
 // arm, and that it takes nothing else. The no-gain arm takes the triangles
 // (both free-variable sets, unequal relations, an empty one), the 4-cycle
@@ -396,9 +385,11 @@ func TestNoGainTierTable(t *testing.T) {
 		// The cascade alone.
 		below++
 		wantMethod, wantReason := cascade(v)
-		wantChosen, err := tierPlan(wantMethod, c.q, inHand)
-		if err != nil {
-			t.Fatal(err)
+		wantChosen := inHand
+		if runsPlan(wantMethod) {
+			if wantChosen, err = core.NarrowestBucketElimination(c.q, inHand); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if method != wantMethod || reason != wantReason || FingerprintID(chosen.Plan) != FingerprintID(wantChosen.Plan) {
 			t.Errorf("%s: route %s (%s), the cascade gives %s (%s)", c.name, method, reason, wantMethod, wantReason)
@@ -418,17 +409,24 @@ func TestNoGainTierTable(t *testing.T) {
 }
 
 // TestExecutedPlanNeverWiderThanAdmitted pins the admission hole this
-// closes: assess measured the admitted plan against -maxwidth and the
-// stream tier then ran the early-projection plan, whatever its width.
-// Every shape goes through the plan its route executes and through both
-// plan tiers' choices, whichever tier it lands on.
+// closes: assess measured the admitted plan against -maxwidth and a plan
+// tier once ran the early-projection plan, whatever its width. Every shape
+// goes through the plan its route executes and through the default tier's
+// choice, whichever route it lands on, and neither is wider than what
+// admission measured or than early projection, the plan the stream tier
+// ran at widths 4–6 before it folded into the default tier.
 func TestExecutedPlanNeverWiderThanAdmitted(t *testing.T) {
 	pool, db := routePool(t)
 	s := New(Config{DB: db})
-	narrowedStream, narrowedDefault := 0, 0
+	narrowed := 0
 	for _, c := range pool {
 		method, chosen, v := routed(t, s, c.q, db)
-		check := func(tier core.Method, cand core.Candidate) {
+		ep, err := core.EarlyProjection(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		epWidth := plan.Analyze(ep).Width
+		check := func(tier string, cand core.Candidate) {
 			if err := plan.Validate(cand.Plan, c.q); err != nil {
 				t.Fatalf("%s %s: %v", tier, c.name, err)
 			}
@@ -436,32 +434,27 @@ func TestExecutedPlanNeverWiderThanAdmitted(t *testing.T) {
 			if w != cand.Width {
 				t.Errorf("%s %s: candidate says width %d, plan has %d", tier, c.name, cand.Width, w)
 			}
-			if w > v.PlanWidth {
-				t.Errorf("%s %s: executes width %d, admission measured %d", tier, c.name, w, v.PlanWidth)
+			if w > v.PlanWidth || w > epWidth {
+				t.Errorf("%s %s: executes width %d, admission measured %d, early projection has %d", tier, c.name, w, v.PlanWidth, epWidth)
 			}
 		}
-		for _, tier := range planTiers {
-			cand, err := tier.choose(c.q, mcsCandidate(t, c.q))
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(tier.method, cand)
+		cand, err := core.NarrowestBucketElimination(c.q, mcsCandidate(t, c.q))
+		if err != nil {
+			t.Fatal(err)
 		}
+		check("default tier", cand)
 		if !runsPlan(method) {
 			continue
 		}
-		check(method, chosen)
-		// Before the tiers chose, the stream tier ran early projection and
-		// the default tier the MCS plan.
+		check(string(method), chosen)
+		// Before the tier chose, it ran the MCS plan.
 		parent, err := core.BuildPlan(method, c.q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		switch pw := plan.Analyze(parent).Width; {
-		case chosen.Width < pw && method == core.MethodStream:
-			narrowedStream++
 		case chosen.Width < pw:
-			narrowedDefault++
+			narrowed++
 		case chosen.Width == pw:
 			// A tie keeps the parent's plan, byte for byte.
 			got := plan.Fingerprint(chosen.Plan)
@@ -471,8 +464,8 @@ func TestExecutedPlanNeverWiderThanAdmitted(t *testing.T) {
 			}
 		}
 	}
-	if narrowedStream == 0 || narrowedDefault == 0 {
-		t.Errorf("narrowed %d stream and %d default plans: want both tiers exercised", narrowedStream, narrowedDefault)
+	if narrowed == 0 {
+		t.Error("no routed plan narrowed: the default tier's choice is not exercised")
 	}
 }
 
@@ -491,12 +484,12 @@ func TestStructuredPlansUnchanged(t *testing.T) {
 		inHand := mcsCandidate(t, c.q)
 		v := assess(analyze(t, c.q), inHand.Plan, "bucketelimination", 0, 0, 0, true, db)
 		method, _ := cascade(v)
-		chosen, err := tierPlan(method, c.q, inHand)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !runsPlan(method) {
 			continue
+		}
+		chosen, err := core.NarrowestBucketElimination(c.q, inHand)
+		if err != nil {
+			t.Fatal(err)
 		}
 		parent, err := core.BuildPlan(method, c.q, nil)
 		if err != nil {
@@ -522,8 +515,8 @@ func textOf(t testing.TB, q *cq.Query) string {
 }
 
 // TestTiersAnswerLikeTheOracle sends the pool through the server, which
-// reaches every tier, and every shape through both plan tiers' choices run
-// as the route runs them (resilience.Routed), and compares each answer
+// reaches every tier, and every shape through the default tier's choice
+// run as the route runs it (resilience.Routed), and compares each answer
 // with the backtracking oracle, or with the MCS bucket-elimination plan
 // where the oracle's search space (the structured families at orders
 // 10–40) is out of reach.
@@ -582,43 +575,41 @@ func TestTiersAnswerLikeTheOracle(t *testing.T) {
 	}
 	// The four triangles, the 4-cycle and K4–K6 reach the no-gain arm;
 	// every other route answers something too: the free-variable
-	// variants reach the stream and default tiers.
-	if routes["no_gain"] < 8 || len(routes) != 5 {
+	// variants reach the default tier.
+	if routes["no_gain"] < 8 || len(routes) != 4 {
 		t.Errorf("answers by route %v: want every route, and at least 8 from the no-gain arm", routes)
 	}
 	for i, c := range pool {
-		for _, tier := range planTiers {
-			cand, err := tier.choose(c.q, mcsCandidate(t, c.q))
-			if err != nil {
-				t.Fatal(err)
-			}
-			strategy, _ := resilience.Routed(tier.method, analyze(t, c.q), cand.Plan)
-			res, err := strategy.Run(context.Background(), db, engine.Options{})
-			if err != nil {
-				t.Fatalf("%s on the %s tier: %v", c.name, tier.method, err)
-			}
-			if !res.Rel.Equal(want[i]) {
-				t.Errorf("%s on the %s tier (%s/%d): %d rows, reference has %d", c.name, tier.method,
-					cand.Order, cand.Width, res.Rel.Len(), want[i].Len())
-			}
+		cand, err := core.NarrowestBucketElimination(c.q, mcsCandidate(t, c.q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		strategy, _ := resilience.Routed(core.MethodBucketElimination, analyze(t, c.q), cand.Plan)
+		res, err := strategy.Run(context.Background(), db, engine.Options{})
+		if err != nil {
+			t.Fatalf("%s on the default tier: %v", c.name, err)
+		}
+		if !res.Rel.Equal(want[i]) {
+			t.Errorf("%s on the default tier (%s/%d): %d rows, reference has %d", c.name,
+				cand.Order, cand.Width, res.Rel.Len(), want[i].Len())
 		}
 	}
 }
 
-// ladderWithK4 is the ladder of n rungs (graph.Ladder) with a K4 hung off
-// the far end of its left rail: bounded width, and no 3-coloring.
-func ladderWithK4(n int) *graph.Graph {
-	g := graph.New(2*n + 3)
-	for _, e := range graph.Ladder(n).Edges {
-		g.AddEdge(e[0], e[1])
+// withK4 is g with a K4 hung off vertex at: three new vertices, adjacent
+// to each other and to at. However narrow g is, it has no 3-coloring.
+func withK4(g *graph.Graph, at int) *graph.Graph {
+	h := graph.New(g.N + 3)
+	for _, e := range g.Edges {
+		h.AddEdge(e[0], e[1])
 	}
-	k4 := []int{n - 1, 2 * n, 2*n + 1, 2*n + 2}
+	k4 := []int{at, g.N, g.N + 1, g.N + 2}
 	for i, u := range k4 {
 		for _, v := range k4[i+1:] {
-			g.AddEdge(u, v)
+			h.AddEdge(u, v)
 		}
 	}
-	return g
+	return h
 }
 
 // TestFreeVarRouteWithoutWitness: the free-variable arm's premise is that
@@ -633,7 +624,7 @@ func ladderWithK4(n int) *graph.Graph {
 // budget would not finish it.
 func TestFreeVarRouteWithoutWitness(t *testing.T) {
 	db := instance.ColorDatabase(3)
-	g := ladderWithK4(40)
+	g := withK4(graph.Ladder(40), 39) // the far end of the left rail
 	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
 	if err != nil {
 		t.Fatal(err)
@@ -665,6 +656,41 @@ func TestFreeVarRouteWithoutWitness(t *testing.T) {
 	}
 }
 
+// TestSpentBudgetRunsLeapfrogOnce: when the free-variable route's
+// leapfrog join spends its budget and the cascade's bucket-elimination
+// plan fails too, the ladder goes on down the plan rungs; it does not run
+// the leapfrog join a second time, unbudgeted. The augmented circular
+// ladder of order 5 with a K4 hung off a vertex is Boolean, of width 4
+// and has no witness; a row cap of 10 fails every plan over it.
+func TestSpentBudgetRunsLeapfrogOnce(t *testing.T) {
+	db := instance.ColorDatabase(3)
+	g := withK4(graph.AugmentedCircularLadder(5), 0)
+	q, err := instance.ColorQuery(g, instance.BooleanFree(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, addr := startServer(t, Config{DB: db, MaxRows: 10})
+	c := s.build(q, db, "")
+	if behind, _ := cascade(c.verdict); c.reason != "free_vars_under_bag" || behind != core.MethodBucketElimination {
+		t.Fatalf("route %s (%s), cascade %s; want wcoj (free_vars_under_bag) over bucketelimination", c.method, c.reason, behind)
+	}
+	resp := roundTrip(t, addr, &Request{Op: "query", Query: textOf(t, q)})
+	if resp.Stats == nil {
+		t.Fatalf("status %s (%s): no stats", resp.Status, resp.Error)
+	}
+	at := resp.Stats.Attempts
+	leapfrog := 0
+	for _, a := range at {
+		if a.Method == string(core.MethodWCOJ) {
+			leapfrog++
+		}
+	}
+	if len(at) < 2 || !strings.Contains(at[0].Err, engine.ErrWorkLimit.Error()) ||
+		at[1].Method != string(core.MethodBucketElimination) || at[1].Err == "" || leapfrog != 1 {
+		t.Errorf("attempts %+v; want wcoj over its budget, bucketelimination failing, and no second wcoj", at)
+	}
+}
+
 // TestExplainAndLogShowTheExecutedPlan: explain opens with the route and
 // why it was taken, then renders the plan route chose, and the request log
 // carries the reason and the plan's width and order, on a query per
@@ -679,7 +705,7 @@ func TestExplainAndLogShowTheExecutedPlan(t *testing.T) {
 	// One query per route_reason, each of a route below.
 	reasons := map[string]core.Method{
 		"narrow": core.MethodYannakakis, "no_gain_from_decomposition": core.MethodWCOJ,
-		"free_vars_under_bag": core.MethodWCOJ, "mid_width": core.MethodStream, "default": core.MethodBucketElimination,
+		"free_vars_under_bag": core.MethodWCOJ, "default": core.MethodBucketElimination,
 	}
 	seen := map[string]bool{}
 	for _, c := range pool {
@@ -687,7 +713,6 @@ func TestExplainAndLogShowTheExecutedPlan(t *testing.T) {
 		changed := map[core.Method]bool{
 			core.MethodYannakakis:        true,
 			core.MethodWCOJ:              true,
-			core.MethodStream:            chosen.Order == core.OrderMCS,
 			core.MethodBucketElimination: chosen.Order != core.OrderMCS,
 		}
 		log.Reset()
@@ -795,8 +820,8 @@ func TestExplainAndLogShowTheExecutedPlan(t *testing.T) {
 		swept  bool
 	}{
 		{"random-18-d2/4", byName["random-18-d2/4"], core.MethodBucketElimination, false},
-		{"ladder-10/20%", ladder, core.MethodStream, false},
-		{"ladder-10/20% over e2, one atom over e3", selective, core.MethodStream, true},
+		{"ladder-10/20%", ladder, core.MethodBucketElimination, false},
+		{"ladder-10/20% over e2, one atom over e3", selective, core.MethodBucketElimination, true},
 	} {
 		c := s.build(tc.q, db, "")
 		if c.status != "" || c.method != tc.method {

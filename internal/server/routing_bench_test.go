@@ -76,9 +76,11 @@ func selectiveCases(t testing.TB, db cq.Database) []routeCase {
 // BenchmarkRoutingMatrix is ROADMAP item 3's matrix: every route the
 // server can take × the cyclic shapes and the selective acyclic ones
 // (selectiveCases), each cell executing what that
-// tier would execute for a methodless request — the stream and default
-// tiers their narrowest plan on the pull pipeline, sweeps only where one
-// scan can reduce another (resilience.Routed, as the server builds it) —
+// route would execute for a methodless request — the default tier its
+// narrowest plan on the pull pipeline, sweeps only where one scan can
+// reduce another (resilience.Routed, as the server builds it), and the
+// stream column the plan the stream tier ran before it folded into the
+// default tier, the same way, so the recorded series stays comparable —
 // with peak-bytes beside the time. The
 // router=<route> row re-runs the cell the server's router picks and
 // reports its regret: that cell's time over the row's best. Every cyclic
@@ -106,10 +108,13 @@ func BenchmarkRoutingMatrix(b *testing.B) {
 			b.Fatal(err)
 		}
 		mcs := core.Candidate{Plan: inHand, Order: core.OrderMCS, Width: v.PlanWidth}
-		streamPlan, err := core.StreamPlan(q, mcs)
+		// The stream column is the retired stream tier's plan: early
+		// projection unless the MCS plan is strictly narrower.
+		ep, err := core.EarlyProjection(q)
 		if err != nil {
 			b.Fatal(err)
 		}
+		streamPlan := core.Narrowest(core.NewCandidate(ep, core.OrderListed), mcs)
 		bePlan, err := core.NarrowestBucketElimination(q, mcs)
 		if err != nil {
 			b.Fatal(err)

@@ -532,21 +532,23 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	return finish(resp)
 }
 
-// The route's thresholds below the full reducer's
+// The route's thresholds beside the full reducer's
 // (engine.DefaultYannakakisWidth, which the degradation ladder reads too).
 // They are constants: the query's structure decides its route, and no
 // server setting does.
 const (
-	// streamWidth is the MCS elimination width up to which a query too
-	// wide for the full reducer runs the narrower of early projection and
-	// the admitted plan on the pull pipeline, which bounds peak live bytes
-	// rather than everything materialized.
-	streamWidth = 6
-	// wcojAGMLog2 is the log2 AGM output bound up to which a query too wide
-	// for both width tiers runs as one leapfrog join, and up to which a
-	// query whose only violation is MaxWidth is admitted anyway (assess):
-	// 2^24 ≈ 16M output rows fits a request's budget, while the width of
-	// such queries (cliques, dense k-COLOR) grows without bound.
+	// agmMinWidth is the MCS elimination width above which a query with a
+	// small AGM bound runs as one leapfrog join. Below it bucket
+	// elimination's plan keeps a bounded worst case the join lacks: on 76
+	// width 4–6 3-COLOR texts with 10–30 % of their vertices free and an
+	// AGM bound under 2^24, the join ran up to 4.3× slower than the plan
+	// (the augmented path of order 9 at 30 % free: 0.08 → 0.35 ms).
+	agmMinWidth = 6
+	// wcojAGMLog2 is the log2 AGM output bound up to which a query wider
+	// than agmMinWidth runs as one leapfrog join, and up to which a query
+	// whose only violation is MaxWidth is admitted anyway (assess): 2^24
+	// ≈ 16M output rows fits a request's budget, while the width of such
+	// queries (cliques, dense k-COLOR) grows without bound.
 	wcojAGMLog2 = 24
 )
 
@@ -563,7 +565,10 @@ const (
 // less than that bag holds while its existential levels stop at a first
 // witness (the Boolean Figure 7–9 families, wheels, random graphs); it
 // runs under a seek budget with the cascade's pick behind it (budgeted).
-// Below the rule the threshold cascade picks the executor.
+// Below the rule the threshold cascade picks the executor; its default
+// tier alone runs a plan, the narrowest bucket-elimination one, and only
+// there are the min-fill and min-degree orders computed, because they
+// cost several times what MCS does.
 func route(named core.Method, q *cq.Query, inHand core.Candidate, v *Verdict) (core.Method, core.Candidate, string, error) {
 	switch {
 	case named != "":
@@ -574,14 +579,19 @@ func route(named core.Method, q *cq.Query, inHand core.Candidate, v *Verdict) (c
 		return core.MethodWCOJ, inHand, "free_vars_under_bag", nil
 	}
 	m, reason := cascade(v)
-	c, err := tierPlan(m, q, inHand)
+	if m != core.MethodBucketElimination {
+		return m, inHand, reason, nil
+	}
+	c, err := core.NarrowestBucketElimination(q, inHand)
 	return m, c, reason, err
 }
 
 // cascade is route's threshold cascade: the executor from the verdict's
-// static quantities — narrow queries run the Yannakakis full reducer,
-// mid-width queries the streaming engine, wide queries with a small output
-// bound the leapfrog join, the rest bucket elimination — and the reason.
+// static quantities — narrow queries run the Yannakakis full reducer, wide
+// queries with a small output bound the leapfrog join, the rest the
+// narrowest bucket-elimination plan in reach, never one wider than the
+// admitted plan (width decides intermediate size, paper Figures 3–5) —
+// and the reason.
 func cascade(v *Verdict) (core.Method, string) {
 	switch {
 	case v.AdmittedOnAGM:
@@ -590,32 +600,12 @@ func cascade(v *Verdict) (core.Method, string) {
 		return core.MethodWCOJ, "agm"
 	case v.ElimWidth <= engine.DefaultYannakakisWidth:
 		return core.MethodYannakakis, "narrow"
-	case v.ElimWidth <= streamWidth:
-		return core.MethodStream, "mid_width"
-	case v.AGMLog2 <= wcojAGMLog2:
-		// Too wide for both width tiers but the AGM bound is small —
-		// the cyclic-query shape the leapfrog join exists for.
+	case v.ElimWidth > agmMinWidth && v.AGMLog2 <= wcojAGMLog2:
+		// Wide, but the AGM bound is small — the cyclic-query shape the
+		// leapfrog join exists for.
 		return core.MethodWCOJ, "agm"
 	}
 	return core.MethodBucketElimination, "default"
-}
-
-// tierPlan is the plan a cascade tier runs: the narrowest
-// projection-pushed one in reach, never one wider than inHand — width,
-// not search effort, decides intermediate size (paper Figures 3–5). The
-// stream tier compares early projection with inHand; the default tier
-// compares the MCS order with min-fill and min-degree. Those two orders
-// are computed only here, for the requests that fall through every other
-// tier, because they cost several times what MCS does. The full reducer
-// and the leapfrog join run no plan and keep inHand.
-func tierPlan(m core.Method, q *cq.Query, inHand core.Candidate) (core.Candidate, error) {
-	switch m {
-	case core.MethodStream:
-		return core.StreamPlan(q, inHand)
-	case core.MethodBucketElimination:
-		return core.NarrowestBucketElimination(q, inHand)
-	}
-	return inHand, nil
 }
 
 // ClassifyStatus maps an engine failure to its wire status.

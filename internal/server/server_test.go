@@ -428,59 +428,6 @@ func TestStreamMethodExplicit(t *testing.T) {
 	}
 }
 
-// explainPlan strips the route line every explain starts with.
-func explainPlan(t *testing.T, resp *Response) string {
-	t.Helper()
-	line, rest, ok := strings.Cut(resp.Explain, "\n")
-	if !ok || !strings.HasPrefix(line, "route: "+resp.Verdict.Method+" (") {
-		t.Fatalf("explain does not start with the %s route line:\n%s", resp.Verdict.Method, resp.Explain)
-	}
-	return rest
-}
-
-func TestStreamRoutingMidWidth(t *testing.T) {
-	// The augmented circular ladder of order 5 with the paper's 20 % of
-	// its vertices free has elimination width 4 or more: over the
-	// yannakakis cutoff (3), under the stream cutoff (6). Its bags are far
-	// under the whole query's output bound, so the decomposition helps,
-	// and its four free variables span the widest bag, so the leapfrog
-	// join's free prefix would enumerate more than any bag holds. A
-	// method-less request must route to the streaming engine.
-	g := graph.AugmentedCircularLadder(5)
-	in := colorQuery(t, g)
-	q, err := instance.ColorQuery(g, instance.ChooseFree(instance.EdgeVertices(g), 0.2, rand.New(rand.NewSource(1))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := textOf(t, q)
-	var log bytes.Buffer
-	_, addr := startServer(t, Config{DB: in.db, Log: &log})
-
-	resp := roundTrip(t, addr, &Request{Op: "explain", Query: text})
-	if resp.Status != StatusOK {
-		t.Fatalf("explain status = %s (%s)", resp.Status, resp.Error)
-	}
-	if resp.Verdict == nil || resp.Verdict.Method != "stream" {
-		t.Fatalf("verdict = %+v, want method stream", resp.Verdict)
-	}
-	if !strings.HasPrefix(explainPlan(t, resp), "stream pipeline") {
-		t.Fatalf("mid-width explain is not a stream pipeline:\n%s", resp.Explain)
-	}
-
-	resp = roundTrip(t, addr, &Request{Op: "query", Query: text})
-	if resp.Status != StatusOK {
-		t.Fatalf("query status = %s (%s)", resp.Status, resp.Error)
-	}
-	if resp.Answer == nil || !resp.Answer.Nonempty {
-		t.Fatalf("augmented circular ladder 3-COLOR answer = %+v, want nonempty", resp.Answer)
-	}
-	for _, want := range []string{`"method":"stream"`, `"route_reason":"mid_width"`} {
-		if !strings.Contains(log.String(), want) {
-			t.Errorf("request log does not record %s:\n%s", want, log.String())
-		}
-	}
-}
-
 func TestPredictedPeakAdmission(t *testing.T) {
 	g := graph.AugmentedPath(4)
 	in := colorQuery(t, g)

@@ -88,13 +88,13 @@ func TestOneStructurePerCompiledText(t *testing.T) {
 				if !narrow {
 					t.Errorf("%s: routed narrow at structure width %d", name, st.Width)
 				}
-			case "mid_width":
-				if narrow || st.Width > streamWidth {
-					t.Errorf("%s: routed mid_width at structure width %d", name, st.Width)
-				}
 			case "default":
-				if st.Width <= streamWidth {
+				if narrow {
 					t.Errorf("%s: routed default at structure width %d", name, st.Width)
+				}
+			case "agm":
+				if !c.verdict.AdmittedOnAGM && st.Width <= agmMinWidth {
+					t.Errorf("%s: routed agm at structure width %d", name, st.Width)
 				}
 			}
 			var structural []engine.Fallback

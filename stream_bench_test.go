@@ -161,10 +161,10 @@ func BenchmarkStreamAugPath(b *testing.B) {
 	streamVariants(b, q, db)
 }
 
-// BenchmarkStreamStructured is the server's stream tier on the paper's own
+// BenchmarkStreamStructured is the stream method on the paper's own
 // traffic: the Boolean 3-COLOR query of the augmented circular ladder
-// (Figure 9) at orders 5–40, on the plan that tier runs (core.StreamPlan),
-// three ways — the materializing walker, the stream engine, and the bare
+// (Figure 9) at orders 5–40, on the plan a request naming it runs (early
+// projection), three ways — the materializing walker, the stream engine, and the bare
 // pipeline (iterator). Every column of every scan is the edge relation's,
 // so the stream engine proves its sweeps useless and skips them: its
 // time and peak-bytes are the iterator's, and both hold a fraction of what
@@ -177,11 +177,7 @@ func BenchmarkStreamStructured(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mcs, err := core.BuildPlan(core.MethodBucketElimination, q, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c, err := core.StreamPlan(q, core.NewCandidate(mcs, core.OrderMCS))
+		p, err := core.BuildPlan(core.MethodStream, q, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,10 +190,10 @@ func BenchmarkStreamStructured(b *testing.B) {
 			b.Run(fmt.Sprintf("augcircladder-%d/%s", order, arm.name), func(b *testing.B) {
 				// One untimed run first: the recorded series is three
 				// iterations, and a cold first one would be a third of it.
-				res, err := arm.exec(c.Plan, db, ybenchOpts)
+				res, err := arm.exec(p, db, ybenchOpts)
 				b.ResetTimer()
 				for i := 0; i < b.N && err == nil; i++ {
-					res, err = arm.exec(c.Plan, db, ybenchOpts)
+					res, err = arm.exec(p, db, ybenchOpts)
 				}
 				if err != nil {
 					b.Fatal(err)
