@@ -85,12 +85,25 @@ vet:
 # structured-families (CHANGES.md has the runs).
 # Lowered to 18621 by folding the stream routing tier (mid_width) into
 # bucket elimination: streamWidth, core.StreamPlan and tierPlan went.
-LOC_CEILING = 18621
+# Lowered to 18415 by one structural package: joingraph, acyclic and
+# hypertree became files of jointree, and GYO's join forest, hypertree's
+# Decomposition type, Estimate and unreachable errors, treedec.Trivial,
+# Decomposition.Clone and Decomposition.Path, none of which non-test code
+# called, went.
+LOC_CEILING = 18415
+# The package count (cmd/, examples/ and the facade included), under the
+# same rule: a package split out of another needs one folded or deleted,
+# or PKG_CEILING raised in the same diff. Set to 35 when joingraph,
+# acyclic and hypertree folded into jointree (ROADMAP item 27).
+PKG_CEILING = 35
 loc:
 	@go list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
 		n=$$(ls $$dir/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \
 		printf '%6d  %s\n' $$n $$pkg; \
-	done | awk '{ print; total += $$1 } END { printf "%6d  total (ceiling $(LOC_CEILING))\n", total; exit total > $(LOC_CEILING) }'
+	done | awk '{ print; total += $$1; pkgs++ } END { \
+		printf "%6d  total (ceiling $(LOC_CEILING))\n", total; \
+		printf "%6d  packages (ceiling $(PKG_CEILING))\n", pkgs; \
+		exit total > $(LOC_CEILING) || pkgs > $(PKG_CEILING) }'
 
 # projpushd's flags, under the same rule: a flag per feature is what the
 # roadmap's design aim argues against, so a new one needs an old one

@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"projpush/internal/acyclic"
 	"projpush/internal/engine"
+	"projpush/internal/jointree"
 )
 
 func TestFacadeAnalyzeStructure(t *testing.T) {
@@ -116,7 +116,7 @@ func TestFacadeMiniBucketAndYannakakis(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := ColorDatabase(3)
-	if !acyclic.IsAcyclic(q) {
+	if !jointree.IsAcyclic(q) {
 		t.Fatal("augmented path query must be acyclic")
 	}
 	y, err := Run(context.Background(), MethodYannakakis, q, db, ExecOptions{}, nil)

@@ -6,12 +6,12 @@ import (
 	"testing"
 	"time"
 
-	"projpush/internal/acyclic"
 	"projpush/internal/core"
 	"projpush/internal/cq"
 	"projpush/internal/engine"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/jointree"
 	"projpush/internal/minibucket"
 	"projpush/internal/pgplanner"
 	"projpush/internal/plan"
@@ -146,7 +146,7 @@ func TestIntegrationAllPathsAgree(t *testing.T) {
 			check("naive", nres.Rel)
 
 			// Yannakakis (acyclic queries only).
-			if acyclic.IsAcyclic(q) {
+			if jointree.IsAcyclic(q) {
 				yr, err := engine.ExecYannakakisContext(context.Background(), q, db, opts)
 				if err != nil {
 					t.Fatal(err)

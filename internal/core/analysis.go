@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"projpush/internal/cq"
-	"projpush/internal/hypertree"
 	"projpush/internal/jointree"
 	"projpush/internal/plan"
 	"projpush/internal/treedec"
@@ -71,11 +70,7 @@ func AnalyzeStructure(q *cq.Query) (*StructuralReport, error) {
 		}
 		r.InducedWidths[h] = treedec.InducedWidth(jg.G, elim)
 	}
-	hd, err := hypertree.Greedy(q, jg, s.Dec)
-	if err != nil {
-		return nil, err
-	}
-	r.HypertreeWidth = hd.Width()
+	_, r.HypertreeWidth = s.Guards()
 	for _, m := range Methods {
 		p, err := BuildPlan(m, q, nil)
 		if err != nil {

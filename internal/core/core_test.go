@@ -9,7 +9,7 @@ import (
 	"projpush/internal/engine"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
-	"projpush/internal/joingraph"
+	"projpush/internal/jointree"
 	"projpush/internal/plan"
 	"projpush/internal/treedec"
 )
@@ -155,7 +155,7 @@ func TestBucketEliminationWidthTheorem2(t *testing.T) {
 			t.Fatal(err)
 		}
 		q.Free = nil
-		jg := joingraph.Build(q)
+		jg := jointree.BuildJoinGraph(q)
 		tw, elim, err := treedec.Exact(jg.G)
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 
 	"projpush/internal/cq"
-	"projpush/internal/joingraph"
+	"projpush/internal/jointree"
 	"projpush/internal/plan"
 	"projpush/internal/treedec"
 )
@@ -25,7 +25,7 @@ func ImproveOrder(q *cq.Query, start []cq.Var, iters int, rng *rand.Rand) ([]cq.
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	jg := joingraph.Build(q)
+	jg := jointree.BuildJoinGraph(q)
 	numFree := len(q.Free)
 	if len(start) != len(jg.Vars) {
 		return nil, 0, fmt.Errorf("core: order has %d variables, query has %d", len(start), len(jg.Vars))

@@ -7,7 +7,7 @@ import (
 	"projpush/internal/engine"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
-	"projpush/internal/joingraph"
+	"projpush/internal/jointree"
 	"projpush/internal/plan"
 	"projpush/internal/treedec"
 )
@@ -86,7 +86,7 @@ func TestImproveOrderReachesTreewidthOnSmallGraphs(t *testing.T) {
 		trials++
 		q := colorQuery(t, g)
 		q.Free = nil // Boolean: the join graph is exactly g
-		jg := joingraph.Build(q)
+		jg := jointree.BuildJoinGraph(q)
 		tw, _, err := treedec.Exact(jg.G)
 		if err != nil {
 			t.Fatal(err)

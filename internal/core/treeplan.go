@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"projpush/internal/cq"
-	"projpush/internal/joingraph"
 	"projpush/internal/jointree"
 	"projpush/internal/plan"
 	"projpush/internal/treedec"
@@ -27,11 +26,11 @@ const (
 // EliminationOrder computes an elimination order of q's join graph under
 // the heuristic, returned as join-graph vertices alongside the join graph
 // itself. Under MCS a nil rng gives jointree.Analyze's order.
-func EliminationOrder(q *cq.Query, h OrderHeuristic, rng *rand.Rand) (*joingraph.JoinGraph, []int, error) {
-	jg := joingraph.Build(q)
+func EliminationOrder(q *cq.Query, h OrderHeuristic, rng *rand.Rand) (*jointree.JoinGraph, []int, error) {
+	jg := jointree.BuildJoinGraph(q)
 	switch h {
 	case OrderMCS:
-		return jg, treedec.EliminationOrder(treedec.MCS(jg.G, jg.Vertices(q.Free), rng)), nil
+		return jg, jg.MCSElimination(q.Free, rng), nil
 	case OrderMinFill:
 		return jg, treedec.MinFill(jg.G), nil
 	case OrderMinDegree:

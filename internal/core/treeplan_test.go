@@ -2,12 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"projpush/internal/cq"
 	"projpush/internal/engine"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/jointree"
 	"projpush/internal/plan"
 )
 
@@ -69,6 +71,20 @@ func TestTreeDecompositionPlanWidthTracksBucketElimination(t *testing.T) {
 	bw := plan.Analyze(bp).Width
 	if tw > bw {
 		t.Fatalf("tree-decomposition width %d exceeds bucket width %d under the same heuristic", tw, bw)
+	}
+	// The same order: under MCS a nil rng gives jointree.Analyze's.
+	jg, elim, err := EliminationOrder(q, OrderMCS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := jointree.Analyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := jg.VarSet(elim)
+	slices.Reverse(order)
+	if !slices.Equal(order, s.Order) {
+		t.Fatalf("MCS variable order %v, jointree.Analyze's %v", order, s.Order)
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"projpush/internal/cq"
-	"projpush/internal/joingraph"
+	"projpush/internal/jointree"
 	"projpush/internal/plan"
 	"projpush/internal/treedec"
 )
@@ -16,7 +16,7 @@ import (
 // weight — and the resulting order is reversed into processing order with
 // the free variables pinned to the front.
 func MinWeightVarOrder(q *cq.Query, w plan.Weights) []cq.Var {
-	jg := joingraph.Build(q)
+	jg := jointree.BuildJoinGraph(q)
 	weights := make([]int, len(jg.Vars))
 	for i, v := range jg.Vars {
 		weights[i] = w.Of(v)

@@ -1,6 +1,8 @@
-// Package jointree implements the paper's join-expression trees
-// (Section 5): evaluation orders for project-join queries in which joins
-// are evaluated bottom-up and projection is applied as early as possible.
+// Package jointree is the query-level structural layer over treedec's
+// graphs: join graphs, acyclicity, hypertree guards and the paper's
+// join-expression trees (Section 5), evaluation orders for project-join
+// queries in which joins are evaluated bottom-up and projection is applied
+// as early as possible.
 //
 // A join-expression tree node carries a working label L_w (the schema of
 // the intermediate relation computed at the node) and a projected label
@@ -29,7 +31,6 @@ import (
 	"strings"
 
 	"projpush/internal/cq"
-	"projpush/internal/joingraph"
 	"projpush/internal/plan"
 	"projpush/internal/treedec"
 )
@@ -190,7 +191,7 @@ func sameVarSet(a, b []cq.Var) bool {
 // projected labels. The resulting tree has width at most dec.Width() + 1.
 // A free variable that no atom binds has no tree: it is refused first, by
 // name, as the caller's error.
-func FromDecomposition(q *cq.Query, jg *joingraph.JoinGraph, dec *treedec.Decomposition) (*Tree, error) {
+func FromDecomposition(q *cq.Query, jg *JoinGraph, dec *treedec.Decomposition) (*Tree, error) {
 	for _, v := range q.Free {
 		if !slices.ContainsFunc(q.Atoms, func(a cq.Atom) bool { return a.HasVar(v) }) {
 			return nil, fmt.Errorf("jointree: free variable x%d occurs in no atom", v)
@@ -300,7 +301,7 @@ func FromDecomposition(q *cq.Query, jg *joingraph.JoinGraph, dec *treedec.Decomp
 // Analyze: one value serves concurrent requests.
 type Structure struct {
 	Query *cq.Query
-	Graph *joingraph.JoinGraph
+	Graph *JoinGraph
 	// Order is the MCS numbering as variables, the free ones first in
 	// Query.Free order: bucket elimination's variable order, and the
 	// leapfrog join's before its smallest-domain-first reorder.
@@ -316,10 +317,11 @@ func Analyze(q *cq.Query) (*Structure, error) {
 	if len(q.Atoms) == 0 {
 		return nil, fmt.Errorf("jointree: query has no atoms")
 	}
-	jg := joingraph.Build(q)
-	mcs := treedec.MCS(jg.G, jg.Vertices(q.Free), nil)
-	s := &Structure{Query: q, Graph: jg, Order: jg.VarSet(mcs)}
-	s.Dec = treedec.FromOrder(jg.G, treedec.EliminationOrder(mcs))
+	jg := BuildJoinGraph(q)
+	elim := jg.MCSElimination(q.Free, nil)
+	s := &Structure{Query: q, Graph: jg, Order: jg.VarSet(elim)}
+	slices.Reverse(s.Order)
+	s.Dec = treedec.FromOrder(jg.G, elim)
 	s.Width = max(s.Dec.Width(), 0)
 	var err error
 	if s.Tree, err = FromDecomposition(q, jg, s.Dec); err != nil {
@@ -331,7 +333,7 @@ func Analyze(q *cq.Query) (*Structure, error) {
 // ToDecomposition implements Algorithm 1 / Lemma 1: drop the projected
 // labels and use the working labels as bags, yielding a tree decomposition
 // of the join graph with width = tree width − 1.
-func ToDecomposition(t *Tree, jg *joingraph.JoinGraph) *treedec.Decomposition {
+func ToDecomposition(t *Tree, jg *JoinGraph) *treedec.Decomposition {
 	var bags [][]int
 	var adj [][]int
 	var build func(n *Node) int
@@ -383,7 +385,7 @@ func (t *Tree) ToPlan() plan.Node {
 
 // sortedVertices appends the join-graph vertices of vars to dst, in
 // ascending order.
-func sortedVertices(dst []int, jg *joingraph.JoinGraph, vars []cq.Var) []int {
+func sortedVertices(dst []int, jg *JoinGraph, vars []cq.Var) []int {
 	lo := len(dst)
 	for _, v := range vars {
 		if i, ok := jg.Index[v]; ok {

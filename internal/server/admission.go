@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"projpush/internal/acyclic"
 	"projpush/internal/cq"
 	"projpush/internal/engine"
 	"projpush/internal/jointree"
@@ -90,7 +89,7 @@ const (
 // more free assignments than any bag holds. On this arm v also gets the
 // sum of every bag's bound, the work budget the route runs leapfrog under.
 func sizeRule(v *Verdict, s *jointree.Structure, c *cover) {
-	if s.Width < 2 || acyclic.IsAcyclic(s.Query) {
+	if s.Width < 2 || jointree.IsAcyclic(s.Query) {
 		return // a join graph of width under 2 is a forest
 	}
 	perVar := 0.0 // log2(max |R|)

@@ -12,13 +12,13 @@ import (
 	"strings"
 	"testing"
 
-	"projpush/internal/acyclic"
 	"projpush/internal/core"
 	"projpush/internal/cq"
 	"projpush/internal/cqparse"
 	"projpush/internal/engine"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/jointree"
 	"projpush/internal/plan"
 	"projpush/internal/relation"
 	"projpush/internal/resilience"
@@ -359,8 +359,8 @@ func TestNoGainTierTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The union-find test agrees with GYO.
-		if acyclic.IsAcyclic(c.q) != (v.BagAGMLog2 == nil && v.FreeAGMLog2 == nil) {
-			t.Errorf("%s: acyclic %v, yet bounds bag %v free %v", c.name, acyclic.IsAcyclic(c.q), v.BagAGMLog2, v.FreeAGMLog2)
+		if jointree.IsAcyclic(c.q) != (v.BagAGMLog2 == nil && v.FreeAGMLog2 == nil) {
+			t.Errorf("%s: acyclic %v, yet bounds bag %v free %v", c.name, jointree.IsAcyclic(c.q), v.BagAGMLog2, v.FreeAGMLog2)
 		}
 		family, _, _ := strings.Cut(c.name, "-")
 		if want, ok := structured[family]; ok && !strings.Contains(c.name, "/") && method != want {

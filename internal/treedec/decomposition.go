@@ -41,19 +41,6 @@ func (d *Decomposition) Width() int {
 	return w - 1
 }
 
-// Clone returns a deep copy.
-func (d *Decomposition) Clone() *Decomposition {
-	c := &Decomposition{
-		Bags: make([][]int, len(d.Bags)),
-		Adj:  make([][]int, len(d.Adj)),
-	}
-	for i := range d.Bags {
-		c.Bags[i] = append([]int(nil), d.Bags[i]...)
-		c.Adj[i] = append([]int(nil), d.Adj[i]...)
-	}
-	return c
-}
-
 // bagHas reports membership in a sorted bag.
 func bagHas(bag []int, v int) bool {
 	i := sort.SearchInts(bag, v)
@@ -184,54 +171,6 @@ func (d *Decomposition) Validate(g *graph.Graph) error {
 		}
 	}
 	return nil
-}
-
-// Path returns the unique tree path between nodes i and j (inclusive),
-// or nil if they are disconnected.
-func (d *Decomposition) Path(i, j int) []int {
-	if i == j {
-		return []int{i}
-	}
-	parent := make([]int, len(d.Bags))
-	for k := range parent {
-		parent[k] = -1
-	}
-	parent[i] = i
-	queue := []int{i}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range d.Adj[u] {
-			if parent[w] == -1 {
-				parent[w] = u
-				if w == j {
-					var path []int
-					for x := j; ; x = parent[x] {
-						path = append(path, x)
-						if x == i {
-							break
-						}
-					}
-					for a, b := 0, len(path)-1; a < b; a, b = a+1, b-1 {
-						path[a], path[b] = path[b], path[a]
-					}
-					return path
-				}
-				queue = append(queue, w)
-			}
-		}
-	}
-	return nil
-}
-
-// Trivial returns the one-bag decomposition containing all vertices of g —
-// always valid, with width n−1.
-func Trivial(g *graph.Graph) *Decomposition {
-	bag := make([]int, g.N)
-	for i := range bag {
-		bag[i] = i
-	}
-	return &Decomposition{Bags: [][]int{bag}, Adj: [][]int{nil}}
 }
 
 // sortedSet sorts and deduplicates a vertex list in place, returning it.

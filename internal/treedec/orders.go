@@ -152,11 +152,6 @@ func liveSets(g *graph.Graph) *liveRows {
 	return lr
 }
 
-// has reports whether the live edge (u,v) exists.
-func (lr *liveRows) has(u, v int) bool {
-	return lr.rows[u][v>>6]>>uint(v&63)&1 == 1
-}
-
 // degree returns the live degree of v.
 func (lr *liveRows) degree(v int) int {
 	d := 0

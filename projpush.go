@@ -40,7 +40,6 @@ import (
 	"projpush/internal/cq"
 	"projpush/internal/engine"
 	"projpush/internal/graph"
-	"projpush/internal/hypertree"
 	"projpush/internal/instance"
 	"projpush/internal/jointree"
 	"projpush/internal/minibucket"
@@ -370,8 +369,12 @@ func AnalyzeStructure(q *Query) (*StructuralReport, error) {
 // HypertreeWidth estimates the query's generalized hypertree width
 // (greedy atom covers over an MCS tree decomposition).
 func HypertreeWidth(q *Query) (int, error) {
-	w, _, err := hypertree.Estimate(q)
-	return w, err
+	s, err := jointree.Analyze(q)
+	if err != nil {
+		return 0, err
+	}
+	_, w := s.Guards()
+	return w, nil
 }
 
 // ReadDIMACSGraph parses a DIMACS .col graph.
