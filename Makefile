@@ -90,7 +90,13 @@ vet:
 # Decomposition type, Estimate and unreachable errors, treedec.Trivial,
 # Decomposition.Clone and Decomposition.Path, none of which non-test code
 # called, went.
-LOC_CEILING = 18415
+# Raised 18415 -> 18454 by preparing the leapfrog join once per compiled
+# text: 39 lines — the plan a Fallback holds and revalidates per run
+# (wplan, its lead atoms and its check against the run's database,
+# relation.SameArena) net of the per-run prepare it replaces — for x1.55
+# throughput on structured-families, x1.38 on fleet-structured and x1.15
+# on cyclic-dense (CHANGES.md has the runs).
+LOC_CEILING = 18454
 # The package count (cmd/, examples/ and the facade included), under the
 # same rule: a package split out of another needs one folded or deleted,
 # or PKG_CEILING raised in the same diff. Set to 35 when joingraph,

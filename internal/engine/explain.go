@@ -141,40 +141,36 @@ func explainYannakakis(tree *jointree.Tree, db cq.Database, opt Options, analyze
 // executes under opt and each level is annotated with its seek and
 // extension counts, followed by the run's totals and the memory/tuples
 // trailers the other executors report.
-func explainWCOJ(s *jointree.Structure, steps int64, db cq.Database, opt Options, analyze bool) (string, error) {
+func explainWCOJ(l *leapfrog, db cq.Database, opt Options, analyze bool) (string, error) {
 	var ex *wexec
+	p, err := l.plan(db)
 	if analyze {
-		_, x, err := execWCOJ(context.Background(), s, steps, db, opt)
-		if err != nil {
-			return "", err
-		}
-		ex = x
-	} else {
-		ex = newWexec(context.Background(), s, steps, db, opt)
-		if err := ex.prepare(); err != nil {
-			return "", err
-		}
+		_, ex, err = l.exec(context.Background(), db, opt)
+		p = ex.p
+	}
+	if err != nil {
+		return "", err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "wcoj leapfrog  vars=%d free=%d atoms=%d\n",
-		len(ex.vars), ex.freeCut, len(ex.atoms))
-	for d, lv := range ex.levels {
+		len(p.vars), p.freeCut, len(p.atoms))
+	for d, v := range p.vars {
 		mark := ""
-		if d >= ex.freeCut {
+		if d >= p.freeCut {
 			mark = " ∃"
 		}
-		fmt.Fprintf(&b, "  level x%d%s ", lv.v, mark)
-		for _, a := range lv.atoms {
-			fmt.Fprintf(&b, " %s", a.atom)
+		fmt.Fprintf(&b, "  level x%d%s ", v, mark)
+		for _, e := range p.levels[d] {
+			fmt.Fprintf(&b, " %s", &p.q.Atoms[e.atom])
 		}
 		if analyze {
-			fmt.Fprintf(&b, "  seeks=%d extensions=%d", lv.seeks, lv.extensions)
+			fmt.Fprintf(&b, "  seeks=%d extensions=%d", ex.seeks[d], ex.extensions[d])
 		}
 		b.WriteString("\n")
 	}
 	if analyze {
 		fmt.Fprintf(&b, "seeks: total=%d extensions=%d\n", ex.stats.Seeks, ex.stats.Extensions)
-		fmt.Fprintf(&b, "indexes: %d shared by %d atoms\n", ex.indexes, len(ex.atoms))
+		fmt.Fprintf(&b, "indexes: %d shared by %d atoms\n", ex.indexes, len(p.atoms))
 		fmt.Fprintf(&b, "memory: %d bytes materialized, peak %d live", ex.stats.Bytes, ex.stats.PeakBytes)
 		if opt.MaxBytes > 0 {
 			fmt.Fprintf(&b, " (budget %d)", opt.MaxBytes)

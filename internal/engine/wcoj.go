@@ -16,12 +16,13 @@
 // The variable order is treedec-informed and smallest-domain-first: the
 // query's MCS order seeded with the target schema (jointree.Structure's
 // Order: the paper's Section 5 order, which puts the free variables
-// first), computed once per query, with each block stably reordered per
-// run by an upper bound on the variable's domain. Free variables occupy the
-// order's prefix, so the first level at which every output attribute's
-// support is complete is exactly len(Free): below it the executor stops
-// at the first witness per assignment (early projection as existence
-// checking) instead of enumerating the full expansion.
+// first), computed once per query, with each block stably reordered by an
+// upper bound on the variable's domain once per plan (wplan), revalidated
+// per run. Free variables occupy the order's prefix, so the first level
+// at which every output attribute's support is complete is exactly
+// len(Free): below it the executor stops at the first witness per
+// assignment (early projection as existence checking) instead of
+// enumerating the full expansion.
 //
 // Like the other executors: every loop polls the shared Limit at the
 // relation.CheckInterval cadence (context cancellation, deadline), output
@@ -35,6 +36,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"projpush/internal/cq"
 	"projpush/internal/faultinject"
@@ -42,80 +44,52 @@ import (
 	"projpush/internal/relation"
 )
 
-// wcojAtom is one atom's execution state: the bound relation, its sorted
-// index (columns ordered by the global variable order), and a bracket
-// stack — lo[k],hi[k) is the index range consistent with the bindings of
-// the atom's first k variables; lo[0],hi[0) is the whole index.
-type wcojAtom struct {
-	atom *cq.Atom
-	rel  *relation.Relation
-	cols []relation.Attr // the atom's variables in global-order sequence
-	ix   *relation.SortedIndex
-	lo   []int
-	hi   []int
+// wplan is the leapfrog join's request-independent part, fixed by the
+// structure and the stored relations; runs over the same arenas share it.
+type wplan struct {
+	q       *cq.Query
+	srcs    []int // the first atom over each relation name
+	atoms   []planAtom
+	vars    []cq.Var      // the global variable order
+	freeCut int           // levels [0,freeCut) are free; below it, existence only
+	empty   bool          // some bound relation is empty: the answer is empty
+	levels  [][]planEntry // per variable, the atoms whose intersection constrains it
+	outSrc  []int         // output column -> level index
+	slots   int           // bracket slots: Σ (arity+1) over the atoms
+	scanned Stats         // what binding the atoms observes
 }
 
-// wcojLevel is one variable of the global order with the atoms whose
-// intersection defines the variable's candidate values.
-type wcojLevel struct {
-	v     cq.Var
-	atoms []*wcojAtom
-	depth []int // local index depth of v in the corresponding atom
-	pos   []int // scratch: current index position per atom
-	end   []int // scratch: end of the current value's run per atom
-
-	// seeks counts SeekGE/SeekGT calls at this level, extensions the
-	// values that survived the intersection — the leapfrog analogue of
-	// probe work and output fanout, rendered by EXPLAIN ANALYZE.
-	seeks, extensions int64
+// planAtom is one atom of a plan: its relation and bound view (a lead's
+// only), its variables in global order (its sorted index's columns), its
+// first bracket slot, and its lead: the first atom reading the same index.
+type planAtom struct {
+	src, rel *relation.Relation
+	cols     []relation.Attr
+	br, lead int
 }
 
-// wexec is the worst-case-optimal executor's state: the run governor plus
-// the variable order and the per-level leapfrog state.
-type wexec struct {
-	governor
-	s     *jointree.Structure
-	limit *relation.Limit
+// planEntry is an atom's part in a level: the variable's depth and slot.
+type planEntry struct{ atom, depth, br int }
 
-	steps   int64 // the seek budget (NewWCOJ); 0 is none
-	vars    []cq.Var
-	freeCut int // levels [0,freeCut) are free; below it, existence only
-	atoms   []*wcojAtom
-	levels  []*wcojLevel
-	assign  []relation.Value
-	empty   bool // some bound relation is empty: the answer is empty
-	indexes int  // distinct sorted indexes read; atoms on one arena and order share
-
-	out      *relation.Relation
-	outBuf   relation.Tuple
-	outSrc   []int // output column -> level index
-	outBytes int64
-}
-
-func newWexec(ctx context.Context, s *jointree.Structure, steps int64, db cq.Database, opt Options) *wexec {
-	ex := &wexec{s: s, steps: steps}
-	ex.govern(ctx, db, opt)
-	ex.limit = ex.lim(&ex.stats.Work)
-	return ex
-}
-
-// prepare binds the atoms and fixes the global variable order and the
+// newPlan binds the atoms and fixes the global variable order and the
 // per-level intersection structure; it does not build indexes or touch
 // tuples, so EXPLAIN without ANALYZE can render the order cheaply.
-func (ex *wexec) prepare() error {
-	q := ex.s.Query
-	ex.atoms = make([]*wcojAtom, len(q.Atoms))
+func newPlan(s *jointree.Structure, db cq.Database) (*wplan, error) {
+	q := s.Query
+	p := &wplan{q: q, atoms: make([]planAtom, len(q.Atoms)), freeCut: len(q.Free)}
+	g := governor{db: db}
 	dom := make(map[cq.Var]int) // domain upper bound: min |R| over atoms
 	for i := range q.Atoms {
 		a := &q.Atoms[i]
-		rel, err := ex.scan(&ex.stats, a)
+		rel, err := g.scan(&p.scanned, a)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		ex.atoms[i] = &wcojAtom{atom: a, rel: rel}
-		if rel.Empty() {
-			ex.empty = true
+		p.atoms[i].src, p.atoms[i].rel = db[a.Rel], rel
+		if !slices.ContainsFunc(p.srcs, func(j int) bool { return q.Atoms[j].Rel == a.Rel }) {
+			p.srcs = append(p.srcs, i)
 		}
+		p.empty = p.empty || rel.Empty()
 		for _, v := range a.Args {
 			if d, ok := dom[v]; !ok || rel.Len() < d {
 				dom[v] = rel.Len()
@@ -127,56 +101,82 @@ func (ex *wexec) prepare() error {
 	// reordered smallest-domain-first. Any global order is correct for
 	// the generic join; small domains first shrink the branching near the
 	// root.
-	ex.freeCut = len(q.Free)
-	if ex.freeCut > len(ex.s.Order) {
-		return fmt.Errorf("engine: wcoj order shorter than the target schema")
+	if p.freeCut > len(s.Order) {
+		return nil, fmt.Errorf("engine: wcoj order shorter than the target schema")
 	}
 	byDomain := func(block []cq.Var) {
 		sort.SliceStable(block, func(i, j int) bool { return dom[block[i]] < dom[block[j]] })
 	}
-	ex.vars = append([]cq.Var(nil), ex.s.Order...)
-	byDomain(ex.vars[:ex.freeCut])
-	byDomain(ex.vars[ex.freeCut:])
+	p.vars = slices.Clone(s.Order)
+	byDomain(p.vars[:p.freeCut])
+	byDomain(p.vars[p.freeCut:])
 
-	levelOf := make(map[cq.Var]int, len(ex.vars))
-	ex.levels = make([]*wcojLevel, len(ex.vars))
-	for d, v := range ex.vars {
+	levelOf := make(map[cq.Var]int, len(p.vars))
+	for d, v := range p.vars {
 		levelOf[v] = d
-		ex.levels[d] = &wcojLevel{v: v}
 	}
-	for _, a := range ex.atoms {
+	p.levels = make([][]planEntry, len(p.vars))
+	for i := range p.atoms {
+		a := &p.atoms[i]
 		// The atom's index columns, in global order; its k-th column is
 		// its local depth k.
-		args := append([]cq.Var(nil), a.atom.Args...)
-		sort.Slice(args, func(i, j int) bool { return levelOf[args[i]] < levelOf[args[j]] })
-		a.cols = args
-		for k, v := range args {
-			lv := ex.levels[levelOf[v]]
-			lv.atoms = append(lv.atoms, a)
-			lv.depth = append(lv.depth, k)
+		a.cols = slices.Clone(q.Atoms[i].Args)
+		sort.Slice(a.cols, func(i, j int) bool { return levelOf[a.cols[i]] < levelOf[a.cols[j]] })
+		a.br, p.slots, a.lead = p.slots, p.slots+len(a.cols)+1, i
+		for k, v := range a.cols {
+			p.levels[levelOf[v]] = append(p.levels[levelOf[v]], planEntry{i, k, a.br + k})
 		}
-		a.lo = make([]int, len(args)+1)
-		a.hi = make([]int, len(args)+1)
+		for j := range i { // a lead over the same arena and column positions
+			if b := &p.atoms[j]; b.lead == j && b.rel.SameArena(a.rel) && slices.EqualFunc(a.cols, b.cols,
+				func(x, y relation.Attr) bool { return a.rel.Pos(x) == b.rel.Pos(y) }) {
+				a.lead, a.rel = j, nil
+				break
+			}
+		}
 	}
-	for _, lv := range ex.levels {
-		if len(lv.atoms) == 0 {
+	for d, lv := range p.levels {
+		if len(lv) == 0 {
 			// Unreachable for validated queries (every free variable occurs
 			// in an atom), but an unconstrained variable would mean an
 			// infinite domain — fail loudly rather than loop.
-			return fmt.Errorf("engine: wcoj variable x%d constrained by no atom", lv.v)
+			return nil, fmt.Errorf("engine: wcoj variable x%d constrained by no atom", p.vars[d])
 		}
-		lv.pos = make([]int, len(lv.atoms))
-		lv.end = make([]int, len(lv.atoms))
 	}
 
-	ex.assign = make([]relation.Value, len(ex.vars))
-	ex.out = relation.New(q.Free)
-	ex.outBuf = make(relation.Tuple, len(q.Free))
-	ex.outSrc = make([]int, len(q.Free))
+	p.outSrc = make([]int, len(q.Free))
 	for i, v := range q.Free {
-		ex.outSrc[i] = levelOf[v]
+		p.outSrc[i] = levelOf[v]
 	}
-	return nil
+	return p, nil
+}
+
+// wcojAtom is one atom as a run reads it: the atom and its sorted index.
+type wcojAtom struct {
+	atom *cq.Atom
+	ix   *relation.SortedIndex
+}
+
+// wexec is one run of the leapfrog join: the governor, the plan, and the
+// request's own state in a few flat slices.
+type wexec struct {
+	governor
+	p       *wplan
+	limit   *relation.Limit
+	steps   int64 // the seek budget (NewWCOJ); 0 is none
+	atoms   []wcojAtom
+	indexes int // distinct sorted indexes read; atoms on one arena and order share
+	// Per bracket slot a.br+k: [lo,hi) is the index range consistent with
+	// atom a's first k bindings, pos and end the cursor and the run its
+	// k-th variable's level is at.
+	lo, hi, pos, end []int
+	// seeks counts SeekGE/SeekGT calls per level, extensions the values
+	// that survived the level's intersection — the leapfrog analogue of
+	// probe work and output fanout, rendered by EXPLAIN ANALYZE.
+	seeks, extensions []int64
+	assign            []relation.Value
+	out               *relation.Relation
+	outBuf            relation.Tuple
+	outBytes          int64
 }
 
 // execute looks the atoms' sorted indexes up and runs the leapfrog
@@ -185,31 +185,32 @@ func (ex *wexec) prepare() error {
 // order — the triangle's e(x,y) and e(y,z) — share it, each with its own
 // brackets. Each distinct index passes the kernel's fault points.
 func (ex *wexec) execute() error {
-	if ex.empty {
+	if ex.p.empty {
 		return nil
 	}
-	for i, a := range ex.atoms {
-		if a.rel.Arity() == 0 {
+	for i := range ex.p.atoms {
+		a := &ex.p.atoms[i]
+		if len(a.cols) == 0 {
 			// A nonempty arity-0 atom is a satisfied Boolean factor.
 			continue
 		}
-		ix, err := a.rel.SortedIndex(a.cols)
-		if err != nil {
-			return err
+		ix := ex.atoms[a.lead].ix
+		if a.lead == i {
+			var err error
+			if ix, err = a.rel.SortedIndex(a.cols); err != nil {
+				return err
+			}
+			ex.indexes++
+			if err := ex.limit.Interrupted(); err != nil {
+				return err
+			}
+			faultinject.Sleep(faultinject.LatencyKernel)
+			if faultinject.FailAlloc(faultinject.AllocJoin) {
+				return fmt.Errorf("%w: injected allocation failure", relation.ErrMemBudget)
+			}
 		}
-		a.ix = ix
-		a.lo[0], a.hi[0] = 0, ix.Len()
-		if slices.ContainsFunc(ex.atoms[:i], func(b *wcojAtom) bool { return b.ix == ix }) {
-			continue
-		}
-		ex.indexes++
-		if err := ex.limit.Interrupted(); err != nil {
-			return err
-		}
-		faultinject.Sleep(faultinject.LatencyKernel)
-		if faultinject.FailAlloc(faultinject.AllocJoin) {
-			return fmt.Errorf("%w: injected allocation failure", relation.ErrMemBudget)
-		}
+		ex.atoms[i] = wcojAtom{&ex.p.q.Atoms[i], ix}
+		ex.lo[a.br], ex.hi[a.br] = 0, ix.Len()
 	}
 	ex.stats.Joins++
 	return ex.enumerate(0)
@@ -221,7 +222,7 @@ func (ex *wexec) execute() error {
 // (exists) and the assignment is emitted — the executor's early
 // projection.
 func (ex *wexec) enumerate(d int) error {
-	if d == ex.freeCut {
+	if d == ex.p.freeCut {
 		found, err := ex.exists(d)
 		if err != nil {
 			return err
@@ -240,7 +241,7 @@ func (ex *wexec) enumerate(d int) error {
 // exists reports whether the current partial assignment extends to a full
 // one, stopping at the first witness.
 func (ex *wexec) exists(d int) (bool, error) {
-	if d == len(ex.vars) {
+	if d == len(ex.p.vars) {
 		return true, nil
 	}
 	return ex.intersect(d, func() (bool, error) {
@@ -256,21 +257,20 @@ func (ex *wexec) exists(d int) (bool, error) {
 // existence check's first witness); intersect reports whether it was
 // stopped.
 func (ex *wexec) intersect(d int, visit func() (bool, error)) (bool, error) {
-	lv := ex.levels[d]
-	for i, a := range lv.atoms {
-		k := lv.depth[i]
-		if a.lo[k] >= a.hi[k] {
+	ent, lo, hi, pos, end := ex.p.levels[d], ex.lo, ex.hi, ex.pos, ex.end
+	for _, e := range ent {
+		if lo[e.br] >= hi[e.br] {
 			return false, nil
 		}
-		lv.pos[i] = a.lo[k]
+		pos[e.br] = lo[e.br]
 	}
 	for {
 		// The current candidate is the maximum of the atoms' cursor
 		// values; any atom below it can never match a smaller value.
-		vmax := lv.atoms[0].ix.Value(lv.pos[0], lv.depth[0])
+		vmax := ex.atoms[ent[0].atom].ix.Value(pos[ent[0].br], ent[0].depth)
 		allEqual := true
-		for i := 1; i < len(lv.atoms); i++ {
-			v := lv.atoms[i].ix.Value(lv.pos[i], lv.depth[i])
+		for _, e := range ent[1:] {
+			v := ex.atoms[e.atom].ix.Value(pos[e.br], e.depth)
 			if v != vmax {
 				allEqual = false
 				if v > vmax {
@@ -279,15 +279,14 @@ func (ex *wexec) intersect(d int, visit func() (bool, error)) (bool, error) {
 			}
 		}
 		if !allEqual {
-			for i, a := range lv.atoms {
-				k := lv.depth[i]
-				if a.ix.Value(lv.pos[i], k) < vmax {
-					lv.pos[i] = a.ix.SeekGE(k, lv.pos[i], a.hi[k], vmax)
-					lv.seeks++
+			for _, e := range ent {
+				if ix := ex.atoms[e.atom].ix; ix.Value(pos[e.br], e.depth) < vmax {
+					pos[e.br] = ix.SeekGE(e.depth, pos[e.br], hi[e.br], vmax)
+					ex.seeks[d]++
 					if err := ex.tick(); err != nil {
 						return false, err
 					}
-					if lv.pos[i] >= a.hi[k] {
+					if pos[e.br] >= hi[e.br] {
 						return false, nil
 					}
 				}
@@ -296,17 +295,16 @@ func (ex *wexec) intersect(d int, visit func() (bool, error)) (bool, error) {
 		}
 		// All atoms agree on vmax: narrow each bracket to its run and
 		// descend.
-		for i, a := range lv.atoms {
-			k := lv.depth[i]
-			lv.end[i] = a.ix.SeekGT(k, lv.pos[i], a.hi[k], vmax)
-			lv.seeks++
+		for _, e := range ent {
+			end[e.br] = ex.atoms[e.atom].ix.SeekGT(e.depth, pos[e.br], hi[e.br], vmax)
+			ex.seeks[d]++
 			if err := ex.tick(); err != nil {
 				return false, err
 			}
-			a.lo[k+1], a.hi[k+1] = lv.pos[i], lv.end[i]
+			lo[e.br+1], hi[e.br+1] = pos[e.br], end[e.br]
 		}
 		ex.assign[d] = vmax
-		lv.extensions++
+		ex.extensions[d]++
 		if ex.steps > 0 && ex.ticks > ex.steps {
 			return false, ErrWorkLimit
 		}
@@ -314,10 +312,8 @@ func (ex *wexec) intersect(d int, visit func() (bool, error)) (bool, error) {
 		if err != nil || stop {
 			return stop, err
 		}
-		for i, a := range lv.atoms {
-			k := lv.depth[i]
-			lv.pos[i] = lv.end[i]
-			if lv.pos[i] >= a.hi[k] {
+		for _, e := range ent {
+			if pos[e.br] = end[e.br]; pos[e.br] >= hi[e.br] {
 				return false, nil
 			}
 		}
@@ -327,7 +323,7 @@ func (ex *wexec) intersect(d int, visit func() (bool, error)) (bool, error) {
 // emit writes the current free-variable assignment into the output,
 // charging growth against the byte budget and the row cap.
 func (ex *wexec) emit() error {
-	for i, src := range ex.outSrc {
+	for i, src := range ex.p.outSrc {
 		ex.outBuf[i] = ex.assign[src]
 	}
 	ex.out.Add(ex.outBuf)
@@ -340,14 +336,21 @@ func (ex *wexec) emit() error {
 	return nil
 }
 
-// run executes prepare + execute, panic-isolated, charging the seeks the
-// governor ticked into Work on every exit path.
-func (ex *wexec) run() (err error) {
+// run takes l's plan for the database and executes it, panic-isolated,
+// charging the seeks the governor ticked into Work on every exit path.
+func (ex *wexec) run(l *leapfrog) (err error) {
 	defer relation.RecoverPanic(&err)
 	defer func() { ex.limit.Charge(ex.ticks) }()
-	if err := ex.prepare(); err != nil {
+	p, err := l.plan(ex.db)
+	if err != nil {
 		return err
 	}
+	ex.p, ex.stats = p, p.scanned
+	n, ints, counts := p.slots, make([]int, 4*p.slots), make([]int64, 2*len(p.vars))
+	ex.lo, ex.hi, ex.pos, ex.end = ints[:n], ints[n:2*n], ints[2*n:3*n], ints[3*n:]
+	ex.seeks, ex.extensions = counts[:len(p.vars)], counts[len(p.vars):]
+	ex.atoms, ex.assign = make([]wcojAtom, len(p.atoms)), make([]relation.Value, len(p.vars))
+	ex.out, ex.outBuf = relation.New(p.q.Free), make(relation.Tuple, len(p.q.Free))
 	if err := ex.execute(); err != nil {
 		return err
 	}
@@ -355,12 +358,40 @@ func (ex *wexec) run() (err error) {
 	return nil
 }
 
-func execWCOJ(ctx context.Context, s *jointree.Structure, steps int64, db cq.Database, opt Options) (*Result, *wexec, error) {
-	ex := newWexec(ctx, s, steps, db, opt)
-	err := ex.run()
-	for _, lv := range ex.levels {
-		ex.stats.Seeks += lv.seeks
-		ex.stats.Extensions += lv.extensions
+// leapfrog is one analyzed query's leapfrog join: its seek budget and the
+// plan its runs last built, which concurrent runs share (runs that find it
+// stale at once each build one, and the last is held).
+type leapfrog struct {
+	s     *jointree.Structure
+	steps int64
+	held  atomic.Pointer[wplan]
+}
+
+// plan returns the held plan if db binds each relation name it read to the
+// same relation over the same arena (an insert, an in-place compaction or
+// a rel block changes it), and otherwise builds and holds a new one.
+func (l *leapfrog) plan(db cq.Database) (*wplan, error) {
+	if p := l.held.Load(); p != nil && !slices.ContainsFunc(p.srcs, func(i int) bool {
+		a := &p.atoms[i]
+		return db[p.q.Atoms[i].Rel] != a.src || !a.src.SameArena(p.atoms[a.lead].rel)
+	}) {
+		return p, nil
+	}
+	p, err := newPlan(l.s, db)
+	if err == nil {
+		l.held.Store(p)
+	}
+	return p, err
+}
+
+func (l *leapfrog) exec(ctx context.Context, db cq.Database, opt Options) (*Result, *wexec, error) {
+	ex := &wexec{steps: l.steps}
+	ex.govern(ctx, db, opt)
+	ex.limit = ex.lim(&ex.stats.Work)
+	err := ex.run(l)
+	for d := range ex.seeks {
+		ex.stats.Seeks += ex.seeks[d]
+		ex.stats.Extensions += ex.extensions[d]
 	}
 	res, err := ex.finish(ex.out, err)
 	return res, ex, err
@@ -380,18 +411,23 @@ func ExecWCOJContext(ctx context.Context, q *cq.Query, db cq.Database, opt Optio
 // evaluates it under the structure's MCS/smallest-domain variable order:
 // total work within the AGM output bound, no binary-join intermediates.
 // Errors are classified like the other executors'; the Result is never
-// nil. Explain renders the variable order (explainWCOJ). Every run starts
-// from the structure, which nothing writes, so one value serves concurrent
-// requests. A positive steps caps a run's seeks: one that spends them
-// before it finishes fails with ErrWorkLimit, which degrades; 0 is no cap.
+// nil. Explain renders the variable order (explainWCOJ). The order is
+// fixed once per plan, revalidated per run: a run over the arenas the held
+// plan read reuses it, so one value serves concurrent requests. A positive
+// steps caps a run's seeks: one that spends them before it finishes fails
+// with ErrWorkLimit, which degrades; 0 is no cap.
 func NewWCOJ(s *jointree.Structure, steps int64) Fallback {
+	return (&leapfrog{s: s, steps: steps}).fallback()
+}
+
+func (l *leapfrog) fallback() Fallback {
 	return Fallback{
 		Run: func(ctx context.Context, db cq.Database, opt Options) (*Result, error) {
-			res, _, err := execWCOJ(ctx, s, steps, db, opt)
+			res, _, err := l.exec(ctx, db, opt)
 			return res, err
 		},
 		Explain: func(db cq.Database, opt Options, analyze bool) (string, error) {
-			return explainWCOJ(s, steps, db, opt, analyze)
+			return explainWCOJ(l, db, opt, analyze)
 		},
 	}
 }

@@ -303,10 +303,13 @@ func TestWCOJSharesIndexes(t *testing.T) {
 }
 
 // TestWCOJResidentIndexesConcurrent runs the triangle over one stored e
-// from 8 goroutines at once, each binding its own views, under -race in
-// `make test`: every run gets the same answer and Seeks, and all of them
-// read exactly one index per (arena, column order) — two, built once,
-// the same pointers in every run — whose bytes the arena reports.
+// from 8 goroutines at once, under -race in `make test` and CI. They share
+// one leapfrog join, the state NewWCOJ's Fallback closes over, whose plan
+// a static Explain has built (and no index): each runs it once directly
+// and once through the Fallback. Every run gets the same answer and Seeks
+// and reads that plan, and all of them read exactly one index per (arena,
+// column order) — two, built once, the same pointers in every run — whose
+// bytes the arena reports.
 func TestWCOJResidentIndexesConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	e := relation.New([]relation.Attr{0, 1})
@@ -322,14 +325,22 @@ func TestWCOJResidentIndexesConcurrent(t *testing.T) {
 	const runs = 8
 	results := make([]*Result, runs)
 	execs := make([]*wexec, runs)
+	shared := &leapfrog{s: s}
+	f := shared.fallback()
+	if _, err := f.Explain(db, Options{}, false); err != nil || e.ResidentIndexBytes() != 0 {
+		t.Fatalf("a static Explain: %v, %d resident index bytes, want none", err, e.ResidentIndexBytes())
+	}
 	var wg sync.WaitGroup
 	for g := range runs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var err error
-			if results[g], execs[g], err = execWCOJ(context.Background(), s, 0, db, Options{}); err != nil {
+			if results[g], execs[g], err = shared.exec(context.Background(), db, Options{}); err != nil {
 				t.Error(err)
+			}
+			if res, err := f.Run(context.Background(), db, Options{}); err != nil || !res.Rel.Equal(want) {
+				t.Errorf("run %d through the Fallback: %v", g, err)
 			}
 		}()
 	}
@@ -342,6 +353,9 @@ func TestWCOJResidentIndexesConcurrent(t *testing.T) {
 		if !results[g].Rel.Equal(want) || results[g].Stats.Seeks != results[0].Stats.Seeks {
 			t.Errorf("run %d: %d rows %d seeks, want the oracle's %d rows and run 0's %d seeks",
 				g, results[g].Rel.Len(), results[g].Stats.Seeks, want.Len(), results[0].Stats.Seeks)
+		}
+		if execs[g].p != shared.held.Load() {
+			t.Errorf("run %d read a plan of its own", g)
 		}
 		for k, a := range execs[g].atoms {
 			distinct[a.ix] = true
@@ -414,6 +428,121 @@ func TestWCOJFaultArmOnWarmIndex(t *testing.T) {
 	if faultinject.Calls(faultinject.AllocJoin) == 0 {
 		t.Fatal("join.alloc was never drawn")
 	}
+
+	// The same through one Fallback, whose plan holds the warm index: the
+	// draw is per run, not per plan.
+	faultinject.Disable()
+	f := NewWCOJ(mustAnalyze(t, q), 0)
+	if _, err := f.Run(context.Background(), db, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.Enable("join.alloc=1", 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Run(context.Background(), db, Options{}); !errors.Is(err, ErrMemLimit) {
+		t.Fatalf("join.alloc=1 on a held plan: err = %v, want ErrMemLimit", err)
+	}
+	if faultinject.Calls(faultinject.AllocJoin) == 0 {
+		t.Fatal("join.alloc was never drawn on a held plan")
+	}
+}
+
+// TestWCOJPlanNeverStale runs one Fallback over a database A, again over
+// A, over a database B that binds t to a smaller relation with other rows,
+// over A again, and over A after an insert into r. The second run reuses
+// the first's plan; the others find the held plan stale and build their
+// own. Every answer is the
+// oracle's, and every static Explain is what a fresh Fallback renders for
+// that database: A and B put the existential variables in opposite orders.
+func TestWCOJPlanNeverStale(t *testing.T) {
+	rows := func(xs, ys []relation.Value) *relation.Relation {
+		r := relation.New([]relation.Attr{0, 1})
+		for _, x := range xs {
+			for _, y := range ys {
+				r.Add(relation.Tuple{x, y})
+			}
+		}
+		return r
+	}
+	span := func(lo, hi relation.Value) (vs []relation.Value) {
+		for v := lo; v < hi; v++ {
+			vs = append(vs, v)
+		}
+		return vs
+	}
+	// r(x0,x1) s(x1,x2) t(x2,x0): in A x1's domain (|r| = 10) is under
+	// x2's (|s| = 100), in B x2's (|t| = 6) is under x1's.
+	a := cq.Database{"r": rows(span(10, 15), span(0, 2)), "s": rows(span(0, 10), span(0, 10)), "t": rows(span(0, 10), span(10, 30))}
+	b := cq.Database{"r": a["r"], "s": a["s"], "t": rows(span(0, 3), span(10, 12))}
+	s := mustAnalyze(t, cycleOver("r", "s", "t"))
+	l := &leapfrog{s: s}
+	f := l.fallback()
+	run := func(name string, db cq.Database) (*wplan, string) {
+		t.Helper()
+		res, err := f.Run(context.Background(), db, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want, err := EvalOracle(s.Query, db); err != nil || !res.Rel.Equal(want) {
+			t.Errorf("%s: %d rows, want the oracle's %d (err %v)", name, res.Rel.Len(), want.Len(), err)
+		}
+		got, err := f.Explain(db, Options{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh, _ := NewWCOJ(s, 0).Explain(db, Options{}, false); got != fresh {
+			t.Errorf("%s: the held plan explains\n%s\na fresh one\n%s", name, got, fresh)
+		}
+		return l.held.Load(), got
+	}
+	planA, explainA := run("A", a)
+	if again, _ := run("A again", a); again != planA {
+		t.Error("a run over the same arenas built a new plan")
+	}
+	planB, explainB := run("B", b)
+	if planB == planA || explainB == explainA {
+		t.Errorf("B ran on A's plan, or in A's order:\n%s", explainB)
+	}
+	if back, _ := run("A after B", a); back == planB {
+		t.Error("A ran on B's plan")
+	}
+	held := l.held.Load()
+	a["r"].Add(relation.Tuple{20, 0}) // with t(0,20) and s(0,0): answer 20
+	if after, _ := run("A after an insert into r", a); after == held {
+		t.Error("the run after an insert reused the plan built before it")
+	}
+}
+
+// TestWCOJWarmRunAllocs: a warm run — one Fallback whose plan is built and
+// whose indexes are resident — allocates a few flat slices of per-request
+// state, so augladder-40 allocates no more per run than augladder-5 plus
+// a small constant, where binding the atoms per run allocated per atom.
+func TestWCOJWarmRunAllocs(t *testing.T) {
+	db := instance.ColorDatabase(3)
+	allocs := func(order int) float64 {
+		g := graph.AugmentedLadder(order)
+		q, err := instance.ColorQuery(g, instance.BooleanFree(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := NewWCOJ(mustAnalyze(t, q), 0)
+		run := func() {
+			if _, err := f.Run(context.Background(), db, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(20, run)
+	}
+	if small, large := allocs(5), allocs(40); large > small+4 {
+		t.Errorf("a warm run allocates %.0f times on augladder-40 and %.0f on augladder-5: per-request allocations grow with the atoms", large, small)
+	}
+}
+
+// execWCOJ is one run of s on a leapfrog join of its own, returning the
+// run's state.
+func execWCOJ(ctx context.Context, s *jointree.Structure, steps int64, db cq.Database, opt Options) (*Result, *wexec, error) {
+	return (&leapfrog{s: s, steps: steps}).exec(ctx, db, opt)
 }
 
 // mustAnalyze is jointree.Analyze for a query the test knows is valid.

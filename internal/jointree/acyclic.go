@@ -54,8 +54,10 @@ func gyo(q *cq.Query) bool {
 		edges[i] = make(map[cq.Var]bool, len(a.Args))
 		alive[i] = true
 		for _, v := range a.Args {
-			edges[i][v] = true
-			occ[v]++
+			if !edges[i][v] { // a variable counts once per hyperedge
+				edges[i][v] = true
+				occ[v]++
+			}
 		}
 	}
 	aliveCount := m

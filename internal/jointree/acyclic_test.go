@@ -50,7 +50,8 @@ func TestIsAcyclicHypergraph(t *testing.T) {
 // TestGraphPathAgreesWithGYO: IsAcyclic's union-find pass over binary
 // atoms agrees with GYO on parallel and reversed atoms, unary atoms,
 // repeated variables and disconnected components, and ternary atoms take
-// GYO itself.
+// GYO itself, which counts a variable once per atom however often the atom
+// repeats it.
 func TestGraphPathAgreesWithGYO(t *testing.T) {
 	atom := func(vs ...cq.Var) cq.Atom { return cq.Atom{Rel: fmt.Sprintf("r%d", len(vs)), Args: vs} }
 	for _, c := range []struct {
@@ -66,6 +67,8 @@ func TestGraphPathAgreesWithGYO(t *testing.T) {
 		{"ternary ear", []cq.Atom{atom(0, 1, 2), atom(0, 1), atom(2, 3)}, true},
 		{"ternary cycle", []cq.Atom{atom(0, 1, 2), atom(2, 3), atom(3, 0)}, false},
 		{"covered triangle", []cq.Atom{atom(0, 1, 2), atom(0, 1), atom(1, 2), atom(2, 0)}, true},
+		{"ternary path", []cq.Atom{atom(0, 3, 1), atom(1, 2, 4)}, true},
+		{"ternary path, repeated variables", []cq.Atom{atom(0, 0, 1), atom(1, 2, 2)}, true},
 	} {
 		q := &cq.Query{Atoms: c.atoms, Free: []cq.Var{0}}
 		if got := IsAcyclic(q); got != c.acyclic || got != gyo(q) {

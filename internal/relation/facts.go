@@ -56,6 +56,10 @@ func (r *Relation) factsOf() *arenaFacts {
 	return r.facts.Load()
 }
 
+// SameArena reports whether r and o share one arena's facts: views of one
+// stored relation whose rows no insert or compaction has changed since.
+func (r *Relation) SameArena(o *Relation) bool { return r.factsOf() == o.factsOf() }
+
 // columnIndex returns the index of column j, building it on first use.
 func (r *Relation) columnIndex(j int) *joinTable {
 	f := r.factsOf()

@@ -81,12 +81,13 @@ func (s *Server) compile(text, named string) (c *compiled, hit bool) {
 
 // compiledSize estimates the bytes a compiled query keeps reachable: the
 // parsed atoms, the structure (join graph, order, decomposition and join
-// tree), the admission and executed plans and the log fields all grow with
-// the atom count. Measured on the Figure 6–9 families at orders 5–40,
-// methodless and naming bucket elimination, it is 590–830 bytes per atom,
-// the most at order 5, where the fixed part weighs most; the text itself
-// is accounted by the memo.
-func compiledSize(q *cq.Query) int64 { return 1536 + 680*int64(len(q.Atoms)) }
+// tree), the admission and executed plans, a leapfrog plan once a run
+// builds it, and the log fields all grow with the atom count. Measured on
+// the Figure 6–9 families at orders 5–40, methodless and naming bucket
+// elimination or the leapfrog join, after one run: 580–830 bytes per atom,
+// 720–1050 with a leapfrog plan, the most at order 5, where the fixed part
+// weighs most; the text itself is accounted by the memo.
+func compiledSize(q *cq.Query) int64 { return 1536 + 760*int64(len(q.Atoms)) }
 
 // admissionPlan is the plan a request is admitted against: the named
 // method's, or for a methodless request the bucket-elimination plan under

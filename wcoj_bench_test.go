@@ -2,6 +2,7 @@ package projpush
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"projpush/internal/engine"
 	"projpush/internal/graph"
 	"projpush/internal/instance"
+	"projpush/internal/jointree"
 	"projpush/internal/relation"
 )
 
@@ -178,5 +180,44 @@ func BenchmarkWCOJEndToEndSize(b *testing.B) {
 			b.ReportMetric(float64(res.Stats.Seeks), "seeks")
 			b.ReportMetric(float64(res.Stats.Extensions), "extensions")
 		})
+	}
+}
+
+// BenchmarkWCOJWarmRun is what a compiled query's leapfrog join costs a
+// request once the text has run before: one NewWCOJ Fallback, run once
+// outside the clock (it builds the plan and warms the sorted indexes), then
+// b.N runs that reuse both. Boolean 3-COLOR on the paper's cyclic families,
+// the free_vars_under_bag route's traffic; allocs/op must not grow with
+// the order.
+func BenchmarkWCOJWarmRun(b *testing.B) {
+	db := instance.ColorDatabase(3)
+	for _, f := range []struct {
+		name string
+		gen  func(int) *graph.Graph
+	}{{"ladder", graph.Ladder}, {"augladder", graph.AugmentedLadder}, {"augcircladder", graph.AugmentedCircularLadder}} {
+		for _, order := range []int{10, 40} {
+			g := f.gen(order)
+			q, err := instance.ColorQuery(g, instance.BooleanFree(g))
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := jointree.Analyze(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			run := engine.NewWCOJ(s, 0).Run
+			b.Run(fmt.Sprintf("%s-%d", f.name, order), func(b *testing.B) {
+				if _, err := run(context.Background(), db, ybenchOpts); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := run(context.Background(), db, ybenchOpts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
