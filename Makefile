@@ -96,7 +96,13 @@ vet:
 # relation.SameArena) net of the per-run prepare it replaces — for x1.55
 # throughput on structured-families, x1.38 on fleet-structured and x1.15
 # on cyclic-dense (CHANGES.md has the runs).
-LOC_CEILING = 18454
+# Raised 18454 -> 18542 by run bitmaps in the sorted index: 88 lines — a
+# two-column index keeps each depth-0 value's run as a bitmap when that is
+# no bigger than its columns, and leapfrog ANDs them at levels of last
+# columns (markBitLevels, intersectBits) and ends a last column's run at
+# pos+1 without a seek, net of the wcojAtom pair it replaces — for the
+# cyclic-dense throughput in CHANGES.md's paired runs.
+LOC_CEILING = 18542
 # The package count (cmd/, examples/ and the facade included), under the
 # same rule: a package split out of another needs one folded or deleted,
 # or PKG_CEILING raised in the same diff. Set to 35 when joingraph,

@@ -34,8 +34,11 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"projpush/internal/cq"
@@ -57,6 +60,8 @@ type wplan struct {
 	outSrc  []int         // output column -> level index
 	slots   int           // bracket slots: Σ (arity+1) over the atoms
 	scanned Stats         // what binding the atoms observes
+	bitOnce sync.Once
+	bitsAt  []bool // per level: it intersects run bitmaps (markBitLevels)
 }
 
 // planAtom is one atom of a plan: its relation and bound view (a lead's
@@ -68,8 +73,12 @@ type planAtom struct {
 	br, lead int
 }
 
-// planEntry is an atom's part in a level: the variable's depth and slot.
-type planEntry struct{ atom, depth, br int }
+// planEntry is an atom's part in a level: the variable's depth and slot,
+// and whether it is the atom's last column, where a run is one row.
+type planEntry struct {
+	atom, depth, br int
+	last            bool
+}
 
 // newPlan binds the atoms and fixes the global variable order and the
 // per-level intersection structure; it does not build indexes or touch
@@ -124,7 +133,7 @@ func newPlan(s *jointree.Structure, db cq.Database) (*wplan, error) {
 		sort.Slice(a.cols, func(i, j int) bool { return levelOf[a.cols[i]] < levelOf[a.cols[j]] })
 		a.br, p.slots, a.lead = p.slots, p.slots+len(a.cols)+1, i
 		for k, v := range a.cols {
-			p.levels[levelOf[v]] = append(p.levels[levelOf[v]], planEntry{i, k, a.br + k})
+			p.levels[levelOf[v]] = append(p.levels[levelOf[v]], planEntry{i, k, a.br + k, k == len(a.cols)-1})
 		}
 		for j := range i { // a lead over the same arena and column positions
 			if b := &p.atoms[j]; b.lead == j && b.rel.SameArena(a.rel) && slices.EqualFunc(a.cols, b.cols,
@@ -150,28 +159,22 @@ func newPlan(s *jointree.Structure, db cq.Database) (*wplan, error) {
 	return p, nil
 }
 
-// wcojAtom is one atom as a run reads it: the atom and its sorted index.
-type wcojAtom struct {
-	atom *cq.Atom
-	ix   *relation.SortedIndex
-}
-
 // wexec is one run of the leapfrog join: the governor, the plan, and the
 // request's own state in a few flat slices.
 type wexec struct {
 	governor
 	p       *wplan
 	limit   *relation.Limit
-	steps   int64 // the seek budget (NewWCOJ); 0 is none
-	atoms   []wcojAtom
-	indexes int // distinct sorted indexes read; atoms on one arena and order share
+	steps   int64                   // the seek budget (NewWCOJ); 0 is none
+	ix      []*relation.SortedIndex // per atom, the sorted index it reads
+	indexes int                     // distinct sorted indexes read; atoms on one arena and order share
 	// Per bracket slot a.br+k: [lo,hi) is the index range consistent with
 	// atom a's first k bindings, pos and end the cursor and the run its
 	// k-th variable's level is at.
 	lo, hi, pos, end []int
-	// seeks counts SeekGE/SeekGT calls per level, extensions the values
-	// that survived the level's intersection — the leapfrog analogue of
-	// probe work and output fanout, rendered by EXPLAIN ANALYZE.
+	// seeks counts SeekGE/SeekGT calls and bitmap words read per level,
+	// extensions the values that survived the level's intersection — the
+	// leapfrog analogue of probe work and output fanout (EXPLAIN ANALYZE).
 	seeks, extensions []int64
 	assign            []relation.Value
 	out               *relation.Relation
@@ -194,7 +197,7 @@ func (ex *wexec) execute() error {
 			// A nonempty arity-0 atom is a satisfied Boolean factor.
 			continue
 		}
-		ix := ex.atoms[a.lead].ix
+		ix := ex.ix[a.lead]
 		if a.lead == i {
 			var err error
 			if ix, err = a.rel.SortedIndex(a.cols); err != nil {
@@ -209,11 +212,24 @@ func (ex *wexec) execute() error {
 				return fmt.Errorf("%w: injected allocation failure", relation.ErrMemBudget)
 			}
 		}
-		ex.atoms[i] = wcojAtom{&ex.p.q.Atoms[i], ix}
+		ex.ix[i] = ix
 		ex.lo[a.br], ex.hi[a.br] = 0, ix.Len()
 	}
+	ex.p.bitOnce.Do(ex.markBitLevels)
 	ex.stats.Joins++
 	return ex.enumerate(0)
+}
+
+// markBitLevels marks the levels of two or more atoms, each at the last
+// column of an index with run bitmaps; a plan's first run decides for all.
+func (ex *wexec) markBitLevels() {
+	p := ex.p
+	p.bitsAt = make([]bool, len(p.levels))
+	for d, lv := range p.levels {
+		p.bitsAt[d] = len(lv) > 1 && !slices.ContainsFunc(lv, func(e planEntry) bool {
+			return e.depth != 1 || !ex.ix[e.atom].HasBitmaps()
+		})
+	}
 }
 
 // enumerate extends the assignment at level d. Levels below freeCut bind
@@ -257,6 +273,9 @@ func (ex *wexec) exists(d int) (bool, error) {
 // existence check's first witness); intersect reports whether it was
 // stopped.
 func (ex *wexec) intersect(d int, visit func() (bool, error)) (bool, error) {
+	if ex.p.bitsAt[d] {
+		return ex.intersectBits(d, visit)
+	}
 	ent, lo, hi, pos, end := ex.p.levels[d], ex.lo, ex.hi, ex.pos, ex.end
 	for _, e := range ent {
 		if lo[e.br] >= hi[e.br] {
@@ -267,10 +286,10 @@ func (ex *wexec) intersect(d int, visit func() (bool, error)) (bool, error) {
 	for {
 		// The current candidate is the maximum of the atoms' cursor
 		// values; any atom below it can never match a smaller value.
-		vmax := ex.atoms[ent[0].atom].ix.Value(pos[ent[0].br], ent[0].depth)
+		vmax := ex.ix[ent[0].atom].Value(pos[ent[0].br], ent[0].depth)
 		allEqual := true
 		for _, e := range ent[1:] {
-			v := ex.atoms[e.atom].ix.Value(pos[e.br], e.depth)
+			v := ex.ix[e.atom].Value(pos[e.br], e.depth)
 			if v != vmax {
 				allEqual = false
 				if v > vmax {
@@ -280,7 +299,7 @@ func (ex *wexec) intersect(d int, visit func() (bool, error)) (bool, error) {
 		}
 		if !allEqual {
 			for _, e := range ent {
-				if ix := ex.atoms[e.atom].ix; ix.Value(pos[e.br], e.depth) < vmax {
+				if ix := ex.ix[e.atom]; ix.Value(pos[e.br], e.depth) < vmax {
 					pos[e.br] = ix.SeekGE(e.depth, pos[e.br], hi[e.br], vmax)
 					ex.seeks[d]++
 					if err := ex.tick(); err != nil {
@@ -294,12 +313,14 @@ func (ex *wexec) intersect(d int, visit func() (bool, error)) (bool, error) {
 			continue
 		}
 		// All atoms agree on vmax: narrow each bracket to its run and
-		// descend.
+		// descend. At an atom's last column the run is one row.
 		for _, e := range ent {
-			end[e.br] = ex.atoms[e.atom].ix.SeekGT(e.depth, pos[e.br], hi[e.br], vmax)
-			ex.seeks[d]++
-			if err := ex.tick(); err != nil {
-				return false, err
+			if end[e.br] = pos[e.br] + 1; !e.last {
+				end[e.br] = ex.ix[e.atom].SeekGT(e.depth, pos[e.br], hi[e.br], vmax)
+				ex.seeks[d]++
+				if err := ex.tick(); err != nil {
+					return false, err
+				}
 			}
 			lo[e.br+1], hi[e.br+1] = pos[e.br], end[e.br]
 		}
@@ -318,6 +339,40 @@ func (ex *wexec) intersect(d int, visit func() (bool, error)) (bool, error) {
 			}
 		}
 	}
+}
+
+// intersectBits is intersect at a level markBitLevels marked: it ANDs the
+// runs' bitmaps over the words they all span and visits the set bits in
+// ascending order, the values and order galloping would find. Each word
+// read counts and ticks as one seek.
+func (ex *wexec) intersectBits(d int, visit func() (bool, error)) (bool, error) {
+	ent, lo, hi := ex.p.levels[d], ex.lo, ex.hi
+	wlo, whi := math.MinInt, math.MaxInt
+	for _, e := range ent { // a run: never empty, its depth-0 level narrowed to it
+		ix := ex.ix[e.atom]
+		wlo, whi = max(wlo, int(ix.Value(lo[e.br], 1)>>6)), min(whi, int(ix.Value(hi[e.br]-1, 1)>>6))
+	}
+	for w := wlo; w <= whi; w++ {
+		x := ^uint64(0)
+		for _, e := range ent {
+			x &= ex.ix[e.atom].BitWord(lo[e.br], w)
+		}
+		ex.seeks[d]++
+		if err := ex.tick(); err != nil {
+			return false, err
+		}
+		for ; x != 0; x &= x - 1 {
+			ex.assign[d] = relation.Value(w<<6 | bits.TrailingZeros64(x))
+			ex.extensions[d]++
+			if ex.steps > 0 && ex.ticks > ex.steps {
+				return false, ErrWorkLimit
+			}
+			if stop, err := visit(); err != nil || stop {
+				return stop, err
+			}
+		}
+	}
+	return false, nil
 }
 
 // emit writes the current free-variable assignment into the output,
@@ -349,7 +404,7 @@ func (ex *wexec) run(l *leapfrog) (err error) {
 	n, ints, counts := p.slots, make([]int, 4*p.slots), make([]int64, 2*len(p.vars))
 	ex.lo, ex.hi, ex.pos, ex.end = ints[:n], ints[n:2*n], ints[2*n:3*n], ints[3*n:]
 	ex.seeks, ex.extensions = counts[:len(p.vars)], counts[len(p.vars):]
-	ex.atoms, ex.assign = make([]wcojAtom, len(p.atoms)), make([]relation.Value, len(p.vars))
+	ex.ix, ex.assign = make([]*relation.SortedIndex, len(p.atoms)), make([]relation.Value, len(p.vars))
 	ex.out, ex.outBuf = relation.New(p.q.Free), make(relation.Tuple, len(p.q.Free))
 	if err := ex.execute(); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -357,17 +358,19 @@ func TestWCOJResidentIndexesConcurrent(t *testing.T) {
 		if execs[g].p != shared.held.Load() {
 			t.Errorf("run %d read a plan of its own", g)
 		}
-		for k, a := range execs[g].atoms {
-			distinct[a.ix] = true
-			if a.ix != execs[0].atoms[k].ix {
-				t.Errorf("run %d atom %s reads a different index than run 0", g, a.atom)
+		for k, ix := range execs[g].ix {
+			distinct[ix] = true
+			if ix != execs[0].ix[k] {
+				t.Errorf("run %d atom %s reads a different index than run 0", g, &s.Query.Atoms[k])
 			}
 		}
 	}
 	if len(distinct) != 2 || execs[0].indexes != 2 {
 		t.Errorf("%d runs read %d distinct indexes (run 0 counts %d), want 2: one per column order of e", runs, len(distinct), execs[0].indexes)
 	}
-	if got, want := e.ResidentIndexBytes(), 2*int64(e.Len())*2*4; got != want {
+	// Each index is e's two columns and its run bitmaps: 200 runs of 4
+	// words, for the values 0…199.
+	if got, want := e.ResidentIndexBytes(), 2*(int64(e.Len())*2*4+200*4*8); got != want {
 		t.Errorf("e holds %d resident index bytes, want two 2-column indexes = %d", got, want)
 	}
 }
@@ -387,7 +390,7 @@ func TestWCOJIndexInvalidatedByInsert(t *testing.T) {
 	if err != nil || before.Rel.Len() != 0 {
 		t.Fatalf("the path holds %d triangles (err %v), want none", before.Rel.Len(), err)
 	}
-	held := ex.atoms[0].ix
+	held := ex.ix[0]
 	e.Add(relation.Tuple{41, 39}) // closes 39 → 40 → 41 → 39
 	after, ex, err := execWCOJ(context.Background(), s, 0, db, Options{})
 	if err != nil {
@@ -400,7 +403,7 @@ func TestWCOJIndexInvalidatedByInsert(t *testing.T) {
 	if !after.Rel.Equal(want) || want.Len() != 3 {
 		t.Errorf("after the insert: %v, want the oracle's %v (3 rows)", after.Rel, want)
 	}
-	if ex.atoms[0].ix == held {
+	if ex.ix[0] == held {
 		t.Error("the run after the insert read the index built before it")
 	}
 }
@@ -553,4 +556,109 @@ func mustAnalyze(t testing.TB, q *cq.Query) *jointree.Structure {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestWCOJBitmapLevelsMatchGalloping runs each query twice: over its
+// database, where the dense binary relations' indexes keep run bitmaps and
+// leapfrog intersects their last columns by ANDing words, and over the
+// same database with every value v stretched to 1000·v. Stretching keeps
+// the order of values and the sizes the variable order reads, so leapfrog
+// makes the same search, but no index's bitmaps fit their size rule, so
+// every level gallops. The answers, mapped back, and every level's
+// extensions must be equal, and both answers must be the oracle's. The
+// queries are the triangle and the 4-cycle, the Figure 6–9 families under
+// 3-COLOR, and random queries over random binary relations with 0–3 free
+// variables.
+func TestWCOJBitmapLevelsMatchGalloping(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	type tcase struct {
+		name string
+		q    *cq.Query
+		db   cq.Database
+	}
+	dense := cq.Database{"e": randomRel(rng, 1500, 80)}
+	cases := []tcase{
+		{"triangle/x", cycleOver("e", "e", "e"), dense},
+		{"cycle4/x", cycleOver("e", "e", "e", "e"), dense},
+	}
+	xy := cycleOver("e", "e", "e")
+	xy.Free = []cq.Var{0, 1}
+	cases = append(cases, tcase{"triangle/x,y", xy, dense})
+	colors := instance.ColorDatabase(3)
+	for _, w := range figureWorkloads(t) {
+		for _, free := range [][]cq.Var{instance.BooleanFree(w.g), instance.ChooseFree(instance.EdgeVertices(w.g), 0.4, rng)} {
+			q, err := instance.ColorQuery(w.g, free)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, tcase{fmt.Sprintf("%s/%d-free", w.name, len(free)), q, colors})
+		}
+	}
+	rels := cq.Database{"r0": randomRel(rng, 300, 30), "r1": randomRel(rng, 200, 30), "r2": randomRel(rng, 400, 40)}
+	for i := 0; i < 24; i++ {
+		q, n := &cq.Query{}, 3+rng.Intn(4)
+		for len(q.Atoms) < n {
+			x, y := cq.Var(rng.Intn(5)), cq.Var(rng.Intn(5))
+			if x != y {
+				q.Atoms = append(q.Atoms, cq.Atom{Rel: fmt.Sprintf("r%d", rng.Intn(3)), Args: []cq.Var{x, y}})
+			}
+		}
+		vars := q.Vars()
+		rng.Shuffle(len(vars), func(i, j int) { vars[i], vars[j] = vars[j], vars[i] })
+		q.Free = vars[:min(i%4, len(vars))]
+		cases = append(cases, tcase{fmt.Sprintf("random-%d/%d-free", i, len(q.Free)), q, rels})
+	}
+
+	stretch := func(db cq.Database, k relation.Value) cq.Database {
+		out := cq.Database{}
+		for name, r := range db {
+			s := relation.New(r.Attrs())
+			for _, tup := range r.Tuples() {
+				s.Add(relation.Tuple{tup[0] * k, tup[1] * k})
+			}
+			out[name] = s
+		}
+		return out
+	}
+	withBits := 0
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := mustAnalyze(t, c.q)
+			res, ex, err := execWCOJ(context.Background(), s, 0, c.db, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			far, farEx, err := execWCOJ(context.Background(), s, 0, stretch(c.db, 1000), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.Contains(farEx.p.bitsAt, true) {
+				t.Fatal("a level over the stretched values intersects bitmaps")
+			}
+			if slices.Contains(ex.p.bitsAt, true) {
+				withBits++
+			}
+			want, err := EvalOracle(c.q, c.db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back := relation.New(far.Rel.Attrs())
+			for _, tup := range far.Rel.Tuples() {
+				u := tup.Clone()
+				for i := range u {
+					u[i] /= 1000
+				}
+				back.Add(u)
+			}
+			if !res.Rel.Equal(want) || !back.Equal(want) {
+				t.Fatalf("bitmaps answer %d rows, galloping %d, the oracle %d", res.Rel.Len(), back.Len(), want.Len())
+			}
+			if !slices.Equal(ex.extensions, farEx.extensions) {
+				t.Fatalf("extensions per level %v with bitmaps, %v galloping", ex.extensions, farEx.extensions)
+			}
+		})
+	}
+	if withBits == 0 {
+		t.Error("no level of any query intersected bitmaps")
+	}
 }

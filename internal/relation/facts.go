@@ -26,8 +26,8 @@ import (
 // pushdown renames a reduced constrainer apart, and a request may ship
 // its own database — and an index built there is garbage with that arena,
 // after the joinTableBytes(n) that a key set or join table over the same
-// rows would have charged. A sorted index is resident the same way and
-// takes 4n bytes per indexed column.
+// rows would have charged. A sorted index is resident the same way: 4n
+// bytes a column, and at most 8n more for a two-column one's run bitmaps.
 type arenaFacts struct {
 	denseOnce sync.Once
 	dense     []bool

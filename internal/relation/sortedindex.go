@@ -15,7 +15,13 @@ import (
 // bracket where depths 0..d-1 are constant, depth d is sorted, so
 // galloping SeekGE/SeekGT find the next candidate value and the end of
 // its run in O(log gap). An index is resident state of its arena
-// (facts.go), no larger than the arena (depth ≤ arity).
+// (facts.go). A dense two-column index also keeps, for each depth-0 value
+// from the column's minimum to its maximum, its run's depth-1 values as a
+// bitmap over the words from the depth-1 minimum's to the maximum's, word
+// w holding the values 64w … 64w+63: word boundaries are multiples of 64,
+// so any two runs' bitmaps AND word for word (leapfrog's last-column
+// levels). They are kept only when no bigger than the columns (8 bytes a
+// row), the semijoin key set's bitmap-or-table rule.
 //
 // Sorting packs each row's indexed columns, offset by the column minimum
 // (colBits wide each), with the row id as the least significant field
@@ -24,8 +30,10 @@ import (
 // columns. Rows equal on every indexed column
 // are ordered by row id either way, so the order is deterministic.
 type SortedIndex struct {
-	n    int
-	vals [][]Value // one column of sorted values per depth
+	n         int
+	vals      [][]Value // one column of sorted values per depth
+	bits      []uint64  // the runs' bitmaps, span words each; nil when not kept
+	span, off int       // position i's run's word w is bits[vals[0][i]·span + off + w]
 }
 
 // newSortedIndex sorts r's rows by cols and copies the indexed columns
@@ -76,7 +84,25 @@ func newSortedIndex(r *Relation, cols []int) *SortedIndex {
 		}
 		ix.vals = append(ix.vals, col)
 	}
+	ix.buildBitmaps()
 	return ix
+}
+
+// buildBitmaps keeps a two-column index's run bitmaps: no more words than rows.
+func (ix *SortedIndex) buildBitmaps() {
+	if len(ix.vals) != 2 || ix.n == 0 {
+		return
+	}
+	c0, c1 := ix.vals[0], ix.vals[1]
+	first := int64(slices.Min(c1)) >> 6
+	span, runs := int64(slices.Max(c1))>>6-first+1, int64(c0[ix.n-1])-int64(c0[0])+1
+	if runs*span > int64(ix.n) {
+		return
+	}
+	ix.bits, ix.span, ix.off = make([]uint64, runs*span), int(span), -int(int64(c0[0])*span+first)
+	for i, v := range c1 {
+		ix.bits[int(c0[i])*ix.span+ix.off+int(v>>6)] |= 1 << (uint32(v) & 63)
+	}
 }
 
 // Len returns the number of indexed rows.
@@ -85,11 +111,18 @@ func (ix *SortedIndex) Len() int { return ix.n }
 // Depths returns the number of indexed columns.
 func (ix *SortedIndex) Depths() int { return len(ix.vals) }
 
-// Bytes is the index's resident memory: one Value per row and depth.
-func (ix *SortedIndex) Bytes() int64 { return int64(ix.n) * int64(len(ix.vals)) * 4 }
+// Bytes is the index's resident memory: its columns and run bitmaps.
+func (ix *SortedIndex) Bytes() int64 { return int64(ix.n*len(ix.vals)*4 + len(ix.bits)*8) }
 
 // Value returns the depth-d column value of the i-th row in sorted order.
 func (ix *SortedIndex) Value(i, d int) Value { return ix.vals[d][i] }
+
+// HasBitmaps reports whether the index keeps its runs' bitmaps.
+func (ix *SortedIndex) HasBitmaps() bool { return ix.bits != nil }
+
+// BitWord returns word w, the depth-1 values 64w … 64w+63, of the bitmap of
+// position i's run, for w from its first value's word (v>>6) to its last's.
+func (ix *SortedIndex) BitWord(i, w int) uint64 { return ix.bits[int(ix.vals[0][i])*ix.span+ix.off+w] }
 
 // SeekGE returns the smallest position in [lo,hi) whose depth-d value is
 // >= v, or hi when none is. The bracket must be one where depths 0..d-1

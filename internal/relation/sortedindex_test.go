@@ -199,7 +199,63 @@ func checkAgainstReference(t *testing.T, r *Relation, attrs []Attr) *SortedIndex
 			}
 		}
 	}
+	checkBitmaps(t, ix)
 	return ix
+}
+
+// checkBitmaps checks a sorted index's run bitmaps against its columns.
+// The size rule: a nonempty two-column index keeps them exactly when the
+// depth-0 range's runs × the words from the depth-1 minimum's word to the
+// maximum's are no more than its rows, so they never outweigh its columns,
+// and Bytes counts them. Kept, the bitmap of each depth-0 value in range
+// has a bit set exactly for each depth-1 value of its run (none for a
+// value with no run), and BitWord at every position of a run reads it.
+func checkBitmaps(t *testing.T, ix *SortedIndex) {
+	t.Helper()
+	columns := int64(ix.Len()) * int64(ix.Depths()) * 4
+	var runs, first, span int64
+	if ix.Depths() == 2 && ix.Len() > 0 {
+		c0, c1 := ix.vals[0], ix.vals[1]
+		first = int64(slices.Min(c1)) >> 6
+		runs, span = int64(c0[ix.Len()-1])-int64(c0[0])+1, int64(slices.Max(c1))>>6-first+1
+	}
+	kept := runs > 0 && runs*span <= int64(ix.Len())
+	if ix.HasBitmaps() != kept {
+		t.Fatalf("%d rows × %d depths, %d runs × %d words: bitmaps kept %v, want %v", ix.Len(), ix.Depths(), runs, span, ix.HasBitmaps(), kept)
+	}
+	want := columns
+	if kept {
+		want += runs * span * 8
+	}
+	if ix.Bytes() != want || ix.Bytes() > 2*columns {
+		t.Fatalf("Bytes() = %d, want %d, at most twice the columns' %d", ix.Bytes(), want, columns)
+	}
+	if !kept {
+		return
+	}
+	members := map[[2]Value]bool{}
+	for i := 0; i < ix.Len(); i++ {
+		members[[2]Value{ix.Value(i, 0), ix.Value(i, 1)}] = true
+		r := int64(ix.Value(i, 0)) - int64(ix.Value(0, 0))
+		for w := int64(0); w < span; w++ {
+			if got := ix.BitWord(i, int(first+w)); got != ix.bits[r*span+w] {
+				t.Fatalf("BitWord(%d, %d) = %#x, the run's word is %#x", i, first+w, got, ix.bits[r*span+w])
+			}
+		}
+	}
+	for r := int64(0); r < runs; r++ {
+		v0 := Value(int64(ix.Value(0, 0)) + r)
+		for w := int64(0); w < span; w++ {
+			word := ix.bits[r*span+w]
+			for b := int64(0); b < 64; b++ {
+				v1 := (first+w)*64 + b
+				in := v1 >= math.MinInt32 && v1 <= math.MaxInt32 && members[[2]Value{v0, Value(v1)}]
+				if set := word&(1<<b) != 0; set != in {
+					t.Fatalf("run %d bit for %d is %v, want %v", v0, v1, set, in)
+				}
+			}
+		}
+	}
 }
 
 // TestSortedIndexMatchesComparator is the packed build's property test:
@@ -217,10 +273,11 @@ func TestSortedIndexMatchesComparator(t *testing.T) {
 		{"tiny", 0, 3},
 		{"byte", 0, 255},
 		{"negative", -70000, 500},
+		{"offset", -100, -40}, // no column minimum on a word boundary
 		{"wide", 0, 1 << 20},
 		{"full", math.MinInt32, math.MaxInt32},
 	}
-	packed, fallback := 0, 0
+	packed, fallback, bitmaps := 0, 0, 0
 	for arity := 1; arity <= 9; arity++ {
 		for _, rg := range ranges {
 			for trial := 0; trial < 4; trial++ {
@@ -259,14 +316,16 @@ func TestSortedIndexMatchesComparator(t *testing.T) {
 				} else {
 					fallback++
 				}
-				checkAgainstReference(t, r, order)
+				if checkAgainstReference(t, r, order).HasBitmaps() {
+					bitmaps++
+				}
 				// A renamed view shares the arena and the order.
 				checkAgainstReference(t, Rename(r, map[Attr]Attr{order[0]: 99}), append([]Attr{99}, order[1:]...))
 			}
 		}
 	}
-	if packed == 0 || fallback == 0 {
-		t.Errorf("%d builds packed and %d fell back: want both paths exercised", packed, fallback)
+	if packed == 0 || fallback == 0 || bitmaps == 0 {
+		t.Errorf("%d builds packed, %d fell back and %d kept run bitmaps: want every path exercised", packed, fallback, bitmaps)
 	}
 }
 
@@ -275,7 +334,9 @@ func TestSortedIndexMatchesComparator(t *testing.T) {
 // Value per row and indexed column, and the arena's resident bill grows by
 // exactly that, n × depth × 4 bytes, on the packed path and on the
 // comparator path alike — the packed keys and row ids are scratch that is
-// gone when the build returns, and nothing of theirs is billed.
+// gone when the build returns, and nothing of theirs is billed — plus the
+// run bitmaps a dense two-column index keeps: narrow's 37 runs of 16 words.
+// wide's columns span 2^31 values, so its size rule keeps none.
 func TestSortedIndexBillsTheRowIDArrayOnly(t *testing.T) {
 	narrow := New([]Attr{0, 1})
 	wide := New([]Attr{0, 1, 2})
@@ -291,6 +352,9 @@ func TestSortedIndexBillsTheRowIDArrayOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := int64(r.Len()) * int64(depth) * 4
+			if name == "packed" && depth == 2 {
+				want += 37 * 16 * 8
+			}
 			if ix.Bytes() != want {
 				t.Errorf("%s, depth %d: Bytes() = %d, want %d", name, depth, ix.Bytes(), want)
 			}
@@ -310,7 +374,7 @@ func TestSortedIndexLimits(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r, ix, order := randomIndexed(t, rng, 1000, 2, 50)
 	billed := r.ResidentIndexBytes()
-	if want := int64(r.Len()) * int64(len(order)) * 4; billed != want {
+	if want := ix.Bytes(); billed != want {
 		t.Fatalf("resident bill after one build = %d, want %d", billed, want)
 	}
 	again, err := r.SortedIndex(order)
@@ -338,10 +402,22 @@ func TestSortedIndexLimits(t *testing.T) {
 
 // FuzzSortedIndexOrder feeds arbitrary bytes as a relation — arity, an
 // index order, then little-endian int32 values — and checks the index's
-// columns against the reference comparator's rows, and its seeks against
-// a linear scan of every bracket.
+// columns and run bitmaps against the reference comparator's rows, and its
+// seeks against a linear scan of every bracket. The seeds index two
+// columns: negative values whose minima sit off a word boundary and whose
+// runs cross one (bitmaps kept), and the ends of int32 (none kept).
 func FuzzSortedIndexOrder(f *testing.F) {
 	f.Add([]byte{1, 0b10, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0})
+	pairs := func(vs ...int32) []byte {
+		data := []byte{1, 0x10} // arity 2, both columns in schema order
+		for _, v := range vs {
+			data = binary.LittleEndian.AppendUint32(data, uint32(v))
+		}
+		return data
+	}
+	f.Add(pairs(-3, -65, -3, -1, -3, 0, -2, -64, -2, -1, -2, 0, -2, -65, -3, -64))
+	f.Add(pairs(-70, 5, -70, -5, -69, 63, -69, 64, -69, -5, -70, 63))
+	f.Add(pairs(math.MinInt32, math.MinInt32, math.MaxInt32, math.MaxInt32, 0, 0, math.MinInt32, math.MaxInt32))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

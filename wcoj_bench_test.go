@@ -138,20 +138,13 @@ func BenchmarkWCOJClique(b *testing.B) {
 // request. enumerate-ns is a run over the warm indexes, which is what
 // every later request pays.
 func BenchmarkWCOJEndToEndSize(b *testing.B) {
-	const rows, dom = 8000, 600
-	e := relation.New([]relation.Attr{0, 1})
-	for rng := rand.New(rand.NewSource(20040314)); e.Len() < rows; {
-		e.Add(relation.Tuple{relation.Value(rng.Intn(dom)), relation.Value(rng.Intn(dom))})
-	}
+	e := denseEdges()
 	db := cq.Database{"e": e}
 	for _, shape := range []struct {
 		name string
 		n    int
 	}{{"triangle", 3}, {"cycle4", 4}} {
-		q := &cq.Query{Free: []cq.Var{0}}
-		for i := 0; i < shape.n; i++ {
-			q.Atoms = append(q.Atoms, cq.Atom{Rel: "e", Args: []cq.Var{cq.Var(i), cq.Var((i + 1) % shape.n)}})
-		}
+		q := cycleOverE(shape.n, 0)
 		b.Run(shape.name, func(b *testing.B) {
 			res, err := engine.ExecWCOJContext(context.Background(), q, db, ybenchOpts) // warms e's indexes
 			if err != nil {
@@ -183,14 +176,42 @@ func BenchmarkWCOJEndToEndSize(b *testing.B) {
 	}
 }
 
+// denseEdges is the cyclic-dense workload's shape of e: 8000 distinct
+// random edges over 600 vertices.
+func denseEdges() *relation.Relation {
+	const rows, dom = 8000, 600
+	e := relation.New([]relation.Attr{0, 1})
+	for rng := rand.New(rand.NewSource(20040314)); e.Len() < rows; {
+		e.Add(relation.Tuple{relation.Value(rng.Intn(dom)), relation.Value(rng.Intn(dom))})
+	}
+	return e
+}
+
+// cycleOverE is the n-cycle e(x0,x1), …, e(x(n-1),x0) with the given
+// free variables.
+func cycleOverE(n int, free ...cq.Var) *cq.Query {
+	q := &cq.Query{Free: free}
+	for i := 0; i < n; i++ {
+		q.Atoms = append(q.Atoms, cq.Atom{Rel: "e", Args: []cq.Var{cq.Var(i), cq.Var((i + 1) % n)}})
+	}
+	return q
+}
+
 // BenchmarkWCOJWarmRun is what a compiled query's leapfrog join costs a
 // request once the text has run before: one NewWCOJ Fallback, run once
 // outside the clock (it builds the plan and warms the sorted indexes), then
 // b.N runs that reuse both. Boolean 3-COLOR on the paper's cyclic families,
-// the free_vars_under_bag route's traffic; allocs/op must not grow with
-// the order.
+// the free_vars_under_bag route's traffic, whose allocs/op must not grow
+// with the order; and the two dense texts whose existential levels cost
+// most on cyclic-dense, triangle/x,y and cycle4/x over denseEdges.
 func BenchmarkWCOJWarmRun(b *testing.B) {
-	db := instance.ColorDatabase(3)
+	type warm struct {
+		name string
+		q    *cq.Query
+		db   cq.Database
+	}
+	var cases []warm
+	colors := instance.ColorDatabase(3)
 	for _, f := range []struct {
 		name string
 		gen  func(int) *graph.Graph
@@ -201,23 +222,28 @@ func BenchmarkWCOJWarmRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s, err := jointree.Analyze(q)
-			if err != nil {
+			cases = append(cases, warm{fmt.Sprintf("%s-%d", f.name, order), q, colors})
+		}
+	}
+	dense := cq.Database{"e": denseEdges()}
+	cases = append(cases, warm{"triangle-xy", cycleOverE(3, 0, 1), dense}, warm{"cycle4-x", cycleOverE(4, 0), dense})
+	for _, c := range cases {
+		s, err := jointree.Analyze(c.q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run := engine.NewWCOJ(s, 0).Run
+		b.Run(c.name, func(b *testing.B) {
+			if _, err := run(context.Background(), c.db, ybenchOpts); err != nil {
 				b.Fatal(err)
 			}
-			run := engine.NewWCOJ(s, 0).Run
-			b.Run(fmt.Sprintf("%s-%d", f.name, order), func(b *testing.B) {
-				if _, err := run(context.Background(), db, ybenchOpts); err != nil {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := run(context.Background(), c.db, ybenchOpts); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := run(context.Background(), db, ybenchOpts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
