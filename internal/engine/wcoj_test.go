@@ -368,9 +368,9 @@ func TestWCOJResidentIndexesConcurrent(t *testing.T) {
 	if len(distinct) != 2 || execs[0].indexes != 2 {
 		t.Errorf("%d runs read %d distinct indexes (run 0 counts %d), want 2: one per column order of e", runs, len(distinct), execs[0].indexes)
 	}
-	// Each index is e's two columns and its run bitmaps: 200 runs of 4
-	// words, for the values 0…199.
-	if got, want := e.ResidentIndexBytes(), 2*(int64(e.Len())*2*4+200*4*8); got != want {
+	// Each index is e's two columns, its run bitmaps, 200 runs of 4 words,
+	// and its start offsets, one for each of the values 0…199.
+	if got, want := e.ResidentIndexBytes(), 2*(int64(e.Len())*2*4+200*4*8+200*4); got != want {
 		t.Errorf("e holds %d resident index bytes, want two 2-column indexes = %d", got, want)
 	}
 }

@@ -19,15 +19,15 @@ import (
 //
 // A column's index is resident state of the arena, like its dedup table,
 // so no request is charged for it. It is built only for a column that a
-// semijoin or a join keys on alone with this arena's view as a side
-// (SemijoinFilter, JoinLimited), and takes joinTableBytes(n) for an n-row
-// arena: 12 bytes a slot at ≤ 75% load plus 8 a row, at most 40n + 96
-// bytes. A caller may also rename a per-request arena — the pipeline's
+// semijoin, or a join on a column wider than its rows, keys on alone with
+// this arena's view as a side (SemijoinFilter, JoinLimited), and takes
+// joinTableBytes(n) for an n-row arena: 12 bytes a slot at ≤ 75% load
+// plus 8 a row, at most 40n + 96 bytes. A caller may also rename a per-request arena — the pipeline's
 // pushdown renames a reduced constrainer apart, and a request may ship
 // its own database — and an index built there is garbage with that arena,
 // after the joinTableBytes(n) that a key set or join table over the same
 // rows would have charged. A sorted index is resident the same way: 4n
-// bytes a column, and at most 8n more for a two-column one's run bitmaps.
+// bytes a column, at most 8n for run bitmaps and 4n for start offsets.
 type arenaFacts struct {
 	denseOnce sync.Once
 	dense     []bool

@@ -108,12 +108,27 @@ func mapBaselineJoinProject(r, o *Relation, projCols []Attr) int {
 	return n
 }
 
+// spreadKey copies r with attribute k's values multiplied by a prime over
+// 100 000: the same join, over a key range far wider than the rows.
+func spreadKey(r *Relation, k Attr) *Relation {
+	out, j := New(r.attrs), r.Pos(k)
+	r.Each(func(t Tuple) bool {
+		u := t.Clone()
+		u[j] *= 100_003
+		out.Add(u)
+		return true
+	})
+	return out
+}
+
 // BenchmarkKernelJoinProject measures the join+project hot path — the
 // operation pair that dominates every figure's running time — on the
 // open-addressing kernels against the map-based baseline. "open" joins
 // private relations, so it builds a table each time; "view" joins the
 // same rows as fresh views of stored arenas, as a query's scans bind
-// them, so it probes the larger arena's resident column index.
+// them, so it reads the larger arena's resident sorted index; "view-sparse"
+// is "view" with the key's values spread over a range far wider than the
+// rows, so it probes the larger arena's resident column index instead.
 func BenchmarkKernelJoinProject(b *testing.B) {
 	a, c := benchInputs(20000, 120)
 	proj := []Attr{0, 2}
@@ -134,6 +149,10 @@ func BenchmarkKernelJoinProject(b *testing.B) {
 	})
 	b.Run("view", func(b *testing.B) {
 		sa, sc := a.Clone(), c.Clone()
+		joinProject(b, func() *Relation { return Rename(sa, nil) }, func() *Relation { return Rename(sc, nil) })
+	})
+	b.Run("view-sparse", func(b *testing.B) {
+		sa, sc := spreadKey(a, 1), spreadKey(c, 1)
 		joinProject(b, func() *Relation { return Rename(sa, nil) }, func() *Relation { return Rename(sc, nil) })
 	})
 	b.Run("map-baseline", func(b *testing.B) {

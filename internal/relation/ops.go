@@ -159,7 +159,8 @@ func SharedAttrs(r, o *Relation) []Attr {
 // the output assembly map.
 type joinSpec struct {
 	build, probe *Relation
-	resident     bool // probe the build side's column index (facts.go)
+	resident     bool   // probe the build side's column index (facts.go)
+	order        []Attr // or read its sorted index in this order; nil if not
 	outAttrs     []Attr
 	exact        bool  // the build side's keys pack (key.go): no verification
 	bPos, pPos   []int // shared-attr column positions on each side
@@ -170,8 +171,10 @@ type joinSpec struct {
 // makeJoinSpec prepares the join of r and o. The output schema is r's
 // attributes followed by o's attributes not in r. On a one-column key a
 // zero-copy view of a stored arena (isShared) is the build side, whatever
-// the sizes, and its arena's column index is the table: the larger side
-// when both are views. Otherwise the smaller input is built.
+// the sizes (the larger when both are views), and its arena's sorted index
+// on the key column, then the others in schema order, is read, or its
+// column index when the key's range is wider than its rows. Otherwise the
+// smaller input is built.
 func makeJoinSpec(r, o *Relation) joinSpec {
 	shared := SharedAttrs(r, o)
 	rView, oView := r.isShared(), o.isShared()
@@ -195,6 +198,9 @@ func makeJoinSpec(r, o *Relation) joinSpec {
 	s.bPos = s.build.colsOf(shared)
 	s.pPos = s.probe.colsOf(shared)
 	s.exact = s.build.packs(s.bPos) // always, on one column
+	if k, b := s.bPos, s.build; s.resident && int64(b.colMax[k[0]])-int64(b.colMin[k[0]]) < int64(b.n) {
+		s.order = append([]Attr{b.attrs[k[0]]}, slices.Delete(slices.Clone(b.attrs), k[0], k[0]+1)...)
+	}
 
 	// Output assembly: shared attributes are read from the probe side
 	// (the join condition makes the two sides agree on them).
@@ -244,17 +250,17 @@ func Join(r, o *Relation) *Relation {
 // The implementation is a classic hash join, which mirrors the paper's
 // setup (it forced hash joins in PostgreSQL): probe a table keyed by the
 // shared attributes with the other side's rows. When the key is one
-// column and a side is a view of a stored arena, the table is that
-// arena's column index, built once and shared like SemijoinFilter's, and
-// nothing is built or charged; otherwise an open-addressing table is
-// built on the smaller input and charged.
+// column and a side is a view of a stored arena, that arena's sorted index
+// (joinRuns) or, for a sparse key, its column index is the table, built
+// once and shared, and nothing is built or charged; otherwise an
+// open-addressing table is built on the smaller input and charged.
 //
 // The natural join of two sets is a set (an output row determines both
 // input rows), so rows are written straight into the output's arena with
 // no membership test, and the output's dedup table is built only if Add
-// or Contains asks. The arena grows as stage grows one, so the bytes
-// charged are the same; each output column's range is that of the input
-// column it copies, a superset of the rows' own.
+// or Contains asks. A join over a sorted index allocates its arena at its
+// exact size; any other grows it as stage grows one. Each output column's
+// range is that of the input column it copies, a superset of the rows' own.
 func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 	if err := lim.interrupted(); err != nil {
 		return nil, err
@@ -268,6 +274,9 @@ func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 	out := New(spec.outAttrs)
 	if r.n == 0 || o.n == 0 {
 		return out, nil
+	}
+	if spec.order != nil {
+		return spec.joinRuns(out, lim)
 	}
 	jt, err := spec.table(lim)
 	if err != nil {
@@ -325,15 +334,77 @@ func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 		}
 	}
 	lim.charge(touched)
+	return spec.filled(out, data, n), nil
+}
+
+// filled gives out the n rows in data, each column's range its source's.
+func (s *joinSpec) filled(out *Relation, data []Value, n int) *Relation {
 	out.data, out.n, out.stale = data, n, true
-	for i, ps := range spec.probeSrc {
-		src, j := probe, ps
+	for i, ps := range s.probeSrc {
+		src, j := s.probe, ps
 		if ps < 0 {
-			src, j = build, spec.buildSrc[i]
+			src, j = s.build, s.buildSrc[i]
 		}
 		out.colMin[i], out.colMax[i] = src.colMin[j], src.colMax[j]
 	}
-	return out, nil
+	return out
+}
+
+// joinRuns is JoinLimited over the build side's sorted index: a probe key's
+// matches are the run [lo,hi) of its start offsets, the build's other
+// columns read from the index's over it. A first pass sums the runs, so the
+// row cap, the byte charge and the one exact-size allocation precede any
+// write. Both passes tick per tuple touched; the work is the table join's.
+func (s *joinSpec) joinRuns(out *Relation, lim *Limit) (*Relation, error) {
+	ix, _ := s.build.SortedIndex(s.order) // the order is the build's own schema
+	probe, key, w := s.probe, s.pPos[0], out.arity
+	var touched int64
+	defer func() { lim.charge(touched) }()
+	tick := func() error {
+		if touched++; touched%deadlineCheckInterval != 0 {
+			return nil
+		}
+		return lim.interrupted()
+	}
+	total := 0
+	for pi := 0; pi < probe.n; pi++ {
+		if err := tick(); err != nil {
+			return nil, err
+		}
+		lo, hi := ix.run(probe.data[pi*probe.arity+key])
+		if total += hi - lo; lim.overRows(total) {
+			touched += int64(lim.MaxRows) + 1 // as the table join counts to its first row over the cap
+			return nil, ErrRowLimit
+		}
+	}
+	if err := lim.chargeBytes(int64(total) * int64(w) * 4); err != nil {
+		return nil, err
+	}
+	cols := make([][]Value, w) // output column -> the index's column it copies
+	for i, bs := range s.buildSrc {
+		if bs >= 0 {
+			cols[i] = ix.vals[slices.Index(s.order, s.build.attrs[bs])]
+		}
+	}
+	data, at := make([]Value, total*w), 0
+	for pi := 0; pi < probe.n; pi++ {
+		pt := probe.row(pi)
+		for j, hi := ix.run(pt[key]); j < hi; j++ {
+			if err := tick(); err != nil {
+				return nil, err
+			}
+			row := data[at : at+w : at+w]
+			for i, ps := range s.probeSrc {
+				if ps >= 0 {
+					row[i] = pt[ps]
+				} else {
+					row[i] = cols[i][j]
+				}
+			}
+			at += w
+		}
+	}
+	return s.filled(out, data, total), nil
 }
 
 // Project returns the projection of r onto attrs (which must all be in r's

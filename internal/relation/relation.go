@@ -1,7 +1,7 @@
 // Package relation implements in-memory relations with set semantics and
 // the relational-algebra operations needed for project-join query
 // evaluation: natural join, projection and semijoin. A semijoin or a join
-// on one column of a stored relation looks keys up in a column index that
+// on one column of a stored relation looks keys up in an index that
 // the stored arena builds once and shares with its views (facts.go,
 // semijoin.go, ops.go).
 //
@@ -199,8 +199,8 @@ func (r *Relation) stage() Tuple {
 }
 
 // growArena returns data with room for need values: capacity doubles, from
-// 64 rows of the given arity. stage and JoinLimited both grow this way, so
-// a join's output takes the bytes of the same rows added one by one.
+// 64 rows of the given arity. stage and a join probing a table grow this
+// way, so its output takes the bytes of the same rows added one by one.
 func growArena(data []Value, need, arity int) []Value {
 	if need <= cap(data) {
 		return data

@@ -12,7 +12,7 @@ package relation
 // one lookup per source row, so the cost is the source plus the survivors,
 // not the target. A view source is probed, one lookup per target row, and
 // nothing is built. When both are views the smaller side is walked.
-// JoinLimited (ops.go) probes the same index on a one-column key.
+// JoinLimited (ops.go) probes it on a one-column key wider than its rows.
 //
 // Otherwise — a key of two or more columns, or two relations a request
 // made (join outputs, reduced copies) — there is no index to read, and the

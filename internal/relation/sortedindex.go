@@ -21,7 +21,9 @@ import (
 // w holding the values 64w … 64w+63: word boundaries are multiples of 64,
 // so any two runs' bitmaps AND word for word (leapfrog's last-column
 // levels). They are kept only when no bigger than the columns (8 bytes a
-// row), the semijoin key set's bitmap-or-table rule.
+// row), the semijoin key set's bitmap-or-table rule. By that rule an index
+// whose depth-0 range is no wider than its rows keeps each value's start,
+// so a join (ops.go) finds a key's run, contiguous in every column, in O(1).
 //
 // Sorting packs each row's indexed columns, offset by the column minimum
 // (colBits wide each), with the row id as the least significant field
@@ -34,6 +36,7 @@ type SortedIndex struct {
 	vals      [][]Value // one column of sorted values per depth
 	bits      []uint64  // the runs' bitmaps, span words each; nil when not kept
 	span, off int       // position i's run's word w is bits[vals[0][i]·span + off + w]
+	starts    []int32   // starts[v-vals[0][0]]: the first position whose depth-0 value is ≥ v; nil when not kept
 }
 
 // newSortedIndex sorts r's rows by cols and copies the indexed columns
@@ -85,7 +88,34 @@ func newSortedIndex(r *Relation, cols []int) *SortedIndex {
 		ix.vals = append(ix.vals, col)
 	}
 	ix.buildBitmaps()
+	ix.buildStarts()
 	return ix
+}
+
+// buildStarts keeps the depth-0 values' starts when no bigger than the column.
+func (ix *SortedIndex) buildStarts() {
+	if ix.n == 0 || len(ix.vals) == 0 || int64(ix.vals[0][ix.n-1])-int64(ix.vals[0][0]) >= int64(ix.n) {
+		return
+	}
+	c0 := ix.vals[0]
+	ix.starts = make([]int32, c0[ix.n-1]-c0[0]+1)
+	for i, k := 0, Value(0); i < ix.n; i++ {
+		for ; k <= c0[i]-c0[0]; k++ {
+			ix.starts[k] = int32(i)
+		}
+	}
+}
+
+// run returns the positions [lo,hi) whose depth-0 value is v; starts must be kept.
+func (ix *SortedIndex) run(v Value) (lo, hi int) {
+	k := int64(v) - int64(ix.vals[0][0])
+	if k < 0 || k >= int64(len(ix.starts)) {
+		return 0, 0
+	}
+	if hi = ix.n; k+1 < int64(len(ix.starts)) {
+		hi = int(ix.starts[k+1])
+	}
+	return int(ix.starts[k]), hi
 }
 
 // buildBitmaps keeps a two-column index's run bitmaps: no more words than rows.
@@ -108,11 +138,10 @@ func (ix *SortedIndex) buildBitmaps() {
 // Len returns the number of indexed rows.
 func (ix *SortedIndex) Len() int { return ix.n }
 
-// Depths returns the number of indexed columns.
-func (ix *SortedIndex) Depths() int { return len(ix.vals) }
-
-// Bytes is the index's resident memory: its columns and run bitmaps.
-func (ix *SortedIndex) Bytes() int64 { return int64(ix.n*len(ix.vals)*4 + len(ix.bits)*8) }
+// Bytes is the index's resident memory: its columns, run bitmaps and start offsets.
+func (ix *SortedIndex) Bytes() int64 {
+	return int64(ix.n*len(ix.vals)*4 + len(ix.bits)*8 + len(ix.starts)*4)
+}
 
 // Value returns the depth-d column value of the i-th row in sorted order.
 func (ix *SortedIndex) Value(i, d int) Value { return ix.vals[d][i] }

@@ -45,7 +45,7 @@ func TestSortedIndexOrder(t *testing.T) {
 	for _, maxVal := range []int32{3, 255, 100_000} {
 		_, ix, _ := randomIndexed(t, rng, 500, 3, maxVal)
 		for i := 1; i < ix.Len(); i++ {
-			for d := 0; d < ix.Depths(); d++ {
+			for d := 0; d < len(ix.vals); d++ {
 				a, b := ix.Value(i-1, d), ix.Value(i, d)
 				if a < b {
 					break
@@ -106,7 +106,7 @@ func checkSeeks(t *testing.T, ix *SortedIndex, probes func(lo, hi, d int) []Valu
 	}
 	type bracket struct{ d, lo, hi int }
 	brackets := []bracket{{0, 0, ix.Len()}}
-	for d := 1; d < ix.Depths(); d++ {
+	for d := 1; d < len(ix.vals); d++ {
 		lo := 0
 		for lo < ix.Len() {
 			hi := lo + 1
@@ -188,8 +188,8 @@ func checkAgainstReference(t *testing.T, r *Relation, attrs []Attr) *SortedIndex
 		cols[i] = r.Pos(a)
 	}
 	want := referenceOrder(r, cols)
-	if ix.Len() != len(want) || ix.Depths() != len(cols) {
-		t.Fatalf("index is %d rows × %d depths, want %d × %d", ix.Len(), ix.Depths(), len(want), len(cols))
+	if ix.Len() != len(want) || len(ix.vals) != len(cols) {
+		t.Fatalf("index is %d rows × %d depths, want %d × %d", ix.Len(), len(ix.vals), len(want), len(cols))
 	}
 	for d, c := range cols {
 		for i, row := range want {
@@ -200,7 +200,36 @@ func checkAgainstReference(t *testing.T, r *Relation, attrs []Attr) *SortedIndex
 		}
 	}
 	checkBitmaps(t, ix)
+	checkStarts(t, ix)
 	return ix
+}
+
+// checkStarts checks a sorted index's start offsets against its depth-0
+// column. The size rule: a nonempty index keeps them exactly when its
+// depth-0 range holds no more values than it has rows, so they never
+// outweigh that column. Kept, run(v) for every value in the range and one
+// either side of it is the positions whose depth-0 value is v.
+func checkStarts(t *testing.T, ix *SortedIndex) {
+	t.Helper()
+	n := ix.Len()
+	kept := n > 0 && int64(ix.vals[0][n-1])-int64(ix.vals[0][0]) < int64(n)
+	if (ix.starts != nil) != kept || len(ix.starts) > n {
+		t.Fatalf("%d rows over depth-0 values %v: %d start offsets, want kept %v and no more than the rows", n, ix.vals[0], len(ix.starts), kept)
+	}
+	if !kept {
+		return
+	}
+	for v := int64(ix.vals[0][0]) - 1; v <= int64(ix.vals[0][n-1])+1; v++ {
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			continue
+		}
+		lo, hi := ix.run(Value(v))
+		wantLo := sort.Search(n, func(i int) bool { return int64(ix.vals[0][i]) >= v })
+		wantHi := sort.Search(n, func(i int) bool { return int64(ix.vals[0][i]) > v })
+		if hi-lo != wantHi-wantLo || (hi > lo && lo != wantLo) {
+			t.Fatalf("run(%d) = [%d,%d), want [%d,%d) over depth-0 values %v", v, lo, hi, wantLo, wantHi, ix.vals[0])
+		}
+	}
 }
 
 // checkBitmaps checks a sorted index's run bitmaps against its columns.
@@ -212,23 +241,23 @@ func checkAgainstReference(t *testing.T, r *Relation, attrs []Attr) *SortedIndex
 // value with no run), and BitWord at every position of a run reads it.
 func checkBitmaps(t *testing.T, ix *SortedIndex) {
 	t.Helper()
-	columns := int64(ix.Len()) * int64(ix.Depths()) * 4
+	columns := int64(ix.Len()) * int64(len(ix.vals)) * 4
 	var runs, first, span int64
-	if ix.Depths() == 2 && ix.Len() > 0 {
+	if len(ix.vals) == 2 && ix.Len() > 0 {
 		c0, c1 := ix.vals[0], ix.vals[1]
 		first = int64(slices.Min(c1)) >> 6
 		runs, span = int64(c0[ix.Len()-1])-int64(c0[0])+1, int64(slices.Max(c1))>>6-first+1
 	}
 	kept := runs > 0 && runs*span <= int64(ix.Len())
 	if ix.HasBitmaps() != kept {
-		t.Fatalf("%d rows × %d depths, %d runs × %d words: bitmaps kept %v, want %v", ix.Len(), ix.Depths(), runs, span, ix.HasBitmaps(), kept)
+		t.Fatalf("%d rows × %d depths, %d runs × %d words: bitmaps kept %v, want %v", ix.Len(), len(ix.vals), runs, span, ix.HasBitmaps(), kept)
 	}
-	want := columns
+	want := columns + int64(len(ix.starts))*4
 	if kept {
 		want += runs * span * 8
 	}
-	if ix.Bytes() != want || ix.Bytes() > 2*columns {
-		t.Fatalf("Bytes() = %d, want %d, at most twice the columns' %d", ix.Bytes(), want, columns)
+	if ix.Bytes() != want || ix.Bytes() > 2*columns+int64(ix.Len())*4 {
+		t.Fatalf("Bytes() = %d, want %d: at most twice the columns' %d, and the start offsets no more than the depth-0 column", ix.Bytes(), want, columns)
 	}
 	if !kept {
 		return
@@ -263,7 +292,8 @@ func checkBitmaps(t *testing.T, ix *SortedIndex) {
 // order (so rows tie on the indexed prefix and row id decides), with
 // value ranges that are tiny, negative, the whole of int32, and mixed, the
 // row order is exactly the reference comparator's — whether the keys fit
-// 64 bits or the build falls back to comparing columns.
+// 64 bits or the build falls back to comparing columns — and the run
+// bitmaps and start offsets each size rule keeps read the same rows.
 func TestSortedIndexMatchesComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(20040314))
 	ranges := []struct {
@@ -277,7 +307,7 @@ func TestSortedIndexMatchesComparator(t *testing.T) {
 		{"wide", 0, 1 << 20},
 		{"full", math.MinInt32, math.MaxInt32},
 	}
-	packed, fallback, bitmaps := 0, 0, 0
+	packed, fallback, bitmaps, starts := 0, 0, 0, 0
 	for arity := 1; arity <= 9; arity++ {
 		for _, rg := range ranges {
 			for trial := 0; trial < 4; trial++ {
@@ -316,16 +346,20 @@ func TestSortedIndexMatchesComparator(t *testing.T) {
 				} else {
 					fallback++
 				}
-				if checkAgainstReference(t, r, order).HasBitmaps() {
+				ix := checkAgainstReference(t, r, order)
+				if ix.HasBitmaps() {
 					bitmaps++
+				}
+				if ix.starts != nil {
+					starts++
 				}
 				// A renamed view shares the arena and the order.
 				checkAgainstReference(t, Rename(r, map[Attr]Attr{order[0]: 99}), append([]Attr{99}, order[1:]...))
 			}
 		}
 	}
-	if packed == 0 || fallback == 0 || bitmaps == 0 {
-		t.Errorf("%d builds packed, %d fell back and %d kept run bitmaps: want every path exercised", packed, fallback, bitmaps)
+	if packed == 0 || fallback == 0 || bitmaps == 0 || starts == 0 {
+		t.Errorf("%d builds packed, %d fell back, %d kept run bitmaps and %d start offsets: want every path exercised", packed, fallback, bitmaps, starts)
 	}
 }
 
@@ -335,8 +369,10 @@ func TestSortedIndexMatchesComparator(t *testing.T) {
 // exactly that, n × depth × 4 bytes, on the packed path and on the
 // comparator path alike — the packed keys and row ids are scratch that is
 // gone when the build returns, and nothing of theirs is billed — plus the
-// run bitmaps a dense two-column index keeps: narrow's 37 runs of 16 words.
-// wide's columns span 2^31 values, so its size rule keeps none.
+// run bitmaps a dense two-column index keeps, narrow's 37 runs of 16 words,
+// and the start offsets of a depth-0 range no wider than the rows, narrow's
+// 37 values at either depth. wide's columns span 2^31 values, so its size
+// rules keep neither.
 func TestSortedIndexBillsTheRowIDArrayOnly(t *testing.T) {
 	narrow := New([]Attr{0, 1})
 	wide := New([]Attr{0, 1, 2})
@@ -352,6 +388,9 @@ func TestSortedIndexBillsTheRowIDArrayOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := int64(r.Len()) * int64(depth) * 4
+			if name == "packed" {
+				want += 37 * 4
+			}
 			if name == "packed" && depth == 2 {
 				want += 37 * 16 * 8
 			}
@@ -402,8 +441,9 @@ func TestSortedIndexLimits(t *testing.T) {
 
 // FuzzSortedIndexOrder feeds arbitrary bytes as a relation — arity, an
 // index order, then little-endian int32 values — and checks the index's
-// columns and run bitmaps against the reference comparator's rows, and its
-// seeks against a linear scan of every bracket. The seeds index two
+// columns, run bitmaps and start offsets against the reference
+// comparator's rows, and its seeks against a linear scan of every
+// bracket. The seeds index two
 // columns: negative values whose minima sit off a word boundary and whose
 // runs cross one (bitmaps kept), and the ends of int32 (none kept).
 func FuzzSortedIndexOrder(f *testing.F) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -89,8 +90,16 @@ func selectiveCases(t testing.TB, db cq.Database) []routeCase {
 // exceeds the server's default budgets or cellTimeout is skipped and
 // cannot be the best. The summary row carries the worst regret and the
 // regret of the whole matrix (Σ routed / Σ best).
+//
+// A cell's ns/op is the median of cellSamples samples, each the mean of
+// runs over at least sampleTime, taken in rounds that time every route of
+// the row in turn: a drift in the host's speed reaches every cell of a row
+// alike, so a row's regret holds still between recordings. The cell's own
+// b.N loop (once, under make bench-json's -benchtime 1x) measures B/op,
+// allocs/op and peak-bytes.
 func BenchmarkRoutingMatrix(b *testing.B) {
 	const cellTimeout = 2 * time.Second
+	const cellSamples, sampleTime = 21, 10 * time.Millisecond
 	opt := engine.Options{MaxRows: 10_000_000, MaxBytes: 256 << 20}
 	// The matrix's rows: the cyclic shapes, Boolean, with the triangle and
 	// the 4-cycle over an e of the through-the-wire benchmark's size.
@@ -133,36 +142,57 @@ func BenchmarkRoutingMatrix(b *testing.B) {
 				return defaultTier.Run(ctx, db, opt)
 			}
 		}
-		// cell runs one route b.N times after one untimed run, which
-		// warms the allocator and decides whether the cell can finish,
-		// and returns its ns/op.
-		cell := func(b *testing.B, m core.Method) float64 {
-			run := func() *engine.Result {
-				ctx, cancel := context.WithTimeout(context.Background(), cellTimeout)
-				defer cancel()
-				res, err := exec(ctx, m)
-				if err != nil {
-					b.Skipf("%s did not finish: %v", m, err) // the caller keeps +Inf
+		run := func(m core.Method) (*engine.Result, error) {
+			ctx, cancel := context.WithTimeout(context.Background(), cellTimeout)
+			defer cancel()
+			return exec(ctx, m)
+		}
+		// One untimed run per route warms the allocator and decides
+		// whether the cell can finish; then the interleaved rounds.
+		errs, samples := map[core.Method]error{}, map[core.Method][]float64{}
+		for _, m := range routes {
+			_, errs[m] = run(m)
+		}
+		for range cellSamples {
+			for _, m := range routes {
+				if errs[m] != nil {
+					continue
 				}
-				return res
+				start, n := time.Now(), 0
+				for ; errs[m] == nil && (n == 0 || time.Since(start) < sampleTime); n++ {
+					_, errs[m] = run(m)
+				}
+				samples[m] = append(samples[m], float64(time.Since(start).Nanoseconds())/float64(n))
 			}
-			res := run()
-			b.ResetTimer()
+		}
+		ns := map[core.Method]float64{}
+		for _, m := range routes {
+			ns[m] = math.Inf(1)
+			if errs[m] == nil {
+				slices.Sort(samples[m])
+				ns[m] = samples[m][cellSamples/2]
+			}
+		}
+		cell := func(b *testing.B, m core.Method) {
+			if errs[m] != nil {
+				b.Skipf("%s did not finish: %v", m, errs[m]) // its time stays +Inf
+			}
+			var res *engine.Result
 			for i := 0; i < b.N; i++ {
-				res = run()
+				var err error
+				if res, err = run(m); err != nil {
+					b.Skipf("%s did not finish: %v", m, err)
+				}
 			}
 			peak := res.Stats.PeakBytes
 			if peak == 0 {
 				peak = res.Stats.Bytes
 			}
 			b.ReportMetric(float64(peak), "peak-bytes")
-			return float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(ns[m], "ns/op")
 		}
-		ns := map[core.Method]float64{}
 		for _, m := range routes {
-			m := m
-			ns[m] = math.Inf(1)
-			b.Run(c.name+"/"+string(m), func(b *testing.B) { ns[m] = cell(b, m) })
+			b.Run(c.name+"/"+string(m), func(b *testing.B) { cell(b, m) })
 		}
 		best := math.Inf(1)
 		for _, t := range ns {

@@ -591,9 +591,9 @@ func TestRelBlockShadowsTheResidentIndex(t *testing.T) {
 	}
 	ask(text, s.cfg.DB)
 	resident := s.health().ResidentIndexBytes
-	// Each index is e's two columns and its run bitmaps: 80 runs of 2
-	// words, for the values 0…79.
-	if want := 2 * (int64(e.Len())*2*4 + 80*2*8); resident != want {
+	// Each index is e's two columns, its run bitmaps, 80 runs of 2 words,
+	// and its start offsets, one for each of the values 0…79.
+	if want := 2 * (int64(e.Len())*2*4 + 80*2*8 + 80*4); resident != want {
 		t.Fatalf("resident_index_bytes = %d after the first run, want e's two 2-column indexes = %d", resident, want)
 	}
 	ask(block+text, own)

@@ -74,6 +74,16 @@ func wcojVariants(b *testing.B, q *cq.Query, db cq.Database) {
 	}
 }
 
+// denseVariants runs the variants again, as the "dense" sub-row, over an
+// edge relation of cyclic-dense's shape: 8 000 edges over 600 values. Its
+// sorted indexes keep run bitmaps (600 runs of 10 words, under 8 000 rows),
+// so leapfrog's last-column levels AND them; the sparser top-level
+// relations' would take more words than rows, so those rows gallop.
+func denseVariants(b *testing.B, q *cq.Query, seed int64) {
+	db := cq.Database{"e": randomRel(rand.New(rand.NewSource(seed)), 8000, 600, 600)}
+	b.Run("dense", func(b *testing.B) { wcojVariants(b, q, db) })
+}
+
 // BenchmarkWCOJTriangle is the canonical worst-case-optimal workload: a
 // directed triangle over one random edge relation. The binary plans
 // build e⋈e (about rows²/dom tuples) before the closing atom prunes
@@ -92,6 +102,7 @@ func BenchmarkWCOJTriangle(b *testing.B) {
 		},
 	}
 	wcojVariants(b, q, db)
+	denseVariants(b, q, 11)
 }
 
 // BenchmarkWCOJFourCycle is the 4-cycle over the same kind of random
@@ -111,6 +122,7 @@ func BenchmarkWCOJFourCycle(b *testing.B) {
 		},
 	}
 	wcojVariants(b, q, db)
+	denseVariants(b, q, 13)
 }
 
 // BenchmarkWCOJClique is the paper-flavored cyclic shape: Boolean
