@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"projpush/internal/cq"
-	"projpush/internal/jointree"
 	"projpush/internal/plan"
 )
 
@@ -68,64 +67,65 @@ func explainWalker(p plan.Node, db cq.Database, opt Options, analyze bool) (stri
 // with its per-phase cardinalities — rows when the bag relation was
 // formed, after the seed walk reduced it (⋉→, only on bags the walk
 // reached whole), after the bottom-up sweep (⋉↑), after the top-down sweep
-// (⋉↓), and the evaluated output — followed by the run's
-// reduced-vs-materialized totals. On a bag hosting two or more atoms each
-// atom carries [rows after bind ⋉→rows after the walk filtered it] from
-// before the bag's join, and rows= is the size of that join.
-func explainYannakakis(tree *jointree.Tree, db cq.Database, opt Options, analyze bool) (string, error) {
-	var root *ybag
-	var st Stats
+// (⋉↓), and the evaluated output — followed by the semijoins each phase
+// ran and skipped as provably empty, and the run's reduced-vs-materialized
+// totals. On a bag hosting two or more atoms each atom carries [rows after
+// bind ⋉→rows after the walk filtered it] from before the bag's join, and
+// rows= is the size of that join.
+func explainYannakakis(y *yannakakis, db cq.Database, opt Options, analyze bool) (string, error) {
+	var ex *yexec
+	var b strings.Builder
+	fmt.Fprintf(&b, "yannakakis full reducer  width=%d", y.s.Tree.Width())
+	t := &ytree{jt: y.s.Tree}
+	t.add(t.jt.Root, -1)
 	if analyze {
-		res, r, err := execYannakakis(context.Background(), tree, db, opt)
-		if err != nil {
+		var err error
+		if _, ex, err = y.exec(context.Background(), db, opt); err != nil {
 			return "", err
 		}
-		root, st = r, res.Stats
-	} else {
-		root = buildBags(tree.Root, nil)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "yannakakis full reducer  width=%d", tree.Width())
-	if analyze {
-		seed := seedBag(preorder(root, nil))
-		fmt.Fprintf(&b, "  seed %s rows=%d", varList(seed.node.Working), seed.bound)
+		t = ex.t
+		fmt.Fprintf(&b, "  seed %s rows=%d", varList(t.bags[t.seed].node.Working), ex.bags[t.seed].bound)
 	}
 	b.WriteString("\n")
-	var walk func(y *ybag, depth int)
-	walk = func(y *ybag, depth int) {
-		indent := strings.Repeat("  ", depth+1)
-		fmt.Fprintf(&b, "%sbag %s → π%s", indent, varList(y.node.Working), varList(y.node.Projected))
-		for _, a := range y.atoms {
-			fmt.Fprintf(&b, "  %s", a.atom)
-			if analyze && len(y.atoms) > 1 {
-				fmt.Fprintf(&b, "[%d", a.rows)
-				if a.walked >= 0 {
-					fmt.Fprintf(&b, " ⋉→%d", a.walked)
+	var walk func(i, depth int)
+	walk = func(i, depth int) {
+		n := &t.bags[i]
+		fmt.Fprintf(&b, "%sbag %s → π%s", strings.Repeat("  ", depth+1), varList(n.node.Working), varList(n.node.Projected))
+		for k := n.lo; k < n.hi; k++ {
+			fmt.Fprintf(&b, "  %s", t.atoms[k])
+			if analyze && n.hi-n.lo > 1 {
+				fmt.Fprintf(&b, "[%d", ex.t.views[k].Len())
+				if w := ex.atoms[k].walked; w >= 0 {
+					fmt.Fprintf(&b, " ⋉→%d", w)
 				}
 				b.WriteString("]")
 			}
 		}
 		if analyze {
-			if y.bound >= 0 {
-				fmt.Fprintf(&b, "  rows=%d", y.bound)
-				if y.walked >= 0 {
-					fmt.Fprintf(&b, " ⋉→%d", y.walked)
+			bag := &ex.bags[i]
+			if bag.bound >= 0 {
+				fmt.Fprintf(&b, "  rows=%d", bag.bound)
+				if bag.walked >= 0 {
+					fmt.Fprintf(&b, " ⋉→%d", bag.walked)
 				}
-				fmt.Fprintf(&b, " ⋉↑%d ⋉↓%d", y.afterUp, y.afterDown)
+				fmt.Fprintf(&b, " ⋉↑%d ⋉↓%d", bag.afterUp, bag.afterDown)
 			}
-			if y.out >= 0 {
-				fmt.Fprintf(&b, " out=%d", y.out)
+			if bag.out >= 0 {
+				fmt.Fprintf(&b, " out=%d", bag.out)
 			}
 		}
 		b.WriteString("\n")
-		for _, c := range y.children {
+		for _, c := range n.children {
 			walk(c, depth+1)
 		}
 	}
-	walk(root, 0)
+	walk(0, 0)
 	if analyze {
-		fmt.Fprintf(&b, "reduced: %d tuples removed by semijoins\n", st.ReducedTuples)
-		fmt.Fprintf(&b, "materialized: %d tuples, %d bytes", st.MaterializedTuples, st.Bytes)
+		sj := ex.semijoins
+		fmt.Fprintf(&b, "semijoins: ⋉→ ran=%d skipped=%d  ⋉↑ ran=%d skipped=%d  ⋉↓ ran=%d skipped=%d\n",
+			sj[0][0], sj[0][1], sj[1][0], sj[1][1], sj[2][0], sj[2][1])
+		fmt.Fprintf(&b, "reduced: %d tuples removed by semijoins\n", ex.stats.ReducedTuples)
+		fmt.Fprintf(&b, "materialized: %d tuples, %d bytes", ex.stats.MaterializedTuples, ex.stats.Bytes)
 		if opt.MaxBytes > 0 {
 			fmt.Fprintf(&b, " (budget %d)", opt.MaxBytes)
 		}

@@ -263,8 +263,8 @@ func TestYannakakisRungDegrades(t *testing.T) {
 }
 
 // TestExplainYannakakis checks both renderings: the static tree and the
-// analyzed sweep with its seed, per-bag counts and the
-// reduced/materialized footer.
+// analyzed sweep with its seed, per-bag counts, the semijoins each phase
+// ran and skipped, and the reduced/materialized footer.
 func TestExplainYannakakis(t *testing.T) {
 	q, db := selectiveChain(200)
 	static, err := engine.NewYannakakis(analyze(t, q)).Explain(db, engine.Options{}, false)
@@ -281,7 +281,7 @@ func TestExplainYannakakis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"reduced:", "materialized:", "seed {", "⋉→", "⋉↑", "⋉↓"} {
+	for _, want := range []string{"reduced:", "materialized:", "seed {", "⋉→", "⋉↑", "⋉↓", "semijoins: ⋉→ ran="} {
 		if !strings.Contains(analyzed, want) {
 			t.Fatalf("analyzed explain missing %q:\n%s", want, analyzed)
 		}

@@ -3,6 +3,7 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -80,12 +81,14 @@ func (r *Relation) columnIndex(j int) *joinTable {
 // arena by column position, so every view of one storage gets the same
 // index; readers of one order wait for its single build.
 func (r *Relation) SortedIndex(attrs []Attr) (*SortedIndex, error) {
-	cols, key := make([]int, len(attrs)), make([]byte, 0, 2*len(attrs))
-	for i, a := range attrs {
-		if cols[i] = r.Pos(a); cols[i] < 0 {
+	var buf [8]int // a lookup of a built index allocates nothing
+	cols, key := buf[:0], make([]byte, 0, 16)
+	for _, a := range attrs {
+		c := r.Pos(a)
+		if c < 0 {
 			return nil, fmt.Errorf("relation.SortedIndex: attribute %d not in schema", a)
 		}
-		key = binary.AppendUvarint(key, uint64(cols[i]))
+		cols, key = append(cols, c), binary.AppendUvarint(key, uint64(c))
 	}
 	f := r.factsOf()
 	f.sortedMu.Lock()
@@ -94,6 +97,7 @@ func (r *Relation) SortedIndex(attrs []Attr) (*SortedIndex, error) {
 		if f.sorted == nil {
 			f.sorted = make(map[string]func() *SortedIndex)
 		}
+		cols := slices.Clone(cols)
 		build = sync.OnceValue(func() *SortedIndex {
 			ix := newSortedIndex(r, cols)
 			f.resident.Add(ix.Bytes())

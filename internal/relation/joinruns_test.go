@@ -38,7 +38,7 @@ func checkResidentJoin(t *testing.T, r, o *Relation) (sorted, table int) {
 		if !got.Equal(want) || !got.Equal(private) {
 			t.Fatalf("JoinLimited, %s: %v (err %v), nested loops %v (r=%v o=%v)", arm.name, got, err, want, r, o)
 		}
-		if spec.order == nil {
+		if !spec.runs {
 			table++
 			continue
 		}
@@ -161,7 +161,7 @@ func TestJoinResidentCancelInsideARun(t *testing.T) {
 	probe := New([]Attr{0})
 	probe.Add(Tuple{5})
 	view := Rename(big, nil)
-	if spec := makeJoinSpec(probe, view); spec.order == nil {
+	if spec := makeJoinSpec(probe, view); !spec.runs {
 		t.Fatal("a single-valued key column did not take the sorted index")
 	}
 	var work int64

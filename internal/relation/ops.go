@@ -159,8 +159,8 @@ func SharedAttrs(r, o *Relation) []Attr {
 // the output assembly map.
 type joinSpec struct {
 	build, probe *Relation
-	resident     bool   // probe the build side's column index (facts.go)
-	order        []Attr // or read its sorted index in this order; nil if not
+	resident     bool // probe the build side's column index (facts.go)
+	runs         bool // or read its sorted index led by the key column
 	outAttrs     []Attr
 	exact        bool  // the build side's keys pack (key.go): no verification
 	bPos, pPos   []int // shared-attr column positions on each side
@@ -198,9 +198,8 @@ func makeJoinSpec(r, o *Relation) joinSpec {
 	s.bPos = s.build.colsOf(shared)
 	s.pPos = s.probe.colsOf(shared)
 	s.exact = s.build.packs(s.bPos) // always, on one column
-	if k, b := s.bPos, s.build; s.resident && int64(b.colMax[k[0]])-int64(b.colMin[k[0]]) < int64(b.n) {
-		s.order = append([]Attr{b.attrs[k[0]]}, slices.Delete(slices.Clone(b.attrs), k[0], k[0]+1)...)
-	}
+	k, b := s.bPos, s.build
+	s.runs = s.resident && int64(b.colMax[k[0]])-int64(b.colMin[k[0]]) < int64(b.n)
 
 	// Output assembly: shared attributes are read from the probe side
 	// (the join condition makes the two sides agree on them).
@@ -275,7 +274,7 @@ func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 	if r.n == 0 || o.n == 0 {
 		return out, nil
 	}
-	if spec.order != nil {
+	if spec.runs {
 		return spec.joinRuns(out, lim)
 	}
 	jt, err := spec.table(lim)
@@ -356,7 +355,10 @@ func (s *joinSpec) filled(out *Relation, data []Value, n int) *Relation {
 // row cap, the byte charge and the one exact-size allocation precede any
 // write. Both passes tick per tuple touched; the work is the table join's.
 func (s *joinSpec) joinRuns(out *Relation, lim *Limit) (*Relation, error) {
-	ix, _ := s.build.SortedIndex(s.order) // the order is the build's own schema
+	var buf [8]Attr // the key column, then the others in schema order
+	b, k := s.build, s.bPos[0]
+	order := append(append(append(buf[:0], b.attrs[k]), b.attrs[:k]...), b.attrs[k+1:]...)
+	ix, _ := b.SortedIndex(order) // the order is the build's own schema
 	probe, key, w := s.probe, s.pPos[0], out.arity
 	var touched int64
 	defer func() { lim.charge(touched) }()
@@ -383,7 +385,7 @@ func (s *joinSpec) joinRuns(out *Relation, lim *Limit) (*Relation, error) {
 	cols := make([][]Value, w) // output column -> the index's column it copies
 	for i, bs := range s.buildSrc {
 		if bs >= 0 {
-			cols[i] = ix.vals[slices.Index(s.order, s.build.attrs[bs])]
+			cols[i] = ix.vals[slices.Index(order, b.attrs[bs])]
 		}
 	}
 	data, at := make([]Value, total*w), 0
