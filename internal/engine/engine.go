@@ -212,7 +212,7 @@ func (ex *executor) eval(n plan.Node, st *Stats) (*relation.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := ex.join(st, l, r)
+		out, _, err := ex.join(st, l, r, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -107,14 +107,28 @@ func (g *governor) scan(st *Stats, a *cq.Atom) (*relation.Relation, error) {
 	return bound, err
 }
 
-// join is the materializing Join operator.
-func (g *governor) join(st *Stats, l, r *relation.Relation) (*relation.Relation, error) {
-	out, err := relation.JoinLimited(l, r, g.lim(&st.Work))
-	if err == nil {
-		st.Joins++
-		materialized(st, out)
+// join is the materializing Join operator, and reports the join's rows.
+// With cols that drop a column of the join the SELECT DISTINCT operator
+// onto cols follows in the same kernel call (relation.JoinProjectLimited),
+// and st observes both as the two kernels report them but for the join's
+// arena, which is never written. A nil cols keeps every column.
+func (g *governor) join(st *Stats, l, r *relation.Relation, cols []cq.Var) (*relation.Relation, int, error) {
+	arity := 0
+	if cols != nil {
+		if arity = l.Arity() + r.Arity() - len(relation.SharedAttrs(l, r)); len(cols) == arity {
+			cols = nil // nothing to project: the join, in its own order
+		}
 	}
-	return out, err
+	out, rows, err := relation.JoinProjectLimited(l, r, cols, g.lim(&st.Work))
+	if err != nil {
+		return nil, 0, err
+	}
+	if st.Joins++; cols != nil { // and the join's rows, never written
+		st.Projections++
+		st.MaxRows, st.MaxArity, st.Tuples = max(st.MaxRows, rows), max(st.MaxArity, arity), st.Tuples+int64(rows)
+	}
+	materialized(st, out)
+	return out, rows, nil
 }
 
 // project is the materializing SELECT DISTINCT operator.

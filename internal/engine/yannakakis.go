@@ -26,7 +26,8 @@
 //     time the run needs it whole: when it becomes the source of a
 //     semijoin, or else at the end of this phase. Until then a semijoin
 //     that targets it filters each hosted atom instead, so the join is
-//     formed from atoms already reduced;
+//     formed from atoms already reduced. A lone bag, one no neighbour
+//     hosts atoms (as in a one-bag tree), is left to phase 5;
 //  3. bottom-up sweep: children before parents, each bag semijoin-reduces
 //     its parent;
 //  4. top-down sweep: parents before children, each bag is reduced by its
@@ -38,6 +39,10 @@
 //     C's columns all lie in R's, R ⋈ C = R ⋉ C: such a join runs as a
 //     semijoin, and none where R is its bag's relation whole and C the
 //     child's, projected: the sweeps left each tuple of R a partner there.
+//     A join that is the bag's last step before its projection is fused
+//     with it (relation.JoinProjectLimited), so the join is never written:
+//     the join onto the last child, or a lone bag's last hosted-atom join,
+//     which forms the bag here, its rows those of every phase before.
 //
 // Phases 2–4 skip a semijoin that cannot remove a tuple. Bags only
 // shrink. If R was reduced by S, and S has since lost tuples only to
@@ -241,21 +246,28 @@ func (ex *yexec) bind(y *yannakakis) error {
 // size grew the peak on wide answers). The schema is bounded by the bag
 // (width+1 variables), and the views are already filtered by every
 // semijoin that reached the bag. An atom-less root stays without one.
-func (ex *yexec) joinAtoms(i int) error {
+// Phase 5 forms a lone bag, one no neighbour hosts atoms, so no semijoin
+// reads: with keep, the last join is fused with the projection onto keep,
+// returned and not held.
+func (ex *yexec) joinAtoms(i int, keep []cq.Var) (*relation.Relation, error) {
 	b, n := &ex.bags[i], &ex.t.bags[i]
 	if b.rel != nil || n.lo == n.hi {
-		return nil
+		return b.rel, nil
 	}
-	cur := ex.atoms[n.lo].view
-	for _, a := range ex.atoms[n.lo+1 : n.hi] {
-		var err error
-		if cur, err = ex.join(&ex.stats, cur, a.view); err != nil {
-			return err
+	cur, rows := ex.atoms[n.lo].view, 0
+	for k := n.lo + 1; k < n.hi; k++ {
+		cols, err := keep, error(nil)
+		if k < n.hi-1 {
+			cols = nil
+		}
+		if cur, rows, err = ex.join(&ex.stats, cur, ex.atoms[k].view, cols); err != nil {
+			return nil, err
 		}
 	}
-	b.rel, b.bound = cur, cur.Len()
-	b.changes++
-	return nil
+	if b.bound, b.changes = rows, b.changes+1; keep == nil {
+		b.rel = cur
+	}
+	return cur, nil
 }
 
 // reduce semijoin-filters bag r by bag s, in place, crediting the deleted
@@ -270,7 +282,7 @@ func (ex *yexec) reduce(r, s int) (int, error) {
 	if !ex.t.hosts(r) || !ex.t.hosts(s) {
 		return 0, nil
 	}
-	if err := ex.joinAtoms(s); err != nil {
+	if _, err := ex.joinAtoms(s, nil); err != nil {
 		return 0, err
 	}
 	rb, sb, count := &ex.bags[r], &ex.bags[s], &ex.semijoins[ex.phase]
@@ -355,16 +367,28 @@ func (ex *yexec) walk(b, from int) error {
 // parent. A join onto a subset schema runs as a semijoin or none (phase 5
 // above), counted as the join; what it removes is not ReducedTuples.
 func (ex *yexec) eval(b int) (*relation.Relation, error) {
-	bag := &ex.bags[b]
-	cur, whole := bag.rel, bag.rel != nil // whole: cur is bag.rel with every tuple
-	for _, c := range ex.t.bags[b].children {
+	bag, n := &ex.bags[b], &ex.t.bags[b]
+	cur := bag.rel
+	if cur == nil && n.hi > n.lo { // a lone bag: no semijoin changed it
+		var err error
+		if cur, err = ex.joinAtoms(b, n.node.Projected); err != nil {
+			return nil, err
+		}
+		bag.afterUp, bag.afterDown = bag.bound, bag.bound
+	}
+	whole := cur != nil // cur is the bag's relation with every tuple
+	for k, c := range n.children {
 		cr, err := ex.eval(c)
 		switch {
 		case err != nil:
 		case cur == nil:
 			cur = cr
 		case slices.ContainsFunc(cr.Attrs(), func(a relation.Attr) bool { return !cur.HasAttr(a) }):
-			cur, err = ex.join(&ex.stats, cur, cr)
+			var cols []cq.Var
+			if k == len(n.children)-1 { // the bag's last step: fused with its projection
+				cols = n.node.Projected
+			}
+			cur, _, err = ex.join(&ex.stats, cur, cr, cols)
 			whole = false
 		case whole && ex.bags[c].whole: // the sweeps left every tuple a partner
 			observe(&ex.stats, cur)
@@ -388,9 +412,9 @@ func (ex *yexec) eval(b int) (*relation.Relation, error) {
 		// with no atoms has interior children with results.
 		return nil, fmt.Errorf("engine: yannakakis bag with no relation")
 	}
-	if n := ex.t.bags[b].node; len(n.Projected) != len(cur.Attrs()) {
+	if len(n.node.Projected) != len(cur.Attrs()) {
 		var err error
-		if cur, err = ex.project(&ex.stats, cur, n.Projected); err != nil {
+		if cur, err = ex.project(&ex.stats, cur, n.node.Projected); err != nil {
 			return nil, err
 		}
 	}
@@ -407,12 +431,15 @@ func (ex *yexec) run(y *yannakakis) (rel *relation.Relation, err error) {
 		return nil, err
 	}
 	// Phase 2: walk outward from the smallest atom's bag, then join every
-	// bag the walk did not need whole.
+	// bag the walk did not need whole but a lone one.
 	if err := ex.walk(ex.t.seed, -1); err != nil {
 		return nil, err
 	}
-	for i := range ex.bags {
-		if err := ex.joinAtoms(i); err != nil {
+	for i, n := range ex.t.bags {
+		if !ex.t.hosts(n.parent) && len(n.children) == 0 {
+			continue // lone: phase 5 forms it
+		}
+		if _, err := ex.joinAtoms(i, nil); err != nil {
 			return nil, err
 		}
 	}

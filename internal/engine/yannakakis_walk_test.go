@@ -147,7 +147,7 @@ func unreduced(t *testing.T, tree *jointree.Tree, db cq.Database) *yexec {
 		t.Fatal(err)
 	}
 	for i := range ex.bags {
-		if err := ex.joinAtoms(i); err != nil {
+		if _, err := ex.joinAtoms(i, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,8 +194,10 @@ func checkFullReduction(t *testing.T, name string, tree *jointree.Tree, db cq.Da
 		t.Fatalf("%s: answer has %d rows, the oracle %d", name, res.Rel.Len(), want.Len())
 	}
 
-	// The bag relations again, unreduced: the run filtered its own.
-	bagAtoms, joinDB, branch := bagTreeJoin(unreduced(t, tree, db))
+	// The bag relations again, unreduced: the run filtered its own, and
+	// formed none for a lone bag (its join is fused with its projection).
+	ux := unreduced(t, tree, db)
+	bagAtoms, joinDB, branch := bagTreeJoin(ux)
 	exact := true
 	var lost int64
 	for i, b := range ex.bags {
@@ -213,7 +215,7 @@ func checkFullReduction(t *testing.T, name string, tree *jointree.Tree, db cq.Da
 			t.Fatal(err)
 		}
 		var vars []cq.Var
-		for _, a := range b.rel.Attrs() {
+		for _, a := range ux.bags[i].rel.Attrs() {
 			vars = append(vars, cq.Var(a))
 		}
 		full, err := EvalOracle(&cq.Query{Atoms: q.Atoms, Free: vars}, db)
@@ -480,14 +482,17 @@ func TestYannakakisJoinsBagsAfterTheWalk(t *testing.T) {
 // output builds no dedup table, and a join that reads a stored view's
 // sorted index allocates its arena at the output's exact size. Phase 5
 // runs a join onto a child result whose columns all lie in the bag's as a
-// semijoin, which on these join trees removes nothing and writes no arena.
+// semijoin, which on these join trees removes nothing and writes no arena,
+// and a join that is its bag's last step before the projection as one
+// kernel that writes no join arena either: Figure 6 with free variables
+// and both Figure 7 queries each fuse a join of 36, 36 and 24 rows.
 func TestYannakakisNothingReducesNothingChanges(t *testing.T) {
 	type counts struct{ materialized, bytes, peak int64 }
 	rng := rand.New(rand.NewSource(2004))
 	color := instance.ColorDatabase(3)
 	want := []counts{
-		{33, 4928, 4928}, {165, 8080, 8080}, // Figure 6: Boolean, free [3 6 10]
-		{153, 6528, 6528}, {150, 6080, 6080}, // Figure 7: Boolean, free [2 3 7]
+		{33, 4928, 4928}, {129, 7648, 7648}, // Figure 6: Boolean, free [3 6 10]
+		{117, 6096, 6096}, {126, 5792, 5792}, // Figure 7: Boolean, free [2 3 7]
 		{93, 5824, 5824}, {225, 9632, 9632}, // Figure 8: Boolean, free [0 2 11]
 		{189, 8416, 8416}, {255, 11936, 11936}, // Figure 9: Boolean, free [3 4 7]
 		{1950, 28436, 28436}, // the one-bag join
@@ -540,7 +545,8 @@ func referenceRun(t *testing.T, tree *jointree.Tree, db cq.Database) (*yexec, *r
 		if !ex.t.hosts(r) || !ex.t.hosts(s) {
 			return 0
 		}
-		must(ex.joinAtoms(s))
+		_, err := ex.joinAtoms(s, nil)
+		must(err)
 		if ex.bags[r].rel != nil {
 			removed, err := ex.filter(&ex.bags[r].rel, ex.bags[s].rel)
 			must(err)
@@ -574,7 +580,8 @@ func referenceRun(t *testing.T, tree *jointree.Tree, db cq.Database) (*yexec, *r
 	}
 	walk(ex.t.seed, -1)
 	for i := range ex.bags {
-		must(ex.joinAtoms(i))
+		_, err := ex.joinAtoms(i, nil)
+		must(err)
 	}
 	for i := len(ex.bags) - 1; i > 0; i-- {
 		reduce(ex.t.bags[i].parent, i)
@@ -602,7 +609,7 @@ func referenceRun(t *testing.T, tree *jointree.Tree, db cq.Database) (*yexec, *r
 				cur = cr
 				continue
 			}
-			out, err := ex.join(&ex.stats, cur, cr)
+			out, _, err := ex.join(&ex.stats, cur, cr, nil)
 			must(err)
 			if len(relation.SharedAttrs(cr, cur)) == cr.Arity() && out.Len() < cur.Len() {
 				dropped++
@@ -660,7 +667,7 @@ func denseCyclic(rng *rand.Rand) (*cq.Query, cq.Database) {
 // bag trees that are no join tree, where a phase-5 semijoin removes the
 // tuples the join drops.
 func TestYannakakisSkipsOnlyEmptySemijoins(t *testing.T) {
-	runs, skipped, dropping := 0, 0, 0
+	runs, skipped, dropping, fused := 0, 0, 0, 0
 	check := func(name string, tree *jointree.Tree, db cq.Database) {
 		t.Helper()
 		res, ex, err := reducer(tree).exec(context.Background(), db, Options{})
@@ -679,6 +686,13 @@ func TestYannakakisSkipsOnlyEmptySemijoins(t *testing.T) {
 		if st, rs := res.Stats, ref.stats; st.Tuples != rs.Tuples || st.MaxRows != rs.MaxRows || st.MaxArity != rs.MaxArity {
 			t.Fatalf("%s: tuples, max rows and max arity %d %d %d, the reference sweep's %d %d %d",
 				name, st.Tuples, st.MaxRows, st.MaxArity, rs.Tuples, rs.MaxRows, rs.MaxArity)
+		}
+		if st, rs := res.Stats, ref.stats; st.PeakBytes > rs.PeakBytes || st.MaterializedTuples > rs.MaterializedTuples {
+			t.Fatalf("%s: peak %d bytes and %d tuples materialized, the reference sweep's %d and %d",
+				name, st.PeakBytes, st.MaterializedTuples, rs.PeakBytes, rs.MaterializedTuples)
+		}
+		if res.Stats.MaterializedTuples < ref.stats.MaterializedTuples {
+			fused++
 		}
 		for i, b := range ex.bags {
 			r := ref.bags[i]
@@ -722,9 +736,75 @@ func TestYannakakisSkipsOnlyEmptySemijoins(t *testing.T) {
 			check(fmt.Sprintf("3-COLOR %v free %v", q.Atoms, free), mustAnalyze(t, q).Tree, color)
 		}
 	}
-	t.Logf("%d runs: %d semijoins skipped, %d runs whose phase 5 dropped tuples", runs, skipped, dropping)
-	if skipped == 0 || dropping == 0 {
-		t.Error("the pool neither skips a semijoin nor reaches a phase 5 that drops tuples")
+	shapes, wide := wideAnswer()
+	for _, sh := range shapes {
+		check(sh.name, mustAnalyze(t, sh.q).Tree, wide)
+	}
+	t.Logf("%d runs: %d semijoins skipped, %d runs whose phase 5 dropped tuples, %d that fused a join with a projection", runs, skipped, dropping, fused)
+	if skipped == 0 || dropping == 0 || fused == 0 {
+		t.Error("the pool neither skips a semijoin, nor reaches a phase 5 that drops tuples, nor fuses a join")
+	}
+}
+
+// wideAnswer is the wide-answer workload of bench/: its five queries over
+// the relations of its database that they read, drawn as bench's
+// generateDB draws them (one stream of seed 2: r0 of 10 rows and r1–r7 of
+// 6 000 over 4 000 values, then a_i and b_i of 5 000 over 2 000, b0 of 8),
+// without its relabelling, which changes no count.
+func wideAnswer() ([]struct {
+	name string
+	q    *cq.Query
+}, cq.Database) {
+	shape, db := rand.New(rand.NewSource(2)), cq.Database{}
+	rows := func(i, n, head int) int {
+		if i == 0 {
+			return head
+		}
+		return n
+	}
+	for i := 0; i < 8; i++ {
+		db[fmt.Sprintf("r%d", i)] = randomRel(shape, rows(i, 6000, 10), 4000)
+	}
+	for i := 0; i < 3; i++ {
+		db[fmt.Sprintf("a%d", i)] = randomRel(shape, 5000, 2000)
+		db[fmt.Sprintf("b%d", i)] = randomRel(shape, rows(i, 5000, 8), 2000)
+	}
+	query := func(free []cq.Var, atoms ...cq.Atom) *cq.Query { return &cq.Query{Atoms: atoms, Free: free} }
+	atom := func(rel string, x, y cq.Var) cq.Atom { return cq.Atom{Rel: rel, Args: []cq.Var{x, y}} }
+	return []struct {
+		name string
+		q    *cq.Query
+	}{
+		{"r1r2/x,y,z", query([]cq.Var{0, 1, 2}, atom("r1", 0, 1), atom("r2", 1, 2))},
+		{"r1r2/x,z", query([]cq.Var{0, 2}, atom("r1", 0, 1), atom("r2", 1, 2))},
+		{"r1r2r3/x,y,z,w", query([]cq.Var{0, 1, 2, 3}, atom("r1", 0, 1), atom("r2", 1, 2), atom("r3", 2, 3))},
+		{"a0a1/x,y,z", query([]cq.Var{0, 1, 2}, atom("a0", 0, 1), atom("a1", 0, 2))},
+		{"a2b2/x,y,z", query([]cq.Var{0, 1, 2}, atom("a2", 0, 1), atom("b2", 1, 2))},
+	}, db
+}
+
+// TestExplainYannakakisFusedBag pins wide-answer's r1r2/x,z, a one-bag
+// tree: the lone bag is formed in phase 5, its join of 8 961 rows fused
+// with its projection onto 8 959, so the run materializes the projection
+// alone where the reference sweep writes the join too, and EXPLAIN
+// ANALYZE reads the join's rows in every phase as before.
+func TestExplainYannakakisFusedBag(t *testing.T) {
+	shapes, db := wideAnswer()
+	q := shapes[1].q
+	explain, err := NewYannakakis(mustAnalyze(t, q)).Explain(db, Options{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "bag {x0,x1,x2} → π{x0,x2}  r1(x0,x1)[5999]  r2(x1,x2)[5998]  rows=8961 ⋉↑8961 ⋉↓8961 out=8959\n"; !strings.Contains(explain, want) {
+		t.Errorf("EXPLAIN ANALYZE lacks %q:\n%s", want, explain)
+	}
+	res, err := ExecYannakakisContext(context.Background(), q, db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, _ := referenceRun(t, mustAnalyze(t, q).Tree, db)
+	if got, was := res.Stats.MaterializedTuples, ref.stats.MaterializedTuples; got != 8959 || was != 17920 {
+		t.Errorf("materialized %d tuples, the reference sweep %d: want 8 959 and 17 920", got, was)
 	}
 }
 

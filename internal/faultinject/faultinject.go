@@ -25,8 +25,8 @@ type Point uint8
 
 // The injection points wired into the engine stack.
 const (
-	// AllocJoin fails "allocations" in the join kernel: JoinLimited
-	// reports a memory-budget violation.
+	// AllocJoin fails "allocations" in the join kernel:
+	// JoinProjectLimited (JoinLimited too) reports a budget violation.
 	AllocJoin Point = iota
 	// AllocProject fails allocations in the projection kernel.
 	AllocProject
@@ -36,7 +36,7 @@ const (
 	// LatencyKernel injects artificial latency at kernel entry, for
 	// exercising deadlines and cancellation windows.
 	LatencyKernel
-	// PanicJoin panics at the join kernel's entry (JoinLimited), under
+	// PanicJoin panics at the join kernel's entry (JoinProjectLimited), under
 	// the run boundary of whichever executor called it.
 	PanicJoin
 	// PanicExperimentWorker panics inside the experiments measurement

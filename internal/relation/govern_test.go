@@ -161,3 +161,132 @@ func TestCancelBeforeStart(t *testing.T) {
 		t.Fatalf("ProjectLimited: err = %v, want ErrCanceled", err)
 	}
 }
+
+// TestJoinProjectLimitParity holds the fused join-project kernel to
+// JoinLimited's limits on both key paths (private relations build a
+// table, views read a sorted index): the row cap fires at the same
+// MaxRows, a cancel that lands after entry stops both after the same work,
+// within CheckInterval tuples of the table's build, with no output, and
+// join.alloc and join.panic fire at its entry.
+func TestJoinProjectLimitParity(t *testing.T) {
+	a, b := bigJoinInputs(1000, 20) // 50 000 join rows over 20 keys
+	keep := []Attr{0, 2}
+	for _, arm := range []struct {
+		name  string
+		r, o  *Relation
+		built int64
+	}{{"table", a, b, int64(a.Len())}, {"sorted index", Rename(a, nil), Rename(b, nil), 0}} {
+		joined, err := JoinLimited(arm.r, arm.o, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rows := range []int{joined.Len() - 1, joined.Len()} {
+			_, errJoin := JoinLimited(arm.r, arm.o, &Limit{MaxRows: rows})
+			out, n, err := JoinProjectLimited(arm.r, arm.o, keep, &Limit{MaxRows: rows})
+			if !errors.Is(err, errJoin) || (err == nil) != (rows == joined.Len()) || err == nil && n != rows || err != nil && out != nil {
+				t.Fatalf("%s, MaxRows %d of %d: fused err %v after %d rows, JoinLimited's %v", arm.name, rows, joined.Len(), err, n, errJoin)
+			}
+		}
+		var work, joinWork int64
+		_, errJoin := JoinLimited(arm.r, arm.o, &Limit{Ctx: &cancelAfterEntry{Context: context.Background()}, Work: &joinWork})
+		out, _, err := JoinProjectLimited(arm.r, arm.o, keep, &Limit{Ctx: &cancelAfterEntry{Context: context.Background()}, Work: &work})
+		if !errors.Is(err, ErrCanceled) || !errors.Is(errJoin, ErrCanceled) || out != nil || work != joinWork || work > arm.built+CheckInterval+1 {
+			t.Fatalf("%s, canceled: err %v after %d tuples, JoinLimited's %v after %d: want ErrCanceled within %d",
+				arm.name, err, work, errJoin, joinWork, arm.built+CheckInterval+1)
+		}
+	}
+
+	defer faultinject.Disable()
+	if err := faultinject.Enable("join.alloc=1", 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := JoinProjectLimited(a, b, keep, nil); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("join.alloc armed: err %v, want ErrMemBudget", err)
+	}
+	if err := faultinject.Enable("join.panic=1", 7); err != nil {
+		t.Fatal(err)
+	}
+	guarded := func() (err error) {
+		defer RecoverPanic(&err)
+		_, _, err = JoinProjectLimited(a, b, keep, nil)
+		return err
+	}
+	var pe *PanicError
+	if err := guarded(); !errors.As(err, &pe) || faultinject.Calls(faultinject.PanicJoin) != 1 {
+		t.Fatalf("join.panic armed: err %v after %d draws, want a *PanicError after 1", err, faultinject.Calls(faultinject.PanicJoin))
+	}
+}
+
+// TestJoinProjectCollapsingWithinBudget is the case the output's sizing
+// is capped for: over a sorted index, a projection onto two columns whose
+// ranges are a million wide collapses 1 000 join rows onto four, so an
+// output sized for the join's rows (a row and a dedup slot apiece, at
+// least) would outweigh the join and the projection together. Started
+// within the join's arena bytes instead, it stays at or below the two
+// kernels' bytes and charges (checkJoinProject), and so never fails under
+// a budget of exactly theirs.
+func TestJoinProjectCollapsingWithinBudget(t *testing.T) {
+	r, o := New([]Attr{0, 1}), New([]Attr{1, 2})
+	for y := Value(0); y < 250; y++ {
+		for _, v := range []Value{0, 999_999} {
+			r.Add(Tuple{v, y})
+			o.Add(Tuple{y, v})
+		}
+	}
+	joined := Join(Rename(r, nil), Rename(o, nil))
+	projected := Project(joined, []Attr{0, 2})
+	if two, sized := joined.Bytes()+projected.Bytes(), int64(joined.Len())*(2*4+12); joined.Len() != 1000 || projected.Len() != 4 || sized <= two {
+		t.Fatalf("%d join rows onto %d: an output sized for the join's rows takes %d bytes, the two kernels %d", joined.Len(), projected.Len(), sized, two)
+	}
+	checkJoinProject(t, r, o)
+}
+
+// TestJoinProjectSizedOnce: over a sorted index, an output whose rows and
+// table for min(J, R) fit in the join's arena is allocated once at exactly
+// that size, with a row more to stage a candidate into, and charged
+// exactly that, never grown or rebuilt: R is nine on two columns of three
+// values, and 80 on three columns one of which is negative, so its keys
+// hash from the first row on.
+func TestJoinProjectSizedOnce(t *testing.T) {
+	pair := func(xs, ys, zs []Value, wide bool) (*Relation, *Relation) {
+		r, o := New([]Attr{0, 1}), New([]Attr{1, 2, 3})
+		for _, y := range ys {
+			for _, x := range xs {
+				r.Add(Tuple{x, y})
+			}
+			for _, z := range zs {
+				o.Add(Tuple{y, z, z % 2})
+				if wide {
+					o.Add(Tuple{y, z, 1 - z%2})
+				}
+			}
+		}
+		return Rename(r, nil), Rename(o, nil)
+	}
+	span := func(lo, hi Value) (vs []Value) {
+		for v := lo; v < hi; v++ {
+			vs = append(vs, v)
+		}
+		return vs
+	}
+	for _, c := range []struct {
+		r, o       *Relation
+		keep       []Attr
+		rows, cols int
+	}{
+		{nil, nil, []Attr{0, 2}, 9, 2},
+		{nil, nil, []Attr{0, 2, 3}, 80, 3},
+	} {
+		if c.cols == 2 {
+			c.r, c.o = pair(span(0, 3), span(0, 100), span(0, 3), false)
+		} else {
+			c.r, c.o = pair(span(-20, 0), span(0, 50), span(0, 2), true)
+		}
+		var charged atomic.Int64
+		got, _, err := JoinProjectLimited(c.r, c.o, c.keep, &Limit{MaxBytes: 1 << 40, Bytes: &charged})
+		sized := int64(4*c.cols*(c.rows+1)) + 12*int64(max(16, nextPow2(c.rows*4/3+1))) // a row more to stage into
+		if err != nil || got.Len() != c.rows || got.Bytes() != sized || charged.Load() != sized {
+			t.Errorf("onto %v: %d rows in %d bytes, %d charged (err %v): want %d rows in %d bytes, charged once", c.keep, got.Len(), got.Bytes(), charged.Load(), err, c.rows, sized)
+		}
+	}
+}

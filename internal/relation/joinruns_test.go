@@ -28,7 +28,7 @@ func checkResidentJoin(t *testing.T, r, o *Relation) (sorted, table int) {
 		t.Fatalf("the join of private copies: %v (err %v), nested loops %v (r=%v o=%v)", private, err, want, r, o)
 	}
 	for _, arm := range kernelArms(r, o)[:3] {
-		spec := makeJoinSpec(arm.r, arm.o)
+		spec := makeJoinSpec(arm.r, arm.o, nil)
 		var work int64
 		got, err := JoinLimited(arm.r, arm.o, &Limit{Work: &work})
 		if err != nil {
@@ -161,7 +161,7 @@ func TestJoinResidentCancelInsideARun(t *testing.T) {
 	probe := New([]Attr{0})
 	probe.Add(Tuple{5})
 	view := Rename(big, nil)
-	if spec := makeJoinSpec(probe, view); !spec.runs {
+	if spec := makeJoinSpec(probe, view, nil); !spec.runs {
 		t.Fatal("a single-valued key column did not take the sorted index")
 	}
 	var work int64
@@ -213,36 +213,39 @@ func TestJoinResidentOneIndexPerOrder(t *testing.T) {
 	}
 }
 
-// FuzzJoinResident reads two relations from arbitrary bytes — each an
-// arity byte (1–3), a key-position byte and little-endian int16 values,
-// the key column's scaled by a shift byte so that its range is dense or
-// sparse — and checks every view arm of their join with checkResidentJoin.
+// fuzzRelation reads a relation from arbitrary bytes: an arity byte
+// (1–3), a key-position byte and little-endian int16 values, the key
+// column's (attribute 0) scaled by a shift byte so that its range is dense
+// or sparse. Its other attributes are first+1, first+2.
+func fuzzRelation(data []byte, first Attr) *Relation {
+	if len(data) < 3 {
+		return New([]Attr{0})
+	}
+	arity, keyAt, shift := 1+int(data[0])%3, int(data[1])%3, uint(data[2])%24
+	attrs := []Attr{0}
+	for j := 1; j < arity; j++ {
+		attrs = append(attrs, first+Attr(j))
+	}
+	r := New(rotate(attrs, keyAt%arity))
+	row := make(Tuple, arity)
+	for data = data[3:]; len(data) >= 2*arity && r.Len() < 300; data = data[2*arity:] {
+		for j := range row {
+			row[j] = Value(int16(binary.LittleEndian.Uint16(data[2*j:])))
+		}
+		row[r.Pos(0)] <<= shift
+		r.Add(row)
+	}
+	return r
+}
+
+// FuzzJoinResident reads two relations with fuzzRelation and checks every
+// view arm of their join with checkResidentJoin.
 func FuzzJoinResident(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 1, 0, 1, 0, 2, 0, 0, 0, 0, 0}, []byte{1, 0, 0, 1, 0, 2, 0})
 	f.Add([]byte{3, 1, 20, 1, 0, 1, 0, 1, 0, 9, 0, 1, 0, 2, 0}, []byte{2, 1, 20, 1, 0, 1, 0, 9, 0, 3, 0})
 	f.Add([]byte{1, 0, 0, 0xff, 0xff, 0xfe, 0xff}, []byte{2, 1, 0, 7, 0, 0xff, 0xff})
-	read := func(data []byte, first Attr) *Relation {
-		if len(data) < 3 {
-			return New([]Attr{0})
-		}
-		arity, keyAt, shift := 1+int(data[0])%3, int(data[1])%3, uint(data[2])%24
-		attrs := []Attr{0}
-		for j := 1; j < arity; j++ {
-			attrs = append(attrs, first+Attr(j))
-		}
-		r := New(rotate(attrs, keyAt%arity))
-		row := make(Tuple, arity)
-		for data = data[3:]; len(data) >= 2*arity && r.Len() < 300; data = data[2*arity:] {
-			for j := range row {
-				row[j] = Value(int16(binary.LittleEndian.Uint16(data[2*j:])))
-			}
-			row[r.Pos(0)] <<= shift
-			r.Add(row)
-		}
-		return r
-	}
 	f.Fuzz(func(t *testing.T, rb, ob []byte) {
-		r, o := read(rb, 0), read(ob, 10)
+		r, o := fuzzRelation(rb, 0), fuzzRelation(ob, 10)
 		checkResidentJoin(t, r, o)
 		checkResidentJoin(t, o, r)
 	})

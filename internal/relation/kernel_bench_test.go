@@ -129,32 +129,43 @@ func spreadKey(r *Relation, k Attr) *Relation {
 // them, so it reads the larger arena's resident sorted index; "view-sparse"
 // is "view" with the key's values spread over a range far wider than the
 // rows, so it probes the larger arena's resident column index instead.
+// Each runs JoinLimited then ProjectLimited, as the plan walker does; the
+// fused- rows run the same inputs through JoinProjectLimited, as the full
+// reducer does, which never writes the join.
 func BenchmarkKernelJoinProject(b *testing.B) {
 	a, c := benchInputs(20000, 120)
 	proj := []Attr{0, 2}
-	joinProject := func(b *testing.B, r, o func() *Relation) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, err := JoinLimited(r(), o(), nil)
-			if err != nil {
-				b.Fatal(err)
+	sa, sc := a.Clone(), c.Clone()
+	spreadA, spreadC := spreadKey(a, 1), spreadKey(c, 1)
+	for _, in := range []struct {
+		name string
+		r, o func() *Relation
+	}{
+		{"open", func() *Relation { return a }, func() *Relation { return c }},
+		{"view", func() *Relation { return Rename(sa, nil) }, func() *Relation { return Rename(sc, nil) }},
+		{"view-sparse", func() *Relation { return Rename(spreadA, nil) }, func() *Relation { return Rename(spreadC, nil) }},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := JoinLimited(in.r(), in.o(), nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ProjectLimited(out, proj, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if _, err := ProjectLimited(out, proj, nil); err != nil {
-				b.Fatal(err)
+		})
+		b.Run("fused-"+in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := JoinProjectLimited(in.r(), in.o(), proj, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+		})
 	}
-	b.Run("open", func(b *testing.B) {
-		joinProject(b, func() *Relation { return a }, func() *Relation { return c })
-	})
-	b.Run("view", func(b *testing.B) {
-		sa, sc := a.Clone(), c.Clone()
-		joinProject(b, func() *Relation { return Rename(sa, nil) }, func() *Relation { return Rename(sc, nil) })
-	})
-	b.Run("view-sparse", func(b *testing.B) {
-		sa, sc := spreadKey(a, 1), spreadKey(c, 1)
-		joinProject(b, func() *Relation { return Rename(sa, nil) }, func() *Relation { return Rename(sc, nil) })
-	})
 	b.Run("map-baseline", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

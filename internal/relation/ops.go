@@ -162,20 +162,22 @@ type joinSpec struct {
 	resident     bool // probe the build side's column index (facts.go)
 	runs         bool // or read its sorted index led by the key column
 	outAttrs     []Attr
+	arity        int   // the join's; outAttrs may project it
+	whole        bool  // outAttrs is the whole join: rows are distinct, appended with no dedup table
 	exact        bool  // the build side's keys pack (key.go): no verification
 	bPos, pPos   []int // shared-attr column positions on each side
 	probeSrc     []int // output column -> probe column, or -1
 	buildSrc     []int // output column -> build column (when probeSrc is -1)
 }
 
-// makeJoinSpec prepares the join of r and o. The output schema is r's
-// attributes followed by o's attributes not in r. On a one-column key a
-// zero-copy view of a stored arena (isShared) is the build side, whatever
-// the sizes (the larger when both are views), and its arena's sorted index
-// on the key column, then the others in schema order, is read, or its
-// column index when the key's range is wider than its rows. Otherwise the
-// smaller input is built.
-func makeJoinSpec(r, o *Relation) joinSpec {
+// makeJoinSpec prepares the join of r and o onto keep, or, when keep is
+// nil, onto r's attributes followed by o's attributes not in r. On a
+// one-column key a zero-copy view of a stored arena (isShared) is the
+// build side, whatever the sizes (the larger when both are views), and its
+// arena's sorted index on the key column, then the others in schema order,
+// is read, or its column index when the key's range is wider than its
+// rows. Otherwise the smaller input is built.
+func makeJoinSpec(r, o *Relation, keep []Attr) joinSpec {
 	shared := SharedAttrs(r, o)
 	rView, oView := r.isShared(), o.isShared()
 	s := joinSpec{build: r, probe: o, resident: len(shared) == 1 && (rView || oView)}
@@ -187,13 +189,16 @@ func makeJoinSpec(r, o *Relation) joinSpec {
 		s.build, s.probe = o, r
 	}
 
-	// Output schema: r's columns, then o-only columns.
-	s.outAttrs = append([]Attr(nil), r.attrs...)
-	for _, a := range o.attrs {
-		if !r.HasAttr(a) {
-			s.outAttrs = append(s.outAttrs, a)
+	s.outAttrs, s.arity = keep, r.arity+o.arity-len(shared)
+	if keep == nil { // r's columns, then o-only columns
+		s.outAttrs = append([]Attr(nil), r.attrs...)
+		for _, a := range o.attrs {
+			if !r.HasAttr(a) {
+				s.outAttrs = append(s.outAttrs, a)
+			}
 		}
 	}
+	s.whole = len(s.outAttrs) == s.arity
 
 	s.bPos = s.build.colsOf(shared)
 	s.pPos = s.probe.colsOf(shared)
@@ -261,34 +266,58 @@ func Join(r, o *Relation) *Relation {
 // exact size; any other grows it as stage grows one. Each output column's
 // range is that of the input column it copies, a superset of the rows' own.
 func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
+	out, _, err := JoinProjectLimited(r, o, nil, lim)
+	return out, err
+}
+
+// JoinProjectLimited computes π_keep(r ⋈ o) — SELECT DISTINCT keep FROM
+// r ⋈ o — in one pass under lim, and reports the join's row count. keep
+// names attributes of r or o; a nil keep is JoinLimited. Each match's kept
+// columns go straight into the output's dedup table, so the join is never
+// written, but a keep of the whole join, distinct as it is, appends them.
+// The limits are JoinLimited's: MaxRows caps the join's rows, interrupts
+// are polled per tuple touched, the fault points fire at entry and every
+// allocation is charged. Over a sorted index the output is sized once,
+// before the first insert (joinSpec.size); otherwise it grows as
+// ProjectLimited's does.
+func JoinProjectLimited(r, o *Relation, keep []Attr, lim *Limit) (*Relation, int, error) {
 	if err := lim.interrupted(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	faultinject.Sleep(faultinject.LatencyKernel)
 	if faultinject.FailAlloc(faultinject.AllocJoin) {
-		return nil, fmt.Errorf("%w: injected allocation failure", ErrMemBudget)
+		return nil, 0, fmt.Errorf("%w: injected allocation failure", ErrMemBudget)
 	}
 	faultinject.Panic(faultinject.PanicJoin)
-	spec := makeJoinSpec(r, o)
+	spec := makeJoinSpec(r, o, keep)
 	out := New(spec.outAttrs)
+	for i := range out.attrs { // the sources' ranges: a whole join keeps them, and they fix the dedup keys' regime
+		src, j := spec.probe, spec.probeSrc[i]
+		if j < 0 {
+			src, j = spec.build, spec.buildSrc[i]
+		}
+		out.colMin[i], out.colMax[i] = src.colMin[j], src.colMax[j]
+	}
+	out.exact = out.packs(out.cols)
 	if r.n == 0 || o.n == 0 {
-		return out, nil
+		return out, 0, nil
 	}
 	if spec.runs {
 		return spec.joinRuns(out, lim)
 	}
 	jt, err := spec.table(lim)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	// The interrupt check ticks on tuples touched, not probe rows: a
 	// high-fanout join can emit millions of rows from a handful of probe
 	// rows, and cancellation must land within a bounded amount of work.
 	probe, build, w := spec.probe, spec.build, out.arity
-	data, n := out.data, 0
-	var touched int64
-	nextCheck := int64(deadlineCheckInterval)
+	var data []Value // out's arena, held in a local: out.data only while insert runs
+	var touched, charged int64
+	defer func() { lim.charge(touched) }()
+	n, nextCheck := 0, int64(deadlineCheckInterval)
 	for pi := 0; pi < probe.n; pi++ {
 		pt := probe.row(pi)
 		touched++
@@ -302,23 +331,18 @@ func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 			if touched >= nextCheck {
 				nextCheck = touched + deadlineCheckInterval
 				if err := lim.interrupted(); err != nil {
-					lim.charge(touched)
-					return nil, err
+					return nil, 0, err
 				}
 			}
 			if !spec.exact && !sameKey(bt, spec.bPos, pt, spec.pPos) {
 				continue
 			}
 			if len(data)+w > cap(data) {
-				grown := growArena(data, len(data)+w, w)
-				if err := lim.chargeBytes(int64(cap(grown)-cap(data)) * 4); err != nil {
-					lim.charge(touched)
-					return nil, err
+				if data, err = spec.grow(out, data, lim, &charged); err != nil {
+					return nil, 0, err
 				}
-				data = grown
 			}
-			data = data[:len(data)+w]
-			row := data[len(data)-w:]
+			row := data[len(data) : len(data)+w : len(data)+w]
 			for i, ps := range spec.probeSrc {
 				if ps >= 0 {
 					row[i] = pt[ps]
@@ -327,40 +351,86 @@ func JoinLimited(r, o *Relation, lim *Limit) (*Relation, error) {
 				}
 			}
 			if n++; lim.overRows(n) {
-				lim.charge(touched)
-				return nil, ErrRowLimit
+				return nil, 0, ErrRowLimit
+			}
+			if spec.whole {
+				data = data[:len(data)+w]
+			} else if data, err = spec.insert(out, data, row, lim, &charged); err != nil {
+				return nil, 0, err
 			}
 		}
 	}
-	lim.charge(touched)
-	return spec.filled(out, data, n), nil
+	return spec.done(out, data, n), n, nil
 }
 
-// filled gives out the n rows in data, each column's range its source's.
-func (s *joinSpec) filled(out *Relation, data []Value, n int) *Relation {
-	out.data, out.n, out.stale = data, n, true
-	for i, ps := range s.probeSrc {
-		src, j := s.probe, ps
-		if ps < 0 {
-			src, j = s.build, s.buildSrc[i]
-		}
-		out.colMin[i], out.colMax[i] = src.colMin[j], src.colMax[j]
+// grow grows data, out's arena, by a row as Relation.stage does, charged.
+func (s *joinSpec) grow(out *Relation, data []Value, lim *Limit, charged *int64) ([]Value, error) {
+	out.data = growArena(data, len(data)+out.arity, out.arity)
+	return out.data, lim.chargeMem(out, charged)
+}
+
+// insert keeps the row staged past data, out's arena, unless out holds it,
+// and charges what the dedup table grew by.
+func (s *joinSpec) insert(out *Relation, data []Value, row Tuple, lim *Limit, charged *int64) ([]Value, error) {
+	out.data = data
+	out.commitStaged(row)
+	return out.data, lim.chargeMem(out, charged)
+}
+
+// done gives out its arena: a whole join's n rows, stale (no dedup table),
+// or the projection's rows, kept one by one.
+func (s *joinSpec) done(out *Relation, data []Value, n int) *Relation {
+	if out.data = data; s.whole {
+		out.n, out.stale = n, true
 	}
 	return out
 }
 
-// joinRuns is JoinLimited over the build side's sorted index: a probe key's
-// matches are the run [lo,hi) of its start offsets, the build's other
-// columns read from the index's over it. A first pass sums the runs, so the
-// row cap, the byte charge and the one exact-size allocation precede any
-// write. Both passes tick per tuple touched; the work is the table join's.
-func (s *joinSpec) joinRuns(out *Relation, lim *Limit) (*Relation, error) {
+// size returns the rows of arena and the dedup slots that out, the output
+// of a join of n rows, starts with. A projection holds at most min(n, R)
+// rows, R the product of its columns' ranges: sized for them and a row
+// staged past them, it never grows. Where they outweigh the join's arena,
+// which the two kernels write too, it starts at the largest sizes of
+// ProjectLimited's doubling sequences that fit in it, table first: it
+// grows to within the two kernels' bytes.
+func (s *joinSpec) size(out *Relation, n int) (rows, slots int) {
+	if s.whole {
+		return n, 0
+	}
+	rows, w, budget := 1, out.arity, 4*s.arity*n
+	for i := 0; i < w && rows < n; i++ {
+		rows *= int(out.colMax[i]) - int(out.colMin[i]) + 1
+	}
+	rows = min(rows, n)
+	if slots = max(16, nextPow2(rows*4/3+1)); 4*w*(rows+1)+12*slots <= budget {
+		return rows + 1, slots // room to stage a candidate past them too
+	}
+	for ; slots > 16 && 12*slots > budget; slots /= 2 {
+	}
+	for rows = 64; 2*rows < n && 8*w*rows+12*slots <= budget; rows *= 2 {
+	}
+	if 12*slots > budget {
+		return 0, 0
+	}
+	if 4*w*rows+12*slots > budget {
+		rows = 0
+	}
+	return rows, slots
+}
+
+// joinRuns is JoinProjectLimited over the build side's sorted index: a
+// probe key's matches are the run [lo,hi) of its start offsets, the
+// build's other columns read from the index's over it. A first pass sums
+// the runs, so the row cap, the byte charge and the output's one sizing
+// precede any write. Both passes tick per tuple touched; the work is the
+// table join's.
+func (s *joinSpec) joinRuns(out *Relation, lim *Limit) (*Relation, int, error) {
 	var buf [8]Attr // the key column, then the others in schema order
 	b, k := s.build, s.bPos[0]
 	order := append(append(append(buf[:0], b.attrs[k]), b.attrs[:k]...), b.attrs[k+1:]...)
 	ix, _ := b.SortedIndex(order) // the order is the build's own schema
-	probe, key, w := s.probe, s.pPos[0], out.arity
-	var touched int64
+	probe, key, w, whole := s.probe, s.pPos[0], out.arity, s.whole
+	var touched, charged int64
 	defer func() { lim.charge(touched) }()
 	tick := func() error {
 		if touched++; touched%deadlineCheckInterval != 0 {
@@ -371,16 +441,22 @@ func (s *joinSpec) joinRuns(out *Relation, lim *Limit) (*Relation, error) {
 	total := 0
 	for pi := 0; pi < probe.n; pi++ {
 		if err := tick(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		lo, hi := ix.run(probe.data[pi*probe.arity+key])
 		if total += hi - lo; lim.overRows(total) {
 			touched += int64(lim.MaxRows) + 1 // as the table join counts to its first row over the cap
-			return nil, ErrRowLimit
+			return nil, 0, ErrRowLimit
 		}
 	}
-	if err := lim.chargeBytes(int64(total) * int64(w) * 4); err != nil {
-		return nil, err
+	rows, slots := s.size(out, total)
+	charged = int64(rows*w)*4 + int64(slots)*12
+	if err := lim.chargeBytes(charged); err != nil {
+		return nil, 0, err
+	}
+	data, err := make([]Value, 0, rows*w), error(nil)
+	if out.data = data; slots > 0 {
+		out.keys, out.refs = make([]uint64, slots), make([]int32, slots)
 	}
 	cols := make([][]Value, w) // output column -> the index's column it copies
 	for i, bs := range s.buildSrc {
@@ -388,14 +464,18 @@ func (s *joinSpec) joinRuns(out *Relation, lim *Limit) (*Relation, error) {
 			cols[i] = ix.vals[slices.Index(order, b.attrs[bs])]
 		}
 	}
-	data, at := make([]Value, total*w), 0
 	for pi := 0; pi < probe.n; pi++ {
 		pt := probe.row(pi)
 		for j, hi := ix.run(pt[key]); j < hi; j++ {
 			if err := tick(); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			row := data[at : at+w : at+w]
+			if len(data)+w > cap(data) {
+				if data, err = s.grow(out, data, lim, &charged); err != nil {
+					return nil, 0, err
+				}
+			}
+			row := data[len(data) : len(data)+w : len(data)+w]
 			for i, ps := range s.probeSrc {
 				if ps >= 0 {
 					row[i] = pt[ps]
@@ -403,10 +483,14 @@ func (s *joinSpec) joinRuns(out *Relation, lim *Limit) (*Relation, error) {
 					row[i] = cols[i][j]
 				}
 			}
-			at += w
+			if whole {
+				data = data[:len(data)+w]
+			} else if data, err = s.insert(out, data, row, lim, &charged); err != nil {
+				return nil, 0, err
+			}
 		}
 	}
-	return s.filled(out, data, total), nil
+	return s.done(out, data, total), total, nil
 }
 
 // Project returns the projection of r onto attrs (which must all be in r's

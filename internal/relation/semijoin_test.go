@@ -132,7 +132,7 @@ func checkJoinOutput(t *testing.T, r, o *Relation) {
 	want := nestedLoopJoin(r, o)
 	for _, arm := range kernelArms(r, o) {
 		bytes := int64(cap(want.data)) * 4
-		if spec := makeJoinSpec(arm.r, arm.o); spec.runs {
+		if spec := makeJoinSpec(arm.r, arm.o, nil); spec.runs {
 			bytes = int64(len(want.data)) * 4
 		}
 		joined, err := JoinLimited(arm.r, arm.o, nil)
